@@ -14,6 +14,7 @@ anti-holomorphic content.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,15 +44,27 @@ class CheckReport:
 
     @property
     def max_residual(self):
-        return max(self.residuals) if self.residuals else 0.0
+        """Largest residual: NaN if any residual is NaN or there is none, inf
+        if any is infinite."""
+        if not self.residuals:
+            return math.nan
+        return float(np.max(np.asarray(self.residuals, dtype=float)))
 
     @property
     def passed(self):
-        return self.max_residual <= self.tolerance
+        """Every residual exists, is finite and is within the tolerance."""
+        worst = self.max_residual
+        return math.isfinite(worst) and worst <= self.tolerance
 
     def summary(self):
         flag = "pass" if self.passed else "FAIL"
-        return (f"{flag}  {self.name}: max residual {self.max_residual:.3e} "
+        if not self.residuals:
+            outcome = "no residuals"
+        elif not math.isfinite(self.max_residual):
+            outcome = f"non-finite residual ({self.max_residual})"
+        else:
+            outcome = f"max residual {self.max_residual:.3e}"
+        return (f"{flag}  {self.name}: {outcome} "
                 f"(tol {self.tolerance:.1e}, {len(self.points)} points)")
 
 

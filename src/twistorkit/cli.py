@@ -160,6 +160,13 @@ def main(argv=None):
     if args.command != "run":
         parser.print_usage(sys.stderr)
         return 2
+    if args.points < 1:
+        print(f"usage error: --points must be at least 1, got {args.points}",
+              file=sys.stderr)
+        return 2
+    if args.suite not in {name for name, _ in list_suites()}:
+        print(f"usage error: unknown suite {args.suite!r}", file=sys.stderr)
+        return 2
     try:
         config = SuiteConfig(
             suite=args.suite, tol=args.tol, jet_order=args.jet_order,
@@ -171,9 +178,6 @@ def main(argv=None):
     t0 = time.time()
     try:
         reports = run_suite(config)
-    except KeyError as exc:
-        print(f"usage error: unknown suite {args.suite!r} ({exc})", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - surfaced with context, distinct exit code
         print(f"internal evaluation error in suite {args.suite!r}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)

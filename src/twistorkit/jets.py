@@ -16,7 +16,6 @@ The identification C^m = R^(2m) is fixed once and for all as
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
@@ -30,7 +29,6 @@ class JetError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
 class _Table:
     """Enumeration of multi-indices of total degree <= order, with cached
     convolution and differentiation index maps.  Indices are sorted by
@@ -47,6 +45,11 @@ class _Table:
         self.size = len(idx)
         # prefix length per degree, for truncation
         self._prefix = np.searchsorted(self.degrees, np.arange(order + 2))
+        # positions of the unit multi-indices e_0 .. e_{nvars-1}
+        units = [tuple(int(k == v) for k in range(nvars)) for v in range(nvars)]
+        self.units = [self.position[e] for e in units] if order >= 1 else []
+        self.zeros = np.zeros(self.size, dtype=complex)
+        self.zeros.flags.writeable = False
         self._mul = None
         self._partial = {}
 
@@ -83,6 +86,18 @@ class _Table:
         return self._partial[var]
 
 
+_TABLES = {}
+
+
+def _table(nvars, order):
+    """The one :class:`_Table` for (nvars, order); jets of the same space
+    share it, so an identity test on tables tells them apart cheaply."""
+    t = _TABLES.get((nvars, order))
+    if t is None:
+        t = _TABLES[nvars, order] = _Table(nvars, order)
+    return t
+
+
 def _factorial_multi(alpha):
     out = 1
     for a in alpha:
@@ -108,19 +123,18 @@ class Jet:
     # -- construction -------------------------------------------------
     @staticmethod
     def constant(value, nvars, order, base):
-        t = _Table(nvars, order)
+        t = _table(nvars, order)
         c = np.zeros(t.size, dtype=complex)
         c[0] = value
         return Jet(t, base, c)
 
     @staticmethod
     def variable(i, nvars, order, base):
-        t = _Table(nvars, order)
+        t = _table(nvars, order)
         c = np.zeros(t.size, dtype=complex)
         c[0] = base[i]
         if order >= 1:
-            e = tuple(1 if k == i else 0 for k in range(nvars))
-            c[t.position[e]] = 1.0
+            c[t.units[i]] = 1.0
         return Jet(t, base, c)
 
     # -- metadata ------------------------------------------------------
@@ -140,55 +154,75 @@ class Jet:
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value})"
 
     # -- helpers ---------------------------------------------------------
-    def _like(self, coef, order=None):
-        t = self.table if order is None else _Table(self.nvars, order)
-        return Jet(t, self.base, coef)
+    def _like(self, coef):
+        return Jet(self.table, self.base, coef)
 
     def truncated(self, order):
         if order > self.order:
             raise JetError(f"cannot raise jet order {self.order} -> {order}")
         if order == self.order:
             return self
-        t = _Table(self.nvars, order)
+        t = _table(self.nvars, order)
         return Jet(t, self.base, self.coef[: t.size].copy())
 
     def _coerce(self, other):
-        """Align two jets (or jet and scalar) to a common table."""
-        if not isinstance(other, Jet):
-            return self, Jet.constant(other, self.nvars, self.order, self.base)
-        if other.nvars != self.nvars:
-            raise JetError(f"jet variable count mismatch: {self.nvars} vs {other.nvars}")
-        if not np.array_equal(np.asarray(self.base), np.asarray(other.base)):
+        """Align two jets to a common table, the lower of the two orders."""
+        ta, tb = self.table, other.table
+        if ta is tb and other.base is self.base:
+            return self, other
+        if ta.nvars != tb.nvars:
+            raise JetError(f"jet variable count mismatch: {ta.nvars} vs {tb.nvars}")
+        a, b = self.base, other.base
+        if not ((type(a) is tuple and type(b) is tuple and a == b)
+                or np.array_equal(np.asarray(a), np.asarray(b))):
             raise JetError("jet base points differ")
-        order = min(self.order, other.order)
-        return self.truncated(order), other.truncated(order)
+        # The lower-order table is a prefix of the higher one, so a view of the
+        # leading coefficients truncates; the operation copies into a new array.
+        if ta.order < tb.order:
+            return self, Jet(ta, b, other.coef[: ta.size])
+        if tb.order < ta.order:
+            return Jet(tb, a, self.coef[: tb.size]), other
+        return self, other
 
     # -- ring operations ---------------------------------------------
+    # A scalar acts on ``coef`` directly.  The results equal, bit for bit,
+    # those of the same operation with the constant jet of the scalar:
+    # adding ``table.zeros`` turns -0.0 into +0.0 as adding the constant's
+    # zero coefficients did.
     def __add__(self, other):
-        a, b = self._coerce(other)
-        return a._like(a.coef + b.coef)
+        if isinstance(other, Jet):
+            a, b = self._coerce(other)
+            return Jet(a.table, a.base, a.coef + b.coef)
+        c = self.coef + self.table.zeros
+        c[0] = self.coef[0] + other
+        return Jet(self.table, self.base, c)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._coerce(other)
-        return a._like(a.coef - b.coef)
+        if isinstance(other, Jet):
+            a, b = self._coerce(other)
+            return Jet(a.table, a.base, a.coef - b.coef)
+        c = self.coef.copy()
+        c[0] = self.coef[0] - other
+        return Jet(self.table, self.base, c)
 
     def __rsub__(self, other):
-        a, b = self._coerce(other)
-        return a._like(b.coef - a.coef)
+        c = self.table.zeros - self.coef
+        c[0] = other - self.coef[0]
+        return Jet(self.table, self.base, c)
 
     def __neg__(self):
-        return self._like(-self.coef)
+        return Jet(self.table, self.base, -self.coef)
 
     def __mul__(self, other):
-        a, b = self._coerce(other)
         if not isinstance(other, Jet):
-            return a._like(a.coef * b.coef[0])
+            return Jet(self.table, self.base, self.coef * complex(other))
+        a, b = self._coerce(other)
         I, J, K = a.table.mul_triples()
         out = np.zeros(a.table.size, dtype=complex)
         np.add.at(out, K, a.coef[I] * b.coef[J])
-        return a._like(out)
+        return Jet(a.table, a.base, out)
 
     __rmul__ = __mul__
 
@@ -203,14 +237,17 @@ class Jet:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise JetError("jet powers must be nonnegative integers")
-        out = Jet.constant(1.0, self.nvars, self.order, self.base)
+        if n == 0:
+            return Jet.constant(1.0, self.nvars, self.order, self.base)
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def conj(self):
         return self._like(np.conj(self.coef))
@@ -226,10 +263,13 @@ class Jet:
     # -- analytic composition ------------------------------------------
     def _series(self, a):
         """sum_k a[k] * (self - value)**k, truncated; a[k] = f^(k)(value)/k!."""
+        n = min(len(a), self.order + 1)
+        if n == 1:
+            return Jet.constant(a[0], self.nvars, self.order, self.base)
         u = self - self.value
-        out = Jet.constant(a[0], self.nvars, self.order, self.base)
-        p = Jet.constant(1.0, self.nvars, self.order, self.base)
-        for k in range(1, min(len(a), self.order + 1)):
+        p = u
+        out = a[1] * p + a[0]
+        for k in range(2, n):
             p = p * u
             out = out + a[k] * p
         return out
@@ -279,7 +319,7 @@ class Jet:
         if self.order == 0:
             raise JetError("cannot differentiate an order-0 jet")
         src, mult = self.table.partial_map(var)
-        t = _Table(self.nvars, self.order - 1)
+        t = _table(self.nvars, self.order - 1)
         return Jet(t, self.base, self.coef[src] * mult)
 
 
@@ -373,9 +413,7 @@ class SmoothMap:
         js = self.jets(point, 1)
         J = np.empty((self.codomain_dim, self.domain_dim))
         for r, jet in enumerate(js):
-            for c in range(self.domain_dim):
-                e = tuple(1 if k == c else 0 for k in range(self.domain_dim))
-                J[r, c] = jet.coefficient(e).real
+            J[r] = jet.coef[jet.table.units].real
         return J
 
     @classmethod
@@ -483,22 +521,25 @@ def compose(f, gs):
     order = g0.order
     powers = []
     for g in gs:
-        ps = [Jet.constant(1.0, g0.nvars, order, g0.base)]
-        for _ in range(order):
+        ps = [None, g]
+        for _ in range(1, order):
             ps.append(ps[-1] * g)
         powers.append(ps)
     out = Jet.constant(f.coef[0], g0.nvars, order, g0.base)
-    for pos, alpha in enumerate(f.table.indices):
-        d = f.table.degrees[pos]
-        if d == 0 or d > order:
-            continue
+    # monomials of degree 1..order form a contiguous run of f's table
+    for pos in range(1, f.table.prefix_size(min(order, f.order))):
         c = f.coef[pos]
         if c == 0:
             continue
-        term = Jet.constant(c, g0.nvars, order, g0.base)
-        for k, e in enumerate(alpha):
-            if e:
-                term = term * powers[k][e]
+        term = None
+        for k, e in enumerate(f.table.indices[pos]):
+            if not e:
+                continue
+            p = powers[k][e]
+            # c first: the product kernel multiplied the constant jet of c into
+            # p in that operand order, and complex SIMD products are not
+            # bitwise commutative.
+            term = Jet(p.table, p.base, c * p.coef) if term is None else term * p
         out = out + term
     return out
 
@@ -513,27 +554,18 @@ def invert_jet_map(F):
     K = len(F)
     order = F[0].order
     q0 = np.array([f.value for f in F])
-    A = np.empty((K, K), dtype=complex)
-    for r, f in enumerate(F):
-        for c in range(K):
-            e = tuple(1 if k == c else 0 for k in range(K))
-            A[r, c] = f.coefficient(e)
+    A = np.array([f.coef[f.table.units] for f in F])
     Ainv = np.linalg.inv(A)
     new_base = tuple(v.real for v in q0)
-
-    def const(v):
-        return Jet.constant(v, K, order, new_base)
-
     w = [Jet.variable(i, K, order, new_base) - new_base[i] for i in range(K)]
     # shifted forward map: components of F(y0 + u) - q0 as series in u
     Fs = [f._like(f.coef.copy()) for f in F]
     for f in Fs:
         f.coef[0] = 0.0
-    G = [sum((Ainv[i, j] * w[j] for j in range(K)), const(0.0)) for i in range(K)]
+    G = [sum(Ainv[i, j] * w[j] for j in range(K)) for i in range(K)]
     for _ in range(max(1, order)):
         R = [compose(Fs[i], G) - w[i] for i in range(K)]
         if all(np.max(np.abs(r.coef)) == 0 for r in R):
             break
-        G = [G[i] - sum((Ainv[i, j] * R[j] for j in range(K)), const(0.0))
-             for i in range(K)]
+        G = [G[i] - sum(Ainv[i, j] * R[j] for j in range(K)) for i in range(K)]
     return G

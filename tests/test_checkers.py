@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twistorkit.checkers import (
+    CheckReport,
     conformality_residual,
     harmonic_morphism_residual,
     harmonicity_residual,
@@ -334,3 +335,23 @@ def test_fibre_curves_of_morphism_are_minimal():
         accel = (qp + qm - 2 * q0) / h ** 2
         total += horiz.T @ (horiz @ accel)
     assert np.linalg.norm(total) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# report verdicts
+
+def test_non_finite_residual_fails():
+    for bad in (float("nan"), float("inf")):
+        for residuals in ([0.0, bad], [bad, 0.0], [1e-20, bad, 1e-20]):
+            rep = CheckReport("c", list(range(len(residuals))), residuals, 1e-6)
+            assert not rep.passed
+            assert not np.isfinite(rep.max_residual)
+            assert "non-finite" in rep.summary()
+    # an infinite tolerance does not let an infinite residual through
+    assert not CheckReport("c", [0], [float("inf")], float("inf")).passed
+
+
+def test_empty_residuals_fail():
+    rep = CheckReport("c", [], [], 1.0)
+    assert not rep.passed
+    assert rep.summary().startswith("FAIL") and "no residuals" in rep.summary()

@@ -40,7 +40,7 @@ def test_run_exit_codes(capsys):
     assert main(["run", "--suite", "jets-core", "--points", "5"]) == 0
     capsys.readouterr()
     assert main(["run", "--suite", "does-not-exist"]) == 2
-    capsys.readouterr()
+    assert "unknown suite 'does-not-exist'" in capsys.readouterr().err
     # failing tolerance forces exit 1
     assert main(["run", "--suite", "jets-core", "--points", "5",
                  "--tol", "1e-30"]) == 1
@@ -95,3 +95,21 @@ def test_unknown_check_in_custom_suite(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
     assert main(["list"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_points_below_one_is_a_usage_error(capsys):
+    for n in ("0", "-3"):
+        assert main(["run", "--suite", "jets-core", "--points", n]) == 2
+        assert "--points" in capsys.readouterr().err
+
+
+def test_keyerror_inside_a_check_is_internal(monkeypatch, capsys):
+    import twistorkit.suites as su
+
+    def lookup_bug(config):
+        return {}["missing"]
+
+    monkeypatch.setitem(su.SUITES, "jets-core", ("raises KeyError", [lookup_bug]))
+    assert main(["run", "--suite", "jets-core"]) == 3
+    err = capsys.readouterr().err
+    assert "internal evaluation error" in err and "unknown suite" not in err

@@ -11,6 +11,7 @@ from twistorkit.jets import (
     complex_view,
     dz,
     dz_power,
+    _table,
     dzbar,
     invert_jet_map,
     laplacian,
@@ -72,14 +73,92 @@ def test_division_requires_nonzero_constant():
 def test_mixed_base_points_rejected():
     a = JetSpace([0.0], 2).var(0)
     b = JetSpace([1.0], 2).var(0)
-    with pytest.raises(JetError):
-        a + b
+    assert a.table is b.table
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(JetError, match="base points differ"):
+            op()
+    with pytest.raises(JetError, match="variable count"):
+        a * JetSpace([0.0, 0.0], 2).var(0)
 
 
 def test_deriv_order_guard():
     f = JetSpace([0.0], 2).var(0)
     with pytest.raises(JetError):
         f.deriv((3,))
+
+
+# ---------------------------------------------------------------------------
+# fast paths: scalar operands, shared tables, interned tables
+
+SCALARS = [3, -2, 0.0, -0.0, 1.5, 1j, complex(-0.5, 2.0),
+           np.float64(0.7), np.complex128(1 - 2j), np.int64(4)]
+
+
+def _random_jet(nvars, order):
+    space = JetSpace(RNG.uniform(-1, 1, nvars), order)
+    t = _table(nvars, order)
+    coef = RNG.normal(size=t.size) + 1j * RNG.normal(size=t.size)
+    coef[RNG.random(t.size) < 0.2] = -0.0
+    return Jet(t, space.base, coef)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (2, 3), (3, 2), (2, 4), (6, 2)])
+def test_scalar_operands_match_constant_jet_path(shape):
+    a = _random_jet(*shape)
+    for s in SCALARS:
+        x, c = a._coerce(Jet.constant(s, a.nvars, a.order, a.base))
+        for got, want in [(a + s, x + c), (s + a, c + x), (a - s, x - c),
+                          (s - a, c - x), (a * s, x * c), (s * a, x * c)]:
+            assert got.table is a.table and got.base is a.base
+            assert np.array_equal(got.coef, want.coef)
+    assert np.array_equal((-a).coef, (0 - a).coef)
+
+
+def test_scalar_operands_leave_the_jet_unchanged():
+    a = _random_jet(2, 3)
+    before = a.coef.copy()
+    for s in SCALARS:
+        a + s, s - a, a - s, a * s
+    assert np.array_equal(a.coef.view(float), before.view(float))
+
+
+def test_mixed_orders_truncate_to_the_lower():
+    base = (0.3, -0.2)
+    x = JetSpace(base, 4).var(0)
+    y = JetSpace(base, 2).var(1)
+    for f in (x + y, y - x, x * y, y * x):
+        assert f.order == 2 and f.table is _table(2, 2)
+    assert np.array_equal((x * y).coef, (x.truncated(2) * y).coef)
+
+
+def test_equal_but_distinct_base_tuples_combine():
+    base = RNG.uniform(-1, 1, 2)
+    x = JetSpace(base, 3).var(0)
+    y = JetSpace(list(base), 3).var(1)
+    assert x.base is not y.base and x.base == y.base
+    assert np.array_equal((x * y).coef, (x * JetSpace(base, 3).var(1)).coef)
+
+
+def test_tables_are_interned_prefixes():
+    for nvars in (1, 2, 3, 6):
+        assert _table(nvars, 3) is _table(nvars, 3)
+        assert JetSpace(np.zeros(nvars), 3).var(0).table is _table(nvars, 3)
+        lo, hi = _table(nvars, 2), _table(nvars, 4)
+        assert hi.indices[: lo.size] == lo.indices
+        assert np.array_equal(hi.degrees[: lo.size], lo.degrees)
+
+
+def test_integer_powers_match_repeated_products():
+    x, y = JetSpace([0.4, -0.7], 4).vars()
+    f = 1.5 + x - 2j * y * x
+    expect = JetSpace([0.4, -0.7], 4).const(1.0)
+    for n in range(7):
+        assert np.allclose((f ** n).coef, expect.coef, rtol=1e-13, atol=0)
+        expect = expect * f
+    assert np.array_equal((f ** 0).coef, JetSpace([0.4, -0.7], 4).const(1.0).coef)
+    assert np.array_equal((f ** 1).coef, f.coef)
+    with pytest.raises(JetError):
+        f ** -1
 
 
 # ---------------------------------------------------------------------------
