@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 
 from .jets import (
     DEFAULT_JET_ORDER,
-    JET_EXACT_TOL,
-    NEWTON_TOL,
     Jet,
     JetError,
     JetSpace,

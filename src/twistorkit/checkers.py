@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import (
+    Jet,
     JetError,
-    complex_to_real_point,
+    _as_real_point,
+    _laplace_trace,
     complex_view,
     dz,
     dzbar,
@@ -68,16 +70,9 @@ class CheckReport:
                 f"(tol {self.tolerance:.1e}, {len(self.points)} points)")
 
 
-def _as_real_point(phi, x0):
-    x0 = np.atleast_1d(np.asarray(x0))
-    if np.iscomplexobj(x0) or 2 * x0.size == phi.domain_dim:
-        return complex_to_real_point(x0)
-    return np.asarray(x0, dtype=float)
-
-
 def _dz_vectors(phi, z0, rmax, direction=0):
     """Iterated d/dz derivatives 1..rmax as real-component complex vectors."""
-    point = _as_real_point(phi, z0)
+    point = _as_real_point(z0, phi.domain_dim)
     jets = phi.jets(point, rmax)
     out = []
     current = jets
@@ -101,7 +96,7 @@ def weak_conformality(phi, x0):
     The factor is trace(dphi^T dphi)/dim; residual 0 means conformal at the
     point or a branch point (factor 0 forces dphi = 0).
     """
-    x0 = _as_real_point(phi, x0)
+    x0 = _as_real_point(x0, phi.domain_dim)
     D = phi.jacobian(x0)
     m2 = phi.domain_dim
     G = D.T @ D
@@ -112,7 +107,7 @@ def weak_conformality(phi, x0):
 def pluriconformality_residual(phi, x0):
     """max |<dphi(dz_i), dphi(dz_j)>| over i <= j; 0 for holomorphic maps."""
     m = phi.domain_dim // 2
-    point = _as_real_point(phi, x0)
+    point = _as_real_point(x0, phi.domain_dim)
     jets = phi.jets(point, 1)
     vs = []
     for i in range(m):
@@ -126,7 +121,7 @@ def pluriconformality_residual(phi, x0):
 
 def harmonicity_residual(phi, x0, order=2):
     """Euclidean norm of the flat tension field (the componentwise Laplacian)."""
-    return float(np.linalg.norm(laplacian(phi, _as_real_point(phi, x0), order=order)))
+    return float(np.linalg.norm(laplacian(phi, _as_real_point(x0, phi.domain_dim), order=order)))
 
 
 def real_isotropy_residual(phi, z0, R, mode="full"):
@@ -174,7 +169,7 @@ def hwc_residual(phi, x0):
     orthogonal complement of its kernel conformally onto the target iff the
     residual vanishes; a zero differential passes with factor 0.
     """
-    x0 = _as_real_point(phi, x0)
+    x0 = _as_real_point(x0, phi.domain_dim)
     D = phi.jacobian(x0)
     n2 = phi.codomain_dim
     G = D @ D.T
@@ -189,7 +184,7 @@ def hwc_residual_svd_oracle(phi, x0):
     vectors with nonzero singular value and tests that dphi maps it
     conformally onto the target; kept as a cross-check for the Gram form.
     """
-    x0 = _as_real_point(phi, x0)
+    x0 = _as_real_point(x0, phi.domain_dim)
     D = phi.jacobian(x0)
     n2 = phi.codomain_dim
     u, s, vt = np.linalg.svd(D)
@@ -222,29 +217,21 @@ def pullback_harmonic_oracle(phi, g_coeffs, x0, order=2):
     """
     if phi.codomain_dim != 2:
         raise JetError("pullback oracle needs codomain C")
-    point = _as_real_point(phi, x0)
+    point = _as_real_point(x0, phi.domain_dim)
     (w,) = phi.complex_jets(point, max(order, 2))
     g = None
     for c in reversed(list(g_coeffs)):
         g = c if g is None else g * w + c
-    from .jets import Jet
-
     if not isinstance(g, Jet):
         return 0.0  # constant polynomial
-    re = g.real
-    d = phi.domain_dim
-    s = 0.0
-    for v in range(d):
-        e = tuple(2 if c == v else 0 for c in range(d))
-        s += 2.0 * re.coefficient(e).real
-    return abs(s)
+    return abs(_laplace_trace(g.real))
 
 
 def one_one_geodesic_residual(phi, x0, order=2):
     """max over i, j of |d^2 phi / dz_i dzbar_j|; 0 iff all mixed Wirtinger
     Hessians vanish (flat Kaehler domain)."""
     m = phi.domain_dim // 2
-    point = _as_real_point(phi, x0)
+    point = _as_real_point(x0, phi.domain_dim)
     jets = phi.jets(point, max(order, 2))
     worst = 0.0
     for i in range(m):
@@ -257,7 +244,7 @@ def one_one_geodesic_residual(phi, x0, order=2):
 
 def holomorphy_residual(phi, J_dom, J_tgt, x0):
     """|dphi J_dom - J_tgt dphi| (Frobenius); 0 iff (J_dom, J_tgt)-holomorphic."""
-    x0 = _as_real_point(phi, x0)
+    x0 = _as_real_point(x0, phi.domain_dim)
     D = phi.jacobian(x0)
     A = np.asarray(getattr(J_dom, "matrix", J_dom), dtype=float)
     B = np.asarray(getattr(J_tgt, "matrix", J_tgt), dtype=float)
@@ -266,35 +253,12 @@ def holomorphy_residual(phi, J_dom, J_tgt, x0):
     return float(np.linalg.norm(D @ A - B @ D))
 
 
-def regularity_scale(phi, x0):
-    """max(1, |dphi|_F^2); used to keep suite tolerances dimensionless."""
-    D = phi.jacobian(_as_real_point(phi, x0))
-    return max(1.0, float(np.linalg.norm(D)) ** 2)
-
-
 def is_regular_point(phi, x0, ratio=REGULAR_SV_RATIO):
     """Whether the differential has full rank up to the singular-value ratio.
 
     Checks that require regularity should report "degenerate" below this
     threshold instead of a pass/fail verdict.
     """
-    D = phi.jacobian(_as_real_point(phi, x0))
+    D = phi.jacobian(_as_real_point(x0, phi.domain_dim))
     s = np.linalg.svd(D, compute_uv=False)
     return bool(s[0] > 0 and s[min(D.shape) - 1] > ratio * s[0])
-
-
-def sweep(name, phi, points, fn, tolerance, dimensionless=False, aux=None):
-    """Evaluate a scalar residual ``fn(phi, x)`` over points into a CheckReport.
-
-    With ``dimensionless=True`` the residual at each point is divided by
-    max(1, |dphi|^2) before the tolerance comparison.  Pass is the max
-    residual against the tolerance; the reduction is order-independent.
-    """
-    pts, residuals = [], []
-    for x in points:
-        r = float(abs(fn(phi, x)))
-        if dimensionless:
-            r = r / regularity_scale(phi, x)
-        pts.append(np.asarray(x))
-        residuals.append(r)
-    return CheckReport(name, pts, residuals, tolerance, aux=dict(aux or {}))

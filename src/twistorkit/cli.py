@@ -14,6 +14,10 @@ each a key-value document::
     description: what it verifies
     check: euclid-hm:closed-form-harmonicity tol=1e-8 points=10
     check: jets-core:product-convolution
+
+Overrides are ``tol=<number>`` and ``points=<integer >= 1>``.  Any other key,
+override or value, and an empty ``check:`` line, is a usage error (exit 2)
+that names the file and line.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import sys
 import time
 
 from . import __version__
-from .suites import SuiteConfig, list_suites, register_custom_suite, run_suite
+from .suites import CHECK_INDEX, SuiteConfig, list_suites, register_custom_suite, run_suite
 
 
 def _fmt_float(x):
@@ -51,7 +55,6 @@ def report_document(config, reports, fmt):
         "suite": config.suite,
         "version": __version__,
         "config": {
-            "jet_order": config.jet_order,
             "points": config.points,
             "seed": config.seed,
             "tol": None if config.tol is None else float(config.tol),
@@ -63,7 +66,7 @@ def report_document(config, reports, fmt):
     if fmt == "json":
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     lines = [f"suite: {doc['suite']}", f"version: {doc['version']}", "config:"]
-    for k in ("jet_order", "points", "seed", "tol"):
+    for k in ("points", "seed", "tol"):
         lines.append(f"  {k}: {doc['config'][k]}")
     lines.append(f"  params: {json.dumps(doc['config']['params'], sort_keys=True)}")
     lines.append("checks:")
@@ -87,6 +90,34 @@ def _json_safe(v):
     return float(v)
 
 
+class SuiteFileError(ValueError):
+    """A malformed line in a ``.suite`` file; the message names file and line."""
+
+
+# override key -> (parser, what the value must be)
+_OVERRIDES = {"tol": (float, "a number"), "points": (int, "an integer")}
+
+
+def _parse_check(value, where):
+    """(check key, overrides) of one ``check:`` line."""
+    key, *tokens = value.split() or [""]
+    if key not in CHECK_INDEX:
+        raise SuiteFileError(f"{where}: unknown check {key!r}")
+    overrides = {}
+    for tok in tokens:
+        k, _, v = tok.partition("=")
+        if k not in _OVERRIDES:
+            raise SuiteFileError(f"{where}: unknown override {k!r} (tol or points)")
+        parse, kind = _OVERRIDES[k]
+        try:
+            overrides[k] = parse(v)
+        except ValueError:
+            raise SuiteFileError(f"{where}: {k}= needs {kind}, got {v!r}") from None
+    if overrides.get("points", 1) < 1:
+        raise SuiteFileError(f"{where}: points= must be at least 1, got {overrides['points']}")
+    return key, overrides
+
+
 def load_custom_suites(directory):
     """Parse *.suite files (key-value lines) and register their suites."""
     if not directory or not os.path.isdir(directory):
@@ -94,11 +125,12 @@ def load_custom_suites(directory):
     for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".suite"):
             continue
+        path = os.path.join(directory, fname)
         name, description, refs = None, "", []
-        with open(os.path.join(directory, fname)) as fh:
-            for raw in fh:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
-                if not line or line.startswith("#") or ":" not in line:
+                if not line or line.startswith("#"):
                     continue
                 key, _, value = line.partition(":")
                 key, value = key.strip(), value.strip()
@@ -107,12 +139,9 @@ def load_custom_suites(directory):
                 elif key == "description":
                     description = value
                 elif key == "check":
-                    parts = value.split()
-                    overrides = {}
-                    for tok in parts[1:]:
-                        k, _, v = tok.partition("=")
-                        overrides[k] = float(v)
-                    refs.append((parts[0], overrides))
+                    refs.append(_parse_check(value, f"{path}:{lineno}"))
+                else:
+                    raise SuiteFileError(f"{path}:{lineno}: unknown key {key!r}")
         if name and refs:
             register_custom_suite(name, description, refs)
 
@@ -135,7 +164,6 @@ def build_parser():
     run.add_argument("--suite", required=True)
     run.add_argument("--tol", type=float, default=None,
                      help="override every check tolerance")
-    run.add_argument("--jet-order", type=int, default=4, choices=(4, 5, 6))
     run.add_argument("--points", type=int, default=50)
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
@@ -150,7 +178,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         load_custom_suites(os.environ.get("TWISTOR_SUITE_DIR"))
-    except KeyError as exc:
+    except SuiteFileError as exc:
         print(f"usage error in TWISTOR_SUITE_DIR: {exc}", file=sys.stderr)
         return 2
     if args.command == "list":
@@ -169,8 +197,7 @@ def main(argv=None):
         return 2
     try:
         config = SuiteConfig(
-            suite=args.suite, tol=args.tol, jet_order=args.jet_order,
-            points=args.points, seed=args.seed, fmt=args.fmt,
+            suite=args.suite, tol=args.tol, points=args.points, seed=args.seed,
             params=_parse_params(args.param))
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

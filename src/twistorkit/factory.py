@@ -25,6 +25,7 @@ from .jets import (
     JetError,
     JetSpace,
     SmoothMap,
+    _as_real_point,
     complex_to_real_point,
     dz,
     dzbar,
@@ -75,7 +76,7 @@ def verify_horizontality(data, samples):
     """
     worst = 0.0
     for pt in samples:
-        point = _real_point(data, pt)
+        point = _real_point(pt)
         jets = data.mu.jets(point, 1)
         for j in jets:
             for v in range(data.n, data.k):
@@ -92,7 +93,7 @@ def verify_chart_holomorphy(data, samples):
     """
     worst = 0.0
     for pt in samples:
-        point = _real_point(data, pt)
+        point = _real_point(pt)
         q = data.h.complex_jets(point, 1)
         mu = data.mu.complex_jets(point, 1)
         w, _ = twistor_chart(q, mu)
@@ -108,8 +109,7 @@ def verify_chart_holomorphy(data, samples):
 def jacobian_min_sv(h, pt):
     """Smallest singular value of the full real Jacobian of h at a point;
     positive iff h is a local diffeomorphism there."""
-    point = pt if not np.iscomplexobj(np.asarray(pt)) else complex_to_real_point(pt)
-    D = h.jacobian(np.asarray(point, dtype=float))
+    D = h.jacobian(_real_point(pt))
     return float(np.linalg.svd(D, compute_uv=False)[-1])
 
 
@@ -130,10 +130,8 @@ def invert_h(data, target_q, seed_point, record=None):
     reach the 1e-12 residual target; per-iteration residuals land in
     ``record`` so that quadratic convergence can be audited.
     """
-    target = np.asarray(target_q)
-    target = complex_to_real_point(target) if np.iscomplexobj(target) else target.astype(float)
-    y = np.asarray(seed_point)
-    y = complex_to_real_point(y) if np.iscomplexobj(y) else y.astype(float)
+    target = _real_point(target_q)
+    y = _real_point(seed_point)
     rec = record if record is not None else NewtonRecord()
     polished = False
     for _ in range(NEWTON_MAX_ITER):
@@ -185,7 +183,9 @@ def morphism_as_map(data, seed_fn=None):
     return SmoothMap(K, 2 * data.n, evaluator, name="factory-morphism")
 
 
-def _real_point(data, pt):
+def _real_point(pt):
+    """A real point from real coordinates or, for complex input, through
+    complex_to_real_point."""
     pt = np.asarray(pt)
     if np.iscomplexobj(pt):
         return complex_to_real_point(pt)
@@ -217,7 +217,7 @@ class CP3Data:
         return self.nz + self.nxi
 
     def fields(self, pt, order=1):
-        space = JetSpace(_cp3_real_point(self, pt), order)
+        space = JetSpace(_as_real_point(pt, 2 * self.nvars), order)
         zs = space.complex_vars()
         a = self.alpha(zs)
         b = self.beta(zs)
@@ -227,13 +227,6 @@ class CP3Data:
         u = g - a * w
         v = d - b * w
         return a, b, g, d, w, u, v
-
-
-def _cp3_real_point(data, pt):
-    pt = np.atleast_1d(np.asarray(pt))
-    if np.iscomplexobj(pt) or pt.size == data.nvars:
-        return complex_to_real_point(pt.astype(complex))
-    return pt.astype(float)
 
 
 def cp3_constraints_residual(data, pt):
@@ -290,11 +283,8 @@ def cp3_affine_jacobian(data, pt):
     chart = [x1 / x3, x2 / x3, x4 / x3]
     D = np.empty((6, 2 * data.nvars))
     for r, comp in enumerate(chart):
-        re, im = comp.real, comp.imag
-        for c in range(2 * data.nvars):
-            e = tuple(1 if k == c else 0 for k in range(2 * data.nvars))
-            D[2 * r, c] = re.coefficient(e).real
-            D[2 * r + 1, c] = im.coefficient(e).real
+        for k, part in enumerate((comp.real, comp.imag)):
+            D[2 * r + k] = part.coef[part.table.units].real
     return D
 
 

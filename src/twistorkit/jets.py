@@ -21,8 +21,6 @@ from itertools import product as _iproduct
 import numpy as np
 
 DEFAULT_JET_ORDER = 4
-JET_EXACT_TOL = 1e-9
-NEWTON_TOL = 1e-6
 
 
 class JetError(ValueError):
@@ -359,6 +357,15 @@ def complex_to_real_point(z):
     return out
 
 
+def _as_real_point(x, dim):
+    """A point of R^dim from real coordinates, or from complex ones (complex
+    input, or a real array of dim/2 entries) through complex_to_real_point."""
+    x = np.atleast_1d(np.asarray(x))
+    if np.iscomplexobj(x) or 2 * x.size == dim:
+        return complex_to_real_point(x)
+    return np.asarray(x, dtype=float)
+
+
 def real_to_complex_point(x):
     x = np.asarray(x, dtype=float)
     return x[0::2] + 1j * x[1::2]
@@ -474,12 +481,7 @@ def dz_power(phi, r, z0, direction=0, order=None):
     order = DEFAULT_JET_ORDER if order is None else order
     if r > order:
         raise JetError(f"r={r} exceeds jet order {order}")
-    z0 = np.atleast_1d(np.asarray(z0))
-    if np.iscomplexobj(z0) or 2 * z0.size == phi.domain_dim:
-        point = complex_to_real_point(z0)
-    else:
-        point = np.asarray(z0, dtype=float)
-    jets = phi.jets(point, r)
+    jets = phi.jets(_as_real_point(z0, phi.domain_dim), r)
     out = np.empty(phi.codomain_dim, dtype=complex)
     for k, jet in enumerate(jets):
         for _ in range(r):
@@ -492,17 +494,19 @@ def laplacian(phi, x0, order=2):
     """Sum of pure second partials over all domain coordinates (flat spaces)."""
     if order < 2:
         raise JetError("laplacian needs jet order >= 2")
-    x0 = np.asarray(x0, dtype=float)
-    jets = phi.jets(x0, order)
-    d = phi.domain_dim
-    out = np.zeros(phi.codomain_dim)
-    for k, jet in enumerate(jets):
-        s = 0.0
-        for v in range(d):
-            e = tuple(2 if c == v else 0 for c in range(d))
-            s += 2.0 * jet.coefficient(e).real
-        out[k] = s
-    return out
+    return np.array([_laplace_trace(jet) for jet in phi.jets(x0, order)])
+
+
+def _laplace_trace(jet, lead=()):
+    """Real part of 2 * (sum of the pure second-order coefficients) over the
+    variables after the fixed leading exponents ``lead``: the Laplacian at the
+    base point when ``lead`` is empty."""
+    d = jet.nvars - len(lead)
+    s = 0.0
+    for v in range(d):
+        e = lead + tuple(2 if c == v else 0 for c in range(d))
+        s += 2.0 * jet.coefficient(e).real
+    return s
 
 
 # ---------------------------------------------------------------------------

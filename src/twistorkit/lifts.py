@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import JetSpace, complex_to_real_point, dz
+from .jets import JetSpace, _as_real_point, dz
 from .structures import HermitianStructure, is_positive
 
 INDEPENDENCE_SV_RATIO = 1e-6
@@ -51,13 +51,6 @@ def _values(M):
     return np.array([[e.value.real for e in row] for row in M])
 
 
-def _as_point(phi, z0):
-    z0 = np.atleast_1d(np.asarray(z0))
-    if np.iscomplexobj(z0) or 2 * z0.size == phi.domain_dim:
-        return complex_to_real_point(z0)
-    return np.asarray(z0, dtype=float)
-
-
 def _dot(u, v):
     """Real inner product of vectors with jet entries."""
     out = u[0] * v[0]
@@ -81,7 +74,7 @@ def strictly_compatible_lift_r4(phi, z0):
     """
     if phi.codomain_dim != 4 or phi.domain_dim != 2:
         raise LiftError("strictly compatible lifts are built for maps R^2 -> R^4")
-    p0 = _as_point(phi, z0)
+    p0 = _as_real_point(z0, phi.domain_dim)
     jets0 = phi.jets(p0, 2)
     dx0 = np.array([j.partial(0).value.real for j in jets0])
     dy0 = np.array([j.partial(1).value.real for j in jets0])
@@ -194,7 +187,7 @@ def vertical_part(lift, z0, X, order=1):
     For flat targets this is the vertical component of the lift derivative;
     it always lands in the vertical space at the current structure.
     """
-    point = _as_point(lift.base_map, z0)
+    point = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(point, max(order, 1))
     X = np.asarray(X, dtype=float)
     n = len(M)
@@ -216,7 +209,7 @@ def j_vertical_residual(lift, z0, a, order=1):
     """
     if a not in (1, 2):
         raise LiftError("a must be 1 or 2")
-    point = _as_point(lift.base_map, z0)
+    point = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(point, max(order, 1))
     J0v = _values(M)
     sgn = 1.0 if a == 1 else -1.0
@@ -248,7 +241,7 @@ def t10_stability_residual(lift, z0, direction="z", order=1):
     """
     if direction not in ("z", "zbar"):
         raise LiftError("direction must be 'z' or 'zbar'")
-    point = _as_point(lift.base_map, z0)
+    point = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(point, max(order, 1))
     n = len(M)
     J0 = _values(M)

@@ -4,6 +4,12 @@ Each suite is a list of named checks; a check draws its own reproducible
 random stream (PCG64 seeded from SHA-256 of "<seed>:<suite>:<check>", first
 8 bytes, little-endian) so that reports are byte-identical for a fixed
 configuration and independent of execution order.
+
+A check is declared once, with ``@_check(suite, name, tol)`` on a body
+``(config, rng) -> residuals`` or ``-> (residuals, aux)``.  The decorator
+draws the check's stream, applies the ``tol`` override and builds the
+:class:`CheckReport`; ``SUITES`` and ``CHECK_INDEX`` follow from these
+declarations.
 """
 
 from __future__ import annotations
@@ -20,14 +26,13 @@ from . import structures as st
 from . import variations as va
 from .checkers import (
     CheckReport,
-    conformality_residual,
     harmonicity_residual,
     hwc_residual,
     pluriconformality_residual,
     pullback_harmonic_oracle,
     real_isotropy_residual,
 )
-from .jets import SmoothMap, dz_power, real_to_complex_point
+from .jets import JetSpace, SmoothMap, dz_power, real_to_complex_point
 from .pairings import bilinear_dot, hermitian_dot
 
 
@@ -35,10 +40,8 @@ from .pairings import bilinear_dot, hermitian_dot
 class SuiteConfig:
     suite: str
     tol: float = None          # overrides every check tolerance when set
-    jet_order: int = 4
     points: int = 50
     seed: int = 42
-    fmt: str = "text"
     params: dict = field(default_factory=dict)
 
 
@@ -48,26 +51,66 @@ def check_rng(config, check_name):
     return np.random.default_rng(np.random.PCG64(word))
 
 
-def _tol(config, default):
-    return config.tol if config.tol is not None else default
+# ---------------------------------------------------------------------------
+# registry
+
+CHECK_INDEX = {}     # "<suite>:<check>" -> check(config) -> CheckReport
+_DESCRIPTIONS = {}   # suite -> description, in declaration order
 
 
-def _report(config, name, residuals, default_tol, aux=None):
-    return CheckReport(name, list(range(len(residuals))), [float(r) for r in residuals],
-                       _tol(config, default_tol), aux=dict(aux or {}))
+def _suite(name, description):
+    _DESCRIPTIONS[name] = description
+
+
+def _check(suite, name, tol):
+    """Register ``body(config, rng)`` as check ``name`` of ``suite`` with
+    default tolerance ``tol``; the body returns residuals or (residuals, aux)."""
+
+    def register(body):
+        def check(config):
+            out = body(config, check_rng(config, name))
+            residuals, aux = out if isinstance(out, tuple) else (out, {})
+            return CheckReport(name, list(range(len(residuals))),
+                               [float(r) for r in residuals],
+                               tol if config.tol is None else config.tol, aux=dict(aux))
+
+        CHECK_INDEX[f"{suite}:{name}"] = check
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # sampling helpers
 
+def _admissible(qc):
+    """Whether the closed form's denominator |1 + conj q1 - conj q2| exceeds
+    0.2 at the complex point qc of C^3."""
+    return abs(1 + np.conj(qc[0]) - np.conj(qc[1])) > 0.2
+
+
 def _admissible_r6_points(rng, count):
     pts = []
     while len(pts) < count:
         q = rng.uniform(-1.0, 1.0, 6)
-        qc = real_to_complex_point(q)
-        if abs(1 + np.conj(qc[0]) - np.conj(qc[1])) > 0.2:
+        if _admissible(real_to_complex_point(q)):
             pts.append(q)
     return pts
+
+
+def _morphism_samples(rng, data, count):
+    """Yield (zxi, qc, z) for ``count`` admissible images qc = h(zxi): z is
+    the produced morphism at qc, Newton started near zxi."""
+    produced = 0
+    while produced < count:
+        zxi = rng.uniform(-0.8, 0.8, 6)
+        q = data.h(zxi)
+        qc = real_to_complex_point(q)
+        if not _admissible(qc):
+            continue
+        produced += 1
+        seed = zxi + rng.uniform(-0.05, 0.05, 6)
+        yield zxi, qc, fa.evaluate_morphism(data, q, seed_point=seed)[0]
 
 
 def _coeff_param(config, key, default="0,1"):
@@ -77,425 +120,28 @@ def _coeff_param(config, key, default="0,1"):
     return list(raw)
 
 
-def _f_coeffs(config):
-    return _coeff_param(config, "f")
-
-
 def _pqr(config):
     return {k: tuple(_coeff_param(config, k)) for k in ("P", "Q", "R")}
 
 
-def _random_poly_map(rng, degree=3, holomorphic=False):
-    """Random polynomial map C -> C^2 of the given degree; holomorphic or
-    with independent real components."""
-    if holomorphic:
-        co = rng.normal(size=(2, degree + 1)) + 1j * rng.normal(size=(2, degree + 1))
+def _random_holomorphic_poly(rng, degree=3):
+    """Random holomorphic polynomial map C -> C^2 of the given degree."""
+    co = rng.normal(size=(2, degree + 1)) + 1j * rng.normal(size=(2, degree + 1))
 
-        def fn(z):
-            out = []
-            for row in co:
-                acc = None
-                for c in reversed(row):
-                    acc = c if acc is None else acc * z + c
-                out.append(acc)
-            return out
-
-        return SmoothMap.from_complex(1, 2, fn)
-    co = rng.normal(size=(4, degree + 1, degree + 1))
-
-    def ev(x, y):
+    def fn(z):
         out = []
-        for comp in co:
-            acc = 0.0 * x
-            for i in range(degree + 1):
-                for j in range(degree + 1):
-                    if i + j <= degree and comp[i, j] != 0:
-                        acc = acc + comp[i, j] * x ** i * y ** j
+        for row in co:
+            acc = None
+            for c in reversed(row):
+                acc = c if acc is None else acc * z + c
             out.append(acc)
         return out
 
-    return SmoothMap.from_real(2, 4, ev)
+    return SmoothMap.from_complex(1, 2, fn)
 
-
-# ---------------------------------------------------------------------------
-# euclid-hm
-
-def _chk_closed_form_harmonicity(config):
-    rng = check_rng(config, "closed-form-harmonicity")
-    phi = fa.closed_form_r6()
-    pts = _admissible_r6_points(rng, config.points)
-    return _report(config, "closed-form-harmonicity",
-                   [harmonicity_residual(phi, p) for p in pts], 1e-9)
-
-
-def _chk_closed_form_hwc(config):
-    rng = check_rng(config, "closed-form-hwc")
-    phi = fa.closed_form_r6()
-    pts = _admissible_r6_points(rng, config.points)
-    return _report(config, "closed-form-hwc",
-                   [hwc_residual(phi, p)[1] for p in pts], 1e-9)
-
-
-def _chk_pullback_oracle(config):
-    rng = check_rng(config, "pullback-oracle")
-    phi = fa.closed_form_r6()
-    pts = _admissible_r6_points(rng, min(20, config.points))
-    residuals = []
-    for p in pts:
-        for d in (1, 2, 3):
-            residuals.append(pullback_harmonic_oracle(phi, [0.0] * d + [1.0], p))
-    return _report(config, "pullback-oracle", residuals, 1e-8)
-
-
-def _chk_factory_roundtrip(config):
-    rng = check_rng(config, "factory-roundtrip")
-    data = fa.euclid_r6_data(_f_coeffs(config))
-    closed = list(_f_coeffs(config)) == [0.0, 1.0]
-    res_round, res_closed, res_implicit = [], [], []
-    produced = 0
-    while produced < config.points:
-        zxi = rng.uniform(-0.8, 0.8, 6)
-        q = np.array([j.value.real for j in data.h.jets(zxi, 0)])
-        qc = real_to_complex_point(q)
-        if abs(1 + np.conj(qc[0]) - np.conj(qc[1])) <= 0.2:
-            continue
-        produced += 1
-        seed = zxi + rng.uniform(-0.05, 0.05, 6)
-        z = fa.evaluate_morphism(data, q, seed_point=seed)[0]
-        res_round.append(abs(z - real_to_complex_point(zxi)[0]))
-        if closed:
-            zcf = (qc[2] - qc[0] - qc[1]) / (1 + np.conj(qc[0]) - np.conj(qc[1]))
-            res_closed.append(abs(z - zcf))
-            res_implicit.append(fa.implicit_equation_residual(z, qc))
-    residuals = res_round + res_closed
-    return _report(config, "factory-roundtrip", residuals, 1e-10,
-                   aux={"implicit_max": max(res_implicit) if res_implicit else 0.0})
-
-
-def _chk_implicit_equation(config):
-    rng = check_rng(config, "implicit-equation")
-    data = fa.euclid_r6_data()
-    residuals = []
-    produced = 0
-    while produced < config.points:
-        zxi = rng.uniform(-0.8, 0.8, 6)
-        q = np.array([j.value.real for j in data.h.jets(zxi, 0)])
-        qc = real_to_complex_point(q)
-        if abs(1 + np.conj(qc[0]) - np.conj(qc[1])) <= 0.2:
-            continue
-        produced += 1
-        seed = zxi + rng.uniform(-0.05, 0.05, 6)
-        z = fa.evaluate_morphism(data, q, seed_point=seed)[0]
-        residuals.append(fa.implicit_equation_residual(z, qc))
-    return _report(config, "implicit-equation", residuals, 1e-12)
-
-
-def _chk_horizontality(config):
-    rng = check_rng(config, "horizontality")
-    data = fa.euclid_r6_data(_f_coeffs(config))
-    samples = [rng.uniform(-0.8, 0.8, 6) for _ in range(config.points)]
-    return _report(config, "horizontality",
-                   [fa.verify_horizontality(data, [s]) for s in samples], 1e-10)
-
-
-def _chk_chart_holomorphy(config):
-    rng = check_rng(config, "chart-holomorphy")
-    data = fa.euclid_r6_data(_f_coeffs(config))
-    samples = [rng.uniform(-0.8, 0.8, 6) for _ in range(config.points)]
-    return _report(config, "chart-holomorphy",
-                   [fa.verify_chart_holomorphy(data, [s]) for s in samples], 1e-10)
-
-
-def _chk_fibre_invariance(config):
-    rng = check_rng(config, "fibre-invariance")
-    data = fa.euclid_r6_data(_f_coeffs(config))
-    residuals = []
-    for _ in range(10):
-        z = rng.uniform(-0.6, 0.6, 2)
-        base = None
-        for _ in range(10):
-            xi = rng.uniform(-0.6, 0.6, 4)
-            zxi = np.concatenate([z, xi])
-            q = np.array([j.value.real for j in data.h.jets(zxi, 0)])
-            qc = real_to_complex_point(q)
-            if abs(1 + np.conj(qc[0]) - np.conj(qc[1])) <= 0.2:
-                continue
-            seed = zxi + rng.uniform(-0.02, 0.02, 6)
-            val = fa.evaluate_morphism(data, q, seed_point=seed)[0]
-            if base is None:
-                base = val
-            residuals.append(abs(val - base))
-    return _report(config, "fibre-invariance", residuals, 1e-10)
-
-
-# ---------------------------------------------------------------------------
-# sigma-plus-algebra
-
-def _random_so(rng, n):
-    A = rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(A)
-    Q = Q @ np.diag(np.sign(np.diag(R)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
-def _chk_isotropic_roundtrip(config):
-    rng = check_rng(config, "isotropic-roundtrip")
-    residuals = []
-    for _ in range(config.points):
-        k = int(rng.integers(1, 4))
-        J = st.so_action(_random_so(rng, 2 * k), st.canonical_structure(k))
-        J2 = st.from_isotropic(st.to_isotropic(J))
-        residuals.append(float(np.max(np.abs(J2.matrix - J.matrix))))
-    return _report(config, "isotropic-roundtrip", residuals, 1e-10)
-
-
-def _chk_so_positivity(config):
-    rng = check_rng(config, "so-action-positivity")
-    residuals = []
-    for _ in range(200):
-        k = int(rng.integers(1, 4))
-        J = st.so_action(_random_so(rng, 2 * k), st.canonical_structure(k))
-        residuals.append(0.0 if st.is_positive(J) else 1.0)
-        refl = np.eye(2 * k)
-        refl[0, 0] = -1.0
-        Jr = st.so_action(refl, J)
-        residuals.append(1.0 if st.is_positive(Jr) else 0.0)
-    return _report(config, "so-action-positivity", residuals, 0.0)
-
-
-def _chk_so_group_law(config):
-    rng = check_rng(config, "so-action-group-law")
-    residuals = []
-    for _ in range(config.points):
-        k = int(rng.integers(1, 4))
-        J = st.canonical_structure(k)
-        S1, S2 = _random_so(rng, 2 * k), _random_so(rng, 2 * k)
-        lhs = st.so_action(S1 @ S2, J).matrix
-        rhs = st.so_action(S1, st.so_action(S2, J)).matrix
-        residuals.append(float(np.max(np.abs(lhs - rhs))))
-    return _report(config, "so-action-group-law", residuals, 1e-10)
-
-
-def _chk_mj_dimension(config):
-    residuals = []
-    for k in (1, 2, 3):
-        J = st.canonical_structure(k)
-        residuals.append(abs(len(st.mj_basis(J)) - k * (k - 1)))
-    return _report(config, "mj-dimension", residuals, 0.0)
-
-
-def _chk_jv_involution(config):
-    rng = check_rng(config, "jv-involution")
-    residuals = []
-    for _ in range(config.points):
-        k = int(rng.integers(2, 4))
-        J = st.so_action(_random_so(rng, 2 * k), st.canonical_structure(k))
-        basis = st.mj_basis(J)
-        lam = sum(rng.normal() * b for b in basis)
-        jv = st.jv_apply(J, lam)
-        residuals.append(st.mj_residual(jv, J))
-        residuals.append(float(np.max(np.abs(st.jv_apply(J, jv) + lam))))
-    return _report(config, "jv-involution", residuals, 1e-10)
-
-
-def _chk_mu_roundtrip(config):
-    rng = check_rng(config, "mu-chart-roundtrip")
-    residuals = []
-    for _ in range(config.points):
-        k = int(rng.integers(2, 4))
-        mu = rng.normal(size=k * (k - 1) // 2) + 1j * rng.normal(size=k * (k - 1) // 2)
-        J = st.structure_from_mu(mu, k)
-        residuals.append(0.0 if st.is_positive(J) else 1.0)
-        residuals.append(float(np.max(np.abs(st.mu_from_structure(J) - mu))))
-    return _report(config, "mu-chart-roundtrip", residuals, 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# cp3-data
-
-def _dyadic(rng, n):
-    return rng.integers(-16, 17, n) / 16.0
-
-
-def _chk_cp3_constraints(config, name, builder, **kw):
-    rng = check_rng(config, name)
-    data = builder(**kw)
-    residuals = [fa.cp3_constraints_residual(data, _dyadic(rng, 2 * data.nvars))
-                 for _ in range(config.points)]
-    return _report(config, name, residuals, 0.0)
-
-
-def _chk_cp3_linear_system(config):
-    rng = check_rng(config, "cp3-linear-system")
-    residuals = []
-    for builder in (fa.cp3_example1_data, fa.cp3_morphism_data):
-        data = builder()
-        for _ in range(config.points // 2 + 1):
-            residuals.append(fa.cp3_linear_system_residual(data, rng.uniform(-1, 1, 6)))
-    return _report(config, "cp3-linear-system", residuals, 1e-12)
-
-
-def _chk_cp3_diffeo(config):
-    d1 = fa.cp3_example1_data()
-    dm = fa.cp3_morphism_data()
-    r1 = fa.cp3_local_diffeo_check(d1, np.zeros(6))
-    r2 = fa.cp3_local_diffeo_check(dm, np.zeros(6))
-    # residual formulation: fail when the smallest singular value collapses
-    residuals = [0.0 if r1 > 1e-6 else 1.0, 0.0 if r2 > 1e-6 else 1.0]
-    return _report(config, "cp3-local-diffeo", residuals, 0.0,
-                   aux={"min_sv_example1": r1, "min_sv_morphism": r2})
-
-
-def _chk_cp3_jacobian_pattern(config):
-    pqr = _pqr(config)
-    data = fa.cp3_morphism_data(**pqr)
-    D = fa.cp3_affine_jacobian(data, np.zeros(6))
-    p, q, r = (co[1].real if len(co) > 1 else 0.0
-               for co in (pqr["P"], pqr["Q"], pqr["R"]))
-    res = _jacobian_pattern_residual(D, p, q, r)
-    det = abs(np.linalg.det(D))
-    return _report(config, "cp3-jacobian-pattern", [res, 0.0 if det > 1e-9 else 1.0], 1e-12,
-                   aux={"abs_det": det})
-
-
-def _jacobian_pattern_residual(D, p, q, r):
-    """Deviation of the 6x6 Jacobian from the expected permutation pattern.
-
-    Rows (Re x1, Im x1, Re x2, Im x2, Re x4, Im x4), columns (Re z, Im z,
-    Re xi1, Im xi1, Re xi2, Im xi2): nonzeros are -q, +q, +r, +r, +p, +p at
-    the pattern positions; one nonzero per row and column.
-    """
-    expected = np.zeros((6, 6))
-    expected[0, 2] = -q
-    expected[1, 3] = q
-    expected[2, 5] = r
-    expected[3, 4] = r
-    expected[4, 0] = p
-    expected[5, 1] = p
-    return float(np.max(np.abs(D - expected)))
-
-
-def _chk_cp3_point_formulas(config):
-    rng = check_rng(config, "cp3-point-formulas")
-    data = fa.cp3_morphism_data()
-    residuals = []
-    for _ in range(config.points):
-        z = rng.uniform(-0.9, 0.9, 2)
-        pt = np.concatenate([z, np.zeros(4)])  # xi = 0
-        x = fa.cp3_point(data, pt)
-        zc = complex(z[0], z[1])
-        w = zc  # P(z) = z by default
-        expect = np.array([0.0, 0.0, 1.0, w])  # alpha = beta = 0 at xi = 0
-        residuals.append(float(np.max(np.abs(x - expect))))
-    zeros = fa.cp3_point(fa.cp3_example1_data(), np.zeros(6))
-    residuals.append(float(np.max(np.abs(zeros - np.array([0, 0, 1.0, 0])))))
-    return _report(config, "cp3-point-formulas", residuals, 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# lifts-r4
-
-def _lift_test_maps():
-    holo = SmoothMap.from_complex(1, 2, lambda z: [z, z * z], name="z,z2")
-
-    def chart_fn(t):
-        w1, w2, mu = t, t * t, t
-        den = 1 + mu * mu.conj()
-        return [(w1 + mu * w2.conj()) / den, (w2 - mu * w1.conj()) / den]
-
-    chart = SmoothMap.from_complex(1, 2, chart_fn, name="chart-disk")
-    return holo, chart
-
-
-def _chk_lift_holomorphy(config):
-    rng = check_rng(config, "lift-holomorphy")
-    holo, chart = _lift_test_maps()
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-0.9, 0.9, 2)
-        for phi in (holo, chart):
-            L = lf.strictly_compatible_lift_r4(phi, p)
-            residuals.append(
-                float(np.linalg.norm(
-                    phi.jacobian(p) @ st.canonical_structure(1).matrix
-                    - L.structure(p).matrix @ phi.jacobian(p))))
-    return _report(config, "lift-holomorphy", residuals, 1e-10)
-
-
-def _chk_lift_vertical(config):
-    rng = check_rng(config, "lift-vertical-conditions")
-    holo, chart = _lift_test_maps()
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-0.9, 0.9, 2)
-        Lh = lf.strictly_compatible_lift_r4(holo, p)
-        residuals.append(lf.j_vertical_residual(Lh, p, 2))  # harmonic side
-        residuals.append(lf.j_vertical_residual(Lh, p, 1))  # isotropic side
-        Lc = lf.strictly_compatible_lift_r4(chart, p)
-        residuals.append(lf.j_vertical_residual(Lc, p, 1))  # isotropy only
-    return _report(config, "lift-vertical-conditions", residuals, 1e-9)
-
-
-def _chk_lift_t10(config):
-    rng = check_rng(config, "lift-t10-stability")
-    holo, chart = _lift_test_maps()
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-0.9, 0.9, 2)
-        Lh = lf.strictly_compatible_lift_r4(holo, p)
-        residuals.append(lf.t10_stability_residual(Lh, p, "z"))
-        residuals.append(lf.t10_stability_residual(Lh, p, "zbar"))
-        Lc = lf.strictly_compatible_lift_r4(chart, p)
-        residuals.append(lf.t10_stability_residual(Lc, p, "z"))
-    return _report(config, "lift-t10-stability", residuals, 1e-9)
-
-
-def _chk_lift_vertical_part(config):
-    rng = check_rng(config, "lift-vertical-part")
-    _, chart = _lift_test_maps()
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-0.9, 0.9, 2)
-        L = lf.strictly_compatible_lift_r4(chart, p)
-        X = rng.normal(size=2)
-        vp = lf.vertical_part(L, p, X)
-        residuals.append(st.mj_residual(vp, L.structure(p)))
-    return _report(config, "lift-vertical-part", residuals, 1e-8)
-
-
-def _chk_umbilic_branch(config):
-    phi = SmoothMap.from_complex(
-        1, 2, lambda z: [(z + z.conj()) * 0.5, (z - z.conj()) * 0.5])
-    L = lf.strictly_compatible_lift_r4(phi, np.array([0.1, 0.2]))
-    residuals = [0.0 if L.both_signs_valid else 1.0,
-                 0.0 if L.sign == +1 else 1.0,
-                 lf.j_vertical_residual(L, np.array([0.1, 0.2]), 1)]
-    return _report(config, "umbilic-branch", residuals, 1e-10)
-
-
-# ---------------------------------------------------------------------------
-# isotropy-reduction
-
-def _chk_isotropy_reduction(config):
-    rng = check_rng(config, "full-vs-diagonal")
-    tol = _tol(config, 1e-9)
-    residuals = []
-    for i in range(100):
-        phi = _random_poly_map(rng, degree=3, holomorphic=(i % 2 == 0))
-        z0 = rng.uniform(-0.9, 0.9, 2)
-        full = real_isotropy_residual(phi, z0, 4, mode="full")
-        diag = real_isotropy_residual(phi, z0, 4, mode="diagonal")
-        agree = (full <= tol) == (diag <= tol)
-        residuals.append(0.0 if agree else 1.0)
-    return _report(config, "full-vs-diagonal", residuals, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# jacobi-first-order
 
 def _random_real_poly(rng, dims, degree=3):
+    """Random polynomial map R^2 -> R^dims of the given total degree."""
     co = rng.normal(size=(dims, degree + 1, degree + 1))
 
     def ev(x, y):
@@ -512,18 +158,356 @@ def _random_real_poly(rng, dims, degree=3):
     return SmoothMap.from_real(2, dims, ev)
 
 
-def _chk_jacobi_identity(config):
-    rng = check_rng(config, "jacobi-identity")
+def _random_so(rng, n):
+    A = rng.normal(size=(n, n))
+    Q, R = np.linalg.qr(A)
+    Q = Q @ np.diag(np.sign(np.diag(R)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def _random_structure(rng, kmin):
+    """The canonical structure on R^2k, k drawn from kmin..3, moved by a
+    random rotation."""
+    k = int(rng.integers(kmin, 4))
+    return st.so_action(_random_so(rng, 2 * k), st.canonical_structure(k))
+
+
+def _skew(rng, k=4):
+    A = rng.normal(size=(k, k))
+    return A - A.T
+
+
+# ---------------------------------------------------------------------------
+# euclid-hm
+
+_suite("euclid-hm", "closed-form and factory checks for the R^6 -> C harmonic morphism")
+
+
+@_check("euclid-hm", "closed-form-harmonicity", 1e-9)
+def _(config, rng):
+    phi = fa.closed_form_r6()
+    return [harmonicity_residual(phi, p) for p in _admissible_r6_points(rng, config.points)]
+
+
+@_check("euclid-hm", "closed-form-hwc", 1e-9)
+def _(config, rng):
+    phi = fa.closed_form_r6()
+    return [hwc_residual(phi, p)[1] for p in _admissible_r6_points(rng, config.points)]
+
+
+@_check("euclid-hm", "pullback-oracle", 1e-8)
+def _(config, rng):
+    phi = fa.closed_form_r6()
+    return [pullback_harmonic_oracle(phi, [0.0] * d + [1.0], p)
+            for p in _admissible_r6_points(rng, min(20, config.points))
+            for d in (1, 2, 3)]
+
+
+@_check("euclid-hm", "factory-roundtrip", 1e-10)
+def _(config, rng):
+    f = _coeff_param(config, "f")
+    data = fa.euclid_r6_data(f)
+    closed = f == [0.0, 1.0]
+    res_round, res_closed, res_implicit = [], [], []
+    for zxi, qc, z in _morphism_samples(rng, data, config.points):
+        res_round.append(abs(z - real_to_complex_point(zxi)[0]))
+        if closed:
+            zcf = (qc[2] - qc[0] - qc[1]) / (1 + np.conj(qc[0]) - np.conj(qc[1]))
+            res_closed.append(abs(z - zcf))
+            res_implicit.append(fa.implicit_equation_residual(z, qc))
+    return res_round + res_closed, {"implicit_max": max(res_implicit, default=0.0)}
+
+
+@_check("euclid-hm", "implicit-equation", 1e-12)
+def _(config, rng):
+    return [fa.implicit_equation_residual(z, qc)
+            for _zxi, qc, z in _morphism_samples(rng, fa.euclid_r6_data(), config.points)]
+
+
+@_check("euclid-hm", "horizontality", 1e-10)
+def _(config, rng):
+    data = fa.euclid_r6_data(_coeff_param(config, "f"))
+    return [fa.verify_horizontality(data, [rng.uniform(-0.8, 0.8, 6)])
+            for _ in range(config.points)]
+
+
+@_check("euclid-hm", "chart-holomorphy", 1e-10)
+def _(config, rng):
+    data = fa.euclid_r6_data(_coeff_param(config, "f"))
+    return [fa.verify_chart_holomorphy(data, [rng.uniform(-0.8, 0.8, 6)])
+            for _ in range(config.points)]
+
+
+@_check("euclid-hm", "fibre-invariance", 1e-10)
+def _(config, rng):
+    data = fa.euclid_r6_data(_coeff_param(config, "f"))
     residuals = []
-    for _ in range(50):
-        phi0 = _random_real_poly(rng, 2)
-        v = _random_real_poly(rng, 2)
-        fam = va.MapFamily.affine(phi0, v)
-        p = rng.uniform(-1, 1, 2)
-        _, tau1 = va.tension_first_order(fam, p)
-        Jv = va.jacobi_operator_flat(v, p)
-        residuals.append(float(np.max(np.abs(tau1 + Jv))))
-    return _report(config, "jacobi-identity", residuals, 1e-12)
+    for _ in range(10):
+        z = rng.uniform(-0.6, 0.6, 2)
+        base = None
+        for _ in range(10):
+            zxi = np.concatenate([z, rng.uniform(-0.6, 0.6, 4)])
+            q = data.h(zxi)
+            if not _admissible(real_to_complex_point(q)):
+                continue
+            seed = zxi + rng.uniform(-0.02, 0.02, 6)
+            val = fa.evaluate_morphism(data, q, seed_point=seed)[0]
+            if base is None:
+                base = val
+            residuals.append(abs(val - base))
+    return residuals
+
+
+# ---------------------------------------------------------------------------
+# sigma-plus-algebra
+
+_suite("sigma-plus-algebra",
+       "structure/isotropic-subspace round trips, group action, vertical space")
+
+
+@_check("sigma-plus-algebra", "isotropic-roundtrip", 1e-10)
+def _(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        J = _random_structure(rng, 1)
+        J2 = st.from_isotropic(st.to_isotropic(J))
+        residuals.append(np.max(np.abs(J2.matrix - J.matrix)))
+    return residuals
+
+
+@_check("sigma-plus-algebra", "so-action-positivity", 0.0)
+def _(config, rng):
+    residuals = []
+    for _ in range(200):
+        J = _random_structure(rng, 1)
+        residuals.append(0.0 if st.is_positive(J) else 1.0)
+        refl = np.eye(J.dim)
+        refl[0, 0] = -1.0
+        residuals.append(1.0 if st.is_positive(st.so_action(refl, J)) else 0.0)
+    return residuals
+
+
+@_check("sigma-plus-algebra", "so-action-group-law", 1e-10)
+def _(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        k = int(rng.integers(1, 4))
+        J = st.canonical_structure(k)
+        S1, S2 = _random_so(rng, 2 * k), _random_so(rng, 2 * k)
+        lhs = st.so_action(S1 @ S2, J).matrix
+        rhs = st.so_action(S1, st.so_action(S2, J)).matrix
+        residuals.append(np.max(np.abs(lhs - rhs)))
+    return residuals
+
+
+@_check("sigma-plus-algebra", "mj-dimension", 0.0)
+def _(config, rng):
+    return [abs(len(st.mj_basis(st.canonical_structure(k))) - k * (k - 1))
+            for k in (1, 2, 3)]
+
+
+@_check("sigma-plus-algebra", "jv-involution", 1e-10)
+def _(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        J = _random_structure(rng, 2)
+        lam = sum(rng.normal() * b for b in st.mj_basis(J))
+        jv = st.jv_apply(J, lam)
+        residuals.append(st.mj_residual(jv, J))
+        residuals.append(np.max(np.abs(st.jv_apply(J, jv) + lam)))
+    return residuals
+
+
+@_check("sigma-plus-algebra", "mu-chart-roundtrip", 1e-9)
+def _(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        k = int(rng.integers(2, 4))
+        mu = rng.normal(size=k * (k - 1) // 2) + 1j * rng.normal(size=k * (k - 1) // 2)
+        J = st.structure_from_mu(mu, k)
+        residuals.append(0.0 if st.is_positive(J) else 1.0)
+        residuals.append(np.max(np.abs(st.mu_from_structure(J) - mu)))
+    return residuals
+
+
+# ---------------------------------------------------------------------------
+# cp3-data
+
+_suite("cp3-data", "algebraic line-data constraints, point formulas and chart Jacobians")
+
+
+def _dyadic_constraints(config, rng, data):
+    """Constraint residuals at points with coordinates in (1/16)Z, |x| <= 1."""
+    return [fa.cp3_constraints_residual(data, rng.integers(-16, 17, 2 * data.nvars) / 16.0)
+            for _ in range(config.points)]
+
+
+@_check("cp3-data", "cp3-example1-constraints", 0.0)
+def _(config, rng):
+    return _dyadic_constraints(config, rng, fa.cp3_example1_data())
+
+
+@_check("cp3-data", "cp3-morphism-constraints", 0.0)
+def _(config, rng):
+    return _dyadic_constraints(config, rng, fa.cp3_morphism_data(**_pqr(config)))
+
+
+@_check("cp3-data", "cp3-linear-system", 1e-12)
+def _(config, rng):
+    residuals = []
+    for builder in (fa.cp3_example1_data, fa.cp3_morphism_data):
+        data = builder()
+        for _ in range(config.points // 2 + 1):
+            residuals.append(fa.cp3_linear_system_residual(data, rng.uniform(-1, 1, 6)))
+    return residuals
+
+
+@_check("cp3-data", "cp3-local-diffeo", 0.0)
+def _(config, rng):
+    r1 = fa.cp3_local_diffeo_check(fa.cp3_example1_data(), np.zeros(6))
+    r2 = fa.cp3_local_diffeo_check(fa.cp3_morphism_data(), np.zeros(6))
+    # residual formulation: fail when the smallest singular value collapses
+    return ([0.0 if r1 > 1e-6 else 1.0, 0.0 if r2 > 1e-6 else 1.0],
+            {"min_sv_example1": r1, "min_sv_morphism": r2})
+
+
+@_check("cp3-data", "cp3-jacobian-pattern", 1e-12)
+def _(config, rng):
+    pqr = _pqr(config)
+    D = fa.cp3_affine_jacobian(fa.cp3_morphism_data(**pqr), np.zeros(6))
+    p, q, r = (co[1].real if len(co) > 1 else 0.0
+               for co in (pqr["P"], pqr["Q"], pqr["R"]))
+    # Rows (Re x1, Im x1, Re x2, Im x2, Re x4, Im x4), columns (Re z, Im z,
+    # Re xi1, Im xi1, Re xi2, Im xi2): one nonzero per row and column.
+    expected = np.zeros((6, 6))
+    expected[[0, 1, 2, 3, 4, 5], [2, 3, 5, 4, 0, 1]] = [-q, q, r, r, p, p]
+    det = abs(np.linalg.det(D))
+    return [np.max(np.abs(D - expected)), 0.0 if det > 1e-9 else 1.0], {"abs_det": det}
+
+
+@_check("cp3-data", "cp3-point-formulas", 1e-12)
+def _(config, rng):
+    data = fa.cp3_morphism_data()
+    residuals = []
+    for _ in range(config.points):
+        z = rng.uniform(-0.9, 0.9, 2)
+        x = fa.cp3_point(data, np.concatenate([z, np.zeros(4)]))  # xi = 0
+        # alpha = beta = 0 at xi = 0, and w = P(z) = z by default
+        expect = np.array([0.0, 0.0, 1.0, complex(z[0], z[1])])
+        residuals.append(np.max(np.abs(x - expect)))
+    zeros = fa.cp3_point(fa.cp3_example1_data(), np.zeros(6))
+    residuals.append(np.max(np.abs(zeros - np.array([0, 0, 1.0, 0]))))
+    return residuals
+
+
+# ---------------------------------------------------------------------------
+# lifts-r4
+
+_suite("lifts-r4", "strictly compatible lifts and their vertical/stability residuals")
+
+
+def _lift_test_maps():
+    holo = SmoothMap.from_complex(1, 2, lambda z: [z, z * z], name="z,z2")
+
+    def chart_fn(t):
+        w1, w2, mu = t, t * t, t
+        den = 1 + mu * mu.conj()
+        return [(w1 + mu * w2.conj()) / den, (w2 - mu * w1.conj()) / den]
+
+    chart = SmoothMap.from_complex(1, 2, chart_fn, name="chart-disk")
+    return holo, chart
+
+
+@_check("lifts-r4", "lift-holomorphy", 1e-10)
+def _(config, rng):
+    holo, chart = _lift_test_maps()
+    residuals = []
+    for _ in range(config.points):
+        p = rng.uniform(-0.9, 0.9, 2)
+        for phi in (holo, chart):
+            L = lf.strictly_compatible_lift_r4(phi, p)
+            residuals.append(np.linalg.norm(
+                phi.jacobian(p) @ st.canonical_structure(1).matrix
+                - L.structure(p).matrix @ phi.jacobian(p)))
+    return residuals
+
+
+@_check("lifts-r4", "lift-vertical-conditions", 1e-9)
+def _(config, rng):
+    holo, chart = _lift_test_maps()
+    residuals = []
+    for _ in range(config.points):
+        p = rng.uniform(-0.9, 0.9, 2)
+        Lh = lf.strictly_compatible_lift_r4(holo, p)
+        residuals.append(lf.j_vertical_residual(Lh, p, 2))  # harmonic side
+        residuals.append(lf.j_vertical_residual(Lh, p, 1))  # isotropic side
+        Lc = lf.strictly_compatible_lift_r4(chart, p)
+        residuals.append(lf.j_vertical_residual(Lc, p, 1))  # isotropy only
+    return residuals
+
+
+@_check("lifts-r4", "lift-t10-stability", 1e-9)
+def _(config, rng):
+    holo, chart = _lift_test_maps()
+    residuals = []
+    for _ in range(config.points):
+        p = rng.uniform(-0.9, 0.9, 2)
+        Lh = lf.strictly_compatible_lift_r4(holo, p)
+        residuals.append(lf.t10_stability_residual(Lh, p, "z"))
+        residuals.append(lf.t10_stability_residual(Lh, p, "zbar"))
+        Lc = lf.strictly_compatible_lift_r4(chart, p)
+        residuals.append(lf.t10_stability_residual(Lc, p, "z"))
+    return residuals
+
+
+@_check("lifts-r4", "lift-vertical-part", 1e-8)
+def _(config, rng):
+    _, chart = _lift_test_maps()
+    residuals = []
+    for _ in range(config.points):
+        p = rng.uniform(-0.9, 0.9, 2)
+        L = lf.strictly_compatible_lift_r4(chart, p)
+        vp = lf.vertical_part(L, p, rng.normal(size=2))
+        residuals.append(st.mj_residual(vp, L.structure(p)))
+    return residuals
+
+
+@_check("lifts-r4", "umbilic-branch", 1e-10)
+def _(config, rng):
+    phi = SmoothMap.from_complex(
+        1, 2, lambda z: [(z + z.conj()) * 0.5, (z - z.conj()) * 0.5])
+    p = np.array([0.1, 0.2])
+    L = lf.strictly_compatible_lift_r4(phi, p)
+    return [0.0 if L.both_signs_valid else 1.0,
+            0.0 if L.sign == +1 else 1.0,
+            lf.j_vertical_residual(L, p, 1)]
+
+
+# ---------------------------------------------------------------------------
+# isotropy-reduction
+
+_suite("isotropy-reduction", "full against diagonal isotropy residual pass/fail agreement")
+
+
+@_check("isotropy-reduction", "full-vs-diagonal", 0.0)
+def _(config, rng):
+    tol = 1e-9 if config.tol is None else config.tol
+    residuals = []
+    for i in range(100):
+        phi = _random_holomorphic_poly(rng) if i % 2 == 0 else _random_real_poly(rng, 4)
+        z0 = rng.uniform(-0.9, 0.9, 2)
+        full = real_isotropy_residual(phi, z0, 4, mode="full")
+        diag = real_isotropy_residual(phi, z0, 4, mode="diagonal")
+        residuals.append(0.0 if (full <= tol) == (diag <= tol) else 1.0)
+    return residuals
+
+
+# ---------------------------------------------------------------------------
+# jacobi-first-order
+
+_suite("jacobi-first-order", "first-order tension, Jacobi identity and holomorphic families")
 
 
 def _sum_maps(a, b):
@@ -533,8 +517,20 @@ def _sum_maps(a, b):
     return SmoothMap(a.domain_dim, a.codomain_dim, evaluator)
 
 
-def _chk_tension_linearity(config):
-    rng = check_rng(config, "tension-linearity")
+@_check("jacobi-first-order", "jacobi-identity", 1e-12)
+def _(config, rng):
+    residuals = []
+    for _ in range(50):
+        phi0 = _random_real_poly(rng, 2)
+        v = _random_real_poly(rng, 2)
+        p = rng.uniform(-1, 1, 2)
+        _, tau1 = va.tension_first_order(va.MapFamily.affine(phi0, v), p)
+        residuals.append(np.max(np.abs(tau1 + va.jacobi_operator_flat(v, p))))
+    return residuals
+
+
+@_check("jacobi-first-order", "tension-linearity", 1e-12)
+def _(config, rng):
     residuals = []
     for _ in range(config.points):
         phi0 = _random_real_poly(rng, 2)
@@ -544,84 +540,76 @@ def _chk_tension_linearity(config):
         t1 = va.tension_first_order(va.MapFamily.affine(phi0, v1), p)[1]
         t2 = va.tension_first_order(va.MapFamily.affine(phi0, v2), p)[1]
         t12 = va.tension_first_order(va.MapFamily.affine(phi0, _sum_maps(v1, v2)), p)[1]
-        residuals.append(float(np.max(np.abs(t12 - t1 - t2))))
-    return _report(config, "tension-linearity", residuals, 1e-12)
+        residuals.append(np.max(np.abs(t12 - t1 - t2)))
+    return residuals
 
 
-def _chk_holomorphic_family(config):
-    rng = check_rng(config, "holomorphic-family")
+@_check("jacobi-first-order", "holomorphic-family", 1e-12)
+def _(config, rng):
+    fam = va.MapFamily.from_complex(1, 1, lambda t, z: [z * z + t * z * z * z])
     residuals = []
     for _ in range(config.points):
-        fam = va.MapFamily.from_complex(1, 1, lambda t, z: [z * z + t * z * z * z])
         p = rng.uniform(-1, 1, 2)
         for kind, R in (("conformal", 1), ("isotropy", 3)):
-            base, t1 = va.first_order_residual(fam, p, kind, R=R)
-            residuals.extend([base, t1])
-    return _report(config, "holomorphic-family", residuals, 1e-12)
+            residuals.extend(va.first_order_residual(fam, p, kind, R=R))
+    return residuals
 
 
 # ---------------------------------------------------------------------------
 # flat-connection
 
-def _mc_setup(rng, k=4):
-    A = rng.normal(size=(k, k))
-    A = A - A.T
-    B = rng.normal(size=(k, k))
-    B = B - B.T
+_suite("flat-connection", "flatness residuals, product integration and convergence order")
+
+
+def _mc_setup(rng):
+    A, B = _skew(rng), _skew(rng)
     return cn.maurer_cartan_form(A, B), A, B
 
 
-def _chk_mc_flatness(config):
-    rng = check_rng(config, "maurer-cartan-flatness")
+@_check("flat-connection", "maurer-cartan-flatness", 1e-8)
+def _(config, rng):
     form, _, _ = _mc_setup(rng)
-    residuals = [cn.flatness_residual(form, rng.uniform(-1, 1, 2))
-                 for _ in range(min(20, config.points))]
-    return _report(config, "maurer-cartan-flatness", residuals, 1e-8)
+    return [cn.flatness_residual(form, rng.uniform(-1, 1, 2))
+            for _ in range(min(20, config.points))]
 
 
-def _chk_constant_exp(config):
-    rng = check_rng(config, "constant-form-exp")
-    A = rng.normal(size=(4, 4))
-    A = A - A.T
+@_check("flat-connection", "constant-form-exp", 1e-10)
+def _(config, rng):
+    A = _skew(rng)
     form = cn.LieValuedForm.constant([A, np.zeros((4, 4))])
     L = 2.5
     f = cn.integrate_path(form, np.array([[0.0, 0.0], [L, 0.0]]), steps=1000)
-    return _report(config, "constant-form-exp",
-                   [float(np.linalg.norm(f - cn.expm(L * A)))], 1e-10)
+    return [np.linalg.norm(f - cn.expm(L * A))]
 
 
-def _chk_path_independence(config):
-    rng = check_rng(config, "path-independence")
+@_check("flat-connection", "path-independence", 1e-5)
+def _(config, rng):
     form, _, _ = _mc_setup(rng)
     sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
     sq2 = np.array([[0, 0], [0, 1], [1, 1]], dtype=float)
-    return _report(config, "path-independence",
-                   [cn.path_independence_defect(form, sq1, sq2, 2000)], 1e-5)
+    return [cn.path_independence_defect(form, sq1, sq2, 2000)]
 
 
-def _chk_convergence_order(config):
-    rng = check_rng(config, "convergence-order")
+@_check("flat-connection", "convergence-order", 0.2)
+def _(config, rng):
     form, A, B = _mc_setup(rng)
     pa = np.array([[0.1, -0.2], [0.9, 0.7]])
     ref = np.linalg.inv(cn.maurer_cartan_value(A, B, pa[0])) @ cn.maurer_cartan_value(A, B, pa[1])
     errs = [np.linalg.norm(cn.integrate_path(form, pa, steps=s) - ref)
             for s in (100, 200, 400)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    residuals = [abs(o - 2.0) for o in orders]
-    return _report(config, "convergence-order", residuals, 0.2,
-                   aux={"orders": [round(float(o), 3) for o in orders]})
+    return [abs(o - 2.0) for o in orders], {"orders": [round(float(o), 3) for o in orders]}
 
 
-def _chk_skew_orthogonality(config):
-    rng = check_rng(config, "skew-orthogonality")
+@_check("flat-connection", "skew-orthogonality", 1e-6)
+def _(config, rng):
     form, _, _ = _mc_setup(rng)
     f = cn.integrate_path(form, np.array([[0.0, 0.0], [1.0, 0.8]]), steps=1000)
-    return _report(config, "skew-orthogonality",
-                   [float(np.linalg.norm(f.T @ f - np.eye(4)))], 1e-6)
+    return [np.linalg.norm(f.T @ f - np.eye(4))]
 
 
-def _chk_curvature_02(config):
-    rng = check_rng(config, "curvature-02")
+@_check("flat-connection", "curvature-02", 1e-12)
+def _(config, rng):
     M = rng.normal(size=(2, 2))
 
     def gam1(space):
@@ -637,16 +625,17 @@ def _chk_curvature_02(config):
         return [G1, G2]
 
     r2 = cn.curvature_02_residual(gam2, 2, 2, np.zeros(4))
-    return _report(config, "curvature-02", [r1, abs(r2 - 1.0)], 1e-12)
+    return [r1, abs(r2 - 1.0)]
 
 
 # ---------------------------------------------------------------------------
 # jets-core
 
-def _chk_product_convolution(config):
-    rng = check_rng(config, "product-convolution")
-    from .jets import JetSpace
+_suite("jets-core", "jet convolution exactness, Wirtinger cross-checks, pairing laws")
 
+
+@_check("jets-core", "product-convolution", 1e-13)
+def _(config, rng):
     residuals = []
     for _ in range(config.points):
         space = JetSpace(rng.uniform(-1, 1, 2), 3)
@@ -665,48 +654,44 @@ def _chk_product_convolution(config):
                 key = (a[0] + b[0], a[1] + b[1])
                 if sum(key) <= 3:
                     conv[key] = conv.get(key, 0.0) + va_ * vb
-        worst = max(abs(prod.coef[i] - conv.get(a, 0.0))
-                    for i, a in enumerate(prod.table.indices))
-        residuals.append(float(worst))
-    return _report(config, "product-convolution", residuals, 1e-13)
+        residuals.append(max(abs(prod.coef[i] - conv.get(a, 0.0))
+                             for i, a in enumerate(prod.table.indices)))
+    return residuals
 
 
-def _chk_dz_vs_fd(config):
-    rng = check_rng(config, "dz-vs-finite-differences")
+@_check("jets-core", "dz-vs-finite-differences", 1e-5)
+def _(config, rng):
     residuals = []
     for _ in range(config.points):
-        phi = _random_poly_map(rng, degree=4, holomorphic=False)
+        phi = _random_real_poly(rng, 4, degree=4)
         z0 = rng.uniform(-0.5, 0.5, 2)
         v = dz_power(phi, 1, z0, order=2)
         h = 1e-4
 
-        def val(p):
-            return np.array([j.value.real for j in phi.jets(p, 0)])
-
         def fd(step):
-            ddx = (val(z0 + [step, 0]) - val(z0 - [step, 0])) / (2 * step)
-            ddy = (val(z0 + [0, step]) - val(z0 - [0, step])) / (2 * step)
+            ddx = (phi(z0 + [step, 0]) - phi(z0 - [step, 0])) / (2 * step)
+            ddy = (phi(z0 + [0, step]) - phi(z0 - [0, step])) / (2 * step)
             return 0.5 * (ddx - 1j * ddy)
 
         rich = (4 * fd(h / 2) - fd(h)) / 3
-        residuals.append(float(np.max(np.abs(v - rich)) / max(1.0, np.max(np.abs(v)))))
-    return _report(config, "dz-vs-finite-differences", residuals, 1e-5)
+        residuals.append(np.max(np.abs(v - rich)) / max(1.0, np.max(np.abs(v))))
+    return residuals
 
 
-def _chk_holomorphic_pluriconformal(config):
-    rng = check_rng(config, "holomorphic-pluriconformal")
+@_check("jets-core", "holomorphic-pluriconformal", 1e-10)
+def _(config, rng):
     residuals = []
     for _ in range(config.points):
-        phi = _random_poly_map(rng, degree=3, holomorphic=True)
+        phi = _random_holomorphic_poly(rng)
         z0 = rng.uniform(-0.9, 0.9, 2)
         v = dz_power(phi, 1, z0, order=1)
         residuals.append(abs(bilinear_dot(v, v)))
         residuals.append(pluriconformality_residual(phi, z0))
-    return _report(config, "holomorphic-pluriconformal", residuals, 1e-10)
+    return residuals
 
 
-def _chk_pairing_laws(config):
-    rng = check_rng(config, "pairing-laws")
+@_check("jets-core", "pairing-laws", 1e-12)
+def _(config, rng):
     residuals = []
     for _ in range(config.points):
         n = int(rng.integers(2, 8))
@@ -716,97 +701,16 @@ def _chk_pairing_laws(config):
         huu = hermitian_dot(u, u)
         residuals.append(abs(huu.imag))
         residuals.append(0.0 if huu.real >= 0 else 1.0)
-    return _report(config, "pairing-laws", residuals, 1e-12)
+    return residuals
 
 
 # ---------------------------------------------------------------------------
-# registry
+# suite tables and runner
 
-def _named(name, fn):
-    fn.check_name = name
-    return fn
-
-
-def _cp3_example1_check(c):
-    return _chk_cp3_constraints(c, "cp3-example1-constraints", fa.cp3_example1_data)
-
-
-def _cp3_morphism_check(c):
-    return _chk_cp3_constraints(c, "cp3-morphism-constraints", fa.cp3_morphism_data,
-                                **_pqr(c))
-
-
-SUITES = {
-    "euclid-hm": (
-        "closed-form and factory checks for the R^6 -> C harmonic morphism",
-        [_named("closed-form-harmonicity", _chk_closed_form_harmonicity),
-         _named("closed-form-hwc", _chk_closed_form_hwc),
-         _named("pullback-oracle", _chk_pullback_oracle),
-         _named("factory-roundtrip", _chk_factory_roundtrip),
-         _named("implicit-equation", _chk_implicit_equation),
-         _named("horizontality", _chk_horizontality),
-         _named("chart-holomorphy", _chk_chart_holomorphy),
-         _named("fibre-invariance", _chk_fibre_invariance)],
-    ),
-    "sigma-plus-algebra": (
-        "structure/isotropic-subspace round trips, group action, vertical space",
-        [_named("isotropic-roundtrip", _chk_isotropic_roundtrip),
-         _named("so-action-positivity", _chk_so_positivity),
-         _named("so-action-group-law", _chk_so_group_law),
-         _named("mj-dimension", _chk_mj_dimension),
-         _named("jv-involution", _chk_jv_involution),
-         _named("mu-chart-roundtrip", _chk_mu_roundtrip)],
-    ),
-    "cp3-data": (
-        "algebraic line-data constraints, point formulas and chart Jacobians",
-        [_named("cp3-example1-constraints", _cp3_example1_check),
-         _named("cp3-morphism-constraints", _cp3_morphism_check),
-         _named("cp3-linear-system", _chk_cp3_linear_system),
-         _named("cp3-local-diffeo", _chk_cp3_diffeo),
-         _named("cp3-jacobian-pattern", _chk_cp3_jacobian_pattern),
-         _named("cp3-point-formulas", _chk_cp3_point_formulas)],
-    ),
-    "lifts-r4": (
-        "strictly compatible lifts and their vertical/stability residuals",
-        [_named("lift-holomorphy", _chk_lift_holomorphy),
-         _named("lift-vertical-conditions", _chk_lift_vertical),
-         _named("lift-t10-stability", _chk_lift_t10),
-         _named("lift-vertical-part", _chk_lift_vertical_part),
-         _named("umbilic-branch", _chk_umbilic_branch)],
-    ),
-    "isotropy-reduction": (
-        "full against diagonal isotropy residual pass/fail agreement",
-        [_named("full-vs-diagonal", _chk_isotropy_reduction)],
-    ),
-    "jacobi-first-order": (
-        "first-order tension, Jacobi identity and holomorphic families",
-        [_named("jacobi-identity", _chk_jacobi_identity),
-         _named("tension-linearity", _chk_tension_linearity),
-         _named("holomorphic-family", _chk_holomorphic_family)],
-    ),
-    "flat-connection": (
-        "flatness residuals, product integration and convergence order",
-        [_named("maurer-cartan-flatness", _chk_mc_flatness),
-         _named("constant-form-exp", _chk_constant_exp),
-         _named("path-independence", _chk_path_independence),
-         _named("convergence-order", _chk_convergence_order),
-         _named("skew-orthogonality", _chk_skew_orthogonality),
-         _named("curvature-02", _chk_curvature_02)],
-    ),
-    "jets-core": (
-        "jet convolution exactness, Wirtinger cross-checks, pairing laws",
-        [_named("product-convolution", _chk_product_convolution),
-         _named("dz-vs-finite-differences", _chk_dz_vs_fd),
-         _named("holomorphic-pluriconformal", _chk_holomorphic_pluriconformal),
-         _named("pairing-laws", _chk_pairing_laws)],
-    ),
-}
-
-CHECK_INDEX = {
-    f"{suite}:{fn.check_name}": fn
-    for suite, (_desc, fns) in SUITES.items()
-    for fn in fns
-}
+# name -> (description, [check]) in declaration order
+SUITES = {suite: (description, [check for key, check in CHECK_INDEX.items()
+                                if key.partition(":")[0] == suite])
+          for suite, description in _DESCRIPTIONS.items()}
 
 CUSTOM_SUITES = {}
 

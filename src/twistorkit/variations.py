@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetError, JetSpace
+from .jets import Jet, JetError, JetSpace, _laplace_trace
 
 
 @dataclass
@@ -112,15 +112,8 @@ def tension_first_order(fam, x0):
     operator of v exactly.
     """
     jets = fam.jets(x0, 2)
-    d = fam.domain_dim
-    tau0 = np.zeros(fam.codomain_dim)
-    tau1 = np.zeros(fam.codomain_dim)
-    for k, j in enumerate(jets):
-        for vvar in range(d):
-            e0 = (0,) + tuple(2 if c == vvar else 0 for c in range(d))
-            e1 = (1,) + tuple(2 if c == vvar else 0 for c in range(d))
-            tau0[k] += 2.0 * j.coefficient(e0).real
-            tau1[k] += 2.0 * j.coefficient(e1).real
+    tau0 = np.array([_laplace_trace(j, (0,)) for j in jets])
+    tau1 = np.array([_laplace_trace(j, (1,)) for j in jets])
     return tau0, tau1
 
 

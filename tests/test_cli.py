@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from twistorkit.cli import main, report_document
 from twistorkit.suites import SuiteConfig, list_suites, run_suite
 
@@ -113,3 +115,31 @@ def test_keyerror_inside_a_check_is_internal(monkeypatch, capsys):
     assert main(["run", "--suite", "jets-core"]) == 3
     err = capsys.readouterr().err
     assert "internal evaluation error" in err and "unknown suite" not in err
+
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ("check:", "unknown check ''"),                                        # empty
+    ("check: jets-core:pairing-laws tol=abc", "'abc'"),                    # not a number
+    ("check: jets-core:pairing-laws tolerance=1e-30", "'tolerance'"),      # unknown key
+    ("check: jets-core:pairing-laws points=0", "points= must be at least 1"),
+    ("chek: jets-core:pairing-laws", "unknown key 'chek'"),
+])
+def test_malformed_suite_file_line_is_a_usage_error(line, fragment, tmp_path, monkeypatch,
+                                                     capsys):
+    path = tmp_path / "bad.suite"
+    path.write_text(f"name: bad\ncheck: jets-core:pairing-laws\n\n{line}\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    assert main(["run", "--suite", "bad"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:4: " in err and fragment in err
+
+def test_jet_order_flag_is_gone(capsys):
+    try:
+        code = main(["run", "--suite", "jets-core", "--points", "2", "--jet-order", "6"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert main(["run", "--suite", "jets-core", "--points", "2", "--format", "json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["config"]) == {
+        "params", "points", "seed", "tol"}
