@@ -22,11 +22,13 @@ import numpy as np
 from .jets import (
     Jet,
     JetError,
-    _as_real_point,
+    _horner,
     _laplace_trace,
     complex_view,
     dz,
+    dz_vectors,
     dzbar,
+    gradient,
     laplacian,
 )
 from .pairings import bilinear_dot
@@ -70,23 +72,11 @@ class CheckReport:
                 f"(tol {self.tolerance:.1e}, {len(self.points)} points)")
 
 
-def _dz_vectors(phi, z0, rmax, direction=0):
-    """Iterated d/dz derivatives 1..rmax as real-component complex vectors."""
-    point = _as_real_point(z0, phi.domain_dim)
-    jets = phi.jets(point, rmax)
-    out = []
-    current = jets
-    for _ in range(rmax):
-        current = [dz(j, direction) for j in current]
-        out.append(np.array([j.value for j in current]))
-    return out
-
-
 def conformality_residual(phi, z0):
     """|<dz phi, dz phi>| for a map from a surface; 0 iff weakly conformal."""
     if phi.domain_dim != 2:
         raise JetError("conformality_residual needs a 2-dimensional domain")
-    (v,) = _dz_vectors(phi, z0, 1)
+    (v,) = dz_vectors(phi, z0, 1)
     return abs(bilinear_dot(v, v))
 
 
@@ -96,7 +86,6 @@ def weak_conformality(phi, x0):
     The factor is trace(dphi^T dphi)/dim; residual 0 means conformal at the
     point or a branch point (factor 0 forces dphi = 0).
     """
-    x0 = _as_real_point(x0, phi.domain_dim)
     D = phi.jacobian(x0)
     m2 = phi.domain_dim
     G = D.T @ D
@@ -107,11 +96,8 @@ def weak_conformality(phi, x0):
 def pluriconformality_residual(phi, x0):
     """max |<dphi(dz_i), dphi(dz_j)>| over i <= j; 0 for holomorphic maps."""
     m = phi.domain_dim // 2
-    point = _as_real_point(x0, phi.domain_dim)
-    jets = phi.jets(point, 1)
-    vs = []
-    for i in range(m):
-        vs.append(np.array([dz(j, i).value for j in jets]))
+    grad = gradient(phi.jets(x0, 1))
+    vs = [dz(grad, i) for i in range(m)]
     worst = 0.0
     for i in range(m):
         for j in range(i, m):
@@ -121,7 +107,7 @@ def pluriconformality_residual(phi, x0):
 
 def harmonicity_residual(phi, x0, order=2):
     """Euclidean norm of the flat tension field (the componentwise Laplacian)."""
-    return float(np.linalg.norm(laplacian(phi, _as_real_point(x0, phi.domain_dim), order=order)))
+    return float(np.linalg.norm(laplacian(phi, x0, order=order)))
 
 
 def real_isotropy_residual(phi, z0, R, mode="full"):
@@ -134,7 +120,7 @@ def real_isotropy_residual(phi, z0, R, mode="full"):
         raise JetError("real_isotropy_residual needs a 2-dimensional domain")
     if mode not in ("full", "diagonal"):
         raise ValueError(f"unknown mode {mode!r}")
-    vecs = _dz_vectors(phi, z0, R)
+    vecs = dz_vectors(phi, z0, R)
     worst = 0.0
     for r in range(1, R + 1):
         for s in range(r, R + 1):
@@ -154,7 +140,7 @@ def umbilic_residual(phi, z0):
     """
     if phi.domain_dim != 2:
         raise JetError("umbilic_residual needs a 2-dimensional domain")
-    v1, v2 = _dz_vectors(phi, z0, 2)
+    v1, v2 = dz_vectors(phi, z0, 2)
     A = np.array([complex_view(v1), complex_view(v2)])
     s = np.linalg.svd(A, compute_uv=False)
     if s[0] < 1e-14:
@@ -169,7 +155,6 @@ def hwc_residual(phi, x0):
     orthogonal complement of its kernel conformally onto the target iff the
     residual vanishes; a zero differential passes with factor 0.
     """
-    x0 = _as_real_point(x0, phi.domain_dim)
     D = phi.jacobian(x0)
     n2 = phi.codomain_dim
     G = D @ D.T
@@ -184,7 +169,6 @@ def hwc_residual_svd_oracle(phi, x0):
     vectors with nonzero singular value and tests that dphi maps it
     conformally onto the target; kept as a cross-check for the Gram form.
     """
-    x0 = _as_real_point(x0, phi.domain_dim)
     D = phi.jacobian(x0)
     n2 = phi.codomain_dim
     u, s, vt = np.linalg.svd(D)
@@ -217,11 +201,8 @@ def pullback_harmonic_oracle(phi, g_coeffs, x0, order=2):
     """
     if phi.codomain_dim != 2:
         raise JetError("pullback oracle needs codomain C")
-    point = _as_real_point(x0, phi.domain_dim)
-    (w,) = phi.complex_jets(point, max(order, 2))
-    g = None
-    for c in reversed(list(g_coeffs)):
-        g = c if g is None else g * w + c
+    (w,) = phi.complex_jets(x0, max(order, 2))
+    g = _horner(g_coeffs, w)
     if not isinstance(g, Jet):
         return 0.0  # constant polynomial
     return abs(_laplace_trace(g.real))
@@ -231,20 +212,17 @@ def one_one_geodesic_residual(phi, x0, order=2):
     """max over i, j of |d^2 phi / dz_i dzbar_j|; 0 iff all mixed Wirtinger
     Hessians vanish (flat Kaehler domain)."""
     m = phi.domain_dim // 2
-    point = _as_real_point(x0, phi.domain_dim)
-    jets = phi.jets(point, max(order, 2))
+    jets = phi.jets(x0, max(order, 2))
     worst = 0.0
     for i in range(m):
-        di = [dz(j, i) for j in jets]
+        grad = gradient([dz(j, i) for j in jets])
         for jj in range(m):
-            vec = np.array([dzbar(jjet, jj).value for jjet in di])
-            worst = max(worst, float(np.linalg.norm(vec)))
+            worst = max(worst, float(np.linalg.norm(dzbar(grad, jj))))
     return worst
 
 
 def holomorphy_residual(phi, J_dom, J_tgt, x0):
     """|dphi J_dom - J_tgt dphi| (Frobenius); 0 iff (J_dom, J_tgt)-holomorphic."""
-    x0 = _as_real_point(x0, phi.domain_dim)
     D = phi.jacobian(x0)
     A = np.asarray(getattr(J_dom, "matrix", J_dom), dtype=float)
     B = np.asarray(getattr(J_tgt, "matrix", J_tgt), dtype=float)
@@ -259,6 +237,6 @@ def is_regular_point(phi, x0, ratio=REGULAR_SV_RATIO):
     Checks that require regularity should report "degenerate" below this
     threshold instead of a pass/fail verdict.
     """
-    D = phi.jacobian(_as_real_point(x0, phi.domain_dim))
+    D = phi.jacobian(x0)
     s = np.linalg.svd(D, compute_uv=False)
     return bool(s[0] > 0 and s[min(D.shape) - 1] > ratio * s[0])

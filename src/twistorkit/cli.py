@@ -17,7 +17,8 @@ each a key-value document::
 
 Overrides are ``tol=<number>`` and ``points=<integer >= 1>``.  Any other key,
 override or value, and an empty ``check:`` line, is a usage error (exit 2)
-that names the file and line.
+that names the file and line; so is a file with ``check:`` lines but no
+``name:``, or whose name is that of a built-in suite.
 """
 
 from __future__ import annotations
@@ -142,8 +143,14 @@ def load_custom_suites(directory):
                     refs.append(_parse_check(value, f"{path}:{lineno}"))
                 else:
                     raise SuiteFileError(f"{path}:{lineno}: unknown key {key!r}")
-        if name and refs:
+        if not refs:
+            continue
+        if not name:
+            raise SuiteFileError(f"{path}: check: lines but no name: line")
+        try:
             register_custom_suite(name, description, refs)
+        except ValueError as exc:
+            raise SuiteFileError(f"{path}: {exc}") from None
 
 
 def _parse_params(items):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import JetSpace
+from .jets import JetSpace, dzbar, gradient, values
 
 
 class BlowupError(RuntimeError):
@@ -73,8 +73,7 @@ class LieValuedForm:
     def values(self, x):
         if self.values_fn is not None:
             return [np.asarray(M) for M in self.values_fn(np.asarray(x, dtype=float))]
-        comps = self.jets(x, order=0)
-        return [np.array([[e.value for e in row] for row in M]) for M in comps]
+        return list(values(self.jets(x, order=0)))
 
     @classmethod
     def constant(cls, matrices):
@@ -92,16 +91,11 @@ def flatness_residual(form, pt):
     """max over i < j of |d_i a_j - d_j a_i + a_i a_j - a_j a_i| (Frobenius)."""
     comps = form.jets(pt, order=1)
     d = form.domain_dim
-    k = form.size
-    vals = [np.array([[e.value for e in row] for row in M]) for M in comps]
+    vals, grad = values(comps), gradient(comps)
     worst = 0.0
     for i in range(d):
         for j in range(i + 1, d):
-            dij = np.array([[comps[j][a][b].partial(i).value for b in range(k)]
-                            for a in range(k)])
-            dji = np.array([[comps[i][a][b].partial(j).value for b in range(k)]
-                            for a in range(k)])
-            curv = dij - dji + vals[i] @ vals[j] - vals[j] @ vals[i]
+            curv = grad[j, ..., i] - grad[i, ..., j] + vals[i] @ vals[j] - vals[j] @ vals[i]
             worst = max(worst, float(np.linalg.norm(curv)))
     return worst
 
@@ -199,16 +193,12 @@ def curvature_02_residual(gammas_fn, m, size, pt, order=1):
         return 0.0
     space = JetSpace(np.asarray(pt, dtype=float), order)
     gam = gammas_fn(space)
-    vals = [np.array([[e.value for e in row] for row in G]) for G in gam]
-
-    def dbar(G, i):
-        return np.array([[0.5 * (e.partial(2 * i).value + 1j * e.partial(2 * i + 1).value)
-                          for e in row] for row in G])
-
+    vals, grad = values(gam), gradient(gam)
     worst = 0.0
     for i in range(m):
         for j in range(i + 1, m):
-            curv = dbar(gam[j], i) - dbar(gam[i], j) + vals[j] @ vals[i] - vals[i] @ vals[j]
+            curv = (dzbar(grad[j], i) - dzbar(grad[i], j)
+                    + vals[j] @ vals[i] - vals[i] @ vals[j])
             worst = max(worst, float(np.linalg.norm(curv)))
     return worst
 

@@ -21,16 +21,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import (
-    Jet,
     JetError,
     JetSpace,
     SmoothMap,
     _as_real_point,
-    complex_to_real_point,
+    _horner,
     dz,
     dzbar,
+    gradient,
     invert_jet_map,
     real_to_complex_point,
+    values,
 )
 from .structures import twistor_chart
 
@@ -64,9 +65,6 @@ class EuclideanTwistorData:
     def k(self):
         return self.n + self.p
 
-    def xi_variables(self):
-        return list(range(2 * self.n, 2 * self.k))
-
 
 def verify_horizontality(data, samples):
     """max over samples of all Wirtinger xi-derivatives of mu.
@@ -76,11 +74,11 @@ def verify_horizontality(data, samples):
     """
     worst = 0.0
     for pt in samples:
-        point = _real_point(pt)
-        jets = data.mu.jets(point, 1)
-        for j in jets:
-            for v in range(data.n, data.k):
-                worst = max(worst, abs(dz(j, v).value), abs(dzbar(j, v).value))
+        grad = gradient(data.mu.jets(pt, 1))
+        # Python abs per entry here and below: np.abs on an array can differ
+        # from it in the last bit
+        for v in range(data.n, data.k):
+            worst = max(worst, *map(abs, dz(grad, v)), *map(abs, dzbar(grad, v)))
     return worst
 
 
@@ -93,23 +91,19 @@ def verify_chart_holomorphy(data, samples):
     """
     worst = 0.0
     for pt in samples:
-        point = _real_point(pt)
-        q = data.h.complex_jets(point, 1)
-        mu = data.mu.complex_jets(point, 1)
+        q = data.h.complex_jets(pt, 1)
+        mu = data.mu.complex_jets(pt, 1)
         w, _ = twistor_chart(q, mu)
-        for comp in w:
-            for v in range(data.k):
-                worst = max(worst, abs(dzbar(comp, v).value))
-        for comp in mu:
-            for v in range(data.n):
-                worst = max(worst, abs(dzbar(comp, v).value))
+        for grad, count in ((gradient(w), data.k), (gradient(mu), data.n)):
+            for v in range(count):
+                worst = max(worst, *map(abs, dzbar(grad, v)))
     return worst
 
 
 def jacobian_min_sv(h, pt):
     """Smallest singular value of the full real Jacobian of h at a point;
     positive iff h is a local diffeomorphism there."""
-    D = h.jacobian(_real_point(pt))
+    D = h.jacobian(pt)
     return float(np.linalg.svd(D, compute_uv=False)[-1])
 
 
@@ -130,19 +124,19 @@ def invert_h(data, target_q, seed_point, record=None):
     reach the 1e-12 residual target; per-iteration residuals land in
     ``record`` so that quadratic convergence can be audited.
     """
-    target = _real_point(target_q)
-    y = _real_point(seed_point)
+    target = _as_real_point(target_q, 2 * data.k)
+    y = _as_real_point(seed_point, 2 * data.k)
     rec = record if record is not None else NewtonRecord()
     polished = False
     for _ in range(NEWTON_MAX_ITER):
         jets = data.h.jets(y, 1)
-        val = np.array([j.value.real for j in jets])
+        val = values(jets).real
         res = float(np.linalg.norm(val - target))
         rec.residuals.append(res)
         if res <= NEWTON_TARGET and polished:
             return y
         polished = res <= NEWTON_TARGET  # one extra step past the target
-        D = data.h.jacobian(y)
+        D = gradient(jets).real
         sv = np.linalg.svd(D, compute_uv=False)
         if sv[-1] < 1e-10 * max(1.0, sv[0]):
             raise SingularJacobianError(
@@ -181,15 +175,6 @@ def morphism_as_map(data, seed_fn=None):
         return out
 
     return SmoothMap(K, 2 * data.n, evaluator, name="factory-morphism")
-
-
-def _real_point(pt):
-    """A real point from real coordinates or, for complex input, through
-    complex_to_real_point."""
-    pt = np.asarray(pt)
-    if np.iscomplexobj(pt):
-        return complex_to_real_point(pt)
-    return pt.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +266,7 @@ def cp3_affine_jacobian(data, pt):
     if abs(x3.value) < 1e-12:
         raise JetError("affine chart invalid: x3 vanishes at the point")
     chart = [x1 / x3, x2 / x3, x4 / x3]
-    D = np.empty((6, 2 * data.nvars))
-    for r, comp in enumerate(chart):
-        for k, part in enumerate((comp.real, comp.imag)):
-            D[2 * r + k] = part.coef[part.table.units].real
-    return D
+    return gradient([[c.real, c.imag] for c in chart]).real.reshape(6, -1).copy()
 
 
 def cp3_local_diffeo_check(data, pt):
@@ -298,18 +279,6 @@ def cp3_local_diffeo_check(data, pt):
 # ---------------------------------------------------------------------------
 # built-in example registry
 
-def _poly(coeffs):
-    coeffs = list(coeffs)
-
-    def ev(t):
-        out = None
-        for c in reversed(coeffs):
-            out = c if out is None else out * t + c
-        return out if out is not None else 0.0
-
-    return ev
-
-
 def euclid_r6_data(f_coeffs=(0.0, 1.0)):
     """Twistor data over C x C^2 whose produced map is a harmonic morphism
     R^6 -> C.
@@ -319,13 +288,13 @@ def euclid_r6_data(f_coeffs=(0.0, 1.0)):
     xi2), (z, 0, 0)); for f(z) = z the produced map has the closed form
     (q3 - q1 - q2) / (1 + conj(q1) - conj(q2)).
     """
-    f = _poly(list(f_coeffs))
+    f_coeffs = list(f_coeffs)
 
     def h_fn(z, x1, x2):
         den = 1 + z * z.conj()
         q1 = (x1 + z * x2.conj()) / den
         q2 = (x2 - z * x1.conj()) / den
-        q3 = f(z) + x1 + x2
+        q3 = _horner(f_coeffs, z) + x1 + x2
         return [q1, q2, q3]
 
     def mu_fn(z, x1, x2):
@@ -371,24 +340,14 @@ def cp3_example1_data():
 def cp3_morphism_data(P=(0.0, 1.0), Q=(0.0, 1.0), R=(0.0, 1.0)):
     """Harmonic-morphism data over C x C^2: w = P(z), alpha = Q(xi1),
     beta = i R(xi2), gamma = w alpha, delta = w beta."""
-    Pf, Qf, Rf = _poly(list(P)), _poly(list(Q)), _poly(list(R))
-
-    def alpha(zs):
-        return Qf(zs[1])
-
-    def beta(zs):
-        return 1j * Rf(zs[2])
-
-    def w(zs):
-        return Pf(zs[0])
-
+    P, Q, R = list(P), list(Q), list(R)
     return CP3Data(
         nz=1, nxi=2,
-        alpha=alpha,
-        beta=beta,
-        gamma=lambda zs: Pf(zs[0]) * Qf(zs[1]),
-        delta=lambda zs: Pf(zs[0]) * (1j * Rf(zs[2])),
-        w=w,
+        alpha=lambda zs: _horner(Q, zs[1]),
+        beta=lambda zs: 1j * _horner(R, zs[2]),
+        gamma=lambda zs: _horner(P, zs[0]) * _horner(Q, zs[1]),
+        delta=lambda zs: _horner(P, zs[0]) * (1j * _horner(R, zs[2])),
+        w=lambda zs: _horner(P, zs[0]),
     )
 
 

@@ -10,7 +10,11 @@ variables, and conjugation acts on coefficients.
 
 The identification C^m = R^(2m) is fixed once and for all as
 ``z_j = x_{2j} + i x_{2j+1}`` (0-based pairs), and the Wirtinger operators
-``dz``/``dzbar`` are derived from it.
+``dz``/``dzbar`` are derived from it.  This module is the only place that
+reads either the coefficient layout or that identification: other modules
+take values and first derivatives through :func:`values`, :func:`gradient`,
+``dz``/``dzbar`` and :func:`dz_vectors`, and :class:`SmoothMap` accepts
+points in real or complex form.
 """
 
 from __future__ import annotations
@@ -43,9 +47,6 @@ class _Table:
         self.size = len(idx)
         # prefix length per degree, for truncation
         self._prefix = np.searchsorted(self.degrees, np.arange(order + 2))
-        # positions of the unit multi-indices e_0 .. e_{nvars-1}
-        units = [tuple(int(k == v) for k in range(nvars)) for v in range(nvars)]
-        self.units = [self.position[e] for e in units] if order >= 1 else []
         self.zeros = np.zeros(self.size, dtype=complex)
         self.zeros.flags.writeable = False
         self._mul = None
@@ -132,7 +133,7 @@ class Jet:
         c = np.zeros(t.size, dtype=complex)
         c[0] = base[i]
         if order >= 1:
-            c[t.units[i]] = 1.0
+            c[nvars - i] = 1.0  # e_i, see gradient
         return Jet(t, base, c)
 
     # -- metadata ------------------------------------------------------
@@ -400,7 +401,9 @@ class SmoothMap:
         self.name = name
 
     def jets(self, point, order):
-        point = np.asarray(point, dtype=float)
+        """Jets of the real components at a point of R^domain_dim, given in
+        real coordinates or in complex ones (see :func:`_as_real_point`)."""
+        point = _as_real_point(point, self.domain_dim)
         if point.size != self.domain_dim:
             raise JetError(
                 f"point dimension {point.size} != domain dimension {self.domain_dim}")
@@ -414,14 +417,10 @@ class SmoothMap:
         return [js[2 * k] + 1j * js[2 * k + 1] for k in range(self.codomain_dim // 2)]
 
     def __call__(self, point):
-        return np.array([j.value.real for j in self.jets(point, 0)])
+        return values(self.jets(point, 0)).real.copy()
 
     def jacobian(self, point):
-        js = self.jets(point, 1)
-        J = np.empty((self.codomain_dim, self.domain_dim))
-        for r, jet in enumerate(js):
-            J[r] = jet.coef[jet.table.units].real
-        return J
+        return gradient(self.jets(point, 1)).real.copy()
 
     @classmethod
     def from_complex(cls, m, n, fn, name=None):
@@ -458,36 +457,83 @@ class SmoothMap:
 
 
 # ---------------------------------------------------------------------------
+# read-off of values and first derivatives
+
+def values(jets):
+    """Values at the base point of a jet or of a nested sequence of jets,
+    stacked with the same nesting."""
+    if isinstance(jets, Jet):
+        return jets.coef[0]
+    return np.array([values(j) for j in jets])
+
+
+def gradient(jets):
+    """First derivatives at the base point of a jet or of a nested sequence
+    of jets: ``gradient(jets)[..., v]`` is d/dx_v.  In every table the unit
+    multi-index e_v sits at position nvars - v (degree 1, lex order).
+
+    The ``.real`` of this or of :func:`values` is a strided view; callers
+    copy it before matrix products, which on a strided operand skip BLAS
+    and can differ from it in the last bit."""
+    if isinstance(jets, Jet):
+        if jets.order == 0:
+            raise JetError("an order-0 jet has no gradient")
+        return jets.coef[jets.nvars:0:-1]
+    return np.array([gradient(j) for j in jets])
+
+
+# ---------------------------------------------------------------------------
 # Wirtinger operators
 
-def dz(jet, i=0):
-    """d/dz_i = (d/dx_{2i} - i d/dx_{2i+1}) / 2 acting on a jet."""
-    return (jet.partial(2 * i) - 1j * jet.partial(2 * i + 1)) * 0.5
+def _xy_pair(f, i):
+    """(d/dx_{2i}, d/dx_{2i+1}) of a jet, or of a :func:`gradient` array."""
+    if isinstance(f, Jet):
+        return f.partial(2 * i), f.partial(2 * i + 1)
+    return f[..., 2 * i], f[..., 2 * i + 1]
 
 
-def dzbar(jet, i=0):
-    return (jet.partial(2 * i) + 1j * jet.partial(2 * i + 1)) * 0.5
+def dz(f, i=0):
+    """d/dz_i = (d/dx_{2i} - i d/dx_{2i+1}) / 2 of a jet (a jet one order
+    lower), or at the base point from a :func:`gradient` array."""
+    dx, dy = _xy_pair(f, i)
+    return (dx - 1j * dy) * 0.5
+
+
+def dzbar(f, i=0):
+    """d/dzbar_i = (d/dx_{2i} + i d/dx_{2i+1}) / 2, like :func:`dz`."""
+    dx, dy = _xy_pair(f, i)
+    return (dx + 1j * dy) * 0.5
+
+
+def dz_vectors(phi, z0, r, direction=0):
+    """Iterated d/dz_{direction} derivatives of orders 1..r of every real
+    component at z0, from one jet evaluation at order r.
+
+    Each is the complex 2n-vector of Wirtinger derivatives of the real
+    components (flat target, so iterated covariant derivatives are plain
+    partials).  Use :func:`complex_view` for the C^n-identified view.
+    """
+    jets = phi.jets(z0, r)
+    out = []
+    for _ in range(r):
+        jets = [dz(j, direction) for j in jets]
+        out.append(values(jets))
+    return out
 
 
 def dz_power(phi, r, z0, direction=0, order=None):
-    """Exact r-th iterated d/dz_{direction} derivative of every real component.
+    """Exact r-th iterated d/dz_{direction} derivative of every real
+    component: the last of :func:`dz_vectors`.
 
-    Returns the complex 2n-vector of Wirtinger derivatives of the real
-    components (flat target, so iterated covariant derivatives are plain
-    partials).  Use :func:`complex_view` for the C^n-identified view.
+    The jets are evaluated at order r; ``order`` (default
+    ``DEFAULT_JET_ORDER``) does not change them, it only caps r.
     """
     if r < 1:
         raise JetError("dz_power needs r >= 1")
     order = DEFAULT_JET_ORDER if order is None else order
     if r > order:
         raise JetError(f"r={r} exceeds jet order {order}")
-    jets = phi.jets(_as_real_point(z0, phi.domain_dim), r)
-    out = np.empty(phi.codomain_dim, dtype=complex)
-    for k, jet in enumerate(jets):
-        for _ in range(r):
-            jet = dz(jet, direction)
-        out[k] = jet.value
-    return out
+    return dz_vectors(phi, z0, r, direction)[-1]
 
 
 def laplacian(phi, x0, order=2):
@@ -507,6 +553,15 @@ def _laplace_trace(jet, lead=()):
         e = lead + tuple(2 if c == v else 0 for c in range(d))
         s += 2.0 * jet.coefficient(e).real
     return s
+
+
+def _horner(coeffs, t):
+    """sum_k coeffs[k] t**k by Horner's rule from the highest coefficient;
+    0.0 for no coefficients."""
+    out = None
+    for c in reversed(list(coeffs)):
+        out = c if out is None else out * t + c
+    return 0.0 if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +613,7 @@ def invert_jet_map(F):
     K = len(F)
     order = F[0].order
     q0 = np.array([f.value for f in F])
-    A = np.array([f.coef[f.table.units] for f in F])
+    A = gradient(F)
     Ainv = np.linalg.inv(A)
     new_base = tuple(v.real for v in q0)
     w = [Jet.variable(i, K, order, new_base) - new_base[i] for i in range(K)]

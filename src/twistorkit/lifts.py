@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import JetSpace, _as_real_point, dz
+from .jets import JetSpace, _as_real_point, dz, dzbar, gradient, values
 from .structures import HermitianStructure, is_positive
 
 INDEPENDENCE_SV_RATIO = 1e-6
@@ -39,16 +39,12 @@ class TwistorLift:
     both_signs_valid: bool = False
 
     def structure_jets(self, point, order):
-        point = np.asarray(point, dtype=float)
-        return self.structure_field(point, order)
+        """The structure matrix as jets at a domain point given in real or
+        complex coordinates."""
+        return self.structure_field(_as_real_point(point, self.base_map.domain_dim), order)
 
     def structure(self, point):
-        M = self.structure_jets(point, 0)
-        return HermitianStructure(_values(M))
-
-
-def _values(M):
-    return np.array([[e.value.real for e in row] for row in M])
+        return HermitianStructure(values(self.structure_jets(point, 0)).real.copy())
 
 
 def _dot(u, v):
@@ -74,17 +70,16 @@ def strictly_compatible_lift_r4(phi, z0):
     """
     if phi.codomain_dim != 4 or phi.domain_dim != 2:
         raise LiftError("strictly compatible lifts are built for maps R^2 -> R^4")
-    p0 = _as_real_point(z0, phi.domain_dim)
-    jets0 = phi.jets(p0, 2)
-    dx0 = np.array([j.partial(0).value.real for j in jets0])
-    dy0 = np.array([j.partial(1).value.real for j in jets0])
+    jets0 = phi.jets(z0, 2)
+    grad0 = gradient(jets0)
+    dx0, dy0 = grad0[:, 0].real.copy(), grad0[:, 1].real.copy()
     if np.linalg.norm(dx0) < 1e-12:
         raise LiftError("branch point: dphi vanishes at the base point")
     scale = max(1.0, dx0 @ dx0)
     if abs(dx0 @ dy0) > 1e-6 * scale or abs(dx0 @ dx0 - dy0 @ dy0) > 1e-6 * scale:
         raise LiftError("map is not weakly conformal at the base point")
-    d2 = np.array([dz(dz(j, 0), 0).value for j in jets0])
-    d1 = (dx0 - 1j * dy0) / 2
+    d1 = dz(grad0, 0)
+    d2 = values([dz(dz(j, 0), 0) for j in jets0])
     rows = np.array([d1, d2])
     s = np.linalg.svd(rows, compute_uv=False)
     umbilic = s[-1] <= INDEPENDENCE_SV_RATIO * s[0]
@@ -121,16 +116,17 @@ def strictly_compatible_lift_r4(phi, z0):
             n4 = _norm(f4)
             f4 = [w / n4 for w in f4]
         if umbilic:
-            frame = np.column_stack([[c.value.real for c in col] for col in (f1, f2, f3, f4)])
+            frame = values([f1, f2, f3, f4]).real.T
             if np.linalg.det(frame) < 0:
                 f4 = [-w for w in f4]
         J = [[f2[a] * f1[b] - f1[a] * f2[b] + f4[a] * f3[b] - f3[a] * f4[b]
               for b in range(4)] for a in range(4)]
         return J
 
-    J0 = HermitianStructure(_values(structure_field(p0, 0)), tol=1e-8)
-    sign = +1 if is_positive(J0) else -1
-    return TwistorLift(phi, structure_field, sign=sign, both_signs_valid=umbilic)
+    lift = TwistorLift(phi, structure_field, both_signs_valid=umbilic)
+    J0 = HermitianStructure(values(lift.structure_jets(z0, 0)).real.copy(), tol=1e-8)
+    lift.sign = +1 if is_positive(J0) else -1
+    return lift
 
 
 def _project_out(vec, frames):
@@ -187,16 +183,11 @@ def vertical_part(lift, z0, X, order=1):
     For flat targets this is the vertical component of the lift derivative;
     it always lands in the vertical space at the current structure.
     """
-    point = _as_real_point(z0, lift.base_map.domain_dim)
-    M = lift.structure_jets(point, max(order, 1))
-    X = np.asarray(X, dtype=float)
-    n = len(M)
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            for v, xv in enumerate(X):
-                if xv != 0:
-                    out[a, b] += xv * M[a][b].partial(v).value.real
+    grad = gradient(lift.structure_jets(z0, max(order, 1))).real
+    out = np.zeros(grad.shape[:2])
+    for v, xv in enumerate(np.asarray(X, dtype=float)):
+        if xv != 0:
+            out += xv * grad[..., v]
     return out
 
 
@@ -209,25 +200,15 @@ def j_vertical_residual(lift, z0, a, order=1):
     """
     if a not in (1, 2):
         raise LiftError("a must be 1 or 2")
-    point = _as_real_point(z0, lift.base_map.domain_dim)
-    M = lift.structure_jets(point, max(order, 1))
-    J0v = _values(M)
+    M = lift.structure_jets(z0, max(order, 1))
+    J0v = values(M).real.copy()
     sgn = 1.0 if a == 1 else -1.0
-    dJx = _partial_matrix(M, 0)
-    dJy = _partial_matrix(M, 1)
+    grad = gradient(M).real
+    dJx, dJy = grad[..., 0].copy(), grad[..., 1].copy()
     # J0 on the domain: dx -> dy, dy -> -dx
     r1 = np.linalg.norm(dJy - sgn * (J0v @ dJx))
     r2 = np.linalg.norm(-dJx - sgn * (J0v @ dJy))
     return float(max(r1, r2))
-
-
-def _partial_matrix(M, var):
-    n = len(M)
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = M[a][b].partial(var).value.real
-    return out
 
 
 def t10_stability_residual(lift, z0, direction="z", order=1):
@@ -241,15 +222,14 @@ def t10_stability_residual(lift, z0, direction="z", order=1):
     """
     if direction not in ("z", "zbar"):
         raise LiftError("direction must be 'z' or 'zbar'")
-    point = _as_real_point(z0, lift.base_map.domain_dim)
-    M = lift.structure_jets(point, max(order, 1))
+    M = lift.structure_jets(z0, max(order, 1))
     n = len(M)
-    J0 = _values(M)
+    J0 = values(M).real
     P0 = 0.5 * (np.eye(n) - 1j * J0)
     Q0 = 0.5 * (np.eye(n) + 1j * J0)
     # frame columns: P(z) c_j for pivot columns c_j chosen at the base point
     piv = _pivot_columns(P0, n // 2)
-    dP = _wirtinger_matrix(M, direction)
+    dP = (dz if direction == "z" else dzbar)(gradient(M), 0)
     worst = 0.0
     for c in piv:
         col = P0[:, c]
@@ -276,14 +256,3 @@ def _pivot_columns(P, count):
     if len(chosen) < count:
         raise LiftError("frame rank deficiency at the base point")
     return chosen
-
-
-def _wirtinger_matrix(M, direction):
-    n = len(M)
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            px = M[a][b].partial(0).value
-            py = M[a][b].partial(1).value
-            out[a, b] = 0.5 * (px - 1j * py) if direction == "z" else 0.5 * (px + 1j * py)
-    return out

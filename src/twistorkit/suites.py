@@ -32,7 +32,7 @@ from .checkers import (
     pullback_harmonic_oracle,
     real_isotropy_residual,
 )
-from .jets import JetSpace, SmoothMap, dz_power, real_to_complex_point
+from .jets import JetSpace, SmoothMap, _horner, dz, dz_power, real_to_complex_point
 from .pairings import bilinear_dot, hermitian_dot
 
 
@@ -128,16 +128,7 @@ def _random_holomorphic_poly(rng, degree=3):
     """Random holomorphic polynomial map C -> C^2 of the given degree."""
     co = rng.normal(size=(2, degree + 1)) + 1j * rng.normal(size=(2, degree + 1))
 
-    def fn(z):
-        out = []
-        for row in co:
-            acc = None
-            for c in reversed(row):
-                acc = c if acc is None else acc * z + c
-            out.append(acc)
-        return out
-
-    return SmoothMap.from_complex(1, 2, fn)
+    return SmoothMap.from_complex(1, 2, lambda z: [_horner(row, z) for row in co])
 
 
 def _random_real_poly(rng, dims, degree=3):
@@ -671,7 +662,7 @@ def _(config, rng):
         def fd(step):
             ddx = (phi(z0 + [step, 0]) - phi(z0 - [step, 0])) / (2 * step)
             ddy = (phi(z0 + [0, step]) - phi(z0 - [0, step])) / (2 * step)
-            return 0.5 * (ddx - 1j * ddy)
+            return dz(np.stack([ddx, ddy], axis=-1))
 
         rich = (4 * fd(h / 2) - fd(h)) / 3
         residuals.append(np.max(np.abs(v - rich)) / max(1.0, np.max(np.abs(v))))
@@ -720,7 +711,10 @@ def register_custom_suite(name, description, check_refs):
 
     ``check_refs`` is a list of (check_key, overrides) where check_key is
     "<suite>:<check>" and overrides may set tol or points for that check.
+    The name must not be that of a built-in suite.
     """
+    if name in SUITES:
+        raise ValueError(f"suite name {name!r} is taken by a built-in suite")
     checks = []
     for key, overrides in check_refs:
         if key not in CHECK_INDEX:
@@ -729,27 +723,25 @@ def register_custom_suite(name, description, check_refs):
     CUSTOM_SUITES[name] = (description, checks)
 
 
+def _all_suites():
+    """name -> (description, [(check, overrides)]): a built-in suite is its
+    checks with no overrides."""
+    builtin = {name: (desc, [(fn, {}) for fn in fns]) for name, (desc, fns) in SUITES.items()}
+    return {**builtin, **CUSTOM_SUITES}
+
+
 def list_suites():
     """Stable (sorted) list of (name, description), custom suites included."""
-    rows = [(name, SUITES[name][0]) for name in SUITES]
-    rows += [(name, CUSTOM_SUITES[name][0]) for name in CUSTOM_SUITES]
-    return sorted(rows)
+    return sorted((name, desc) for name, (desc, _) in _all_suites().items())
 
 
 def run_suite(config):
     """Run all checks of a suite and return the sorted CheckReport list."""
-    if config.suite in SUITES:
-        _, fns = SUITES[config.suite]
-        reports = [fn(config) for fn in fns]
-    elif config.suite in CUSTOM_SUITES:
-        _, checks = CUSTOM_SUITES[config.suite]
-        reports = []
-        for fn, overrides in checks:
-            sub = replace(config,
-                          tol=overrides.get("tol", config.tol),
-                          points=int(overrides.get("points", config.points)))
-            reports.append(fn(sub))
-    else:
+    suites = _all_suites()
+    if config.suite not in suites:
         raise KeyError(f"unknown suite {config.suite!r}")
+    reports = [fn(replace(config, tol=overrides.get("tol", config.tol),
+                          points=int(overrides.get("points", config.points))))
+               for fn, overrides in suites[config.suite][1]]
     reports.sort(key=lambda r: r.name)
     return reports

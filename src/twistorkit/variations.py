@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetError, JetSpace, _laplace_trace
+from .jets import Jet, JetError, JetSpace, _laplace_trace, gradient, values
 
 
 @dataclass
@@ -122,13 +122,6 @@ def _family_dz(jets, i):
     return [(j.partial(1 + 2 * i) - 1j * j.partial(2 + 2 * i)) * 0.5 for j in jets]
 
 
-def _t_pair(jet):
-    """(value, d/dt value) of a joint jet at the base point."""
-    zero = (0,) * jet.nvars
-    one = (1,) + (0,) * (jet.nvars - 1)
-    return jet.coefficient(zero), jet.coefficient(one)
-
-
 def first_order_residual(fam, x0, kind, R=1):
     """Base and first-order residual of a property along a family.
 
@@ -164,7 +157,7 @@ def first_order_residual(fam, x0, kind, R=1):
         s = vr[0] * vr[0]
         for comp in vr[1:]:
             s = s + comp * comp
-        v0, v1 = _t_pair(s)
+        v0, v1 = values(s), gradient(s)[0]  # value and d/dt
         base = max(base, abs(v0))
         t1 = max(t1, abs(v1))
     return base, t1
@@ -184,7 +177,7 @@ def _psi_holomorphy_residual(fam, x0):
             defect = target[a]
             for b in range(n):
                 defect = defect - M[a][b] * source[b]
-            v0, v1 = _t_pair(defect)
+            v0, v1 = values(defect), gradient(defect)[0]
             base = max(base, abs(v0))
             t1 = max(t1, abs(v1))
     return base, t1

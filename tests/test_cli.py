@@ -134,6 +134,37 @@ def test_malformed_suite_file_line_is_a_usage_error(line, fragment, tmp_path, mo
     err = capsys.readouterr().err
     assert f"{path}:4: " in err and fragment in err
 
+def test_suite_file_named_like_a_builtin_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "shadow.suite"
+    path.write_text("name: jets-core\ncheck: jets-core:pairing-laws\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    for argv in (["list"], ["run", "--suite", "jets-core", "--points", "2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'jets-core'" in err
+
+
+def test_suite_file_without_name_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "anonymous.suite"
+    path.write_text("description: no name\ncheck: jets-core:pairing-laws\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    assert main(["list"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "no name" in err
+
+
+def test_custom_suites_reload_and_stay_out_of_builtins(tmp_path, monkeypatch, capsys):
+    import twistorkit.suites as su
+
+    (tmp_path / "mini.suite").write_text(
+        "name: mini-reload\ncheck: jets-core:pairing-laws points=2\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    for _ in range(2):
+        assert main(["run", "--suite", "mini-reload", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"][0]["points"] == 6
+    assert "mini-reload" not in su.SUITES
+    assert [n for n, _ in list_suites()].count("mini-reload") == 1
+
 def test_jet_order_flag_is_gone(capsys):
     try:
         code = main(["run", "--suite", "jets-core", "--points", "2", "--jet-order", "6"])

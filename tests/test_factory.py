@@ -90,6 +90,24 @@ def test_invert_h_roundtrip_and_convergence_log():
         assert all(d < 0.5 for d in drops)  # at least geometric, in fact quadratic
 
 
+def test_invert_h_evaluates_h_once_per_iteration():
+    data = euclid_r6_data()
+    calls = []
+    evaluator = data.h.evaluator
+
+    def counted(point, order):
+        calls.append(order)
+        return evaluator(point, order)
+
+    data.h = SmoothMap(6, 6, counted)
+    zxi = np.array([0.2, -0.1, 0.3, 0.1, -0.2, 0.25])
+    q = data.h(zxi)
+    calls.clear()
+    rec = NewtonRecord()
+    invert_h(data, q, zxi + 0.05, record=rec)
+    assert rec.converged and len(calls) == len(rec.residuals)
+
+
 def test_invert_h_error_modes():
     ident = SmoothMap.from_complex(1, 1, lambda z: [z])
     sq_h = SmoothMap.from_complex(1, 1, lambda z: [z * z])

@@ -13,8 +13,10 @@ from twistorkit.jets import (
     dz_power,
     _table,
     dzbar,
+    gradient,
     invert_jet_map,
     laplacian,
+    values,
 )
 from twistorkit.pairings import (
     DimensionError,
@@ -278,6 +280,56 @@ def test_holomorphic_maps_are_pluriconformal():
         z0 = RNG.uniform(-1, 1, 2)
         v = dz_power(phi, 1, z0, order=1)
         assert abs(bilinear_dot(v, v)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# read-off of values and first derivatives
+
+def _random_jet(nvars, order):
+    xs = JetSpace(RNG.uniform(-1, 1, nvars), order).vars()
+    c = RNG.normal(size=3) + 1j * RNG.normal(size=3)
+    return (c[0] * xs[0] * xs[-1] + c[1] * xs[-1] + c[2]).exp()
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def test_values_and_gradient_read_nested_jets_bitwise():
+    for nvars in (1, 2, 3, 6):
+        # a 2 x 3 matrix of jets with mixed orders, as a nested list
+        M = [[_random_jet(nvars, order) for order in (1, 2, 4)] for _ in range(2)]
+        vals, grad = values(M), gradient(M)
+        assert vals.shape == (2, 3) and grad.shape == (2, 3, nvars)
+        for a in range(2):
+            for b in range(3):
+                assert _bits(vals[a, b]) == _bits(M[a][b].coef[0])
+                for v in range(nvars):
+                    assert _bits(grad[a, b, v]) == _bits(M[a][b].partial(v).value)
+        jet = M[0][0]
+        assert _bits(gradient(jet)) == _bits([jet.partial(v).value for v in range(nvars)])
+    with pytest.raises(JetError):
+        gradient(JetSpace([0.1], 0).var(0))
+
+
+def test_wirtinger_of_gradient_matches_jet_operator_bitwise():
+    for m in (1, 2, 3):
+        jets = [_random_jet(2 * m, order) for order in (1, 2, 3, 2)]
+        grad = gradient(jets)
+        for i in range(m):
+            for op in (dz, dzbar):
+                assert _bits(op(grad, i)) == _bits([op(j, i).value for j in jets])
+
+
+def test_smooth_map_takes_complex_or_real_points():
+    phi = SmoothMap.from_complex(2, 1, lambda z, w: [z * w.conj() + (z * z).exp()])
+    zc = np.array([0.3 - 0.2j, -0.5 + 0.7j])
+    for complex_form in (zc, list(zc)):
+        for a, b in zip(phi.jets(complex_form, 3), phi.jets([0.3, -0.2, -0.5, 0.7], 3)):
+            assert a.base == b.base and _bits(a.coef) == _bits(b.coef)
+    # a real array of half the domain dimension is read as complex coordinates
+    psi = SmoothMap.from_complex(1, 1, lambda z: [z * z])
+    assert _bits(psi.jacobian(np.array([0.5]))) == _bits(psi.jacobian([0.5, 0.0]))
 
 
 # ---------------------------------------------------------------------------
