@@ -143,8 +143,10 @@ def load_custom_suites(directory):
                     refs.append(_parse_check(value, f"{path}:{lineno}"))
                 else:
                     raise SuiteFileError(f"{path}:{lineno}: unknown key {key!r}")
-        if not refs:
+        if not name and not refs:
             continue
+        if not refs:
+            raise SuiteFileError(f"{path}: name: but no check: lines")
         if not name:
             raise SuiteFileError(f"{path}: check: lines but no name: line")
         try:

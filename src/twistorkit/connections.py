@@ -3,9 +3,15 @@
 A form is given by its component evaluator; flatness is the zero-curvature
 identity d_i a_j - d_j a_i + [a_i, a_j] = 0, which characterizes local
 solvability of f^(-1) df = a with f(start) = identity.  Integration uses the
-midpoint exponential rule, which is second-order accurate and keeps the
-accumulated element in the group by construction.  The matrix exponential is
-scaling-and-squaring with a diagonal Pade(6) approximant.
+midpoint exponential rule (Iserles et al., "Lie-group methods", Acta Numerica
+9, 2000), which is second-order accurate and keeps the accumulated element in
+the group by construction.  Midpoint values come from ``values_fn(points)``,
+which maps an (n, d) array of points to the (n, d, k, k) stack of component
+values, and the increments of a whole block of segments from one call of
+``expm``.  The matrix exponential is scaling-and-squaring with a diagonal
+Pade(6) approximant at 1-norm 1/2 (the scheme of Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 31, 2009, at a fixed degree); it acts on a stack
+(..., n, n), and a 2-D input is the one-matrix case.
 """
 
 from __future__ import annotations
@@ -25,29 +31,47 @@ class PathError(ValueError):
     pass
 
 
-def expm(A):
-    """Matrix exponential by scaling-and-squaring with Pade(6)."""
-    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
-    norm = np.linalg.norm(A, 1)
-    s = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    B = A / (2.0 ** s)
-    m = 6
-    c = np.empty(m + 1)
-    c[0] = 1.0
+def _pade_coefficients(m):
+    """Coefficients c_0..c_m of the diagonal Pade(m) approximant of exp."""
+    c = [1.0]
     for k in range(m):
-        c[k + 1] = c[k] * (m - k) / ((2 * m - k) * (k + 1))
-    n = A.shape[0]
-    P = np.eye(n, dtype=B.dtype)
-    N = c[0] * np.eye(n, dtype=B.dtype)
-    D = c[0] * np.eye(n, dtype=B.dtype)
-    for k in range(1, m + 1):
+        c.append(c[-1] * (m - k) / ((2 * m - k) * (k + 1)))
+    return np.array(c)
+
+
+_PADE = _pade_coefficients(6)
+# Segments per stacked evaluation in integrate_path; bounds its working memory.
+_BLOCK = 256
+
+
+def expm(A):
+    """Matrix exponential of A, or of each matrix of a stack (..., n, n).
+
+    Scaling-and-squaring with Pade(6): each matrix is scaled by 2^-s, with
+    s the least count bringing its 1-norm to at most 1/2, and squared back
+    s times.  Every matrix of a stack gets the same operations as it would
+    alone, so a stacked result equals the per-matrix ones bit for bit.
+    """
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    n = A.shape[-1]
+    A3 = A.reshape(-1, n, n)
+    norm = np.abs(A3).sum(-2).max(-1)
+    # least s >= 0 with norm / 2^s <= 1/2; 0 for a non-finite norm
+    s = np.ceil(np.log2(np.fmax(norm / 0.5, 1.0)))
+    s = np.where(np.isfinite(s), s, 0).astype(int)
+    B = A3 / (2.0 ** s)[:, None, None]
+    eye = np.eye(n, dtype=B.dtype)
+    P = eye
+    N = _PADE[0] * eye
+    D = _PADE[0] * eye
+    for k in range(1, len(_PADE)):
         P = P @ B
-        N = N + c[k] * P
-        D = D + c[k] * ((-1) ** k) * P
+        N = N + _PADE[k] * P
+        D = D + _PADE[k] * ((-1) ** k) * P
     E = np.linalg.solve(D, N)
-    for _ in range(s):
-        E = E @ E
-    return E
+    for r in range(1, int(s.max(initial=0)) + 1):
+        E = np.where((s >= r)[:, None, None], E @ E, E)
+    return E.reshape(A.shape)
 
 
 class LieValuedForm:
@@ -56,8 +80,9 @@ class LieValuedForm:
     ``components(space)`` receives a :class:`JetSpace` at the evaluation
     point and must return a list of d matrices (nested lists of jets) -- one
     per coordinate direction.  For integration only the constant terms are
-    used; flatness needs order 1.  An optional ``values_fn(x)`` returning
-    plain arrays short-circuits the jet machinery along integration paths.
+    used; flatness needs order 1.  An optional ``values_fn(points)`` takes an
+    (n, d) array of points and returns the (n, d, k, k) stack of component
+    values, which short-circuits the jet machinery along integration paths.
     """
 
     def __init__(self, domain_dim, size, components, values_fn=None):
@@ -71,20 +96,26 @@ class LieValuedForm:
         return self.components(space)
 
     def values(self, x):
+        """The (d, k, k) component values at one point."""
+        return self.values_at(np.asarray(x, dtype=float)[None])[0]
+
+    def values_at(self, points):
+        """The (n, d, k, k) component values at the n rows of ``points``."""
         if self.values_fn is not None:
-            return [np.asarray(M) for M in self.values_fn(np.asarray(x, dtype=float))]
-        return list(values(self.jets(x, order=0)))
+            return np.asarray(self.values_fn(points))
+        return np.stack([values(self.jets(x, order=0)) for x in points])
 
     @classmethod
     def constant(cls, matrices):
-        matrices = [np.asarray(M) for M in matrices]
-        d, k = len(matrices), matrices[0].shape[0]
+        matrices = np.stack(matrices)
+        d, k = matrices.shape[:2]
 
         def components(space):
             return [[[space.const(M[a, b]) for b in range(k)] for a in range(k)]
                     for M in matrices]
 
-        return cls(d, k, components, values_fn=lambda x: matrices)
+        return cls(d, k, components,
+                   values_fn=lambda pts: np.broadcast_to(matrices, (len(pts), d, k, k)))
 
 
 def flatness_residual(form, pt):
@@ -124,18 +155,22 @@ class GroupPath:
 
 
 def _segments(path):
-    """Split the polyline into path.steps segments, proportionally to length."""
+    """Split the polyline into path.steps segments, proportionally to length.
+
+    Returns the (m, d) arrays of segment starts and ends.
+    """
     W = path.waypoints
     lengths = np.linalg.norm(np.diff(W, axis=0), axis=1)
     total = float(np.sum(lengths))
     if total == 0:
-        return []
-    segs = []
+        return W[:0], W[:0]
+    starts, ends = [], []
     counts = np.maximum(1, np.round(path.steps * lengths / total).astype(int))
     for (a, b), cnt in zip(zip(W[:-1], W[1:]), counts):
-        for i in range(cnt):
-            segs.append((a + (b - a) * i / cnt, a + (b - a) * (i + 1) / cnt))
-    return segs
+        i = np.arange(cnt)[:, None]
+        starts.append(a + (b - a) * i / cnt)
+        ends.append(a + (b - a) * (i + 1) / cnt)
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 def integrate_path(form, path, steps=None):
@@ -143,25 +178,32 @@ def integrate_path(form, path, steps=None):
 
     Midpoint exponential rule: per segment the increment exp(sum_i a_i(mid)
     dx_i) multiplies on the right.  Second-order accurate for flat forms; the
-    determinant is logged per step and a collapse signals blow-up.
+    determinant is logged per step and a collapse signals blow-up.  The
+    midpoint values and increments are evaluated in stacks of up to _BLOCK
+    segments; the product itself runs step by step, in path order.
     """
     if not isinstance(path, GroupPath):
         path = GroupPath(np.asarray(path), steps if steps is not None else 256)
     elif steps is not None:
         path = GroupPath(path.waypoints, steps)
-    k = form.size
-    f = np.eye(k)
+    f = np.eye(form.size)
     path.det_log = []
-    for a, b in _segments(path):
-        mid = (a + b) / 2
+    starts, ends = _segments(path)
+    for lo in range(0, len(starts), _BLOCK):
+        a, b = starts[lo:lo + _BLOCK], ends[lo:lo + _BLOCK]
+        vals = form.values_at((a + b) / 2)
         delta = b - a
-        vals = form.values(mid)
-        M = sum(vals[i] * delta[i] for i in range(form.domain_dim))
-        f = f @ expm(M)
-        det = abs(np.linalg.det(f))
-        path.det_log.append(float(det))
-        if not np.isfinite(det) or det < 1e-12:
-            raise BlowupError(f"accumulated element is no longer invertible (|det| = {det:.2e})")
+        M = sum(vals[:, i] * delta[:, i, None, None] for i in range(form.domain_dim))
+        products = []
+        for E in expm(M):
+            f = f @ E
+            products.append(f)
+        for det in np.linalg.det(np.stack(products)):
+            det = abs(det)
+            path.det_log.append(float(det))
+            if not np.isfinite(det) or det < 1e-12:
+                raise BlowupError(
+                    f"accumulated element is no longer invertible (|det| = {det:.2e})")
     path.element = f
     return np.real_if_close(f, tol=1000)
 
@@ -227,11 +269,11 @@ def maurer_cartan_form(A, B):
         a2 = _mm(_mm(e2m, _const_mat(B, space), space), e2, space)
         return [a1, a2]
 
-    def values_fn(x):
-        e1 = expm(x[0] * A)
-        e2 = expm(x[1] * B)
-        ginv = expm(-x[1] * B) @ expm(-x[0] * A)
-        return [ginv @ A @ e1 @ e2, expm(-x[1] * B) @ B @ e2]
+    def values_fn(points):
+        x1, x2 = points[:, 0, None, None], points[:, 1, None, None]
+        e1, e2, e2m, e1m = expm(x1 * A), expm(x2 * B), expm(-x2 * B), expm(-x1 * A)
+        ginv = e2m @ e1m
+        return np.stack([ginv @ A @ e1 @ e2, e2m @ B @ e2], axis=1)
 
     return LieValuedForm(2, k, components, values_fn=values_fn)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .jets import complex_view
 from .pairings import bilinear_dot, is_isotropic_span
 
 STRUCTURE_TOL = 1e-10
@@ -234,12 +235,9 @@ def mu_from_structure(J):
     measure-zero set where the chart degenerates)."""
     k = J.k
     F = to_isotropic(J).basis
-    rows01 = np.conj(F)  # basis of the (0,1)-space
-    A = np.empty((k, k), dtype=complex)  # d/dq components
-    Bm = np.empty((k, k), dtype=complex)  # d/dqbar components
-    for r, v in enumerate(rows01):
-        A[:, r] = v[0::2] + 1j * v[1::2]
-        Bm[:, r] = v[0::2] - 1j * v[1::2]
+    # columns: the d/dq and d/dqbar components of the (0,1)-basis conj(F)
+    A = complex_view(np.conj(F).T)
+    Bm = np.conj(complex_view(F.T))
     if abs(np.linalg.det(Bm)) < 1e-12:
         raise StructureError("structure is outside the mu-chart")
     M = A @ np.linalg.inv(Bm)

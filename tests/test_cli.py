@@ -153,6 +153,15 @@ def test_suite_file_without_name_is_a_usage_error(tmp_path, monkeypatch, capsys)
     assert str(path) in err and "no name" in err
 
 
+def test_suite_file_without_checks_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "empty.suite"
+    path.write_text("name: empty-one\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    for argv in (["list"], ["run", "--suite", "empty-one"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip().endswith(f"{path}: name: but no check: lines")
+
+
 def test_custom_suites_reload_and_stay_out_of_builtins(tmp_path, monkeypatch, capsys):
     import twistorkit.suites as su
 

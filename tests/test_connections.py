@@ -35,6 +35,100 @@ def test_expm_against_scipy():
             assert err <= 1e-12
 
 
+def test_expm_stack_matches_per_matrix():
+    # scales from 0.01 to 40: the stack mixes scaling counts s = 0 and s >= 3
+    scales = np.array([0.01, 0.1, 1.0, 5.0, 40.0])[:, None, None]
+    real = scales * RNG.normal(size=(5, 4, 4))
+    cplx = real + 1j * scales * RNG.normal(size=(5, 4, 4))
+    for stack in (real, cplx, np.stack([real, 2.0 * real])):
+        E = expm(stack)
+        assert E.shape == stack.shape and E.dtype == stack.dtype
+        per_matrix = np.array([expm(X) for X in stack.reshape(-1, 4, 4)])
+        assert np.array_equal(E.reshape(-1, 4, 4), per_matrix)
+    norms = np.abs(real).sum(-2).max(-1)
+    assert norms.min() <= 0.5 and norms.max() > 4.0  # s = 0 and s >= 3 both present
+
+
+def test_expm_stack_against_scipy():
+    stack = np.array([s * RNG.normal(size=(5, 5)) for s in (0.05, 1.0, 10.0, 30.0)])
+    stack = stack + 0.5j * np.array([s * RNG.normal(size=(5, 5)) for s in (0.05, 1.0, 10.0, 30.0)])
+    for X, E in zip(stack, expm(stack)):
+        ref = scipy.linalg.expm(X)
+        assert np.linalg.norm(E - ref) / max(1.0, np.linalg.norm(ref)) <= 1e-12
+    assert np.array_equal(expm(np.zeros((3, 2, 2))), np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
+def reference_integration(form, waypoints, steps):
+    """One segment at a time: its midpoint values, its exponential, the right
+    product and the |det| check, with the segment split of integrate_path."""
+    W = np.asarray(waypoints, dtype=float)
+    lengths = np.linalg.norm(np.diff(W, axis=0), axis=1)
+    counts = np.maximum(1, np.round(steps * lengths / float(np.sum(lengths))).astype(int))
+    f, det_log = np.eye(form.size), []
+    for a, b, cnt in zip(W[:-1], W[1:], counts):
+        for i in range(cnt):
+            p, q = a + (b - a) * i / cnt, a + (b - a) * (i + 1) / cnt
+            vals, delta = form.values((p + q) / 2), q - p
+            f = f @ expm(sum(vals[j] * delta[j] for j in range(form.domain_dim)))
+            det = abs(np.linalg.det(f))
+            det_log.append(float(det))
+            if not np.isfinite(det) or det < 1e-12:
+                return f, det_log, f"accumulated element is no longer invertible (|det| = {det:.2e})"
+    return f, det_log, None
+
+
+def test_integration_blocks_match_per_step_loop():
+    form = maurer_cartan_form(random_skew(4), random_skew(4))
+    for waypoints in ([[0.1, -0.2], [0.9, 0.7]], [[0, 0], [1, 0], [1, 1], [-0.3, 0.4]]):
+        for steps in (255, 256, 257, 1000):
+            path = GroupPath(waypoints, steps)
+            f = integrate_path(form, path)
+            ref, ref_log, err = reference_integration(form, waypoints, steps)
+            assert err is None and len(ref_log) > 250
+            assert np.array_equal(f, ref) and np.array_equal(path.element, ref)
+            assert path.det_log == ref_log
+
+
+def test_values_at_stacks_single_point_values():
+    form = maurer_cartan_form(random_skew(3), random_skew(3))
+    pts = RNG.uniform(-1, 1, size=(5, 2))
+    V = form.values_at(pts)
+    assert V.shape == (5, 2, 3, 3)
+    for x, v in zip(pts, V):
+        assert np.array_equal(form.values(x), v)
+    const = LieValuedForm.constant([np.eye(3), 2.0 * np.eye(3)])
+    assert const.values_at(pts).shape == (5, 2, 3, 3)
+
+
+def test_blowup_in_second_block_keeps_step_log():
+    # |det f| = exp(-2 * 46 * j / 1000) drops below 1e-12 at step 301
+    form = LieValuedForm.constant([-46.0 * np.eye(2), np.zeros((2, 2))])
+    waypoints = [[0.0, 0.0], [1.0, 0.0]]
+    path = GroupPath(waypoints, 1000)
+    with pytest.raises(BlowupError) as exc:
+        integrate_path(form, path)
+    _, ref_log, err = reference_integration(form, waypoints, 1000)
+    assert len(ref_log) == 301 and path.det_log == ref_log
+    assert str(exc.value) == err
+
+
+def test_jet_only_form_integrates_across_blocks():
+    def comps(space):
+        x2 = space.var(1)
+        zero = space.const(0.0)
+        a1 = [[x2 if (a, b) == (0, 1) else zero + 0.0 for b in range(3)] for a in range(3)]
+        a2 = [[zero + 0.0 for _ in range(3)] for _ in range(3)]
+        return [a1, a2]
+
+    form = LieValuedForm(2, 3, comps)
+    waypoints = [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    path = GroupPath(waypoints, 300)
+    f = integrate_path(form, path)
+    ref, ref_log, _ = reference_integration(form, waypoints, 300)
+    assert np.array_equal(f, ref) and path.det_log == ref_log
+    assert abs(f[0, 1] - 1.0) <= 1e-12  # exp of x2 E12 dx1 along x2 = 1
+
+
 def test_maurer_cartan_flatness():
     A, B = random_skew(4), random_skew(4)
     form = maurer_cartan_form(A, B)
