@@ -4,7 +4,6 @@ harmonic-map residuals on flat spaces."""
 __version__ = "0.1.0"
 
 from .jets import (
-    DEFAULT_JET_ORDER,
     Jet,
     JetError,
     JetSpace,

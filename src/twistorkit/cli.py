@@ -5,7 +5,9 @@ produce byte-identical documents.  Wall time is therefore not part of the
 report; it goes to stderr with the human summary.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
-3 internal evaluation error.
+3 internal evaluation error.  A ``--param`` key that no check of the suite
+reads, or a value that is not a comma-separated list of numbers, is a usage
+error found before any check runs.
 
 Custom suites: point TWISTOR_SUITE_DIR at a directory of ``*.suite`` files,
 each a key-value document::
@@ -177,7 +179,8 @@ def build_parser():
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
     run.add_argument("--param", action="append", default=[],
-                     help="k=v parameter override for the suite's examples")
+                     help="k=v parameter of the suite's examples; a key no "
+                          "check reads, or a bad value, is a usage error")
     sub.add_parser("list", help="list available suites")
     return parser
 

@@ -78,11 +78,12 @@ class LieValuedForm:
     """Matrix-algebra-valued 1-form on R^d through a component evaluator.
 
     ``components(space)`` receives a :class:`JetSpace` at the evaluation
-    point and must return a list of d matrices (nested lists of jets) -- one
-    per coordinate direction.  For integration only the constant terms are
-    used; flatness needs order 1.  An optional ``values_fn(points)`` takes an
-    (n, d) array of points and returns the (n, d, k, k) stack of component
-    values, which short-circuits the jet machinery along integration paths.
+    point and must return d matrices of jets (object arrays or nested
+    sequences) -- one per coordinate direction.  For integration only the
+    constant terms are used; flatness needs order 1.  An optional
+    ``values_fn(points)`` takes an (n, d) array of points and returns the
+    (n, d, k, k) stack of component values, which short-circuits the jet
+    machinery along integration paths.
     """
 
     def __init__(self, domain_dim, size, components, values_fn=None):
@@ -111,8 +112,7 @@ class LieValuedForm:
         d, k = matrices.shape[:2]
 
         def components(space):
-            return [[[space.const(M[a, b]) for b in range(k)] for a in range(k)]
-                    for M in matrices]
+            return space.const_array(matrices)
 
         return cls(d, k, components,
                    values_fn=lambda pts: np.broadcast_to(matrices, (len(pts), d, k, k)))
@@ -264,9 +264,8 @@ def maurer_cartan_form(A, B):
         e2 = _jet_expm(B, x2, space)
         e1m = _jet_expm(-A, x1, space)
         e2m = _jet_expm(-B, x2, space)
-        a1 = _mm(_mm(_mm(_mm(e2m, e1m, space), _const_mat(A, space), space), e1, space),
-                 e2, space)
-        a2 = _mm(_mm(e2m, _const_mat(B, space), space), e2, space)
+        a1 = e2m @ e1m @ space.const_array(A) @ e1 @ e2
+        a2 = e2m @ space.const_array(B) @ e2
         return [a1, a2]
 
     def values_fn(points):
@@ -283,29 +282,14 @@ def maurer_cartan_value(A, B, x):
     return expm(float(x[0]) * np.asarray(A)) @ expm(float(x[1]) * np.asarray(B))
 
 
-def _const_mat(M, space):
-    k = M.shape[0]
-    return [[space.const(M[a, b]) for b in range(k)] for a in range(k)]
-
-
-def _mm(X, Y, space):
-    k = len(X)
-    return [[sum((X[a][c] * Y[c][b] for c in range(k)), space.const(0.0))
-             for b in range(k)] for a in range(k)]
-
-
 def _jet_expm(M, scalar_jet, space):
     """exp(scalar * M) as a jet matrix: exp(c M) times the nilpotent series
     exp(delta M) with delta the offset part of the scalar jet."""
-    k = M.shape[0]
     c = scalar_jet.value.real
-    base = expm(c * M)
     delta = scalar_jet - scalar_jet.value
-    out = _const_mat(base, space)
-    term = _const_mat(base, space)
-    Mj = _const_mat(M, space)
+    out = term = space.const_array(expm(c * M))
+    Mj = space.const_array(M)
     for n in range(1, space.order + 1):
-        term = _mm(term, Mj, space)
-        term = [[e * delta / n for e in row] for row in term]
-        out = [[out[a][b] + term[a][b] for b in range(k)] for a in range(k)]
+        term = term @ Mj * delta / n
+        out = out + term
     return out

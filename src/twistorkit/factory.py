@@ -167,12 +167,7 @@ def morphism_as_map(data, seed_fn=None):
         seed = seed_fn(point) if seed_fn is not None else np.zeros(K)
         y = invert_h(data, point, seed)
         F = data.h.jets(y, max(order, 1))
-        G = invert_jet_map(F)
-        out = []
-        for i in range(2 * data.n):
-            g = G[i] + y[i]
-            out.append(g)
-        return out
+        return invert_jet_map(F)[: 2 * data.n] + y[: 2 * data.n]
 
     return SmoothMap(K, 2 * data.n, evaluator, name="factory-morphism")
 

@@ -24,8 +24,6 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-DEFAULT_JET_ORDER = 4
-
 
 class JetError(ValueError):
     pass
@@ -336,15 +334,22 @@ class JetSpace:
     def const(self, value):
         return Jet.constant(value, self.nvars, self.order, self.base)
 
+    def const_array(self, values):
+        """Object array of constant jets with the shape of ``values``: the
+        vectors and matrices of jets that numpy's ``@``, ``np.outer`` and
+        elementwise operators act on."""
+        values = np.asarray(values)
+        out = np.empty(values.shape, dtype=object)
+        for idx, v in np.ndenumerate(values):
+            out[idx] = self.const(v)
+        return out
+
     def vars(self):
         return [self.var(i) for i in range(self.nvars)]
 
     def complex_vars(self):
         """z_j = x_{2j} + i x_{2j+1}; requires an even number of variables."""
-        if self.nvars % 2:
-            raise JetError("complex variables need an even-dimensional space")
-        xs = self.vars()
-        return [xs[2 * j] + 1j * xs[2 * j + 1] for j in range(self.nvars // 2)]
+        return _complex_pairs(self.vars())
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +373,7 @@ def _as_real_point(x, dim):
 
 
 def real_to_complex_point(x):
-    x = np.asarray(x, dtype=float)
-    return x[0::2] + 1j * x[1::2]
+    return complex_view(np.asarray(x, dtype=float))
 
 
 def complex_view(vec):
@@ -377,10 +381,30 @@ def complex_view(vec):
 
     This is the C^n-identified view of a (complexified) tangent vector; the
     full 2n-component vector is the primary representation and is what the
-    bilinear pairings consume.
+    bilinear pairings consume.  An odd count raises rather than broadcasting
+    the last entry against a partner it does not have.
     """
     vec = np.asarray(vec)
+    if len(vec) % 2:
+        raise JetError(f"complex pairing needs an even number of entries, got {len(vec)}")
     return vec[0::2] + 1j * vec[1::2]
+
+
+def _complex_pairs(xs):
+    """The pairing of :func:`complex_view` for a sequence of real jets, as a
+    list of complex jets.  It pairs jet by jet: an object array would add
+    numpy's dispatch to every evaluation of a complex map."""
+    if len(xs) % 2:
+        raise JetError(f"complex pairing needs an even number of entries, got {len(xs)}")
+    return [x + 1j * y for x, y in zip(xs[0::2], xs[1::2])]
+
+
+def _real_split(ws):
+    """Real and imaginary parts of a complex jet or of a sequence of them,
+    interleaved: the real components that :func:`_complex_pairs` pairs."""
+    if isinstance(ws, Jet):
+        ws = [ws]
+    return [part for w in ws for part in (w.real, w.imag)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +437,7 @@ class SmoothMap:
         return out
 
     def complex_jets(self, point, order):
-        js = self.jets(point, order)
-        return [js[2 * k] + 1j * js[2 * k + 1] for k in range(self.codomain_dim // 2)]
+        return _complex_pairs(self.jets(point, order))
 
     def __call__(self, point):
         return values(self.jets(point, 0)).real.copy()
@@ -432,15 +455,7 @@ class SmoothMap:
         """
 
         def evaluator(point, order):
-            space = JetSpace(point, order)
-            ws = fn(*space.complex_vars())
-            if isinstance(ws, Jet):
-                ws = [ws]
-            out = []
-            for w in ws:
-                out.append(w.real)
-                out.append(w.imag)
-            return out
+            return _real_split(fn(*JetSpace(point, order).complex_vars()))
 
         return cls(2 * m, 2 * n, evaluator, name=name)
 
@@ -521,18 +536,11 @@ def dz_vectors(phi, z0, r, direction=0):
     return out
 
 
-def dz_power(phi, r, z0, direction=0, order=None):
+def dz_power(phi, r, z0, direction=0):
     """Exact r-th iterated d/dz_{direction} derivative of every real
-    component: the last of :func:`dz_vectors`.
-
-    The jets are evaluated at order r; ``order`` (default
-    ``DEFAULT_JET_ORDER``) does not change them, it only caps r.
-    """
+    component: the last of :func:`dz_vectors`, from jets of order r."""
     if r < 1:
         raise JetError("dz_power needs r >= 1")
-    order = DEFAULT_JET_ORDER if order is None else order
-    if r > order:
-        raise JetError(f"r={r} exceeds jet order {order}")
     return dz_vectors(phi, z0, r, direction)[-1]
 
 
@@ -606,9 +614,10 @@ def compose(f, gs):
 def invert_jet_map(F):
     """Local series inverse of a jet map.
 
-    F is a list of K jets in K variables (taken at some base y0).  Returns a
-    list G of K jets, in variables w = F(y) - F(y0), representing y - y0; the
-    base point of the returned jets is F(y0) split into real parts.
+    F is a list of K jets in K variables (taken at some base y0).  Returns an
+    object array G of K jets, in variables w = F(y) - F(y0), representing
+    y - y0; the base point of the returned jets is F(y0) split into real
+    parts.
     """
     K = len(F)
     order = F[0].order
@@ -616,15 +625,16 @@ def invert_jet_map(F):
     A = gradient(F)
     Ainv = np.linalg.inv(A)
     new_base = tuple(v.real for v in q0)
-    w = [Jet.variable(i, K, order, new_base) - new_base[i] for i in range(K)]
+    w = np.array([Jet.variable(i, K, order, new_base) - new_base[i] for i in range(K)])
     # shifted forward map: components of F(y0 + u) - q0 as series in u
     Fs = [f._like(f.coef.copy()) for f in F]
     for f in Fs:
         f.coef[0] = 0.0
-    G = [sum(Ainv[i, j] * w[j] for j in range(K)) for i in range(K)]
+    # "+ 0.0" turns -0.0 into +0.0, as sums started from 0 do
+    G = Ainv @ w + 0.0
     for _ in range(max(1, order)):
-        R = [compose(Fs[i], G) - w[i] for i in range(K)]
+        R = np.array([compose(f, G) for f in Fs]) - w
         if all(np.max(np.abs(r.coef)) == 0 for r in R):
             break
-        G = [G[i] - sum(Ainv[i, j] * R[j] for j in range(K)) for i in range(K)]
+        G = G - (Ainv @ R + 0.0)
     return G

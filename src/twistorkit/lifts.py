@@ -30,7 +30,8 @@ class TwistorLift:
     """A map together with a structure field on the target along it.
 
     ``structure_field(point, order)`` returns the 2n x 2n matrix of the
-    structure as jets in the domain variables, truncated at ``order``.
+    structure as jets in the domain variables, truncated at ``order``: an
+    object array or a nested sequence of jets.
     """
 
     base_map: object
@@ -45,18 +46,6 @@ class TwistorLift:
 
     def structure(self, point):
         return HermitianStructure(values(self.structure_jets(point, 0)).real.copy())
-
-
-def _dot(u, v):
-    """Real inner product of vectors with jet entries."""
-    out = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        out = out + a * b
-    return out
-
-
-def _norm(u):
-    return _dot(u, u).sqrt()
 
 
 def strictly_compatible_lift_r4(phi, z0):
@@ -93,35 +82,20 @@ def strictly_compatible_lift_r4(phi, z0):
 
     def structure_field(point, order):
         space_jets = phi.jets(point, order + 2)
-        f1 = [j.partial(0).real for j in space_jets]
-        f2 = [j.partial(1).real for j in space_jets]
-        n1 = _norm(f1)
-        f1 = [v / n1 for v in f1]
-        n2 = _norm(f2)
-        f2 = [v / n2 for v in f2]
+        f1 = _unit(np.array([j.partial(0).real for j in space_jets]))
+        f2 = _unit(np.array([j.partial(1).real for j in space_jets]))
         if umbilic:
             # normal plane is free: positively oriented completion
             f3 = _complete_frame(f1, f2, point, order + 1)
             f4 = _complete_frame(f1, f2, point, order + 1, skip=f3)
+            if np.linalg.det(values([f1, f2, f3, f4]).real.T) < 0:
+                f4 = -f4
         else:
-            u, v = [], []
-            for j in space_jets:
-                h = dz(dz(j, 0), 0)
-                u.append(h.real)
-                v.append(h.imag)
-            f3 = _project_out(u, [f1, f2])
-            n3 = _norm(f3)
-            f3 = [w / n3 for w in f3]
-            f4 = _project_out([-w for w in v], [f1, f2])
-            n4 = _norm(f4)
-            f4 = [w / n4 for w in f4]
-        if umbilic:
-            frame = values([f1, f2, f3, f4]).real.T
-            if np.linalg.det(frame) < 0:
-                f4 = [-w for w in f4]
-        J = [[f2[a] * f1[b] - f1[a] * f2[b] + f4[a] * f3[b] - f3[a] * f4[b]
-              for b in range(4)] for a in range(4)]
-        return J
+            h = [dz(dz(j, 0), 0) for j in space_jets]
+            f3 = _unit(_project_out(np.array([w.real for w in h]), (f1, f2)))
+            f4 = _unit(_project_out(-np.array([w.imag for w in h]), (f1, f2)))
+        # J = f2 (x) f1 - f1 (x) f2 + f4 (x) f3 - f3 (x) f4
+        return np.outer(f2, f1) - np.outer(f1, f2) + np.outer(f4, f3) - np.outer(f3, f4)
 
     lift = TwistorLift(phi, structure_field, both_signs_valid=umbilic)
     J0 = HermitianStructure(values(lift.structure_jets(z0, 0)).real.copy(), tol=1e-8)
@@ -129,36 +103,37 @@ def strictly_compatible_lift_r4(phi, z0):
     return lift
 
 
+def _unit(vec):
+    """A vector of jets divided by its jet norm sqrt(vec . vec); one
+    reciprocal serves every entry, as each ``v / n`` would compute it."""
+    return vec * (vec @ vec).sqrt().reciprocal()
+
+
 def _project_out(vec, frames):
-    out = list(vec)
+    # np.multiply keeps the operand order c * f_i of the jet products
     for f in frames:
-        c = _dot(out, f)
-        out = [o - c * fi for o, fi in zip(out, f)]
-    return out
+        vec = vec - np.multiply(vec @ f, f)
+    return vec
 
 
 def _complete_frame(f1, f2, point, order, skip=None):
     """First coordinate direction with a large component normal to the span."""
     frames = [f1, f2] + ([skip] if skip is not None else [])
     best, best_norm = None, -1.0
-    space = JetSpace(point, order)
-    for i in range(4):
-        e = [space.const(1.0 if k == i else 0.0) for k in range(4)]
+    for e in JetSpace(point, order).const_array(np.eye(4)):
         cand = _project_out(e, frames)
-        n = _dot(cand, cand).value.real
+        n = (cand @ cand).value.real
         if n > best_norm:
             best_norm, best = n, cand
-    return [c / _norm(best) for c in best]
+    return _unit(best)
 
 
 def constant_lift(phi, J):
     """Lift with a structure field constant in the domain variables."""
     Jm = np.asarray(getattr(J, "matrix", J), dtype=float)
-    n = Jm.shape[0]
 
     def structure_field(point, order):
-        space = JetSpace(point, order)
-        return [[space.const(Jm[a, b]) for b in range(n)] for a in range(n)]
+        return JetSpace(point, order).const_array(Jm)
 
     sign = +1 if is_positive(HermitianStructure(Jm)) else -1
     return TwistorLift(phi, structure_field, sign=sign)

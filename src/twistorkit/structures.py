@@ -196,19 +196,21 @@ def jv_apply(J, lam, tol=1e-8):
 # ---------------------------------------------------------------------------
 # the mu-chart on an open dense subset of the positive structures
 
+def _mu_pairs(k, mu=None):
+    """The (i, j) of the entries of mu in M(mu): the strict upper triangle of
+    a k x k matrix, row-major.  Checks the length of ``mu`` when given."""
+    if mu is not None and len(mu) != k * (k - 1) // 2:
+        raise StructureError(f"mu must have length k(k-1)/2 = {k*(k-1)//2}")
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
 def mu_matrix(mu, k):
     """Skew k x k complex matrix with the strict upper triangle filled
     row-major from mu."""
     mu = np.asarray(mu, dtype=complex).ravel()
-    if mu.size != k * (k - 1) // 2:
-        raise StructureError(f"mu must have length k(k-1)/2 = {k*(k-1)//2}")
     M = np.zeros((k, k), dtype=complex)
-    pos = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            M[i, j] = mu[pos]
-            M[j, i] = -mu[pos]
-            pos += 1
+    for m, (i, j) in zip(mu, _mu_pairs(k, mu)):
+        M[i, j], M[j, i] = m, -m
     return M
 
 
@@ -243,11 +245,7 @@ def mu_from_structure(J):
     M = A @ np.linalg.inv(Bm)
     if np.max(np.abs(M + M.T)) > 1e-8:
         raise StructureError("recovered chart matrix is not skew")
-    mu = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            mu.append(M[i, j])
-    return np.array(mu)
+    return np.array([M[i, j] for i, j in _mu_pairs(k)])
 
 
 def twistor_chart(q, mu):
@@ -258,30 +256,17 @@ def twistor_chart(q, mu):
     """
     k = len(q)
     mu = list(mu)
-    if len(mu) != k * (k - 1) // 2:
-        raise StructureError(f"mu must have length k(k-1)/2 = {k*(k-1)//2}")
+    # (entry, sign) of M(mu) at (i, j), i != j
+    entry = {}
+    for m, (i, j) in zip(mu, _mu_pairs(k, mu)):
+        entry[i, j], entry[j, i] = (m, 1.0), (m, -1.0)
     w = []
-    pos_of = {}
-    pos = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            pos_of[(i, j)] = pos
-            pos += 1
-
-    def M(i, j):
-        if i == j:
-            return None
-        if i < j:
-            return mu[pos_of[(i, j)]], 1.0
-        return mu[pos_of[(j, i)]], -1.0
-
     for i in range(k):
         wi = q[i]
         for j in range(k):
-            if i == j:
-                continue
-            m, sign = M(i, j)
-            qbar = q[j].conj() if hasattr(q[j], "conj") else np.conj(q[j])
-            wi = wi - sign * m * qbar
+            if i != j:
+                m, sign = entry[i, j]
+                qbar = q[j].conj() if hasattr(q[j], "conj") else np.conj(q[j])
+                wi = wi - sign * m * qbar
         w.append(wi)
     return w, mu

@@ -44,6 +44,19 @@ class SuiteConfig:
     seed: int = 42
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Reject, naming ``--param <key>``, a parameter that no check of the
+        suite reads or whose value does not parse."""
+        read = _PARAMS.get(self.suite, ())
+        for key in self.params:
+            if key not in read:
+                raise ValueError(f"--param {key}: suite {self.suite!r} reads "
+                                 f"{', '.join(read) or 'no parameters'}")
+            try:
+                _coeff_param(self, key)
+            except ValueError as exc:
+                raise ValueError(f"--param {key}: {exc}") from None
+
 
 def check_rng(config, check_name):
     key = f"{config.seed}:{config.suite}:{check_name}".encode()
@@ -56,10 +69,12 @@ def check_rng(config, check_name):
 
 CHECK_INDEX = {}     # "<suite>:<check>" -> check(config) -> CheckReport
 _DESCRIPTIONS = {}   # suite -> description, in declaration order
+_PARAMS = {}         # suite, custom ones too -> the --param keys its checks read
 
 
-def _suite(name, description):
+def _suite(name, description, params=()):
     _DESCRIPTIONS[name] = description
+    _PARAMS[name] = tuple(params)
 
 
 def _check(suite, name, tol):
@@ -173,7 +188,8 @@ def _skew(rng, k=4):
 # ---------------------------------------------------------------------------
 # euclid-hm
 
-_suite("euclid-hm", "closed-form and factory checks for the R^6 -> C harmonic morphism")
+_suite("euclid-hm", "closed-form and factory checks for the R^6 -> C harmonic morphism",
+       params=("f",))
 
 
 @_check("euclid-hm", "closed-form-harmonicity", 1e-9)
@@ -326,7 +342,8 @@ def _(config, rng):
 # ---------------------------------------------------------------------------
 # cp3-data
 
-_suite("cp3-data", "algebraic line-data constraints, point formulas and chart Jacobians")
+_suite("cp3-data", "algebraic line-data constraints, point formulas and chart Jacobians",
+       params=("P", "Q", "R"))
 
 
 def _dyadic_constraints(config, rng, data):
@@ -604,7 +621,7 @@ def _(config, rng):
     M = rng.normal(size=(2, 2))
 
     def gam1(space):
-        return [[[space.const(M[a, b]) for b in range(2)] for a in range(2)]]
+        return [space.const_array(M)]
 
     r1 = cn.curvature_02_residual(gam1, 1, 2, np.zeros(2))
 
@@ -656,7 +673,7 @@ def _(config, rng):
     for _ in range(config.points):
         phi = _random_real_poly(rng, 4, degree=4)
         z0 = rng.uniform(-0.5, 0.5, 2)
-        v = dz_power(phi, 1, z0, order=2)
+        v = dz_power(phi, 1, z0)
         h = 1e-4
 
         def fd(step):
@@ -675,7 +692,7 @@ def _(config, rng):
     for _ in range(config.points):
         phi = _random_holomorphic_poly(rng)
         z0 = rng.uniform(-0.9, 0.9, 2)
-        v = dz_power(phi, 1, z0, order=1)
+        v = dz_power(phi, 1, z0)
         residuals.append(abs(bilinear_dot(v, v)))
         residuals.append(pluriconformality_residual(phi, z0))
     return residuals
@@ -721,6 +738,8 @@ def register_custom_suite(name, description, check_refs):
             raise KeyError(f"unknown check {key!r}")
         checks.append((CHECK_INDEX[key], dict(overrides)))
     CUSTOM_SUITES[name] = (description, checks)
+    _PARAMS[name] = tuple(sorted({k for key, _ in check_refs
+                                  for k in _PARAMS[key.partition(":")[0]]}))
 
 
 def _all_suites():

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetError, JetSpace, _laplace_trace, gradient, values
+from .jets import (
+    Jet,
+    JetError,
+    JetSpace,
+    _complex_pairs,
+    _laplace_trace,
+    _real_split,
+    gradient,
+    values,
+)
 
 
 @dataclass
@@ -59,17 +68,8 @@ class MapFamily:
         def evaluator(x0, space_order):
             base = np.concatenate([[0.0], x0])
             space = JetSpace(base, space_order + 1)
-            t = space.var(0)
-            xs = [space.var(1 + i) for i in range(2 * m)]
-            zs = [xs[2 * j] + 1j * xs[2 * j + 1] for j in range(m)]
-            ws = fn(t, *zs)
-            if isinstance(ws, Jet):
-                ws = [ws]
-            out = []
-            for w in ws:
-                out.append(w.real)
-                out.append(w.imag)
-            return out
+            t, *xs = space.vars()
+            return _real_split(fn(t, *_complex_pairs(xs)))
 
         return cls(2 * m, 2 * n, evaluator)
 
@@ -119,7 +119,7 @@ def tension_first_order(fam, x0):
 
 def _family_dz(jets, i):
     """d/dz_i in the space variables of joint (t, x) jets (0-based pairs)."""
-    return [(j.partial(1 + 2 * i) - 1j * j.partial(2 + 2 * i)) * 0.5 for j in jets]
+    return np.array([(j.partial(1 + 2 * i) - 1j * j.partial(2 + 2 * i)) * 0.5 for j in jets])
 
 
 def first_order_residual(fam, x0, kind, R=1):
@@ -144,19 +144,11 @@ def first_order_residual(fam, x0, kind, R=1):
     if maps.domain_dim != 2:
         raise JetError("conformal/isotropy families need a surface domain")
     need = 1 if kind == "conformal" else R
-    jets = maps.jets(x0, need)
+    vec = maps.jets(x0, need)
     base = t1 = 0.0
-    vecs = []
-    cur = jets
     for _ in range(need):
-        cur = _family_dz(cur, 0)
-        vecs.append(cur)
-    rng = [1] if kind == "conformal" else range(1, R + 1)
-    for r in rng:
-        vr = vecs[r - 1]
-        s = vr[0] * vr[0]
-        for comp in vr[1:]:
-            s = s + comp * comp
+        vec = _family_dz(vec, 0)  # dz^r phi_t for r = 1 .. need
+        s = vec @ vec
         v0, v1 = values(s), gradient(s)[0]  # value and d/dt
         base = max(base, abs(v0))
         t1 = max(t1, abs(v1))
@@ -166,18 +158,15 @@ def first_order_residual(fam, x0, kind, R=1):
 def _psi_holomorphy_residual(fam, x0):
     maps = fam.maps
     jets = maps.jets(x0, 1)
-    M = fam.structure_jets(x0, 1)
-    n = len(M)
-    dx = [j.partial(1) for j in jets]
-    dy = [j.partial(2) for j in jets]
+    M = np.array(fam.structure_jets(x0, 1))
+    dx = np.array([j.partial(1) for j in jets])
+    dy = np.array([j.partial(2) for j in jets])
     base = t1 = 0.0
     # domain structure: dx -> dy, dy -> -dx
-    for target, source in ((dy, dx), ([-c for c in dx], dy)):
-        for a in range(n):
-            defect = target[a]
-            for b in range(n):
-                defect = defect - M[a][b] * source[b]
-            v0, v1 = values(defect), gradient(defect)[0]
-            base = max(base, abs(v0))
-            t1 = max(t1, abs(v1))
+    for defect, source in ((dy, dx), (-dx, dy)):
+        # column by column, so each entry subtracts in the order b = 0, 1, ...
+        for b, src in enumerate(source):
+            defect = defect - M[:, b] * src
+        base = max(base, *map(abs, values(defect)))
+        t1 = max(t1, *map(abs, gradient(defect)[:, 0]))  # d/dt
     return base, t1

@@ -64,6 +64,41 @@ def test_param_passthrough(capsys):
     assert doc["config"]["params"] == {"f": "0,1"}
 
 
+@pytest.mark.parametrize("suite, param, fragment", [
+    ("euclid-hm", "f=abc", "could not convert"),   # not a number
+    ("euclid-hm", "f=", "could not convert"),      # empty list
+    ("euclid-hm", "F=0,1", "reads f"),             # keys are case-sensitive
+    ("lifts-r4", "bogus=1", "reads no parameters"),
+    ("cp3-data", "f=0,1", "reads P, Q, R"),
+])
+def test_bad_param_is_a_usage_error_before_any_check(suite, param, fragment, monkeypatch,
+                                                     capsys):
+    import twistorkit.cli as cli
+
+    def no_run(config):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    assert main(["run", "--suite", suite, "--points", "2", "--param", param]) == 2
+    captured = capsys.readouterr()
+    key = param.partition("=")[0]
+    assert f"--param {key}" in captured.err and fragment in captured.err
+    assert "internal" not in captured.err and captured.out == ""
+
+
+def test_custom_suite_reads_the_params_of_its_checks(tmp_path, monkeypatch, capsys):
+    (tmp_path / "mixed.suite").write_text(
+        "name: mixed-params\n"
+        "check: euclid-hm:horizontality points=2\n"
+        "check: jets-core:pairing-laws points=2\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    assert main(["run", "--suite", "mixed-params", "--param", "f=0,1,0.5",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["params"] == {"f": "0,1,0.5"}
+    assert main(["run", "--suite", "mixed-params", "--param", "P=0,1"]) == 2
+    assert "--param P: suite 'mixed-params' reads f" in capsys.readouterr().err
+
+
 def test_custom_suite_dir(tmp_path, monkeypatch, capsys):
     (tmp_path / "mini.suite").write_text(
         "name: mini-demo\n"

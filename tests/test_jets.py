@@ -16,6 +16,7 @@ from twistorkit.jets import (
     gradient,
     invert_jet_map,
     laplacian,
+    real_to_complex_point,
     values,
 )
 from twistorkit.pairings import (
@@ -168,7 +169,7 @@ def test_integer_powers_match_repeated_products():
 
 def test_dz_of_holomorphic_monomial():
     phi = SmoothMap.from_complex(1, 1, lambda z: [z * z])
-    v = dz_power(phi, 1, 3.0 + 0j, order=2)
+    v = dz_power(phi, 1, 3.0 + 0j)
     # real-component vector (3, -3i); C-identified value 2z = 6
     assert np.allclose(v, [3.0, -3.0j])
     assert np.allclose(complex_view(v), [6.0])
@@ -177,7 +178,7 @@ def test_dz_of_holomorphic_monomial():
 
 def test_dz_of_antiholomorphic_vanishes():
     phi = SmoothMap.from_complex(1, 1, lambda z: [z.conj()])
-    v = dz_power(phi, 1, 0.7 - 0.2j, order=1)
+    v = dz_power(phi, 1, 0.7 - 0.2j)
     # full Wirtinger derivative of zbar has zero (1,0)-content: view is 0
     assert abs(complex_view(v)[0]) < 1e-15
     w = dzbar(phi.complex_jets(np.array([0.7, -0.2]), 1)[0], 0)
@@ -186,14 +187,8 @@ def test_dz_of_antiholomorphic_vanishes():
 
 def test_dz_second_derivative_c_view():
     phi = SmoothMap.from_complex(1, 2, lambda z: [z * z + z.conj(), z * z + z.conj()])
-    v2 = dz_power(phi, 2, 0.3 + 0.9j, order=3)
+    v2 = dz_power(phi, 2, 0.3 + 0.9j)
     assert np.allclose(complex_view(v2), [2.0, 2.0])
-
-
-def test_dz_power_order_guard():
-    phi = SmoothMap.from_complex(1, 1, lambda z: [z])
-    with pytest.raises(JetError):
-        dz_power(phi, 3, 0.0 + 0j, order=2)
 
 
 def test_dz_matches_richardson_finite_differences():
@@ -214,7 +209,7 @@ def test_dz_matches_richardson_finite_differences():
 
         phi = SmoothMap.from_real(2, 4, ev)
         z0 = RNG.uniform(-0.5, 0.5, 2)
-        v = dz_power(phi, 1, z0, order=1)
+        v = dz_power(phi, 1, z0)
 
         def val(p):
             return np.array([j.value.real for j in phi.jets(p, 0)])
@@ -278,7 +273,7 @@ def test_holomorphic_maps_are_pluriconformal():
 
         phi = SmoothMap.from_complex(1, 3, fn)
         z0 = RNG.uniform(-1, 1, 2)
-        v = dz_power(phi, 1, z0, order=1)
+        v = dz_power(phi, 1, z0)
         assert abs(bilinear_dot(v, v)) <= 1e-12
 
 
@@ -321,6 +316,17 @@ def test_wirtinger_of_gradient_matches_jet_operator_bitwise():
                 assert _bits(op(grad, i)) == _bits([op(j, i).value for j in jets])
 
 
+def test_complex_pairing_rejects_an_odd_count():
+    phi = SmoothMap.from_real(2, 3, lambda x, y: [x, y, x * y])
+    for pair in (lambda: real_to_complex_point([1.0, 2.0, 3.0]),
+                 lambda: complex_view(np.zeros(1)),
+                 lambda: phi.complex_jets([0.1, 0.2], 1),
+                 lambda: JetSpace([0.1, 0.2, 0.3], 1).complex_vars()):
+        with pytest.raises(JetError, match="even number"):
+            pair()
+    assert _bits(real_to_complex_point([1.0, -0.0, 3.0, 4.0])) == _bits([1 + 0j, 3 + 4j])
+
+
 def test_smooth_map_takes_complex_or_real_points():
     phi = SmoothMap.from_complex(2, 1, lambda z, w: [z * w.conj() + (z * z).exp()])
     zc = np.array([0.3 - 0.2j, -0.5 + 0.7j])
@@ -330,6 +336,64 @@ def test_smooth_map_takes_complex_or_real_points():
     # a real array of half the domain dimension is read as complex coordinates
     psi = SmoothMap.from_complex(1, 1, lambda z: [z * z])
     assert _bits(psi.jacobian(np.array([0.5]))) == _bits(psi.jacobian([0.5, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# vectors and matrices of jets as numpy object arrays
+
+def _jet_array(space, shape):
+    """Object array of jets with random coefficients, -0.0 mixed in."""
+    out = space.const_array(np.zeros(shape))
+    for idx in np.ndindex(*shape):
+        size = out[idx].coef.size
+        coef = RNG.normal(size=size) + 1j * RNG.normal(size=size)
+        coef[RNG.random(size) < 0.2] = -0.0
+        out[idx] = Jet(out[idx].table, space.base, coef)
+    return out
+
+
+def _left_to_right(terms):
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+def test_const_array_keeps_shape_and_dtype():
+    space = JetSpace([0.2, -0.4], 3)
+    for vals in (np.arange(6.0).reshape(2, 3), np.array([1 - 2j, -0.0]),
+                 np.zeros((2, 1, 2)), 1.5):
+        arr = space.const_array(vals)
+        assert arr.dtype == object and arr.shape == np.shape(vals)
+        for idx in np.ndindex(*arr.shape):
+            assert _bits(arr[idx].coef) == _bits(space.const(np.asarray(vals)[idx]).coef)
+
+
+def test_object_array_products_are_left_to_right_jet_sums_bitwise():
+    for nvars, order in ((1, 2), (2, 3), (3, 2)):
+        space = JetSpace(RNG.uniform(-1, 1, nvars), order)
+        u, v = _jet_array(space, (4,)), _jet_array(space, (4,))
+        X, Y = _jet_array(space, (3, 4)), _jet_array(space, (4, 2))
+        A = RNG.normal(size=(3, 4)) + 1j * RNG.normal(size=(3, 4))
+        dot = _left_to_right([u[c] * v[c] for c in range(4)])
+        assert _bits((u @ v).coef) == _bits(dot.coef)
+        XY, Au, outer = X @ Y, A @ u, np.outer(u, v)
+        assert XY.shape == (3, 2) and outer.shape == (4, 4)
+        for a in range(3):
+            want = _left_to_right([A[a, c] * u[c] for c in range(4)])
+            assert _bits(Au[a].coef) == _bits(want.coef)
+            for b in range(2):
+                want = _left_to_right([X[a, c] * Y[c, b] for c in range(4)])
+                assert _bits(XY[a, b].coef) == _bits(want.coef)
+        for a in range(4):
+            for b in range(4):
+                assert _bits(outer[a, b].coef) == _bits((u[a] * v[b]).coef)
+        # elementwise operators call the jet operators in the same operand order
+        c = u[0]
+        for got, want in ((np.multiply(c, v), [c * e for e in v]),
+                          (u - v, [a - b for a, b in zip(u, v)]),
+                          (u / c, [e / c for e in u])):
+            assert [_bits(g.coef) for g in got] == [_bits(w.coef) for w in want]
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_lift_of_holomorphic_graph():
 
         F = to_isotropic(J).basis
         for r in (1, 2):
-            v = dz_power(HOLO, r, p, order=2)
+            v = dz_power(HOLO, r, p)
             stacked = np.vstack([F, v])
             assert np.linalg.matrix_rank(stacked, tol=1e-8) == 2
 
