@@ -221,7 +221,7 @@ def path_independence_defect(form, path_a, path_b, steps):
     return float(np.linalg.norm(fa - fb))
 
 
-def curvature_02_residual(gammas_fn, m, size, pt, order=1):
+def curvature_02_residual(gammas_fn, m, pt, order=1):
     """Antiholomorphic curvature residual of connection coefficient fields.
 
     ``gammas_fn(space)`` returns m matrices of jets over R^(2m); the residual

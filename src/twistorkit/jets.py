@@ -15,6 +15,13 @@ reads either the coefficient layout or that identification: other modules
 take values and first derivatives through :func:`values`, :func:`gradient`,
 ``dz``/``dzbar`` and :func:`dz_vectors`, and :class:`SmoothMap` accepts
 points in real or complex form.
+
+A jet may hold a batch of base points: ``coef`` then has shape
+``(N, size)`` and ``base`` is an ``(N, nvars)`` array, one row per point.
+The ring operations, the analytic functions, ``partial`` and ``truncated``
+act row by row, and a scalar operand may be a number or an array with one
+value per row.  Row r of every result is bitwise the result for the single
+jet of row r; the read-offs put the batch axis first.
 """
 
 from __future__ import annotations
@@ -53,7 +60,10 @@ class _Table:
     def prefix_size(self, order):
         return int(self._prefix[order + 1])
 
-    def mul_triples(self):
+    def mul_triples(self, rows=1):
+        """(I, J, K): the product of coefficients I[t] and J[t] adds into
+        position K[t].  For ``rows`` rows the three index the flattened
+        coefficients of the rows, row after row: I + size * r in row r."""
         if self._mul is None:
             I, J, K = [], [], []
             for i, a in enumerate(self.indices):
@@ -64,8 +74,12 @@ class _Table:
                     I.append(i)
                     J.append(j)
                     K.append(self.position[tuple(x + y for x, y in zip(a, b))])
-            self._mul = (np.array(I), np.array(J), np.array(K))
-        return self._mul
+            self._mul = {1: (np.array(I), np.array(J), np.array(K))}
+        triples = self._mul.get(rows)
+        if triples is None:
+            shift = self.size * np.arange(rows)[:, None]
+            triples = self._mul[rows] = tuple((x + shift).ravel() for x in self._mul[1])
+        return triples
 
     def partial_map(self, var):
         """(src, mult) so that (d/dx_var f).coef[q] = mult[q] * f.coef[src[q]]
@@ -107,7 +121,8 @@ class Jet:
 
     ``coef[i]`` is the coefficient of ``prod (x_k - base_k)**alpha_k`` for the
     multi-index ``alpha = table.indices[i]``; the derivative of order alpha at
-    the base point is ``alpha! * coef[i]``.
+    the base point is ``alpha! * coef[i]``.  A batched jet has ``coef`` of
+    shape ``(N, size)``, row r expanded at ``base[r]``.
     """
 
     __slots__ = ("table", "base", "coef")
@@ -121,17 +136,25 @@ class Jet:
     @staticmethod
     def constant(value, nvars, order, base):
         t = _table(nvars, order)
-        c = np.zeros(t.size, dtype=complex)
-        c[0] = value
+        if type(base) is tuple:
+            c = np.zeros(t.size, dtype=complex)
+            c[0] = value
+        else:
+            c = np.zeros((len(base), t.size), dtype=complex)
+            c[:, 0] = value
         return Jet(t, base, c)
 
     @staticmethod
     def variable(i, nvars, order, base):
         t = _table(nvars, order)
-        c = np.zeros(t.size, dtype=complex)
-        c[0] = base[i]
+        if type(base) is tuple:
+            c = np.zeros(t.size, dtype=complex)
+            c[0] = base[i]
+        else:
+            c = np.zeros((len(base), t.size), dtype=complex)
+            c[:, 0] = base[:, i]
         if order >= 1:
-            c[nvars - i] = 1.0  # e_i, see gradient
+            c.T[nvars - i] = 1.0  # e_i of every row, see gradient
         return Jet(t, base, c)
 
     # -- metadata ------------------------------------------------------
@@ -145,7 +168,8 @@ class Jet:
 
     @property
     def value(self):
-        return self.coef[0]
+        c = self.coef
+        return c[0] if c.ndim == 1 else c[..., 0]
 
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value})"
@@ -160,7 +184,7 @@ class Jet:
         if order == self.order:
             return self
         t = _table(self.nvars, order)
-        return Jet(t, self.base, self.coef[: t.size].copy())
+        return Jet(t, self.base, self.coef[..., : t.size].copy())
 
     def _coerce(self, other):
         """Align two jets to a common table, the lower of the two orders."""
@@ -176,22 +200,37 @@ class Jet:
         # The lower-order table is a prefix of the higher one, so a view of the
         # leading coefficients truncates; the operation copies into a new array.
         if ta.order < tb.order:
-            return self, Jet(ta, b, other.coef[: ta.size])
+            return self, Jet(ta, b, other.coef[..., : ta.size])
         if tb.order < ta.order:
-            return Jet(tb, a, self.coef[: tb.size]), other
+            return Jet(tb, a, self.coef[..., : tb.size]), other
         return self, other
 
     # -- ring operations ---------------------------------------------
     # A scalar acts on ``coef`` directly.  The results equal, bit for bit,
     # those of the same operation with the constant jet of the scalar:
     # adding ``table.zeros`` turns -0.0 into +0.0 as adding the constant's
-    # zero coefficients did.
+    # zero coefficients did.  For a batch the scalar may be an array of one
+    # value per row; put the jet on the left, since an array on the left
+    # would make an object array of jets.
+    def _per_row(self, other):
+        """``other`` unless it is an array with other than one value per row
+        of this jet's batch, which is an error (a single jet has no rows)."""
+        if type(other) is np.ndarray and other.ndim and other.shape != self.coef.shape[:-1]:
+            rows = "a single jet" if self.coef.ndim == 1 else f"a batch of {len(self.coef)} rows"
+            raise JetError(f"an array operand holds one value per row: got shape "
+                           f"{other.shape} for {rows}")
+        return other
+
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b = self._coerce(other)
             return Jet(a.table, a.base, a.coef + b.coef)
+        other = self._per_row(other)
         c = self.coef + self.table.zeros
-        c[0] = self.coef[0] + other
+        if c.ndim == 1:
+            c[0] = self.coef[0] + other
+        else:
+            c[..., 0] = self.coef[..., 0] + other
         return Jet(self.table, self.base, c)
 
     __radd__ = __add__
@@ -200,13 +239,20 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._coerce(other)
             return Jet(a.table, a.base, a.coef - b.coef)
+        other = self._per_row(other)
         c = self.coef.copy()
-        c[0] = self.coef[0] - other
+        if c.ndim == 1:
+            c[0] = self.coef[0] - other
+        else:
+            c[..., 0] = self.coef[..., 0] - other
         return Jet(self.table, self.base, c)
 
     def __rsub__(self, other):
         c = self.table.zeros - self.coef
-        c[0] = other - self.coef[0]
+        if c.ndim == 1:
+            c[0] = other - self.coef[0]
+        else:
+            c[..., 0] = other - self.coef[..., 0]
         return Jet(self.table, self.base, c)
 
     def __neg__(self):
@@ -214,18 +260,34 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
+            if type(other) is np.ndarray and other.ndim:
+                if other.dtype == object:
+                    return NotImplemented  # the array maps the product over its jets
+                return Jet(self.table, self.base, self.coef * self._per_row(other)[:, None])
             return Jet(self.table, self.base, self.coef * complex(other))
         a, b = self._coerce(other)
-        I, J, K = a.table.mul_triples()
-        out = np.zeros(a.table.size, dtype=complex)
-        np.add.at(out, K, a.coef[I] * b.coef[J])
-        return Jet(a.table, a.base, out)
+        # np.add.at adds into each position in the order of the triples, so
+        # row r of a batch sums its products as the single jet of row r does.
+        # Flattening costs a one-jet product 0.6-1.7 us, 15-30 %, so a single
+        # jet indexes its coefficients directly.
+        t, c = a.table, a.coef
+        if c.ndim == 1:
+            I, J, K = t.mul_triples()
+            out = np.zeros(t.size, dtype=complex)
+            np.add.at(out, K, c[I] * b.coef[J])
+        else:
+            I, J, K = t.mul_triples(len(c))
+            out = np.zeros(c.shape, dtype=complex)
+            np.add.at(out.reshape(-1), K, c.reshape(-1)[I] * b.coef.reshape(-1)[J])
+        return Jet(t, a.base, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
+        if type(other) is np.ndarray and other.ndim:
+            other = self._per_row(other)[:, None]
         return self._like(self.coef / other)
 
     def __rtruediv__(self, other):
@@ -258,51 +320,68 @@ class Jet:
         return (self - self.conj()) * (-0.5j)
 
     # -- analytic composition ------------------------------------------
-    def _series(self, a):
-        """sum_k a[k] * (self - value)**k, truncated; a[k] = f^(k)(value)/k!."""
+    def _series(self, coefficients):
+        """sum_k a[k] * (self - value)**k, truncated, with a = coefficients(c)
+        at the constant term c: a[k] = f^(k)(c)/k!.  For a batch, a[k] holds
+        one value per row, each from the same scalar code as for one jet (numpy
+        array and scalar complex arithmetic can differ in the last bit)."""
+        c = self.value
+        if c.ndim == 0:
+            a = coefficients(c)
+        else:
+            a = [np.array(k) for k in zip(*_map_rows(coefficients, zip(c)))]
         n = min(len(a), self.order + 1)
         if n == 1:
             return Jet.constant(a[0], self.nvars, self.order, self.base)
-        u = self - self.value
+        u = self - c
         p = u
-        out = a[1] * p + a[0]
+        out = p * a[1] + a[0]
         for k in range(2, n):
             p = p * u
-            out = out + a[k] * p
+            out = out + p * a[k]
         return out
 
     def reciprocal(self):
-        c = self.value
-        if c == 0:
-            raise JetError("jet division requires a nonzero constant term")
-        return self._series([(-1) ** k / c ** (k + 1) for k in range(self.order + 1)])
+        def coefficients(c):
+            if c == 0:
+                raise JetError("jet division requires a nonzero constant term")
+            return [(-1) ** k / c ** (k + 1) for k in range(self.order + 1)]
+
+        return self._series(coefficients)
 
     def sqrt(self):
-        c = self.value
-        if c == 0:
-            raise JetError("jet sqrt requires a nonzero constant term")
-        r = np.sqrt(complex(c))
-        a = [r]
-        for k in range(1, self.order + 1):
-            a.append(a[-1] * (0.5 - (k - 1)) / k / c)
-        return self._series(a)
+        def coefficients(c):
+            if c == 0:
+                raise JetError("jet sqrt requires a nonzero constant term")
+            a = [np.sqrt(complex(c))]
+            for k in range(1, self.order + 1):
+                a.append(a[-1] * (0.5 - (k - 1)) / k / c)
+            return a
+
+        return self._series(coefficients)
 
     def exp(self):
-        e = np.exp(complex(self.value))
-        return self._series([e / math.factorial(k) for k in range(self.order + 1)])
+        def coefficients(c):
+            e = np.exp(complex(c))
+            return [e / math.factorial(k) for k in range(self.order + 1)]
+
+        return self._series(coefficients)
 
     def log(self):
-        c = self.value
-        if c == 0:
-            raise JetError("jet log requires a nonzero constant term")
-        a = [np.log(complex(c))]
-        for k in range(1, self.order + 1):
-            a.append((-1) ** (k + 1) / (k * c ** k))
-        return self._series(a)
+        def coefficients(c):
+            if c == 0:
+                raise JetError("jet log requires a nonzero constant term")
+            a = [np.log(complex(c))]
+            for k in range(1, self.order + 1):
+                a.append((-1) ** (k + 1) / (k * c ** k))
+            return a
+
+        return self._series(coefficients)
 
     # -- derivatives ----------------------------------------------------
     def coefficient(self, alpha):
-        return self.coef[self.table.position[tuple(alpha)]]
+        pos = self.table.position[tuple(alpha)]
+        return self.coef[pos] if self.coef.ndim == 1 else self.coef[..., pos]
 
     def deriv(self, alpha):
         """Exact partial derivative of multi-order alpha at the base point."""
@@ -317,16 +396,33 @@ class Jet:
             raise JetError("cannot differentiate an order-0 jet")
         src, mult = self.table.partial_map(var)
         t = _table(self.nvars, self.order - 1)
-        return Jet(t, self.base, self.coef[src] * mult)
+        c = self.coef
+        return Jet(t, self.base, (c[src] if c.ndim == 1 else c.take(src, axis=1)) * mult)
 
 
 class JetSpace:
-    """Factory for jets sharing one base point and truncation order."""
+    """Factory for jets sharing one base point and truncation order.
+
+    An ``(N, nvars)`` array of base points makes batched jets.  Their base
+    is a read-only copy, kept as it is when passed back in (``JetSpace(
+    jet.base, order)``), so the jets of one batch share one base object.
+    """
 
     def __init__(self, base_point, order):
-        self.base = tuple(float(x) for x in np.atleast_1d(base_point))
+        if getattr(base_point, "ndim", 1) > 1:
+            base = np.asarray(base_point, dtype=float)
+            if base.ndim != 2:
+                raise JetError(f"a batch of base points is an (N, nvars) array, got shape "
+                               f"{base.shape}")
+            if base.flags.writeable:
+                base = base.copy()
+                base.flags.writeable = False
+            self.base = base
+            self.nvars = base.shape[-1]
+        else:
+            self.base = tuple(float(x) for x in np.atleast_1d(base_point))
+            self.nvars = len(self.base)
         self.order = int(order)
-        self.nvars = len(self.base)
 
     def var(self, i):
         return Jet.variable(i, self.nvars, self.order, self.base)
@@ -352,22 +448,36 @@ class JetSpace:
         return _complex_pairs(self.vars())
 
 
+def _map_rows(fn, rows, error=JetError):
+    """``[fn(*row) for row in rows]``; an ``error`` raised at a row is raised
+    again with the row's index in front of its message."""
+    out = []
+    for r, row in enumerate(rows):
+        try:
+            out.append(fn(*row))
+        except error as exc:
+            raise error(f"row {r}: {exc}") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # point conversions C^m <-> R^(2m)
 
 def complex_to_real_point(z):
+    """Real coordinates of a point of C^m, or of each row of an (N, m) array."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
     return out
 
 
 def _as_real_point(x, dim):
-    """A point of R^dim from real coordinates, or from complex ones (complex
-    input, or a real array of dim/2 entries) through complex_to_real_point."""
+    """A point of R^dim, or an (N, dim) array of them, from real coordinates
+    or from complex ones (complex input, or a real array of dim/2 entries per
+    point) through complex_to_real_point."""
     x = np.atleast_1d(np.asarray(x))
-    if np.iscomplexobj(x) or 2 * x.size == dim:
+    if np.iscomplexobj(x) or 2 * x.shape[-1] == dim:
         return complex_to_real_point(x)
     return np.asarray(x, dtype=float)
 
@@ -426,11 +536,12 @@ class SmoothMap:
 
     def jets(self, point, order):
         """Jets of the real components at a point of R^domain_dim, given in
-        real coordinates or in complex ones (see :func:`_as_real_point`)."""
+        real coordinates or in complex ones (see :func:`_as_real_point`); at
+        an (N, domain_dim) array of points, batched jets with one row each."""
         point = _as_real_point(point, self.domain_dim)
-        if point.size != self.domain_dim:
+        if point.shape[-1] != self.domain_dim:
             raise JetError(
-                f"point dimension {point.size} != domain dimension {self.domain_dim}")
+                f"point dimension {point.shape[-1]} != domain dimension {self.domain_dim}")
         out = self.evaluator(point, order)
         if len(out) != self.codomain_dim:
             raise JetError("evaluator returned wrong number of components")
@@ -476,25 +587,82 @@ class SmoothMap:
 
 def values(jets):
     """Values at the base point of a jet or of a nested sequence of jets,
-    stacked with the same nesting."""
+    stacked with the same nesting, after the batch axis of batched jets."""
+    return _batch_first(_stack_values(jets), jets, 0)
+
+
+def _stack_values(jets):
     if isinstance(jets, Jet):
-        return jets.coef[0]
-    return np.array([values(j) for j in jets])
+        c = jets.coef
+        return c[0] if c.ndim == 1 else c[..., 0]
+    return np.array([_stack_values(j) for j in jets])
 
 
 def gradient(jets):
     """First derivatives at the base point of a jet or of a nested sequence
-    of jets: ``gradient(jets)[..., v]`` is d/dx_v.  In every table the unit
-    multi-index e_v sits at position nvars - v (degree 1, lex order).
+    of jets: ``gradient(jets)[..., v]`` is d/dx_v, after the batch axis and
+    the nesting.  In every table the unit multi-index e_v sits at position
+    nvars - v (degree 1, lex order).
 
     The ``.real`` of this or of :func:`values` is a strided view; callers
     copy it before matrix products, which on a strided operand skip BLAS
     and can differ from it in the last bit."""
+    return _batch_first(_stack_gradients(jets), jets, 1)
+
+
+def _stack_gradients(jets):
     if isinstance(jets, Jet):
         if jets.order == 0:
             raise JetError("an order-0 jet has no gradient")
-        return jets.coef[jets.nvars:0:-1]
-    return np.array([gradient(j) for j in jets])
+        return jets.coef[..., jets.nvars:0:-1]
+    return np.array([_stack_gradients(j) for j in jets])
+
+
+def _batch_first(out, jets, trailing):
+    """A read-off stacked as the nesting of ``jets``, with the batch axis of
+    batched jets moved from behind the nesting (and before the ``trailing``
+    axes of one jet's read-off) to the front, contiguous so that each row is
+    laid out as the read-off of one jet."""
+    first = jets
+    while not isinstance(first, Jet):
+        first = first[0]
+    if first.coef.ndim == 1 or first is jets:
+        return out
+    return np.ascontiguousarray(np.moveaxis(out, out.ndim - 1 - trailing, 0))
+
+
+def where(mask, a, b):
+    """Rows of jet ``a`` where ``mask`` is set and rows of ``b`` elsewhere,
+    entry by entry for arrays of jets; a single boolean picks ``a`` or ``b``
+    whole."""
+    if np.ndim(mask) == 0:
+        return a if mask else b
+
+    def pick(x, y):
+        x, y = x._coerce(y)
+        return Jet(x.table, x.base, np.where(mask[..., None], x.coef, y.coef))
+
+    return np.frompyfunc(pick, 2, 1)(a, b)
+
+
+def merge_rows(mask, a, b):
+    """Batched jets over all rows of ``mask`` from jets ``a`` over the rows
+    where it is set and ``b`` over the others, entry by entry for arrays of
+    jets, at the lower order of each pair."""
+    mask = np.asarray(mask, dtype=bool)
+    first_a, first_b = (np.asarray(x, dtype=object).flat[0] for x in (a, b))
+    base = np.empty(mask.shape + (first_a.nvars,))
+    base[mask], base[~mask] = first_a.base, first_b.base
+    base.flags.writeable = False
+
+    def merge(x, y):
+        order = min(x.order, y.order)
+        x, y = x.truncated(order), y.truncated(order)
+        coef = np.empty(mask.shape + (x.table.size,), dtype=complex)
+        coef[mask], coef[~mask] = x.coef, y.coef
+        return Jet(x.table, base, coef)
+
+    return np.frompyfunc(merge, 2, 1)(a, b)
 
 
 # ---------------------------------------------------------------------------

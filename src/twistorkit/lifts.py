@@ -11,11 +11,12 @@ a = 2 corresponds to harmonicity of the projection, a = 1 to real isotropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import JetSpace, _as_real_point, dz, dzbar, gradient, values
+from .jets import (JetSpace, _as_real_point, _map_rows, dz, dzbar, gradient, merge_rows,
+                   values, where)
 from .structures import HermitianStructure, is_positive
 
 INDEPENDENCE_SV_RATIO = 1e-6
@@ -31,21 +32,41 @@ class TwistorLift:
 
     ``structure_field(point, order)`` returns the 2n x 2n matrix of the
     structure as jets in the domain variables, truncated at ``order``: an
-    object array or a nested sequence of jets.
+    object array or a nested sequence of jets.  At an (N, dim) array of
+    points it returns batched jets, one row per point.
+
+    The lift keeps the order-1 structure jets of the last point, or point
+    array, it was asked for, and serves order-0 and order-1 requests there
+    from them: the values of order-0, -1 and -2 jets agree bitwise.
     """
 
     base_map: object
     structure_field: object
     sign: int = +1
     both_signs_valid: bool = False
+    _memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def structure_jets(self, point, order):
         """The structure matrix as jets at a domain point given in real or
-        complex coordinates."""
-        return self.structure_field(_as_real_point(point, self.base_map.domain_dim), order)
+        complex coordinates, or at an (N, dim) array of points.  The
+        order-1 matrix is shared with later requests at the same point."""
+        point = _as_real_point(point, self.base_map.domain_dim)
+        if order > 1:
+            return self.structure_field(point, order)
+        memo = self._memo
+        if memo is None or memo[0].shape != point.shape or memo[0].tobytes() != point.tobytes():
+            memo = self._memo = (point.copy(), self.structure_field(point, 1))
+        if order == 1:
+            return memo[1]
+        return np.frompyfunc(lambda jet: jet.truncated(order), 1, 1)(memo[1])
 
     def structure(self, point):
-        return HermitianStructure(values(self.structure_jets(point, 0)).real.copy())
+        """The structure at a point, or a list of them, one per row of an
+        (N, dim) array of points."""
+        J = values(self.structure_jets(point, 0)).real
+        if J.ndim == 2:
+            return HermitianStructure(J.copy())
+        return [HermitianStructure(row.copy()) for row in J]
 
 
 def strictly_compatible_lift_r4(phi, z0):
@@ -56,19 +77,57 @@ def strictly_compatible_lift_r4(phi, z0):
     are dependent (the totally umbilic branch) any rotation of the normal
     plane works, both signs are valid, and the positively oriented choice is
     returned.
+
+    At an (N, 2) array of points the lift is built for every row at once:
+    ``sign`` and ``both_signs_valid`` become arrays with one entry per row,
+    the structure field is evaluated at (N, 2) arrays, each row on its own
+    branch, and a row that fails raises LiftError naming it.
     """
     if phi.codomain_dim != 4 or phi.domain_dim != 2:
         raise LiftError("strictly compatible lifts are built for maps R^2 -> R^4")
+    z0 = _as_real_point(z0, 2)
     jets0 = phi.jets(z0, 2)
     grad0 = gradient(jets0)
+    d1 = dz(grad0, 0)
+    d2 = values([dz(dz(j, 0), 0) for j in jets0])
+    batched = z0.ndim > 1
+    umbilic = _rows(_umbilic, batched, grad0, d1, d2)
+
+    def structure_field(point, order):
+        if np.ndim(umbilic) == 0:
+            return _frame_structure(phi, point, order, umbilic)
+        if np.shape(point)[:-1] != umbilic.shape:
+            raise LiftError(f"a lift built at {len(umbilic)} points is evaluated at "
+                            f"an array of that many points, got shape {np.shape(point)}")
+        if umbilic.all() or not umbilic.any():
+            return _frame_structure(phi, point, order, umbilic[0])
+        return merge_rows(umbilic, _frame_structure(phi, point[umbilic], order, True),
+                          _frame_structure(phi, point[~umbilic], order, False))
+
+    lift = TwistorLift(phi, structure_field, both_signs_valid=umbilic)
+    lift.sign = _rows(_orientation, batched, values(lift.structure_jets(z0, 0)).real)
+    return lift
+
+
+def _rows(fn, batched, *arrays):
+    """``fn`` of the read-offs at one point, or the array of its results over
+    the rows of a batch; a row that raises LiftError is named."""
+    if not batched:
+        return fn(*arrays)
+    return np.array(_map_rows(fn, zip(*arrays), LiftError))
+
+
+def _umbilic(grad0, d1, d2):
+    """Whether dz phi and dz^2 phi are dependent at a point, from the
+    gradient and both Wirtinger derivatives there; raises at a branch point,
+    a point where phi is not weakly conformal, or one where no strictly
+    compatible structure exists."""
     dx0, dy0 = grad0[:, 0].real.copy(), grad0[:, 1].real.copy()
     if np.linalg.norm(dx0) < 1e-12:
         raise LiftError("branch point: dphi vanishes at the base point")
     scale = max(1.0, dx0 @ dx0)
     if abs(dx0 @ dy0) > 1e-6 * scale or abs(dx0 @ dx0 - dy0 @ dy0) > 1e-6 * scale:
         raise LiftError("map is not weakly conformal at the base point")
-    d1 = dz(grad0, 0)
-    d2 = values([dz(dz(j, 0), 0) for j in jets0])
     rows = np.array([d1, d2])
     s = np.linalg.svd(rows, compute_uv=False)
     umbilic = s[-1] <= INDEPENDENCE_SV_RATIO * s[0]
@@ -79,28 +138,31 @@ def strictly_compatible_lift_r4(phi, z0):
                 "dz and dz^2 do not span an isotropic plane: no strictly "
                 "compatible structure contains both (map is not real "
                 "isotropic through order 2)")
+    return umbilic
 
-    def structure_field(point, order):
-        space_jets = phi.jets(point, order + 2)
-        f1 = _unit(np.array([j.partial(0).real for j in space_jets]))
-        f2 = _unit(np.array([j.partial(1).real for j in space_jets]))
-        if umbilic:
-            # normal plane is free: positively oriented completion
-            f3 = _complete_frame(f1, f2, point, order + 1)
-            f4 = _complete_frame(f1, f2, point, order + 1, skip=f3)
-            if np.linalg.det(values([f1, f2, f3, f4]).real.T) < 0:
-                f4 = -f4
-        else:
-            h = [dz(dz(j, 0), 0) for j in space_jets]
-            f3 = _unit(_project_out(np.array([w.real for w in h]), (f1, f2)))
-            f4 = _unit(_project_out(-np.array([w.imag for w in h]), (f1, f2)))
-        # J = f2 (x) f1 - f1 (x) f2 + f4 (x) f3 - f3 (x) f4
-        return np.outer(f2, f1) - np.outer(f1, f2) + np.outer(f4, f3) - np.outer(f3, f4)
 
-    lift = TwistorLift(phi, structure_field, both_signs_valid=umbilic)
-    J0 = HermitianStructure(values(lift.structure_jets(z0, 0)).real.copy(), tol=1e-8)
-    lift.sign = +1 if is_positive(J0) else -1
-    return lift
+def _orientation(J0):
+    return +1 if is_positive(HermitianStructure(J0.copy(), tol=1e-8)) else -1
+
+
+def _frame_structure(phi, point, order, umbilic):
+    """J = f2 (x) f1 - f1 (x) f2 + f4 (x) f3 - f3 (x) f4 for the frame
+    f1, f2 of the tangent plane and f3, f4 of the normal plane at ``point``
+    (one point or a batch), on the umbilic branch or the other."""
+    space_jets = phi.jets(point, order + 2)
+    f1 = _unit(np.array([j.partial(0).real for j in space_jets]))
+    f2 = _unit(np.array([j.partial(1).real for j in space_jets]))
+    if umbilic:
+        # normal plane is free: positively oriented completion
+        f3 = _complete_frame(f1, f2, order + 1)
+        f4 = _complete_frame(f1, f2, order + 1, skip=f3)
+        frame = np.swapaxes(values([f1, f2, f3, f4]).real, -1, -2)
+        f4 = where(np.linalg.det(frame) < 0, -f4, f4)
+    else:
+        h = [dz(dz(j, 0), 0) for j in space_jets]
+        f3 = _unit(_project_out(np.array([w.real for w in h]), (f1, f2)))
+        f4 = _unit(_project_out(-np.array([w.imag for w in h]), (f1, f2)))
+    return np.outer(f2, f1) - np.outer(f1, f2) + np.outer(f4, f3) - np.outer(f3, f4)
 
 
 def _unit(vec):
@@ -116,15 +178,17 @@ def _project_out(vec, frames):
     return vec
 
 
-def _complete_frame(f1, f2, point, order, skip=None):
-    """First coordinate direction with a large component normal to the span."""
+def _complete_frame(f1, f2, order, skip=None):
+    """First coordinate direction with a large component normal to the span,
+    chosen row by row for a batch."""
     frames = [f1, f2] + ([skip] if skip is not None else [])
     best, best_norm = None, -1.0
-    for e in JetSpace(point, order).const_array(np.eye(4)):
+    for e in JetSpace(f1[0].base, order).const_array(np.eye(4)):
         cand = _project_out(e, frames)
         n = (cand @ cand).value.real
-        if n > best_norm:
-            best_norm, best = n, cand
+        better = n > best_norm
+        best = cand if best is None else where(better, cand, best)
+        best_norm = np.where(better, n, best_norm)
     return _unit(best)
 
 
@@ -156,13 +220,16 @@ def vertical_part(lift, z0, X, order=1):
     """Directional derivative of the structure field along a domain vector.
 
     For flat targets this is the vertical component of the lift derivative;
-    it always lands in the vertical space at the current structure.
+    it always lands in the vertical space at the current structure.  At an
+    (N, 2) array of points X is one vector or one per row, and the result
+    has one matrix per row.
     """
     grad = gradient(lift.structure_jets(z0, max(order, 1))).real
-    out = np.zeros(grad.shape[:2])
-    for v, xv in enumerate(np.asarray(X, dtype=float)):
-        if xv != 0:
-            out += xv * grad[..., v]
+    out = np.zeros(grad.shape[:-1])
+    X = np.asarray(X, dtype=float)
+    for v in range(X.shape[-1]):
+        # a zero component adds +-0.0 to a sum that started at +0.0: no change
+        out += X[..., v, None, None] * grad[..., v]
     return out
 
 
@@ -172,18 +239,23 @@ def j_vertical_residual(lift, z0, a, order=1):
     Frobenius norm of grad_{J0 X} J - (-1)^(a+1) J grad_X J, maximized over
     the two coordinate directions of the surface domain; a = 1 encodes the
     integrable-side condition, a = 2 the one projecting to harmonic maps.
+    At an (N, 2) array of points it returns one residual per row.
     """
     if a not in (1, 2):
         raise LiftError("a must be 1 or 2")
+    z0 = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(z0, max(order, 1))
-    J0v = values(M).real.copy()
     sgn = 1.0 if a == 1 else -1.0
-    grad = gradient(M).real
-    dJx, dJy = grad[..., 0].copy(), grad[..., 1].copy()
-    # J0 on the domain: dx -> dy, dy -> -dx
-    r1 = np.linalg.norm(dJy - sgn * (J0v @ dJx))
-    r2 = np.linalg.norm(-dJx - sgn * (J0v @ dJy))
-    return float(max(r1, r2))
+
+    def residual(J0v, grad):
+        J0v = J0v.copy()
+        dJx, dJy = grad[..., 0].copy(), grad[..., 1].copy()
+        # J0 on the domain: dx -> dy, dy -> -dx
+        r1 = np.linalg.norm(dJy - sgn * (J0v @ dJx))
+        r2 = np.linalg.norm(-dJx - sgn * (J0v @ dJy))
+        return float(max(r1, r2))
+
+    return _rows(residual, z0.ndim > 1, values(M).real, gradient(M).real)
 
 
 def t10_stability_residual(lift, z0, direction="z", order=1):
@@ -193,26 +265,31 @@ def t10_stability_residual(lift, z0, direction="z", order=1):
     dzbar ("zbar") and measures the component falling into the (0,1)-space
     at the base point; 0 iff the derivative stays inside the (1,0)-space.
     For strict lifts, direction "z" corresponds to the a = 1 condition and
-    "zbar" to a = 2.
+    "zbar" to a = 2.  At an (N, 2) array of points it returns one residual
+    per row.
     """
     if direction not in ("z", "zbar"):
         raise LiftError("direction must be 'z' or 'zbar'")
+    z0 = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(z0, max(order, 1))
     n = len(M)
-    J0 = values(M).real
-    P0 = 0.5 * (np.eye(n) - 1j * J0)
-    Q0 = 0.5 * (np.eye(n) + 1j * J0)
-    # frame columns: P(z) c_j for pivot columns c_j chosen at the base point
-    piv = _pivot_columns(P0, n // 2)
+
+    def residual(J0, dP):
+        P0 = 0.5 * (np.eye(n) - 1j * J0)
+        Q0 = 0.5 * (np.eye(n) + 1j * J0)
+        # frame columns: P(z) c_j for pivot columns c_j chosen at the base point
+        piv = _pivot_columns(P0, n // 2)
+        worst = 0.0
+        for c in piv:
+            col = P0[:, c]
+            scale = np.linalg.norm(col)
+            if scale < 1e-12:
+                raise LiftError("frame rank deficiency at the base point")
+            worst = max(worst, float(np.linalg.norm(Q0 @ dP[:, c]) / scale))
+        return worst
+
     dP = (dz if direction == "z" else dzbar)(gradient(M), 0)
-    worst = 0.0
-    for c in piv:
-        col = P0[:, c]
-        scale = np.linalg.norm(col)
-        if scale < 1e-12:
-            raise LiftError("frame rank deficiency at the base point")
-        worst = max(worst, float(np.linalg.norm(Q0 @ dP[:, c]) / scale))
-    return worst
+    return _rows(residual, z0.ndim > 1, values(M).real, dP)
 
 
 def _pivot_columns(P, count):

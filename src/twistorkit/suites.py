@@ -5,8 +5,9 @@ random stream (PCG64 seeded from SHA-256 of "<seed>:<suite>:<check>", first
 8 bytes, little-endian) so that reports are byte-identical for a fixed
 configuration and independent of execution order.
 
-A check is declared once, with ``@_check(suite, name, tol)`` on a body
-``(config, rng) -> residuals`` or ``-> (residuals, aux)``.  The decorator
+A check is declared once, with ``@_check(suite, name, tol, params=())`` on a
+body ``(config, rng) -> residuals`` or ``-> (residuals, aux)``; ``params``
+names the ``--param`` keys the body reads.  The decorator
 draws the check's stream, applies the ``tol`` override and builds the
 :class:`CheckReport`; ``SUITES`` and ``CHECK_INDEX`` follow from these
 declarations.
@@ -47,7 +48,7 @@ class SuiteConfig:
     def __post_init__(self):
         """Reject, naming ``--param <key>``, a parameter that no check of the
         suite reads or whose value does not parse."""
-        read = _PARAMS.get(self.suite, ())
+        read = _params_read(self.suite)
         for key in self.params:
             if key not in read:
                 raise ValueError(f"--param {key}: suite {self.suite!r} reads "
@@ -69,17 +70,16 @@ def check_rng(config, check_name):
 
 CHECK_INDEX = {}     # "<suite>:<check>" -> check(config) -> CheckReport
 _DESCRIPTIONS = {}   # suite -> description, in declaration order
-_PARAMS = {}         # suite, custom ones too -> the --param keys its checks read
 
 
-def _suite(name, description, params=()):
+def _suite(name, description):
     _DESCRIPTIONS[name] = description
-    _PARAMS[name] = tuple(params)
 
 
-def _check(suite, name, tol):
+def _check(suite, name, tol, params=()):
     """Register ``body(config, rng)`` as check ``name`` of ``suite`` with
-    default tolerance ``tol``; the body returns residuals or (residuals, aux)."""
+    default tolerance ``tol``; the body returns residuals or (residuals, aux).
+    ``params`` names the ``--param`` keys the body reads."""
 
     def register(body):
         def check(config):
@@ -89,6 +89,7 @@ def _check(suite, name, tol):
                                [float(r) for r in residuals],
                                tol if config.tol is None else config.tol, aux=dict(aux))
 
+        check.params = tuple(params)
         CHECK_INDEX[f"{suite}:{name}"] = check
         return check
 
@@ -188,8 +189,7 @@ def _skew(rng, k=4):
 # ---------------------------------------------------------------------------
 # euclid-hm
 
-_suite("euclid-hm", "closed-form and factory checks for the R^6 -> C harmonic morphism",
-       params=("f",))
+_suite("euclid-hm", "closed-form and factory checks for the R^6 -> C harmonic morphism")
 
 
 @_check("euclid-hm", "closed-form-harmonicity", 1e-9)
@@ -212,7 +212,7 @@ def _(config, rng):
             for d in (1, 2, 3)]
 
 
-@_check("euclid-hm", "factory-roundtrip", 1e-10)
+@_check("euclid-hm", "factory-roundtrip", 1e-10, params=("f",))
 def _(config, rng):
     f = _coeff_param(config, "f")
     data = fa.euclid_r6_data(f)
@@ -233,21 +233,21 @@ def _(config, rng):
             for _zxi, qc, z in _morphism_samples(rng, fa.euclid_r6_data(), config.points)]
 
 
-@_check("euclid-hm", "horizontality", 1e-10)
+@_check("euclid-hm", "horizontality", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
     return [fa.verify_horizontality(data, [rng.uniform(-0.8, 0.8, 6)])
             for _ in range(config.points)]
 
 
-@_check("euclid-hm", "chart-holomorphy", 1e-10)
+@_check("euclid-hm", "chart-holomorphy", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
     return [fa.verify_chart_holomorphy(data, [rng.uniform(-0.8, 0.8, 6)])
             for _ in range(config.points)]
 
 
-@_check("euclid-hm", "fibre-invariance", 1e-10)
+@_check("euclid-hm", "fibre-invariance", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
     residuals = []
@@ -342,8 +342,7 @@ def _(config, rng):
 # ---------------------------------------------------------------------------
 # cp3-data
 
-_suite("cp3-data", "algebraic line-data constraints, point formulas and chart Jacobians",
-       params=("P", "Q", "R"))
+_suite("cp3-data", "algebraic line-data constraints, point formulas and chart Jacobians")
 
 
 def _dyadic_constraints(config, rng, data):
@@ -357,7 +356,7 @@ def _(config, rng):
     return _dyadic_constraints(config, rng, fa.cp3_example1_data())
 
 
-@_check("cp3-data", "cp3-morphism-constraints", 0.0)
+@_check("cp3-data", "cp3-morphism-constraints", 0.0, params=("P", "Q", "R"))
 def _(config, rng):
     return _dyadic_constraints(config, rng, fa.cp3_morphism_data(**_pqr(config)))
 
@@ -381,7 +380,7 @@ def _(config, rng):
             {"min_sv_example1": r1, "min_sv_morphism": r2})
 
 
-@_check("cp3-data", "cp3-jacobian-pattern", 1e-12)
+@_check("cp3-data", "cp3-jacobian-pattern", 1e-12, params=("P", "Q", "R"))
 def _(config, rng):
     pqr = _pqr(config)
     D = fa.cp3_affine_jacobian(fa.cp3_morphism_data(**pqr), np.zeros(6))
@@ -428,58 +427,59 @@ def _lift_test_maps():
     return holo, chart
 
 
+def _lift_points(rng, count):
+    """(count, 2) array of sample points of the lifts-r4 domain disk."""
+    return np.array([rng.uniform(-0.9, 0.9, 2) for _ in range(count)])
+
+
+def _interleave(*columns):
+    """Residuals of several per-point columns, point by point."""
+    return [r for row in zip(*columns) for r in row]
+
+
 @_check("lifts-r4", "lift-holomorphy", 1e-10)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-0.9, 0.9, 2)
-        for phi in (holo, chart):
-            L = lf.strictly_compatible_lift_r4(phi, p)
-            residuals.append(np.linalg.norm(
-                phi.jacobian(p) @ st.canonical_structure(1).matrix
-                - L.structure(p).matrix @ phi.jacobian(p)))
-    return residuals
+    P = _lift_points(rng, config.points)
+    J1 = st.canonical_structure(1).matrix
+    columns = []
+    for phi in (holo, chart):
+        L = lf.strictly_compatible_lift_r4(phi, P)
+        columns.append([np.linalg.norm(D @ J1 - J.matrix @ D)
+                        for D, J in zip(phi.jacobian(P), L.structure(P))])
+    return _interleave(*columns)
 
 
 @_check("lifts-r4", "lift-vertical-conditions", 1e-9)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-0.9, 0.9, 2)
-        Lh = lf.strictly_compatible_lift_r4(holo, p)
-        residuals.append(lf.j_vertical_residual(Lh, p, 2))  # harmonic side
-        residuals.append(lf.j_vertical_residual(Lh, p, 1))  # isotropic side
-        Lc = lf.strictly_compatible_lift_r4(chart, p)
-        residuals.append(lf.j_vertical_residual(Lc, p, 1))  # isotropy only
-    return residuals
+    P = _lift_points(rng, config.points)
+    Lh = lf.strictly_compatible_lift_r4(holo, P)
+    Lc = lf.strictly_compatible_lift_r4(chart, P)
+    return _interleave(lf.j_vertical_residual(Lh, P, 2),   # harmonic side
+                       lf.j_vertical_residual(Lh, P, 1),   # isotropic side
+                       lf.j_vertical_residual(Lc, P, 1))   # isotropy only
 
 
 @_check("lifts-r4", "lift-t10-stability", 1e-9)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-0.9, 0.9, 2)
-        Lh = lf.strictly_compatible_lift_r4(holo, p)
-        residuals.append(lf.t10_stability_residual(Lh, p, "z"))
-        residuals.append(lf.t10_stability_residual(Lh, p, "zbar"))
-        Lc = lf.strictly_compatible_lift_r4(chart, p)
-        residuals.append(lf.t10_stability_residual(Lc, p, "z"))
-    return residuals
+    P = _lift_points(rng, config.points)
+    Lh = lf.strictly_compatible_lift_r4(holo, P)
+    Lc = lf.strictly_compatible_lift_r4(chart, P)
+    return _interleave(lf.t10_stability_residual(Lh, P, "z"),
+                       lf.t10_stability_residual(Lh, P, "zbar"),
+                       lf.t10_stability_residual(Lc, P, "z"))
 
 
 @_check("lifts-r4", "lift-vertical-part", 1e-8)
 def _(config, rng):
     _, chart = _lift_test_maps()
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-0.9, 0.9, 2)
-        L = lf.strictly_compatible_lift_r4(chart, p)
-        vp = lf.vertical_part(L, p, rng.normal(size=2))
-        residuals.append(st.mj_residual(vp, L.structure(p)))
-    return residuals
+    draws = [(rng.uniform(-0.9, 0.9, 2), rng.normal(size=2)) for _ in range(config.points)]
+    P, X = (np.array(column) for column in zip(*draws))
+    L = lf.strictly_compatible_lift_r4(chart, P)
+    return [st.mj_residual(vp, J)
+            for vp, J in zip(lf.vertical_part(L, P, X), L.structure(P))]
 
 
 @_check("lifts-r4", "umbilic-branch", 1e-10)
@@ -623,7 +623,7 @@ def _(config, rng):
     def gam1(space):
         return [space.const_array(M)]
 
-    r1 = cn.curvature_02_residual(gam1, 1, 2, np.zeros(2))
+    r1 = cn.curvature_02_residual(gam1, 1, np.zeros(2))
 
     def gam2(space):
         zb2 = space.var(2) - 1j * space.var(3)
@@ -632,7 +632,7 @@ def _(config, rng):
         G2 = [[z + 0.0, z + 0.0], [z + 0.0, z + 0.0]]
         return [G1, G2]
 
-    r2 = cn.curvature_02_residual(gam2, 2, 2, np.zeros(4))
+    r2 = cn.curvature_02_residual(gam2, 2, np.zeros(4))
     return [r1, abs(r2 - 1.0)]
 
 
@@ -738,8 +738,6 @@ def register_custom_suite(name, description, check_refs):
             raise KeyError(f"unknown check {key!r}")
         checks.append((CHECK_INDEX[key], dict(overrides)))
     CUSTOM_SUITES[name] = (description, checks)
-    _PARAMS[name] = tuple(sorted({k for key, _ in check_refs
-                                  for k in _PARAMS[key.partition(":")[0]]}))
 
 
 def _all_suites():
@@ -747,6 +745,13 @@ def _all_suites():
     checks with no overrides."""
     builtin = {name: (desc, [(fn, {}) for fn in fns]) for name, (desc, fns) in SUITES.items()}
     return {**builtin, **CUSTOM_SUITES}
+
+
+def _params_read(suite):
+    """The ``--param`` keys that the checks of a suite read, sorted; none
+    for an unknown suite or for a check not declared with ``_check``."""
+    checks = _all_suites().get(suite, (None, []))[1]
+    return tuple(sorted({key for check, _ in checks for key in getattr(check, "params", ())}))
 
 
 def list_suites():

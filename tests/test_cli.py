@@ -99,6 +99,18 @@ def test_custom_suite_reads_the_params_of_its_checks(tmp_path, monkeypatch, caps
     assert "--param P: suite 'mixed-params' reads f" in capsys.readouterr().err
 
 
+def test_param_keys_are_those_of_the_checks_that_read_them(tmp_path, monkeypatch, capsys):
+    # euclid-hm reads f, but not in its closed-form checks
+    (tmp_path / "closed.suite").write_text(
+        "name: closed-only\n"
+        "check: euclid-hm:closed-form-harmonicity points=2\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    assert main(["run", "--suite", "closed-only", "--param", "f=0,2"]) == 2
+    captured = capsys.readouterr()
+    assert "--param f: suite 'closed-only' reads no parameters" in captured.err
+    assert captured.out == ""
+
+
 def test_custom_suite_dir(tmp_path, monkeypatch, capsys):
     (tmp_path / "mini.suite").write_text(
         "name: mini-demo\n"

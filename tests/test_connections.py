@@ -224,7 +224,7 @@ def test_curvature_02_residuals():
     def gam1(space):
         return [[[space.const(RNG.normal()) for _ in range(2)] for _ in range(2)]]
 
-    assert curvature_02_residual(gam1, 1, 2, [0.1, 0.2]) == 0.0
+    assert curvature_02_residual(gam1, 1, [0.1, 0.2]) == 0.0
 
     M = RNG.normal(size=(2, 2))
 
@@ -232,7 +232,7 @@ def test_curvature_02_residuals():
         G = [[space.const(M[a, b]) for b in range(2)] for a in range(2)]
         return [G, [row[:] for row in G]]
 
-    assert curvature_02_residual(gam_const, 2, 2, np.zeros(4)) <= 1e-14
+    assert curvature_02_residual(gam_const, 2, np.zeros(4)) <= 1e-14
 
     def gam_bad(space):
         zb2 = space.var(2) - 1j * space.var(3)
@@ -241,4 +241,4 @@ def test_curvature_02_residuals():
         G2 = [[z + 0.0, z + 0.0], [z + 0.0, z + 0.0]]
         return [G1, G2]
 
-    assert abs(curvature_02_residual(gam_bad, 2, 2, np.zeros(4)) - 1.0) <= 1e-14
+    assert abs(curvature_02_residual(gam_bad, 2, np.zeros(4)) - 1.0) <= 1e-14

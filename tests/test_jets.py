@@ -1,5 +1,7 @@
 """Jet arithmetic, Wirtinger operators and the pairing layer."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from twistorkit.jets import (
     gradient,
     invert_jet_map,
     laplacian,
+    merge_rows,
     real_to_complex_point,
     values,
+    where,
 )
 from twistorkit.pairings import (
     DimensionError,
@@ -26,17 +30,23 @@ from twistorkit.pairings import (
     is_isotropic_span,
 )
 
-RNG = np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def rng(request):
+    """A generator seeded from the test's own name: no test's data depends on
+    which tests ran before it."""
+    return np.random.default_rng(zlib.crc32(request.node.name.encode()))
 
 
 # ---------------------------------------------------------------------------
 # jet ring
 
-def test_product_coefficients_are_convolutions():
+def test_product_coefficients_are_convolutions(rng):
     for _ in range(30):
-        space = JetSpace(RNG.uniform(-1, 1, 2), 3)
+        space = JetSpace(rng.uniform(-1, 1, 2), 3)
         x, y = space.vars()
-        ca, cb = RNG.normal(size=4), RNG.normal(size=4)
+        ca, cb = rng.normal(size=4), rng.normal(size=4)
         f = ca[0] + ca[1] * x + ca[2] * y + ca[3] * x * y
         g = cb[0] + cb[1] * x + cb[2] * y + cb[3] * y * y
         prod = f * g
@@ -97,17 +107,17 @@ SCALARS = [3, -2, 0.0, -0.0, 1.5, 1j, complex(-0.5, 2.0),
            np.float64(0.7), np.complex128(1 - 2j), np.int64(4)]
 
 
-def _random_jet(nvars, order):
-    space = JetSpace(RNG.uniform(-1, 1, nvars), order)
+def _random_jet(rng, nvars, order):
+    space = JetSpace(rng.uniform(-1, 1, nvars), order)
     t = _table(nvars, order)
-    coef = RNG.normal(size=t.size) + 1j * RNG.normal(size=t.size)
-    coef[RNG.random(t.size) < 0.2] = -0.0
+    coef = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+    coef[rng.random(t.size) < 0.2] = -0.0
     return Jet(t, space.base, coef)
 
 
 @pytest.mark.parametrize("shape", [(1, 0), (2, 3), (3, 2), (2, 4), (6, 2)])
-def test_scalar_operands_match_constant_jet_path(shape):
-    a = _random_jet(*shape)
+def test_scalar_operands_match_constant_jet_path(shape, rng):
+    a = _random_jet(rng, *shape)
     for s in SCALARS:
         x, c = a._coerce(Jet.constant(s, a.nvars, a.order, a.base))
         for got, want in [(a + s, x + c), (s + a, c + x), (a - s, x - c),
@@ -117,8 +127,8 @@ def test_scalar_operands_match_constant_jet_path(shape):
     assert np.array_equal((-a).coef, (0 - a).coef)
 
 
-def test_scalar_operands_leave_the_jet_unchanged():
-    a = _random_jet(2, 3)
+def test_scalar_operands_leave_the_jet_unchanged(rng):
+    a = _random_jet(rng, 2, 3)
     before = a.coef.copy()
     for s in SCALARS:
         a + s, s - a, a - s, a * s
@@ -134,8 +144,8 @@ def test_mixed_orders_truncate_to_the_lower():
     assert np.array_equal((x * y).coef, (x.truncated(2) * y).coef)
 
 
-def test_equal_but_distinct_base_tuples_combine():
-    base = RNG.uniform(-1, 1, 2)
+def test_equal_but_distinct_base_tuples_combine(rng):
+    base = rng.uniform(-1, 1, 2)
     x = JetSpace(base, 3).var(0)
     y = JetSpace(list(base), 3).var(1)
     assert x.base is not y.base and x.base == y.base
@@ -191,10 +201,10 @@ def test_dz_second_derivative_c_view():
     assert np.allclose(complex_view(v2), [2.0, 2.0])
 
 
-def test_dz_matches_richardson_finite_differences():
+def test_dz_matches_richardson_finite_differences(rng):
     # independent numeric oracle for 50 random degree-4 polynomial maps
     for _ in range(50):
-        co = RNG.normal(size=(4, 5, 5))
+        co = rng.normal(size=(4, 5, 5))
 
         def ev(x, y, co=co):
             out = []
@@ -208,7 +218,7 @@ def test_dz_matches_richardson_finite_differences():
             return out
 
         phi = SmoothMap.from_real(2, 4, ev)
-        z0 = RNG.uniform(-0.5, 0.5, 2)
+        z0 = rng.uniform(-0.5, 0.5, 2)
         v = dz_power(phi, 1, z0)
 
         def val(p):
@@ -257,10 +267,10 @@ def test_laplacian_of_closed_form_morphism():
         assert np.linalg.norm(laplacian(phi, q)) <= 1e-9
 
 
-def test_holomorphic_maps_are_pluriconformal():
+def test_holomorphic_maps_are_pluriconformal(rng):
     # <dz phi, dz phi> = 0 for every holomorphic polynomial C -> C^n
     for _ in range(20):
-        co = RNG.normal(size=(3, 4)) + 1j * RNG.normal(size=(3, 4))
+        co = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
 
         def fn(z, co=co):
             out = []
@@ -272,7 +282,7 @@ def test_holomorphic_maps_are_pluriconformal():
             return out
 
         phi = SmoothMap.from_complex(1, 3, fn)
-        z0 = RNG.uniform(-1, 1, 2)
+        z0 = rng.uniform(-1, 1, 2)
         v = dz_power(phi, 1, z0)
         assert abs(bilinear_dot(v, v)) <= 1e-12
 
@@ -280,9 +290,9 @@ def test_holomorphic_maps_are_pluriconformal():
 # ---------------------------------------------------------------------------
 # read-off of values and first derivatives
 
-def _random_jet(nvars, order):
-    xs = JetSpace(RNG.uniform(-1, 1, nvars), order).vars()
-    c = RNG.normal(size=3) + 1j * RNG.normal(size=3)
+def _random_exp_jet(rng, nvars, order):
+    xs = JetSpace(rng.uniform(-1, 1, nvars), order).vars()
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
     return (c[0] * xs[0] * xs[-1] + c[1] * xs[-1] + c[2]).exp()
 
 
@@ -290,10 +300,10 @@ def _bits(a):
     return np.asarray(a).tobytes()
 
 
-def test_values_and_gradient_read_nested_jets_bitwise():
+def test_values_and_gradient_read_nested_jets_bitwise(rng):
     for nvars in (1, 2, 3, 6):
         # a 2 x 3 matrix of jets with mixed orders, as a nested list
-        M = [[_random_jet(nvars, order) for order in (1, 2, 4)] for _ in range(2)]
+        M = [[_random_exp_jet(rng, nvars, order) for order in (1, 2, 4)] for _ in range(2)]
         vals, grad = values(M), gradient(M)
         assert vals.shape == (2, 3) and grad.shape == (2, 3, nvars)
         for a in range(2):
@@ -307,9 +317,9 @@ def test_values_and_gradient_read_nested_jets_bitwise():
         gradient(JetSpace([0.1], 0).var(0))
 
 
-def test_wirtinger_of_gradient_matches_jet_operator_bitwise():
+def test_wirtinger_of_gradient_matches_jet_operator_bitwise(rng):
     for m in (1, 2, 3):
-        jets = [_random_jet(2 * m, order) for order in (1, 2, 3, 2)]
+        jets = [_random_exp_jet(rng, 2 * m, order) for order in (1, 2, 3, 2)]
         grad = gradient(jets)
         for i in range(m):
             for op in (dz, dzbar):
@@ -341,13 +351,13 @@ def test_smooth_map_takes_complex_or_real_points():
 # ---------------------------------------------------------------------------
 # vectors and matrices of jets as numpy object arrays
 
-def _jet_array(space, shape):
+def _jet_array(rng, space, shape):
     """Object array of jets with random coefficients, -0.0 mixed in."""
     out = space.const_array(np.zeros(shape))
     for idx in np.ndindex(*shape):
         size = out[idx].coef.size
-        coef = RNG.normal(size=size) + 1j * RNG.normal(size=size)
-        coef[RNG.random(size) < 0.2] = -0.0
+        coef = rng.normal(size=size) + 1j * rng.normal(size=size)
+        coef[rng.random(size) < 0.2] = -0.0
         out[idx] = Jet(out[idx].table, space.base, coef)
     return out
 
@@ -369,12 +379,13 @@ def test_const_array_keeps_shape_and_dtype():
             assert _bits(arr[idx].coef) == _bits(space.const(np.asarray(vals)[idx]).coef)
 
 
-def test_object_array_products_are_left_to_right_jet_sums_bitwise():
+def test_object_array_products_are_left_to_right_jet_sums_bitwise(rng):
     for nvars, order in ((1, 2), (2, 3), (3, 2)):
-        space = JetSpace(RNG.uniform(-1, 1, nvars), order)
-        u, v = _jet_array(space, (4,)), _jet_array(space, (4,))
-        X, Y = _jet_array(space, (3, 4)), _jet_array(space, (4, 2))
-        A = RNG.normal(size=(3, 4)) + 1j * RNG.normal(size=(3, 4))
+        space = JetSpace(rng.uniform(-1, 1, nvars), order)
+        u, v = _jet_array(rng, space, (4,)), _jet_array(rng, space, (4,))
+        u[0].coef[0] = 1.5 - 0.5j  # u[0] divides below: a nonzero constant term
+        X, Y = _jet_array(rng, space, (3, 4)), _jet_array(rng, space, (4, 2))
+        A = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         dot = _left_to_right([u[c] * v[c] for c in range(4)])
         assert _bits((u @ v).coef) == _bits(dot.coef)
         XY, Au, outer = X @ Y, A @ u, np.outer(u, v)
@@ -394,6 +405,153 @@ def test_object_array_products_are_left_to_right_jet_sums_bitwise():
                           (u - v, [a - b for a, b in zip(u, v)]),
                           (u / c, [e / c for e in u])):
             assert [_bits(g.coef) for g in got] == [_bits(w.coef) for w in want]
+
+
+# ---------------------------------------------------------------------------
+# batched jets: row r of every result is the result for the jet of row r
+
+BATCH = 5
+BATCH_SHAPES = [(1, 2), (2, 3), (3, 2), (6, 2)]
+
+
+def _batch_of(rows, base=None):
+    """One batched jet from jets of one table, row r expanded at
+    ``rows[r].base`` unless a batch ``base`` is given."""
+    if base is None:
+        base = np.array([j.base for j in rows])
+    return Jet(rows[0].table, base, np.array([j.coef for j in rows]))
+
+
+def _row(batch, r):
+    """The single jet of row r of a batch."""
+    return Jet(batch.table, tuple(float(x) for x in batch.base[r]), batch.coef[r].copy())
+
+
+def _random_batch(rng, nvars, order, base=None):
+    return _batch_of([_random_jet(rng, nvars, order) for _ in range(BATCH)], base)
+
+
+def _assert_rows_match(got, want_of_row):
+    assert got.coef.shape[0] == BATCH
+    for r in range(BATCH):
+        want = want_of_row(r)
+        assert got.table is want.table
+        assert _bits(got.coef[r]) == _bits(want.coef)
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_batched_ring_operations_match_rows_bitwise(shape, rng):
+    a = _random_batch(rng, *shape)
+    b = _random_batch(rng, *shape, base=a.base)
+    b.coef[:, 0] = 2.0 + rng.random(BATCH)        # b divides: nonzero constant terms
+    s = rng.normal(size=BATCH) + 1j * rng.normal(size=BATCH)
+    s[1], s[2] = -0.0, 0.0                        # one scalar per row, zeros signed
+    t = rng.normal(size=BATCH) + 2.5              # a real divisor per row
+    ops = [lambda x, y, c, d: x + y, lambda x, y, c, d: x - y,
+           lambda x, y, c, d: x * y, lambda x, y, c, d: x / y,
+           lambda x, y, c, d: x + c, lambda x, y, c, d: x - c,
+           lambda x, y, c, d: x * c, lambda x, y, c, d: x * d,
+           lambda x, y, c, d: x / d, lambda x, y, c, d: x / (c + d),
+           lambda x, y, c, d: 1.5 - x, lambda x, y, c, d: -0.0 + x,
+           lambda x, y, c, d: (2 - 1j) * x, lambda x, y, c, d: 1 / y,
+           lambda x, y, c, d: -x, lambda x, y, c, d: x.real * y.imag]
+    for op in ops:
+        _assert_rows_match(op(a, b, s, t),
+                           lambda r: op(_row(a, r), _row(b, r), s[r], t[r]))
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_batched_series_partials_and_truncation_match_rows_bitwise(shape, rng):
+    nvars, order = shape
+    a = _random_batch(rng, nvars, order)
+    a.coef[:, 0] = rng.normal(size=BATCH) + 1j * rng.normal(size=BATCH)
+    a.coef[0, 0] = -1.0 - 0.0j                    # on the branch cut of sqrt and log
+    ops = [Jet.reciprocal, Jet.sqrt, Jet.exp, Jet.log, lambda x: x ** 3]
+    ops += [lambda x, v=v: x.partial(v) for v in range(nvars)]
+    ops += [lambda x, k=k: x.truncated(k) for k in range(order + 1)]
+    for op in ops:
+        _assert_rows_match(op(a), lambda r: op(_row(a, r)))
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_batched_mixed_orders_truncate_row_by_row(shape, rng):
+    nvars, order = shape
+    hi = _random_batch(rng, nvars, order + 1)
+    lo = _random_batch(rng, nvars, order, base=hi.base)
+    for op in (lambda x, y: x + y, lambda x, y: y - x, lambda x, y: x * y,
+               lambda x, y: y * x):
+        got = op(hi, lo)
+        assert got.order == order
+        _assert_rows_match(got, lambda r: op(_row(hi, r), _row(lo, r)))
+
+
+def test_batched_read_offs_put_the_batch_first(rng):
+    a = _random_batch(rng, 3, 2)
+    b = _random_batch(rng, 3, 2, base=a.base)
+    M = np.array([[a, b, a], [b, b, a]])
+    vals, grad = values(M), gradient(M)
+    assert vals.shape == (BATCH, 2, 3) and grad.shape == (BATCH, 2, 3, 3)
+    for r in range(BATCH):
+        Mr = [[_row(j, r) for j in row] for row in M]
+        assert _bits(vals[r]) == _bits(values(Mr))
+        assert _bits(grad[r]) == _bits(gradient(Mr))
+    assert _bits(values(a)) == _bits(a.coef[:, 0])
+    assert gradient(a).shape == (BATCH, 3)
+
+
+def test_batched_smooth_map_jets_match_points_bitwise(rng):
+    phi = SmoothMap.from_complex(
+        1, 2, lambda t: [(t + t * t.conj()) / (1 + t * t.conj()), (t * t).exp().sqrt()])
+    P = rng.uniform(-0.9, 0.9, (BATCH, 2))
+    for order in (0, 1, 3):
+        batch = phi.jets(P, order)
+        for r in range(BATCH):
+            for got, want in zip(batch, phi.jets(P[r], order)):
+                assert got.base is batch[0].base and want.base == tuple(P[r])
+                assert _bits(got.coef[r]) == _bits(want.coef)
+    assert _bits(phi.jacobian(P)[3]) == _bits(phi.jacobian(P[3]))
+    # complex coordinates: one complex entry per row
+    zc = P[:, 0] + 1j * P[:, 1]
+    assert _bits(phi(zc[:, None])) == _bits(phi(P))
+
+
+def test_batched_errors_name_the_row():
+    inv = SmoothMap.from_complex(1, 1, lambda z: [1 / z])
+    P = np.array([[0.5, 0.1], [0.3, -0.2], [0.0, 0.0]])
+    with pytest.raises(JetError, match="row 2: jet division requires a nonzero"):
+        inv.jets(P, 1)
+    with pytest.raises(JetError, match="base points differ"):
+        JetSpace(P, 1).var(0) + JetSpace(P[:2], 1).var(0)
+
+
+def test_array_operands_hold_one_value_per_row():
+    single = JetSpace([0.1, 0.2], 1).var(0)
+    batch = JetSpace(np.array([[0.1, 0.2], [0.3, 0.4]]), 1).var(0)
+    ops = [lambda x, c: x * c, lambda x, c: x / c, lambda x, c: x + c,
+           lambda x, c: x - c]
+    for op in ops:
+        for jet, c in ((single, np.array([1.0, 2.0, 3.0])), (single, np.array([2.0])),
+                       (batch, np.array([1.0, 2.0, 3.0])), (batch, np.array([2.0])),
+                       (batch, np.ones((2, 1)))):
+            with pytest.raises(JetError, match="one value per row"):
+                op(jet, c)
+        # a 0-d array is a scalar
+        assert _bits(op(single, np.array(2.0)).coef) == _bits(op(single, 2.0).coef)
+
+
+def test_where_and_merge_rows_pick_rows(rng):
+    a = _random_batch(rng, 2, 3)
+    b = _random_batch(rng, 2, 3, base=a.base)
+    mask = np.array([True, False, False, True, False])
+    (picked,) = where(mask, np.array([a]), np.array([b]))
+    for r in range(BATCH):
+        assert _bits(picked.coef[r]) == _bits((a if mask[r] else b).coef[r])
+    assert where(np.True_, a, b) is a and where(False, a, b) is b
+    on = _batch_of([_row(a, r) for r in range(BATCH) if mask[r]])
+    off = _batch_of([_row(b, r) for r in range(BATCH) if not mask[r]])
+    merged = merge_rows(mask, on, off)
+    assert _bits(merged.coef) == _bits(picked.coef)
+    assert _bits(merged.base) == _bits(a.base)
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +576,20 @@ def test_invert_jet_map_second_order():
 # ---------------------------------------------------------------------------
 # pairings
 
-def test_bilinear_dot_examples():
+def test_bilinear_dot_examples(rng):
     assert bilinear_dot([1, 1j], [1, 1j]) == 0
     assert bilinear_dot([1, 0], [0, 1]) == 0
-    u = RNG.normal(size=5) + 1j * RNG.normal(size=5)
-    v = RNG.normal(size=5) + 1j * RNG.normal(size=5)
+    u = rng.normal(size=5) + 1j * rng.normal(size=5)
+    v = rng.normal(size=5) + 1j * rng.normal(size=5)
     assert abs(bilinear_dot(u, v) - bilinear_dot(v, u)) < 1e-15
     with pytest.raises(DimensionError):
         bilinear_dot([1, 2], [1, 2, 3])
 
 
-def test_hermitian_dot_examples():
+def test_hermitian_dot_examples(rng):
     assert hermitian_dot([1, 1j], [1, 1j]) == 2
     assert hermitian_dot([1, 1j], [1, -1j]) == 0
-    u = RNG.normal(size=6) + 1j * RNG.normal(size=6)
+    u = rng.normal(size=6) + 1j * rng.normal(size=6)
     h = hermitian_dot(u, u)
     assert abs(h.imag) < 1e-14 and h.real >= 0
 

@@ -248,3 +248,100 @@ def test_lift_structure_unique_on_fibre():
             best_other = min(best_other, res)
     assert holomorphy_residual(phi, canonical_structure(1), Jlift, p) <= 1e-10
     assert best_other > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# lifts at an (N, 2) array of points
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _assert_batch_matches_points(phi, P, X):
+    """Every read-off of the lift built at the rows of P equals, bit for bit,
+    that of the lift built at each row alone."""
+    L = strictly_compatible_lift_r4(phi, P)
+    residuals = [lambda L, p: j_vertical_residual(L, p, 1),
+                 lambda L, p: j_vertical_residual(L, p, 2),
+                 lambda L, p: t10_stability_residual(L, p, "z"),
+                 lambda L, p: t10_stability_residual(L, p, "zbar")]
+    batched = [res(L, P) for res in residuals]
+    vp = vertical_part(L, P, X)
+    structures = L.structure(P)
+    assert len(structures) == len(P) and vp.shape == (len(P), 4, 4)
+    for r, p in enumerate(P):
+        Lp = strictly_compatible_lift_r4(phi, p)
+        assert L.sign[r] == Lp.sign and L.both_signs_valid[r] == Lp.both_signs_valid
+        assert _bits(structures[r].matrix) == _bits(Lp.structure(p).matrix)
+        assert _bits(vp[r]) == _bits(vertical_part(Lp, p, X[r]))
+        for res, column in zip(residuals, batched):
+            assert _bits(column[r]) == _bits(res(Lp, p))
+    return L
+
+
+def test_batched_lift_residuals_match_points_bitwise():
+    rng = np.random.default_rng(7)
+    for phi in (HOLO, chart_disk_map()):
+        P = rng.uniform(-0.9, 0.9, (12, 2))
+        X = rng.normal(size=(12, 2))
+        X[3, 0] = 0.0                             # a zero component contributes nothing
+        _assert_batch_matches_points(phi, P, X)
+
+
+def test_batch_mixing_umbilic_and_generic_points_matches_points_bitwise():
+    # dz^2 of (z, z^3 / 3) vanishes at z = 0 only: the umbilic branch there
+    phi = SmoothMap.from_complex(1, 2, lambda z: [z, z * z * z * (1 / 3)])
+    P = np.array([[0.3, 0.2], [0.0, 0.0], [-0.5, 0.4], [0.0, 0.0], [0.1, -0.7]])
+    L = _assert_batch_matches_points(phi, P, np.ones((5, 2)))
+    assert list(L.both_signs_valid) == [False, True, False, True, False]
+    # the round sphere (inverse stereographic projection into R^3 x 0) is
+    # umbilic everywhere, and rows complete its normal frame from different
+    # coordinate directions
+    def sphere(x, y):
+        den = 1 + x * x + y * y
+        return [2 * x / den, 2 * y / den, (x * x + y * y - 1) / den, 0 * x]
+
+    P = np.array([[0.2, 0.3], [-1.5, 0.2], [0.1, -2.0], [0.05, 0.02], [-0.3, -0.9]])
+    L = _assert_batch_matches_points(SmoothMap.from_real(2, 4, sphere), P, np.ones((5, 2)))
+    assert L.both_signs_valid.all()
+
+
+def test_structure_memo_follows_the_point():
+    L = strictly_compatible_lift_r4(chart_disk_map(), np.array([0.3, 0.2]))
+    for q in ([0.3, 0.2], [-0.1, 0.5], [0.3, 0.2]):
+        fresh = strictly_compatible_lift_r4(chart_disk_map(), np.array(q))
+        assert _bits(L.structure(q).matrix) == _bits(fresh.structure(q).matrix)
+        assert _bits(j_vertical_residual(L, q, 1)) == _bits(j_vertical_residual(fresh, q, 1))
+
+
+def test_batched_lift_names_the_failing_row():
+    branch = SmoothMap.from_complex(1, 2, lambda z: [z * z, z * z * z])
+    with pytest.raises(LiftError, match="row 1: branch point"):
+        strictly_compatible_lift_r4(branch, np.array([[0.3, 0.1], [0.0, 0.0]]))
+    stretch = SmoothMap.from_complex(1, 2, lambda z: [z + 2 * z.conj() * z * z, 0 * z])
+    with pytest.raises(LiftError, match="row 2: map is not weakly conformal"):
+        strictly_compatible_lift_r4(stretch, np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.1]]))
+    L = strictly_compatible_lift_r4(HOLO, np.zeros((3, 2)) + 0.1)
+    with pytest.raises(LiftError, match="built at 3 points"):
+        L.structure_jets(np.zeros((2, 2)), 1)
+
+
+def test_lifts_r4_checks_evaluate_each_structure_field_once(monkeypatch):
+    import twistorkit.lifts as lifts
+    from twistorkit.suites import CHECK_INDEX, SuiteConfig
+
+    class CountingLift(lifts.TwistorLift):
+        def __init__(self, base_map, structure_field, **kwargs):
+            def counted(point, order):
+                calls.append(order)
+                return structure_field(point, order)
+
+            super().__init__(base_map, counted, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(lifts, "TwistorLift", CountingLift)
+    for key, check in CHECK_INDEX.items():
+        if key.startswith("lifts-r4:"):
+            calls, built = [], []
+            check(SuiteConfig("lifts-r4", points=10, seed=1))
+            assert built and len(calls) <= len(built), (key, len(calls), len(built))
