@@ -83,7 +83,9 @@ class LieValuedForm:
     constant terms are used; flatness needs order 1.  An optional
     ``values_fn(points)`` takes an (n, d) array of points and returns the
     (n, d, k, k) stack of component values, which short-circuits the jet
-    machinery along integration paths.
+    machinery along integration paths.  Without it, ``components`` must also
+    accept a batched :class:`JetSpace` over an (n, d) array of points: the
+    values along a path are those of one batched evaluation.
     """
 
     def __init__(self, domain_dim, size, components, values_fn=None):
@@ -104,7 +106,7 @@ class LieValuedForm:
         """The (n, d, k, k) component values at the n rows of ``points``."""
         if self.values_fn is not None:
             return np.asarray(self.values_fn(points))
-        return np.stack([values(self.jets(x, order=0)) for x in points])
+        return values(self.jets(points, order=0))
 
     @classmethod
     def constant(cls, matrices):

@@ -16,12 +16,14 @@ take values and first derivatives through :func:`values`, :func:`gradient`,
 ``dz``/``dzbar`` and :func:`dz_vectors`, and :class:`SmoothMap` accepts
 points in real or complex form.
 
-A jet may hold a batch of base points: ``coef`` then has shape
-``(N, size)`` and ``base`` is an ``(N, nvars)`` array, one row per point.
-The ring operations, the analytic functions, ``partial`` and ``truncated``
-act row by row, and a scalar operand may be a number or an array with one
-value per row.  Row r of every result is bitwise the result for the single
-jet of row r; the read-offs put the batch axis first.
+A jet's ``base`` is a read-only float array of shape ``(..., nvars)`` and
+its ``coef`` has shape ``(..., size)``.  A jet at one point is the case with
+no leading axis; a jet at a batch of points has one leading axis, one row
+per point.  The ring operations, the analytic functions, ``partial`` and
+``truncated`` act row by row, and a scalar operand may be a number or an
+array with one value per row.  Row r of every result is bitwise the result
+for the jet at the point of row r alone; the read-offs put the batch axis
+first, and those of a jet at one point are numpy scalars and arrays.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ class Jet:
     ``coef[i]`` is the coefficient of ``prod (x_k - base_k)**alpha_k`` for the
     multi-index ``alpha = table.indices[i]``; the derivative of order alpha at
     the base point is ``alpha! * coef[i]``.  A batched jet has ``coef`` of
-    shape ``(N, size)``, row r expanded at ``base[r]``.
+    shape ``(N, size)``, row r expanded at ``base[r]``; the methods read
+    ``coef[..., i]`` and so serve both layouts.
     """
 
     __slots__ = ("table", "base", "coef")
@@ -136,25 +139,17 @@ class Jet:
     @staticmethod
     def constant(value, nvars, order, base):
         t = _table(nvars, order)
-        if type(base) is tuple:
-            c = np.zeros(t.size, dtype=complex)
-            c[0] = value
-        else:
-            c = np.zeros((len(base), t.size), dtype=complex)
-            c[:, 0] = value
+        c = np.zeros(base.shape[:-1] + (t.size,), dtype=complex)
+        c[..., 0] = value
         return Jet(t, base, c)
 
     @staticmethod
     def variable(i, nvars, order, base):
         t = _table(nvars, order)
-        if type(base) is tuple:
-            c = np.zeros(t.size, dtype=complex)
-            c[0] = base[i]
-        else:
-            c = np.zeros((len(base), t.size), dtype=complex)
-            c[:, 0] = base[:, i]
+        c = np.zeros(base.shape[:-1] + (t.size,), dtype=complex)
+        c[..., 0] = base[..., i]
         if order >= 1:
-            c.T[nvars - i] = 1.0  # e_i of every row, see gradient
+            c[..., nvars - i] = 1.0  # e_i of every row, see gradient
         return Jet(t, base, c)
 
     # -- metadata ------------------------------------------------------
@@ -168,8 +163,9 @@ class Jet:
 
     @property
     def value(self):
-        c = self.coef
-        return c[0] if c.ndim == 1 else c[..., 0]
+        """The constant term: a numpy scalar for a jet at one point, one
+        value per row for a batch."""
+        return self.coef[..., 0][()]
 
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value})"
@@ -194,8 +190,7 @@ class Jet:
         if ta.nvars != tb.nvars:
             raise JetError(f"jet variable count mismatch: {ta.nvars} vs {tb.nvars}")
         a, b = self.base, other.base
-        if not ((type(a) is tuple and type(b) is tuple and a == b)
-                or np.array_equal(np.asarray(a), np.asarray(b))):
+        if a is not b and not np.array_equal(a, b):
             raise JetError("jet base points differ")
         # The lower-order table is a prefix of the higher one, so a view of the
         # leading coefficients truncates; the operation copies into a new array.
@@ -206,12 +201,14 @@ class Jet:
         return self, other
 
     # -- ring operations ---------------------------------------------
-    # A scalar acts on ``coef`` directly.  The results equal, bit for bit,
-    # those of the same operation with the constant jet of the scalar:
-    # adding ``table.zeros`` turns -0.0 into +0.0 as adding the constant's
-    # zero coefficients did.  For a batch the scalar may be an array of one
-    # value per row; put the jet on the left, since an array on the left
-    # would make an object array of jets.
+    # A scalar acts on ``coef`` directly.  Sums and differences equal, bit
+    # for bit, those with the constant jet of the scalar: adding
+    # ``table.zeros`` turns -0.0 into +0.0 as adding the constant's zero
+    # coefficients did.  Products equal them in value only: ``coef * s``
+    # keeps the sign of a -0.0 coefficient, where the convolution, which
+    # adds every product into +0.0, gives +0.0.  For a batch the scalar may
+    # be an array of one value per row; put the jet on the left, since an
+    # array on the left would make an object array of jets.
     def _per_row(self, other):
         """``other`` unless it is an array with other than one value per row
         of this jet's batch, which is an error (a single jet has no rows)."""
@@ -227,10 +224,7 @@ class Jet:
             return Jet(a.table, a.base, a.coef + b.coef)
         other = self._per_row(other)
         c = self.coef + self.table.zeros
-        if c.ndim == 1:
-            c[0] = self.coef[0] + other
-        else:
-            c[..., 0] = self.coef[..., 0] + other
+        c[..., 0] = self.value + other
         return Jet(self.table, self.base, c)
 
     __radd__ = __add__
@@ -241,18 +235,12 @@ class Jet:
             return Jet(a.table, a.base, a.coef - b.coef)
         other = self._per_row(other)
         c = self.coef.copy()
-        if c.ndim == 1:
-            c[0] = self.coef[0] - other
-        else:
-            c[..., 0] = self.coef[..., 0] - other
+        c[..., 0] = self.value - other
         return Jet(self.table, self.base, c)
 
     def __rsub__(self, other):
         c = self.table.zeros - self.coef
-        if c.ndim == 1:
-            c[0] = other - self.coef[0]
-        else:
-            c[..., 0] = other - self.coef[..., 0]
+        c[..., 0] = other - self.value
         return Jet(self.table, self.base, c)
 
     def __neg__(self):
@@ -263,7 +251,7 @@ class Jet:
             if type(other) is np.ndarray and other.ndim:
                 if other.dtype == object:
                     return NotImplemented  # the array maps the product over its jets
-                return Jet(self.table, self.base, self.coef * self._per_row(other)[:, None])
+                return Jet(self.table, self.base, self.coef * self._per_row(other)[..., None])
             return Jet(self.table, self.base, self.coef * complex(other))
         a, b = self._coerce(other)
         # np.add.at adds into each position in the order of the triples, so
@@ -287,7 +275,7 @@ class Jet:
         if isinstance(other, Jet):
             return self * other.reciprocal()
         if type(other) is np.ndarray and other.ndim:
-            other = self._per_row(other)[:, None]
+            other = self._per_row(other)[..., None]
         return self._like(self.coef / other)
 
     def __rtruediv__(self, other):
@@ -381,7 +369,7 @@ class Jet:
     # -- derivatives ----------------------------------------------------
     def coefficient(self, alpha):
         pos = self.table.position[tuple(alpha)]
-        return self.coef[pos] if self.coef.ndim == 1 else self.coef[..., pos]
+        return self.coef[..., pos][()]
 
     def deriv(self, alpha):
         """Exact partial derivative of multi-order alpha at the base point."""
@@ -396,32 +384,28 @@ class Jet:
             raise JetError("cannot differentiate an order-0 jet")
         src, mult = self.table.partial_map(var)
         t = _table(self.nvars, self.order - 1)
-        c = self.coef
-        return Jet(t, self.base, (c[src] if c.ndim == 1 else c.take(src, axis=1)) * mult)
+        return Jet(t, self.base, self.coef.take(src, axis=-1) * mult)
 
 
 class JetSpace:
     """Factory for jets sharing one base point and truncation order.
 
-    An ``(N, nvars)`` array of base points makes batched jets.  Their base
-    is a read-only copy, kept as it is when passed back in (``JetSpace(
-    jet.base, order)``), so the jets of one batch share one base object.
+    An ``(N, nvars)`` array of base points makes batched jets.  The base is
+    a read-only float array, a copy unless a read-only one is passed back in
+    (``JetSpace(jet.base, order)``), so the jets of one space share one base
+    object.
     """
 
     def __init__(self, base_point, order):
-        if getattr(base_point, "ndim", 1) > 1:
-            base = np.asarray(base_point, dtype=float)
-            if base.ndim != 2:
-                raise JetError(f"a batch of base points is an (N, nvars) array, got shape "
-                               f"{base.shape}")
-            if base.flags.writeable:
-                base = base.copy()
-                base.flags.writeable = False
-            self.base = base
-            self.nvars = base.shape[-1]
-        else:
-            self.base = tuple(float(x) for x in np.atleast_1d(base_point))
-            self.nvars = len(self.base)
+        base = np.atleast_1d(np.asarray(base_point, dtype=float))
+        if base.ndim > 2:
+            raise JetError(f"a batch of base points is an (N, nvars) array, got shape "
+                           f"{base.shape}")
+        if base.flags.writeable:
+            base = base.copy()
+            base.flags.writeable = False
+        self.base = base
+        self.nvars = base.shape[-1]
         self.order = int(order)
 
     def var(self, i):
@@ -593,8 +577,7 @@ def values(jets):
 
 def _stack_values(jets):
     if isinstance(jets, Jet):
-        c = jets.coef
-        return c[0] if c.ndim == 1 else c[..., 0]
+        return jets.value
     return np.array([_stack_values(j) for j in jets])
 
 
@@ -648,7 +631,7 @@ def where(mask, a, b):
 def merge_rows(mask, a, b):
     """Batched jets over all rows of ``mask`` from jets ``a`` over the rows
     where it is set and ``b`` over the others, entry by entry for arrays of
-    jets, at the lower order of each pair."""
+    jets of one table."""
     mask = np.asarray(mask, dtype=bool)
     first_a, first_b = (np.asarray(x, dtype=object).flat[0] for x in (a, b))
     base = np.empty(mask.shape + (first_a.nvars,))
@@ -656,8 +639,6 @@ def merge_rows(mask, a, b):
     base.flags.writeable = False
 
     def merge(x, y):
-        order = min(x.order, y.order)
-        x, y = x.truncated(order), y.truncated(order)
         coef = np.empty(mask.shape + (x.table.size,), dtype=complex)
         coef[mask], coef[~mask] = x.coef, y.coef
         return Jet(x.table, base, coef)
@@ -787,14 +768,11 @@ def invert_jet_map(F):
     y - y0; the base point of the returned jets is F(y0) split into real
     parts.
     """
-    K = len(F)
     order = F[0].order
-    q0 = np.array([f.value for f in F])
-    A = gradient(F)
-    Ainv = np.linalg.inv(A)
-    new_base = tuple(v.real for v in q0)
-    w = np.array([Jet.variable(i, K, order, new_base) - new_base[i] for i in range(K)])
-    # shifted forward map: components of F(y0 + u) - q0 as series in u
+    Ainv = np.linalg.inv(gradient(F))
+    space = JetSpace(values(F).real, order)
+    w = np.array([x - space.base[i] for i, x in enumerate(space.vars())])
+    # shifted forward map: components of F(y0 + u) - F(y0) as series in u
     Fs = [f._like(f.coef.copy()) for f in F]
     for f in Fs:
         f.coef[0] = 0.0

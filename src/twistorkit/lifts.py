@@ -94,13 +94,11 @@ def strictly_compatible_lift_r4(phi, z0):
     umbilic = _rows(_umbilic, batched, grad0, d1, d2)
 
     def structure_field(point, order):
-        if np.ndim(umbilic) == 0:
-            return _frame_structure(phi, point, order, umbilic)
-        if np.shape(point)[:-1] != umbilic.shape:
-            raise LiftError(f"a lift built at {len(umbilic)} points is evaluated at "
-                            f"an array of that many points, got shape {np.shape(point)}")
+        if np.shape(point)[:-1] != np.shape(umbilic):
+            raise LiftError(f"a lift built at {np.size(umbilic)} points is evaluated at "
+                            f"points of shape {z0.shape}, got shape {np.shape(point)}")
         if umbilic.all() or not umbilic.any():
-            return _frame_structure(phi, point, order, umbilic[0])
+            return _frame_structure(phi, point, order, umbilic.any())
         return merge_rows(umbilic, _frame_structure(phi, point[umbilic], order, True),
                           _frame_structure(phi, point[~umbilic], order, False))
 
@@ -154,8 +152,8 @@ def _frame_structure(phi, point, order, umbilic):
     f2 = _unit(np.array([j.partial(1).real for j in space_jets]))
     if umbilic:
         # normal plane is free: positively oriented completion
-        f3 = _complete_frame(f1, f2, order + 1)
-        f4 = _complete_frame(f1, f2, order + 1, skip=f3)
+        f3 = _complete_frame(f1, f2, order)
+        f4 = _complete_frame(f1, f2, order, skip=f3)
         frame = np.swapaxes(values([f1, f2, f3, f4]).real, -1, -2)
         f4 = where(np.linalg.det(frame) < 0, -f4, f4)
     else:

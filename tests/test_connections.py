@@ -17,6 +17,7 @@ from twistorkit.connections import (
     maurer_cartan_value,
     path_independence_defect,
 )
+from twistorkit.jets import values
 
 RNG = np.random.default_rng(808)
 
@@ -112,15 +113,27 @@ def test_blowup_in_second_block_keeps_step_log():
     assert str(exc.value) == err
 
 
-def test_jet_only_form_integrates_across_blocks():
-    def comps(space):
-        x2 = space.var(1)
-        zero = space.const(0.0)
-        a1 = [[x2 if (a, b) == (0, 1) else zero + 0.0 for b in range(3)] for a in range(3)]
-        a2 = [[zero + 0.0 for _ in range(3)] for _ in range(3)]
-        return [a1, a2]
+def _x2_e12_components(space):
+    """The jet-only form x2 E12 dx1 on R^2: curvature E12 dx1 ^ dx2."""
+    x2 = space.var(1)
+    zero = space.const(0.0)
+    a1 = [[x2 if (a, b) == (0, 1) else zero + 0.0 for b in range(3)] for a in range(3)]
+    a2 = [[zero + 0.0 for _ in range(3)] for _ in range(3)]
+    return [a1, a2]
 
-    form = LieValuedForm(2, 3, comps)
+
+def test_jet_only_form_values_are_its_jet_values_bitwise():
+    form = LieValuedForm(2, 3, _x2_e12_components)
+    pts = RNG.uniform(-1, 1, (6, 2))
+    batch = form.values_at(pts)
+    assert batch.shape == (6, 2, 3, 3)
+    for x, row in zip(pts, batch):
+        want = values(form.jets(x, 0)).tobytes()
+        assert row.tobytes() == want and form.values(x).tobytes() == want
+
+
+def test_jet_only_form_integrates_across_blocks():
+    form = LieValuedForm(2, 3, _x2_e12_components)
     waypoints = [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     path = GroupPath(waypoints, 300)
     f = integrate_path(form, path)
@@ -143,17 +156,7 @@ def test_constant_commuting_form_is_flat():
 
 
 def test_nonflat_form_detected():
-    E12 = np.zeros((3, 3))
-    E12[0, 1] = 1.0
-
-    def comps(space):
-        x2 = space.var(1)
-        z = space.const(0.0)
-        a1 = [[x2 if (a, b) == (0, 1) else z + 0.0 for b in range(3)] for a in range(3)]
-        a2 = [[z + 0.0 for _ in range(3)] for _ in range(3)]
-        return [a1, a2]
-
-    form = LieValuedForm(2, 3, comps)
+    form = LieValuedForm(2, 3, _x2_e12_components)
     assert abs(flatness_residual(form, [0.3, 0.8]) - 1.0) <= 1e-14
     # defect around the unit square equals area x curvature exactly here
     sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)

@@ -185,6 +185,16 @@ def test_umbilic_branch_both_signs_hold_isotropy_condition():
     assert j_vertical_residual(L, p, 1) <= 1e-9
 
 
+def test_umbilic_structure_jets_have_the_requested_order():
+    fold = SmoothMap.from_complex(
+        1, 2, lambda z: [(z + z.conj()) * 0.5, (z - z.conj()) * 0.5])
+    p = np.array([0.1, 0.2])
+    L = strictly_compatible_lift_r4(fold, p)
+    assert L.both_signs_valid
+    for order in (1, 0, 2):
+        assert {jet.order for jet in np.ravel(L.structure_jets(p, order))} == {order}
+
+
 def test_branch_point_and_isotropy_guards():
     const = SmoothMap.from_complex(1, 2, lambda z: [0 * z, 0 * z])
     with pytest.raises(LiftError):
@@ -324,6 +334,9 @@ def test_batched_lift_names_the_failing_row():
     L = strictly_compatible_lift_r4(HOLO, np.zeros((3, 2)) + 0.1)
     with pytest.raises(LiftError, match="built at 3 points"):
         L.structure_jets(np.zeros((2, 2)), 1)
+    L = strictly_compatible_lift_r4(HOLO, np.array([0.1, 0.1]))
+    with pytest.raises(LiftError, match="built at 1 points"):
+        L.structure_jets(np.zeros((3, 2)) + 0.1, 1)
 
 
 def test_lifts_r4_checks_evaluate_each_structure_field_once(monkeypatch):
