@@ -2,7 +2,10 @@
 
 Every checker returns a nonnegative residual that vanishes exactly when the
 property holds at the sample point.  Derivatives come from jets, so residuals
-of polynomial maps are exact to rounding.
+of polynomial maps are exact to rounding.  :func:`real_isotropy_residual` and
+:func:`pluriconformality_residual` also take an (N, 2m) array of points and
+return one residual per row, bitwise the residual at that row's point; at one
+point they return a float.
 
 Conventions: pairings of Wirtinger derivatives are complex-bilinear over the
 full 2n real components (see ``pairings``).  The totally-umbilic test alone
@@ -31,7 +34,7 @@ from .jets import (
     gradient,
     laplacian,
 )
-from .pairings import bilinear_dot
+from .pairings import _modulus, bilinear_dot
 
 REGULAR_SV_RATIO = 1e-6
 
@@ -98,11 +101,14 @@ def pluriconformality_residual(phi, x0):
     m = phi.domain_dim // 2
     grad = gradient(phi.jets(x0, 1))
     vs = [dz(grad, i) for i in range(m)]
-    worst = 0.0
-    for i in range(m):
-        for j in range(i, m):
-            worst = max(worst, abs(bilinear_dot(vs[i], vs[j])))
-    return worst
+    return _worst([bilinear_dot(vs[i], vs[j]) for i in range(m) for j in range(i, m)])
+
+
+def _worst(pairings):
+    """The largest modulus of the pairings, 0.0 for none: a float at one
+    point, one value per row at an array of points."""
+    worst = np.max([_modulus(p) for p in pairings], axis=0, initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def harmonicity_residual(phi, x0, order=2):
@@ -121,13 +127,8 @@ def real_isotropy_residual(phi, z0, R, mode="full"):
     if mode not in ("full", "diagonal"):
         raise ValueError(f"unknown mode {mode!r}")
     vecs = dz_vectors(phi, z0, R)
-    worst = 0.0
-    for r in range(1, R + 1):
-        for s in range(r, R + 1):
-            if mode == "diagonal" and s != r:
-                continue
-            worst = max(worst, abs(bilinear_dot(vecs[r - 1], vecs[s - 1])))
-    return worst
+    return _worst([bilinear_dot(vecs[r], vecs[s]) for r in range(R) for s in range(r, R)
+                   if mode == "full" or s == r])
 
 
 def umbilic_residual(phi, z0):

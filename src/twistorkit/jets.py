@@ -694,10 +694,12 @@ def dz_power(phi, r, z0, direction=0):
 
 
 def laplacian(phi, x0, order=2):
-    """Sum of pure second partials over all domain coordinates (flat spaces)."""
+    """Sum of pure second partials over all domain coordinates (flat spaces),
+    one row per point at an (N, domain_dim) array of points."""
     if order < 2:
         raise JetError("laplacian needs jet order >= 2")
-    return np.array([_laplace_trace(jet) for jet in phi.jets(x0, order)])
+    jets = phi.jets(x0, order)
+    return _batch_first(np.array([_laplace_trace(jet) for jet in jets]), jets, 0)
 
 
 def _laplace_trace(jet, lead=()):
@@ -724,12 +726,21 @@ def _horner(coeffs, t):
 # ---------------------------------------------------------------------------
 # composition and local inversion of jet maps
 
+def _at_one_point(jets, name):
+    """Raise unless every jet is expanded at one point, with no batch axis."""
+    for j in jets:
+        if j.coef.ndim != 1:
+            raise JetError(f"{name} needs jets at one point, got a batch of "
+                           f"{len(j.coef)} rows")
+
+
 def compose(f, gs):
     """Substitute jets gs (in new variables) for the offsets of jet f.
 
     All g in gs must share a table; g_k stands for x_k - base_k of f's space,
-    so each g must have zero constant term.
+    so each g must have zero constant term.  All jets are at one point.
     """
+    _at_one_point([f, *gs], "compose")
     g0 = gs[0]
     for g in gs:
         if abs(g.value) > 0:
@@ -766,8 +777,9 @@ def invert_jet_map(F):
     F is a list of K jets in K variables (taken at some base y0).  Returns an
     object array G of K jets, in variables w = F(y) - F(y0), representing
     y - y0; the base point of the returned jets is F(y0) split into real
-    parts.
+    parts.  The jets of F are at one point.
     """
+    _at_one_point(F, "invert_jet_map")
     order = F[0].order
     Ainv = np.linalg.inv(gradient(F))
     space = JetSpace(values(F).real, order)

@@ -16,25 +16,40 @@ class DimensionError(ValueError):
 def _pair(u, v):
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 1:
+    if u.shape != v.shape or u.ndim == 0:
         raise DimensionError(f"vector shapes differ: {u.shape} vs {v.shape}")
     return u, v
+
+
+def _sum_rows(w):
+    """Sum over the last axis: a complex number for one vector, one value per
+    row for an (..., d) array.  Row r is bitwise the sum of row r alone."""
+    s = np.sum(w, axis=-1)
+    return complex(s) if s.ndim == 0 else s
 
 
 def bilinear_dot(u, v):
     """<u, v> = sum u_a v_a, with no conjugation.
 
     Symmetric and complex-bilinear; restricts to the Euclidean dot product on
-    real vectors.
+    real vectors.  For (..., d) arrays it pairs row with row.
     """
     u, v = _pair(u, v)
-    return complex(np.sum(u * v))
+    return _sum_rows(u * v)
 
 
 def hermitian_dot(u, v):
-    """Sesquilinear pairing <u, v-bar>; positive-definite on the diagonal."""
+    """Sesquilinear pairing <u, v-bar>; positive-definite on the diagonal.
+    For (..., d) arrays it pairs row with row."""
     u, v = _pair(u, v)
-    return complex(np.sum(u * np.conj(v)))
+    return _sum_rows(u * np.conj(v))
+
+
+def _modulus(z):
+    """|z| of a complex number or entry by entry of an array, bitwise as
+    Python ``abs`` (``np.abs`` of a complex array can differ from it in the
+    last bit)."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
 def is_isotropic_span(basis, tol=1e-10):

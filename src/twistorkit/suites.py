@@ -33,8 +33,8 @@ from .checkers import (
     pullback_harmonic_oracle,
     real_isotropy_residual,
 )
-from .jets import JetSpace, SmoothMap, _horner, dz, dz_power, real_to_complex_point
-from .pairings import bilinear_dot, hermitian_dot
+from .jets import JetSpace, SmoothMap, dz, dz_power, real_to_complex_point
+from .pairings import _modulus, bilinear_dot, hermitian_dot
 
 
 @dataclass
@@ -140,29 +140,68 @@ def _pqr(config):
     return {k: tuple(_coeff_param(config, k)) for k in ("P", "Q", "R")}
 
 
-def _random_holomorphic_poly(rng, degree=3):
-    """Random holomorphic polynomial map C -> C^2 of the given degree."""
-    co = rng.normal(size=(2, degree + 1)) + 1j * rng.normal(size=(2, degree + 1))
+def _holomorphic_coefficients(rng, degree=3):
+    """Coefficients of a random holomorphic polynomial map C -> C^2 of the
+    given degree, for :func:`_holomorphic_poly`."""
+    return rng.normal(size=(2, degree + 1)) + 1j * rng.normal(size=(2, degree + 1))
 
-    return SmoothMap.from_complex(1, 2, lambda z: [_horner(row, z) for row in co])
+
+def _holomorphic_poly(co):
+    """The map C -> C^2 with components sum_e co[..., k, e] z**e, by Horner's
+    rule, from coefficients of shape (..., 2, d + 1), d >= 1.
+
+    One draw has shape (2, d + 1).  A stack of draws of shape (N, 2, d + 1)
+    makes a map to evaluate at an (N, 2) array of points, draw r at the
+    point of row r.  The jet stays on the left of the per-row coefficients,
+    so each product is ``coef * c`` as for one draw.
+    """
+    d = co.shape[-1] - 1
+
+    def fn(z):
+        out = []
+        for k in range(2):
+            w = z * co[..., k, d] + co[..., k, d - 1]
+            for e in range(d - 2, -1, -1):
+                w = w * z + co[..., k, e]
+            out.append(w)
+        return out
+
+    return SmoothMap.from_complex(1, 2, fn)
 
 
-def _random_real_poly(rng, dims, degree=3):
-    """Random polynomial map R^2 -> R^dims of the given total degree."""
-    co = rng.normal(size=(dims, degree + 1, degree + 1))
+def _real_coefficients(rng, dims, degree=3):
+    """Coefficients of a random polynomial map R^2 -> R^dims of the given
+    total degree, for :func:`_real_poly`."""
+    return rng.normal(size=(dims, degree + 1, degree + 1))
+
+
+def _real_poly(co):
+    """The map R^2 -> R^dims with components sum_{i+j<=d} co[..., k, i, j]
+    x**i y**j, from coefficients of shape (..., dims, d + 1, d + 1).
+
+    One draw or a stack of draws, as for :func:`_holomorphic_poly`.  Each
+    evaluation takes the powers of x and y once.
+    """
+    dims, d = co.shape[-3], co.shape[-1] - 1
 
     def ev(x, y):
+        xp = [x ** i for i in range(d + 1)]
+        yp = [y ** j for j in range(d + 1)]
         out = []
-        for comp in co:
-            acc = 0.0 * x
-            for i in range(degree + 1):
-                for j in range(degree + 1):
-                    if i + j <= degree:
-                        acc = acc + comp[i, j] * x ** i * y ** j
+        for k in range(dims):
+            acc = x * 0.0
+            for i in range(d + 1):
+                for j in range(d + 1 - i):
+                    acc = acc + xp[i] * co[..., k, i, j] * yp[j]
             out.append(acc)
         return out
 
     return SmoothMap.from_real(2, dims, ev)
+
+
+def _stack(draws):
+    """The columns of a list of per-draw tuples, each stacked into an array."""
+    return tuple(np.array(column) for column in zip(*draws))
 
 
 def _random_so(rng, n):
@@ -475,8 +514,8 @@ def _(config, rng):
 @_check("lifts-r4", "lift-vertical-part", 1e-8)
 def _(config, rng):
     _, chart = _lift_test_maps()
-    draws = [(rng.uniform(-0.9, 0.9, 2), rng.normal(size=2)) for _ in range(config.points)]
-    P, X = (np.array(column) for column in zip(*draws))
+    P, X = _stack([(rng.uniform(-0.9, 0.9, 2), rng.normal(size=2))
+                   for _ in range(config.points)])
     L = lf.strictly_compatible_lift_r4(chart, P)
     return [st.mj_residual(vp, J)
             for vp, J in zip(lf.vertical_part(L, P, X), L.structure(P))]
@@ -502,14 +541,21 @@ _suite("isotropy-reduction", "full against diagonal isotropy residual pass/fail 
 @_check("isotropy-reduction", "full-vs-diagonal", 0.0)
 def _(config, rng):
     tol = 1e-9 if config.tol is None else config.tol
-    residuals = []
+    holo, real, points = [], [], []
     for i in range(100):
-        phi = _random_holomorphic_poly(rng) if i % 2 == 0 else _random_real_poly(rng, 4)
-        z0 = rng.uniform(-0.9, 0.9, 2)
-        full = real_isotropy_residual(phi, z0, 4, mode="full")
-        diag = real_isotropy_residual(phi, z0, 4, mode="diagonal")
-        residuals.append(0.0 if (full <= tol) == (diag <= tol) else 1.0)
-    return residuals
+        if i % 2 == 0:
+            holo.append(_holomorphic_coefficients(rng))
+        else:
+            real.append(_real_coefficients(rng, 4))
+        points.append(rng.uniform(-0.9, 0.9, 2))
+    points = np.array(points)
+    agree = []
+    for phi, P in ((_holomorphic_poly(np.array(holo)), points[0::2]),
+                   (_real_poly(np.array(real)), points[1::2])):
+        full = real_isotropy_residual(phi, P, 4, mode="full")
+        diag = real_isotropy_residual(phi, P, 4, mode="diagonal")
+        agree.append((full <= tol) == (diag <= tol))
+    return [0.0 if a else 1.0 for a in _interleave(*agree)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,29 +573,23 @@ def _sum_maps(a, b):
 
 @_check("jacobi-first-order", "jacobi-identity", 1e-12)
 def _(config, rng):
-    residuals = []
-    for _ in range(50):
-        phi0 = _random_real_poly(rng, 2)
-        v = _random_real_poly(rng, 2)
-        p = rng.uniform(-1, 1, 2)
-        _, tau1 = va.tension_first_order(va.MapFamily.affine(phi0, v), p)
-        residuals.append(np.max(np.abs(tau1 + va.jacobi_operator_flat(v, p))))
-    return residuals
+    c0, cv, P = _stack([(_real_coefficients(rng, 2), _real_coefficients(rng, 2),
+                         rng.uniform(-1, 1, 2)) for _ in range(50)])
+    v = _real_poly(cv)
+    _, tau1 = va.tension_first_order(va.MapFamily.affine(_real_poly(c0), v), P)
+    return np.max(np.abs(tau1 + va.jacobi_operator_flat(v, P)), axis=-1)
 
 
 @_check("jacobi-first-order", "tension-linearity", 1e-12)
 def _(config, rng):
-    residuals = []
-    for _ in range(config.points):
-        phi0 = _random_real_poly(rng, 2)
-        v1 = _random_real_poly(rng, 2)
-        v2 = _random_real_poly(rng, 2)
-        p = rng.uniform(-1, 1, 2)
-        t1 = va.tension_first_order(va.MapFamily.affine(phi0, v1), p)[1]
-        t2 = va.tension_first_order(va.MapFamily.affine(phi0, v2), p)[1]
-        t12 = va.tension_first_order(va.MapFamily.affine(phi0, _sum_maps(v1, v2)), p)[1]
-        residuals.append(np.max(np.abs(t12 - t1 - t2)))
-    return residuals
+    c0, c1, c2, P = _stack([(_real_coefficients(rng, 2), _real_coefficients(rng, 2),
+                             _real_coefficients(rng, 2), rng.uniform(-1, 1, 2))
+                            for _ in range(config.points)])
+    phi0, v1, v2 = (_real_poly(c) for c in (c0, c1, c2))
+    t1 = va.tension_first_order(va.MapFamily.affine(phi0, v1), P)[1]
+    t2 = va.tension_first_order(va.MapFamily.affine(phi0, v2), P)[1]
+    t12 = va.tension_first_order(va.MapFamily.affine(phi0, _sum_maps(v1, v2)), P)[1]
+    return np.max(np.abs(t12 - t1 - t2), axis=-1)
 
 
 @_check("jacobi-first-order", "holomorphic-family", 1e-12)
@@ -669,33 +709,29 @@ def _(config, rng):
 
 @_check("jets-core", "dz-vs-finite-differences", 1e-5)
 def _(config, rng):
-    residuals = []
-    for _ in range(config.points):
-        phi = _random_real_poly(rng, 4, degree=4)
-        z0 = rng.uniform(-0.5, 0.5, 2)
-        v = dz_power(phi, 1, z0)
-        h = 1e-4
+    co, Z = _stack([(_real_coefficients(rng, 4, degree=4), rng.uniform(-0.5, 0.5, 2))
+                    for _ in range(config.points)])
+    phi = _real_poly(co)
+    v = dz_power(phi, 1, Z)
+    h = 1e-4
 
-        def fd(step):
-            ddx = (phi(z0 + [step, 0]) - phi(z0 - [step, 0])) / (2 * step)
-            ddy = (phi(z0 + [0, step]) - phi(z0 - [0, step])) / (2 * step)
-            return dz(np.stack([ddx, ddy], axis=-1))
+    def fd(step):
+        ddx = (phi(Z + [step, 0]) - phi(Z - [step, 0])) / (2 * step)
+        ddy = (phi(Z + [0, step]) - phi(Z - [0, step])) / (2 * step)
+        return dz(np.stack([ddx, ddy], axis=-1))
 
-        rich = (4 * fd(h / 2) - fd(h)) / 3
-        residuals.append(np.max(np.abs(v - rich)) / max(1.0, np.max(np.abs(v))))
-    return residuals
+    rich = (4 * fd(h / 2) - fd(h)) / 3
+    return (np.max(np.abs(v - rich), axis=-1)
+            / np.maximum(1.0, np.max(np.abs(v), axis=-1)))
 
 
 @_check("jets-core", "holomorphic-pluriconformal", 1e-10)
 def _(config, rng):
-    residuals = []
-    for _ in range(config.points):
-        phi = _random_holomorphic_poly(rng)
-        z0 = rng.uniform(-0.9, 0.9, 2)
-        v = dz_power(phi, 1, z0)
-        residuals.append(abs(bilinear_dot(v, v)))
-        residuals.append(pluriconformality_residual(phi, z0))
-    return residuals
+    co, Z = _stack([(_holomorphic_coefficients(rng), rng.uniform(-0.9, 0.9, 2))
+                    for _ in range(config.points)])
+    phi = _holomorphic_poly(co)
+    v = dz_power(phi, 1, Z)
+    return _interleave(_modulus(bilinear_dot(v, v)), pluriconformality_residual(phi, Z))
 
 
 @_check("jets-core", "pairing-laws", 1e-12)

@@ -17,6 +17,7 @@ from .jets import (
     Jet,
     JetError,
     JetSpace,
+    _batch_first,
     _complex_pairs,
     _laplace_trace,
     _real_split,
@@ -32,7 +33,9 @@ class MapFamily:
     ``evaluator(x0, space_order)`` returns one jet per real output component
     in the 1 + 2m variables (t, x_1, ..., x_2m) at base point (0, x0), with
     total order space_order + 1 so that every required t-coefficient is
-    exact.  phi(0, .) must evaluate identically to the embedded base map.
+    exact.  At an (N, 2m) array of points x0 the jets are batched, with base
+    point (0, x0[r]) in row r.  phi(0, .) must evaluate identically to the
+    embedded base map.
     """
 
     domain_dim: int
@@ -50,9 +53,8 @@ class MapFamily:
             raise JetError("base map and variation dimensions differ")
 
         def evaluator(x0, space_order):
-            base = np.concatenate([[0.0], x0])
             order = space_order + 1
-            space = JetSpace(base, order)
+            space = JetSpace(_family_base(x0), order)
             t = space.var(0)
             b = [_embed(j, space) for j in phi0.jets(x0, order)]
             w = [_embed(j, space) for j in v.jets(x0, order)]
@@ -66,22 +68,27 @@ class MapFamily:
         is handed over as a real jet."""
 
         def evaluator(x0, space_order):
-            base = np.concatenate([[0.0], x0])
-            space = JetSpace(base, space_order + 1)
+            space = JetSpace(_family_base(x0), space_order + 1)
             t, *xs = space.vars()
             return _real_split(fn(t, *_complex_pairs(xs)))
 
         return cls(2 * m, 2 * n, evaluator)
 
 
+def _family_base(x0):
+    """The base point (0, x0) of a family's jets, row by row for an (N, 2m)
+    array of points."""
+    return np.concatenate([np.zeros(x0.shape[:-1] + (1,)), x0], axis=-1)
+
+
 def _embed(jet, space):
     """Inject a jet in x-variables into the (t, x) space of a family."""
-    out = np.zeros(space.const(0.0).table.size, dtype=complex)
     tgt = space.const(0.0).table
+    out = np.zeros(jet.coef.shape[:-1] + (tgt.size,), dtype=complex)
     for pos, alpha in enumerate(jet.table.indices):
         if jet.table.degrees[pos] > space.order:
             continue
-        out[tgt.position[(0,) + alpha]] = jet.coef[pos]
+        out[..., tgt.position[(0,) + alpha]] = jet.coef[..., pos]
     return Jet(tgt, space.base, out)
 
 
@@ -99,7 +106,7 @@ class LiftFamily:
 def jacobi_operator_flat(v, x0, order=2):
     """Flat-target Jacobi operator: minus the componentwise Laplacian of the
     field (the sign convention makes it the linearization of minus the
-    tension)."""
+    tension).  At an (N, 2m) array of points, one row per point."""
     from .jets import laplacian
 
     return -laplacian(v, x0, order=max(order, 2))
@@ -109,12 +116,12 @@ def tension_first_order(fam, x0):
     """(tension of phi_0, d/dt at 0 of the tension of phi_t) at a point.
 
     For an affine family phi_0 + t v the t-slot equals minus the Jacobi
-    operator of v exactly.
+    operator of v exactly.  At an (N, 2m) array of points both have one row
+    per point.
     """
     jets = fam.jets(x0, 2)
-    tau0 = np.array([_laplace_trace(j, (0,)) for j in jets])
-    tau1 = np.array([_laplace_trace(j, (1,)) for j in jets])
-    return tau0, tau1
+    return tuple(_batch_first(np.array([_laplace_trace(j, (k,)) for j in jets]), jets, 0)
+                 for k in (0, 1))
 
 
 def _family_dz(jets, i):

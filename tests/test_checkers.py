@@ -19,8 +19,22 @@ from twistorkit.checkers import (
     weak_conformality,
 )
 from twistorkit.factory import closed_form_r6
-from twistorkit.jets import JetError, SmoothMap, real_to_complex_point
+from twistorkit.jets import (
+    JetError,
+    SmoothMap,
+    dz,
+    dz_vectors,
+    gradient,
+    real_to_complex_point,
+)
+from twistorkit.pairings import DimensionError, _modulus, bilinear_dot, hermitian_dot
 from twistorkit.structures import canonical_structure, so_action
+from twistorkit.suites import (
+    _holomorphic_coefficients,
+    _holomorphic_poly,
+    _real_coefficients,
+    _real_poly,
+)
 
 RNG = np.random.default_rng(2718)
 
@@ -302,6 +316,13 @@ def test_surface_only_guards():
         real_isotropy_residual(STRETCH, [0.0, 0.0], 2, mode="bogus")
 
 
+def test_nan_pairings_give_nan_residuals():
+    nan_map = SmoothMap.from_real(2, 2, lambda x, y: [x * float("nan"), y])
+    for pts in ([0.1, 0.2], np.array([[0.1, 0.2], [0.3, 0.4]])):
+        assert np.all(np.isnan(real_isotropy_residual(nan_map, pts, 2)))
+        assert np.all(np.isnan(pluriconformality_residual(nan_map, pts)))
+
+
 def test_fibre_curves_of_morphism_are_minimal():
     """Trace coordinate curves inside a fibre of the produced morphism and
     check that the normal accelerations sum to (numerically) zero."""
@@ -355,3 +376,101 @@ def test_empty_residuals_fail():
     rep = CheckReport("c", [], [], 1.0)
     assert not rep.passed
     assert rep.summary().startswith("FAIL") and "no residuals" in rep.summary()
+
+
+# ---------------------------------------------------------------------------
+# point arrays: row r of a batched result is, by its bytes, the result at the
+# point of row r alone
+
+BATCH = 40
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def _poly_draws(seed):
+    """Stacked coefficients of BATCH random holomorphic maps C -> C^2 and
+    BATCH random real maps R^2 -> R^4 of degree 3, and BATCH points."""
+    rng = np.random.default_rng(seed)
+    holo = np.array([_holomorphic_coefficients(rng) for _ in range(BATCH)])
+    real = np.array([_real_coefficients(rng, 4) for _ in range(BATCH)])
+    return holo, real, rng.uniform(-0.9, 0.9, (BATCH, 2))
+
+
+def test_modulus_is_python_abs_where_np_abs_is_not():
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+    want = np.array([abs(complex(w)) for w in z])
+    assert _bits(_modulus(z)) == _bits(want)
+    assert type(_modulus(complex(z[0]))) is np.float64
+    assert np.count_nonzero(np.abs(z) != want) > 0
+
+
+@pytest.mark.parametrize("d", [1, 4, 9, 17])
+def test_batched_pairings_match_rows_bitwise(d):
+    rng = np.random.default_rng(d)
+    U = rng.normal(size=(BATCH, d)) + 1j * rng.normal(size=(BATCH, d))
+    V = rng.normal(size=(BATCH, d)) + 1j * rng.normal(size=(BATCH, d))
+    for pair in (bilinear_dot, hermitian_dot):
+        rows = pair(U, V)
+        assert rows.shape == (BATCH,)
+        for r in range(BATCH):
+            one = pair(U[r], V[r])
+            assert type(one) is complex and _bits(rows[r]) == _bits(one)
+    with pytest.raises(DimensionError):
+        bilinear_dot(U, V[:, :-1])
+
+
+def test_batched_random_polynomial_maps_match_one_draw_bitwise():
+    holo, real, P = _poly_draws(11)
+    for build, co in ((_holomorphic_poly, holo), (_real_poly, real)):
+        batch = build(co).jets(P, 3)
+        for r in range(BATCH):
+            for got, want in zip(batch, build(co[r]).jets(P[r], 3)):
+                assert _bits(got.coef[r]) == _bits(want.coef)
+
+
+def _python_abs_max(pairings):
+    return max([0.0] + [abs(p) for p in pairings])
+
+
+@pytest.mark.parametrize("mode", ["full", "diagonal"])
+def test_batched_real_isotropy_residual_rows_match_points_bitwise(mode):
+    holo, real, P = _poly_draws(12)
+    pairs = [(r, s) for r in range(4) for s in range(r, 4) if mode == "full" or r == s]
+    np_abs_differs = 0
+    for build, co in ((_holomorphic_poly, holo), (_real_poly, real)):
+        rows = real_isotropy_residual(build(co), P, 4, mode=mode)
+        assert rows.shape == (BATCH,)
+        for r in range(BATCH):
+            phi = build(co[r])
+            one = real_isotropy_residual(phi, P[r], 4, mode=mode)
+            assert type(one) is float and _bits(rows[r]) == _bits(one)
+            vecs = dz_vectors(phi, P[r], 4)
+            dots = [bilinear_dot(vecs[i], vecs[j]) for i, j in pairs]
+            assert _bits(one) == _bits(_python_abs_max(dots))
+            np_abs_differs += float(np.max(np.abs(dots))) != one
+    assert np_abs_differs > 0  # np.abs would move some of these residuals
+
+
+def test_batched_pluriconformality_residual_rows_match_points_bitwise():
+    holo, real, P = _poly_draws(13)
+    rng = np.random.default_rng(14)
+    pc = SmoothMap.from_complex(2, 2, lambda z1, z2: [z1 + z2.conj() * z1, z1 * z2])
+    cases = [(_holomorphic_poly(holo), lambda r: _holomorphic_poly(holo[r]), P),
+             (_real_poly(real), lambda r: _real_poly(real[r]), P),
+             (pc, lambda r: pc, rng.uniform(-1, 1, (BATCH, 4)))]
+    np_abs_differs = 0
+    for batch_map, map_of_row, points in cases:
+        rows = pluriconformality_residual(batch_map, points)
+        assert rows.shape == (BATCH,)
+        for r in range(BATCH):
+            one = pluriconformality_residual(map_of_row(r), points[r])
+            assert type(one) is float and _bits(rows[r]) == _bits(one)
+            grad = gradient(map_of_row(r).jets(points[r], 1))
+            m = len(points[r]) // 2
+            dots = [bilinear_dot(dz(grad, i), dz(grad, j)) for i in range(m) for j in range(i, m)]
+            assert _bits(one) == _bits(_python_abs_max(dots))
+            np_abs_differs += float(np.max(np.abs(dots))) != one
+    assert np_abs_differs > 0

@@ -11,6 +11,7 @@ from twistorkit.jets import (
     JetSpace,
     SmoothMap,
     complex_view,
+    compose,
     dz,
     dz_power,
     _table,
@@ -591,6 +592,21 @@ def test_invert_jet_map_second_order():
     val = np.array([y[0] + y[1] ** 2, y[1] + 0.3 * y[0] ** 2])
     target = np.array([F[0].value.real, F[1].value.real]) + w
     assert np.max(np.abs(val - target)) < 1e-10
+
+
+def test_inversion_and_composition_need_jets_at_one_point():
+    phi = SmoothMap.from_real(2, 2, lambda x, y: [x + y * y, y + 0.3 * x * x])
+    P = np.array([[0.5, -0.2], [0.1, 0.4]])
+    F = phi.jets(P, 2)
+    with pytest.raises(JetError, match="invert_jet_map needs jets at one point, "
+                                       "got a batch of 2 rows"):
+        invert_jet_map(F)
+    one = phi.jets(P[0], 2)
+    offsets = [x - b for x, b in zip(JetSpace(P, 2).vars(), P.T)]
+    with pytest.raises(JetError, match="compose needs jets at one point"):
+        compose(one[0], offsets)
+    with pytest.raises(JetError, match="compose needs jets at one point"):
+        compose(F[0], [x - x.value for x in JetSpace(P[0], 2).vars()])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 from twistorkit.factory import closed_form_r6
 from twistorkit.jets import JetSpace, SmoothMap
 from twistorkit.structures import canonical_structure
+from twistorkit.suites import _real_coefficients, _real_poly
 from twistorkit.variations import (
     LiftFamily,
     MapFamily,
@@ -134,3 +135,29 @@ def test_lift_family_psi_holomorphy():
     base, t1 = first_order_residual(LiftFamily(fam_bad, const_struct), p,
                                     "psi_holomorphy")
     assert base <= 1e-14 and t1 > 0.5
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def test_batched_tension_and_jacobi_rows_match_points_bitwise():
+    rng = np.random.default_rng(607)
+    n = 30
+    c0, cv = (np.array([_real_coefficients(rng, 2) for _ in range(n)]) for _ in range(2))
+    P = rng.uniform(-1, 1, (n, 2))
+    v = _real_poly(cv)
+    fam = MapFamily.affine(_real_poly(c0), v)
+    assert _bits(fam.jets(P, 1)[0].base) == _bits(np.column_stack([np.zeros(n), P]))
+    tau0, tau1 = tension_first_order(fam, P)
+    jac = jacobi_operator_flat(v, P)
+    assert tau0.shape == tau1.shape == jac.shape == (n, 2)
+    holo = MapFamily.from_complex(1, 1, lambda t, z: [z * z + t * z.conj() * z * z])
+    h0, h1 = tension_first_order(holo, P)
+    for r in range(n):
+        one = MapFamily.affine(_real_poly(c0[r]), _real_poly(cv[r]))
+        want0, want1 = tension_first_order(one, P[r])
+        assert _bits(tau0[r]) == _bits(want0) and _bits(tau1[r]) == _bits(want1)
+        assert _bits(jac[r]) == _bits(jacobi_operator_flat(_real_poly(cv[r]), P[r]))
+        want0, want1 = tension_first_order(holo, P[r])
+        assert _bits(h0[r]) == _bits(want0) and _bits(h1[r]) == _bits(want1)
