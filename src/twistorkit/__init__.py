@@ -45,6 +45,7 @@ from .checkers import (
     pluriconformality_residual,
     pullback_harmonic_oracle,
     real_isotropy_residual,
+    real_isotropy_residuals,
     umbilic_residual,
     weak_conformality,
 )

@@ -34,7 +34,7 @@ from .jets import (
     gradient,
     laplacian,
 )
-from .pairings import _modulus, bilinear_dot
+from .pairings import _modulus, bilinear_dot, worst_residual
 
 REGULAR_SV_RATIO = 1e-6
 
@@ -122,13 +122,21 @@ def real_isotropy_residual(phi, z0, R, mode="full"):
     ``mode="full"`` sweeps 1 <= r <= s <= R; ``mode="diagonal"`` only r = s,
     which suffices by the isotropy-reduction lemma.
     """
-    if phi.domain_dim != 2:
-        raise JetError("real_isotropy_residual needs a 2-dimensional domain")
     if mode not in ("full", "diagonal"):
         raise ValueError(f"unknown mode {mode!r}")
+    full, diagonal = real_isotropy_residuals(phi, z0, R)
+    return full if mode == "full" else diagonal
+
+
+def real_isotropy_residuals(phi, z0, R):
+    """The ``"full"`` and ``"diagonal"`` residuals of
+    :func:`real_isotropy_residual`, from one evaluation of the dz vectors:
+    the diagonal pairings are among the full sweep's."""
+    if phi.domain_dim != 2:
+        raise JetError("real_isotropy_residual needs a 2-dimensional domain")
     vecs = dz_vectors(phi, z0, R)
-    return _worst([bilinear_dot(vecs[r], vecs[s]) for r in range(R) for s in range(r, R)
-                   if mode == "full" or s == r])
+    pairings = {(r, s): bilinear_dot(vecs[r], vecs[s]) for r in range(R) for s in range(r, R)}
+    return _worst(list(pairings.values())), _worst([pairings[r, r] for r in range(R)])
 
 
 def umbilic_residual(phi, z0):
@@ -214,12 +222,11 @@ def one_one_geodesic_residual(phi, x0, order=2):
     Hessians vanish (flat Kaehler domain)."""
     m = phi.domain_dim // 2
     jets = phi.jets(x0, max(order, 2))
-    worst = 0.0
+    norms = []
     for i in range(m):
         grad = gradient([dz(j, i) for j in jets])
-        for jj in range(m):
-            worst = max(worst, float(np.linalg.norm(dzbar(grad, jj))))
-    return worst
+        norms.extend(float(np.linalg.norm(dzbar(grad, jj))) for jj in range(m))
+    return worst_residual(norms)
 
 
 def holomorphy_residual(phi, J_dom, J_tgt, x0):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import JetSpace, dzbar, gradient, values
+from .pairings import worst_residual
 
 
 class BlowupError(RuntimeError):
@@ -125,12 +126,10 @@ def flatness_residual(form, pt):
     comps = form.jets(pt, order=1)
     d = form.domain_dim
     vals, grad = values(comps), gradient(comps)
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            curv = grad[j, ..., i] - grad[i, ..., j] + vals[i] @ vals[j] - vals[j] @ vals[i]
-            worst = max(worst, float(np.linalg.norm(curv)))
-    return worst
+    return worst_residual([
+        float(np.linalg.norm(grad[j, ..., i] - grad[i, ..., j]
+                             + vals[i] @ vals[j] - vals[j] @ vals[i]))
+        for i in range(d) for j in range(i + 1, d)])
 
 
 @dataclass
@@ -238,13 +237,10 @@ def curvature_02_residual(gammas_fn, m, pt, order=1):
     space = JetSpace(np.asarray(pt, dtype=float), order)
     gam = gammas_fn(space)
     vals, grad = values(gam), gradient(gam)
-    worst = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            curv = (dzbar(grad[j], i) - dzbar(grad[i], j)
-                    + vals[j] @ vals[i] - vals[i] @ vals[j])
-            worst = max(worst, float(np.linalg.norm(curv)))
-    return worst
+    return worst_residual([
+        float(np.linalg.norm(dzbar(grad[j], i) - dzbar(grad[i], j)
+                             + vals[j] @ vals[i] - vals[i] @ vals[j]))
+        for i in range(m) for j in range(i + 1, m)])
 
 
 # ---------------------------------------------------------------------------

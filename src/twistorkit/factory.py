@@ -33,6 +33,7 @@ from .jets import (
     real_to_complex_point,
     values,
 )
+from .pairings import worst_residual
 from .structures import twistor_chart
 
 NEWTON_MAX_ITER = 50
@@ -72,14 +73,14 @@ def verify_horizontality(data, samples):
     Zero iff mu is independent of the fibre variables, which is exactly the
     horizontality of the data in its second argument.
     """
-    worst = 0.0
+    moduli = []
     for pt in samples:
         grad = gradient(data.mu.jets(pt, 1))
         # Python abs per entry here and below: np.abs on an array can differ
         # from it in the last bit
         for v in range(data.n, data.k):
-            worst = max(worst, *map(abs, dz(grad, v)), *map(abs, dzbar(grad, v)))
-    return worst
+            moduli.extend([*map(abs, dz(grad, v)), *map(abs, dzbar(grad, v))])
+    return worst_residual(moduli)
 
 
 def verify_chart_holomorphy(data, samples):
@@ -89,15 +90,15 @@ def verify_chart_holomorphy(data, samples):
     d/dzbar_i w, d/dxibar_i w and d/dzbar_i mu; all vanish iff the data is
     holomorphic through the chart.
     """
-    worst = 0.0
+    moduli = []
     for pt in samples:
         q = data.h.complex_jets(pt, 1)
         mu = data.mu.complex_jets(pt, 1)
         w, _ = twistor_chart(q, mu)
         for grad, count in ((gradient(w), data.k), (gradient(mu), data.n)):
             for v in range(count):
-                worst = max(worst, *map(abs, dzbar(grad, v)))
-    return worst
+                moduli.extend(map(abs, dzbar(grad, v)))
+    return worst_residual(moduli)
 
 
 def jacobian_min_sv(h, pt):
@@ -109,49 +110,96 @@ def jacobian_min_sv(h, pt):
 
 @dataclass
 class NewtonRecord:
+    """Residual norm of each Newton iterate: a flat list for one point, one
+    list per row for a batch of points."""
+
     residuals: list = field(default_factory=list)
 
     @property
     def converged(self):
-        return bool(self.residuals) and self.residuals[-1] <= NEWTON_TARGET
+        rows = self.residuals
+        if not (rows and isinstance(rows[0], list)):
+            rows = [rows]
+        return all(bool(r) and r[-1] <= NEWTON_TARGET for r in rows)
 
 
 def invert_h(data, target_q, seed_point, record=None):
     """Newton inversion of h: returns the real preimage point of target_q.
 
-    Raises :class:`SingularJacobianError` when the Jacobian degenerates along
-    the way and :class:`NewtonDivergenceError` when 50 iterations do not
-    reach the 1e-12 residual target; per-iteration residuals land in
+    Targets and seeds broadcast over leading axes: at (..., 2k) arrays each
+    row is solved as on its own, bitwise, with h evaluated once per
+    iteration at all rows still moving.  A row stops once its residual has
+    met the 1e-12 target and it has taken one more step.  Raises
+    :class:`SingularJacobianError` when a Jacobian degenerates along the way
+    and :class:`NewtonDivergenceError` when 50 iterations do not reach the
+    target, naming the row for a batch; per-iteration residuals land in
     ``record`` so that quadratic convergence can be audited.
     """
-    target = _as_real_point(target_q, 2 * data.k)
-    y = _as_real_point(seed_point, 2 * data.k)
+    K = 2 * data.k
+    target = _as_real_point(target_q, K)
+    y = _as_real_point(seed_point, K)
+    if target.shape != y.shape:
+        shape = np.broadcast_shapes(target.shape, y.shape)
+        target, y = np.broadcast_to(target, shape), np.broadcast_to(y, shape).copy()
+    shape = y.shape
+    one = len(shape) == 1  # y stays one point, not a batch of one: h is cheaper there
+    if not one:
+        target, y = target.reshape(-1, K), y.reshape(-1, K)
+    out = y.reshape(-1, K).copy()
     rec = record if record is not None else NewtonRecord()
-    polished = False
+    if one:
+        logs = [rec.residuals]
+    else:
+        logs = [[] for _ in out]
+        rec.residuals.extend(logs)
+    if not len(out):
+        return out.reshape(shape)
+    live = list(range(len(out)))  # the rows still moving; y and target follow them
+    polished = [False] * len(out)
     for _ in range(NEWTON_MAX_ITER):
         jets = data.h.jets(y, 1)
-        val = values(jets).real
-        res = float(np.linalg.norm(val - target))
-        rec.residuals.append(res)
-        if res <= NEWTON_TARGET and polished:
-            return y
-        polished = res <= NEWTON_TARGET  # one extra step past the target
-        D = gradient(jets).real
+        diff = values(jets).real - target
+        # bitwise the 1-D np.linalg.norm of each row, a dot product that
+        # sums in another order than np.sum or einsum
+        res = np.sqrt(diff[..., None, :] @ diff[..., :, None]).reshape(-1).tolist()
+        moving = []
+        for i, r in enumerate(live):
+            logs[r].append(res[i])
+            if res[i] <= NEWTON_TARGET and polished[i]:
+                out[r] = y.reshape(-1, K)[i]
+            else:
+                moving.append(i)
+        polished = [res[i] <= NEWTON_TARGET for i in moving]  # one extra step past the target
+        keep = slice(None)
+        if len(moving) < len(live):
+            if not moving:
+                return out.reshape(shape)
+            live, keep = [live[i] for i in moving], moving
+            y, target, diff = y[keep], target[keep], diff[keep]
+        D = gradient(jets).real[keep]
         sv = np.linalg.svd(D, compute_uv=False)
-        if sv[-1] < 1e-10 * max(1.0, sv[0]):
-            raise SingularJacobianError(
-                f"Jacobian is singular at iterate (min sv {sv[-1]:.2e})")
-        y = y - np.linalg.solve(D, val - target)
+        for r, lo, hi in zip(live, sv[..., -1].reshape(-1).tolist(),
+                             sv[..., 0].reshape(-1).tolist()):
+            if lo < 1e-10 * max(1.0, hi):
+                raise SingularJacobianError(
+                    f"{_row(one, r)}Jacobian is singular at iterate (min sv {lo:.2e})")
+        y = y - np.linalg.solve(D, diff[..., None])[..., 0]
     raise NewtonDivergenceError(
-        f"no convergence after {NEWTON_MAX_ITER} iterations "
-        f"(last residual {rec.residuals[-1]:.2e})")
+        f"{_row(one, live[0])}no convergence after {NEWTON_MAX_ITER} iterations "
+        f"(last residual {logs[live[0]][-1]:.2e})")
+
+
+def _row(one, r):
+    """The prefix naming row r in an error message, empty for one point."""
+    return "" if one else f"row {r}: "
 
 
 def evaluate_morphism(data, q, seed_point=None):
-    """First complex factor of h^(-1)(q): the constructed map at q."""
+    """First complex factor of h^(-1)(q): the constructed map at q, or at
+    each row of an (..., 2k) array of points."""
     seed = seed_point if seed_point is not None else np.zeros(2 * data.k)
     y = invert_h(data, q, seed)
-    return real_to_complex_point(y)[: data.n]
+    return real_to_complex_point(y)[..., : data.n]
 
 
 def morphism_as_map(data, seed_fn=None):
@@ -217,11 +265,11 @@ def cp3_constraints_residual(data, pt):
     delta.  For polynomial data at dyadic points all four are exactly zero.
     """
     a, b, g, d, w, u, v = data.fields(pt, order=1)
-    worst = max(abs((u + a * w - g).value), abs((v + b * w - d).value))
+    moduli = [abs((u + a * w - g).value), abs((v + b * w - d).value)]
     for i in range(data.nz, data.nvars):
-        worst = max(worst, abs((w * dz(a, i) - dz(g, i)).value))
-        worst = max(worst, abs((w * dz(b, i) - dz(d, i)).value))
-    return worst
+        moduli.append(abs((w * dz(a, i) - dz(g, i)).value))
+        moduli.append(abs((w * dz(b, i) - dz(d, i)).value))
+    return worst_residual(moduli)
 
 
 def cp3_point(data, pt):
@@ -247,7 +295,7 @@ def cp3_linear_system_residual(data, pt):
     r1 = abs(x1 * u + x2 * v + x3 * w - x4)
     r2 = abs(x1 + x3 * np.conj(a) + x4 * np.conj(g))
     r3 = abs(x2 + x3 * np.conj(b) + x4 * np.conj(d))
-    return max(r1, r2, r3) / scale
+    return worst_residual([r1, r2, r3]) / scale
 
 
 def cp3_affine_jacobian(data, pt):

@@ -467,7 +467,13 @@ def _as_real_point(x, dim):
 
 
 def real_to_complex_point(x):
-    return complex_view(np.asarray(x, dtype=float))
+    """The point of C^m with real coordinates x, or of each row of an
+    (..., 2m) array: the inverse of complex_to_real_point."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] % 2:
+        raise JetError(
+            f"complex pairing needs an even number of entries, got {x.shape[-1]}")
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def complex_view(vec):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .jets import (JetSpace, _as_real_point, _map_rows, dz, dzbar, gradient, merge_rows,
                    values, where)
+from .pairings import worst_residual
 from .structures import HermitianStructure, is_positive
 
 INDEPENDENCE_SV_RATIO = 1e-6
@@ -251,7 +252,7 @@ def j_vertical_residual(lift, z0, a, order=1):
         # J0 on the domain: dx -> dy, dy -> -dx
         r1 = np.linalg.norm(dJy - sgn * (J0v @ dJx))
         r2 = np.linalg.norm(-dJx - sgn * (J0v @ dJy))
-        return float(max(r1, r2))
+        return float(worst_residual([r1, r2]))
 
     return _rows(residual, z0.ndim > 1, values(M).real, gradient(M).real)
 
@@ -277,14 +278,14 @@ def t10_stability_residual(lift, z0, direction="z", order=1):
         Q0 = 0.5 * (np.eye(n) + 1j * J0)
         # frame columns: P(z) c_j for pivot columns c_j chosen at the base point
         piv = _pivot_columns(P0, n // 2)
-        worst = 0.0
+        defects = []
         for c in piv:
             col = P0[:, c]
             scale = np.linalg.norm(col)
             if scale < 1e-12:
                 raise LiftError("frame rank deficiency at the base point")
-            worst = max(worst, float(np.linalg.norm(Q0 @ dP[:, c]) / scale))
-        return worst
+            defects.append(float(np.linalg.norm(Q0 @ dP[:, c]) / scale))
+        return worst_residual(defects)
 
     dP = (dz if direction == "z" else dzbar)(gradient(M), 0)
     return _rows(residual, z0.ndim > 1, values(M).real, dP)

@@ -52,6 +52,18 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
+def worst_residual(residuals):
+    """The running ``max`` of the residuals from 0.0, except that a NaN
+    residual is returned: ``max(worst, nan)`` keeps ``worst``, which would
+    let a NaN residual pass."""
+    worst = 0.0
+    for r in residuals:
+        if r != r:
+            return r
+        worst = max(worst, r)
+    return worst
+
+
 def is_isotropic_span(basis, tol=1e-10):
     """Whether all pairwise bilinear pairings of the basis vectors vanish.
 
@@ -61,8 +73,6 @@ def is_isotropic_span(basis, tol=1e-10):
     basis = [np.asarray(b, dtype=complex) for b in basis]
     if not basis:
         raise DimensionError("empty basis")
-    worst = 0.0
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
-            worst = max(worst, abs(bilinear_dot(u, v)))
+    worst = worst_residual([abs(bilinear_dot(u, v))
+                            for i, u in enumerate(basis) for v in basis[i:]])
     return worst <= tol, worst

@@ -21,27 +21,33 @@ class StructureError(ValueError):
 
 
 class HermitianStructure:
-    """An orthogonal complex structure: J real, J@J = -I, J.T@J = I."""
+    """An orthogonal complex structure: J real, J@J = -I, J.T@J = I.
+
+    A (..., 2k, 2k) stack of matrices holds one structure per matrix; each
+    is validated, and an error names the first that fails.
+    """
 
     def __init__(self, matrix, tol=STRUCTURE_TOL, check=True):
         J = np.asarray(matrix, dtype=float)
-        if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
+        if J.ndim < 2 or J.shape[-1] != J.shape[-2] or J.shape[-1] % 2:
             raise StructureError(f"need a square even-dimensional matrix, got {J.shape}")
         if check:
-            n = J.shape[0]
-            if np.max(np.abs(J @ J + np.eye(n))) > tol:
-                raise StructureError("J @ J != -I within tolerance")
-            if np.max(np.abs(J.T @ J - np.eye(n))) > tol:
-                raise StructureError("J.T @ J != I within tolerance")
+            eye = np.eye(J.shape[-1])
+            for defect, claim in ((J @ J + eye, "J @ J != -I"),
+                                  (J.swapaxes(-1, -2) @ J - eye, "J.T @ J != I")):
+                bad = np.abs(defect).max(axis=(-2, -1)) > tol
+                if bad.any():
+                    where = "" if J.ndim == 2 else f"matrix {np.argwhere(bad)[0].tolist()}: "
+                    raise StructureError(f"{where}{claim} within tolerance")
         self.matrix = J
 
     @property
     def k(self):
-        return self.matrix.shape[0] // 2
+        return self.matrix.shape[-1] // 2
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def __repr__(self):
         return f"HermitianStructure(dim={self.dim})"
@@ -83,28 +89,37 @@ def adapted_basis(J):
     """Orthonormal basis b_1, J b_1, ..., b_k, J b_k via greedy Gram-Schmidt.
 
     Pivots on the coordinate vector with the largest remaining norm, so the
-    construction is deterministic and never divides by a small pivot.
+    construction is deterministic and never divides by a small pivot.  For a
+    stack of structures, one basis (as columns) per matrix.
     """
     Jm = J.matrix
-    n = Jm.shape[0]
-    cols = []
+    n = Jm.shape[-1]
+    eye = np.eye(n) + np.zeros(Jm.shape)
+    # the first row of each matrix in the stack's rows of n entries
+    first = n * np.arange(Jm.size // (n * n)).reshape(Jm.shape[:-2])
+    cols = []  # (column, its transpose), each of shape (..., n, 1) and (..., 1, n)
+    # Each product of a row and a column is a BLAS dot product, bitwise the
+    # 1-D ``@``; np.sum would sum in another order.
     for _ in range(n // 2):
-        resid = np.eye(n)
-        for c in cols:
-            resid -= np.outer(c, c)
-        norms = np.linalg.norm(resid, axis=0)
-        b = resid[:, int(np.argmax(norms))]
-        b = b / np.linalg.norm(b)
+        resid = eye
+        for c, cT in cols:
+            resid = resid - c * cT
+        norms = np.linalg.norm(resid, axis=-2)
+        # resid is symmetric entry by entry, so its row at the pivot is the column
+        bT = resid.reshape(-1, n)[first + np.argmax(norms, axis=-1)][..., None, :]
+        bT = bT / np.sqrt(bT @ bT.swapaxes(-1, -2))
+        b = bT.swapaxes(-1, -2)
         jb = Jm @ b
-        for c in cols:
-            jb = jb - (c @ jb) * c
-        jb = jb / np.linalg.norm(jb)
-        cols.extend([b, jb])
-    return np.column_stack(cols)
+        for c, cT in cols:
+            jb = jb - (cT @ jb) * c
+        jb = jb / np.sqrt(jb.swapaxes(-1, -2) @ jb)
+        cols.extend([(b, bT), (jb, jb.swapaxes(-1, -2))])
+    return np.concatenate([c for c, _ in cols], axis=-1)
 
 
 def is_positive(J):
-    """Whether the orientation induced by an adapted basis is positive.
+    """Whether the orientation induced by an adapted basis is positive; one
+    bool per matrix of a stack of structures.
 
     The assembled frame is orthonormal, so its determinant is +-1 and the
     sign test has no tolerance ambiguity.
@@ -113,11 +128,12 @@ def is_positive(J):
 
 
 def so_action(S, J, tol=1e-8):
-    """Conjugation action S . J = S J S^(-1) of the orthogonal group."""
+    """Conjugation action S . J = S J S^(-1) of the orthogonal group; S and J
+    broadcast over stacks of matrices."""
     S = np.asarray(S, dtype=float)
-    if np.max(np.abs(S.T @ S - np.eye(S.shape[0]))) > tol:
+    if np.max(np.abs(S.swapaxes(-1, -2) @ S - np.eye(S.shape[-1]))) > tol:
         raise StructureError("S is not orthogonal within tolerance")
-    return HermitianStructure(S @ J.matrix @ S.T)
+    return HermitianStructure(S @ J.matrix @ S.swapaxes(-1, -2))
 
 
 def to_isotropic(J):

@@ -31,7 +31,7 @@ from .checkers import (
     hwc_residual,
     pluriconformality_residual,
     pullback_harmonic_oracle,
-    real_isotropy_residual,
+    real_isotropy_residuals,
 )
 from .jets import JetSpace, SmoothMap, dz, dz_power, real_to_complex_point
 from .pairings import _modulus, bilinear_dot, hermitian_dot
@@ -115,18 +115,18 @@ def _admissible_r6_points(rng, count):
 
 
 def _morphism_samples(rng, data, count):
-    """Yield (zxi, qc, z) for ``count`` admissible images qc = h(zxi): z is
-    the produced morphism at qc, Newton started near zxi."""
-    produced = 0
-    while produced < count:
+    """(zxi, qc, z) for ``count`` admissible images qc = h(zxi): z is the
+    produced morphism at qc, Newton started near zxi.  All samples are drawn
+    first and then solved in one batch."""
+    draws = []
+    while len(draws) < count:
         zxi = rng.uniform(-0.8, 0.8, 6)
         q = data.h(zxi)
-        qc = real_to_complex_point(q)
-        if not _admissible(qc):
-            continue
-        produced += 1
-        seed = zxi + rng.uniform(-0.05, 0.05, 6)
-        yield zxi, qc, fa.evaluate_morphism(data, q, seed_point=seed)[0]
+        if _admissible(real_to_complex_point(q)):
+            draws.append((zxi, q, zxi + rng.uniform(-0.05, 0.05, 6)))
+    zxi, q, seed = _stack(draws)
+    z = fa.evaluate_morphism(data, q, seed_point=seed)[:, 0]
+    return list(zip(zxi, real_to_complex_point(q), z))
 
 
 def _coeff_param(config, key, default="0,1"):
@@ -205,11 +205,19 @@ def _stack(draws):
 
 
 def _random_so(rng, n):
-    A = rng.normal(size=(n, n))
+    return _rotation(rng.normal(size=(n, n)))
+
+
+def _rotation(A):
+    """A rotation from the QR factorisation of each matrix of a stack: Q with
+    its columns signed to make the diagonal of R positive, then its first
+    column negated where det Q < 0."""
     Q, R = np.linalg.qr(A)
-    Q = Q @ np.diag(np.sign(np.diag(R)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
+    n = A.shape[-1]
+    signs = np.zeros(A.shape)
+    signs[..., range(n), range(n)] = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
+    Q = Q @ signs
+    Q[..., 0] = np.where(np.linalg.det(Q)[..., None] < 0, -Q[..., 0], Q[..., 0])
     return Q
 
 
@@ -289,21 +297,18 @@ def _(config, rng):
 @_check("euclid-hm", "fibre-invariance", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
-    residuals = []
-    for _ in range(10):
+    draws = []  # (fibre, q, Newton start): ten fibres of ten draws each
+    for fibre in range(10):
         z = rng.uniform(-0.6, 0.6, 2)
-        base = None
         for _ in range(10):
             zxi = np.concatenate([z, rng.uniform(-0.6, 0.6, 4)])
             q = data.h(zxi)
-            if not _admissible(real_to_complex_point(q)):
-                continue
-            seed = zxi + rng.uniform(-0.02, 0.02, 6)
-            val = fa.evaluate_morphism(data, q, seed_point=seed)[0]
-            if base is None:
-                base = val
-            residuals.append(abs(val - base))
-    return residuals
+            if _admissible(real_to_complex_point(q)):
+                draws.append((fibre, q, zxi + rng.uniform(-0.02, 0.02, 6)))
+    fibres, q, seed = _stack(draws)
+    base = {}  # the first value on each fibre
+    return [abs(val - base.setdefault(fibre, val)) for fibre, val in
+            zip(fibres, fa.evaluate_morphism(data, q, seed_point=seed)[:, 0])]
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +330,20 @@ def _(config, rng):
 
 @_check("sigma-plus-algebra", "so-action-positivity", 0.0)
 def _(config, rng):
-    residuals = []
+    ks, normals = [], []  # the draws of _random_structure(rng, 1)
     for _ in range(200):
-        J = _random_structure(rng, 1)
-        residuals.append(0.0 if st.is_positive(J) else 1.0)
-        refl = np.eye(J.dim)
+        ks.append(int(rng.integers(1, 4)))
+        normals.append(rng.normal(size=(2 * ks[-1],) * 2))
+    residuals = np.empty((200, 2))
+    for k in sorted(set(ks)):
+        rows = [i for i, ki in enumerate(ks) if ki == k]
+        J = st.so_action(_rotation(np.array([normals[i] for i in rows])),
+                         st.canonical_structure(k))
+        refl = np.eye(2 * k)
         refl[0, 0] = -1.0
-        residuals.append(1.0 if st.is_positive(st.so_action(refl, J)) else 0.0)
-    return residuals
+        residuals[rows, 0] = np.where(st.is_positive(J), 0.0, 1.0)
+        residuals[rows, 1] = np.where(st.is_positive(st.so_action(refl, J)), 1.0, 0.0)
+    return residuals.ravel()
 
 
 @_check("sigma-plus-algebra", "so-action-group-law", 1e-10)
@@ -552,8 +563,7 @@ def _(config, rng):
     agree = []
     for phi, P in ((_holomorphic_poly(np.array(holo)), points[0::2]),
                    (_real_poly(np.array(real)), points[1::2])):
-        full = real_isotropy_residual(phi, P, 4, mode="full")
-        diag = real_isotropy_residual(phi, P, 4, mode="diagonal")
+        full, diag = real_isotropy_residuals(phi, P, 4)
         agree.append((full <= tol) == (diag <= tol))
     return [0.0 if a else 1.0 for a in _interleave(*agree)]
 

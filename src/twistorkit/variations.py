@@ -24,6 +24,7 @@ from .jets import (
     gradient,
     values,
 )
+from .pairings import worst_residual
 
 
 @dataclass
@@ -152,14 +153,13 @@ def first_order_residual(fam, x0, kind, R=1):
         raise JetError("conformal/isotropy families need a surface domain")
     need = 1 if kind == "conformal" else R
     vec = maps.jets(x0, need)
-    base = t1 = 0.0
+    base, t1 = [], []
     for _ in range(need):
         vec = _family_dz(vec, 0)  # dz^r phi_t for r = 1 .. need
         s = vec @ vec
-        v0, v1 = values(s), gradient(s)[0]  # value and d/dt
-        base = max(base, abs(v0))
-        t1 = max(t1, abs(v1))
-    return base, t1
+        base.append(abs(values(s)))
+        t1.append(abs(gradient(s)[0]))  # d/dt
+    return worst_residual(base), worst_residual(t1)
 
 
 def _psi_holomorphy_residual(fam, x0):
@@ -168,12 +168,12 @@ def _psi_holomorphy_residual(fam, x0):
     M = np.array(fam.structure_jets(x0, 1))
     dx = np.array([j.partial(1) for j in jets])
     dy = np.array([j.partial(2) for j in jets])
-    base = t1 = 0.0
+    base, t1 = [], []
     # domain structure: dx -> dy, dy -> -dx
     for defect, source in ((dy, dx), (-dx, dy)):
         # column by column, so each entry subtracts in the order b = 0, 1, ...
         for b, src in enumerate(source):
             defect = defect - M[:, b] * src
-        base = max(base, *map(abs, values(defect)))
-        t1 = max(t1, *map(abs, gradient(defect)[:, 0]))  # d/dt
-    return base, t1
+        base.extend(map(abs, values(defect)))
+        t1.extend(map(abs, gradient(defect)[:, 0]))  # d/dt
+    return worst_residual(base), worst_residual(t1)

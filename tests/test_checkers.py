@@ -27,7 +27,14 @@ from twistorkit.jets import (
     gradient,
     real_to_complex_point,
 )
-from twistorkit.pairings import DimensionError, _modulus, bilinear_dot, hermitian_dot
+from twistorkit.pairings import (
+    DimensionError,
+    _modulus,
+    bilinear_dot,
+    hermitian_dot,
+    is_isotropic_span,
+    worst_residual,
+)
 from twistorkit.structures import canonical_structure, so_action
 from twistorkit.suites import (
     _holomorphic_coefficients,
@@ -474,3 +481,14 @@ def test_batched_pluriconformality_residual_rows_match_points_bitwise():
             assert _bits(one) == _bits(_python_abs_max(dots))
             np_abs_differs += float(np.max(np.abs(dots))) != one
     assert np_abs_differs > 0
+
+
+def test_nan_geodesic_and_span_residuals_are_nan():
+    # a running max(worst, x) keeps worst past a NaN x; these must not pass
+    nan = float("nan")
+    phi = SmoothMap.from_real(2, 2, lambda x, y: [x * x * nan, y])
+    assert np.isnan(one_one_geodesic_residual(phi, [0.3, 0.2]))
+    ok, res = is_isotropic_span([[1.0, 1j], [nan, 0.0]])
+    assert not ok and np.isnan(res)
+    assert np.isnan(worst_residual([0.0, nan, 1.0]))
+    assert worst_residual([0.5, 2.0, 1.0]) == 2.0 and worst_residual([]) == 0.0

@@ -245,3 +245,17 @@ def test_curvature_02_residuals():
         return [G1, G2]
 
     assert abs(curvature_02_residual(gam_bad, 2, np.zeros(4)) - 1.0) <= 1e-14
+
+
+def test_nan_curvature_residuals_are_nan():
+    nan = float("nan")
+    form = LieValuedForm.constant([np.eye(2), np.full((2, 2), nan)])
+    assert np.isnan(flatness_residual(form, [0.1, 0.2]))
+
+    def gam_nan(space):
+        z = space.const(0.0)
+        G1 = [[z + 0.0, space.var(2) * nan], [z + 0.0, z + 0.0]]
+        G2 = [[z + 0.0, z + 0.0], [z + 0.0, z + 0.0]]
+        return [G1, G2]
+
+    assert np.isnan(curvature_02_residual(gam_nan, 2, np.zeros(4)))

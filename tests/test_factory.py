@@ -27,7 +27,7 @@ from twistorkit.factory import (
     verify_chart_holomorphy,
     verify_horizontality,
 )
-from twistorkit.jets import SmoothMap, real_to_complex_point
+from twistorkit.jets import SmoothMap, gradient, real_to_complex_point, values
 
 RNG = np.random.default_rng(31415)
 
@@ -285,3 +285,140 @@ def test_cp3_jacobian_pattern():
         # permutation pattern: one entry per row and column
         nz = np.abs(D) > 1e-12
         assert np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
+
+
+# ---------------------------------------------------------------------------
+# batched Newton inversion
+
+def _newton_batch(data, seed, count, spread=0.2):
+    """``count`` forward-sampled targets with Newton starts at distances up to
+    ``spread``, so that rows need different iteration counts."""
+    rng = np.random.default_rng(seed)
+    targets, starts = [], []
+    for zxi, q, _ in forward_samples(data, count, rng, guard=False):
+        targets.append(q)
+        starts.append(zxi + rng.uniform(-spread, spread, 6))
+    return np.array(targets), np.array(starts)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batched_invert_h_rows_match_one_point_solves_bitwise(seed):
+    data = euclid_r6_data((0.0, 1.0, 0.5))
+    targets, starts = _newton_batch(data, seed, 40)
+    rec = NewtonRecord()
+    rows = invert_h(data, targets, starts, record=rec)
+    one_recs = [NewtonRecord() for _ in targets]
+    ones = np.array([invert_h(data, q, s, record=r)
+                     for q, s, r in zip(targets, starts, one_recs)])
+    assert rows.shape == targets.shape
+    assert rows.tobytes() == ones.tobytes()
+    assert rec.residuals == [r.residuals for r in one_recs]
+    assert len({len(r.residuals) for r in one_recs}) > 1  # rows stop at different iterations
+    z = evaluate_morphism(data, targets, seed_point=starts)
+    assert z.shape == (len(targets), 1)
+    assert z.tobytes() == np.array([evaluate_morphism(data, q, seed_point=s)
+                                    for q, s in zip(targets, starts)]).tobytes()
+
+
+def test_batched_invert_h_evaluates_h_once_per_iteration():
+    data = euclid_r6_data()
+    targets, starts = _newton_batch(data, 4, 25)
+    calls = []
+    evaluator = data.h.evaluator
+
+    def counted(point, order):
+        calls.append(point.shape)
+        return evaluator(point, order)
+
+    data.h = SmoothMap(6, 6, counted)
+    rec = NewtonRecord()
+    invert_h(data, targets, starts, record=rec)
+    lengths = [len(r) for r in rec.residuals]
+    assert rec.converged and len(calls) == max(lengths)
+    # each call holds the rows still moving
+    assert [shape[0] for shape in calls] == [sum(n > i for n in lengths)
+                                            for i in range(max(lengths))]
+
+
+def test_batched_invert_h_names_the_singular_row():
+    sq_h = SmoothMap.from_complex(1, 1, lambda z: [z * z])
+    zero_mu0 = SmoothMap.from_complex(1, 0, lambda z: [])
+    data_sq = EuclideanTwistorData(n=1, p=0, h=sq_h, mu=zero_mu0)
+    targets = np.array([[0.25, 0.0], [0.5, 0.5], [0.0, 0.36]])
+    starts = np.array([[0.4, 0.1], [0.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(SingularJacobianError, match="^row 1: Jacobian is singular"):
+        invert_h(data_sq, targets, starts)
+    bounded = SmoothMap.from_complex(1, 1, lambda z: [(1 + z * z).reciprocal()])
+    data_far = EuclideanTwistorData(n=1, p=0, h=bounded, mu=zero_mu0)
+    targets = np.array([[0.5, 0.0], [50.0, 0.0]])
+    starts = np.array([[1.0, 0.0], [3.0, 0.0]])
+    with pytest.raises((NewtonDivergenceError, SingularJacobianError), match="^row 1: "):
+        invert_h(data_far, targets, starts)
+
+
+def test_newton_record_of_one_point_is_flat_and_of_a_batch_per_row():
+    data = euclid_r6_data()
+    targets, starts = _newton_batch(data, 5, 3)
+    rec = NewtonRecord()
+    invert_h(data, targets[0], starts[0], record=rec)
+    assert rec.converged and all(isinstance(r, float) for r in rec.residuals)
+    batch = NewtonRecord()
+    invert_h(data, targets, starts, record=batch)
+    assert batch.converged and len(batch.residuals) == 3
+    assert batch.residuals[0] == rec.residuals
+    assert not NewtonRecord([[1e-13], [1e-3]]).converged
+
+
+def test_invert_h_broadcasts_and_takes_an_empty_batch():
+    data = euclid_r6_data()
+    targets, starts = _newton_batch(data, 6, 4, spread=0.05)
+    grid = invert_h(data, targets.reshape(2, 2, 6), starts.reshape(2, 2, 6))
+    assert grid.tobytes() == invert_h(data, targets, starts).tobytes()
+    near = starts[0] + np.array([[0.0], [0.01], [-0.01], [0.02]])
+    shared = invert_h(data, targets[0], near)  # one target for every row
+    assert shared.tobytes() == np.array([invert_h(data, targets[0], s)
+                                         for s in near]).tobytes()
+    calls = []
+    data.h = SmoothMap(6, 6, lambda point, order: calls.append(point))
+    assert invert_h(data, np.zeros((0, 6)), np.zeros(6)).shape == (0, 6)
+    assert calls == []
+
+
+def test_nan_data_gives_nan_validation_residuals():
+    nan = float("nan")
+    data = euclid_r6_data()
+    nan_mu = SmoothMap.from_complex(3, 3, lambda z, x1, x2: [z, 0 * z, x2 * nan])
+    assert np.isnan(verify_horizontality(EuclideanTwistorData(1, 2, data.h, nan_mu),
+                                         [np.zeros(6)]))
+    nan_h = SmoothMap.from_complex(3, 3, lambda z, x1, x2: [z, x1, x2 + x1.conj() * nan])
+    zero_mu = SmoothMap.from_complex(3, 3, lambda z, x1, x2: [0 * z, 0 * z, 0 * z])
+    assert np.isnan(verify_chart_holomorphy(EuclideanTwistorData(1, 2, nan_h, zero_mu),
+                                            [np.zeros(6)]))
+    cp3 = cp3_example1_data()
+    cp3.delta = lambda zs: zs[2] * zs[2] * nan + zs[1]
+    assert np.isnan(cp3_constraints_residual(cp3, np.full(6, 0.25)))
+
+
+def _one_point_newton_log(data, target, y):
+    """Newton iterates of one point written with the 1-D np.linalg.norm;
+    returns the preimage and the residual of each iterate."""
+    log, polished = [], False
+    while True:
+        jets = data.h.jets(y, 1)
+        val = values(jets).real
+        log.append(float(np.linalg.norm(val - target)))
+        if log[-1] <= 1e-12 and polished:
+            return y, log
+        polished = log[-1] <= 1e-12
+        y = y - np.linalg.solve(gradient(jets).real, val - target)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_newton_residual_log_is_the_one_dimensional_norm_bitwise(seed):
+    data = euclid_r6_data((0.0, 1.0, 0.5))
+    targets, starts = _newton_batch(data, 10 + seed, 30)
+    want = [_one_point_newton_log(data, q, s) for q, s in zip(targets, starts)]
+    rec = NewtonRecord()
+    rows = invert_h(data, targets, starts, record=rec)
+    assert rec.residuals == [log for _, log in want]
+    assert rows.tobytes() == np.array([y for y, _ in want]).tobytes()

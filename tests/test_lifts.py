@@ -358,3 +358,16 @@ def test_lifts_r4_checks_evaluate_each_structure_field_once(monkeypatch):
             calls, built = [], []
             check(SuiteConfig("lifts-r4", points=10, seed=1))
             assert built and len(calls) <= len(built), (key, len(calls), len(built))
+
+
+def test_nan_structure_derivative_gives_nan_t10_residual():
+    J0 = canonical_structure(2).matrix
+
+    def field(space):
+        d = space.var(0)
+        d.coef = d.coef * np.where(np.arange(d.coef.shape[-1]) == 0, 0.0, np.nan)
+        return space.const_array(J0) + d  # values unchanged, derivatives NaN
+
+    lift = matrix_field_lift(HOLO, field)
+    for direction in ("z", "zbar"):
+        assert np.isnan(t10_stability_residual(lift, [0.3, 0.2], direction))

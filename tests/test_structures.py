@@ -7,6 +7,7 @@ from twistorkit.structures import (
     HermitianStructure,
     IsotropicSubspace,
     StructureError,
+    adapted_basis,
     canonical_structure,
     from_isotropic,
     is_positive,
@@ -195,3 +196,66 @@ def test_chart_identity_of_displayed_data():
         assert abs(w[0] - x1) < 1e-12
         assert abs(w[1] - x2) < 1e-12
         assert abs(w[2] - (z - x1 - x2)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacks of structures
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_positivity_of_a_stack_matches_each_matrix(k):
+    rng = np.random.default_rng(100 + k)
+    S = np.array([random_so(2 * k, rng) for _ in range(40)])
+    refl = np.eye(2 * k)
+    refl[0, 0] = -1.0
+    S[1::2] = refl @ S[1::2]  # every other rotation composed with a reflection
+    stack = so_action(S, canonical_structure(k))
+    singles = [so_action(s, canonical_structure(k)) for s in S]
+    assert stack.matrix.tobytes() == np.array([J.matrix for J in singles]).tobytes()
+    positive = is_positive(stack)
+    assert positive.dtype == bool and positive.shape == (40,)
+    assert positive.tolist() == [bool(is_positive(J)) for J in singles]
+    assert positive.tolist() == [True, False] * 20
+    reflected = so_action(refl, stack)
+    assert is_positive(reflected).tolist() == [bool(is_positive(so_action(refl, J)))
+                                               for J in singles]
+    assert adapted_basis(stack).tobytes() == np.array(
+        [adapted_basis(J) for J in singles]).tobytes()
+    grid = HermitianStructure(stack.matrix.reshape(4, 10, 2 * k, 2 * k))
+    assert is_positive(grid).tolist() == np.reshape(positive, (4, 10)).tolist()
+
+
+def test_stack_validation_names_the_matrix():
+    J = canonical_structure(2).matrix
+    stack = np.array([J, J, 2 * J])
+    with pytest.raises(StructureError, match=r"^matrix \[2\]: J @ J != -I"):
+        HermitianStructure(stack)
+    HermitianStructure(stack[:2])
+    with pytest.raises(StructureError, match="square even-dimensional"):
+        HermitianStructure(np.zeros((2, 3, 3)))
+
+
+def _vector_loop_adapted_basis(Jm):
+    """adapted_basis of one matrix written vector by vector."""
+    n = Jm.shape[0]
+    cols = []
+    for _ in range(n // 2):
+        resid = np.eye(n)
+        for c in cols:
+            resid -= np.outer(c, c)
+        norms = np.linalg.norm(resid, axis=0)
+        b = resid[:, int(np.argmax(norms))]
+        b = b / np.linalg.norm(b)
+        jb = Jm @ b
+        for c in cols:
+            jb = jb - (c @ jb) * c
+        jb = jb / np.linalg.norm(jb)
+        cols.extend([b, jb])
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_adapted_basis_of_one_matrix_matches_vector_loop_bitwise(k):
+    rng = np.random.default_rng(200 + k)
+    for _ in range(100):
+        J = random_structure(k, rng)
+        assert adapted_basis(J).tobytes() == _vector_loop_adapted_basis(J.matrix).tobytes()

@@ -1,19 +1,30 @@
-"""Residual-list lock for the checks that build one map over all their draws.
+"""Residual-list lock for the checks that evaluate all their draws at once.
 
 The golden reports record only each check's largest residual.  Here every
 residual of those checks must equal, by its bytes, the residual of a
-reference loop that draws and evaluates one map at one point per iteration,
-with the single-draw polynomial maps written term by term.
+reference loop that draws and evaluates one sample per iteration: one map at
+one point, with the single-draw polynomial maps written term by term; one
+Newton solve per sample, with the one-point solver written out; one
+structure and one positivity test per draw.
 """
 
 import numpy as np
 import pytest
 
+from twistorkit import factory as fa
+from twistorkit import structures as st
 from twistorkit import variations as va
 from twistorkit.checkers import pluriconformality_residual, real_isotropy_residual
-from twistorkit.jets import SmoothMap, _horner, dz, dz_power
+from twistorkit.jets import SmoothMap, _horner, dz, dz_power, gradient, real_to_complex_point, values
 from twistorkit.pairings import bilinear_dot
-from twistorkit.suites import CHECK_INDEX, SuiteConfig, _sum_maps, check_rng
+from twistorkit.suites import (
+    CHECK_INDEX,
+    SuiteConfig,
+    _admissible,
+    _coeff_param,
+    _sum_maps,
+    check_rng,
+)
 
 
 def _random_holomorphic_poly(rng, degree=3):
@@ -123,3 +134,112 @@ def test_batched_check_residuals_match_per_draw_loop_bitwise(key, seed):
     want = [float(r) for r in REFERENCES[key](config, check_rng(config, name))]
     assert len(got) == len(want)
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Newton and positivity checks, one sample at a time
+
+def _one_point_morphism(data, q, y):
+    """The produced morphism at q by Newton from y, one point at a time."""
+    polished = False
+    for _ in range(fa.NEWTON_MAX_ITER):
+        jets = data.h.jets(y, 1)
+        val = values(jets).real
+        res = float(np.linalg.norm(val - q))
+        if res <= fa.NEWTON_TARGET and polished:
+            return real_to_complex_point(y)[0]
+        polished = res <= fa.NEWTON_TARGET
+        y = y - np.linalg.solve(gradient(jets).real, val - q)
+    raise AssertionError("reference Newton did not converge")
+
+
+def _one_point_morphism_samples(rng, data, count):
+    produced = 0
+    while produced < count:
+        zxi = rng.uniform(-0.8, 0.8, 6)
+        q = data.h(zxi)
+        qc = real_to_complex_point(q)
+        if not _admissible(qc):
+            continue
+        produced += 1
+        seed = zxi + rng.uniform(-0.05, 0.05, 6)
+        yield zxi, qc, _one_point_morphism(data, q, seed)
+
+
+def _factory_roundtrip(config, rng):
+    f = _coeff_param(config, "f")
+    data = fa.euclid_r6_data(f)
+    closed = f == [0.0, 1.0]
+    res_round, res_closed, res_implicit = [], [], []
+    for zxi, qc, z in _one_point_morphism_samples(rng, data, config.points):
+        res_round.append(abs(z - real_to_complex_point(zxi)[0]))
+        if closed:
+            zcf = (qc[2] - qc[0] - qc[1]) / (1 + np.conj(qc[0]) - np.conj(qc[1]))
+            res_closed.append(abs(z - zcf))
+            res_implicit.append(fa.implicit_equation_residual(z, qc))
+    return res_round + res_closed, {"implicit_max": max(res_implicit, default=0.0)}
+
+
+def _implicit_equation(config, rng):
+    return [fa.implicit_equation_residual(z, qc) for _zxi, qc, z in
+            _one_point_morphism_samples(rng, fa.euclid_r6_data(), config.points)], {}
+
+
+def _fibre_invariance(config, rng):
+    data = fa.euclid_r6_data(_coeff_param(config, "f"))
+    residuals = []
+    for _ in range(10):
+        z = rng.uniform(-0.6, 0.6, 2)
+        base = None
+        for _ in range(10):
+            zxi = np.concatenate([z, rng.uniform(-0.6, 0.6, 4)])
+            q = data.h(zxi)
+            if not _admissible(real_to_complex_point(q)):
+                continue
+            val = _one_point_morphism(data, q, zxi + rng.uniform(-0.02, 0.02, 6))
+            if base is None:
+                base = val
+            residuals.append(abs(val - base))
+    return residuals, {}
+
+
+def _one_rotation(rng, n):
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)))
+    Q = Q @ np.diag(np.sign(np.diag(R)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def _so_action_positivity(config, rng):
+    residuals = []
+    for _ in range(200):
+        k = int(rng.integers(1, 4))
+        J = st.so_action(_one_rotation(rng, 2 * k), st.canonical_structure(k))
+        residuals.append(0.0 if st.is_positive(J) else 1.0)
+        refl = np.eye(J.dim)
+        refl[0, 0] = -1.0
+        residuals.append(1.0 if st.is_positive(st.so_action(refl, J)) else 0.0)
+    return residuals, {}
+
+
+ONE_SAMPLE_REFERENCES = {
+    "euclid-hm:factory-roundtrip": _factory_roundtrip,
+    "euclid-hm:implicit-equation": _implicit_equation,
+    "euclid-hm:fibre-invariance": _fibre_invariance,
+    "sigma-plus-algebra:so-action-positivity": _so_action_positivity,
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("key, f", [(key, f) for key in sorted(ONE_SAMPLE_REFERENCES)
+                                    for f in ((None, "0,1,0.5") if "euclid" in key else (None,))])
+def test_batched_check_residuals_match_one_sample_loop_bitwise(key, f, seed):
+    suite, name = key.split(":")
+    params = {} if f is None else {"f": f}
+    config = SuiteConfig(suite=suite, seed=seed, points=10, params=params)
+    report = CHECK_INDEX[key](config)
+    want, aux = ONE_SAMPLE_REFERENCES[key](config, check_rng(config, name))
+    assert len(report.residuals) == len(want) > 0
+    assert np.array(report.residuals).tobytes() == np.array(want, dtype=float).tobytes()
+    assert repr(report.aux) == repr(aux)

@@ -161,3 +161,20 @@ def test_batched_tension_and_jacobi_rows_match_points_bitwise():
         assert _bits(jac[r]) == _bits(jacobi_operator_flat(_real_poly(cv[r]), P[r]))
         want0, want1 = tension_first_order(holo, P[r])
         assert _bits(h0[r]) == _bits(want0) and _bits(h1[r]) == _bits(want1)
+
+
+def test_nan_first_order_residuals_are_nan():
+    nan = float("nan")
+    fam = MapFamily.from_complex(1, 1, lambda t, z: [z * nan + t * z])
+    for kind in ("conformal", "isotropy"):
+        assert np.isnan(first_order_residual(fam, [0.3, 0.2], kind)).all()
+    J0 = canonical_structure(2).matrix
+
+    def const_struct(x0, space_order):
+        sp = JetSpace(np.concatenate([[0.0], x0]), space_order + 1)
+        return [[sp.const(J0[a, b]) for b in range(4)] for a in range(4)]
+
+    fam_nan = MapFamily.from_complex(1, 2, lambda t, z: [z, z * z + t * z * nan])
+    base, t1 = first_order_residual(LiftFamily(fam_nan, const_struct), [0.3, 0.2],
+                                    "psi_holomorphy")
+    assert np.isnan(base) and np.isnan(t1)
