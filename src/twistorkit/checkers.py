@@ -36,8 +36,6 @@ from .jets import (
 )
 from .pairings import _modulus, bilinear_dot, worst_residual
 
-REGULAR_SV_RATIO = 1e-6
-
 
 @dataclass
 class CheckReport:
@@ -171,28 +169,6 @@ def hwc_residual(phi, x0):
     return lam, float(np.linalg.norm(G - lam * np.eye(n2)))
 
 
-def hwc_residual_svd_oracle(phi, x0):
-    """Independent horizontal-space check of horizontal weak conformality.
-
-    Builds the horizontal space explicitly as the span of the right singular
-    vectors with nonzero singular value and tests that dphi maps it
-    conformally onto the target; kept as a cross-check for the Gram form.
-    """
-    D = phi.jacobian(x0)
-    n2 = phi.codomain_dim
-    u, s, vt = np.linalg.svd(D)
-    if s[0] < 1e-14:
-        return 0.0, 0.0
-    horiz = vt[: np.sum(s > REGULAR_SV_RATIO * s[0])]
-    img = np.array([D @ h for h in horiz])
-    G = img @ img.T
-    lam = float(np.trace(G)) / G.shape[0]
-    res = float(np.linalg.norm(G - lam * np.eye(G.shape[0])))
-    if img.shape[0] < n2:  # not surjective: cannot map onto the target
-        res = max(res, float(s[0] ** 2))
-    return lam, res
-
-
 def harmonic_morphism_residual(phi, x0, order=2):
     """(harmonicity residual, horizontal-conformality residual); the map is a
     harmonic morphism at the point iff both vanish."""
@@ -237,14 +213,3 @@ def holomorphy_residual(phi, J_dom, J_tgt, x0):
     if A.shape[0] != phi.domain_dim or B.shape[0] != phi.codomain_dim:
         raise JetError("structure dimensions do not match the map")
     return float(np.linalg.norm(D @ A - B @ D))
-
-
-def is_regular_point(phi, x0, ratio=REGULAR_SV_RATIO):
-    """Whether the differential has full rank up to the singular-value ratio.
-
-    Checks that require regularity should report "degenerate" below this
-    threshold instead of a pass/fail verdict.
-    """
-    D = phi.jacobian(x0)
-    s = np.linalg.svd(D, compute_uv=False)
-    return bool(s[0] > 0 and s[min(D.shape) - 1] > ratio * s[0])

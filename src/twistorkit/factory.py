@@ -207,14 +207,28 @@ def morphism_as_map(data, seed_fn=None):
 
     At each point the jet of h is inverted as a power series around the
     Newton preimage, so derivatives of pi_1 h^(-1) are exact given the
-    preimage; nothing is finite-differenced.
+    preimage; nothing is finite-differenced.  Order-0 jets are the
+    preimage's first factor alone.
+
+    ``seed_fn`` maps a point to the Newton start and must be a function of
+    the point, as the :class:`SmoothMap` contract asks: the map keeps the
+    preimage of the last point it solved for and reuses it when the same
+    point is asked for again at another order.
     """
     K = 2 * data.k
+    kept = [None, None]  # (bytes, shape) of the last point solved, its preimage
 
     def evaluator(point, order):
-        seed = seed_fn(point) if seed_fn is not None else np.zeros(K)
-        y = invert_h(data, point, seed)
-        F = data.h.jets(y, max(order, 1))
+        key = (point.tobytes(), point.shape)
+        if kept[0] != key:
+            seed = seed_fn(point) if seed_fn is not None else np.zeros(K)
+            kept[:] = [key, invert_h(data, point, seed)]
+        y = kept[1]
+        if order == 0:
+            # bitwise the series inverse's constant term (+0.0) plus y
+            space = JetSpace(point, 0)
+            return [space.const(v + 0.0) for v in y[..., : 2 * data.n].T]
+        F = data.h.jets(y, order)
         return invert_jet_map(F)[: 2 * data.n] + y[: 2 * data.n]
 
     return SmoothMap(K, 2 * data.n, evaluator, name="factory-morphism")

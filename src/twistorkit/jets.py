@@ -264,9 +264,7 @@ class Jet:
             out = np.zeros(t.size, dtype=complex)
             np.add.at(out, K, c[I] * b.coef[J])
         else:
-            I, J, K = t.mul_triples(len(c))
-            out = np.zeros(c.shape, dtype=complex)
-            np.add.at(out.reshape(-1), K, c.reshape(-1)[I] * b.coef.reshape(-1)[J])
+            out = _mul_rows(t, c, b.coef)
         return Jet(t, a.base, out)
 
     __rmul__ = __mul__
@@ -385,6 +383,15 @@ class Jet:
         src, mult = self.table.partial_map(var)
         t = _table(self.nvars, self.order - 1)
         return Jet(t, self.base, self.coef.take(src, axis=-1) * mult)
+
+
+def _mul_rows(t, a, b):
+    """Products of the (N, size) coefficient rows a and b of table t, row by
+    row: row r is bitwise the product of the jets of row r alone."""
+    I, J, K = t.mul_triples(len(a))
+    out = np.zeros(a.shape, dtype=complex)
+    np.add.at(out.reshape(-1), K, a.reshape(-1)[I] * b.reshape(-1)[J])
+    return out
 
 
 class JetSpace:
@@ -740,65 +747,100 @@ def _at_one_point(jets, name):
                            f"{len(j.coef)} rows")
 
 
+def _coef_rows(jets, name):
+    """The shared table of ``jets`` and their coefficients as (K, size) rows."""
+    t = jets[0].table
+    if any(j.table is not t for j in jets):
+        raise JetError(f"{name} must share a table")
+    return t, np.array([j.coef for j in jets])
+
+
 def compose(f, gs):
-    """Substitute jets gs (in new variables) for the offsets of jet f.
+    """Substitute jets gs (in new variables) for the offsets of jet f, or of
+    each jet of a sequence f.
 
     All g in gs must share a table; g_k stands for x_k - base_k of f's space,
-    so each g must have zero constant term.  All jets are at one point.
+    so each g must have zero constant term.  The jets of a sequence f share a
+    table too, and one pass over it substitutes into all of them, as rows of
+    one coefficient array; row k is bitwise the composition of f[k] alone.
+    All jets are at one point.  Returns a jet, or a list of jets for a
+    sequence.
     """
-    _at_one_point([f, *gs], "compose")
-    g0 = gs[0]
-    for g in gs:
-        if abs(g.value) > 0:
-            raise JetError("composition offsets must have zero constant term")
-    order = g0.order
-    powers = []
-    for g in gs:
-        ps = [None, g]
-        for _ in range(1, order):
-            ps.append(ps[-1] * g)
-        powers.append(ps)
-    out = Jet.constant(f.coef[0], g0.nvars, order, g0.base)
+    fs = [f] if isinstance(f, Jet) else list(f)
+    _at_one_point([*fs, *gs], "compose")
+    ft, C = _coef_rows(fs, "composed jets")
+    gt, G = _coef_rows(gs, "composition offsets")
+    if np.any(np.abs(G[:, 0]) > 0):
+        raise JetError("composition offsets must have zero constant term")
+    powers = [None, G]  # powers[e][k] is gs[k] ** e
+    for _ in range(1, gt.order):
+        powers.append(_mul_rows(gt, powers[-1], G))
+    out = np.zeros((len(C), gt.size), dtype=complex)
+    out[:, 0] = C[:, 0]
     # monomials of degree 1..order form a contiguous run of f's table
-    for pos in range(1, f.table.prefix_size(min(order, f.order))):
-        c = f.coef[pos]
-        if c == 0:
+    for pos in range(1, ft.prefix_size(min(gt.order, ft.order))):
+        rows = np.flatnonzero(C[:, pos])  # a zero coefficient adds no term
+        if not len(rows):
             continue
         term = None
-        for k, e in enumerate(f.table.indices[pos]):
+        for k, e in enumerate(ft.indices[pos]):
             if not e:
                 continue
-            p = powers[k][e]
+            p = powers[e][k]
             # c first: the product kernel multiplied the constant jet of c into
             # p in that operand order, and complex SIMD products are not
             # bitwise commutative.
-            term = Jet(p.table, p.base, c * p.coef) if term is None else term * p
-        out = out + term
+            term = (C[rows, pos, None] * p if term is None
+                    else _mul_rows(gt, term, np.broadcast_to(p, term.shape)))
+        out[rows] = out[rows] + term
+    out = [Jet(gt, gs[0].base, row) for row in out]
+    return out[0] if isinstance(f, Jet) else out
+
+
+def _matvec_rows(A, X):
+    """A @ X for a constant matrix A and the coefficient rows X of a vector of
+    jets, summed over the columns left to right as numpy's object-array ``@``
+    sums the jets: one row of products at a time, not BLAS."""
+    acc = X[0] * A[:, 0, None]
+    for j in range(1, len(X)):
+        acc = acc + X[j] * A[:, j, None]
+    return acc
+
+
+def _plus_zero(t, X):
+    """``jet + 0.0`` on each coefficient row of X: -0.0 becomes +0.0, as sums
+    started from 0 do."""
+    out = X + t.zeros
+    out[:, 0] = X[:, 0] + 0.0
     return out
 
 
 def invert_jet_map(F):
     """Local series inverse of a jet map.
 
-    F is a list of K jets in K variables (taken at some base y0).  Returns an
-    object array G of K jets, in variables w = F(y) - F(y0), representing
-    y - y0; the base point of the returned jets is F(y0) split into real
-    parts.  The jets of F are at one point.
+    F is a list of K jets of one table in K variables (taken at some base
+    y0).  Returns an object array G of K jets, in variables w = F(y) - F(y0),
+    representing y - y0; the base point of the returned jets is F(y0) split
+    into real parts.  The jets of F are at one point.  The inversion works on
+    the (K, size) coefficient rows of the components, one pass over the
+    table per round.
     """
     _at_one_point(F, "invert_jet_map")
     order = F[0].order
     Ainv = np.linalg.inv(gradient(F))
     space = JetSpace(values(F).real, order)
-    w = np.array([x - space.base[i] for i, x in enumerate(space.vars())])
+    w = [x - b for x, b in zip(space.vars(), space.base)]
+    t, W = w[0].table, np.array([x.coef for x in w])
     # shifted forward map: components of F(y0 + u) - F(y0) as series in u
     Fs = [f._like(f.coef.copy()) for f in F]
     for f in Fs:
         f.coef[0] = 0.0
-    # "+ 0.0" turns -0.0 into +0.0, as sums started from 0 do
-    G = Ainv @ w + 0.0
+    G = _plus_zero(t, _matvec_rows(Ainv, W))
     for _ in range(max(1, order)):
-        R = np.array([compose(f, G) for f in Fs]) - w
-        if all(np.max(np.abs(r.coef)) == 0 for r in R):
+        R = np.array([r.coef for r in compose(Fs, [Jet(t, space.base, g) for g in G])]) - W
+        if np.max(np.abs(R)) == 0:
             break
-        G = G - (Ainv @ R + 0.0)
-    return G
+        G = G - _plus_zero(t, _matvec_rows(Ainv, R))
+    out = np.empty(len(G), dtype=object)
+    out[:] = [Jet(t, space.base, g) for g in G]
+    return out

@@ -125,14 +125,14 @@ def _umbilic(grad0, d1, d2):
     if np.linalg.norm(dx0) < 1e-12:
         raise LiftError("branch point: dphi vanishes at the base point")
     scale = max(1.0, dx0 @ dx0)
-    if abs(dx0 @ dy0) > 1e-6 * scale or abs(dx0 @ dx0 - dy0 @ dy0) > 1e-6 * scale:
+    if not (abs(dx0 @ dy0) <= 1e-6 * scale and abs(dx0 @ dx0 - dy0 @ dy0) <= 1e-6 * scale):
         raise LiftError("map is not weakly conformal at the base point")
     rows = np.array([d1, d2])
     s = np.linalg.svd(rows, compute_uv=False)
     umbilic = s[-1] <= INDEPENDENCE_SV_RATIO * s[0]
     if not umbilic:
-        iso = max(abs(np.sum(d1 * d2)), abs(np.sum(d2 * d2)))
-        if iso > 1e-6 * max(1.0, float(np.abs(d2) @ np.abs(d2))):
+        iso = worst_residual([abs(np.sum(d1 * d2)), abs(np.sum(d2 * d2))])
+        if not iso <= 1e-6 * max(1.0, float(np.abs(d2) @ np.abs(d2))):
             raise LiftError(
                 "dz and dz^2 do not span an isotropic plane: no strictly "
                 "compatible structure contains both (map is not real "

@@ -34,7 +34,7 @@ from .checkers import (
     real_isotropy_residuals,
 )
 from .jets import JetSpace, SmoothMap, dz, dz_power, real_to_complex_point
-from .pairings import _modulus, bilinear_dot, hermitian_dot
+from .pairings import _modulus, bilinear_dot, hermitian_dot, worst_residual
 
 
 @dataclass
@@ -271,7 +271,7 @@ def _(config, rng):
             zcf = (qc[2] - qc[0] - qc[1]) / (1 + np.conj(qc[0]) - np.conj(qc[1]))
             res_closed.append(abs(z - zcf))
             res_implicit.append(fa.implicit_equation_residual(z, qc))
-    return res_round + res_closed, {"implicit_max": max(res_implicit, default=0.0)}
+    return res_round + res_closed, {"implicit_max": worst_residual(res_implicit)}
 
 
 @_check("euclid-hm", "implicit-equation", 1e-12)
@@ -712,8 +712,8 @@ def _(config, rng):
                 key = (a[0] + b[0], a[1] + b[1])
                 if sum(key) <= 3:
                     conv[key] = conv.get(key, 0.0) + va_ * vb
-        residuals.append(max(abs(prod.coef[i] - conv.get(a, 0.0))
-                             for i, a in enumerate(prod.table.indices)))
+        residuals.append(worst_residual([abs(prod.coef[i] - conv.get(a, 0.0))
+                                         for i, a in enumerate(prod.table.indices)]))
     return residuals
 
 

@@ -27,7 +27,7 @@ from twistorkit.factory import (
     verify_chart_holomorphy,
     verify_horizontality,
 )
-from twistorkit.jets import SmoothMap, gradient, real_to_complex_point, values
+from twistorkit.jets import SmoothMap, gradient, invert_jet_map, real_to_complex_point, values
 
 RNG = np.random.default_rng(31415)
 
@@ -189,6 +189,86 @@ def test_morphism_as_map_is_harmonic_morphism():
         zcf = (qc[2] - qc[0] - qc[1]) / (1 + np.conj(qc[0]) - np.conj(qc[1]))
         val = mm(q)
         assert abs(complex(val[0], val[1]) - zcf) <= 1e-10
+
+
+def _admissible_targets(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        q = rng.uniform(-0.7, 0.7, 6)
+        qc = real_to_complex_point(q)
+        if abs(1 + np.conj(qc[0]) - np.conj(qc[1])) > 0.2:
+            out.append(q)
+    return out
+
+
+def _count_solves(monkeypatch, fail_once_at=None):
+    """The targets of every Newton solve the factory runs; the first solve
+    at the point ``fail_once_at`` raises instead."""
+    import twistorkit.factory as fa
+
+    solves, solve = [], fa.invert_h
+    pending = [fail_once_at] if fail_once_at is not None else []
+
+    def counted(data, target_q, seed_point, record=None):
+        solves.append(np.array(target_q))
+        if pending and np.array_equal(target_q, pending[0]):
+            pending.clear()
+            raise NewtonDivergenceError("forced failure")
+        return solve(data, target_q, seed_point, record)
+
+    monkeypatch.setattr(fa, "invert_h", counted)
+    return solves
+
+
+def test_morphism_certifies_a_point_with_one_newton_solve(monkeypatch):
+    data = euclid_r6_data()
+    q = _admissible_targets(1, seed=4)[0]
+    fresh = [harmonic_morphism_residual(morphism_as_map(data, analytic_seed), q),
+             morphism_as_map(data, analytic_seed)(q)]
+    solves = _count_solves(monkeypatch)
+    phi = morphism_as_map(data, seed_fn=analytic_seed)
+    residuals = harmonic_morphism_residual(phi, q)
+    value = phi(q)
+    assert len(solves) == 1
+    # the kept preimage gives the results of a map that solves afresh
+    assert np.array(residuals).tobytes() == np.array(fresh[0]).tobytes()
+    assert value.tobytes() == fresh[1].tobytes()
+
+
+def test_morphism_keeps_the_preimage_of_the_last_point_only(monkeypatch):
+    data = euclid_r6_data()
+    qa, qb = _admissible_targets(2, seed=5)
+    solves = _count_solves(monkeypatch, fail_once_at=qb)
+    phi = morphism_as_map(data, seed_fn=analytic_seed)
+    phi.jets(qa, 2)
+    phi.jacobian(qa)
+    assert len(solves) == 1
+    with pytest.raises(NewtonDivergenceError, match="forced failure"):
+        phi(qb)
+    assert len(solves) == 2
+    value_b = phi(qb)  # the raising solve left nothing behind: solve again
+    phi.jets(qb, 1)
+    assert len(solves) == 3
+    value_a = phi(qa)  # only the last point is kept
+    assert len(solves) == 4
+    assert [t.tobytes() for t in solves] == [x.tobytes() for x in (qa, qb, qb, qa)]
+    for q, value in ((qa, value_a), (qb, value_b)):
+        assert value.tobytes() == morphism_as_map(data, analytic_seed)(q).tobytes()
+
+
+@pytest.mark.parametrize("f", [(0.0, 1.0), (0.0, 1.0, 0.5)])
+def test_morphism_order_zero_is_the_series_inverse_value_bitwise(f):
+    """The order-0 jets are y[:2n] + 0.0, bitwise the value of the order-1
+    series inverse plus the preimage, G[:2n] + y[:2n], that they replace."""
+    data = euclid_r6_data(f)
+    phi = morphism_as_map(data, seed_fn=analytic_seed)
+    for q in [np.zeros(6), *_admissible_targets(10, seed=6)]:
+        y = invert_h(data, q, analytic_seed(q))
+        want = invert_jet_map(data.h.jets(y, 1))[:2] + y[:2]
+        got = phi.jets(q, 0)
+        assert [j.order for j in got] == [0, 0]
+        assert values(got).tobytes() == values(want).tobytes()
 
 
 def test_registry():

@@ -609,6 +609,118 @@ def test_inversion_and_composition_need_jets_at_one_point():
         compose(F[0], [x - x.value for x in JetSpace(P[0], 2).vars()])
 
 
+def _reference_compose(f, gs):
+    """compose of one jet as it was written jet by jet: the powers of each
+    offset built per call, one jet product per factor of each monomial."""
+    g0 = gs[0]
+    order = g0.order
+    powers = []
+    for g in gs:
+        ps = [None, g]
+        for _ in range(1, order):
+            ps.append(ps[-1] * g)
+        powers.append(ps)
+    out = Jet.constant(f.coef[0], g0.nvars, order, g0.base)
+    for pos in range(1, f.table.prefix_size(min(order, f.order))):
+        c = f.coef[pos]
+        if c == 0:
+            continue
+        term = None
+        for k, e in enumerate(f.table.indices[pos]):
+            if not e:
+                continue
+            p = powers[k][e]
+            term = Jet(p.table, p.base, c * p.coef) if term is None else term * p
+        out = out + term
+    return out
+
+
+def _reference_invert_jet_map(F):
+    """invert_jet_map as it was written over object arrays of jets: numpy's
+    object ``@`` and one :func:`_reference_compose` per component."""
+    order = F[0].order
+    Ainv = np.linalg.inv(gradient(F))
+    space = JetSpace(values(F).real, order)
+    w = np.array([x - space.base[i] for i, x in enumerate(space.vars())])
+    Fs = [f._like(f.coef.copy()) for f in F]
+    for f in Fs:
+        f.coef[0] = 0.0
+    G = Ainv @ w + 0.0
+    for _ in range(max(1, order)):
+        R = np.array([_reference_compose(f, G) for f in Fs]) - w
+        if all(np.max(np.abs(r.coef)) == 0 for r in R):
+            break
+        G = G - (Ainv @ R + 0.0)
+    return G
+
+
+def _random_jet_map(rng, nvars, order, dyadic):
+    """K = nvars jets at one point with an invertible linear part: random or
+    dyadic polynomial terms, some reciprocal and complex factors, and signed
+    zeros (-0.0 real or imaginary parts) scattered over the coefficients."""
+    base = rng.integers(-8, 8, nvars) / 8 if dyadic else rng.uniform(-1, 1, nvars)
+    xs = JetSpace(base, order).vars()
+
+    def c():
+        return rng.integers(-4, 5) / 16 if dyadic else 0.3 * rng.normal()
+
+    F = []
+    for i in range(nvars):
+        f = xs[i] * 1.0
+        for j in range(nvars):
+            f = f + xs[j] * c()
+            if order >= 2 and rng.random() < 0.5:
+                f = f + xs[j] * xs[(i + j) % nvars] * c()
+        if rng.random() < 0.3:
+            f = f + 1 / (2 + xs[(i + 1) % nvars])
+        if rng.random() < 0.3:
+            f = f * (1 + 1j * c())
+        coef = f.coef.copy()
+        signed = rng.random(coef.shape) < 0.2
+        coef[signed] = [complex(-0.0, rng.choice([0.0, -0.0])) for _ in range(signed.sum())]
+        coef[0] = f.coef[0]
+        coef[nvars - i] += 1.5  # d f_i / d x_i: keeps the Jacobian invertible
+        F.append(Jet(f.table, f.base, coef))
+    return F
+
+
+def test_invert_jet_map_over_rows_matches_object_array_body_bitwise(rng):
+    count = 0
+    for trial in range(600):
+        nvars, order = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        F = _random_jet_map(rng, nvars, order, dyadic=trial % 2 == 1)
+        got, want = invert_jet_map(F), _reference_invert_jet_map(F)
+        assert got.dtype == object and len(got) == nvars
+        for g, w in zip(got, want):
+            assert g.table is w.table
+            assert _bits(g.base) == _bits(w.base)
+            assert _bits(g.coef) == _bits(w.coef), (trial, nvars, order)
+        count += any(np.signbit(f.coef.real).any() for f in F)
+    assert count > 500  # signed zeros reached most maps
+
+
+def test_compose_over_rows_matches_one_jet_compose_bitwise(rng):
+    for trial in range(120):
+        nvars, order = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        F = _random_jet_map(rng, nvars, order, dyadic=trial % 2 == 1)
+        offsets = list(invert_jet_map(F))
+        rows = compose(F, offsets)
+        assert len(rows) == nvars
+        for f, row in zip(F, rows):
+            assert _bits(row.coef) == _bits(compose(f, offsets).coef)
+            assert _bits(row.coef) == _bits(_reference_compose(f, offsets).coef)
+
+
+def test_compose_and_inversion_need_jets_of_one_table():
+    space = JetSpace([0.5, -0.2], 2)
+    x, y = space.vars()
+    low = JetSpace(space.base, 1).vars()
+    with pytest.raises(JetError, match="composition offsets must share a table"):
+        compose(x * y, [x - 0.5, low[1] + 0.2])
+    with pytest.raises(JetError, match="must share a table"):
+        invert_jet_map([x + y * y, low[1]])
+
+
 # ---------------------------------------------------------------------------
 # pairings
 

@@ -11,6 +11,7 @@ from twistorkit.checkers import (
 from twistorkit.jets import SmoothMap
 from twistorkit.lifts import (
     LiftError,
+    _umbilic,
     constant_lift,
     j_vertical_residual,
     matrix_field_lift,
@@ -371,3 +372,27 @@ def test_nan_structure_derivative_gives_nan_t10_residual():
     lift = matrix_field_lift(HOLO, field)
     for direction in ("z", "zbar"):
         assert np.isnan(t10_stability_residual(lift, [0.3, 0.2], direction))
+
+
+# A conformal gradient at the base point, and the isotropic pair dz, dz^2.
+CONFORMAL_GRAD = np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=complex)
+
+
+def test_nan_gradient_fails_the_weak_conformality_precondition():
+    grad = CONFORMAL_GRAD.copy()
+    grad[2, 1] = np.nan
+    d1, d2 = np.array([1, 1j, 0, 0]), np.array([0, 0, 1, 1j])
+    assert _umbilic(CONFORMAL_GRAD, d1, d2) is np.False_
+    with pytest.raises(LiftError, match="not weakly conformal"):
+        _umbilic(grad, d1, d2)
+
+
+def test_nan_pairing_fails_the_isotropy_precondition():
+    # d2 . d2 overflows to inf - inf = NaN while d1 . d2 stays 0: a running
+    # max from the first pairing would keep 0 and pass
+    y = 2e154
+    d1, d2 = np.array([y, 1j * y, 0, 0]), np.array([0, 0, y, 1j * y])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(np.sum(d2 * d2)) and np.sum(d1 * d2) == 0
+        with pytest.raises(LiftError, match="isotropic plane"):
+            _umbilic(CONFORMAL_GRAD, d1, d2)

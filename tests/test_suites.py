@@ -243,3 +243,42 @@ def test_batched_check_residuals_match_one_sample_loop_bitwise(key, f, seed):
     assert len(report.residuals) == len(want) > 0
     assert np.array(report.residuals).tobytes() == np.array(want, dtype=float).tobytes()
     assert repr(report.aux) == repr(aux)
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals are reported, not passed over
+
+
+class _OverflowDraws:
+    """Draws for product-convolution: base points at 0 and coefficients
+    whose products overflow to inf only in some coefficients of degree 2 and
+    3, where the product and the reference convolution differ by NaN."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+    def normal(self, size):
+        return np.array([0.5, 1e200, 0.25, 1e200])
+
+
+def test_product_convolution_reports_a_nan_coefficient_difference(monkeypatch):
+    import twistorkit.suites as suites
+
+    monkeypatch.setattr(suites, "check_rng", lambda *args: _OverflowDraws())
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = CHECK_INDEX["jets-core:product-convolution"](SuiteConfig("jets-core", points=3))
+    # the constant coefficient differs by 0.0 and some later ones by NaN
+    assert len(report.residuals) == 3 and all(np.isnan(report.residuals))
+
+
+def test_factory_roundtrip_aux_reports_a_nan_implicit_residual(monkeypatch):
+    residual = fa.implicit_equation_residual
+    calls = []
+
+    def second_is_nan(z, q):
+        calls.append(z)
+        return float("nan") if len(calls) == 2 else residual(z, q)
+
+    monkeypatch.setattr(fa, "implicit_equation_residual", second_is_nan)
+    report = CHECK_INDEX["euclid-hm:factory-roundtrip"](SuiteConfig("euclid-hm", points=4))
+    assert len(calls) == 4 and np.isnan(report.aux["implicit_max"])
