@@ -12,6 +12,12 @@ values, and the increments of a whole block of segments from one call of
 Pade(6) approximant at 1-norm 1/2 (the scheme of Al-Mohy & Higham, SIAM J.
 Matrix Anal. Appl. 31, 2009, at a fixed degree); it acts on a stack
 (..., n, n), and a 2-D input is the one-matrix case.
+
+The diagonal Pade approximant N(B)/D(B) has N(-B) = D(B) and D(-B) = N(B),
+and this holds bit for bit in floating point: IEEE rounding is symmetric
+under sign, and X and -X have the same 1-norm and so the same scaling count.
+exp(X) and exp(-X) therefore come from one Pade power loop, which the
+Maurer-Cartan forms use for g and g^(-1).
 """
 
 from __future__ import annotations
@@ -45,14 +51,11 @@ _PADE = _pade_coefficients(6)
 _BLOCK = 256
 
 
-def expm(A):
-    """Matrix exponential of A, or of each matrix of a stack (..., n, n).
-
-    Scaling-and-squaring with Pade(6): each matrix is scaled by 2^-s, with
-    s the least count bringing its 1-norm to at most 1/2, and squared back
-    s times.  Every matrix of a stack gets the same operations as it would
-    alone, so a stacked result equals the per-matrix ones bit for bit.
-    """
+def _scaled_pade(A):
+    """(N, D, s, shape): the scaling counts s of the matrices of ``A``,
+    flattened to a stack (m, n, n), and the numerator and denominator of
+    Pade(6) at each scaled matrix B = A / 2^s, so that exp(A) is the s-fold
+    square of D^(-1) N."""
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[-1]
     A3 = A.reshape(-1, n, n)
@@ -69,10 +72,39 @@ def expm(A):
         P = P @ B
         N = N + _PADE[k] * P
         D = D + _PADE[k] * ((-1) ** k) * P
+    return N, D, s, A.shape
+
+
+def _squared(N, D, s):
+    """D^(-1) N squared s times, each matrix of the stack by its own count."""
     E = np.linalg.solve(D, N)
     for r in range(1, int(s.max(initial=0)) + 1):
         E = np.where((s >= r)[:, None, None], E @ E, E)
-    return E.reshape(A.shape)
+    return E
+
+
+def expm(A):
+    """Matrix exponential of A, or of each matrix of a stack (..., n, n).
+
+    Scaling-and-squaring with Pade(6): each matrix is scaled by 2^-s, with
+    s the least count bringing its 1-norm to at most 1/2, and squared back
+    s times.  Every matrix of a stack gets the same operations as it would
+    alone, so a stacked result equals the per-matrix ones bit for bit.
+    """
+    N, D, s, shape = _scaled_pade(A)
+    return _squared(N, D, s).reshape(shape)
+
+
+def _expm_pm(A):
+    """(expm(A), expm(-A)), bitwise, from one Pade power loop.
+
+    -A has the scaling counts of A, and its Pade numerator and denominator
+    are the denominator and numerator of A (module docstring), so both
+    exponentials come from one stacked solve of [D; N] against [N; D].
+    """
+    N, D, s, shape = _scaled_pade(A)
+    E = _squared(np.concatenate([N, D]), np.concatenate([D, N]), np.concatenate([s, s]))
+    return E[:len(s)].reshape(shape), E[len(s):].reshape(shape)
 
 
 class LieValuedForm:
@@ -84,9 +116,10 @@ class LieValuedForm:
     constant terms are used; flatness needs order 1.  An optional
     ``values_fn(points)`` takes an (n, d) array of points and returns the
     (n, d, k, k) stack of component values, which short-circuits the jet
-    machinery along integration paths.  Without it, ``components`` must also
-    accept a batched :class:`JetSpace` over an (n, d) array of points: the
-    values along a path are those of one batched evaluation.
+    machinery along integration paths.  ``components`` must also accept a
+    batched :class:`JetSpace` over an (n, d) array of points: flatness at
+    an array of points is one batched evaluation, and so, without
+    ``values_fn``, are the values along a path.
     """
 
     def __init__(self, domain_dim, size, components, values_fn=None):
@@ -122,14 +155,26 @@ class LieValuedForm:
 
 
 def flatness_residual(form, pt):
-    """max over i < j of |d_i a_j - d_j a_i + a_i a_j - a_j a_i| (Frobenius)."""
-    comps = form.jets(pt, order=1)
+    """max over i < j of |d_i a_j - d_j a_i + a_i a_j - a_j a_i| (Frobenius).
+
+    ``pt`` is one point, which gives a float, or an (N, d) array of points,
+    which gives one residual per row from one batched jet evaluation; row r
+    is bitwise the residual at the point of row r alone.
+    """
+    pts = np.asarray(pt, dtype=float)
+    comps = form.jets(pts, order=1)
     d = form.domain_dim
     vals, grad = values(comps), gradient(comps)
-    return worst_residual([
-        float(np.linalg.norm(grad[j, ..., i] - grad[i, ..., j]
-                             + vals[i] @ vals[j] - vals[j] @ vals[i]))
-        for i in range(d) for j in range(i + 1, d)])
+    if pts.ndim == 1:
+        vals, grad = vals[None], grad[None]
+    # (N, k, k) curvatures; the matrix of each row is contiguous, so its
+    # norm is that of the one-point matrix
+    curvatures = [grad[:, j, ..., i] - grad[:, i, ..., j]
+                  + vals[:, i] @ vals[:, j] - vals[:, j] @ vals[:, i]
+                  for i in range(d) for j in range(i + 1, d)]
+    out = np.array([worst_residual([float(np.linalg.norm(F[r])) for F in curvatures])
+                    for r in range(len(vals))])
+    return out if pts.ndim == 2 else float(out[0])
 
 
 @dataclass
@@ -155,18 +200,18 @@ class GroupPath:
         return self.waypoints[-1]
 
 
-def _segments(path):
-    """Split the polyline into path.steps segments, proportionally to length.
+def _segments(W, steps):
+    """Split the polyline through the waypoints W into ``steps`` segments,
+    proportionally to length.
 
     Returns the (m, d) arrays of segment starts and ends.
     """
-    W = path.waypoints
     lengths = np.linalg.norm(np.diff(W, axis=0), axis=1)
     total = float(np.sum(lengths))
     if total == 0:
         return W[:0], W[:0]
     starts, ends = [], []
-    counts = np.maximum(1, np.round(path.steps * lengths / total).astype(int))
+    counts = np.maximum(1, np.round(steps * lengths / total).astype(int))
     for (a, b), cnt in zip(zip(W[:-1], W[1:]), counts):
         i = np.arange(cnt)[:, None]
         starts.append(a + (b - a) * i / cnt)
@@ -182,14 +227,15 @@ def integrate_path(form, path, steps=None):
     determinant is logged per step and a collapse signals blow-up.  The
     midpoint values and increments are evaluated in stacks of up to _BLOCK
     segments; the product itself runs step by step, in path order.
+
+    ``steps`` overrides ``path.steps`` for this integration.  The element
+    and the determinant log are recorded on the ``GroupPath`` passed in.
     """
     if not isinstance(path, GroupPath):
         path = GroupPath(np.asarray(path), steps if steps is not None else 256)
-    elif steps is not None:
-        path = GroupPath(path.waypoints, steps)
     f = np.eye(form.size)
     path.det_log = []
-    starts, ends = _segments(path)
+    starts, ends = _segments(path.waypoints, path.steps if steps is None else steps)
     for lo in range(0, len(starts), _BLOCK):
         a, b = starts[lo:lo + _BLOCK], ends[lo:lo + _BLOCK]
         vals = form.values_at((a + b) / 2)
@@ -250,7 +296,8 @@ def maurer_cartan_form(A, B):
     """The flat form g^(-1) dg of g(x) = exp(x_1 A) exp(x_2 B) on R^2.
 
     Components: a_1 = g^(-1) A g, a_2 = exp(-x_2 B) B exp(x_2 B); evaluated
-    with jets via nilpotent expansion of the exponential offsets.
+    with jets via nilpotent expansion of the exponential offsets.  Each
+    exponential and its inverse come from one Pade pair.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -258,17 +305,16 @@ def maurer_cartan_form(A, B):
 
     def components(space):
         x1, x2 = space.var(0), space.var(1)
-        e1 = _jet_expm(A, x1, space)
-        e2 = _jet_expm(B, x2, space)
-        e1m = _jet_expm(-A, x1, space)
-        e2m = _jet_expm(-B, x2, space)
+        e1, e1m = _jet_expm(A, x1, space)
+        e2, e2m = _jet_expm(B, x2, space)
         a1 = e2m @ e1m @ space.const_array(A) @ e1 @ e2
         a2 = e2m @ space.const_array(B) @ e2
         return [a1, a2]
 
     def values_fn(points):
         x1, x2 = points[:, 0, None, None], points[:, 1, None, None]
-        e1, e2, e2m, e1m = expm(x1 * A), expm(x2 * B), expm(-x2 * B), expm(-x1 * A)
+        e1, e1m = _expm_pm(x1 * A)
+        e2, e2m = _expm_pm(x2 * B)
         ginv = e2m @ e1m
         return np.stack([ginv @ A @ e1 @ e2, e2m @ B @ e2], axis=1)
 
@@ -281,13 +327,22 @@ def maurer_cartan_value(A, B, x):
 
 
 def _jet_expm(M, scalar_jet, space):
-    """exp(scalar * M) as a jet matrix: exp(c M) times the nilpotent series
-    exp(delta M) with delta the offset part of the scalar jet."""
-    c = scalar_jet.value.real
+    """exp(x M) and exp(-x M) as jet matrices for the scalar jet x, at one
+    point or batched: exp(+-c M) times the nilpotent series exp(+-delta M),
+    with c the constant term of x and delta its offset part."""
+    c = np.asarray(scalar_jet.value.real)
     delta = scalar_jet - scalar_jet.value
-    out = term = space.const_array(expm(c * M))
-    Mj = space.const_array(M)
-    for n in range(1, space.order + 1):
-        term = term @ Mj * delta / n
-        out = out + term
-    return out
+    pair = []
+    for E, Mj in zip(_expm_pm(c[..., None, None] * M),
+                     (space.const_array(M), space.const_array(-M))):
+        # E holds one matrix per row of a batch: entry (i, j) of every row
+        # makes one batched constant jet
+        out = np.empty(E.shape[-2:], dtype=object)
+        for i, j in np.ndindex(out.shape):
+            out[i, j] = space.const(E[..., i, j])
+        term = out
+        for n in range(1, space.order + 1):
+            term = term @ Mj * delta / n
+            out = out + term
+        pair.append(out)
+    return pair

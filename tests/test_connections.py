@@ -9,6 +9,8 @@ from twistorkit.connections import (
     GroupPath,
     LieValuedForm,
     PathError,
+    _expm_pm,
+    _jet_expm,
     curvature_02_residual,
     expm,
     flatness_residual,
@@ -17,7 +19,7 @@ from twistorkit.connections import (
     maurer_cartan_value,
     path_independence_defect,
 )
-from twistorkit.jets import values
+from twistorkit.jets import JetSpace, values
 
 RNG = np.random.default_rng(808)
 
@@ -57,6 +59,87 @@ def test_expm_stack_against_scipy():
         ref = scipy.linalg.expm(X)
         assert np.linalg.norm(E - ref) / max(1.0, np.linalg.norm(ref)) <= 1e-12
     assert np.array_equal(expm(np.zeros((3, 2, 2))), np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
+def _stack_with_scaling_counts(rng, k, skew, cplx):
+    """Seven k x k matrices, one per scaling count s = 0..6 of expm."""
+    X = rng.normal(size=(7, k, k))
+    if cplx:
+        X = X + 1j * rng.normal(size=(7, k, k))
+    if skew:
+        X = X - np.swapaxes(X, -1, -2).conj()
+    norms = np.abs(X).sum(-2).max(-1)
+    target = np.array([0.4, 0.9, 1.8, 3.6, 7.2, 14.4, 28.8])  # 1-norms
+    return X * (target / norms)[:, None, None]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("skew", [False, True])
+def test_expm_pair_is_bitwise_expm_of_both_signs(skew, cplx):
+    X = _stack_with_scaling_counts(RNG, 4, skew, cplx)
+    norms = np.abs(X).sum(-2).max(-1)
+    assert np.array_equal(np.ceil(np.log2(np.fmax(norms / 0.5, 1.0))), np.arange(7))
+    X = np.concatenate([X, np.zeros((1, 4, 4), dtype=X.dtype)])
+    X[-1, 0, 0] = np.inf  # a non-finite norm
+    with np.errstate(invalid="ignore"):
+        E, Em = _expm_pm(X)
+        ref, ref_m = expm(X), expm(-X)
+    assert E.dtype == Em.dtype == X.dtype and E.shape == Em.shape == X.shape
+    assert E.tobytes() == ref.tobytes() and Em.tobytes() == ref_m.tobytes()
+    with np.errstate(invalid="ignore"):
+        E2, Em2 = _expm_pm(X.reshape(2, 4, 4, 4))
+    assert E2.shape == (2, 4, 4, 4) and Em2.tobytes() == Em.tobytes()
+
+
+def test_expm_pair_of_one_matrix_empty_stack_and_nan_row():
+    X = RNG.normal(size=(3, 3))
+    E, Em = _expm_pm(X)
+    assert E.shape == (3, 3)
+    assert E.tobytes() == expm(X).tobytes() and Em.tobytes() == expm(-X).tobytes()
+    E, Em = _expm_pm(np.zeros((0, 3, 3)))
+    assert E.shape == Em.shape == (0, 3, 3)
+    # expm(-X) carries the NaN of X with its sign bit flipped through the
+    # Pade arithmetic, the pair carries it unflipped: only the NaN bits of
+    # that row may differ, and the other rows are bitwise.
+    X = RNG.normal(size=(3, 3, 3))
+    X[1, 0, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        E, Em = _expm_pm(X)
+        ref, ref_m = expm(X), expm(-X)
+    assert E.tobytes() == ref.tobytes()
+    assert Em[[0, 2]].tobytes() == ref_m[[0, 2]].tobytes()
+    assert np.isnan(Em[1]).all() and np.isnan(ref_m[1]).all()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_batched_jet_expm_rows_are_one_point_jet_expm_of_both_signs(order):
+    M = 3.0 * random_skew(4)  # scaling counts differ between the rows
+    pts = RNG.uniform(-1, 1, (5, 2))
+    space = JetSpace(pts, order)
+    pair = _jet_expm(M, space.var(1), space)
+    for r, x in enumerate(pts):
+        one = JetSpace(x, order)
+        for batch, sign in zip(pair, (1.0, -1.0)):
+            want = _jet_expm(sign * M, one.var(1), one)[0]
+            for i, j in np.ndindex(4, 4):
+                assert batch[i, j].coef[r].tobytes() == want[i, j].coef.tobytes()
+
+
+def test_integrate_path_with_steps_records_on_the_callers_path():
+    form = maurer_cartan_form(random_skew(4), random_skew(4))
+    sq1 = [[0, 0], [1, 0], [1, 1]]
+    sq2 = [[0, 0], [0, 1], [1, 1]]
+    pa, pb = GroupPath(sq1, 10), GroupPath(sq2, 10)
+    defect = path_independence_defect(form, pa, pb, 100)
+    for path, waypoints in ((pa, sq1), (pb, sq2)):
+        ref, ref_log, _ = reference_integration(form, waypoints, 100)
+        assert len(path.det_log) == 100 and path.det_log == ref_log
+        assert np.array_equal(path.element, ref)
+    assert defect == float(np.linalg.norm(pa.element - pb.element))
+    path = GroupPath([[0.1, -0.2], [0.9, 0.7]], 10)
+    f = integrate_path(form, path, steps=300)
+    assert np.array_equal(path.element, f) and len(path.det_log) == 300
+    assert path.steps == 10
 
 
 def reference_integration(form, waypoints, steps):
@@ -140,6 +223,23 @@ def test_jet_only_form_integrates_across_blocks():
     ref, ref_log, _ = reference_integration(form, waypoints, 300)
     assert np.array_equal(f, ref) and path.det_log == ref_log
     assert abs(f[0, 1] - 1.0) <= 1e-12  # exp of x2 E12 dx1 along x2 = 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: maurer_cartan_form(random_skew(4), random_skew(4)),
+    lambda: LieValuedForm.constant([random_skew(3), random_skew(3)]),
+    lambda: LieValuedForm(2, 3, _x2_e12_components),
+    lambda: LieValuedForm.constant([np.eye(2), np.full((2, 2), np.nan)]),
+], ids=["maurer-cartan", "constant", "jet-only", "nan"])
+def test_batched_flatness_rows_are_one_point_residuals_bitwise(make):
+    form = make()
+    pts = RNG.uniform(-1, 1, (7, 2))
+    got = flatness_residual(form, pts)
+    assert got.shape == (7,) and got.dtype == float
+    want = [flatness_residual(form, x) for x in pts]
+    assert all(type(w) is float for w in want)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert flatness_residual(form, pts[:1]).tobytes() == np.array(want[:1]).tobytes()
 
 
 def test_maurer_cartan_flatness():

@@ -5,23 +5,35 @@ residual of those checks must equal, by its bytes, the residual of a
 reference loop that draws and evaluates one sample per iteration: one map at
 one point, with the single-draw polynomial maps written term by term; one
 Newton solve per sample, with the one-point solver written out; one
-structure and one positivity test per draw.
+structure and one positivity test per draw; one jet evaluation per point,
+with four separate exponentials, for Maurer-Cartan flatness.
 """
 
 import numpy as np
 import pytest
 
+from twistorkit import connections as cn
 from twistorkit import factory as fa
 from twistorkit import structures as st
 from twistorkit import variations as va
 from twistorkit.checkers import pluriconformality_residual, real_isotropy_residual
-from twistorkit.jets import SmoothMap, _horner, dz, dz_power, gradient, real_to_complex_point, values
+from twistorkit.jets import (
+    JetSpace,
+    SmoothMap,
+    _horner,
+    dz,
+    dz_power,
+    gradient,
+    real_to_complex_point,
+    values,
+)
 from twistorkit.pairings import bilinear_dot
 from twistorkit.suites import (
     CHECK_INDEX,
     SuiteConfig,
     _admissible,
     _coeff_param,
+    _skew,
     _sum_maps,
     check_rng,
 )
@@ -243,6 +255,51 @@ def test_batched_check_residuals_match_one_sample_loop_bitwise(key, f, seed):
     assert len(report.residuals) == len(want) > 0
     assert np.array(report.residuals).tobytes() == np.array(want, dtype=float).tobytes()
     assert repr(report.aux) == repr(aux)
+
+
+# ---------------------------------------------------------------------------
+# Maurer-Cartan flatness, one point at a time
+
+
+def _one_point_jet_expm(M, x, space):
+    """exp(x M) as a jet matrix at one point: expm at the constant term times
+    the nilpotent series of the offset."""
+    out = term = space.const_array(cn.expm(x.value.real * M))
+    Mj = space.const_array(M)
+    for n in range(1, space.order + 1):
+        term = term @ Mj * (x - x.value) / n
+        out = out + term
+    return out
+
+
+def _one_point_mc_flatness(A, B, p):
+    """|d_1 a_2 - d_2 a_1 + [a_1, a_2]| for g^(-1) dg, g = exp(x1 A) exp(x2 B),
+    with each of the four exponentials computed on its own."""
+    space = JetSpace(p, 1)
+    x1, x2 = space.vars()
+    e1, e2 = _one_point_jet_expm(A, x1, space), _one_point_jet_expm(B, x2, space)
+    e1m, e2m = _one_point_jet_expm(-A, x1, space), _one_point_jet_expm(-B, x2, space)
+    comps = [e2m @ e1m @ space.const_array(A) @ e1 @ e2, e2m @ space.const_array(B) @ e2]
+    vals, grad = values(comps), gradient(comps)
+    return float(np.linalg.norm(grad[1, ..., 0] - grad[0, ..., 1]
+                                + vals[0] @ vals[1] - vals[1] @ vals[0]))
+
+
+def _mc_flatness(config, rng):
+    A, B = _skew(rng), _skew(rng)
+    return [_one_point_mc_flatness(A, B, rng.uniform(-1, 1, 2))
+            for _ in range(min(20, config.points))]
+
+
+@pytest.mark.parametrize("points", [3, 10, 50])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_flatness_check_matches_one_point_loop_bitwise(seed, points):
+    name = "maurer-cartan-flatness"
+    config = SuiteConfig(suite="flat-connection", seed=seed, points=points)
+    got = CHECK_INDEX[f"flat-connection:{name}"](config).residuals
+    want = _mc_flatness(config, check_rng(config, name))
+    assert len(got) == min(20, points)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
