@@ -200,7 +200,7 @@ def one_one_geodesic_residual(phi, x0, order=2):
     jets = phi.jets(x0, max(order, 2))
     norms = []
     for i in range(m):
-        grad = gradient([dz(j, i) for j in jets])
+        grad = gradient(dz(jets, i))
         norms.extend(float(np.linalg.norm(dzbar(grad, jj))) for jj in range(m))
     return worst_residual(norms)
 

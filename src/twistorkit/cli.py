@@ -17,16 +17,17 @@ each a key-value document::
     check: euclid-hm:closed-form-harmonicity tol=1e-8 points=10
     check: jets-core:product-convolution
 
-Overrides are ``tol=<number>`` and ``points=<integer >= 1>``.  Any other key,
-override or value, and an empty ``check:`` line, is a usage error (exit 2)
-that names the file and line; so is a file with ``check:`` lines but no
-``name:``, or whose name is that of a built-in suite.
+Overrides are ``tol=<finite number >= 0>`` and ``points=<integer >= 1>``.
+Any other key, override or value, and an empty ``check:`` line, is a usage
+error (exit 2) that names the file and line; so is a file with ``check:``
+lines but no ``name:``, or whose name is that of a built-in suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -118,6 +119,8 @@ def _parse_check(value, where):
             raise SuiteFileError(f"{where}: {k}= needs {kind}, got {v!r}") from None
     if overrides.get("points", 1) < 1:
         raise SuiteFileError(f"{where}: points= must be at least 1, got {overrides['points']}")
+    if not 0 <= overrides.get("tol", 0.0) < math.inf:
+        raise SuiteFileError(f"{where}: tol= must be a finite number >= 0, got {overrides['tol']}")
     return key, overrides
 
 
@@ -174,7 +177,7 @@ def build_parser():
     run = sub.add_parser("run", help="run a named suite")
     run.add_argument("--suite", required=True)
     run.add_argument("--tol", type=float, default=None,
-                     help="override every check tolerance")
+                     help="override every check tolerance (finite, >= 0)")
     run.add_argument("--points", type=int, default=50)
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import JetSpace, dzbar, gradient, values
+from .jets import JetSpace, dzbar, gradient, stack, values
 from .pairings import worst_residual
 
 
@@ -111,8 +111,8 @@ class LieValuedForm:
     """Matrix-algebra-valued 1-form on R^d through a component evaluator.
 
     ``components(space)`` receives a :class:`JetSpace` at the evaluation
-    point and must return d matrices of jets (object arrays or nested
-    sequences) -- one per coordinate direction.  For integration only the
+    point and must return d matrices of jets, one per coordinate direction,
+    as one (d, k, k) jet or as nested sequences.  For integration only the
     constant terms are used; flatness needs order 1.  An optional
     ``values_fn(points)`` takes an (n, d) array of points and returns the
     (n, d, k, k) stack of component values, which short-circuits the jet
@@ -129,8 +129,9 @@ class LieValuedForm:
         self.values_fn = values_fn
 
     def jets(self, x, order=1):
+        """The components as one (d, k, k) jet."""
         space = JetSpace(np.asarray(x, dtype=float), order)
-        return self.components(space)
+        return stack(self.components(space))
 
     def values(self, x):
         """The (d, k, k) component values at one point."""
@@ -148,7 +149,7 @@ class LieValuedForm:
         d, k = matrices.shape[:2]
 
         def components(space):
-            return space.const_array(matrices)
+            return space.const(np.broadcast_to(matrices, space.base.shape[:-1] + matrices.shape))
 
         return cls(d, k, components,
                    values_fn=lambda pts: np.broadcast_to(matrices, (len(pts), d, k, k)))
@@ -281,7 +282,7 @@ def curvature_02_residual(gammas_fn, m, pt, order=1):
     if m == 1:
         return 0.0
     space = JetSpace(np.asarray(pt, dtype=float), order)
-    gam = gammas_fn(space)
+    gam = stack(gammas_fn(space))
     vals, grad = values(gam), gradient(gam)
     return worst_residual([
         float(np.linalg.norm(dzbar(grad[j], i) - dzbar(grad[i], j)
@@ -307,9 +308,9 @@ def maurer_cartan_form(A, B):
         x1, x2 = space.var(0), space.var(1)
         e1, e1m = _jet_expm(A, x1, space)
         e2, e2m = _jet_expm(B, x2, space)
-        a1 = e2m @ e1m @ space.const_array(A) @ e1 @ e2
-        a2 = e2m @ space.const_array(B) @ e2
-        return [a1, a2]
+        Aj, Bj = (space.const(np.broadcast_to(M, space.base.shape[:-1] + M.shape))
+                  for M in (A, B))
+        return [e2m @ e1m @ Aj @ e1 @ e2, e2m @ Bj @ e2]
 
     def values_fn(points):
         x1, x2 = points[:, 0, None, None], points[:, 1, None, None]
@@ -333,14 +334,9 @@ def _jet_expm(M, scalar_jet, space):
     c = np.asarray(scalar_jet.value.real)
     delta = scalar_jet - scalar_jet.value
     pair = []
-    for E, Mj in zip(_expm_pm(c[..., None, None] * M),
-                     (space.const_array(M), space.const_array(-M))):
-        # E holds one matrix per row of a batch: entry (i, j) of every row
-        # makes one batched constant jet
-        out = np.empty(E.shape[-2:], dtype=object)
-        for i, j in np.ndindex(out.shape):
-            out[i, j] = space.const(E[..., i, j])
-        term = out
+    for E, Ms in zip(_expm_pm(c[..., None, None] * M), (M, -M)):
+        Mj = space.const(np.broadcast_to(Ms, c.shape + M.shape))
+        out = term = space.const(E)
         for n in range(1, space.order + 1):
             term = term @ Mj * delta / n
             out = out + term

@@ -226,10 +226,8 @@ def morphism_as_map(data, seed_fn=None):
         y = kept[1]
         if order == 0:
             # bitwise the series inverse's constant term (+0.0) plus y
-            space = JetSpace(point, 0)
-            return [space.const(v + 0.0) for v in y[..., : 2 * data.n].T]
-        F = data.h.jets(y, order)
-        return invert_jet_map(F)[: 2 * data.n] + y[: 2 * data.n]
+            return JetSpace(point, 0).const(y[..., : 2 * data.n] + 0.0)
+        return invert_jet_map(data.h.jets(y, order))[: 2 * data.n] + y[..., : 2 * data.n]
 
     return SmoothMap(K, 2 * data.n, evaluator, name="factory-morphism")
 

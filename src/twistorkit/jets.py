@@ -16,19 +16,18 @@ take values and first derivatives through :func:`values`, :func:`gradient`,
 ``dz``/``dzbar`` and :func:`dz_vectors`, and :class:`SmoothMap` accepts
 points in real or complex form.
 
-A jet's ``base`` is a read-only float array of shape ``(..., nvars)`` and
-its ``coef`` has shape ``(..., size)``.  A jet at one point is the case with
-no leading axis; a jet at a batch of points has one leading axis, one row
-per point.  The ring operations, the analytic functions, ``partial`` and
-``truncated`` act row by row, and a scalar operand may be a number or an
-array with one value per row.  Row r of every result is bitwise the result
-for the jet at the point of row r alone; the read-offs put the batch axis
-first, and those of a jet at one point are numpy scalars and arrays.
+A jet's ``base`` is a read-only float array of shape ``(*batch, nvars)``
+and its ``coef`` has shape ``(*batch, *shape, size)``: no batch axis at one
+point, one row per point for a batch, and component axes ``shape`` that
+make a vector or matrix of jets one :class:`Jet`.  Everything acts entry by
+entry, and each entry of a result is bitwise that of its scalar jet alone;
+the read-offs put the batch axis first.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product as _iproduct
 
 import numpy as np
@@ -64,8 +63,8 @@ class _Table:
 
     def mul_triples(self, rows=1):
         """(I, J, K): the product of coefficients I[t] and J[t] adds into
-        position K[t].  For ``rows`` rows the three index the flattened
-        coefficients of the rows, row after row: I + size * r in row r."""
+        position K[t].  For ``rows`` rows K indexes the flattened
+        coefficients of the rows, row after row: K + size * r in row r."""
         if self._mul is None:
             I, J, K = [], [], []
             for i, a in enumerate(self.indices):
@@ -79,8 +78,8 @@ class _Table:
             self._mul = {1: (np.array(I), np.array(J), np.array(K))}
         triples = self._mul.get(rows)
         if triples is None:
-            shift = self.size * np.arange(rows)[:, None]
-            triples = self._mul[rows] = tuple((x + shift).ravel() for x in self._mul[1])
+            I, J, K = self._mul[1]
+            triples = self._mul[rows] = (I, J, (K + self.size * np.arange(rows)[:, None]).ravel())
         return triples
 
     def partial_map(self, var):
@@ -119,16 +118,20 @@ def _factorial_multi(alpha):
 
 
 class Jet:
-    """Truncated Taylor expansion of one scalar quantity at a base point.
+    """Truncated Taylor expansion of a scalar, vector or matrix quantity at a
+    base point.
 
-    ``coef[i]`` is the coefficient of ``prod (x_k - base_k)**alpha_k`` for the
-    multi-index ``alpha = table.indices[i]``; the derivative of order alpha at
-    the base point is ``alpha! * coef[i]``.  A batched jet has ``coef`` of
-    shape ``(N, size)``, row r expanded at ``base[r]``; the methods read
-    ``coef[..., i]`` and so serve both layouts.
+    ``coef[..., i]`` is the coefficient of ``prod (x_k - base_k)**alpha_k``
+    for the multi-index ``alpha = table.indices[i]``; the derivative of order
+    alpha at the base point is ``alpha! * coef[..., i]``.  Row r of a batch
+    is expanded at ``base[r]``; ``jet[i]`` and ``jet[:, b]`` index the
+    component axes, and ``@`` contracts them.
     """
 
     __slots__ = ("table", "base", "coef")
+    # numpy operators defer to the jet's: an array on either side of an
+    # operator is a scalar operand, never an array of jets
+    __array_ufunc__ = None
 
     def __init__(self, table, base, coef):
         self.table = table
@@ -138,8 +141,12 @@ class Jet:
     # -- construction -------------------------------------------------
     @staticmethod
     def constant(value, nvars, order, base):
+        """The constant jet of ``value``: see :meth:`JetSpace.const`."""
         t = _table(nvars, order)
-        c = np.zeros(base.shape[:-1] + (t.size,), dtype=complex)
+        shape = value.shape if isinstance(value, np.ndarray) and value.ndim else base.shape[:-1]
+        if shape[:base.ndim - 1] != base.shape[:-1]:
+            raise JetError(f"a constant of shape {shape} for a batch {base.shape[:-1]}")
+        c = np.zeros(shape + (t.size,), dtype=complex)
         c[..., 0] = value
         return Jet(t, base, c)
 
@@ -162,13 +169,32 @@ class Jet:
         return self.table.order
 
     @property
+    def shape(self):
+        """The component shape: () for a scalar jet."""
+        return self.coef.shape[self.base.ndim - 1:-1]
+
+    @property
     def value(self):
-        """The constant term: a numpy scalar for a jet at one point, one
-        value per row for a batch."""
+        """The constant term: a numpy scalar for a scalar jet at one point."""
         return self.coef[..., 0][()]
 
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value})"
+
+    # -- components ------------------------------------------------------
+    def __len__(self):
+        if not self.shape:
+            raise TypeError("len() of a scalar jet")
+        return self.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key):
+        """The entries ``key`` picks from the component axes, as numpy indexes
+        an array of the component shape; the batch and table axes stay."""
+        key = (slice(None),) * (self.base.ndim - 1) + (key if type(key) is tuple else (key,))
+        return Jet(self.table, self.base, self.coef[key + (slice(None),)])
 
     # -- helpers ---------------------------------------------------------
     def _like(self, coef):
@@ -183,22 +209,29 @@ class Jet:
         return Jet(t, self.base, self.coef[..., : t.size].copy())
 
     def _coerce(self, other):
-        """Align two jets to a common table, the lower of the two orders."""
+        """Align two jets to a common table, the lower of the two orders, and
+        to a common number of axes, with length-1 component axes after the
+        batch axes of the jet with fewer: numpy then broadcasts entry against
+        entry."""
         ta, tb = self.table, other.table
-        if ta is tb and other.base is self.base:
-            return self, other
-        if ta.nvars != tb.nvars:
-            raise JetError(f"jet variable count mismatch: {ta.nvars} vs {tb.nvars}")
+        x, y = self.coef, other.coef
         a, b = self.base, other.base
-        if a is not b and not np.array_equal(a, b):
-            raise JetError("jet base points differ")
+        if a is not b:
+            if ta.nvars != tb.nvars:
+                raise JetError(f"jet variable count mismatch: {ta.nvars} vs {tb.nvars}")
+            if not np.array_equal(a, b):
+                raise JetError("jet base points differ")
+        if ta is tb and x.ndim == y.ndim:
+            return self, other
         # The lower-order table is a prefix of the higher one, so a view of the
         # leading coefficients truncates; the operation copies into a new array.
-        if ta.order < tb.order:
-            return self, Jet(ta, b, other.coef[..., : ta.size])
-        if tb.order < ta.order:
-            return Jet(tb, a, self.coef[..., : tb.size]), other
-        return self, other
+        t = ta if ta.order <= tb.order else tb
+        nb = a.ndim - 1
+        x, y = x[..., :t.size], y[..., :t.size]
+        if x.ndim != y.ndim:
+            x = x.reshape(x.shape[:nb] + (1,) * (y.ndim - x.ndim) + x.shape[nb:])
+            y = y.reshape(y.shape[:nb] + (1,) * (x.ndim - y.ndim) + y.shape[nb:])
+        return Jet(t, a, x), Jet(t, b, y)
 
     # -- ring operations ---------------------------------------------
     # A scalar acts on ``coef`` directly.  Sums and differences equal, bit
@@ -206,16 +239,14 @@ class Jet:
     # ``table.zeros`` turns -0.0 into +0.0 as adding the constant's zero
     # coefficients did.  Products equal them in value only: ``coef * s``
     # keeps the sign of a -0.0 coefficient, where the convolution, which
-    # adds every product into +0.0, gives +0.0.  For a batch the scalar may
-    # be an array of one value per row; put the jet on the left, since an
-    # array on the left would make an object array of jets.
+    # adds every product into +0.0, gives +0.0.  An array scalar holds one
+    # value per row and entry.
     def _per_row(self, other):
         """``other`` unless it is an array with other than one value per row
-        of this jet's batch, which is an error (a single jet has no rows)."""
+        and entry of this jet, which is an error."""
         if type(other) is np.ndarray and other.ndim and other.shape != self.coef.shape[:-1]:
-            rows = "a single jet" if self.coef.ndim == 1 else f"a batch of {len(self.coef)} rows"
-            raise JetError(f"an array operand holds one value per row: got shape "
-                           f"{other.shape} for {rows}")
+            raise JetError(f"an array operand holds one value per row and entry: got "
+                           f"shape {other.shape} for jets of shape {self.coef.shape[:-1]}")
         return other
 
     def __add__(self, other):
@@ -249,15 +280,13 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if type(other) is np.ndarray and other.ndim:
-                if other.dtype == object:
-                    return NotImplemented  # the array maps the product over its jets
                 return Jet(self.table, self.base, self.coef * self._per_row(other)[..., None])
             return Jet(self.table, self.base, self.coef * complex(other))
         a, b = self._coerce(other)
         # np.add.at adds into each position in the order of the triples, so
-        # row r of a batch sums its products as the single jet of row r does.
-        # Flattening costs a one-jet product 0.6-1.7 us, 15-30 %, so a single
-        # jet indexes its coefficients directly.
+        # each row and entry sums its products as the scalar jet at one point
+        # does.  Flattening costs a one-jet product 0.6-1.7 us, 15-30 %, so a
+        # scalar jet at one point indexes its coefficients directly.
         t, c = a.table, a.coef
         if c.ndim == 1:
             I, J, K = t.mul_triples()
@@ -268,6 +297,27 @@ class Jet:
         return Jet(t, a.base, out)
 
     __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """numpy's ``@`` of vectors and matrices of jets.  Each entry sums its
+        products left to right from the first, as ``@`` of object arrays of
+        jets does; one pass of the product kernel makes all the products."""
+        if not isinstance(other, Jet):
+            return NotImplemented
+        if not self.shape or other.shape[-2:][:1] != self.shape[-1:]:
+            raise JetError(f"matrix product of jets of shapes {self.shape} and {other.shape}")
+        A = self.coef[..., None, :, :] if len(self.shape) == 1 else self.coef
+        B = other.coef[..., :, None, :] if len(other.shape) == 1 else other.coef
+        a, b = self._like(A[..., :, :, None, :])._coerce(other._like(B[..., None, :, :, :]))
+        P = _mul_rows(a.table, a.coef, b.coef)
+        out = P[..., 0, :, :]
+        for j in range(1, P.shape[-3]):
+            out = out + P[..., j, :, :]
+        if len(self.shape) == 1:
+            out = out[..., 0, :, :]
+        if len(other.shape) == 1:
+            out = out[..., 0, :]
+        return Jet(a.table, a.base, out)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -280,10 +330,14 @@ class Jet:
         return self.reciprocal() * other
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise JetError("jet powers must be nonnegative integers")
+        try:
+            n = operator.index(n)
+            if n < 0:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise JetError("jet powers must be nonnegative integers") from None
         if n == 0:
-            return Jet.constant(1.0, self.nvars, self.order, self.base)
+            return Jet.constant(np.ones(self.coef.shape[:-1]), self.nvars, self.order, self.base)
         out = None
         base = self
         while True:
@@ -308,14 +362,15 @@ class Jet:
     # -- analytic composition ------------------------------------------
     def _series(self, coefficients):
         """sum_k a[k] * (self - value)**k, truncated, with a = coefficients(c)
-        at the constant term c: a[k] = f^(k)(c)/k!.  For a batch, a[k] holds
-        one value per row, each from the same scalar code as for one jet (numpy
-        array and scalar complex arithmetic can differ in the last bit)."""
+        at the constant term c: a[k] = f^(k)(c)/k!.  a[k] holds one value per
+        row and entry, each from the same scalar code (numpy array and scalar
+        complex arithmetic can differ in the last bit)."""
         c = self.value
         if c.ndim == 0:
             a = coefficients(c)
         else:
-            a = [np.array(k) for k in zip(*_map_rows(coefficients, zip(c)))]
+            a = [np.array(k).reshape(c.shape)
+                 for k in zip(*_map_rows(coefficients, zip(c.reshape(-1))))]
         n = min(len(a), self.order + 1)
         if n == 1:
             return Jet.constant(a[0], self.nvars, self.order, self.base)
@@ -386,11 +441,13 @@ class Jet:
 
 
 def _mul_rows(t, a, b):
-    """Products of the (N, size) coefficient rows a and b of table t, row by
-    row: row r is bitwise the product of the jets of row r alone."""
-    I, J, K = t.mul_triples(len(a))
-    out = np.zeros(a.shape, dtype=complex)
-    np.add.at(out.reshape(-1), K, a.reshape(-1)[I] * b.reshape(-1)[J])
+    """Products of the coefficient arrays a and b of table t, entry by entry
+    after numpy broadcasts them against each other: each entry is bitwise
+    the product of the scalar jets of that entry alone."""
+    I, J, _ = t.mul_triples()
+    p = a.take(I, axis=-1) * b.take(J, axis=-1)
+    out = np.zeros(p.shape[:-1] + (t.size,), dtype=complex)
+    np.add.at(out.reshape(-1), t.mul_triples(p.size // len(I))[2], p.reshape(-1))
     return out
 
 
@@ -419,17 +476,9 @@ class JetSpace:
         return Jet.variable(i, self.nvars, self.order, self.base)
 
     def const(self, value):
+        """The constant jet of a number, or of an array whose leading axes are
+        the batch axes (none at one point) and the rest the component shape."""
         return Jet.constant(value, self.nvars, self.order, self.base)
-
-    def const_array(self, values):
-        """Object array of constant jets with the shape of ``values``: the
-        vectors and matrices of jets that numpy's ``@``, ``np.outer`` and
-        elementwise operators act on."""
-        values = np.asarray(values)
-        out = np.empty(values.shape, dtype=object)
-        for idx, v in np.ndenumerate(values):
-            out[idx] = self.const(v)
-        return out
 
     def vars(self):
         return [self.var(i) for i in range(self.nvars)]
@@ -498,20 +547,24 @@ def complex_view(vec):
 
 
 def _complex_pairs(xs):
-    """The pairing of :func:`complex_view` for a sequence of real jets, as a
-    list of complex jets.  It pairs jet by jet: an object array would add
-    numpy's dispatch to every evaluation of a complex map."""
+    """The pairing of :func:`complex_view` for a vector jet of real
+    components, one vector jet of complex ones, or for a list of scalar jets
+    (the variables a map's function receives), a list."""
     if len(xs) % 2:
         raise JetError(f"complex pairing needs an even number of entries, got {len(xs)}")
+    if isinstance(xs, Jet):  # x + 1j * y as the list does it, on coefficients
+        c = xs.coef.reshape(xs.coef.shape[:-2] + (-1, 2, xs.table.size))
+        return xs._like(c[..., 0, :] + c[..., 1, :] * 1j)
     return [x + 1j * y for x, y in zip(xs[0::2], xs[1::2])]
 
 
 def _real_split(ws):
     """Real and imaginary parts of a complex jet or of a sequence of them,
-    interleaved: the real components that :func:`_complex_pairs` pairs."""
-    if isinstance(ws, Jet):
-        ws = [ws]
-    return [part for w in ws for part in (w.real, w.imag)]
+    interleaved in one vector jet, as :func:`_complex_pairs` pairs them."""
+    w = stack([ws] if isinstance(ws, Jet) and not ws.shape else ws)
+    parts = np.empty(w.coef.shape[:-1] + (2, w.table.size), dtype=complex)
+    parts[..., 0, :], parts[..., 1, :] = w.real.coef, w.imag.coef
+    return w._like(parts.reshape(w.coef.shape[:-2] + (-1, w.table.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +573,9 @@ def _real_split(ws):
 class SmoothMap:
     """A map R^(2m) -> R^(2n) given by a jet evaluator.
 
-    ``evaluator(point, order)`` must return one :class:`Jet` per real output
-    component, deterministically (same point and order give identical
-    coefficients).
+    ``evaluator(point, order)`` returns the real output components, scalar
+    jets or one vector jet, deterministically (same point and order give
+    identical coefficients); :meth:`jets` stacks them once.
     """
 
     def __init__(self, domain_dim, codomain_dim, evaluator, name=None):
@@ -532,15 +585,16 @@ class SmoothMap:
         self.name = name
 
     def jets(self, point, order):
-        """Jets of the real components at a point of R^domain_dim, given in
-        real coordinates or in complex ones (see :func:`_as_real_point`); at
-        an (N, domain_dim) array of points, batched jets with one row each."""
+        """One vector jet of the real components at a point of R^domain_dim in
+        real or complex coordinates (see :func:`_as_real_point`), batched at
+        an (N, domain_dim) array of points."""
         point = _as_real_point(point, self.domain_dim)
         if point.shape[-1] != self.domain_dim:
             raise JetError(
                 f"point dimension {point.shape[-1]} != domain dimension {self.domain_dim}")
-        out = self.evaluator(point, order)
-        if len(out) != self.codomain_dim:
+        out = stack(self.evaluator(point, order))
+        out = out if out.shape else out[None]  # a scalar jet is the one component
+        if out.shape != (self.codomain_dim,):
             raise JetError("evaluator returned wrong number of components")
         return out
 
@@ -561,37 +615,40 @@ class SmoothMap:
         return n complex jets; real and imaginary parts become the 2n real
         components.
         """
-
-        def evaluator(point, order):
-            return _real_split(fn(*JetSpace(point, order).complex_vars()))
-
-        return cls(2 * m, 2 * n, evaluator, name=name)
+        return cls(2 * m, 2 * n, lambda point, order:
+                   _real_split(fn(*JetSpace(point, order).complex_vars())), name=name)
 
     @classmethod
     def from_real(cls, domain_dim, codomain_dim, fn, name=None):
-        def evaluator(point, order):
-            space = JetSpace(point, order)
-            out = fn(*space.vars())
-            if isinstance(out, Jet):
-                out = [out]
-            return list(out)
-
-        return cls(domain_dim, codomain_dim, evaluator, name=name)
+        return cls(domain_dim, codomain_dim,
+                   lambda point, order: fn(*JetSpace(point, order).vars()), name=name)
 
 
 # ---------------------------------------------------------------------------
 # read-off of values and first derivatives
 
+def stack(jets):
+    """One jet from a nested sequence of jets at one base point, the nesting
+    as leading component axes, truncated to the lowest order."""
+    if isinstance(jets, Jet):
+        return jets
+    items = [j if isinstance(j, Jet) else stack(j) for j in jets]
+    if not items:
+        raise JetError("no jets to stack")
+    low = items[0]
+    t, base = low.table, low.base
+    if any(j.table is not t or j.base is not base for j in items):
+        low = min(items, key=lambda x: x.order)
+        items = [low._coerce(j)[1] for j in items]
+    out = np.array([j.coef for j in items])
+    # np.array and a copy stack after a batch axis twice as fast as np.stack
+    return Jet(low.table, low.base, out.swapaxes(0, 1).copy() if base.ndim > 1 else out)
+
+
 def values(jets):
     """Values at the base point of a jet or of a nested sequence of jets,
     stacked with the same nesting, after the batch axis of batched jets."""
-    return _batch_first(_stack_values(jets), jets, 0)
-
-
-def _stack_values(jets):
-    if isinstance(jets, Jet):
-        return jets.value
-    return np.array([_stack_values(j) for j in jets])
+    return _read_off(jets, lambda j: j.coef[..., 0])[0]
 
 
 def gradient(jets):
@@ -603,60 +660,44 @@ def gradient(jets):
     The ``.real`` of this or of :func:`values` is a strided view; callers
     copy it before matrix products, which on a strided operand skip BLAS
     and can differ from it in the last bit."""
-    return _batch_first(_stack_gradients(jets), jets, 1)
-
-
-def _stack_gradients(jets):
-    if isinstance(jets, Jet):
-        if jets.order == 0:
+    def read(jet):
+        if jet.order == 0:
             raise JetError("an order-0 jet has no gradient")
-        return jets.coef[..., jets.nvars:0:-1]
-    return np.array([_stack_gradients(j) for j in jets])
+        return jet.coef[..., jet.nvars:0:-1]
+
+    return _read_off(jets, read)[0]
 
 
-def _batch_first(out, jets, trailing):
-    """A read-off stacked as the nesting of ``jets``, with the batch axis of
-    batched jets moved from behind the nesting (and before the ``trailing``
-    axes of one jet's read-off) to the front, contiguous so that each row is
-    laid out as the read-off of one jet."""
-    first = jets
-    while not isinstance(first, Jet):
-        first = first[0]
-    if first.coef.ndim == 1 or first is jets:
-        return out
-    return np.ascontiguousarray(np.moveaxis(out, out.ndim - 1 - trailing, 0))
+def _read_off(jets, read):
+    """(a copy of ``read(jets)``, the batch axis count); a nested sequence's
+    leaves, which may be at other base points, stacked after the batch axes."""
+    if isinstance(jets, Jet):
+        return read(jets).copy()[()], jets.base.ndim - 1
+    parts = [_read_off(j, read) for j in jets]
+    nb = parts[0][1]
+    return np.stack([p for p, _ in parts], axis=nb), nb
 
 
 def where(mask, a, b):
-    """Rows of jet ``a`` where ``mask`` is set and rows of ``b`` elsewhere,
-    entry by entry for arrays of jets; a single boolean picks ``a`` or ``b``
-    whole."""
+    """Rows of jet ``a`` where ``mask`` is set and rows of ``b`` elsewhere;
+    a single boolean picks ``a`` or ``b`` whole."""
     if np.ndim(mask) == 0:
         return a if mask else b
-
-    def pick(x, y):
-        x, y = x._coerce(y)
-        return Jet(x.table, x.base, np.where(mask[..., None], x.coef, y.coef))
-
-    return np.frompyfunc(pick, 2, 1)(a, b)
+    a, b = a._coerce(b)
+    mask = mask.reshape(mask.shape + (1,) * (a.coef.ndim - mask.ndim))
+    return Jet(a.table, a.base, np.where(mask, a.coef, b.coef))
 
 
 def merge_rows(mask, a, b):
-    """Batched jets over all rows of ``mask`` from jets ``a`` over the rows
-    where it is set and ``b`` over the others, entry by entry for arrays of
-    jets of one table."""
+    """A batched jet over all rows of ``mask`` from jets ``a`` over the rows
+    where it is set and ``b`` over the others, of one table and shape."""
     mask = np.asarray(mask, dtype=bool)
-    first_a, first_b = (np.asarray(x, dtype=object).flat[0] for x in (a, b))
-    base = np.empty(mask.shape + (first_a.nvars,))
-    base[mask], base[~mask] = first_a.base, first_b.base
+    base = np.empty(mask.shape + (a.nvars,))
+    base[mask], base[~mask] = a.base, b.base
     base.flags.writeable = False
-
-    def merge(x, y):
-        coef = np.empty(mask.shape + (x.table.size,), dtype=complex)
-        coef[mask], coef[~mask] = x.coef, y.coef
-        return Jet(x.table, base, coef)
-
-    return np.frompyfunc(merge, 2, 1)(a, b)
+    coef = np.empty(mask.shape + a.coef.shape[1:], dtype=complex)
+    coef[mask], coef[~mask] = a.coef, b.coef
+    return Jet(a.table, base, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +734,7 @@ def dz_vectors(phi, z0, r, direction=0):
     jets = phi.jets(z0, r)
     out = []
     for _ in range(r):
-        jets = [dz(j, direction) for j in jets]
+        jets = dz(jets, direction)
         out.append(values(jets))
     return out
 
@@ -711,14 +752,13 @@ def laplacian(phi, x0, order=2):
     one row per point at an (N, domain_dim) array of points."""
     if order < 2:
         raise JetError("laplacian needs jet order >= 2")
-    jets = phi.jets(x0, order)
-    return _batch_first(np.array([_laplace_trace(jet) for jet in jets]), jets, 0)
+    return _laplace_trace(phi.jets(x0, order))
 
 
 def _laplace_trace(jet, lead=()):
     """Real part of 2 * (sum of the pure second-order coefficients) over the
-    variables after the fixed leading exponents ``lead``: the Laplacian at the
-    base point when ``lead`` is empty."""
+    variables after the fixed leading exponents ``lead``, entry by entry: the
+    Laplacian at the base point when ``lead`` is empty."""
     d = jet.nvars - len(lead)
     s = 0.0
     for v in range(d):
@@ -739,108 +779,74 @@ def _horner(coeffs, t):
 # ---------------------------------------------------------------------------
 # composition and local inversion of jet maps
 
-def _at_one_point(jets, name):
-    """Raise unless every jet is expanded at one point, with no batch axis."""
-    for j in jets:
-        if j.coef.ndim != 1:
-            raise JetError(f"{name} needs jets at one point, got a batch of "
-                           f"{len(j.coef)} rows")
-
-
-def _coef_rows(jets, name):
-    """The shared table of ``jets`` and their coefficients as (K, size) rows."""
-    t = jets[0].table
-    if any(j.table is not t for j in jets):
-        raise JetError(f"{name} must share a table")
-    return t, np.array([j.coef for j in jets])
-
-
 def compose(f, gs):
-    """Substitute jets gs (in new variables) for the offsets of jet f, or of
-    each jet of a sequence f.
+    """Substitute the offsets ``gs`` (a vector jet, or scalar jets, in new
+    variables, with zero constant terms) for x_k - base_k in jet ``f``.
 
-    All g in gs must share a table; g_k stands for x_k - base_k of f's space,
-    so each g must have zero constant term.  The jets of a sequence f share a
-    table too, and one pass over it substitutes into all of them, as rows of
-    one coefficient array; row k is bitwise the composition of f[k] alone.
-    All jets are at one point.  Returns a jet, or a list of jets for a
-    sequence.
+    One pass over f's table substitutes into every row and component of f,
+    each bitwise the composition of its scalar jet alone.
     """
-    fs = [f] if isinstance(f, Jet) else list(f)
-    _at_one_point([*fs, *gs], "compose")
-    ft, C = _coef_rows(fs, "composed jets")
-    gt, G = _coef_rows(gs, "composition offsets")
-    if np.any(np.abs(G[:, 0]) > 0):
+    f, g = stack(f), stack(gs)
+    ft, gt = f.table, g.table
+    if f.base.shape[:-1] != g.base.shape[:-1]:
+        raise JetError("composed jets and offsets have different batches")
+    # rows: (batch row, component of f); the offsets of batch row b are G[b]
+    C = f.coef.reshape(f.base[..., 0].size, -1, ft.size)
+    G = g.coef.reshape(len(C), -1, gt.size)
+    if np.any(np.abs(G[..., 0]) > 0):
         raise JetError("composition offsets must have zero constant term")
-    powers = [None, G]  # powers[e][k] is gs[k] ** e
+    powers = [None, G]  # powers[e][b, k] is the e-th power of offset k of row b
     for _ in range(1, gt.order):
         powers.append(_mul_rows(gt, powers[-1], G))
-    out = np.zeros((len(C), gt.size), dtype=complex)
-    out[:, 0] = C[:, 0]
+    out = np.zeros(C.shape[:-1] + (gt.size,), dtype=complex)
+    out[..., 0] = C[..., 0]
     # monomials of degree 1..order form a contiguous run of f's table
     for pos in range(1, ft.prefix_size(min(gt.order, ft.order))):
-        rows = np.flatnonzero(C[:, pos])  # a zero coefficient adds no term
-        if not len(rows):
+        rows = np.nonzero(C[..., pos])  # a zero coefficient adds no term
+        if not len(rows[0]):
             continue
         term = None
         for k, e in enumerate(ft.indices[pos]):
             if not e:
                 continue
-            p = powers[e][k]
+            p = powers[e][rows[0], k]
             # c first: the product kernel multiplied the constant jet of c into
             # p in that operand order, and complex SIMD products are not
             # bitwise commutative.
-            term = (C[rows, pos, None] * p if term is None
-                    else _mul_rows(gt, term, np.broadcast_to(p, term.shape)))
+            term = C[rows + (pos,)][:, None] * p if term is None else _mul_rows(gt, term, p)
         out[rows] = out[rows] + term
-    out = [Jet(gt, gs[0].base, row) for row in out]
-    return out[0] if isinstance(f, Jet) else out
+    return Jet(gt, g.base, out.reshape(f.coef.shape[:-1] + (gt.size,)))
 
 
 def _matvec_rows(A, X):
-    """A @ X for a constant matrix A and the coefficient rows X of a vector of
+    """A @ X for constant matrices A and the coefficients X of a vector of
     jets, summed over the columns left to right as numpy's object-array ``@``
     sums the jets: one row of products at a time, not BLAS."""
-    acc = X[0] * A[:, 0, None]
-    for j in range(1, len(X)):
-        acc = acc + X[j] * A[:, j, None]
+    acc = X[..., 0, None, :] * A[..., :, 0, None]
+    for j in range(1, X.shape[-2]):
+        acc = acc + X[..., j, None, :] * A[..., :, j, None]
     return acc
-
-
-def _plus_zero(t, X):
-    """``jet + 0.0`` on each coefficient row of X: -0.0 becomes +0.0, as sums
-    started from 0 do."""
-    out = X + t.zeros
-    out[:, 0] = X[:, 0] + 0.0
-    return out
 
 
 def invert_jet_map(F):
     """Local series inverse of a jet map.
 
-    F is a list of K jets of one table in K variables (taken at some base
-    y0).  Returns an object array G of K jets, in variables w = F(y) - F(y0),
-    representing y - y0; the base point of the returned jets is F(y0) split
-    into real parts.  The jets of F are at one point.  The inversion works on
-    the (K, size) coefficient rows of the components, one pass over the
-    table per round.
+    F is a vector jet (or a sequence of scalar jets) of K components in K
+    variables at y0, at one point or batched.  Returns the vector jet G, in
+    variables w = F(y) - F(y0) at base point F(y0), that represents y - y0.
     """
-    _at_one_point(F, "invert_jet_map")
-    order = F[0].order
+    F = stack(F)
+    order = F.order
     Ainv = np.linalg.inv(gradient(F))
     space = JetSpace(values(F).real, order)
-    w = [x - b for x, b in zip(space.vars(), space.base)]
-    t, W = w[0].table, np.array([x.coef for x in w])
+    w = stack(space.vars()) - space.base
     # shifted forward map: components of F(y0 + u) - F(y0) as series in u
-    Fs = [f._like(f.coef.copy()) for f in F]
-    for f in Fs:
-        f.coef[0] = 0.0
-    G = _plus_zero(t, _matvec_rows(Ainv, W))
+    Fs = F._like(F.coef.copy())
+    Fs.coef[..., 0] = 0.0
+    G = w._like(_matvec_rows(Ainv, w.coef)) + 0.0
     for _ in range(max(1, order)):
-        R = np.array([r.coef for r in compose(Fs, [Jet(t, space.base, g) for g in G])]) - W
-        if np.max(np.abs(R)) == 0:
+        R = compose(Fs, G) - w
+        if np.max(np.abs(R.coef)) == 0:
             break
-        G = G - _plus_zero(t, _matvec_rows(Ainv, R))
-    out = np.empty(len(G), dtype=object)
-    out[:] = [Jet(t, space.base, g) for g in G]
-    return out
+        G = G - (w._like(_matvec_rows(Ainv, R.coef)) + 0.0)
+    return G

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import (JetSpace, _as_real_point, _map_rows, dz, dzbar, gradient, merge_rows,
-                   values, where)
+                   stack, values, where)
 from .pairings import worst_residual
 from .structures import HermitianStructure, is_positive
 
@@ -32,9 +32,9 @@ class TwistorLift:
     """A map together with a structure field on the target along it.
 
     ``structure_field(point, order)`` returns the 2n x 2n matrix of the
-    structure as jets in the domain variables, truncated at ``order``: an
-    object array or a nested sequence of jets.  At an (N, dim) array of
-    points it returns batched jets, one row per point.
+    structure as jets in the domain variables, truncated at ``order``: one
+    (2n, 2n) jet or nested sequences.  At an (N, dim) array of points it
+    returns batched jets, one row per point.
 
     The lift keeps the order-1 structure jets of the last point, or point
     array, it was asked for, and serves order-0 and order-1 requests there
@@ -48,18 +48,16 @@ class TwistorLift:
     _memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def structure_jets(self, point, order):
-        """The structure matrix as jets at a domain point given in real or
+        """The structure matrix as one jet at a domain point given in real or
         complex coordinates, or at an (N, dim) array of points.  The
         order-1 matrix is shared with later requests at the same point."""
         point = _as_real_point(point, self.base_map.domain_dim)
         if order > 1:
-            return self.structure_field(point, order)
+            return stack(self.structure_field(point, order))
         memo = self._memo
         if memo is None or memo[0].shape != point.shape or memo[0].tobytes() != point.tobytes():
-            memo = self._memo = (point.copy(), self.structure_field(point, 1))
-        if order == 1:
-            return memo[1]
-        return np.frompyfunc(lambda jet: jet.truncated(order), 1, 1)(memo[1])
+            memo = self._memo = (point.copy(), stack(self.structure_field(point, 1)))
+        return memo[1].truncated(order)
 
     def structure(self, point):
         """The structure at a point, or a list of them, one per row of an
@@ -90,7 +88,7 @@ def strictly_compatible_lift_r4(phi, z0):
     jets0 = phi.jets(z0, 2)
     grad0 = gradient(jets0)
     d1 = dz(grad0, 0)
-    d2 = values([dz(dz(j, 0), 0) for j in jets0])
+    d2 = values(dz(dz(jets0, 0), 0))
     batched = z0.ndim > 1
     umbilic = _rows(_umbilic, batched, grad0, d1, d2)
 
@@ -148,9 +146,11 @@ def _frame_structure(phi, point, order, umbilic):
     """J = f2 (x) f1 - f1 (x) f2 + f4 (x) f3 - f3 (x) f4 for the frame
     f1, f2 of the tangent plane and f3, f4 of the normal plane at ``point``
     (one point or a batch), on the umbilic branch or the other."""
-    space_jets = phi.jets(point, order + 2)
-    f1 = _unit(np.array([j.partial(0).real for j in space_jets]))
-    f2 = _unit(np.array([j.partial(1).real for j in space_jets]))
+    jets = phi.jets(point, order + 2)
+    # J needs the frame at ``order`` only: a product of truncated jets has
+    # the bits of the coefficients it keeps
+    f1 = _unit(jets.partial(0).real).truncated(order)
+    f2 = _unit(jets.partial(1).real).truncated(order)
     if umbilic:
         # normal plane is free: positively oriented completion
         f3 = _complete_frame(f1, f2, order)
@@ -158,22 +158,21 @@ def _frame_structure(phi, point, order, umbilic):
         frame = np.swapaxes(values([f1, f2, f3, f4]).real, -1, -2)
         f4 = where(np.linalg.det(frame) < 0, -f4, f4)
     else:
-        h = [dz(dz(j, 0), 0) for j in space_jets]
-        f3 = _unit(_project_out(np.array([w.real for w in h]), (f1, f2)))
-        f4 = _unit(_project_out(-np.array([w.imag for w in h]), (f1, f2)))
-    return np.outer(f2, f1) - np.outer(f1, f2) + np.outer(f4, f3) - np.outer(f3, f4)
+        h = dz(dz(jets, 0), 0)
+        f3 = _unit(_project_out(h.real, (f1, f2)))
+        f4 = _unit(_project_out(-h.imag, (f1, f2)))
+    return f2[:, None] * f1 - f1[:, None] * f2 + f4[:, None] * f3 - f3[:, None] * f4
 
 
 def _unit(vec):
-    """A vector of jets divided by its jet norm sqrt(vec . vec); one
+    """A vector jet divided by its jet norm sqrt(vec . vec); one
     reciprocal serves every entry, as each ``v / n`` would compute it."""
     return vec * (vec @ vec).sqrt().reciprocal()
 
 
 def _project_out(vec, frames):
-    # np.multiply keeps the operand order c * f_i of the jet products
     for f in frames:
-        vec = vec - np.multiply(vec @ f, f)
+        vec = vec - (vec @ f) * f
     return vec
 
 
@@ -182,7 +181,8 @@ def _complete_frame(f1, f2, order, skip=None):
     chosen row by row for a batch."""
     frames = [f1, f2] + ([skip] if skip is not None else [])
     best, best_norm = None, -1.0
-    for e in JetSpace(f1[0].base, order).const_array(np.eye(4)):
+    eye = np.broadcast_to(np.eye(4), f1.base.shape[:-1] + (4, 4))
+    for e in JetSpace(f1.base, order).const(eye):
         cand = _project_out(e, frames)
         n = (cand @ cand).value.real
         better = n > best_norm
@@ -196,7 +196,7 @@ def constant_lift(phi, J):
     Jm = np.asarray(getattr(J, "matrix", J), dtype=float)
 
     def structure_field(point, order):
-        return JetSpace(point, order).const_array(Jm)
+        return JetSpace(point, order).const(np.broadcast_to(Jm, point.shape[:-1] + Jm.shape))
 
     sign = +1 if is_positive(HermitianStructure(Jm)) else -1
     return TwistorLift(phi, structure_field, sign=sign)
@@ -206,7 +206,7 @@ def matrix_field_lift(phi, field_fn, sign=+1):
     """Lift from a user function returning the structure matrix of jets.
 
     ``field_fn(space)`` receives a :class:`JetSpace` over the domain point
-    and returns the 2n x 2n structure matrix with jet entries.
+    and returns the 2n x 2n structure matrix of jets.
     """
 
     def structure_field(point, order):

@@ -46,8 +46,11 @@ class SuiteConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Reject, naming ``--param <key>``, a parameter that no check of the
-        suite reads or whose value does not parse."""
+        """Reject, naming ``--tol`` or ``--param <key>``, a tolerance that is
+        not a finite number >= 0 and a parameter that no check of the suite
+        reads or whose value does not parse."""
+        if self.tol is not None and not 0 <= self.tol < np.inf:
+            raise ValueError(f"--tol must be a finite number >= 0, got {self.tol}")
         read = _params_read(self.suite)
         for key in self.params:
             if key not in read:
@@ -576,7 +579,7 @@ _suite("jacobi-first-order", "first-order tension, Jacobi identity and holomorph
 
 def _sum_maps(a, b):
     def evaluator(point, order):
-        return [p + q for p, q in zip(a.jets(point, order), b.jets(point, order))]
+        return a.jets(point, order) + b.jets(point, order)
 
     return SmoothMap(a.domain_dim, a.codomain_dim, evaluator)
 
@@ -670,7 +673,7 @@ def _(config, rng):
     M = rng.normal(size=(2, 2))
 
     def gam1(space):
-        return [space.const_array(M)]
+        return [space.const(M)]
 
     r1 = cn.curvature_02_residual(gam1, 1, np.zeros(2))
 

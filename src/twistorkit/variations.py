@@ -17,11 +17,12 @@ from .jets import (
     Jet,
     JetError,
     JetSpace,
-    _batch_first,
     _complex_pairs,
     _laplace_trace,
     _real_split,
     gradient,
+    laplacian,
+    stack,
     values,
 )
 from .pairings import worst_residual
@@ -31,12 +32,12 @@ from .pairings import worst_residual
 class MapFamily:
     """phi(t, x) through a joint jet evaluator.
 
-    ``evaluator(x0, space_order)`` returns one jet per real output component
-    in the 1 + 2m variables (t, x_1, ..., x_2m) at base point (0, x0), with
-    total order space_order + 1 so that every required t-coefficient is
-    exact.  At an (N, 2m) array of points x0 the jets are batched, with base
-    point (0, x0[r]) in row r.  phi(0, .) must evaluate identically to the
-    embedded base map.
+    ``evaluator(x0, space_order)`` returns the real output components (one
+    vector jet, or scalar jets that ``jets`` stacks) in the 1 + 2m variables
+    (t, x_1, ..., x_2m) at base point (0, x0), with total order space_order
+    + 1 so that every required t-coefficient is exact.  At an (N, 2m) array
+    of points x0 the jets are batched, with base point (0, x0[r]) in row r.
+    phi(0, .) must evaluate identically to the embedded base map.
     """
 
     domain_dim: int
@@ -45,7 +46,7 @@ class MapFamily:
 
     def jets(self, x0, space_order):
         x0 = np.asarray(x0, dtype=float)
-        return self.evaluator(x0, space_order)
+        return stack(self.evaluator(x0, space_order))
 
     @classmethod
     def affine(cls, phi0, v):
@@ -56,10 +57,8 @@ class MapFamily:
         def evaluator(x0, space_order):
             order = space_order + 1
             space = JetSpace(_family_base(x0), order)
-            t = space.var(0)
-            b = [_embed(j, space) for j in phi0.jets(x0, order)]
-            w = [_embed(j, space) for j in v.jets(x0, order)]
-            return [bj + t * wj for bj, wj in zip(b, w)]
+            return (_embed(phi0.jets(x0, order), space)
+                    + space.var(0) * _embed(v.jets(x0, order), space))
 
         return cls(phi0.domain_dim, phi0.codomain_dim, evaluator)
 
@@ -69,8 +68,7 @@ class MapFamily:
         is handed over as a real jet."""
 
         def evaluator(x0, space_order):
-            space = JetSpace(_family_base(x0), space_order + 1)
-            t, *xs = space.vars()
+            t, *xs = JetSpace(_family_base(x0), space_order + 1).vars()
             return _real_split(fn(t, *_complex_pairs(xs)))
 
         return cls(2 * m, 2 * n, evaluator)
@@ -101,15 +99,13 @@ class LiftFamily:
     structure: object  # (x0, space_order) -> matrix of joint jets
 
     def structure_jets(self, x0, space_order):
-        return self.structure(np.asarray(x0, dtype=float), space_order)
+        return stack(self.structure(np.asarray(x0, dtype=float), space_order))
 
 
 def jacobi_operator_flat(v, x0, order=2):
     """Flat-target Jacobi operator: minus the componentwise Laplacian of the
     field (the sign convention makes it the linearization of minus the
     tension).  At an (N, 2m) array of points, one row per point."""
-    from .jets import laplacian
-
     return -laplacian(v, x0, order=max(order, 2))
 
 
@@ -121,13 +117,12 @@ def tension_first_order(fam, x0):
     per point.
     """
     jets = fam.jets(x0, 2)
-    return tuple(_batch_first(np.array([_laplace_trace(j, (k,)) for j in jets]), jets, 0)
-                 for k in (0, 1))
+    return tuple(_laplace_trace(jets, (k,)) for k in (0, 1))
 
 
 def _family_dz(jets, i):
-    """d/dz_i in the space variables of joint (t, x) jets (0-based pairs)."""
-    return np.array([(j.partial(1 + 2 * i) - 1j * j.partial(2 + 2 * i)) * 0.5 for j in jets])
+    """d/dz_i in the space variables of a joint (t, x) jet (0-based pairs)."""
+    return (jets.partial(1 + 2 * i) - 1j * jets.partial(2 + 2 * i)) * 0.5
 
 
 def first_order_residual(fam, x0, kind, R=1):
@@ -163,11 +158,9 @@ def first_order_residual(fam, x0, kind, R=1):
 
 
 def _psi_holomorphy_residual(fam, x0):
-    maps = fam.maps
-    jets = maps.jets(x0, 1)
-    M = np.array(fam.structure_jets(x0, 1))
-    dx = np.array([j.partial(1) for j in jets])
-    dy = np.array([j.partial(2) for j in jets])
+    jets = fam.maps.jets(x0, 1)
+    M = fam.structure_jets(x0, 1)
+    dx, dy = jets.partial(1), jets.partial(2)
     base, t1 = [], []
     # domain structure: dx -> dy, dy -> -dx
     for defect, source in ((dy, dx), (-dx, dy)):

@@ -152,6 +152,22 @@ def test_points_below_one_is_a_usage_error(capsys):
         assert "--points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tol_that_is_not_finite_and_nonnegative_is_a_usage_error(tol, capsys):
+    code = main(["run", "--suite", "jets-core", "--points", "2", "--tol", tol,
+                 "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "usage error: --tol must be a finite number >= 0" in err
+
+
+def test_zero_tol_is_accepted(capsys):
+    assert main(["run", "--suite", "sigma-plus-algebra", "--points", "2", "--tol", "0",
+                 "--format", "json"]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert all(c["tolerance"] == 0.0 for c in doc["checks"])
+
+
 def test_keyerror_inside_a_check_is_internal(monkeypatch, capsys):
     import twistorkit.suites as su
 
@@ -170,6 +186,9 @@ def test_keyerror_inside_a_check_is_internal(monkeypatch, capsys):
     ("check: jets-core:pairing-laws tol=abc", "'abc'"),                    # not a number
     ("check: jets-core:pairing-laws tolerance=1e-30", "'tolerance'"),      # unknown key
     ("check: jets-core:pairing-laws points=0", "points= must be at least 1"),
+    ("check: jets-core:pairing-laws tol=nan", "tol= must be a finite number >= 0, got nan"),
+    ("check: jets-core:pairing-laws tol=-1e-3", "tol= must be a finite number >= 0"),
+    ("check: jets-core:pairing-laws tol=inf", "tol= must be a finite number >= 0, got inf"),
     ("chek: jets-core:pairing-laws", "unknown key 'chek'"),
 ])
 def test_malformed_suite_file_line_is_a_usage_error(line, fragment, tmp_path, monkeypatch,

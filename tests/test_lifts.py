@@ -26,6 +26,8 @@ from twistorkit.structures import (
     structure_from_mu,
 )
 
+from jet_objects import const_objects
+
 RNG = np.random.default_rng(515)
 
 HOLO = SmoothMap.from_complex(1, 2, lambda z: [z, z * z])
@@ -367,7 +369,8 @@ def test_nan_structure_derivative_gives_nan_t10_residual():
     def field(space):
         d = space.var(0)
         d.coef = d.coef * np.where(np.arange(d.coef.shape[-1]) == 0, 0.0, np.nan)
-        return space.const_array(J0) + d  # values unchanged, derivatives NaN
+        # values unchanged, derivatives NaN
+        return [[c + d for c in row] for row in const_objects(space, J0)]
 
     lift = matrix_field_lift(HOLO, field)
     for direction in ("z", "zbar"):

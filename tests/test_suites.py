@@ -38,6 +38,8 @@ from twistorkit.suites import (
     check_rng,
 )
 
+from jet_objects import const_objects
+
 
 def _random_holomorphic_poly(rng, degree=3):
     co = rng.normal(size=(2, degree + 1)) + 1j * rng.normal(size=(2, degree + 1))
@@ -264,10 +266,12 @@ def test_batched_check_residuals_match_one_sample_loop_bitwise(key, f, seed):
 def _one_point_jet_expm(M, x, space):
     """exp(x M) as a jet matrix at one point: expm at the constant term times
     the nilpotent series of the offset."""
-    out = term = space.const_array(cn.expm(x.value.real * M))
-    Mj = space.const_array(M)
+    out = term = const_objects(space, cn.expm(x.value.real * M))
+    Mj = const_objects(space, M)
+    delta = x - x.value
     for n in range(1, space.order + 1):
-        term = term @ Mj * (x - x.value) / n
+        # (term @ Mj) * delta / n entry by entry, as an object array times a jet
+        term = np.array([[e * delta / n for e in row] for row in term @ Mj])
         out = out + term
     return out
 
@@ -279,7 +283,8 @@ def _one_point_mc_flatness(A, B, p):
     x1, x2 = space.vars()
     e1, e2 = _one_point_jet_expm(A, x1, space), _one_point_jet_expm(B, x2, space)
     e1m, e2m = _one_point_jet_expm(-A, x1, space), _one_point_jet_expm(-B, x2, space)
-    comps = [e2m @ e1m @ space.const_array(A) @ e1 @ e2, e2m @ space.const_array(B) @ e2]
+    comps = [e2m @ e1m @ const_objects(space, A) @ e1 @ e2,
+             e2m @ const_objects(space, B) @ e2]
     vals, grad = values(comps), gradient(comps)
     return float(np.linalg.norm(grad[1, ..., 0] - grad[0, ..., 1]
                                 + vals[0] @ vals[1] - vals[1] @ vals[0]))
