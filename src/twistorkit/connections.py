@@ -8,16 +8,17 @@ midpoint exponential rule (Iserles et al., "Lie-group methods", Acta Numerica
 the group by construction.  Midpoint values come from ``values_fn(points)``,
 which maps an (n, d) array of points to the (n, d, k, k) stack of component
 values, and the increments of a whole block of segments from one call of
-``expm``.  The matrix exponential is scaling-and-squaring with a diagonal
-Pade(6) approximant at 1-norm 1/2 (the scheme of Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 31, 2009, at a fixed degree); it acts on a stack
-(..., n, n), and a 2-D input is the one-matrix case.
+``expm``; the running products of a block are written in place into one
+stack and their |det| checked as one array.  The matrix exponential is
+scaling-and-squaring with a diagonal Pade(6) approximant at 1-norm 1/2 (the
+scheme of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, at a fixed
+degree) on a stack (..., n, n); a 2-D input is the one-matrix case.
 
 The diagonal Pade approximant N(B)/D(B) has N(-B) = D(B) and D(-B) = N(B),
 and this holds bit for bit in floating point: IEEE rounding is symmetric
 under sign, and X and -X have the same 1-norm and so the same scaling count.
 exp(X) and exp(-X) therefore come from one Pade power loop, which the
-Maurer-Cartan forms use for g and g^(-1).
+Maurer-Cartan forms use for g and g^(-1) at each distinct coordinate value.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ def _scaled_pade(A):
 
 
 def _squared(N, D, s):
-    """D^(-1) N squared s times, each matrix of the stack by its own count."""
+    """D^(-1) N squared s times: round r squares the matrices with s >= r."""
     E = np.linalg.solve(D, N)
     for r in range(1, int(s.max(initial=0)) + 1):
-        E = np.where((s >= r)[:, None, None], E @ E, E)
+        X = E[s >= r]
+        E[s >= r] = X @ X
     return E
 
 
@@ -191,6 +193,10 @@ class GroupPath:
         self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         if self.waypoints.shape[0] < 2:
             raise PathError("a path needs at least two waypoints")
+        if not np.isfinite(self.waypoints).all():
+            raise PathError(f"waypoints must be finite, got {self.waypoints.tolist()}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise PathError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def start(self):
@@ -227,32 +233,35 @@ def integrate_path(form, path, steps=None):
     dx_i) multiplies on the right.  Second-order accurate for flat forms; the
     determinant is logged per step and a collapse signals blow-up.  The
     midpoint values and increments are evaluated in stacks of up to _BLOCK
-    segments; the product itself runs step by step, in path order.
+    segments, whose running products fill one stack, in path order, with
+    their |det| checked as one array.
 
     ``steps`` overrides ``path.steps`` for this integration.  The element
     and the determinant log are recorded on the ``GroupPath`` passed in.
     """
     if not isinstance(path, GroupPath):
         path = GroupPath(np.asarray(path), steps if steps is not None else 256)
+    # a GroupPath checks the override as it checks its own steps
+    steps = path.steps if steps is None else GroupPath(path.waypoints, steps).steps
     f = np.eye(form.size)
     path.det_log = []
-    starts, ends = _segments(path.waypoints, path.steps if steps is None else steps)
+    starts, ends = _segments(path.waypoints, steps)
     for lo in range(0, len(starts), _BLOCK):
         a, b = starts[lo:lo + _BLOCK], ends[lo:lo + _BLOCK]
         vals = form.values_at((a + b) / 2)
         delta = b - a
-        M = sum(vals[:, i] * delta[:, i, None, None] for i in range(form.domain_dim))
-        products = []
-        for E in expm(M):
-            f = f @ E
-            products.append(f)
-        for det in np.linalg.det(np.stack(products)):
-            det = abs(det)
-            path.det_log.append(float(det))
-            if not np.isfinite(det) or det < 1e-12:
-                raise BlowupError(
-                    f"accumulated element is no longer invertible (|det| = {det:.2e})")
-    path.element = f
+        E = expm(sum(vals[:, i] * delta[:, i, None, None] for i in range(form.domain_dim)))
+        P = np.empty_like(E)
+        for i in range(len(E)):
+            f = np.matmul(f, E[i], out=P[i])
+        det = np.linalg.det(P)
+        dets = np.hypot(det.real, det.imag)  # bitwise abs(); np.abs of complex is not
+        bad = np.flatnonzero(~np.isfinite(dets) | (dets < 1e-12))
+        path.det_log += dets[:bad[0] + 1 if len(bad) else None].tolist()
+        if len(bad):
+            raise BlowupError(
+                f"accumulated element is no longer invertible (|det| = {dets[bad[0]]:.2e})")
+    path.element = f = f.copy()
     return np.real_if_close(f, tol=1000)
 
 
@@ -313,13 +322,19 @@ def maurer_cartan_form(A, B):
         return [e2m @ e1m @ Aj @ e1 @ e2, e2m @ Bj @ e2]
 
     def values_fn(points):
-        x1, x2 = points[:, 0, None, None], points[:, 1, None, None]
-        e1, e1m = _expm_pm(x1 * A)
-        e2, e2m = _expm_pm(x2 * B)
+        e1, e1m = _distinct_expm_pm(points[:, 0], A)
+        e2, e2m = _distinct_expm_pm(points[:, 1], B)
         ginv = e2m @ e1m
         return np.stack([ginv @ A @ e1 @ e2, e2m @ B @ e2], axis=1)
 
     return LieValuedForm(2, k, components, values_fn=values_fn)
+
+
+def _distinct_expm_pm(x, M):
+    """_expm_pm(x[:, None, None] * M), one Pade pair per distinct bit pattern of x."""
+    u, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64), return_inverse=True)
+    E, Em = _expm_pm(u.view(float)[:, None, None] * M)
+    return E[inverse], Em[inverse]
 
 
 def maurer_cartan_value(A, B, x):

@@ -1,9 +1,13 @@
 """Flat connection forms: flatness, product integration, curvature."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from twistorkit import connections
 from twistorkit.connections import (
     BlowupError,
     GroupPath,
@@ -161,8 +165,13 @@ def reference_integration(form, waypoints, steps):
     return f, det_log, None
 
 
-def test_integration_blocks_match_per_step_loop():
-    form = maurer_cartan_form(random_skew(4), random_skew(4))
+@pytest.mark.parametrize("make", [
+    lambda: maurer_cartan_form(random_skew(4), random_skew(4)),
+    lambda: LieValuedForm.constant([random_skew(3) + 0.3j * RNG.normal(size=(3, 3)),
+                                    1j * random_skew(3)]),
+], ids=["maurer-cartan", "complex"])
+def test_integration_blocks_match_per_step_loop(make):
+    form = make()
     for waypoints in ([[0.1, -0.2], [0.9, 0.7]], [[0, 0], [1, 0], [1, 1], [-0.3, 0.4]]):
         for steps in (255, 256, 257, 1000):
             path = GroupPath(waypoints, steps)
@@ -184,6 +193,53 @@ def test_values_at_stacks_single_point_values():
     assert const.values_at(pts).shape == (5, 2, 3, 3)
 
 
+def test_maurer_cartan_values_at_rows_with_shared_coordinates_are_bitwise():
+    form = maurer_cartan_form(3.0 * random_skew(4), random_skew(4))
+    x = RNG.uniform(-1, 1, 3)
+    pts = np.array([[x[0], x[1]], [x[0], x[2]], [x[1], x[1]], [x[0], x[1]],
+                    [0.0, x[2]], [-0.0, x[2]], [x[2], 0.0], [x[2], -0.0],
+                    [np.nan, x[0]], [x[0], np.nan]])
+    with np.errstate(invalid="ignore"):
+        V = form.values_at(pts)
+        rows = [form.values(p) for p in pts]
+    assert V.shape == (10, 2, 4, 4)
+    for v, row in zip(V, rows):
+        assert v.tobytes() == row.tobytes()
+    assert np.isnan(V[8]).any() and np.isfinite(V[:8]).all()
+
+
+def _count_pade_matrices(monkeypatch):
+    count = [0]
+    scaled_pade = connections._scaled_pade
+
+    def counting(A):
+        N, D, s, shape = scaled_pade(A)
+        count[0] += len(s)
+        return N, D, s, shape
+
+    monkeypatch.setattr(connections, "_scaled_pade", counting)
+    return count
+
+
+def test_maurer_cartan_values_exponentiate_each_bit_pattern_once(monkeypatch):
+    form = maurer_cartan_form(random_skew(4), random_skew(4))
+    count = _count_pade_matrices(monkeypatch)
+    form.values_at(np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [0.25, 0.5]]))
+    assert count[0] == 3 + 1  # x1 in {0.0, -0.0, 0.25}, x2 in {0.5}
+
+
+def test_path_independence_exponentials_on_the_unit_square(monkeypatch):
+    # each leg of the square keeps one coordinate constant: per block of 256
+    # steps, 256 increments, 256 distinct values of one coordinate and one of
+    # the other, against 3 x 256 Pade matrices without the deduplication
+    form = maurer_cartan_form(random_skew(4), random_skew(4))
+    sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
+    sq2 = np.array([[0, 0], [0, 1], [1, 1]], dtype=float)
+    count = _count_pade_matrices(monkeypatch)
+    assert path_independence_defect(form, sq1, sq2, 2000) <= 1e-5
+    assert count[0] < 8100
+
+
 def test_blowup_in_second_block_keeps_step_log():
     # |det f| = exp(-2 * 46 * j / 1000) drops below 1e-12 at step 301
     form = LieValuedForm.constant([-46.0 * np.eye(2), np.zeros((2, 2))])
@@ -194,6 +250,24 @@ def test_blowup_in_second_block_keeps_step_log():
     _, ref_log, err = reference_integration(form, waypoints, 1000)
     assert len(ref_log) == 301 and path.det_log == ref_log
     assert str(exc.value) == err
+
+
+def test_nonfinite_det_in_mid_block_stops_at_its_step():
+    # the values turn NaN at the first midpoint with x1 > 0.6: step 601 of
+    # 1000, in the middle of the third block
+    A = random_skew(3)
+    form = LieValuedForm(2, 3, None, values_fn=lambda pts: np.where(
+        (pts[:, 0] > 0.6)[:, None, None, None], np.nan, np.stack([A, A.T])))
+    waypoints = [[0.0, 0.0], [1.0, 0.0]]
+    path = GroupPath(waypoints, 1000)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(BlowupError) as exc:
+            integrate_path(form, path)
+        _, ref_log, err = reference_integration(form, waypoints, 1000)
+    assert err == "accumulated element is no longer invertible (|det| = nan)"
+    assert str(exc.value) == err
+    assert len(ref_log) == len(path.det_log) == 601 and np.isnan(path.det_log[-1])
+    assert np.array(path.det_log).tobytes() == np.array(ref_log).tobytes()
 
 
 def _x2_e12_components(space):
@@ -320,6 +394,35 @@ def test_blowup_detection():
 def test_group_path_validation():
     with pytest.raises(PathError):
         GroupPath(np.array([[0.0, 0.0]]), 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_waypoint_raises_path_error(bad):
+    form = maurer_cartan_form(random_skew(3), random_skew(3))
+    waypoints = np.array([[0.0, 0.0], [bad, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathError, match=f"waypoints must be finite, got .*{bad}"):
+            GroupPath(waypoints, 10)
+        with pytest.raises(PathError, match=f"waypoints must be finite, got .*{bad}"):
+            integrate_path(form, waypoints, steps=10)
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5], ids=["zero", "negative", "fraction"])
+def test_bad_steps_raise_path_error(steps):
+    form = maurer_cartan_form(random_skew(3), random_skew(3))
+    waypoints = [[0.0, 0.0], [1.0, 1.0]]
+    message = re.escape(f"steps must be an integer >= 1, got {steps!r}")
+    with pytest.raises(PathError, match=message):
+        GroupPath(waypoints, steps)
+    with pytest.raises(PathError, match=message):
+        integrate_path(form, np.array(waypoints), steps=steps)
+    path = GroupPath(waypoints, 10)
+    with pytest.raises(PathError, match=message):
+        integrate_path(form, path, steps=steps)
+    assert path.det_log == [] and path.element is None
+    with pytest.raises(PathError, match=message):
+        path_independence_defect(form, waypoints, waypoints, steps)
 
 
 def test_curvature_02_residuals():

@@ -7,9 +7,10 @@ example low-order digits that move after a reassociated sum, with pass/fail
 and all counts equal).  To regenerate one::
 
     twistorkit run --suite S --seed 42 --points 50 --format json > tests/golden/S.json
-    twistorkit run ARGV --seed 42 --points 10 --format json > tests/golden/variants/NAME.json
+    twistorkit run --seed 42 --points 10 --format json ARGV > tests/golden/variants/NAME.json
 
-with NAME and ARGV from ``VARIANTS`` below.
+with NAME and ARGV from ``VARIANTS`` below; ARGV comes last, so a variant may
+override the fixed flags (a ``--seed`` of its own, for example).
 """
 
 from pathlib import Path
@@ -21,12 +22,13 @@ from twistorkit.suites import SUITES
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# variant file stem -> the argv it was produced with, before the fixed flags
+# variant file stem -> the argv it was produced with, after the fixed flags
 VARIANTS = {
     "euclid-hm-f-quadratic": ["--suite", "euclid-hm", "--param", "f=0,1,0.5"],
     "cp3-data-pqr": ["--suite", "cp3-data", "--param", "P=0,2", "--param", "Q=0,1.5",
                      "--param", "R=0,0.5"],
     "jets-core-tol-1e-6": ["--suite", "jets-core", "--tol", "1e-6"],
+    "flat-connection-seed-7": ["--suite", "flat-connection", "--seed", "7"],
 }
 
 
@@ -48,5 +50,5 @@ def test_report_matches_golden(suite, monkeypatch, capsys):
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_variant_matches_golden(name, monkeypatch, capsys):
     monkeypatch.delenv("TWISTOR_SUITE_DIR", raising=False)
-    main(["run", *VARIANTS[name], "--seed", "42", "--points", "10", "--format", "json"])
+    main(["run", "--seed", "42", "--points", "10", "--format", "json", *VARIANTS[name]])
     assert capsys.readouterr().out == (GOLDEN / "variants" / f"{name}.json").read_text()
