@@ -88,10 +88,14 @@ def weak_conformality(phi, x0):
     point or a branch point (factor 0 forces dphi = 0).
     """
     D = phi.jacobian(x0)
-    m2 = phi.domain_dim
-    G = D.T @ D
-    lam = float(np.trace(G)) / m2
-    return lam, float(np.linalg.norm(G - lam * np.eye(m2)))
+    return _gram_deviation(D.T @ D)
+
+
+def _gram_deviation(G):
+    """(trace(G)/n, |G - trace(G)/n I|) for an n x n Gram matrix G."""
+    n = len(G)
+    lam = float(np.trace(G)) / n
+    return lam, float(np.linalg.norm(G - lam * np.eye(n)))
 
 
 def pluriconformality_residual(phi, x0):
@@ -109,9 +113,9 @@ def _worst(pairings):
     return float(worst) if worst.ndim == 0 else worst
 
 
-def harmonicity_residual(phi, x0, order=2):
+def harmonicity_residual(phi, x0):
     """Euclidean norm of the flat tension field (the componentwise Laplacian)."""
-    return float(np.linalg.norm(laplacian(phi, x0, order=order)))
+    return float(np.linalg.norm(laplacian(phi, x0)))
 
 
 def real_isotropy_residual(phi, z0, R, mode="full"):
@@ -163,21 +167,18 @@ def hwc_residual(phi, x0):
     residual vanishes; a zero differential passes with factor 0.
     """
     D = phi.jacobian(x0)
-    n2 = phi.codomain_dim
-    G = D @ D.T
-    lam = float(np.trace(G)) / n2
-    return lam, float(np.linalg.norm(G - lam * np.eye(n2)))
+    return _gram_deviation(D @ D.T)
 
 
-def harmonic_morphism_residual(phi, x0, order=2):
+def harmonic_morphism_residual(phi, x0):
     """(harmonicity residual, horizontal-conformality residual); the map is a
     harmonic morphism at the point iff both vanish."""
-    harm = harmonicity_residual(phi, x0, order=order)
+    harm = harmonicity_residual(phi, x0)
     _, hwc = hwc_residual(phi, x0)
     return harm, hwc
 
 
-def pullback_harmonic_oracle(phi, g_coeffs, x0, order=2):
+def pullback_harmonic_oracle(phi, g_coeffs, x0):
     """|Laplacian of Re(g(phi))| for a holomorphic polynomial g, targets C.
 
     Harmonic morphisms to C are exactly the maps for which this vanishes for
@@ -186,18 +187,18 @@ def pullback_harmonic_oracle(phi, g_coeffs, x0, order=2):
     """
     if phi.codomain_dim != 2:
         raise JetError("pullback oracle needs codomain C")
-    (w,) = phi.complex_jets(x0, max(order, 2))
+    (w,) = phi.complex_jets(x0, 2)
     g = _horner(g_coeffs, w)
     if not isinstance(g, Jet):
         return 0.0  # constant polynomial
     return abs(_laplace_trace(g.real))
 
 
-def one_one_geodesic_residual(phi, x0, order=2):
+def one_one_geodesic_residual(phi, x0):
     """max over i, j of |d^2 phi / dz_i dzbar_j|; 0 iff all mixed Wirtinger
     Hessians vanish (flat Kaehler domain)."""
     m = phi.domain_dim // 2
-    jets = phi.jets(x0, max(order, 2))
+    jets = phi.jets(x0, 2)
     norms = []
     for i in range(m):
         grad = gradient(dz(jets, i))

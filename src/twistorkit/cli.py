@@ -6,8 +6,8 @@ report; it goes to stderr with the human summary.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 internal evaluation error.  A ``--param`` key that no check of the suite
-reads, or a value that is not a comma-separated list of numbers, is a usage
-error found before any check runs.
+reads or that is given twice, or a value that is not a comma-separated list
+of numbers, is a usage error found before any check runs.
 
 Custom suites: point TWISTOR_SUITE_DIR at a directory of ``*.suite`` files,
 each a key-value document::
@@ -18,9 +18,11 @@ each a key-value document::
     check: jets-core:product-convolution
 
 Overrides are ``tol=<finite number >= 0>`` and ``points=<integer >= 1>``.
-Any other key, override or value, and an empty ``check:`` line, is a usage
-error (exit 2) that names the file and line; so is a file with ``check:``
-lines but no ``name:``, or whose name is that of a built-in suite.
+Any other key, override or value, an empty ``check:`` line and a second
+``name:`` or ``description:`` line, is a usage error (exit 2) that names the
+file and line; so is a file that is not readable UTF-8 text, one with
+``check:`` lines but no ``name:``, and one whose name is that of a built-in
+suite or of another file.
 """
 
 from __future__ import annotations
@@ -128,34 +130,43 @@ def load_custom_suites(directory):
     """Parse *.suite files (key-value lines) and register their suites."""
     if not directory or not os.path.isdir(directory):
         return
+    origin = {}  # suite name -> the file that declared it
     for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".suite"):
             continue
         path = os.path.join(directory, fname)
-        name, description, refs = None, "", []
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition(":")
-                key, value = key.strip(), value.strip()
-                if key == "name":
-                    name = value
-                elif key == "description":
-                    description = value
-                elif key == "check":
-                    refs.append(_parse_check(value, f"{path}:{lineno}"))
-                else:
-                    raise SuiteFileError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeError) as exc:
+            raise SuiteFileError(f"{path}: not a readable UTF-8 text file ({exc})") from None
+        fields, refs = {}, []
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition(":")
+            key, value = key.strip(), value.strip()
+            if key == "check":
+                refs.append(_parse_check(value, f"{path}:{lineno}"))
+            elif key not in ("name", "description"):
+                raise SuiteFileError(f"{path}:{lineno}: unknown key {key!r}")
+            elif key in fields:
+                raise SuiteFileError(f"{path}:{lineno}: second {key}: line")
+            else:
+                fields[key] = value
+        name = fields.get("name")
         if not name and not refs:
             continue
         if not refs:
             raise SuiteFileError(f"{path}: name: but no check: lines")
         if not name:
             raise SuiteFileError(f"{path}: check: lines but no name: line")
+        if name in origin:
+            raise SuiteFileError(f"{path}: suite name {name!r} is also that of {origin[name]}")
+        origin[name] = path
         try:
-            register_custom_suite(name, description, refs)
+            register_custom_suite(name, fields.get("description", ""), refs)
         except ValueError as exc:
             raise SuiteFileError(f"{path}: {exc}") from None
 
@@ -166,6 +177,8 @@ def _parse_params(items):
         if "=" not in item:
             raise ValueError(f"--param needs k=v, got {item!r}")
         k, _, v = item.partition("=")
+        if k in params:
+            raise ValueError(f"--param {k}: given twice, {params[k]!r} and {v!r}")
         params[k] = v
     return params
 

@@ -278,7 +278,7 @@ def path_independence_defect(form, path_a, path_b, steps):
     return float(np.linalg.norm(fa - fb))
 
 
-def curvature_02_residual(gammas_fn, m, pt, order=1):
+def curvature_02_residual(gammas_fn, m, pt):
     """Antiholomorphic curvature residual of connection coefficient fields.
 
     ``gammas_fn(space)`` returns m matrices of jets over R^(2m); the residual
@@ -290,7 +290,7 @@ def curvature_02_residual(gammas_fn, m, pt, order=1):
         raise PathError("need m >= 1")
     if m == 1:
         return 0.0
-    space = JetSpace(np.asarray(pt, dtype=float), order)
+    space = JetSpace(np.asarray(pt, dtype=float), 1)
     gam = stack(gammas_fn(space))
     vals, grad = values(gam), gradient(gam)
     return worst_residual([

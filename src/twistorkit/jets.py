@@ -367,6 +367,9 @@ class Jet:
         complex arithmetic can differ in the last bit)."""
         c = self.value
         if c.ndim == 0:
+            # The row loop below gives a scalar jet at one point the same bits;
+            # this fork stays for speed: without it breadth ran 5.4 % and
+            # morphism 12.9 % slower (in-process CPU time, 6 pairs each).
             a = coefficients(c)
         else:
             a = [np.array(k).reshape(c.shape)
@@ -525,15 +528,12 @@ def _as_real_point(x, dim):
 def real_to_complex_point(x):
     """The point of C^m with real coordinates x, or of each row of an
     (..., 2m) array: the inverse of complex_to_real_point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] % 2:
-        raise JetError(
-            f"complex pairing needs an even number of entries, got {x.shape[-1]}")
-    return x[..., 0::2] + 1j * x[..., 1::2]
+    return complex_view(np.asarray(x, dtype=float))
 
 
 def complex_view(vec):
-    """Pair consecutive entries of a real-component vector: v_{2j}+i v_{2j+1}.
+    """Pair consecutive entries of a real-component vector: v_{2j}+i v_{2j+1},
+    along the last axis of an (..., 2n) array.
 
     This is the C^n-identified view of a (complexified) tangent vector; the
     full 2n-component vector is the primary representation and is what the
@@ -541,9 +541,10 @@ def complex_view(vec):
     the last entry against a partner it does not have.
     """
     vec = np.asarray(vec)
-    if len(vec) % 2:
-        raise JetError(f"complex pairing needs an even number of entries, got {len(vec)}")
-    return vec[0::2] + 1j * vec[1::2]
+    if vec.shape[-1] % 2:
+        raise JetError(
+            f"complex pairing needs an even number of entries, got {vec.shape[-1]}")
+    return vec[..., 0::2] + 1j * vec[..., 1::2]
 
 
 def _complex_pairs(xs):
@@ -578,11 +579,10 @@ class SmoothMap:
     identical coefficients); :meth:`jets` stacks them once.
     """
 
-    def __init__(self, domain_dim, codomain_dim, evaluator, name=None):
+    def __init__(self, domain_dim, codomain_dim, evaluator):
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
         self.evaluator = evaluator
-        self.name = name
 
     def jets(self, point, order):
         """One vector jet of the real components at a point of R^domain_dim in
@@ -608,7 +608,7 @@ class SmoothMap:
         return gradient(self.jets(point, 1)).real.copy()
 
     @classmethod
-    def from_complex(cls, m, n, fn, name=None):
+    def from_complex(cls, m, n, fn):
         """Build a map from a function of complex jet variables.
 
         ``fn`` receives m complex jets (with ``.conj()`` available) and must
@@ -616,12 +616,12 @@ class SmoothMap:
         components.
         """
         return cls(2 * m, 2 * n, lambda point, order:
-                   _real_split(fn(*JetSpace(point, order).complex_vars())), name=name)
+                   _real_split(fn(*JetSpace(point, order).complex_vars())))
 
     @classmethod
-    def from_real(cls, domain_dim, codomain_dim, fn, name=None):
+    def from_real(cls, domain_dim, codomain_dim, fn):
         return cls(domain_dim, codomain_dim,
-                   lambda point, order: fn(*JetSpace(point, order).vars()), name=name)
+                   lambda point, order: fn(*JetSpace(point, order).vars()))
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +723,9 @@ def dzbar(f, i=0):
     return (dx + 1j * dy) * 0.5
 
 
-def dz_vectors(phi, z0, r, direction=0):
-    """Iterated d/dz_{direction} derivatives of orders 1..r of every real
-    component at z0, from one jet evaluation at order r.
+def dz_vectors(phi, z0, r):
+    """Iterated d/dz_0 derivatives of orders 1..r of every real component at
+    z0, from one jet evaluation at order r.
 
     Each is the complex 2n-vector of Wirtinger derivatives of the real
     components (flat target, so iterated covariant derivatives are plain
@@ -734,25 +734,23 @@ def dz_vectors(phi, z0, r, direction=0):
     jets = phi.jets(z0, r)
     out = []
     for _ in range(r):
-        jets = dz(jets, direction)
+        jets = dz(jets)
         out.append(values(jets))
     return out
 
 
-def dz_power(phi, r, z0, direction=0):
-    """Exact r-th iterated d/dz_{direction} derivative of every real
-    component: the last of :func:`dz_vectors`, from jets of order r."""
+def dz_power(phi, r, z0):
+    """Exact r-th iterated d/dz_0 derivative of every real component: the
+    last of :func:`dz_vectors`, from jets of order r."""
     if r < 1:
         raise JetError("dz_power needs r >= 1")
-    return dz_vectors(phi, z0, r, direction)[-1]
+    return dz_vectors(phi, z0, r)[-1]
 
 
-def laplacian(phi, x0, order=2):
+def laplacian(phi, x0):
     """Sum of pure second partials over all domain coordinates (flat spaces),
     one row per point at an (N, domain_dim) array of points."""
-    if order < 2:
-        raise JetError("laplacian needs jet order >= 2")
-    return _laplace_trace(phi.jets(x0, order))
+    return _laplace_trace(phi.jets(x0, 2))
 
 
 def _laplace_trace(jet, lead=()):

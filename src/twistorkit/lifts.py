@@ -202,20 +202,7 @@ def constant_lift(phi, J):
     return TwistorLift(phi, structure_field, sign=sign)
 
 
-def matrix_field_lift(phi, field_fn, sign=+1):
-    """Lift from a user function returning the structure matrix of jets.
-
-    ``field_fn(space)`` receives a :class:`JetSpace` over the domain point
-    and returns the 2n x 2n structure matrix of jets.
-    """
-
-    def structure_field(point, order):
-        return field_fn(JetSpace(point, order))
-
-    return TwistorLift(phi, structure_field, sign=sign)
-
-
-def vertical_part(lift, z0, X, order=1):
+def vertical_part(lift, z0, X):
     """Directional derivative of the structure field along a domain vector.
 
     For flat targets this is the vertical component of the lift derivative;
@@ -223,7 +210,7 @@ def vertical_part(lift, z0, X, order=1):
     (N, 2) array of points X is one vector or one per row, and the result
     has one matrix per row.
     """
-    grad = gradient(lift.structure_jets(z0, max(order, 1))).real
+    grad = gradient(lift.structure_jets(z0, 1)).real
     out = np.zeros(grad.shape[:-1])
     X = np.asarray(X, dtype=float)
     for v in range(X.shape[-1]):
@@ -232,7 +219,7 @@ def vertical_part(lift, z0, X, order=1):
     return out
 
 
-def j_vertical_residual(lift, z0, a, order=1):
+def j_vertical_residual(lift, z0, a):
     """Vertical-holomorphy defect of a structure field, a in {1, 2}.
 
     Frobenius norm of grad_{J0 X} J - (-1)^(a+1) J grad_X J, maximized over
@@ -243,7 +230,7 @@ def j_vertical_residual(lift, z0, a, order=1):
     if a not in (1, 2):
         raise LiftError("a must be 1 or 2")
     z0 = _as_real_point(z0, lift.base_map.domain_dim)
-    M = lift.structure_jets(z0, max(order, 1))
+    M = lift.structure_jets(z0, 1)
     sgn = 1.0 if a == 1 else -1.0
 
     def residual(J0v, grad):
@@ -257,7 +244,7 @@ def j_vertical_residual(lift, z0, a, order=1):
     return _rows(residual, z0.ndim > 1, values(M).real, gradient(M).real)
 
 
-def t10_stability_residual(lift, z0, direction="z", order=1):
+def t10_stability_residual(lift, z0, direction="z"):
     """Stability defect of the (1,0)-space of the structure field.
 
     Differentiates a frame of the (1,0)-space along dz (direction "z") or
@@ -270,7 +257,7 @@ def t10_stability_residual(lift, z0, direction="z", order=1):
     if direction not in ("z", "zbar"):
         raise LiftError("direction must be 'z' or 'zbar'")
     z0 = _as_real_point(z0, lift.base_map.domain_dim)
-    M = lift.structure_jets(z0, max(order, 1))
+    M = lift.structure_jets(z0, 1)
     n = len(M)
 
     def residual(J0, dP):

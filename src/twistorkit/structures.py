@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import complex_view
-from .pairings import bilinear_dot, is_isotropic_span
+from .pairings import is_isotropic_span
 
 STRUCTURE_TOL = 1e-10
 
@@ -56,17 +56,16 @@ class HermitianStructure:
 class IsotropicSubspace:
     """A k-dimensional isotropic subspace of C^(2k), spanned by basis rows."""
 
-    def __init__(self, basis, tol=STRUCTURE_TOL, check=True):
+    def __init__(self, basis):
         B = np.atleast_2d(np.asarray(basis, dtype=complex))
         k, d = B.shape
         if d != 2 * k:
             raise StructureError(f"basis must be k x 2k, got {B.shape}")
-        if check:
-            ok, res = is_isotropic_span(list(B), tol=np.sqrt(tol))
-            if not ok:
-                raise StructureError(f"rows are not isotropic (residual {res:g})")
-            if np.linalg.matrix_rank(B, tol=1e-8) != k:
-                raise StructureError("basis rows are rank deficient")
+        ok, res = is_isotropic_span(list(B), tol=np.sqrt(STRUCTURE_TOL))
+        if not ok:
+            raise StructureError(f"rows are not isotropic (residual {res:g})")
+        if np.linalg.matrix_rank(B, tol=1e-8) != k:
+            raise StructureError("basis rows are rank deficient")
         self.basis = B
 
     @property
@@ -127,11 +126,11 @@ def is_positive(J):
     return np.linalg.det(adapted_basis(J)) > 0
 
 
-def so_action(S, J, tol=1e-8):
+def so_action(S, J):
     """Conjugation action S . J = S J S^(-1) of the orthogonal group; S and J
     broadcast over stacks of matrices."""
     S = np.asarray(S, dtype=float)
-    if np.max(np.abs(S.swapaxes(-1, -2) @ S - np.eye(S.shape[-1]))) > tol:
+    if np.max(np.abs(S.swapaxes(-1, -2) @ S - np.eye(S.shape[-1]))) > 1e-8:
         raise StructureError("S is not orthogonal within tolerance")
     return HermitianStructure(S @ J.matrix @ S.swapaxes(-1, -2))
 
@@ -202,9 +201,9 @@ def mj_basis(J):
     return [v.reshape(n, n) for v in vt[rank:]]
 
 
-def jv_apply(J, lam, tol=1e-8):
+def jv_apply(J, lam):
     """The vertical complex structure: lambda -> J @ lambda; squares to -id."""
-    if mj_residual(lam, J) > tol:
+    if mj_residual(lam, J) > 1e-8:
         raise StructureError("matrix is not in the vertical space at J")
     return J.matrix @ np.asarray(lam, dtype=float)
 
@@ -254,8 +253,8 @@ def mu_from_structure(J):
     k = J.k
     F = to_isotropic(J).basis
     # columns: the d/dq and d/dqbar components of the (0,1)-basis conj(F)
-    A = complex_view(np.conj(F).T)
-    Bm = np.conj(complex_view(F.T))
+    A = complex_view(np.conj(F)).T
+    Bm = np.conj(complex_view(F)).T
     if abs(np.linalg.det(Bm)) < 1e-12:
         raise StructureError("structure is outside the mu-chart")
     M = A @ np.linalg.inv(Bm)

@@ -132,8 +132,8 @@ def _morphism_samples(rng, data, count):
     return list(zip(zxi, real_to_complex_point(q), z))
 
 
-def _coeff_param(config, key, default="0,1"):
-    raw = config.params.get(key, default)
+def _coeff_param(config, key):
+    raw = config.params.get(key, "0,1")
     if isinstance(raw, str):
         return [complex(c) if "j" in c else float(c) for c in raw.split(",")]
     return list(raw)
@@ -143,10 +143,10 @@ def _pqr(config):
     return {k: tuple(_coeff_param(config, k)) for k in ("P", "Q", "R")}
 
 
-def _holomorphic_coefficients(rng, degree=3):
-    """Coefficients of a random holomorphic polynomial map C -> C^2 of the
-    given degree, for :func:`_holomorphic_poly`."""
-    return rng.normal(size=(2, degree + 1)) + 1j * rng.normal(size=(2, degree + 1))
+def _holomorphic_coefficients(rng):
+    """Coefficients of a random holomorphic polynomial map C -> C^2 of
+    degree 3, for :func:`_holomorphic_poly`."""
+    return rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
 
 
 def _holomorphic_poly(co):
@@ -231,8 +231,8 @@ def _random_structure(rng, kmin):
     return st.so_action(_random_so(rng, 2 * k), st.canonical_structure(k))
 
 
-def _skew(rng, k=4):
-    A = rng.normal(size=(k, k))
+def _skew(rng):
+    A = rng.normal(size=(4, 4))
     return A - A.T
 
 
@@ -469,14 +469,14 @@ _suite("lifts-r4", "strictly compatible lifts and their vertical/stability resid
 
 
 def _lift_test_maps():
-    holo = SmoothMap.from_complex(1, 2, lambda z: [z, z * z], name="z,z2")
+    holo = SmoothMap.from_complex(1, 2, lambda z: [z, z * z])
 
     def chart_fn(t):
         w1, w2, mu = t, t * t, t
         den = 1 + mu * mu.conj()
         return [(w1 + mu * w2.conj()) / den, (w2 - mu * w1.conj()) / den]
 
-    chart = SmoothMap.from_complex(1, 2, chart_fn, name="chart-disk")
+    chart = SmoothMap.from_complex(1, 2, chart_fn)
     return holo, chart
 
 

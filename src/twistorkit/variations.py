@@ -81,12 +81,11 @@ def _family_base(x0):
 
 
 def _embed(jet, space):
-    """Inject a jet in x-variables into the (t, x) space of a family."""
+    """Inject a jet in x-variables, of the space's order, into the (t, x)
+    space of a family."""
     tgt = space.const(0.0).table
     out = np.zeros(jet.coef.shape[:-1] + (tgt.size,), dtype=complex)
     for pos, alpha in enumerate(jet.table.indices):
-        if jet.table.degrees[pos] > space.order:
-            continue
         out[..., tgt.position[(0,) + alpha]] = jet.coef[..., pos]
     return Jet(tgt, space.base, out)
 
@@ -102,11 +101,11 @@ class LiftFamily:
         return stack(self.structure(np.asarray(x0, dtype=float), space_order))
 
 
-def jacobi_operator_flat(v, x0, order=2):
+def jacobi_operator_flat(v, x0):
     """Flat-target Jacobi operator: minus the componentwise Laplacian of the
     field (the sign convention makes it the linearization of minus the
     tension).  At an (N, 2m) array of points, one row per point."""
-    return -laplacian(v, x0, order=max(order, 2))
+    return -laplacian(v, x0)
 
 
 def tension_first_order(fam, x0):

@@ -251,6 +251,8 @@ def test_pullback_oracle_examples():
         assert pullback_harmonic_oracle(phi, [0, 0, 0, 1.0], p) <= 1e-8
     notm = SmoothMap.from_real(2, 2, lambda x, y: [x * x, 0 * x])
     assert abs(pullback_harmonic_oracle(notm, [0, 1.0], [0.1, 0.1]) - 2.0) < 1e-13
+    for constant in ([2.5], []):  # g is no jet: Re(g(phi)) is constant
+        assert pullback_harmonic_oracle(notm, constant, [0.1, 0.1]) == 0.0
 
 
 def _oracle_passes(phi, pts, tol=1e-8):

@@ -228,6 +228,58 @@ def test_suite_file_without_checks_is_a_usage_error(tmp_path, monkeypatch, capsy
         assert capsys.readouterr().err.strip().endswith(f"{path}: name: but no check: lines")
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_suite_file_is_a_usage_error(kind, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "x.suite"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"name: bad\xff\ncheck: jets-core:pairing-laws\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    for argv in (["list"], ["run", "--suite", "bad", "--points", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{path}: not a readable UTF-8 text file" in captured.err
+        assert captured.out == ""
+
+
+def test_two_suite_files_with_one_name_are_a_usage_error(tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "a.suite", tmp_path / "b.suite"
+    first.write_text("name: dup\ncheck: jets-core:pairing-laws points=2\n")
+    second.write_text("name: dup\ncheck: sigma-plus-algebra:mj-dimension\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    for argv in (["list"], ["run", "--suite", "dup", "--points", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{second}: suite name 'dup' is also that of {first}" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("line", ["name: other", "description: again"])
+def test_second_name_or_description_line_is_a_usage_error(line, tmp_path, monkeypatch,
+                                                           capsys):
+    path = tmp_path / "twice.suite"
+    path.write_text(f"name: twice\ndescription: once\ncheck: jets-core:pairing-laws\n{line}\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    assert main(["run", "--suite", "twice", "--points", "2"]) == 2
+    key = line.partition(":")[0]
+    assert f"{path}:4: second {key}: line" in capsys.readouterr().err
+
+
+def test_repeated_param_is_a_usage_error(monkeypatch, capsys):
+    import twistorkit.cli as cli
+
+    def no_run(config):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    assert main(["run", "--suite", "euclid-hm", "--points", "2",
+                 "--param", "f=0,1", "--param", "f=0,2"]) == 2
+    captured = capsys.readouterr()
+    assert "--param f: given twice, '0,1' and '0,2'" in captured.err
+    assert captured.out == ""
+
+
 def test_custom_suites_reload_and_stay_out_of_builtins(tmp_path, monkeypatch, capsys):
     import twistorkit.suites as su
 

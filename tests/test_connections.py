@@ -352,6 +352,14 @@ def test_zero_form_gives_identity():
     assert np.allclose(f, np.eye(3))
 
 
+def test_coincident_waypoints_give_the_identity_and_no_steps():
+    form = maurer_cartan_form(random_skew(3), random_skew(3))
+    path = GroupPath(np.array([[0.3, 0.1], [0.3, 0.1], [0.3, 0.1]]), 16)
+    f = integrate_path(form, path)
+    assert np.array_equal(f, np.eye(3)) and np.array_equal(path.element, np.eye(3))
+    assert path.det_log == []
+
+
 def test_maurer_cartan_integration_recovers_group_element():
     A, B = random_skew(4), random_skew(4)
     form = maurer_cartan_form(A, B)
@@ -448,6 +456,9 @@ def test_curvature_02_residuals():
         return [G1, G2]
 
     assert abs(curvature_02_residual(gam_bad, 2, np.zeros(4)) - 1.0) <= 1e-14
+
+    with pytest.raises(PathError, match="need m >= 1"):
+        curvature_02_residual(gam1, 0, np.zeros(0))
 
 
 def test_nan_curvature_residuals_are_nan():

@@ -436,6 +436,26 @@ def test_batched_invert_h_names_the_singular_row():
         invert_h(data_far, targets, starts)
 
 
+def test_newton_divergence_names_the_row_of_a_batch(monkeypatch):
+    import twistorkit.factory as fa
+
+    data = euclid_r6_data()
+    targets, starts = _newton_batch(data, 7, 2, spread=0.05)
+    monkeypatch.setattr(fa, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NewtonDivergenceError, match="^no convergence after 1 iterations"):
+        invert_h(data, targets[0], starts[0])
+    # row 0 starts at its preimage and leaves after its polishing step; row 1
+    # cannot reach the target and take one more step within two iterations
+    exact = forward_samples(data, 1, np.random.default_rng(8), guard=False)[0]
+    targets[0], starts[0] = exact[1], exact[0]
+    monkeypatch.setattr(fa, "NEWTON_MAX_ITER", 2)
+    rec = NewtonRecord()
+    with pytest.raises(NewtonDivergenceError,
+                       match=r"^row 1: no convergence after 2 iterations \(last residual"):
+        invert_h(data, targets, starts, record=rec)
+    assert [len(r) for r in rec.residuals] == [2, 2] and rec.residuals[0][-1] <= 1e-12
+
+
 def test_newton_record_of_one_point_is_flat_and_of_a_batch_per_row():
     data = euclid_r6_data()
     targets, starts = _newton_batch(data, 5, 3)

@@ -265,8 +265,6 @@ def test_laplacian_values():
     assert np.allclose(laplacian(harm, [0.3, 0.8]), [0.0, 0.0])
     bump = SmoothMap.from_real(2, 2, lambda x, y: [x * x, 0 * x])
     assert np.allclose(laplacian(bump, [0.3, 0.8]), [2.0, 0.0])
-    with pytest.raises(JetError):
-        laplacian(bump, [0.0, 0.0], order=1)
 
 
 def test_evaluator_is_deterministic():

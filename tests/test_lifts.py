@@ -8,13 +8,13 @@ from twistorkit.checkers import (
     holomorphy_residual,
     real_isotropy_residual,
 )
-from twistorkit.jets import SmoothMap
+from twistorkit.jets import JetSpace, SmoothMap
 from twistorkit.lifts import (
     LiftError,
+    TwistorLift,
     _umbilic,
     constant_lift,
     j_vertical_residual,
-    matrix_field_lift,
     strictly_compatible_lift_r4,
     t10_stability_residual,
     vertical_part,
@@ -153,7 +153,7 @@ def test_vertical_part_of_rotated_field_is_commutator():
         return mm(mm(R, J0j), RT)
 
     phi = SmoothMap.from_complex(1, 2, lambda z: [z, z * z])
-    L = matrix_field_lift(phi, field)
+    L = TwistorLift(phi, lambda p, k: field(JetSpace(p, k)))
     p = np.array([0.4, -0.2])
     vp = vertical_part(L, p, [1.0, 0.0])
     J = L.structure(p).matrix
@@ -372,7 +372,7 @@ def test_nan_structure_derivative_gives_nan_t10_residual():
         # values unchanged, derivatives NaN
         return [[c + d for c in row] for row in const_objects(space, J0)]
 
-    lift = matrix_field_lift(HOLO, field)
+    lift = TwistorLift(HOLO, lambda p, k: field(JetSpace(p, k)))
     for direction in ("z", "zbar"):
         assert np.isnan(t10_stability_residual(lift, [0.3, 0.2], direction))
 
