@@ -68,7 +68,6 @@ from .factory import (
     invert_h,
     jacobian_min_sv,
     morphism_as_map,
-    registry_build,
     verify_chart_holomorphy,
     verify_horizontality,
 )

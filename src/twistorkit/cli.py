@@ -17,12 +17,15 @@ each a key-value document::
     check: euclid-hm:closed-form-harmonicity tol=1e-8 points=10
     check: jets-core:product-convolution
 
-Overrides are ``tol=<finite number >= 0>`` and ``points=<integer >= 1>``.
-Any other key, override or value, an empty ``check:`` line and a second
+Overrides are ``tol=<finite number >= 0>`` and ``points=<integer >= 1>``
+and win over ``--tol`` and ``--points``.  Any other key, override or value,
+an empty ``check:`` line, a second ``check:`` line of one check and a second
 ``name:`` or ``description:`` line, is a usage error (exit 2) that names the
 file and line; so is a file that is not readable UTF-8 text, one with
 ``check:`` lines but no ``name:``, and one whose name is that of a built-in
-suite or of another file.
+suite or of another file.  :func:`load_suites` reads the directory again on
+each call of :func:`main`, which lists, validates and runs suites from the
+table it returns; nothing of that table outlives the call.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import sys
 import time
 
 from . import __version__
-from .suites import CHECK_INDEX, SuiteConfig, list_suites, register_custom_suite, run_suite
+from .suites import CHECK_INDEX, SUITES, SuiteConfig, check_params, run_suite
 
 
 def _fmt_float(x):
@@ -126,11 +129,14 @@ def _parse_check(value, where):
     return key, overrides
 
 
-def load_custom_suites(directory):
-    """Parse *.suite files (key-value lines) and register their suites."""
+def load_suites(directory):
+    """The suite table: the built-in suites and those of the ``*.suite``
+    files in ``directory``, which is read on every call; the built-in suites
+    alone when ``directory`` is unset or not a directory."""
+    table = dict(SUITES)
     if not directory or not os.path.isdir(directory):
-        return
-    origin = {}  # suite name -> the file that declared it
+        return table
+    origin = dict.fromkeys(SUITES, "a built-in suite")  # suite name -> its source
     for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".suite"):
             continue
@@ -140,7 +146,7 @@ def load_custom_suites(directory):
                 lines = fh.readlines()
         except (OSError, UnicodeError) as exc:
             raise SuiteFileError(f"{path}: not a readable UTF-8 text file ({exc})") from None
-        fields, refs = {}, []
+        fields, refs = {}, {}  # refs: check key -> (line number, overrides)
         for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -148,7 +154,11 @@ def load_custom_suites(directory):
             key, _, value = line.partition(":")
             key, value = key.strip(), value.strip()
             if key == "check":
-                refs.append(_parse_check(value, f"{path}:{lineno}"))
+                ref, overrides = _parse_check(value, f"{path}:{lineno}")
+                if ref in refs:
+                    raise SuiteFileError(f"{path}:{lineno}: check {ref!r} is already "
+                                         f"named on line {refs[ref][0]}")
+                refs[ref] = lineno, overrides
             elif key not in ("name", "description"):
                 raise SuiteFileError(f"{path}:{lineno}: unknown key {key!r}")
             elif key in fields:
@@ -165,10 +175,9 @@ def load_custom_suites(directory):
         if name in origin:
             raise SuiteFileError(f"{path}: suite name {name!r} is also that of {origin[name]}")
         origin[name] = path
-        try:
-            register_custom_suite(name, fields.get("description", ""), refs)
-        except ValueError as exc:
-            raise SuiteFileError(f"{path}: {exc}") from None
+        table[name] = (fields.get("description", ""),
+                       [(CHECK_INDEX[ref], overrides) for ref, (_, overrides) in refs.items()])
+    return table
 
 
 def _parse_params(items):
@@ -205,13 +214,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        load_custom_suites(os.environ.get("TWISTOR_SUITE_DIR"))
+        table = load_suites(os.environ.get("TWISTOR_SUITE_DIR"))
     except SuiteFileError as exc:
         print(f"usage error in TWISTOR_SUITE_DIR: {exc}", file=sys.stderr)
         return 2
     if args.command == "list":
-        for name, desc in list_suites():
-            print(f"{name}: {desc}")
+        for name in sorted(table):
+            print(f"{name}: {table[name][0]}")
         return 0
     if args.command != "run":
         parser.print_usage(sys.stderr)
@@ -220,19 +229,20 @@ def main(argv=None):
         print(f"usage error: --points must be at least 1, got {args.points}",
               file=sys.stderr)
         return 2
-    if args.suite not in {name for name, _ in list_suites()}:
+    if args.suite not in table:
         print(f"usage error: unknown suite {args.suite!r}", file=sys.stderr)
         return 2
     try:
         config = SuiteConfig(
             suite=args.suite, tol=args.tol, points=args.points, seed=args.seed,
             params=_parse_params(args.param))
+        check_params(config, table[args.suite][1])
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     t0 = time.time()
     try:
-        reports = run_suite(config)
+        reports = run_suite(config, table)
     except Exception as exc:  # noqa: BLE001 - surfaced with context, distinct exit code
         print(f"internal evaluation error in suite {args.suite!r}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)

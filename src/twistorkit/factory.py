@@ -231,8 +231,8 @@ def morphism_as_map(data, seed_fn=None):
             kept[:] = [key, invert_h(data, point, seed)]
         y = kept[1]
         if order == 0:
-            # bitwise the series inverse's constant term (+0.0) plus y
-            return JetSpace(point, 0).const(y[..., : 2 * data.n] + 0.0)
+            # bitwise the series inverse's constant term plus y
+            return JetSpace(point, 0).const(y[..., : 2 * data.n])
         return invert_jet_map(data.h.jets(y, order))[: 2 * data.n] + y[..., : 2 * data.n]
 
     return SmoothMap(K, 2 * data.n, evaluator)
@@ -337,7 +337,7 @@ def cp3_local_diffeo_check(data, pt):
 
 
 # ---------------------------------------------------------------------------
-# built-in example registry
+# built-in examples
 
 def euclid_r6_data(f_coeffs=(0.0, 1.0)):
     """Twistor data over C x C^2 whose produced map is a harmonic morphism
@@ -407,24 +407,3 @@ def cp3_morphism_data(P=(0.0, 1.0), Q=(0.0, 1.0), R=(0.0, 1.0)):
         w=lambda zs: _horner(P, zs[0]),
     )
 
-
-REGISTRY = {
-    "euclid-r6-f=z": (
-        "Euclidean twistor data over C x C^2 producing the R^6 -> C harmonic morphism",
-        euclid_r6_data,
-    ),
-    "cp3-example-1": (
-        "polynomial line data over C^2 x C with superminimal-fibre image",
-        cp3_example1_data,
-    ),
-    "cp3-harmonic-morphism": (
-        "line data over C x C^2 producing a harmonic morphism with superminimal fibres",
-        cp3_morphism_data,
-    ),
-}
-
-
-def registry_build(name, **params):
-    if name not in REGISTRY:
-        raise KeyError(f"unknown example {name!r}; known: {sorted(REGISTRY)}")
-    return REGISTRY[name][1](**params)

@@ -841,10 +841,10 @@ def invert_jet_map(F):
     # shifted forward map: components of F(y0 + u) - F(y0) as series in u
     Fs = F._like(F.coef.copy())
     Fs.coef[..., 0] = 0.0
-    G = w._like(_matvec_rows(Ainv, w.coef)) + 0.0
+    G = w._like(_matvec_rows(Ainv, w.coef))
     for _ in range(max(1, order)):
         R = compose(Fs, G) - w
         if np.max(np.abs(R.coef)) == 0:
             break
-        G = G - (w._like(_matvec_rows(Ainv, R.coef)) + 0.0)
+        G = G - w._like(_matvec_rows(Ainv, R.coef))
     return G

@@ -7,10 +7,12 @@ configuration and independent of execution order.
 
 A check is declared once, with ``@_check(suite, name, tol, params=())`` on a
 body ``(config, rng) -> residuals`` or ``-> (residuals, aux)``; ``params``
-names the ``--param`` keys the body reads.  The decorator
-draws the check's stream, applies the ``tol`` override and builds the
-:class:`CheckReport`; ``SUITES`` and ``CHECK_INDEX`` follow from these
-declarations.
+names the ``--param`` keys the body reads.  The declaration is a frozen
+:class:`CheckSpec` in ``CHECK_INDEX``; calling it draws the check's stream,
+applies the ``tol`` override and builds the :class:`CheckReport`.  A suite
+table maps a name to ``(description, [(spec, overrides)])``: ``SUITES`` holds
+the built-in suites, grouped by ``spec.suite``, and the command line builds a
+new table on each call.  No table changes after import.
 """
 
 from __future__ import annotations
@@ -46,20 +48,10 @@ class SuiteConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Reject, naming ``--tol`` or ``--param <key>``, a tolerance that is
-        not a finite number >= 0 and a parameter that no check of the suite
-        reads or whose value does not parse."""
+        """Reject, naming ``--tol``, a tolerance that is not a finite number
+        >= 0."""
         if self.tol is not None and not 0 <= self.tol < np.inf:
             raise ValueError(f"--tol must be a finite number >= 0, got {self.tol}")
-        read = _params_read(self.suite)
-        for key in self.params:
-            if key not in read:
-                raise ValueError(f"--param {key}: suite {self.suite!r} reads "
-                                 f"{', '.join(read) or 'no parameters'}")
-            try:
-                _coeff_param(self, key)
-            except ValueError as exc:
-                raise ValueError(f"--param {key}: {exc}") from None
 
 
 def check_rng(config, check_name):
@@ -71,7 +63,27 @@ def check_rng(config, check_name):
 # ---------------------------------------------------------------------------
 # registry
 
-CHECK_INDEX = {}     # "<suite>:<check>" -> check(config) -> CheckReport
+@dataclass(frozen=True)
+class CheckSpec:
+    """Check ``name`` of ``suite``: default tolerance ``tol``, the
+    ``--param`` keys ``params`` that ``body(config, rng)`` reads, and the
+    body, which returns residuals or (residuals, aux)."""
+
+    suite: str
+    name: str
+    tol: float
+    params: tuple
+    body: object
+
+    def __call__(self, config):
+        out = self.body(config, check_rng(config, self.name))
+        residuals, aux = out if isinstance(out, tuple) else (out, {})
+        return CheckReport(self.name, list(range(len(residuals))),
+                           [float(r) for r in residuals],
+                           self.tol if config.tol is None else config.tol, aux=dict(aux))
+
+
+CHECK_INDEX = {}     # "<suite>:<check>" -> CheckSpec, in declaration order
 _DESCRIPTIONS = {}   # suite -> description, in declaration order
 
 
@@ -80,21 +92,11 @@ def _suite(name, description):
 
 
 def _check(suite, name, tol, params=()):
-    """Register ``body(config, rng)`` as check ``name`` of ``suite`` with
-    default tolerance ``tol``; the body returns residuals or (residuals, aux).
-    ``params`` names the ``--param`` keys the body reads."""
+    """Declare ``body(config, rng)`` as check ``name`` of ``suite``."""
 
     def register(body):
-        def check(config):
-            out = body(config, check_rng(config, name))
-            residuals, aux = out if isinstance(out, tuple) else (out, {})
-            return CheckReport(name, list(range(len(residuals))),
-                               [float(r) for r in residuals],
-                               tol if config.tol is None else config.tol, aux=dict(aux))
-
-        check.params = tuple(params)
-        CHECK_INDEX[f"{suite}:{name}"] = check
-        return check
+        CHECK_INDEX[f"{suite}:{name}"] = CheckSpec(suite, name, tol, tuple(params), body)
+        return body
 
     return register
 
@@ -680,8 +682,8 @@ def _(config, rng):
     def gam2(space):
         zb2 = space.var(2) - 1j * space.var(3)
         z = space.const(0.0)
-        G1 = [[z + 0.0, zb2], [z + 0.0, z + 0.0]]
-        G2 = [[z + 0.0, z + 0.0], [z + 0.0, z + 0.0]]
+        G1 = [[z, zb2], [z, z]]
+        G2 = [[z, z], [z, z]]
         return [G1, G2]
 
     r2 = cn.curvature_02_residual(gam2, 2, np.zeros(4))
@@ -763,57 +765,32 @@ def _(config, rng):
 # ---------------------------------------------------------------------------
 # suite tables and runner
 
-# name -> (description, [check]) in declaration order
-SUITES = {suite: (description, [check for key, check in CHECK_INDEX.items()
-                                if key.partition(":")[0] == suite])
+# the built-in suite table: name -> (description, [(spec, {})]) in declaration order
+SUITES = {suite: (description, [(spec, {}) for spec in CHECK_INDEX.values()
+                                if spec.suite == suite])
           for suite, description in _DESCRIPTIONS.items()}
 
-CUSTOM_SUITES = {}
+
+def check_params(config, checks):
+    """Reject, naming ``--param <key>``, a parameter that none of ``checks``,
+    the (spec, overrides) pairs of ``config.suite``, reads and one whose
+    value does not parse."""
+    read = sorted({key for spec, _ in checks for key in spec.params})
+    for key in config.params:
+        if key not in read:
+            raise ValueError(f"--param {key}: suite {config.suite!r} reads "
+                             f"{', '.join(read) or 'no parameters'}")
+        try:
+            _coeff_param(config, key)
+        except ValueError as exc:
+            raise ValueError(f"--param {key}: {exc}") from None
 
 
-def register_custom_suite(name, description, check_refs):
-    """Register a user suite assembled from built-in checks.
-
-    ``check_refs`` is a list of (check_key, overrides) where check_key is
-    "<suite>:<check>" and overrides may set tol or points for that check.
-    The name must not be that of a built-in suite.
-    """
-    if name in SUITES:
-        raise ValueError(f"suite name {name!r} is taken by a built-in suite")
-    checks = []
-    for key, overrides in check_refs:
-        if key not in CHECK_INDEX:
-            raise KeyError(f"unknown check {key!r}")
-        checks.append((CHECK_INDEX[key], dict(overrides)))
-    CUSTOM_SUITES[name] = (description, checks)
-
-
-def _all_suites():
-    """name -> (description, [(check, overrides)]): a built-in suite is its
-    checks with no overrides."""
-    builtin = {name: (desc, [(fn, {}) for fn in fns]) for name, (desc, fns) in SUITES.items()}
-    return {**builtin, **CUSTOM_SUITES}
-
-
-def _params_read(suite):
-    """The ``--param`` keys that the checks of a suite read, sorted; none
-    for an unknown suite or for a check not declared with ``_check``."""
-    checks = _all_suites().get(suite, (None, []))[1]
-    return tuple(sorted({key for check, _ in checks for key in getattr(check, "params", ())}))
-
-
-def list_suites():
-    """Stable (sorted) list of (name, description), custom suites included."""
-    return sorted((name, desc) for name, (desc, _) in _all_suites().items())
-
-
-def run_suite(config):
-    """Run all checks of a suite and return the sorted CheckReport list."""
-    suites = _all_suites()
-    if config.suite not in suites:
-        raise KeyError(f"unknown suite {config.suite!r}")
-    reports = [fn(replace(config, tol=overrides.get("tol", config.tol),
-                          points=int(overrides.get("points", config.points))))
-               for fn, overrides in suites[config.suite][1]]
+def run_suite(config, table=SUITES):
+    """Run the checks of suite ``config.suite`` of ``table``, each with its
+    overrides, and return the CheckReport list sorted by check name."""
+    reports = [spec(replace(config, tol=overrides.get("tol", config.tol),
+                            points=overrides.get("points", config.points)))
+               for spec, overrides in table[config.suite][1]]
     reports.sort(key=lambda r: r.name)
     return reports

@@ -2,17 +2,22 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from twistorkit.cli import main, report_document
-from twistorkit.suites import SuiteConfig, list_suites, run_suite
+from twistorkit.suites import CheckSpec, SuiteConfig, run_suite
+
+
+def _listed(capsys):
+    """The suite names that ``list`` prints."""
+    assert main(["list"]) == 0
+    return [line.partition(":")[0] for line in capsys.readouterr().out.splitlines()]
 
 
 def test_list_suites_contents(capsys):
-    assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "euclid-hm" in out and "cp3-data" in out and "sigma-plus-algebra" in out
-    names = [n for n, _ in list_suites()]
+    names = _listed(capsys)
+    assert "euclid-hm" in names and "cp3-data" in names and "sigma-plus-algebra" in names
     assert names == sorted(names) and len(names) >= 8
 
 
@@ -129,10 +134,11 @@ def test_custom_suite_dir(tmp_path, monkeypatch, capsys):
 def test_internal_error_exit_code(monkeypatch, capsys):
     import twistorkit.suites as su
 
-    def boom(config):
+    def boom(config, rng):
         raise RuntimeError("synthetic evaluation failure")
 
-    monkeypatch.setitem(su.SUITES, "broken-suite", ("always raises", [boom]))
+    spec = CheckSpec("broken-suite", "boom", 1e-9, (), boom)
+    monkeypatch.setitem(su.SUITES, "broken-suite", ("always raises", [(spec, {})]))
     assert main(["run", "--suite", "broken-suite"]) == 3
     err = capsys.readouterr().err
     assert "internal evaluation error" in err and "synthetic" in err
@@ -171,10 +177,11 @@ def test_zero_tol_is_accepted(capsys):
 def test_keyerror_inside_a_check_is_internal(monkeypatch, capsys):
     import twistorkit.suites as su
 
-    def lookup_bug(config):
+    def lookup_bug(config, rng):
         return {}["missing"]
 
-    monkeypatch.setitem(su.SUITES, "jets-core", ("raises KeyError", [lookup_bug]))
+    spec = CheckSpec("jets-core", "lookup-bug", 1e-9, (), lookup_bug)
+    monkeypatch.setitem(su.SUITES, "jets-core", ("raises KeyError", [(spec, {})]))
     assert main(["run", "--suite", "jets-core"]) == 3
     err = capsys.readouterr().err
     assert "internal evaluation error" in err and "unknown suite" not in err
@@ -190,6 +197,8 @@ def test_keyerror_inside_a_check_is_internal(monkeypatch, capsys):
     ("check: jets-core:pairing-laws tol=-1e-3", "tol= must be a finite number >= 0"),
     ("check: jets-core:pairing-laws tol=inf", "tol= must be a finite number >= 0, got inf"),
     ("chek: jets-core:pairing-laws", "unknown key 'chek'"),
+    ("check: jets-core:pairing-laws points=3 tol=1e-30",                  # repeated
+     "check 'jets-core:pairing-laws' is already named on line 2"),
 ])
 def test_malformed_suite_file_line_is_a_usage_error(line, fragment, tmp_path, monkeypatch,
                                                      capsys):
@@ -290,7 +299,60 @@ def test_custom_suites_reload_and_stay_out_of_builtins(tmp_path, monkeypatch, ca
         assert main(["run", "--suite", "mini-reload", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["checks"][0]["points"] == 6
     assert "mini-reload" not in su.SUITES
-    assert [n for n, _ in list_suites()].count("mini-reload") == 1
+    assert _listed(capsys).count("mini-reload") == 1
+
+
+def test_suite_dir_is_read_again_on_every_call(tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    (first / "only.suite").write_text("name: only-in-a\ncheck: jets-core:pairing-laws points=2\n")
+    (first / "shared.suite").write_text(
+        "name: shared\ncheck: jets-core:pairing-laws points=2 tol=1e-30\n")
+    (second / "only.suite").write_text("name: only-in-b\ncheck: jets-core:pairing-laws points=2\n")
+    (second / "shared.suite").write_text("name: shared\ncheck: sigma-plus-algebra:mj-dimension\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(first))
+    assert {"only-in-a", "shared"} <= set(_listed(capsys))
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(second))
+    names = _listed(capsys)
+    assert "only-in-b" in names and "only-in-a" not in names
+    assert main(["run", "--suite", "only-in-a", "--points", "2"]) == 2
+    assert "unknown suite 'only-in-a'" in capsys.readouterr().err
+    # the later file of the same name is the whole suite
+    assert main(["run", "--suite", "shared", "--points", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["tolerance"]) for c in doc["checks"]] == [("mj-dimension", 0.0)]
+    monkeypatch.delenv("TWISTOR_SUITE_DIR")
+    names = _listed(capsys)
+    assert not {"only-in-a", "only-in-b", "shared"} & set(names)
+    assert main(["run", "--suite", "only-in-b", "--points", "2"]) == 2
+    assert "unknown suite 'only-in-b'" in capsys.readouterr().err
+
+
+def test_suite_file_tol_takes_precedence_over_the_tol_flag(tmp_path, monkeypatch, capsys):
+    import twistorkit.suites as su
+
+    def residuals(phi, P, R):
+        # the full residual is 1e-2 and the diagonal one 0 at every point, so
+        # they agree exactly when the body's threshold is at least 1e-2
+        full = np.full(len(P), 1e-2)
+        return full, 0 * full
+
+    (tmp_path / "iso.suite").write_text(
+        "name: iso\ncheck: isotropy-reduction:full-vs-diagonal tol=1e-3\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(tmp_path))
+    argv = ["run", "--suite", "iso", "--points", "2", "--tol", "0.5", "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["tol"] == 0.5
+    assert [(c["tolerance"], c["pass"]) for c in doc["checks"]] == [(1e-3, True)]
+    # the body compares with the file's 1e-3, not with --tol 0.5
+    monkeypatch.setattr(su, "real_isotropy_residuals", residuals)
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["tol"] == 0.5
+    check, = doc["checks"]
+    assert (check["tolerance"], check["max_residual"], check["pass"]) == (1e-3, 1.0, False)
 
 def test_jet_order_flag_is_gone(capsys):
     try:

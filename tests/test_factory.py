@@ -23,7 +23,6 @@ from twistorkit.factory import (
     invert_h,
     jacobian_min_sv,
     morphism_as_map,
-    registry_build,
     verify_chart_holomorphy,
     verify_horizontality,
 )
@@ -269,15 +268,6 @@ def test_morphism_order_zero_is_the_series_inverse_value_bitwise(f):
         got = phi.jets(q, 0)
         assert [j.order for j in got] == [0, 0]
         assert values(got).tobytes() == values(want).tobytes()
-
-
-def test_registry():
-    data = registry_build("euclid-r6-f=z")
-    assert isinstance(data, EuclideanTwistorData)
-    assert isinstance(registry_build("cp3-example-1"), CP3Data)
-    assert isinstance(registry_build("cp3-harmonic-morphism", P=(0, 2.0)), CP3Data)
-    with pytest.raises(KeyError):
-        registry_build("nope")
 
 
 def test_nontrivial_f_still_valid_data():
