@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import (
-    Jet,
     JetError,
     _horner,
     _laplace_trace,
@@ -118,22 +117,16 @@ def harmonicity_residual(phi, x0):
     return float(np.linalg.norm(laplacian(phi, x0)))
 
 
-def real_isotropy_residual(phi, z0, R, mode="full"):
-    """max |<dz^r phi, dz^s phi>| over the requested index set, m = 1 only.
-
-    ``mode="full"`` sweeps 1 <= r <= s <= R; ``mode="diagonal"`` only r = s,
-    which suffices by the isotropy-reduction lemma.
-    """
-    if mode not in ("full", "diagonal"):
-        raise ValueError(f"unknown mode {mode!r}")
-    full, diagonal = real_isotropy_residuals(phi, z0, R)
-    return full if mode == "full" else diagonal
+def real_isotropy_residual(phi, z0, R):
+    """max |<dz^r phi, dz^s phi>| over 1 <= r <= s <= R, m = 1 only."""
+    return real_isotropy_residuals(phi, z0, R)[0]
 
 
 def real_isotropy_residuals(phi, z0, R):
-    """The ``"full"`` and ``"diagonal"`` residuals of
-    :func:`real_isotropy_residual`, from one evaluation of the dz vectors:
-    the diagonal pairings are among the full sweep's."""
+    """The full residual of :func:`real_isotropy_residual` and the diagonal
+    one, max |<dz^r phi, dz^r phi>| over 1 <= r <= R, which suffices by the
+    isotropy-reduction lemma; from one evaluation of the dz vectors: the
+    diagonal pairings are among the full sweep's."""
     if phi.domain_dim != 2:
         raise JetError("real_isotropy_residual needs a 2-dimensional domain")
     vecs = dz_vectors(phi, z0, R)
@@ -188,10 +181,7 @@ def pullback_harmonic_oracle(phi, g_coeffs, x0):
     if phi.codomain_dim != 2:
         raise JetError("pullback oracle needs codomain C")
     (w,) = phi.complex_jets(x0, 2)
-    g = _horner(g_coeffs, w)
-    if not isinstance(g, Jet):
-        return 0.0  # constant polynomial
-    return abs(_laplace_trace(g.real))
+    return abs(_laplace_trace(_horner(g_coeffs, w).real))
 
 
 def one_one_geodesic_residual(phi, x0):

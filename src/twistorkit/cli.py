@@ -7,7 +7,7 @@ report; it goes to stderr with the human summary.
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 internal evaluation error.  A ``--param`` key that no check of the suite
 reads or that is given twice, or a value that is not a comma-separated list
-of numbers, is a usage error found before any check runs.
+of finite numbers, is a usage error found before any check runs.
 
 Custom suites: point TWISTOR_SUITE_DIR at a directory of ``*.suite`` files,
 each a key-value document::

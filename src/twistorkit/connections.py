@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import JetSpace, dzbar, gradient, stack, values
-from .pairings import worst_residual
+from .pairings import _modulus, worst_residual
 
 
 class BlowupError(RuntimeError):
@@ -255,7 +255,7 @@ def integrate_path(form, path, steps=None):
         for i in range(len(E)):
             f = np.matmul(f, E[i], out=P[i])
         det = np.linalg.det(P)
-        dets = np.hypot(det.real, det.imag)  # bitwise abs(); np.abs of complex is not
+        dets = _modulus(det)
         bad = np.flatnonzero(~np.isfinite(dets) | (dets < 1e-12))
         path.det_log += dets[:bad[0] + 1 if len(bad) else None].tolist()
         if len(bad):
@@ -288,8 +288,6 @@ def curvature_02_residual(gammas_fn, m, pt):
     """
     if m < 1:
         raise PathError("need m >= 1")
-    if m == 1:
-        return 0.0
     space = JetSpace(np.asarray(pt, dtype=float), 1)
     gam = stack(gammas_fn(space))
     vals, grad = values(gam), gradient(gam)

@@ -33,7 +33,7 @@ from .jets import (
     real_to_complex_point,
     values,
 )
-from .pairings import worst_residual
+from .pairings import _modulus, worst_residual
 from .structures import twistor_chart
 
 NEWTON_MAX_ITER = 50
@@ -76,10 +76,8 @@ def verify_horizontality(data, samples):
     moduli = []
     for pt in samples:
         grad = gradient(data.mu.jets(pt, 1))
-        # Python abs per entry here and below: np.abs on an array can differ
-        # from it in the last bit
         for v in range(data.n, data.k):
-            moduli.extend([*map(abs, dz(grad, v)), *map(abs, dzbar(grad, v))])
+            moduli.extend([*_modulus(dz(grad, v)), *_modulus(dzbar(grad, v))])
     return worst_residual(moduli)
 
 
@@ -97,7 +95,7 @@ def verify_chart_holomorphy(data, samples):
         w, _ = twistor_chart(q, mu)
         for grad, count in ((gradient(w), data.k), (gradient(mu), data.n)):
             for v in range(count):
-                moduli.extend(map(abs, dzbar(grad, v)))
+                moduli.extend(_modulus(dzbar(grad, v)))
     return worst_residual(moduli)
 
 
@@ -165,8 +163,9 @@ def invert_h(data, target_q, seed_point, record=None):
     for _ in range(NEWTON_MAX_ITER):
         jets = data.h.jets(y, 1)
         diff = values(jets).real - target
-        # bitwise the 1-D np.linalg.norm of each row, a dot product that
-        # sums in another order than np.sum or einsum
+        # bitwise the 1-D np.linalg.norm of each row, a dot product that sums
+        # in another order than np.sum or einsum
+        # (test_newton_residual_log_is_the_one_dimensional_norm_bitwise)
         res = np.sqrt(diff[..., None, :] @ diff[..., :, None]).reshape(-1).tolist()
         moving = []
         for i, r in enumerate(live):
@@ -327,7 +326,7 @@ def cp3_affine_jacobian(data, pt):
     if abs(x3.value) < 1e-12:
         raise JetError("affine chart invalid: x3 vanishes at the point")
     chart = [x1 / x3, x2 / x3, x4 / x3]
-    return gradient([[c.real, c.imag] for c in chart]).real.reshape(6, -1).copy()
+    return gradient([[c.real, c.imag] for c in chart]).real.reshape(6, -1)
 
 
 def cp3_local_diffeo_check(data, pt):

@@ -236,11 +236,11 @@ class Jet:
     # -- ring operations ---------------------------------------------
     # A scalar acts on ``coef`` directly.  Sums and differences equal, bit
     # for bit, those with the constant jet of the scalar: adding
-    # ``table.zeros`` turns -0.0 into +0.0 as adding the constant's zero
-    # coefficients did.  Products equal them in value only: ``coef * s``
-    # keeps the sign of a -0.0 coefficient, where the convolution, which
-    # adds every product into +0.0, gives +0.0.  An array scalar holds one
-    # value per row and entry.
+    # ``table.zeros`` turns -0.0 into +0.0 as the constant's zero
+    # coefficients do (test_scalar_operands_match_constant_jet_path).
+    # Products equal them in value only: ``coef * s`` keeps the sign of a
+    # -0.0 coefficient, where the convolution, which adds every product into
+    # +0.0, gives +0.0.  An array scalar holds one value per row and entry.
     def _per_row(self, other):
         """``other`` unless it is an array with other than one value per row
         and entry of this jet, which is an error."""
@@ -310,6 +310,9 @@ class Jet:
         B = other.coef[..., :, None, :] if len(other.shape) == 1 else other.coef
         a, b = self._like(A[..., :, :, None, :])._coerce(other._like(B[..., None, :, :, :]))
         P = _mul_rows(a.table, a.coef, b.coef)
+        # not P.sum(axis=-3), which does not add left to right where that axis
+        # is numpy's inner one, as for order-0 jets times a vector
+        # (test_matmul_of_order_0_jets_sums_left_to_right_bitwise)
         out = P[..., 0, :, :]
         for j in range(1, P.shape[-3]):
             out = out + P[..., j, :, :]
@@ -364,7 +367,8 @@ class Jet:
         """sum_k a[k] * (self - value)**k, truncated, with a = coefficients(c)
         at the constant term c: a[k] = f^(k)(c)/k!.  a[k] holds one value per
         row and entry, each from the same scalar code (numpy array and scalar
-        complex arithmetic can differ in the last bit)."""
+        complex arithmetic can differ in the last bit:
+        test_batched_series_partials_and_truncation_match_rows_bitwise)."""
         c = self.value
         if c.ndim == 0:
             # The row loop below gives a scalar jet at one point the same bits;
@@ -602,10 +606,10 @@ class SmoothMap:
         return _complex_pairs(self.jets(point, order))
 
     def __call__(self, point):
-        return values(self.jets(point, 0)).real.copy()
+        return values(self.jets(point, 0)).real
 
     def jacobian(self, point):
-        return gradient(self.jets(point, 1)).real.copy()
+        return gradient(self.jets(point, 1)).real
 
     @classmethod
     def from_complex(cls, m, n, fn):
@@ -657,9 +661,7 @@ def gradient(jets):
     the nesting.  In every table the unit multi-index e_v sits at position
     nvars - v (degree 1, lex order).
 
-    The ``.real`` of this or of :func:`values` is a strided view; callers
-    copy it before matrix products, which on a strided operand skip BLAS
-    and can differ from it in the last bit."""
+    The ``.real`` of this or of :func:`values` is a strided view."""
     def read(jet):
         if jet.order == 0:
             raise JetError("an order-0 jet has no gradient")
@@ -766,12 +768,16 @@ def _laplace_trace(jet, lead=()):
 
 
 def _horner(coeffs, t):
-    """sum_k coeffs[k] t**k by Horner's rule from the highest coefficient;
-    0.0 for no coefficients."""
+    """sum_k coeffs[k] t**k by Horner's rule from the highest coefficient.
+    The sum has the type of ``t`` also for a constant polynomial and for no
+    coefficients (0): a jet ``t`` gives a jet."""
     out = None
     for c in reversed(list(coeffs)):
         out = c if out is None else out * t + c
-    return 0.0 if out is None else out
+    out = 0.0 if out is None else out
+    if isinstance(t, Jet) and not isinstance(out, Jet):
+        return Jet.constant(np.broadcast_to(out, t.coef.shape[:-1]), t.nvars, t.order, t.base)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -808,9 +814,8 @@ def compose(f, gs):
             if not e:
                 continue
             p = powers[e][rows[0], k]
-            # c first: the product kernel multiplied the constant jet of c into
-            # p in that operand order, and complex SIMD products are not
-            # bitwise commutative.
+            # c first: complex SIMD products are not bitwise commutative
+            # (test_compose_over_rows_matches_one_jet_compose_bitwise)
             term = C[rows + (pos,)][:, None] * p if term is None else _mul_rows(gt, term, p)
         out[rows] = out[rows] + term
     return Jet(gt, g.base, out.reshape(f.coef.shape[:-1] + (gt.size,)))
@@ -819,7 +824,9 @@ def compose(f, gs):
 def _matvec_rows(A, X):
     """A @ X for constant matrices A and the coefficients X of a vector of
     jets, summed over the columns left to right as numpy's object-array ``@``
-    sums the jets: one row of products at a time, not BLAS."""
+    sums the jets: one row of products at a time, not BLAS, which sums in
+    another order (test_invert_jet_map_over_rows_matches_object_array_body_
+    bitwise and the lock of demo 05)."""
     acc = X[..., 0, None, :] * A[..., :, 0, None]
     for j in range(1, X.shape[-2]):
         acc = acc + X[..., j, None, :] * A[..., :, j, None]

@@ -64,8 +64,8 @@ class TwistorLift:
         (N, dim) array of points."""
         J = values(self.structure_jets(point, 0)).real
         if J.ndim == 2:
-            return HermitianStructure(J.copy())
-        return [HermitianStructure(row.copy()) for row in J]
+            return HermitianStructure(J)
+        return [HermitianStructure(row) for row in J]
 
 
 def strictly_compatible_lift_r4(phi, z0):
@@ -119,7 +119,7 @@ def _umbilic(grad0, d1, d2):
     gradient and both Wirtinger derivatives there; raises at a branch point,
     a point where phi is not weakly conformal, or one where no strictly
     compatible structure exists."""
-    dx0, dy0 = grad0[:, 0].real.copy(), grad0[:, 1].real.copy()
+    dx0, dy0 = grad0[:, 0].real, grad0[:, 1].real
     if np.linalg.norm(dx0) < 1e-12:
         raise LiftError("branch point: dphi vanishes at the base point")
     scale = max(1.0, dx0 @ dx0)
@@ -139,7 +139,7 @@ def _umbilic(grad0, d1, d2):
 
 
 def _orientation(J0):
-    return +1 if is_positive(HermitianStructure(J0.copy(), tol=1e-8)) else -1
+    return +1 if is_positive(HermitianStructure(J0, tol=1e-8)) else -1
 
 
 def _frame_structure(phi, point, order, umbilic):
@@ -234,8 +234,7 @@ def j_vertical_residual(lift, z0, a):
     sgn = 1.0 if a == 1 else -1.0
 
     def residual(J0v, grad):
-        J0v = J0v.copy()
-        dJx, dJy = grad[..., 0].copy(), grad[..., 1].copy()
+        dJx, dJy = grad[..., 0], grad[..., 1]
         # J0 on the domain: dx -> dy, dy -> -dx
         r1 = np.linalg.norm(dJy - sgn * (J0v @ dJx))
         r2 = np.linalg.norm(-dJx - sgn * (J0v @ dJy))

@@ -47,8 +47,8 @@ def hermitian_dot(u, v):
 
 def _modulus(z):
     """|z| of a complex number or entry by entry of an array, bitwise as
-    Python ``abs`` (``np.abs`` of a complex array can differ from it in the
-    last bit)."""
+    Python ``abs``; ``np.abs`` of a complex array can differ from it in the
+    last bit (test_modulus_is_python_abs_where_np_abs_is_not)."""
     return np.hypot(np.real(z), np.imag(z))
 
 

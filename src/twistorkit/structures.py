@@ -98,7 +98,8 @@ def adapted_basis(J):
     first = n * np.arange(Jm.size // (n * n)).reshape(Jm.shape[:-2])
     cols = []  # (column, its transpose), each of shape (..., n, 1) and (..., 1, n)
     # Each product of a row and a column is a BLAS dot product, bitwise the
-    # 1-D ``@``; np.sum would sum in another order.
+    # 1-D ``@``; np.sum would sum in another order
+    # (test_adapted_basis_of_one_matrix_matches_vector_loop_bitwise).
     for _ in range(n // 2):
         resid = eye
         for c, cT in cols:

@@ -35,7 +35,7 @@ from .checkers import (
     pullback_harmonic_oracle,
     real_isotropy_residuals,
 )
-from .jets import JetSpace, SmoothMap, dz, dz_power, real_to_complex_point
+from .jets import JetSpace, SmoothMap, _horner, dz, dz_power, real_to_complex_point
 from .pairings import _modulus, bilinear_dot, hermitian_dot, worst_residual
 
 
@@ -153,25 +153,14 @@ def _holomorphic_coefficients(rng):
 
 def _holomorphic_poly(co):
     """The map C -> C^2 with components sum_e co[..., k, e] z**e, by Horner's
-    rule, from coefficients of shape (..., 2, d + 1), d >= 1.
+    rule, from coefficients of shape (..., 2, d + 1).
 
     One draw has shape (2, d + 1).  A stack of draws of shape (N, 2, d + 1)
     makes a map to evaluate at an (N, 2) array of points, draw r at the
-    point of row r.  The jet stays on the left of the per-row coefficients,
-    so each product is ``coef * c`` as for one draw.
+    point of row r.
     """
-    d = co.shape[-1] - 1
-
-    def fn(z):
-        out = []
-        for k in range(2):
-            w = z * co[..., k, d] + co[..., k, d - 1]
-            for e in range(d - 2, -1, -1):
-                w = w * z + co[..., k, e]
-            out.append(w)
-        return out
-
-    return SmoothMap.from_complex(1, 2, fn)
+    return SmoothMap.from_complex(
+        1, 2, lambda z: [_horner(np.moveaxis(co[..., k, :], -1, 0), z) for k in range(2)])
 
 
 def _real_coefficients(rng, dims, degree=3):
@@ -774,16 +763,19 @@ SUITES = {suite: (description, [(spec, {}) for spec in CHECK_INDEX.values()
 def check_params(config, checks):
     """Reject, naming ``--param <key>``, a parameter that none of ``checks``,
     the (spec, overrides) pairs of ``config.suite``, reads and one whose
-    value does not parse."""
+    value does not parse or holds a coefficient that is not finite."""
     read = sorted({key for spec, _ in checks for key in spec.params})
     for key in config.params:
         if key not in read:
             raise ValueError(f"--param {key}: suite {config.suite!r} reads "
                              f"{', '.join(read) or 'no parameters'}")
         try:
-            _coeff_param(config, key)
+            coeffs = _coeff_param(config, key)
         except ValueError as exc:
             raise ValueError(f"--param {key}: {exc}") from None
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"--param {key}: a coefficient is not finite: "
+                             f"{config.params[key]!r}")
 
 
 def run_suite(config, table=SUITES):

@@ -25,7 +25,7 @@ from .jets import (
     stack,
     values,
 )
-from .pairings import worst_residual
+from .pairings import _modulus, worst_residual
 
 
 @dataclass
@@ -163,9 +163,7 @@ def _psi_holomorphy_residual(fam, x0):
     base, t1 = [], []
     # domain structure: dx -> dy, dy -> -dx
     for defect, source in ((dy, dx), (-dx, dy)):
-        # column by column, so each entry subtracts in the order b = 0, 1, ...
-        for b, src in enumerate(source):
-            defect = defect - M[:, b] * src
-        base.extend(map(abs, values(defect)))
-        t1.extend(map(abs, gradient(defect)[:, 0]))  # d/dt
+        defect = defect - M @ source
+        base.extend(_modulus(values(defect)))
+        t1.extend(_modulus(gradient(defect)[:, 0]))  # d/dt
     return worst_residual(base), worst_residual(t1)

@@ -15,6 +15,7 @@ from twistorkit.checkers import (
     hwc_residual,
     pullback_harmonic_oracle,
     real_isotropy_residual,
+    real_isotropy_residuals,
 )
 from twistorkit.cli import report_document
 from twistorkit.connections import (
@@ -208,8 +209,8 @@ def test_criterion_7_isotropy_reduction():
 
             phi = SmoothMap.from_real(2, 4, ev)
         z0 = rng.uniform(-0.9, 0.9, 2)
-        full = real_isotropy_residual(phi, z0, 4, mode="full")
-        diag = real_isotropy_residual(phi, z0, 4, mode="diagonal")
+        full = real_isotropy_residual(phi, z0, 4)
+        diag = real_isotropy_residuals(phi, z0, 4)[1]
         if (full <= tol) != (diag <= tol):
             disagreements += 1
     _record(7, "full against diagonal isotropy agreement (100 maps)",

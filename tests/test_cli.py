@@ -69,12 +69,25 @@ def test_param_passthrough(capsys):
     assert doc["config"]["params"] == {"f": "0,1"}
 
 
+@pytest.mark.parametrize("param", ["Q=0", "R=0.5"])
+def test_constant_param_polynomial_gives_a_report(param, capsys):
+    # constant data is a report, not an internal error (exit 3); its
+    # Jacobian pattern degenerates, so that check alone fails
+    code = main(["run", "--suite", "cp3-data", "--points", "3", "--param", param,
+                 "--format", "json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["cp3-jacobian-pattern"]
+
+
 @pytest.mark.parametrize("suite, param, fragment", [
     ("euclid-hm", "f=abc", "could not convert"),   # not a number
     ("euclid-hm", "f=", "could not convert"),      # empty list
     ("euclid-hm", "F=0,1", "reads f"),             # keys are case-sensitive
     ("lifts-r4", "bogus=1", "reads no parameters"),
     ("cp3-data", "f=0,1", "reads P, Q, R"),
+    ("euclid-hm", "f=nan,1", "not finite"),
+    ("cp3-data", "R=inf", "not finite"),
 ])
 def test_bad_param_is_a_usage_error_before_any_check(suite, param, fragment, monkeypatch,
                                                      capsys):

@@ -608,6 +608,29 @@ def test_component_operations_match_object_arrays_bitwise(base_shape, order, rng
         assert _bits(grad[..., i, j, k, :]) == _bits(gradient(e))
 
 
+@pytest.mark.parametrize("base_shape", [(2,), (BATCH, 2)])
+def test_matmul_of_order_0_jets_sums_left_to_right_bitwise(base_shape, rng):
+    """An order-0 jet has one coefficient, so times a vector the summed axis
+    of the products is numpy's inner one; ``@`` still adds each entry's
+    products left to right, as object arrays of jets do."""
+    space = JetSpace(rng.uniform(-1, 1, base_shape), 0)
+    t = _table(2, 0)
+
+    def jets(shape):
+        size = space.base.shape[:-1] + shape + (1,)
+        scale = 10.0 ** rng.uniform(-4, 4, size)
+        return Jet(t, space.base, (rng.normal(size=size) + 1j * rng.normal(size=size)) * scale)
+
+    for _ in range(10):
+        X, u, v = jets((3, 12)), jets((12,)), jets((12,))
+        ou, ov = objects(u), objects(v)
+        dot = ou[0] * ov[0]
+        for k in range(1, 12):
+            dot = dot + ou[k] * ov[k]
+        _same(u @ v, dot)
+        _same(X @ v, objects(X) @ ov)
+
+
 def test_where_and_merge_rows_match_object_arrays_bitwise(rng):
     space = JetSpace(rng.uniform(-1, 1, (BATCH, 2)), 3)
     mask = np.array([True, False, False, True, False])

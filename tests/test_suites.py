@@ -16,7 +16,11 @@ from twistorkit import connections as cn
 from twistorkit import factory as fa
 from twistorkit import structures as st
 from twistorkit import variations as va
-from twistorkit.checkers import pluriconformality_residual, real_isotropy_residual
+from twistorkit.checkers import (
+    pluriconformality_residual,
+    real_isotropy_residual,
+    real_isotropy_residuals,
+)
 from twistorkit.jets import (
     JetSpace,
     SmoothMap,
@@ -70,8 +74,8 @@ def _full_vs_diagonal(config, rng):
     for i in range(100):
         phi = _random_holomorphic_poly(rng) if i % 2 == 0 else _random_real_poly(rng, 4)
         z0 = rng.uniform(-0.9, 0.9, 2)
-        full = real_isotropy_residual(phi, z0, 4, mode="full")
-        diag = real_isotropy_residual(phi, z0, 4, mode="diagonal")
+        full = real_isotropy_residual(phi, z0, 4)
+        diag = real_isotropy_residuals(phi, z0, 4)[1]
         residuals.append(0.0 if (full <= tol) == (diag <= tol) else 1.0)
     return residuals
 
