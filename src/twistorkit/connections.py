@@ -7,9 +7,9 @@ midpoint exponential rule (Iserles et al., "Lie-group methods", Acta Numerica
 9, 2000), which is second-order accurate and keeps the accumulated element in
 the group by construction.  Midpoint values come from ``values_fn(points)``,
 which maps an (n, d) array of points to the (n, d, k, k) stack of component
-values, and the increments of a whole block of segments from one call of
-``expm``; the running products of a block are written in place into one
-stack and their |det| checked as one array.  The matrix exponential is
+values, in one call for both paths of path_independence_defect; a block of
+segments takes one ``expm`` call, and its running products are written in
+place into one stack, their |det| checked as one array.  The exponential is
 scaling-and-squaring with a diagonal Pade(6) approximant at 1-norm 1/2 (the
 scheme of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, at a fixed
 degree) on a stack (..., n, n); a 2-D input is the one-matrix case.
@@ -18,7 +18,8 @@ The diagonal Pade approximant N(B)/D(B) has N(-B) = D(B) and D(-B) = N(B),
 and this holds bit for bit in floating point: IEEE rounding is symmetric
 under sign, and X and -X have the same 1-norm and so the same scaling count.
 exp(X) and exp(-X) therefore come from one Pade power loop, which the
-Maurer-Cartan forms use for g and g^(-1) at each distinct coordinate value.
+Maurer-Cartan forms use for g and g^(-1) at each distinct coordinate value,
+both coordinates of a block of points in one call.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ def _scaled_pade(A):
     """(N, D, s, shape): the scaling counts s of the matrices of ``A``,
     flattened to a stack (m, n, n), and the numerator and denominator of
     Pade(6) at each scaled matrix B = A / 2^s, so that exp(A) is the s-fold
-    square of D^(-1) N."""
+    square of D^(-1) N.  Each term c_k B^k is formed once, added to N and,
+    signed (-1)^k, to D; both start as the identity, all +0.0 or 1.0, so the
+    sign of a zero of B^k never reaches them (+0.0 + -0.0 is +0.0)."""
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[-1]
     A3 = A.reshape(-1, n, n)
@@ -65,14 +68,13 @@ def _scaled_pade(A):
     s = np.ceil(np.log2(np.fmax(norm / 0.5, 1.0)))
     s = np.where(np.isfinite(s), s, 0).astype(int)
     B = A3 / (2.0 ** s)[:, None, None]
-    eye = np.eye(n, dtype=B.dtype)
-    P = eye
-    N = _PADE[0] * eye
-    D = _PADE[0] * eye
+    N, D = np.zeros((2,) + B.shape, B.dtype) + np.eye(n)
+    t = np.empty_like(B)
     for k in range(1, len(_PADE)):
-        P = P @ B
-        N = N + _PADE[k] * P
-        D = D + _PADE[k] * ((-1) ** k) * P
+        P = B if k == 1 else P @ B
+        np.multiply(P, _PADE[k], out=t)
+        N += t
+        (np.subtract if k % 2 else np.add)(D, t, out=D)
     return N, D, s, A.shape
 
 
@@ -195,7 +197,7 @@ class GroupPath:
             raise PathError("a path needs at least two waypoints")
         if not np.isfinite(self.waypoints).all():
             raise PathError(f"waypoints must be finite, got {self.waypoints.tolist()}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1 or self.steps is True:
             raise PathError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
@@ -207,12 +209,15 @@ class GroupPath:
         return self.waypoints[-1]
 
 
-def _segments(W, steps):
-    """Split the polyline through the waypoints W into ``steps`` segments,
-    proportionally to length.
+def _segments(path, steps):
+    """Split the polyline through the waypoints of ``path`` into ``steps``
+    segments, proportionally to length; ``steps`` None is the path's own
+    count, and a GroupPath checks an override as it checks its own steps.
 
     Returns the (m, d) arrays of segment starts and ends.
     """
+    W = path.waypoints
+    steps = path.steps if steps is None else GroupPath(W, steps).steps
     lengths = np.linalg.norm(np.diff(W, axis=0), axis=1)
     total = float(np.sum(lengths))
     if total == 0:
@@ -241,19 +246,21 @@ def integrate_path(form, path, steps=None):
     """
     if not isinstance(path, GroupPath):
         path = GroupPath(np.asarray(path), steps if steps is not None else 256)
-    # a GroupPath checks the override as it checks its own steps
-    steps = path.steps if steps is None else GroupPath(path.waypoints, steps).steps
+    return _product(form, path, *_segments(path, steps))
+
+
+def _product(form, path, starts, ends, vals=None):
+    """integrate_path over these segments, ``vals`` their midpoint values or None."""
     f = np.eye(form.size)
     path.det_log = []
-    starts, ends = _segments(path.waypoints, steps)
     for lo in range(0, len(starts), _BLOCK):
         a, b = starts[lo:lo + _BLOCK], ends[lo:lo + _BLOCK]
-        vals = form.values_at((a + b) / 2)
+        v = form.values_at((a + b) / 2) if vals is None else vals[lo:lo + _BLOCK]
         delta = b - a
-        E = expm(sum(vals[:, i] * delta[:, i, None, None] for i in range(form.domain_dim)))
+        E = expm(sum(v[:, i] * delta[:, i, None, None] for i in range(form.domain_dim)))
         P = np.empty_like(E)
-        for i in range(len(E)):
-            f = np.matmul(f, E[i], out=P[i])
+        for Ei, Pi in zip(E, P):
+            f = f.dot(Ei, out=Pi)
         det = np.linalg.det(P)
         dets = _modulus(det)
         bad = np.flatnonzero(~np.isfinite(dets) | (dets < 1e-12))
@@ -267,15 +274,19 @@ def integrate_path(form, path, steps=None):
 
 def path_independence_defect(form, path_a, path_b, steps):
     """|f_A - f_B| for two integrations with shared endpoints; zero for flat
-    forms, and of order enclosed-area x curvature otherwise."""
+    forms, and of order enclosed-area x curvature otherwise.  The midpoint
+    values of both paths come from one ``values_at`` call, so a ``values_fn``
+    error at a point of B is raised before A is integrated; if A blows up,
+    B's ``det_log`` is left untouched."""
     A = path_a if isinstance(path_a, GroupPath) else GroupPath(path_a, steps)
     B = path_b if isinstance(path_b, GroupPath) else GroupPath(path_b, steps)
     if (np.linalg.norm(A.start - B.start) > 1e-12
             or np.linalg.norm(A.end - B.end) > 1e-12):
         raise PathError("paths do not share endpoints")
-    fa = integrate_path(form, A, steps)
-    fb = integrate_path(form, B, steps)
-    return float(np.linalg.norm(fa - fb))
+    (sa, ea), (sb, eb) = _segments(A, steps), _segments(B, steps)
+    vals = form.values_at(np.concatenate([(sa + ea) / 2, (sb + eb) / 2]))
+    fa = _product(form, A, sa, ea, vals[:len(sa)])
+    return float(np.linalg.norm(fa - _product(form, B, sb, eb, vals[len(sa):])))
 
 
 def curvature_02_residual(gammas_fn, m, pt):
@@ -320,19 +331,24 @@ def maurer_cartan_form(A, B):
         return [e2m @ e1m @ Aj @ e1 @ e2, e2m @ Bj @ e2]
 
     def values_fn(points):
-        e1, e1m = _distinct_expm_pm(points[:, 0], A)
-        e2, e2m = _distinct_expm_pm(points[:, 1], B)
-        ginv = e2m @ e1m
-        return np.stack([ginv @ A @ e1 @ e2, e2m @ B @ e2], axis=1)
+        # one Pade pair per distinct bit pattern of each coordinate, in calls of
+        # 2 * _BLOCK (a block's most); rows built per block to bound temporaries
+        x = np.asarray(points, dtype=float)
+        u1, i1 = np.unique(x[:, 0].view(np.int64), return_inverse=True)
+        u2, i2 = np.unique(x[:, 1].view(np.int64), return_inverse=True)
+        X = np.concatenate([u1.view(float)[:, None, None] * A, u2.view(float)[:, None, None] * B])
+        E, Em = np.empty_like(X), np.empty_like(X)
+        for lo in range(0, len(X), 2 * _BLOCK):
+            E[lo:lo + 2 * _BLOCK], Em[lo:lo + 2 * _BLOCK] = _expm_pm(X[lo:lo + 2 * _BLOCK])
+        out = np.empty((len(x), 2, k, k))
+        for lo in range(0, len(x), _BLOCK):
+            r1, r2 = i1[lo:lo + _BLOCK], i2[lo:lo + _BLOCK] + len(u1)
+            e2, e2m = E[r2], Em[r2]
+            out[lo:lo + _BLOCK, 0] = e2m @ Em[r1] @ A @ E[r1] @ e2
+            out[lo:lo + _BLOCK, 1] = e2m @ B @ e2
+        return out
 
     return LieValuedForm(2, k, components, values_fn=values_fn)
-
-
-def _distinct_expm_pm(x, M):
-    """_expm_pm(x[:, None, None] * M), one Pade pair per distinct bit pattern of x."""
-    u, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64), return_inverse=True)
-    E, Em = _expm_pm(u.view(float)[:, None, None] * M)
-    return E[inverse], Em[inverse]
 
 
 def maurer_cartan_value(A, B, x):

@@ -115,6 +115,45 @@ def test_expm_pair_of_one_matrix_empty_stack_and_nan_row():
     assert np.isnan(Em[1]).all() and np.isnan(ref_m[1]).all()
 
 
+def _term_by_term_scaled_pade(A):
+    """Pade(6) at the scaled matrices as computed term by term: the powers
+    from P_0 = I, so P_1 = I @ B, and the denominator's term recomputed as
+    (c_k (-1)^k) P_k."""
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    n = A.shape[-1]
+    A3 = A.reshape(-1, n, n)
+    norm = np.abs(A3).sum(-2).max(-1)
+    s = np.ceil(np.log2(np.fmax(norm / 0.5, 1.0)))
+    s = np.where(np.isfinite(s), s, 0).astype(int)
+    B = A3 / (2.0 ** s)[:, None, None]
+    eye = np.eye(n, dtype=B.dtype)
+    c = connections._PADE
+    P, N, D = eye, c[0] * eye, c[0] * eye
+    for k in range(1, len(c)):
+        P = P @ B
+        N = N + c[k] * P
+        D = D + c[k] * ((-1) ** k) * P
+    return N, D, s, A.shape
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_scaled_pade_forms_each_term_once_bitwise(cplx):
+    X = _stack_with_scaling_counts(RNG, 4, False, cplx)  # s = 0..6
+    M = random_skew(4) + (1j * random_skew(4) if cplx else 0)
+    # x M with x < 0 has -0.0 on the zero diagonal (and everywhere for -0.0)
+    signed = np.array([-0.3, -0.0, -5.0])[:, None, None] * M
+    bad = np.array([X[0], X[3]])
+    bad[0, 1, 2], bad[1, 0, 0] = np.nan, np.inf
+    stacks = [X, signed, np.zeros((1, 4, 4), dtype=X.dtype), bad, X[2], np.zeros((0, 3, 3))]
+    assert np.signbit(signed.real[:, range(4), range(4)]).all()
+    for A in stacks:
+        with np.errstate(invalid="ignore"):
+            got, want = connections._scaled_pade(A), _term_by_term_scaled_pade(A)
+        assert got[3] == want[3] == A.shape
+        for g, w in zip(got[:3], want[:3]):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_batched_jet_expm_rows_are_one_point_jet_expm_of_both_signs(order):
     M = 3.0 * random_skew(4)  # scaling counts differ between the rows
@@ -229,15 +268,16 @@ def test_maurer_cartan_values_exponentiate_each_bit_pattern_once(monkeypatch):
 
 
 def test_path_independence_exponentials_on_the_unit_square(monkeypatch):
-    # each leg of the square keeps one coordinate constant: per block of 256
-    # steps, 256 increments, 256 distinct values of one coordinate and one of
-    # the other, against 3 x 256 Pade matrices without the deduplication
+    # 2 x 2000 increments, and one exponential pair per distinct coordinate
+    # value over both paths: x1 takes the 1000 midpoints of sq1's first leg,
+    # which are those of sq2's second leg, and 0 and 1 on the other legs,
+    # so 1002 values; x2 likewise
     form = maurer_cartan_form(random_skew(4), random_skew(4))
     sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
     sq2 = np.array([[0, 0], [0, 1], [1, 1]], dtype=float)
     count = _count_pade_matrices(monkeypatch)
     assert path_independence_defect(form, sq1, sq2, 2000) <= 1e-5
-    assert count[0] < 8100
+    assert count[0] == 4000 + 2004
 
 
 def test_blowup_in_second_block_keeps_step_log():
@@ -416,7 +456,7 @@ def test_nonfinite_waypoint_raises_path_error(bad):
             integrate_path(form, waypoints, steps=10)
 
 
-@pytest.mark.parametrize("steps", [0, -3, 2.5], ids=["zero", "negative", "fraction"])
+@pytest.mark.parametrize("steps", [0, -3, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
 def test_bad_steps_raise_path_error(steps):
     form = maurer_cartan_form(random_skew(3), random_skew(3))
     waypoints = [[0.0, 0.0], [1.0, 1.0]]
@@ -459,6 +499,20 @@ def test_curvature_02_residuals():
 
     with pytest.raises(PathError, match="need m >= 1"):
         curvature_02_residual(gam1, 0, np.zeros(0))
+
+
+def test_curvature_02_antisymmetrizes_the_derivatives():
+    # G_1 = zbar_2 M and G_2 = zbar_1 M with M = E12: dzbar_1 G_2 = dzbar_2 G_1
+    # = M and the commutator vanishes, so the residual is exactly 0; the
+    # symmetric sum dzbar_1 G_2 + dzbar_2 G_1 would read |2 M| = 2
+    def gammas(space):
+        zb1 = space.var(0) - 1j * space.var(1)
+        zb2 = space.var(2) - 1j * space.var(3)
+        z = space.const(0.0)
+        return [[[z, zb2], [z, z]], [[z, zb1], [z, z]]]
+
+    for pt in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.5])):
+        assert curvature_02_residual(gammas, 2, pt) == 0.0
 
 
 def test_nan_curvature_residuals_are_nan():
