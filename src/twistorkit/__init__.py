@@ -51,7 +51,6 @@ from .checkers import (
 )
 from .lifts import (
     TwistorLift,
-    constant_lift,
     j_vertical_residual,
     strictly_compatible_lift_r4,
     t10_stability_residual,
@@ -72,8 +71,8 @@ from .factory import (
     verify_horizontality,
 )
 from .variations import (
-    LiftFamily,
-    MapFamily,
+    affine_family,
+    complex_family,
     first_order_residual,
     jacobi_operator_flat,
     tension_first_order,

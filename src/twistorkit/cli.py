@@ -19,13 +19,14 @@ each a key-value document::
 
 Overrides are ``tol=<finite number >= 0>`` and ``points=<integer >= 1>``
 and win over ``--tol`` and ``--points``.  Any other key, override or value,
-an empty ``check:`` line, a second ``check:`` line of one check and a second
-``name:`` or ``description:`` line, is a usage error (exit 2) that names the
-file and line; so is a file that is not readable UTF-8 text, one with
-``check:`` lines but no ``name:``, and one whose name is that of a built-in
-suite or of another file.  :func:`load_suites` reads the directory again on
-each call of :func:`main`, which lists, validates and runs suites from the
-table it returns; nothing of that table outlives the call.
+an override given twice on one line, an empty ``check:`` line, a second
+``check:`` line of one check and a second ``name:`` or ``description:``
+line, is a usage error (exit 2) that names the file and line; so is a file
+that is not readable UTF-8 text, one with ``check:`` lines but no ``name:``,
+and one whose name is that of a built-in suite or of another file.
+:func:`load_suites` reads the directory again on each call of :func:`main`,
+which lists, validates and runs suites from the table it returns; nothing of
+that table outlives the call.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ def _parse_check(value, where):
         k, _, v = tok.partition("=")
         if k not in _OVERRIDES:
             raise SuiteFileError(f"{where}: unknown override {k!r} (tol or points)")
+        if k in overrides:
+            raise SuiteFileError(f"{where}: override {k}= given twice")
         parse, kind = _OVERRIDES[k]
         try:
             overrides[k] = parse(v)

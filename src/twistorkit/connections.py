@@ -137,10 +137,6 @@ class LieValuedForm:
         space = JetSpace(np.asarray(x, dtype=float), order)
         return stack(self.components(space))
 
-    def values(self, x):
-        """The (d, k, k) component values at one point."""
-        return self.values_at(np.asarray(x, dtype=float)[None])[0]
-
     def values_at(self, points):
         """The (n, d, k, k) component values at the n rows of ``points``."""
         if self.values_fn is not None:
@@ -241,11 +237,12 @@ def integrate_path(form, path, steps=None):
     segments, whose running products fill one stack, in path order, with
     their |det| checked as one array.
 
-    ``steps`` overrides ``path.steps`` for this integration.  The element
-    and the determinant log are recorded on the ``GroupPath`` passed in.
+    ``path`` is a ``GroupPath``, whose steps ``steps`` overrides for this
+    integration, or an array of waypoints, which then needs ``steps``.  The
+    element and the determinant log are recorded on the ``GroupPath``.
     """
     if not isinstance(path, GroupPath):
-        path = GroupPath(np.asarray(path), steps if steps is not None else 256)
+        path = GroupPath(path, steps)
     return _product(form, path, *_segments(path, steps))
 
 

@@ -191,17 +191,6 @@ def _complete_frame(f1, f2, order, skip=None):
     return _unit(best)
 
 
-def constant_lift(phi, J):
-    """Lift with a structure field constant in the domain variables."""
-    Jm = np.asarray(getattr(J, "matrix", J), dtype=float)
-
-    def structure_field(point, order):
-        return JetSpace(point, order).const(np.broadcast_to(Jm, point.shape[:-1] + Jm.shape))
-
-    sign = +1 if is_positive(HermitianStructure(Jm)) else -1
-    return TwistorLift(phi, structure_field, sign=sign)
-
-
 def vertical_part(lift, z0, X):
     """Directional derivative of the structure field along a domain vector.
 

@@ -580,7 +580,7 @@ def _(config, rng):
     c0, cv, P = _stack([(_real_coefficients(rng, 2), _real_coefficients(rng, 2),
                          rng.uniform(-1, 1, 2)) for _ in range(50)])
     v = _real_poly(cv)
-    _, tau1 = va.tension_first_order(va.MapFamily.affine(_real_poly(c0), v), P)
+    _, tau1 = va.tension_first_order(va.affine_family(_real_poly(c0), v), P)
     return np.max(np.abs(tau1 + va.jacobi_operator_flat(v, P)), axis=-1)
 
 
@@ -590,20 +590,20 @@ def _(config, rng):
                              _real_coefficients(rng, 2), rng.uniform(-1, 1, 2))
                             for _ in range(config.points)])
     phi0, v1, v2 = (_real_poly(c) for c in (c0, c1, c2))
-    t1 = va.tension_first_order(va.MapFamily.affine(phi0, v1), P)[1]
-    t2 = va.tension_first_order(va.MapFamily.affine(phi0, v2), P)[1]
-    t12 = va.tension_first_order(va.MapFamily.affine(phi0, _sum_maps(v1, v2)), P)[1]
+    t1 = va.tension_first_order(va.affine_family(phi0, v1), P)[1]
+    t2 = va.tension_first_order(va.affine_family(phi0, v2), P)[1]
+    t12 = va.tension_first_order(va.affine_family(phi0, _sum_maps(v1, v2)), P)[1]
     return np.max(np.abs(t12 - t1 - t2), axis=-1)
 
 
 @_check("jacobi-first-order", "holomorphic-family", 1e-12)
 def _(config, rng):
-    fam = va.MapFamily.from_complex(1, 1, lambda t, z: [z * z + t * z * z * z])
+    fam = va.complex_family(1, 1, lambda t, z: [z * z + t * z * z * z])
     residuals = []
     for _ in range(config.points):
         p = rng.uniform(-1, 1, 2)
-        for kind, R in (("conformal", 1), ("isotropy", 3)):
-            residuals.extend(va.first_order_residual(fam, p, kind, R=R))
+        for R in (1, 3):  # weak conformality, isotropy to order 3
+            residuals.extend(va.first_order_residual(fam, p, R))
     return residuals
 
 

@@ -1,15 +1,14 @@
 """First-order (Jacobi) residuals for one-parameter families of maps.
 
-A family phi(t, x) enters the jet system with t as one extra leading
-variable; every "vanishes to first order in t" clause then becomes an exact
-coefficient test on the joint jet, with no finite differencing in t.  Flat
-targets throughout: the tension field is the componentwise Laplacian and the
-Jacobi operator has no curvature term.
+A family phi(t, x) is a :class:`SmoothMap` of the 1 + 2m variables
+(t, x_1, ..., x_2m), t first, so it can be evaluated at any t.  The residuals
+read its joint jets at (0, x0), where every "vanishes to first order in t"
+clause becomes an exact coefficient test, with no finite differencing in t.
+Flat targets throughout: the tension field is the componentwise Laplacian and
+the Jacobi operator has no curvature term.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,67 +16,48 @@ from .jets import (
     Jet,
     JetError,
     JetSpace,
+    SmoothMap,
     _complex_pairs,
     _laplace_trace,
     _real_split,
     gradient,
     laplacian,
-    stack,
     values,
 )
-from .pairings import _modulus, worst_residual
+from .pairings import worst_residual
 
 
-@dataclass
-class MapFamily:
-    """phi(t, x) through a joint jet evaluator.
+def affine_family(phi0, v):
+    """The family phi0 + t v of a base map and a variation field."""
+    if phi0.domain_dim != v.domain_dim or phi0.codomain_dim != v.codomain_dim:
+        raise JetError("base map and variation dimensions differ")
 
-    ``evaluator(x0, space_order)`` returns the real output components (one
-    vector jet, or scalar jets that ``jets`` stacks) in the 1 + 2m variables
-    (t, x_1, ..., x_2m) at base point (0, x0), with total order space_order
-    + 1 so that every required t-coefficient is exact.  At an (N, 2m) array
-    of points x0 the jets are batched, with base point (0, x0[r]) in row r.
-    phi(0, .) must evaluate identically to the embedded base map.
-    """
+    def evaluator(point, order):
+        space, x = JetSpace(point, order), point[..., 1:]
+        return (_embed(phi0.jets(x, order), space)
+                + space.var(0) * _embed(v.jets(x, order), space))
 
-    domain_dim: int
-    codomain_dim: int
-    evaluator: object
-
-    def jets(self, x0, space_order):
-        x0 = np.asarray(x0, dtype=float)
-        return stack(self.evaluator(x0, space_order))
-
-    @classmethod
-    def affine(cls, phi0, v):
-        """The family phi0 + t v of a base map and a variation field."""
-        if phi0.domain_dim != v.domain_dim or phi0.codomain_dim != v.codomain_dim:
-            raise JetError("base map and variation dimensions differ")
-
-        def evaluator(x0, space_order):
-            order = space_order + 1
-            space = JetSpace(_family_base(x0), order)
-            return (_embed(phi0.jets(x0, order), space)
-                    + space.var(0) * _embed(v.jets(x0, order), space))
-
-        return cls(phi0.domain_dim, phi0.codomain_dim, evaluator)
-
-    @classmethod
-    def from_complex(cls, m, n, fn):
-        """Family from a function of (t, z_1, ..., z_m) jet variables; ``t``
-        is handed over as a real jet."""
-
-        def evaluator(x0, space_order):
-            t, *xs = JetSpace(_family_base(x0), space_order + 1).vars()
-            return _real_split(fn(t, *_complex_pairs(xs)))
-
-        return cls(2 * m, 2 * n, evaluator)
+    return SmoothMap(1 + phi0.domain_dim, phi0.codomain_dim, evaluator)
 
 
-def _family_base(x0):
-    """The base point (0, x0) of a family's jets, row by row for an (N, 2m)
-    array of points."""
-    return np.concatenate([np.zeros(x0.shape[:-1] + (1,)), x0], axis=-1)
+def complex_family(m, n, fn):
+    """The family of a function of (t, z_1, ..., z_m) jet variables; ``t`` is
+    handed over as a real jet."""
+
+    def evaluator(point, order):
+        t, *xs = JetSpace(point, order).vars()
+        return _real_split(fn(t, *_complex_pairs(xs)))
+
+    return SmoothMap(1 + 2 * m, 2 * n, evaluator)
+
+
+def _jets_at_t0(fam, x0, space_order):
+    """The jets of a family at (0, x0), of total order space_order + 1 so that
+    every t-coefficient up to that space order is exact; at an (N, 2m) array
+    of points x0 they are batched, with base point (0, x0[r]) in row r."""
+    x0 = np.asarray(x0, dtype=float)
+    base = np.concatenate([np.zeros(x0.shape[:-1] + (1,)), x0], axis=-1)
+    return fam.jets(base, space_order + 1)
 
 
 def _embed(jet, space):
@@ -88,17 +68,6 @@ def _embed(jet, space):
     for pos, alpha in enumerate(jet.table.indices):
         out[..., tgt.position[(0,) + alpha]] = jet.coef[..., pos]
     return Jet(tgt, space.base, out)
-
-
-@dataclass
-class LiftFamily:
-    """A map family together with a structure-field family J(t, x)."""
-
-    maps: MapFamily
-    structure: object  # (x0, space_order) -> matrix of joint jets
-
-    def structure_jets(self, x0, space_order):
-        return stack(self.structure(np.asarray(x0, dtype=float), space_order))
 
 
 def jacobi_operator_flat(v, x0):
@@ -115,55 +84,27 @@ def tension_first_order(fam, x0):
     operator of v exactly.  At an (N, 2m) array of points both have one row
     per point.
     """
-    jets = fam.jets(x0, 2)
+    jets = _jets_at_t0(fam, x0, 2)
     return tuple(_laplace_trace(jets, (k,)) for k in (0, 1))
 
 
-def _family_dz(jets, i):
-    """d/dz_i in the space variables of a joint (t, x) jet (0-based pairs)."""
-    return (jets.partial(1 + 2 * i) - 1j * jets.partial(2 + 2 * i)) * 0.5
+def first_order_residual(fam, x0, R):
+    """Base and first-order isotropy residual along a family of surface maps.
 
-
-def first_order_residual(fam, x0, kind, R=1):
-    """Base and first-order residual of a property along a family.
-
-    ``kind`` is one of:
-
-    - ``"conformal"``: the pairing <dz phi_t, dz phi_t> and its t-derivative
-      (surface domain).
-    - ``"isotropy"``: max over 1 <= r <= R of the diagonal pairings
-      <dz^r phi_t, dz^r phi_t>; the diagonal suffices to first order by the
-      isotropy-reduction lemma.
-    - ``"psi_holomorphy"``: for a :class:`LiftFamily`, the defect
-      d phi_t (J X) - J_t d phi_t X and its t-derivative, maximized over the
-      coordinate directions.
+    The max over 1 <= r <= R of the diagonal pairings <dz^r phi_t, dz^r
+    phi_t>, and of their t-derivatives; the diagonal suffices to first order
+    by the isotropy-reduction lemma, and R = 1 is weak conformality.
 
     Returns ``(base_residual, t_residual)``.
     """
-    if kind == "psi_holomorphy":
-        return _psi_holomorphy_residual(fam, x0)
-    maps = fam.maps if isinstance(fam, LiftFamily) else fam
-    if maps.domain_dim != 2:
-        raise JetError("conformal/isotropy families need a surface domain")
-    need = 1 if kind == "conformal" else R
-    vec = maps.jets(x0, need)
+    if fam.domain_dim != 3:
+        raise JetError("first-order residuals need a family of surface maps, "
+                       f"domain (t, x, y), got dimension {fam.domain_dim}")
+    vec = _jets_at_t0(fam, x0, R)
     base, t1 = [], []
-    for _ in range(need):
-        vec = _family_dz(vec, 0)  # dz^r phi_t for r = 1 .. need
+    for _ in range(R):
+        vec = (vec.partial(1) - 1j * vec.partial(2)) * 0.5  # dz^r phi_t, r = 1 .. R
         s = vec @ vec
         base.append(abs(values(s)))
         t1.append(abs(gradient(s)[0]))  # d/dt
-    return worst_residual(base), worst_residual(t1)
-
-
-def _psi_holomorphy_residual(fam, x0):
-    jets = fam.maps.jets(x0, 1)
-    M = fam.structure_jets(x0, 1)
-    dx, dy = jets.partial(1), jets.partial(2)
-    base, t1 = [], []
-    # domain structure: dx -> dy, dy -> -dx
-    for defect, source in ((dy, dx), (-dx, dy)):
-        defect = defect - M @ source
-        base.extend(_modulus(values(defect)))
-        t1.extend(_modulus(gradient(defect)[:, 0]))  # d/dt
     return worst_residual(base), worst_residual(t1)

@@ -53,7 +53,7 @@ from twistorkit.structures import (
     to_isotropic,
 )
 from twistorkit.suites import SuiteConfig, run_suite
-from twistorkit.variations import MapFamily, jacobi_operator_flat, tension_first_order
+from twistorkit.variations import affine_family, jacobi_operator_flat, tension_first_order
 
 
 def _record(num, label, worst, tol, extra=""):
@@ -239,7 +239,7 @@ def test_criterion_8_jacobi_relation():
     worst = 0.0
     for _ in range(50):
         phi0, v = random_poly(), random_poly()
-        fam = MapFamily.affine(phi0, v)
+        fam = affine_family(phi0, v)
         p = rng.uniform(-1, 1, 2)
         _, tau1 = tension_first_order(fam, p)
         worst = max(worst, float(np.max(np.abs(tau1 + jacobi_operator_flat(v, p)))))

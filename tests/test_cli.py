@@ -212,6 +212,9 @@ def test_keyerror_inside_a_check_is_internal(monkeypatch, capsys):
     ("chek: jets-core:pairing-laws", "unknown key 'chek'"),
     ("check: jets-core:pairing-laws points=3 tol=1e-30",                  # repeated
      "check 'jets-core:pairing-laws' is already named on line 2"),
+    ("check: jets-core:product-convolution tol=1e-30 tol=1", "override tol= given twice"),
+    ("check: jets-core:product-convolution points=2 points=7",
+     "override points= given twice"),
 ])
 def test_malformed_suite_file_line_is_a_usage_error(line, fragment, tmp_path, monkeypatch,
                                                      capsys):

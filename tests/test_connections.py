@@ -195,7 +195,7 @@ def reference_integration(form, waypoints, steps):
     for a, b, cnt in zip(W[:-1], W[1:], counts):
         for i in range(cnt):
             p, q = a + (b - a) * i / cnt, a + (b - a) * (i + 1) / cnt
-            vals, delta = form.values((p + q) / 2), q - p
+            vals, delta = form.values_at(((p + q) / 2)[None])[0], q - p
             f = f @ expm(sum(vals[j] * delta[j] for j in range(form.domain_dim)))
             det = abs(np.linalg.det(f))
             det_log.append(float(det))
@@ -227,7 +227,7 @@ def test_values_at_stacks_single_point_values():
     V = form.values_at(pts)
     assert V.shape == (5, 2, 3, 3)
     for x, v in zip(pts, V):
-        assert np.array_equal(form.values(x), v)
+        assert np.array_equal(form.values_at(x[None])[0], v)
     const = LieValuedForm.constant([np.eye(3), 2.0 * np.eye(3)])
     assert const.values_at(pts).shape == (5, 2, 3, 3)
 
@@ -240,7 +240,7 @@ def test_maurer_cartan_values_at_rows_with_shared_coordinates_are_bitwise():
                     [np.nan, x[0]], [x[0], np.nan]])
     with np.errstate(invalid="ignore"):
         V = form.values_at(pts)
-        rows = [form.values(p) for p in pts]
+        rows = [form.values_at(p[None])[0] for p in pts]
     assert V.shape == (10, 2, 4, 4)
     for v, row in zip(V, rows):
         assert v.tobytes() == row.tobytes()
@@ -326,7 +326,7 @@ def test_jet_only_form_values_are_its_jet_values_bitwise():
     assert batch.shape == (6, 2, 3, 3)
     for x, row in zip(pts, batch):
         want = values(form.jets(x, 0)).tobytes()
-        assert row.tobytes() == want and form.values(x).tobytes() == want
+        assert row.tobytes() == want and form.values_at(x[None])[0].tobytes() == want
 
 
 def test_jet_only_form_integrates_across_blocks():

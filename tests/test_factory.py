@@ -357,6 +357,28 @@ def test_cp3_jacobian_pattern():
         assert np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
 
 
+def _affine_chart(data, pt):
+    """The real coordinates of (x1/x3, x2/x3, x4/x3) from cp3_point."""
+    x1, x2, x3, x4 = cp3_point(data, pt)
+    return np.array([c for w in (x1 / x3, x2 / x3, x4 / x3) for c in (w.real, w.imag)])
+
+
+@pytest.mark.parametrize("data", [
+    cp3_example1_data(),
+    cp3_morphism_data(P=(0.2, 1, 0.3), Q=(0.1, 1, -0.2), R=(0, 1, 0.5)),
+], ids=["example1", "morphism"])
+def test_cp3_affine_jacobian_matches_central_differences(data):
+    # away from the origin, where b and d do not vanish, so every term of x3
+    # has a first derivative
+    rng, h = np.random.default_rng(5), 1e-6
+    for _ in range(5):
+        pt = rng.uniform(-1, 1, 6)
+        fd = np.column_stack([(_affine_chart(data, pt + h * e) - _affine_chart(data, pt - h * e))
+                              / (2 * h) for e in np.eye(6)])
+        D = cp3_affine_jacobian(data, pt)
+        assert np.max(np.abs(D - fd)) <= 1e-8 * np.max(np.abs(D))
+
+
 # ---------------------------------------------------------------------------
 # batched Newton inversion
 

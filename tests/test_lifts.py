@@ -13,7 +13,6 @@ from twistorkit.lifts import (
     LiftError,
     TwistorLift,
     _umbilic,
-    constant_lift,
     j_vertical_residual,
     strictly_compatible_lift_r4,
     t10_stability_residual,
@@ -126,7 +125,8 @@ def test_vertical_part_lands_in_vertical_space():
     L = strictly_compatible_lift_r4(phi, p)
     assert max(np.linalg.norm(vertical_part(L, p, X))
                for X in ([1.0, 0.0], [0.0, 1.0])) > 1e-3
-    Lc = constant_lift(phi, canonical_structure(2))
+    J0 = canonical_structure(2).matrix
+    Lc = TwistorLift(phi, lambda p, k: JetSpace(p, k).const(J0))
     assert np.max(np.abs(vertical_part(Lc, [0.1, 0.2], [1.0, 0.0]))) == 0.0
 
 

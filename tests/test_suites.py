@@ -86,7 +86,7 @@ def _jacobi_identity(config, rng):
         phi0 = _random_real_poly(rng, 2)
         v = _random_real_poly(rng, 2)
         p = rng.uniform(-1, 1, 2)
-        _, tau1 = va.tension_first_order(va.MapFamily.affine(phi0, v), p)
+        _, tau1 = va.tension_first_order(va.affine_family(phi0, v), p)
         residuals.append(np.max(np.abs(tau1 + va.jacobi_operator_flat(v, p))))
     return residuals
 
@@ -98,9 +98,9 @@ def _tension_linearity(config, rng):
         v1 = _random_real_poly(rng, 2)
         v2 = _random_real_poly(rng, 2)
         p = rng.uniform(-1, 1, 2)
-        t1 = va.tension_first_order(va.MapFamily.affine(phi0, v1), p)[1]
-        t2 = va.tension_first_order(va.MapFamily.affine(phi0, v2), p)[1]
-        t12 = va.tension_first_order(va.MapFamily.affine(phi0, _sum_maps(v1, v2)), p)[1]
+        t1 = va.tension_first_order(va.affine_family(phi0, v1), p)[1]
+        t2 = va.tension_first_order(va.affine_family(phi0, v2), p)[1]
+        t12 = va.tension_first_order(va.affine_family(phi0, _sum_maps(v1, v2)), p)[1]
         residuals.append(np.max(np.abs(t12 - t1 - t2)))
     return residuals
 

@@ -3,24 +3,31 @@
 Runs ``twistorkit.cli.main`` in-process, with ``TWISTOR_SUITE_DIR`` unset,
 for every built-in suite x seeds 1, 2, 3, 42 x ``--points`` 3, 10, 25 x
 ``--format`` json and text.  Prints one line per report, with its exit code
-and the SHA-256 of its bytes, and last a total over all those lines.  Two
+and the SHA-256 of its bytes, then a total over all those lines.  Two
 checkouts whose totals agree produce the same reports on the grid::
 
     python3 tools/report_digest.py
 
-It imports ``twistorkit`` from the ``src`` directory next to ``tools``.
+The last line, ``morphism <sha256>``, is kept out of the total: it hashes
+the residual bytes of ``perfbench/workloads.morphism_request(seed)`` for
+seeds 1-40, the library-call pipeline that no suite report covers.
+
+It imports ``twistorkit`` from the ``src`` directory next to ``tools``, and
+the workloads module from ``perfbench`` beside it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from twistorkit.cli import main  # noqa: E402
 from twistorkit.suites import SUITES  # noqa: E402
@@ -28,6 +35,7 @@ from twistorkit.suites import SUITES  # noqa: E402
 SEEDS = (1, 2, 3, 42)
 POINTS = (3, 10, 25)
 FORMATS = ("json", "text")
+MORPHISM_SEEDS = range(1, 41)
 
 
 def report_lines():
@@ -46,9 +54,23 @@ def report_lines():
                     yield f"{suite} {seed} {points} {fmt} {code} {digest}"
 
 
+def morphism_digest():
+    """SHA-256 over the residual bytes of the morphism request of each seed,
+    each followed by a newline."""
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    digest = hashlib.sha256()
+    for seed in MORPHISM_SEEDS:
+        digest.update(workloads.morphism_request(seed)[0] + b"\n")
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     total = hashlib.sha256()
     for line in report_lines():
         total.update(line.encode() + b"\n")
         print(line)
     print(f"total {total.hexdigest()}")
+    print(f"morphism {morphism_digest()}")
