@@ -36,9 +36,10 @@ data = euclid_r6_data()  # f(z) = z
 # ---------------------------------------------------------------------------
 # validate the data
 
-samples = [rng.uniform(-0.8, 0.8, 6) for _ in range(30)]
-print("horizontality (mu independent of xi):", verify_horizontality(data, samples))
-print("chart holomorphy:                    ", verify_chart_holomorphy(data, samples))
+samples = np.array([rng.uniform(-0.8, 0.8, 6) for _ in range(30)])
+# one residual per sample; the worst of them
+print("horizontality (mu independent of xi):", np.max(verify_horizontality(data, samples)))
+print("chart holomorphy:                    ", np.max(verify_chart_holomorphy(data, samples)))
 print("Jacobian min singular value at 0:    ", jacobian_min_sv(data.h, np.zeros(6)))
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,17 @@
 
 Every checker returns a nonnegative residual that vanishes exactly when the
 property holds at the sample point.  Derivatives come from jets, so residuals
-of polynomial maps are exact to rounding.  :func:`real_isotropy_residual` and
-:func:`pluriconformality_residual` also take an (N, 2m) array of points and
-return one residual per row, bitwise the residual at that row's point; at one
-point they return a float.
+of polynomial maps are exact to rounding.  :func:`real_isotropy_residual`,
+:func:`pluriconformality_residual`, :func:`harmonicity_residual`,
+:func:`hwc_residual`, :func:`harmonic_morphism_residual` and
+:func:`pullback_harmonic_oracle` also take an (N, domain_dim) array of points,
+an empty one included, and return one residual per row from one batched jet
+evaluation, each bitwise the residual at that row's point; at one point they
+return a float.  ``factory.verify_horizontality`` and
+``factory.verify_chart_holomorphy`` follow the same contract.  The
+``euclid-hm`` checks draw their points first, those whose draws hang on an
+admissibility test of h through ``suites._admissible_draws``, and call their
+checker once.
 
 Conventions: pairings of Wirtinger derivatives are complex-bilinear over the
 full 2n real components (see ``pairings``).  The totally-umbilic test alone
@@ -91,10 +98,25 @@ def weak_conformality(phi, x0):
 
 
 def _gram_deviation(G):
-    """(trace(G)/n, |G - trace(G)/n I|) for an n x n Gram matrix G."""
-    n = len(G)
-    lam = float(np.trace(G)) / n
-    return lam, float(np.linalg.norm(G - lam * np.eye(n)))
+    """(trace(G)/n, |G - trace(G)/n I|) for an n x n Gram matrix G: two
+    floats, or two arrays for an (N, n, n) stack."""
+    n = G.shape[-1]
+    lam = np.trace(G, axis1=-2, axis2=-1) / n
+    return _per_point(lam), _norms(G - lam[..., None, None] * np.eye(n), 2)
+
+
+def _per_point(x):
+    """A float for a 0-d result (one point), the array of rows otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _norms(x, ndim):
+    """``np.linalg.norm`` of an ``ndim``-axis array, a float, or of each
+    x[r] of a stack of them, an array.  A stack is normed row by row: the
+    norm of an ``axis=`` reduction sums in another order."""
+    if x.ndim == ndim:
+        return float(np.linalg.norm(x))
+    return np.array([np.linalg.norm(r) for r in x])
 
 
 def pluriconformality_residual(phi, x0):
@@ -108,13 +130,12 @@ def pluriconformality_residual(phi, x0):
 def _worst(pairings):
     """The largest modulus of the pairings, 0.0 for none: a float at one
     point, one value per row at an array of points."""
-    worst = np.max([_modulus(p) for p in pairings], axis=0, initial=0.0)
-    return float(worst) if worst.ndim == 0 else worst
+    return _per_point(np.max([_modulus(p) for p in pairings], axis=0, initial=0.0))
 
 
 def harmonicity_residual(phi, x0):
     """Euclidean norm of the flat tension field (the componentwise Laplacian)."""
-    return float(np.linalg.norm(laplacian(phi, x0)))
+    return _norms(laplacian(phi, x0), 1)
 
 
 def real_isotropy_residual(phi, z0, R):
@@ -157,10 +178,11 @@ def hwc_residual(phi, x0):
 
     Returns (factor, |dphi dphi^T - factor I|): the differential maps the
     orthogonal complement of its kernel conformally onto the target iff the
-    residual vanishes; a zero differential passes with factor 0.
+    residual vanishes; a zero differential passes with factor 0.  At an
+    array of points both are arrays.
     """
     D = phi.jacobian(x0)
-    return _gram_deviation(D @ D.T)
+    return _gram_deviation(D @ D.swapaxes(-1, -2))
 
 
 def harmonic_morphism_residual(phi, x0):
@@ -181,7 +203,7 @@ def pullback_harmonic_oracle(phi, g_coeffs, x0):
     if phi.codomain_dim != 2:
         raise JetError("pullback oracle needs codomain C")
     (w,) = phi.complex_jets(x0, 2)
-    return abs(_laplace_trace(_horner(g_coeffs, w).real))
+    return _per_point(abs(_laplace_trace(_horner(g_coeffs, w).real)))
 
 
 def one_one_geodesic_residual(phi, x0):

@@ -67,36 +67,37 @@ class EuclideanTwistorData:
         return self.n + self.p
 
 
-def verify_horizontality(data, samples):
-    """max over samples of all Wirtinger xi-derivatives of mu.
+def verify_horizontality(data, pt):
+    """max modulus of the Wirtinger xi-derivatives of mu at a point, or one
+    per row of an (N, 2k) array of points.
 
     Zero iff mu is independent of the fibre variables, which is exactly the
     horizontality of the data in its second argument.
     """
-    moduli = []
-    for pt in samples:
-        grad = gradient(data.mu.jets(pt, 1))
-        for v in range(data.n, data.k):
-            moduli.extend([*_modulus(dz(grad, v)), *_modulus(dzbar(grad, v))])
-    return worst_residual(moduli)
+    grad = gradient(data.mu.jets(pt, 1))
+    return _worst_modulus([d(grad, v) for v in range(data.n, data.k) for d in (dz, dzbar)])
 
 
-def verify_chart_holomorphy(data, samples):
-    """max antiholomorphic derivative of the chart image (w, mu).
+def verify_chart_holomorphy(data, pt):
+    """max antiholomorphic derivative of the chart image (w, mu) at a point,
+    or one per row of an (N, 2k) array of points.
 
     Computes w = chart(h(z, xi), mu(z)) in jet arithmetic and measures
     d/dzbar_i w, d/dxibar_i w and d/dzbar_i mu; all vanish iff the data is
     holomorphic through the chart.
     """
-    moduli = []
-    for pt in samples:
-        q = data.h.complex_jets(pt, 1)
-        mu = data.mu.complex_jets(pt, 1)
-        w, _ = twistor_chart(q, mu)
-        for grad, count in ((gradient(w), data.k), (gradient(mu), data.n)):
-            for v in range(count):
-                moduli.extend(_modulus(dzbar(grad, v)))
-    return worst_residual(moduli)
+    mu = data.mu.complex_jets(pt, 1)
+    w, _ = twistor_chart(data.h.complex_jets(pt, 1), mu)
+    return _worst_modulus([dzbar(grad, v) for grad, count in
+                           ((gradient(w), data.k), (gradient(mu), data.n))
+                           for v in range(count)])
+
+
+def _worst_modulus(derivatives):
+    """The largest modulus of the (..., m) derivative arrays, a NaN if any
+    is NaN: a float at one point, one value per row at an array of points."""
+    worst = np.max(_modulus(np.concatenate(derivatives, axis=-1)), axis=-1, initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def jacobian_min_sv(h, pt):

@@ -106,30 +106,65 @@ def _check(suite, name, tol, params=()):
 
 def _admissible(qc):
     """Whether the closed form's denominator |1 + conj q1 - conj q2| exceeds
-    0.2 at the complex point qc of C^3."""
-    return abs(1 + np.conj(qc[0]) - np.conj(qc[1])) > 0.2
+    0.2 at the complex point qc of C^3, or at each row of an (N, 3) array;
+    the modulus is Python ``abs``'s, bitwise."""
+    return _modulus(1 + np.conj(qc[..., 0]) - np.conj(qc[..., 1])) > 0.2
 
 
 def _admissible_r6_points(rng, count):
+    """(count, 6) array of points of R^6 whose complex view is admissible."""
     pts = []
     while len(pts) < count:
         q = rng.uniform(-1.0, 1.0, 6)
         if _admissible(real_to_complex_point(q)):
             pts.append(q)
-    return pts
+    return np.array(pts)
+
+
+def _admissible_draws(rng, h, propose, start, more):
+    """The draws of the loop that, while ``more(i, accepted)``, makes attempt
+    i: it draws x = propose(rng, i) and, when h(x) is admissible, the Newton
+    start start(rng, x), and accepts the attempt.
+
+    Returns the accepted attempts' indices, points x, images h(x) and starts,
+    each stacked, and leaves ``rng`` where that loop leaves it.  The
+    remaining attempts are drawn ahead as if each passed, and h is evaluated
+    once over them.  At the first rejected one, the generator goes back to
+    its state before them and replays the same calls up to and including
+    that attempt's proposal; the attempts go on from the next.  So
+    ``propose`` must give the same x when called again for the same i.
+    """
+    accepted = []  # (i, x, h(x), start)
+    i = 0
+    while more(i, len(accepted)):
+        state = rng.bit_generator.state
+        ahead = []  # (x, start) of attempts i, i + 1, ...
+        while more(i + len(ahead), len(accepted) + len(ahead)):
+            x = propose(rng, i + len(ahead))
+            ahead.append((x, start(rng, x)))
+        x, seed = _stack(ahead)
+        q = h(x)
+        ok = _admissible(real_to_complex_point(q))
+        passed = len(ahead) if ok.all() else int(np.argmin(ok))
+        accepted += [(i + r, x[r], q[r], seed[r]) for r in range(passed)]
+        i += passed
+        if passed < len(ahead):  # attempt i is rejected
+            rng.bit_generator.state = state
+            for r in range(passed):
+                start(rng, propose(rng, i - passed + r))
+            propose(rng, i)
+            i += 1
+    return _stack(accepted)
 
 
 def _morphism_samples(rng, data, count):
     """(zxi, qc, z) for ``count`` admissible images qc = h(zxi): z is the
     produced morphism at qc, Newton started near zxi.  All samples are drawn
     first and then solved in one batch."""
-    draws = []
-    while len(draws) < count:
-        zxi = rng.uniform(-0.8, 0.8, 6)
-        q = data.h(zxi)
-        if _admissible(real_to_complex_point(q)):
-            draws.append((zxi, q, zxi + rng.uniform(-0.05, 0.05, 6)))
-    zxi, q, seed = _stack(draws)
+    _, zxi, q, seed = _admissible_draws(
+        rng, data.h, lambda rng, i: rng.uniform(-0.8, 0.8, 6),
+        lambda rng, x: x + rng.uniform(-0.05, 0.05, 6),
+        lambda i, accepted: accepted < count)
     z = fa.evaluate_morphism(data, q, seed_point=seed)[:, 0]
     return list(zip(zxi, real_to_complex_point(q), z))
 
@@ -193,6 +228,17 @@ def _real_poly(co):
     return SmoothMap.from_real(2, dims, ev)
 
 
+def _uniform_points(rng, count, half, dim):
+    """(count, dim) array of points uniform on [-half, half]^dim, one
+    ``rng.uniform`` call per point."""
+    return np.array([rng.uniform(-half, half, dim) for _ in range(count)])
+
+
+def _interleave(*columns):
+    """Residuals of several per-point columns, point by point."""
+    return [r for row in zip(*columns) for r in row]
+
+
 def _stack(draws):
     """The columns of a list of per-draw tuples, each stacked into an array."""
     return tuple(np.array(column) for column in zip(*draws))
@@ -235,22 +281,20 @@ _suite("euclid-hm", "closed-form and factory checks for the R^6 -> C harmonic mo
 
 @_check("euclid-hm", "closed-form-harmonicity", 1e-9)
 def _(config, rng):
-    phi = fa.closed_form_r6()
-    return [harmonicity_residual(phi, p) for p in _admissible_r6_points(rng, config.points)]
+    return harmonicity_residual(fa.closed_form_r6(), _admissible_r6_points(rng, config.points))
 
 
 @_check("euclid-hm", "closed-form-hwc", 1e-9)
 def _(config, rng):
-    phi = fa.closed_form_r6()
-    return [hwc_residual(phi, p)[1] for p in _admissible_r6_points(rng, config.points)]
+    return hwc_residual(fa.closed_form_r6(), _admissible_r6_points(rng, config.points))[1]
 
 
 @_check("euclid-hm", "pullback-oracle", 1e-8)
 def _(config, rng):
     phi = fa.closed_form_r6()
-    return [pullback_harmonic_oracle(phi, [0.0] * d + [1.0], p)
-            for p in _admissible_r6_points(rng, min(20, config.points))
-            for d in (1, 2, 3)]
+    P = _admissible_r6_points(rng, min(20, config.points))
+    return _interleave(*(pullback_harmonic_oracle(phi, [0.0] * d + [1.0], P)
+                         for d in (1, 2, 3)))
 
 
 @_check("euclid-hm", "factory-roundtrip", 1e-10, params=("f",))
@@ -277,32 +321,31 @@ def _(config, rng):
 @_check("euclid-hm", "horizontality", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
-    return [fa.verify_horizontality(data, [rng.uniform(-0.8, 0.8, 6)])
-            for _ in range(config.points)]
+    return fa.verify_horizontality(data, _uniform_points(rng, config.points, 0.8, 6))
 
 
 @_check("euclid-hm", "chart-holomorphy", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
-    return [fa.verify_chart_holomorphy(data, [rng.uniform(-0.8, 0.8, 6)])
-            for _ in range(config.points)]
+    return fa.verify_chart_holomorphy(data, _uniform_points(rng, config.points, 0.8, 6))
 
 
 @_check("euclid-hm", "fibre-invariance", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
-    draws = []  # (fibre, q, Newton start): ten fibres of ten draws each
-    for fibre in range(10):
-        z = rng.uniform(-0.6, 0.6, 2)
-        for _ in range(10):
-            zxi = np.concatenate([z, rng.uniform(-0.6, 0.6, 4)])
-            q = data.h(zxi)
-            if _admissible(real_to_complex_point(q)):
-                draws.append((fibre, q, zxi + rng.uniform(-0.02, 0.02, 6)))
-    fibres, q, seed = _stack(draws)
+    z = {}  # fibre -> its z: ten fibres of ten attempts each
+
+    def propose(rng, i):
+        if i % 10 == 0:
+            z[i // 10] = rng.uniform(-0.6, 0.6, 2)
+        return np.concatenate([z[i // 10], rng.uniform(-0.6, 0.6, 4)])
+
+    attempts, _, q, seed = _admissible_draws(
+        rng, data.h, propose, lambda rng, x: x + rng.uniform(-0.02, 0.02, 6),
+        lambda i, accepted: i < 100)
     base = {}  # the first value on each fibre
-    return [abs(val - base.setdefault(fibre, val)) for fibre, val in
-            zip(fibres, fa.evaluate_morphism(data, q, seed_point=seed)[:, 0])]
+    return [abs(val - base.setdefault(i // 10, val)) for i, val in
+            zip(attempts, fa.evaluate_morphism(data, q, seed_point=seed)[:, 0])]
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +514,10 @@ def _lift_test_maps():
     return holo, chart
 
 
-def _lift_points(rng, count):
-    """(count, 2) array of sample points of the lifts-r4 domain disk."""
-    return np.array([rng.uniform(-0.9, 0.9, 2) for _ in range(count)])
-
-
-def _interleave(*columns):
-    """Residuals of several per-point columns, point by point."""
-    return [r for row in zip(*columns) for r in row]
-
-
 @_check("lifts-r4", "lift-holomorphy", 1e-10)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    P = _lift_points(rng, config.points)
+    P = _uniform_points(rng, config.points, 0.9, 2)
     J1 = st.canonical_structure(1).matrix
     columns = []
     for phi in (holo, chart):
@@ -497,7 +530,7 @@ def _(config, rng):
 @_check("lifts-r4", "lift-vertical-conditions", 1e-9)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    P = _lift_points(rng, config.points)
+    P = _uniform_points(rng, config.points, 0.9, 2)
     Lh = lf.strictly_compatible_lift_r4(holo, P)
     Lc = lf.strictly_compatible_lift_r4(chart, P)
     return _interleave(lf.j_vertical_residual(Lh, P, 2),   # harmonic side
@@ -508,7 +541,7 @@ def _(config, rng):
 @_check("lifts-r4", "lift-t10-stability", 1e-9)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    P = _lift_points(rng, config.points)
+    P = _uniform_points(rng, config.points, 0.9, 2)
     Lh = lf.strictly_compatible_lift_r4(holo, P)
     Lc = lf.strictly_compatible_lift_r4(chart, P)
     return _interleave(lf.t10_stability_residual(Lh, P, "z"),

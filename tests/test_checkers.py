@@ -18,7 +18,13 @@ from twistorkit.checkers import (
     umbilic_residual,
     weak_conformality,
 )
-from twistorkit.factory import closed_form_r6
+from twistorkit.factory import (
+    EuclideanTwistorData,
+    closed_form_r6,
+    euclid_r6_data,
+    verify_chart_holomorphy,
+    verify_horizontality,
+)
 from twistorkit.jets import (
     JetError,
     SmoothMap,
@@ -524,3 +530,63 @@ def test_nan_geodesic_and_span_residuals_are_nan():
     assert not ok and np.isnan(res)
     assert np.isnan(worst_residual([0.0, nan, 1.0]))
     assert worst_residual([0.5, 2.0, 1.0]) == 2.0 and worst_residual([]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the checkers of the R^6 -> C construction at an (N, 6) array of points
+
+def _euclid_checkers():
+    """name -> function of the points giving a list of residuals, each a
+    float at one point: the closed form and a map that is no harmonic
+    morphism, the data of f = 0.2 + z - 0.4 z^3, data whose mu depends on
+    xi and data whose h is not holomorphic."""
+    cf = closed_form_r6()
+    bad = SmoothMap.from_complex(3, 1, lambda q1, q2, q3: [q1 * q1.conj() * q3 + q2 * q2])
+    good = euclid_r6_data((0.2, 1.0, 0.0, -0.4))
+    xi_mu = EuclideanTwistorData(1, 2, good.h, SmoothMap.from_complex(
+        3, 3, lambda z, x1, x2: [z * x1, 0 * z, x2.conj()]))
+    conj_h = EuclideanTwistorData(1, 2, SmoothMap.from_complex(
+        3, 3, lambda z, x1, x2: [z.conj() * x1, x1, x2 * x2.conj()]), good.mu)
+    return {
+        "harmonicity_residual": lambda P: [harmonicity_residual(m, P) for m in (cf, bad)],
+        "hwc_residual": lambda P: [r for m in (cf, bad) for r in hwc_residual(m, P)],
+        "harmonic_morphism_residual": lambda P: list(harmonic_morphism_residual(bad, P)),
+        "pullback_harmonic_oracle": lambda P: [pullback_harmonic_oracle(m, g, P)
+                                               for m in (cf, bad)
+                                               for g in ([0.0, 1.0], [0.5, 0.0, 0.0, 1.0])],
+        "verify_horizontality": lambda P: [verify_horizontality(d, P) for d in (good, xi_mu)],
+        "verify_chart_holomorphy": lambda P: [verify_chart_holomorphy(d, P)
+                                              for d in (good, conj_h)],
+    }
+
+
+EUCLID_CHECKERS = _euclid_checkers()
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("name", sorted(EUCLID_CHECKERS))
+def test_euclid_checker_rows_match_points_bitwise(name, n):
+    P = np.array(admissible_points(n, seed=n))
+    rows = EUCLID_CHECKERS[name](P)
+    ones = [EUCLID_CHECKERS[name](p) for p in P]
+    nonzero = 0
+    for k, got in enumerate(rows):
+        want = [one[k] for one in ones]
+        # a float, not np.float64: perfbench's morphism blob formats repr()
+        assert all(type(w) is float for w in want)
+        assert got.shape == (n,) and _bits(got) == _bits(want)
+        nonzero += np.count_nonzero(got)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("name", sorted(EUCLID_CHECKERS))
+def test_euclid_checkers_give_no_residuals_for_an_empty_batch(name):
+    for got in EUCLID_CHECKERS[name](np.empty((0, 6))):
+        assert got.shape == (0,)
+
+
+def test_data_checkers_reject_an_empty_list_of_points():
+    # an empty list is no (0, 6) batch; it used to pass with nothing checked
+    for verify in (verify_horizontality, verify_chart_holomorphy):
+        with pytest.raises(JetError, match="point dimension 0"):
+            verify(euclid_r6_data(), [])
