@@ -2,17 +2,21 @@
 
 Every checker returns a nonnegative residual that vanishes exactly when the
 property holds at the sample point.  Derivatives come from jets, so residuals
-of polynomial maps are exact to rounding.  :func:`real_isotropy_residual`,
-:func:`pluriconformality_residual`, :func:`harmonicity_residual`,
-:func:`hwc_residual`, :func:`harmonic_morphism_residual` and
-:func:`pullback_harmonic_oracle` also take an (N, domain_dim) array of points,
-an empty one included, and return one residual per row from one batched jet
-evaluation, each bitwise the residual at that row's point; at one point they
-return a float.  ``factory.verify_horizontality`` and
-``factory.verify_chart_holomorphy`` follow the same contract.  The
-``euclid-hm`` checks draw their points first, those whose draws hang on an
-admissibility test of h through ``suites._admissible_draws``, and call their
-checker once.
+of polynomial maps are exact to rounding.  The batch contract of
+``pairings`` holds for every checker here: :func:`conformality_residual`,
+:func:`weak_conformality`, :func:`pluriconformality_residual`,
+:func:`harmonicity_residual`, :func:`real_isotropy_residual`,
+:func:`real_isotropy_residuals`, :func:`umbilic_residual`,
+:func:`hwc_residual`, :func:`harmonic_morphism_residual`,
+:func:`pullback_harmonic_oracle`, :func:`one_one_geodesic_residual` and
+:func:`holomorphy_residual`.  At one point each returns a float (or a tuple
+of floats), and at an (N, domain_dim) array of points, an empty one
+included, one residual per row from one batched jet evaluation, each bitwise
+the residual at that row's point.  ``variations.first_order_residual``,
+``factory.verify_horizontality``, ``factory.verify_chart_holomorphy``,
+``lifts.j_vertical_residual``, ``lifts.t10_stability_residual`` and
+``connections.flatness_residual`` meet it too.  Moduli are taken with
+``pairings._modulus`` and norms row by row with ``pairings._norms``.
 
 Conventions: pairings of Wirtinger derivatives are complex-bilinear over the
 full 2n real components (see ``pairings``).  The totally-umbilic test alone
@@ -40,7 +44,7 @@ from .jets import (
     gradient,
     laplacian,
 )
-from .pairings import _modulus, bilinear_dot, worst_residual
+from .pairings import _modulus, _norms, _per_point, _worst_modulus, bilinear_dot
 
 
 @dataclass
@@ -84,7 +88,7 @@ def conformality_residual(phi, z0):
     if phi.domain_dim != 2:
         raise JetError("conformality_residual needs a 2-dimensional domain")
     (v,) = dz_vectors(phi, z0, 1)
-    return abs(bilinear_dot(v, v))
+    return _per_point(_modulus(bilinear_dot(v, v)))
 
 
 def weak_conformality(phi, x0):
@@ -94,7 +98,7 @@ def weak_conformality(phi, x0):
     point or a branch point (factor 0 forces dphi = 0).
     """
     D = phi.jacobian(x0)
-    return _gram_deviation(D.T @ D)
+    return _gram_deviation(D.swapaxes(-1, -2) @ D)
 
 
 def _gram_deviation(G):
@@ -105,32 +109,12 @@ def _gram_deviation(G):
     return _per_point(lam), _norms(G - lam[..., None, None] * np.eye(n), 2)
 
 
-def _per_point(x):
-    """A float for a 0-d result (one point), the array of rows otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def _norms(x, ndim):
-    """``np.linalg.norm`` of an ``ndim``-axis array, a float, or of each
-    x[r] of a stack of them, an array.  A stack is normed row by row: the
-    norm of an ``axis=`` reduction sums in another order."""
-    if x.ndim == ndim:
-        return float(np.linalg.norm(x))
-    return np.array([np.linalg.norm(r) for r in x])
-
-
 def pluriconformality_residual(phi, x0):
     """max |<dphi(dz_i), dphi(dz_j)>| over i <= j; 0 for holomorphic maps."""
     m = phi.domain_dim // 2
     grad = gradient(phi.jets(x0, 1))
     vs = [dz(grad, i) for i in range(m)]
-    return _worst([bilinear_dot(vs[i], vs[j]) for i in range(m) for j in range(i, m)])
-
-
-def _worst(pairings):
-    """The largest modulus of the pairings, 0.0 for none: a float at one
-    point, one value per row at an array of points."""
-    return _per_point(np.max([_modulus(p) for p in pairings], axis=0, initial=0.0))
+    return _worst_modulus([bilinear_dot(vs[i], vs[j]) for i in range(m) for j in range(i, m)])
 
 
 def harmonicity_residual(phi, x0):
@@ -152,7 +136,8 @@ def real_isotropy_residuals(phi, z0, R):
         raise JetError("real_isotropy_residual needs a 2-dimensional domain")
     vecs = dz_vectors(phi, z0, R)
     pairings = {(r, s): bilinear_dot(vecs[r], vecs[s]) for r in range(R) for s in range(r, R)}
-    return _worst(list(pairings.values())), _worst([pairings[r, r] for r in range(R)])
+    return (_worst_modulus(list(pairings.values())),
+            _worst_modulus([pairings[r, r] for r in range(R)]))
 
 
 def umbilic_residual(phi, z0):
@@ -166,11 +151,10 @@ def umbilic_residual(phi, z0):
     if phi.domain_dim != 2:
         raise JetError("umbilic_residual needs a 2-dimensional domain")
     v1, v2 = dz_vectors(phi, z0, 2)
-    A = np.array([complex_view(v1), complex_view(v2)])
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] < 1e-14:
-        return 0.0
-    return float(s[-1] / s[0])
+    s = np.linalg.svd(np.stack([complex_view(v1), complex_view(v2)], axis=-2),
+                      compute_uv=False)
+    degenerate = s[..., 0] < 1e-14
+    return _per_point(np.where(degenerate, 0.0, s[..., -1] / np.where(degenerate, 1.0, s[..., 0])))
 
 
 def hwc_residual(phi, x0):
@@ -188,9 +172,7 @@ def hwc_residual(phi, x0):
 def harmonic_morphism_residual(phi, x0):
     """(harmonicity residual, horizontal-conformality residual); the map is a
     harmonic morphism at the point iff both vanish."""
-    harm = harmonicity_residual(phi, x0)
-    _, hwc = hwc_residual(phi, x0)
-    return harm, hwc
+    return harmonicity_residual(phi, x0), hwc_residual(phi, x0)[1]
 
 
 def pullback_harmonic_oracle(phi, g_coeffs, x0):
@@ -211,18 +193,20 @@ def one_one_geodesic_residual(phi, x0):
     Hessians vanish (flat Kaehler domain)."""
     m = phi.domain_dim // 2
     jets = phi.jets(x0, 2)
-    norms = []
-    for i in range(m):
-        grad = gradient(dz(jets, i))
-        norms.extend(float(np.linalg.norm(dzbar(grad, jj))) for jj in range(m))
-    return worst_residual(norms)
+    grads = [gradient(dz(jets, i)) for i in range(m)]
+    return _worst_modulus([_norms(dzbar(grad, j), 1) for grad in grads for j in range(m)])
 
 
 def holomorphy_residual(phi, J_dom, J_tgt, x0):
-    """|dphi J_dom - J_tgt dphi| (Frobenius); 0 iff (J_dom, J_tgt)-holomorphic."""
+    """|dphi J_dom - J_tgt dphi| (Frobenius); 0 iff (J_dom, J_tgt)-holomorphic.
+
+    Each structure is a structure or its matrix.  At an (N, domain_dim)
+    array of points J_tgt may also give one matrix per row, as an (N, n, n)
+    array or a list of N matrices.
+    """
     D = phi.jacobian(x0)
     A = np.asarray(getattr(J_dom, "matrix", J_dom), dtype=float)
     B = np.asarray(getattr(J_tgt, "matrix", J_tgt), dtype=float)
-    if A.shape[0] != phi.domain_dim or B.shape[0] != phi.codomain_dim:
+    if A.shape[-1] != phi.domain_dim or B.shape[-1] != phi.codomain_dim:
         raise JetError("structure dimensions do not match the map")
-    return float(np.linalg.norm(D @ A - B @ D))
+    return _norms(D @ A - B @ D, 2)

@@ -33,7 +33,7 @@ from .jets import (
     real_to_complex_point,
     values,
 )
-from .pairings import _modulus, worst_residual
+from .pairings import _worst_modulus, worst_residual
 from .structures import twistor_chart
 
 NEWTON_MAX_ITER = 50
@@ -75,7 +75,8 @@ def verify_horizontality(data, pt):
     horizontality of the data in its second argument.
     """
     grad = gradient(data.mu.jets(pt, 1))
-    return _worst_modulus([d(grad, v) for v in range(data.n, data.k) for d in (dz, dzbar)])
+    return _worst_modulus(np.concatenate(
+        [d(grad, v) for v in range(data.n, data.k) for d in (dz, dzbar)], axis=-1).T)
 
 
 def verify_chart_holomorphy(data, pt):
@@ -88,16 +89,9 @@ def verify_chart_holomorphy(data, pt):
     """
     mu = data.mu.complex_jets(pt, 1)
     w, _ = twistor_chart(data.h.complex_jets(pt, 1), mu)
-    return _worst_modulus([dzbar(grad, v) for grad, count in
-                           ((gradient(w), data.k), (gradient(mu), data.n))
-                           for v in range(count)])
-
-
-def _worst_modulus(derivatives):
-    """The largest modulus of the (..., m) derivative arrays, a NaN if any
-    is NaN: a float at one point, one value per row at an array of points."""
-    worst = np.max(_modulus(np.concatenate(derivatives, axis=-1)), axis=-1, initial=0.0)
-    return float(worst) if worst.ndim == 0 else worst
+    return _worst_modulus(np.concatenate(
+        [dzbar(grad, v) for grad, count in ((gradient(w), data.k), (gradient(mu), data.n))
+         for v in range(count)], axis=-1).T)
 
 
 def jacobian_min_sv(h, pt):

@@ -52,6 +52,31 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
+# The batch contract of the pointwise checkers: at one point a checker
+# returns a float; at an (N, d) array of points, an empty one included, it
+# returns one residual per row, each bitwise the residual at that row's point.
+
+def _per_point(x):
+    """A float for a 0-d result (one point), the array of rows otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _norms(x, ndim):
+    """``np.linalg.norm`` of an ``ndim``-axis array, a float, or of each
+    x[r] of a stack of them, an array.  A stack is normed row by row: the
+    norm of an ``axis=`` reduction sums in another order."""
+    if x.ndim == ndim:
+        return float(np.linalg.norm(x))
+    return np.array([np.linalg.norm(r) for r in x])
+
+
+def _worst_modulus(values):
+    """The largest modulus of the values, 0.0 for none and NaN if any is
+    NaN: a float when they are numbers, one value per row when they are
+    arrays of one shape (N,)."""
+    return _per_point(np.max(_modulus(np.asarray(values)), axis=0, initial=0.0))
+
+
 def worst_residual(residuals):
     """The running ``max`` of the residuals from 0.0, except that a NaN
     residual is returned: ``max(worst, nan)`` keeps ``worst``, which would

@@ -29,7 +29,9 @@ from . import structures as st
 from . import variations as va
 from .checkers import (
     CheckReport,
+    conformality_residual,
     harmonicity_residual,
+    holomorphy_residual,
     hwc_residual,
     pluriconformality_residual,
     pullback_harmonic_oracle,
@@ -158,15 +160,14 @@ def _admissible_draws(rng, h, propose, start, more):
 
 
 def _morphism_samples(rng, data, count):
-    """(zxi, qc, z) for ``count`` admissible images qc = h(zxi): z is the
-    produced morphism at qc, Newton started near zxi.  All samples are drawn
-    first and then solved in one batch."""
+    """The arrays (zxi, qc, z) of ``count`` admissible images qc = h(zxi),
+    one row per sample: z is the produced morphism at qc, Newton started
+    near zxi.  All samples are drawn first and then solved in one batch."""
     _, zxi, q, seed = _admissible_draws(
         rng, data.h, lambda rng, i: rng.uniform(-0.8, 0.8, 6),
         lambda rng, x: x + rng.uniform(-0.05, 0.05, 6),
         lambda i, accepted: accepted < count)
-    z = fa.evaluate_morphism(data, q, seed_point=seed)[:, 0]
-    return list(zip(zxi, real_to_complex_point(q), z))
+    return zxi, real_to_complex_point(q), fa.evaluate_morphism(data, q, seed_point=seed)[:, 0]
 
 
 def _coeff_param(config, key):
@@ -300,22 +301,19 @@ def _(config, rng):
 @_check("euclid-hm", "factory-roundtrip", 1e-10, params=("f",))
 def _(config, rng):
     f = _coeff_param(config, "f")
-    data = fa.euclid_r6_data(f)
-    closed = f == [0.0, 1.0]
-    res_round, res_closed, res_implicit = [], [], []
-    for zxi, qc, z in _morphism_samples(rng, data, config.points):
-        res_round.append(abs(z - real_to_complex_point(zxi)[0]))
-        if closed:
-            zcf = (qc[2] - qc[0] - qc[1]) / (1 + np.conj(qc[0]) - np.conj(qc[1]))
-            res_closed.append(abs(z - zcf))
-            res_implicit.append(fa.implicit_equation_residual(z, qc))
-    return res_round + res_closed, {"implicit_max": worst_residual(res_implicit)}
+    zxi, qc, z = _morphism_samples(rng, fa.euclid_r6_data(f), config.points)
+    residuals = _modulus(z - real_to_complex_point(zxi)[:, 0])
+    if f != [0.0, 1.0]:
+        return residuals, {"implicit_max": 0.0}
+    zcf = (qc[:, 2] - qc[:, 0] - qc[:, 1]) / (1 + np.conj(qc[:, 0]) - np.conj(qc[:, 1]))
+    return (np.concatenate([residuals, _modulus(z - zcf)]),
+            {"implicit_max": worst_residual(list(map(fa.implicit_equation_residual, z, qc)))})
 
 
 @_check("euclid-hm", "implicit-equation", 1e-12)
 def _(config, rng):
-    return [fa.implicit_equation_residual(z, qc)
-            for _zxi, qc, z in _morphism_samples(rng, fa.euclid_r6_data(), config.points)]
+    _, qc, z = _morphism_samples(rng, fa.euclid_r6_data(), config.points)
+    return list(map(fa.implicit_equation_residual, z, qc))
 
 
 @_check("euclid-hm", "horizontality", 1e-10, params=("f",))
@@ -522,8 +520,8 @@ def _(config, rng):
     columns = []
     for phi in (holo, chart):
         L = lf.strictly_compatible_lift_r4(phi, P)
-        columns.append([np.linalg.norm(D @ J1 - J.matrix @ D)
-                        for D, J in zip(phi.jacobian(P), L.structure(P))])
+        # L.structure validates each structure of the lift
+        columns.append(holomorphy_residual(phi, J1, [J.matrix for J in L.structure(P)], P))
     return _interleave(*columns)
 
 
@@ -632,12 +630,9 @@ def _(config, rng):
 @_check("jacobi-first-order", "holomorphic-family", 1e-12)
 def _(config, rng):
     fam = va.complex_family(1, 1, lambda t, z: [z * z + t * z * z * z])
-    residuals = []
-    for _ in range(config.points):
-        p = rng.uniform(-1, 1, 2)
-        for R in (1, 3):  # weak conformality, isotropy to order 3
-            residuals.extend(va.first_order_residual(fam, p, R))
-    return residuals
+    P = _uniform_points(rng, config.points, 1.0, 2)
+    # weak conformality, then isotropy to order 3: (base, t) for each
+    return _interleave(*(r for R in (1, 3) for r in va.first_order_residual(fam, P, R)))
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +761,7 @@ def _(config, rng):
     co, Z = _stack([(_holomorphic_coefficients(rng), rng.uniform(-0.9, 0.9, 2))
                     for _ in range(config.points)])
     phi = _holomorphic_poly(co)
-    v = dz_power(phi, 1, Z)
-    return _interleave(_modulus(bilinear_dot(v, v)), pluriconformality_residual(phi, Z))
+    return _interleave(conformality_residual(phi, Z), pluriconformality_residual(phi, Z))
 
 
 @_check("jets-core", "pairing-laws", 1e-12)

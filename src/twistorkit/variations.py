@@ -24,7 +24,7 @@ from .jets import (
     laplacian,
     values,
 )
-from .pairings import worst_residual
+from .pairings import _worst_modulus
 
 
 def affine_family(phi0, v):
@@ -95,7 +95,8 @@ def first_order_residual(fam, x0, R):
     phi_t>, and of their t-derivatives; the diagonal suffices to first order
     by the isotropy-reduction lemma, and R = 1 is weak conformality.
 
-    Returns ``(base_residual, t_residual)``.
+    Returns ``(base_residual, t_residual)``: two floats at one point, two
+    arrays with one row per point at an (N, 2) array of points.
     """
     if fam.domain_dim != 3:
         raise JetError("first-order residuals need a family of surface maps, "
@@ -105,6 +106,6 @@ def first_order_residual(fam, x0, R):
     for _ in range(R):
         vec = (vec.partial(1) - 1j * vec.partial(2)) * 0.5  # dz^r phi_t, r = 1 .. R
         s = vec @ vec
-        base.append(abs(values(s)))
-        t1.append(abs(gradient(s)[0]))  # d/dt
-    return worst_residual(base), worst_residual(t1)
+        base.append(values(s))
+        t1.append(gradient(s)[..., 0])  # d/dt
+    return _worst_modulus(base), _worst_modulus(t1)

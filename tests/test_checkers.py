@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import twistorkit
 from twistorkit.checkers import (
     CheckReport,
     conformality_residual,
@@ -18,6 +19,7 @@ from twistorkit.checkers import (
     umbilic_residual,
     weak_conformality,
 )
+from twistorkit.connections import LieValuedForm, flatness_residual
 from twistorkit.factory import (
     EuclideanTwistorData,
     closed_form_r6,
@@ -41,13 +43,22 @@ from twistorkit.pairings import (
     is_isotropic_span,
     worst_residual,
 )
+from twistorkit.lifts import (
+    j_vertical_residual,
+    strictly_compatible_lift_r4,
+    t10_stability_residual,
+)
 from twistorkit.structures import canonical_structure, so_action
 from twistorkit.suites import (
     _holomorphic_coefficients,
     _holomorphic_poly,
+    _lift_test_maps,
+    _mc_setup,
     _real_coefficients,
     _real_poly,
+    _skew,
 )
+from twistorkit.variations import affine_family, complex_family, first_order_residual
 
 RNG = np.random.default_rng(2718)
 
@@ -533,13 +544,32 @@ def test_nan_geodesic_and_span_residuals_are_nan():
 
 
 # ---------------------------------------------------------------------------
-# the checkers of the R^6 -> C construction at an (N, 6) array of points
+# the batch contract: at one point a checker returns a float; at an (N, d)
+# array of points, an empty one included, one residual per row, each by its
+# bytes the residual at that row's point
 
-def _euclid_checkers():
-    """name -> function of the points giving a list of residuals, each a
-    float at one point: the closed form and a map that is no harmonic
-    morphism, the data of f = 0.2 + z - 0.4 z^3, data whose mu depends on
-    xi and data whose h is not holomorphic."""
+def _rotated_structures(P):
+    """A structure on R^4 that turns with the point: its matrix at one
+    point, an (N, 4, 4) array at an (N, 2) array of points."""
+    c, s = np.cos(P[..., 0]), np.sin(P[..., 0])
+    Q = np.zeros(P.shape[:-1] + (4, 4))
+    Q[..., [0, 1, 0, 1], [0, 1, 2, 3]] = np.stack([c, c, s, s], axis=-1)
+    Q[..., [2, 3, 2, 3], [2, 3, 0, 1]] = np.stack([c, c, -s, -s], axis=-1)
+    return Q @ canonical_structure(2).matrix @ Q.swapaxes(-1, -2)
+
+
+def _structure_list(P):
+    """The matrices of :func:`_rotated_structures` as a list, one per row,
+    at an array of points with rows; an empty list has no matrix shape."""
+    J = _rotated_structures(P)
+    return list(J) if J.ndim == 3 and len(J) else J
+
+
+def _contract_table():
+    """name -> (domain dimension, function of the points giving a list of
+    residuals): each public checker that takes an array of points, on maps
+    where it vanishes and maps where it does not."""
+    rng = np.random.default_rng(31)
     cf = closed_form_r6()
     bad = SmoothMap.from_complex(3, 1, lambda q1, q2, q3: [q1 * q1.conj() * q3 + q2 * q2])
     good = euclid_r6_data((0.2, 1.0, 0.0, -0.4))
@@ -547,28 +577,85 @@ def _euclid_checkers():
         3, 3, lambda z, x1, x2: [z * x1, 0 * z, x2.conj()]))
     conj_h = EuclideanTwistorData(1, 2, SmoothMap.from_complex(
         3, 3, lambda z, x1, x2: [z.conj() * x1, x1, x2 * x2.conj()]), good.mu)
+    holo = _holomorphic_poly(_holomorphic_coefficients(rng))
+    real = _real_poly(_real_coefficients(rng, 4))
+    const = SmoothMap.from_real(2, 4, lambda x, y: [0 * x + 1.0, 0 * x, 0 * y, 0 * y])
+    surface = (holo, real, NONHOLO)
+    pc = SmoothMap.from_complex(2, 2, lambda z1, z2: [z1 + z2.conj() * z1, z1 * z2])
+    holo2 = SmoothMap.from_complex(2, 2, lambda z1, z2: [z1 * z2, z1 + z2 * z2])
+    families = (complex_family(1, 1, lambda t, z: [z * z + t * z * z * z]),
+                complex_family(1, 1, lambda t, z: [z + t * z.conj()]),
+                affine_family(real, _real_poly(_real_coefficients(rng, 4))))
+    _, chart = _lift_test_maps()
+    forms = (_mc_setup(rng)[0], LieValuedForm.constant([_skew(rng), _skew(rng)]))
+    J1, J2 = canonical_structure(1), canonical_structure(2)
+
+    def lifts(P):
+        return [strictly_compatible_lift_r4(phi, P) for phi in (holo, chart)]
+
     return {
-        "harmonicity_residual": lambda P: [harmonicity_residual(m, P) for m in (cf, bad)],
-        "hwc_residual": lambda P: [r for m in (cf, bad) for r in hwc_residual(m, P)],
-        "harmonic_morphism_residual": lambda P: list(harmonic_morphism_residual(bad, P)),
-        "pullback_harmonic_oracle": lambda P: [pullback_harmonic_oracle(m, g, P)
-                                               for m in (cf, bad)
-                                               for g in ([0.0, 1.0], [0.5, 0.0, 0.0, 1.0])],
-        "verify_horizontality": lambda P: [verify_horizontality(d, P) for d in (good, xi_mu)],
-        "verify_chart_holomorphy": lambda P: [verify_chart_holomorphy(d, P)
-                                              for d in (good, conj_h)],
+        "harmonicity_residual": (6, lambda P: [harmonicity_residual(m, P) for m in (cf, bad)]),
+        "hwc_residual": (6, lambda P: [r for m in (cf, bad) for r in hwc_residual(m, P)]),
+        "harmonic_morphism_residual": (6, lambda P: list(harmonic_morphism_residual(bad, P))),
+        "pullback_harmonic_oracle": (6, lambda P: [pullback_harmonic_oracle(m, g, P)
+                                                   for m in (cf, bad)
+                                                   for g in ([0.0, 1.0], [0.5, 0.0, 0.0, 1.0])]),
+        "verify_horizontality": (6, lambda P: [verify_horizontality(d, P) for d in (good, xi_mu)]),
+        "verify_chart_holomorphy": (6, lambda P: [verify_chart_holomorphy(d, P)
+                                                  for d in (good, conj_h)]),
+        "one_one_geodesic_residual": (6, lambda P: [one_one_geodesic_residual(m, P)
+                                                    for m in (cf, bad)]),
+        "real_isotropy_residual": (2, lambda P: [real_isotropy_residual(m, P, 3)
+                                                 for m in surface]),
+        "real_isotropy_residuals": (2, lambda P: [r for m in surface
+                                                  for r in real_isotropy_residuals(m, P, 3)]),
+        "pluriconformality_residual": (4, lambda P: [pluriconformality_residual(m, P)
+                                                     for m in (pc, holo2)]),
+        "conformality_residual": (2, lambda P: [conformality_residual(m, P) for m in surface]),
+        "weak_conformality": (2, lambda P: [r for m in surface + (const,)
+                                            for r in weak_conformality(m, P)]),
+        "umbilic_residual": (2, lambda P: [umbilic_residual(m, P) for m in surface + (const,)]),
+        "holomorphy_residual": (2, lambda P: [
+            holomorphy_residual(holo, J1, J2, P),
+            holomorphy_residual(real, J1.matrix, J2.matrix, P),
+            holomorphy_residual(holo, J1, _rotated_structures(P), P),
+            holomorphy_residual(real, J1, _structure_list(P), P)]),
+        "first_order_residual": (2, lambda P: [r for fam in families for R in (1, 3)
+                                               for r in first_order_residual(fam, P, R)]),
+        "j_vertical_residual": (2, lambda P: [j_vertical_residual(L, P, a)
+                                              for L in lifts(P) for a in (1, 2)]),
+        "t10_stability_residual": (2, lambda P: [t10_stability_residual(L, P, d)
+                                                 for L in lifts(P) for d in ("z", "zbar")]),
+        "flatness_residual": (2, lambda P: [flatness_residual(form, P) for form in forms]),
     }
 
 
-EUCLID_CHECKERS = _euclid_checkers()
+CONTRACT = _contract_table()
+
+# public checkers that take one point only, and why
+ONE_POINT_ONLY = {
+    "implicit_equation_residual": "a product of complex arrays differs from the product "
+                                  "of complex scalars in the last bit",
+    "cp3_constraints_residual": "products of complex values, as implicit_equation_residual",
+    "curvature_02_residual": "it reads the first axis of its stacked coefficient "
+                             "fields as the field index, where a batch puts its rows",
+    "mj_residual": "a residual of a matrix against a structure, not of a map at a point",
+}
+
+
+def _contract_points(dim, n, seed):
+    if dim == 6:
+        return np.array(admissible_points(n, seed=seed))
+    return np.random.default_rng(seed).uniform(-0.9, 0.9, (n, dim))
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
-@pytest.mark.parametrize("name", sorted(EUCLID_CHECKERS))
-def test_euclid_checker_rows_match_points_bitwise(name, n):
-    P = np.array(admissible_points(n, seed=n))
-    rows = EUCLID_CHECKERS[name](P)
-    ones = [EUCLID_CHECKERS[name](p) for p in P]
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_checker_rows_match_points_bitwise(name, n):
+    dim, residuals = CONTRACT[name]
+    P = _contract_points(dim, n, seed=n)
+    rows = residuals(P)
+    ones = [residuals(p) for p in P]
     nonzero = 0
     for k, got in enumerate(rows):
         want = [one[k] for one in ones]
@@ -579,10 +666,26 @@ def test_euclid_checker_rows_match_points_bitwise(name, n):
     assert nonzero > 0
 
 
-@pytest.mark.parametrize("name", sorted(EUCLID_CHECKERS))
-def test_euclid_checkers_give_no_residuals_for_an_empty_batch(name):
-    for got in EUCLID_CHECKERS[name](np.empty((0, 6))):
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_checkers_give_no_residuals_for_an_empty_batch(name):
+    dim, residuals = CONTRACT[name]
+    for got in residuals(np.empty((0, dim))):
         assert got.shape == (0,)
+
+
+def test_every_public_checker_is_in_the_contract_table_or_one_point_only():
+    public = {name for name in dir(twistorkit)
+              if name.endswith(("_residual", "_residuals")) or name.startswith("verify_")
+              or name in ("weak_conformality", "pullback_harmonic_oracle")}
+    assert public <= set(CONTRACT) | set(ONE_POINT_ONLY)
+    assert not set(CONTRACT) & set(ONE_POINT_ONLY)
+
+
+def test_holomorphy_residual_reads_the_size_of_a_structure_from_its_last_axis():
+    # two 4 x 4 matrices for a map to R^2: the first axis is the row count
+    with pytest.raises(JetError, match="structure dimensions"):
+        holomorphy_residual(Z_CUBED, canonical_structure(1), np.zeros((2, 4, 4)),
+                            np.zeros((2, 2)))
 
 
 def test_data_checkers_reject_an_empty_list_of_points():

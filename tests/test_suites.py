@@ -6,9 +6,10 @@ reference loop that draws and evaluates one sample per iteration: one map at
 one point, with the single-draw polynomial maps written term by term; one
 admissibility test of h and one Newton solve per sample, with the one-point
 solver written out; one checker evaluation per point, with the one-point
-checkers written out; one structure and one positivity test per draw; one
-jet evaluation per point, with four separate exponentials, for Maurer-Cartan
-flatness.
+checkers written out; one lift or one family evaluation per point, with
+the holomorphy or first-order isotropy residual written out; one structure
+and one positivity test per draw; one jet evaluation per point, with four
+separate exponentials, for Maurer-Cartan flatness.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from twistorkit import connections as cn
 from twistorkit import factory as fa
+from twistorkit import lifts as lf
 from twistorkit import structures as st
 from twistorkit import variations as va
 from twistorkit.checkers import (
@@ -44,6 +46,7 @@ from twistorkit.suites import (
     _admissible,
     _admissible_draws,
     _coeff_param,
+    _lift_test_maps,
     _skew,
     _sum_maps,
     check_rng,
@@ -309,6 +312,36 @@ def _chart_holomorphy(config, rng, rejected):
             for _ in range(config.points)], {}
 
 
+def _lift_holomorphy(config, rng, rejected):
+    maps = _lift_test_maps()
+    J1 = st.canonical_structure(1).matrix
+    residuals = []
+    for _ in range(config.points):
+        p = rng.uniform(-0.9, 0.9, 2)
+        for phi in maps:
+            D = phi.jacobian(p)
+            J = lf.strictly_compatible_lift_r4(phi, p).structure(p).matrix
+            residuals.append(float(np.linalg.norm(D @ J1 - J @ D)))
+    return residuals, {}
+
+
+def _holomorphic_family(config, rng, rejected):
+    fam = va.complex_family(1, 1, lambda t, z: [z * z + t * z * z * z])
+    residuals = []
+    for _ in range(config.points):
+        p = rng.uniform(-1, 1, 2)
+        for R in (1, 3):
+            vec = fam.jets(np.concatenate([[0.0], p]), R + 1)  # at (t, x) = (0, p)
+            base, t1 = [], []
+            for _ in range(R):
+                vec = (vec.partial(1) - 1j * vec.partial(2)) * 0.5
+                s = vec @ vec
+                base.append(abs(complex(values(s))))
+                t1.append(abs(complex(gradient(s)[0])))
+            residuals += [max(base), max(t1)]
+    return residuals, {}
+
+
 def _so_action_positivity(config, rng, rejected):
     residuals = []
     for _ in range(200):
@@ -332,6 +365,8 @@ ONE_SAMPLE_REFERENCES = {
     "euclid-hm:horizontality": _horizontality,
     "euclid-hm:chart-holomorphy": _chart_holomorphy,
     "euclid-hm:fibre-invariance": _fibre_invariance,
+    "jacobi-first-order:holomorphic-family": _holomorphic_family,
+    "lifts-r4:lift-holomorphy": _lift_holomorphy,
     "sigma-plus-algebra:so-action-positivity": _so_action_positivity,
 }
 
