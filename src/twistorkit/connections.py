@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import JetSpace, dzbar, gradient, stack, values
-from .pairings import _modulus, worst_residual
+from .pairings import _modulus, _worst_norm
 
 
 class BlowupError(RuntimeError):
@@ -166,16 +166,11 @@ def flatness_residual(form, pt):
     comps = form.jets(pts, order=1)
     d = form.domain_dim
     vals, grad = values(comps), gradient(comps)
-    if pts.ndim == 1:
-        vals, grad = vals[None], grad[None]
-    # (N, k, k) curvatures; the matrix of each row is contiguous, so its
-    # norm is that of the one-point matrix
-    curvatures = [grad[:, j, ..., i] - grad[:, i, ..., j]
-                  + vals[:, i] @ vals[:, j] - vals[:, j] @ vals[:, i]
+    curvatures = [grad[..., j, :, :, i] - grad[..., i, :, :, j]
+                  + vals[..., i, :, :] @ vals[..., j, :, :]
+                  - vals[..., j, :, :] @ vals[..., i, :, :]
                   for i in range(d) for j in range(i + 1, d)]
-    out = np.array([worst_residual([float(np.linalg.norm(F[r])) for F in curvatures])
-                    for r in range(len(vals))])
-    return out if pts.ndim == 2 else float(out[0])
+    return _worst_norm(curvatures, vals.shape[:-3])
 
 
 @dataclass
@@ -293,16 +288,22 @@ def curvature_02_residual(gammas_fn, m, pt):
     is the max over i < j of |dzbar_i G_j - dzbar_j G_i + G_j G_i - G_i G_j|.
     Identically zero when m = 1: a single index leaves nothing to
     antisymmetrize, which is what makes surface domains special.
+
+    ``pt`` is one point, which gives a float, or an (N, 2m) array of points,
+    which gives one residual per row; ``gammas_fn`` then gets the batched
+    space, and row r is bitwise the residual at the point of row r alone.
     """
     if m < 1:
         raise PathError("need m >= 1")
     space = JetSpace(np.asarray(pt, dtype=float), 1)
     gam = stack(gammas_fn(space))
+    # the m fields sit after the batch axes: (..., m, k, k) and (..., m, k, k, 2m)
     vals, grad = values(gam), gradient(gam)
-    return worst_residual([
-        float(np.linalg.norm(dzbar(grad[j], i) - dzbar(grad[i], j)
-                             + vals[j] @ vals[i] - vals[i] @ vals[j]))
-        for i in range(m) for j in range(i + 1, m)])
+    curvatures = [dzbar(grad[..., j, :, :, :], i) - dzbar(grad[..., i, :, :, :], j)
+                  + vals[..., j, :, :] @ vals[..., i, :, :]
+                  - vals[..., i, :, :] @ vals[..., j, :, :]
+                  for i in range(m) for j in range(i + 1, m)]
+    return _worst_norm(curvatures, vals.shape[:-3])
 
 
 # ---------------------------------------------------------------------------

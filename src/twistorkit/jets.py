@@ -365,21 +365,18 @@ class Jet:
     # -- analytic composition ------------------------------------------
     def _series(self, coefficients):
         """sum_k a[k] * (self - value)**k, truncated, with a = coefficients(c)
-        at the constant term c: a[k] = f^(k)(c)/k!.  a[k] holds one value per
-        row and entry, each from the same scalar code (numpy array and scalar
-        complex arithmetic can differ in the last bit:
-        test_batched_series_partials_and_truncation_match_rows_bitwise)."""
+        at the constant terms c: a[k] = f^(k)(c)/k!, one value per row and
+        entry.  The coefficient functions are array code that gives each
+        entry the bits of the same code on that entry alone as a numpy
+        scalar, so a batch expands like its rows; their powers are
+        ``np.power``, as the array ``**`` takes k = 2 as ``np.square``,
+        whose bits differ
+        (test_batched_series_partials_and_truncation_match_rows_bitwise,
+        test_batched_reciprocal_matches_rows_where_power_and_square_differ)."""
         c = self.value
-        if c.ndim == 0:
-            # The row loop below gives a scalar jet at one point the same bits;
-            # this fork stays for speed: without it breadth ran 5.4 % and
-            # morphism 12.9 % slower (in-process CPU time, 6 pairs each).
-            a = coefficients(c)
-        elif not c.size:  # an empty batch: no row to expand
+        if not c.size:  # an empty batch: no row to expand
             return self._like(np.zeros_like(self.coef))
-        else:
-            a = [np.array(k).reshape(c.shape)
-                 for k in zip(*_map_rows(coefficients, zip(c.reshape(-1))))]
+        a = coefficients(c)
         n = min(len(a), self.order + 1)
         if n == 1:
             return Jet.constant(a[0], self.nvars, self.order, self.base)
@@ -393,17 +390,15 @@ class Jet:
 
     def reciprocal(self):
         def coefficients(c):
-            if c == 0:
-                raise JetError("jet division requires a nonzero constant term")
-            return [(-1) ** k / c ** (k + 1) for k in range(self.order + 1)]
+            _require_nonzero(c, "division")
+            return [(-1) ** k / np.power(c, k + 1) for k in range(self.order + 1)]
 
         return self._series(coefficients)
 
     def sqrt(self):
         def coefficients(c):
-            if c == 0:
-                raise JetError("jet sqrt requires a nonzero constant term")
-            a = [np.sqrt(complex(c))]
+            _require_nonzero(c, "sqrt")
+            a = [np.sqrt(c)]
             for k in range(1, self.order + 1):
                 a.append(a[-1] * (0.5 - (k - 1)) / k / c)
             return a
@@ -412,18 +407,17 @@ class Jet:
 
     def exp(self):
         def coefficients(c):
-            e = np.exp(complex(c))
+            e = np.exp(c)
             return [e / math.factorial(k) for k in range(self.order + 1)]
 
         return self._series(coefficients)
 
     def log(self):
         def coefficients(c):
-            if c == 0:
-                raise JetError("jet log requires a nonzero constant term")
-            a = [np.log(complex(c))]
+            _require_nonzero(c, "log")
+            a = [np.log(c)]
             for k in range(1, self.order + 1):
-                a.append((-1) ** (k + 1) / (k * c ** k))
+                a.append((-1) ** (k + 1) / (k * np.power(c, k)))
             return a
 
         return self._series(coefficients)
@@ -447,6 +441,14 @@ class Jet:
         src, mult = self.table.partial_map(var)
         t = _table(self.nvars, self.order - 1)
         return Jet(t, self.base, self.coef.take(src, axis=-1) * mult)
+
+
+def _require_nonzero(c, what):
+    """Raise JetError at a zero constant term, naming the first such entry
+    of an array of them."""
+    if np.count_nonzero(c == 0):
+        row = f"row {np.argmax(np.reshape(c == 0, -1))}: " if np.ndim(c) else ""
+        raise JetError(f"{row}jet {what} requires a nonzero constant term")
 
 
 def _mul_rows(t, a, b):
@@ -495,18 +497,6 @@ class JetSpace:
     def complex_vars(self):
         """z_j = x_{2j} + i x_{2j+1}; requires an even number of variables."""
         return _complex_pairs(self.vars())
-
-
-def _map_rows(fn, rows, error=JetError):
-    """``[fn(*row) for row in rows]``; an ``error`` raised at a row is raised
-    again with the row's index in front of its message."""
-    out = []
-    for r, row in enumerate(rows):
-        try:
-            out.append(fn(*row))
-        except error as exc:
-            raise error(f"row {r}: {exc}") from None
-    return out
 
 
 # ---------------------------------------------------------------------------

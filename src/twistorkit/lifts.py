@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import (JetSpace, _as_real_point, _map_rows, dz, dzbar, gradient, merge_rows,
-                   stack, values, where)
-from .pairings import worst_residual
+from .jets import (JetSpace, _as_real_point, dz, dzbar, gradient, merge_rows, stack, values,
+                   where)
+from .pairings import _dots, _modulus, _norms, _worst_modulus, _worst_norm
 from .structures import HermitianStructure, is_positive
 
 INDEPENDENCE_SV_RATIO = 1e-6
@@ -61,11 +61,13 @@ class TwistorLift:
 
     def structure(self, point):
         """The structure at a point, or a list of them, one per row of an
-        (N, dim) array of points."""
+        (N, dim) array of points.  A batch is validated as one stack, whose
+        error names the first matrix that fails."""
         J = values(self.structure_jets(point, 0)).real
+        checked = HermitianStructure(J)
         if J.ndim == 2:
-            return HermitianStructure(J)
-        return [HermitianStructure(row) for row in J]
+            return checked
+        return [HermitianStructure(row, check=False) for row in J]
 
 
 def strictly_compatible_lift_r4(phi, z0):
@@ -87,10 +89,7 @@ def strictly_compatible_lift_r4(phi, z0):
     z0 = _as_real_point(z0, 2)
     jets0 = phi.jets(z0, 2)
     grad0 = gradient(jets0)
-    d1 = dz(grad0, 0)
-    d2 = values(dz(dz(jets0, 0), 0))
-    batched = z0.ndim > 1
-    umbilic = _rows(_umbilic, batched, grad0, d1, d2)
+    umbilic = _umbilic(grad0, dz(grad0, 0), values(dz(dz(jets0, 0), 0)))
 
     def structure_field(point, order):
         if np.shape(point)[:-1] != np.shape(umbilic):
@@ -102,44 +101,62 @@ def strictly_compatible_lift_r4(phi, z0):
                           _frame_structure(phi, point[~umbilic], order, False))
 
     lift = TwistorLift(phi, structure_field, both_signs_valid=umbilic)
-    lift.sign = _rows(_orientation, batched, values(lift.structure_jets(z0, 0)).real)
+    J0 = HermitianStructure(values(lift.structure_jets(z0, 0)).real, tol=1e-8)
+    sign = np.where(is_positive(J0), 1, -1)
+    lift.sign = int(sign) if sign.ndim == 0 else sign
     return lift
 
 
-def _rows(fn, batched, *arrays):
-    """``fn`` of the read-offs at one point, or the array of its results over
-    the rows of a batch; a row that raises LiftError is named."""
-    if not batched:
-        return fn(*arrays)
-    return np.array(_map_rows(fn, zip(*arrays), LiftError))
+def _raise_first(failures):
+    """Raise the LiftError of the first point at which one of the
+    ``(mask, message)`` failures holds, a point's failures taken in order;
+    the masks have the leading shape of the points, and a batch names the
+    row."""
+    bad = np.logical_or.reduce([mask for mask, _ in failures])
+    if bad.any():
+        r = np.argmax(np.reshape(bad, -1))
+        message = next(msg for mask, msg in failures if np.reshape(mask, -1)[r])
+        raise LiftError(f"row {r}: {message}" if np.ndim(bad) else message)
 
 
 def _umbilic(grad0, d1, d2):
     """Whether dz phi and dz^2 phi are dependent at a point, from the
-    gradient and both Wirtinger derivatives there; raises at a branch point,
-    a point where phi is not weakly conformal, or one where no strictly
-    compatible structure exists."""
-    dx0, dy0 = grad0[:, 0].real, grad0[:, 1].real
-    if np.linalg.norm(dx0) < 1e-12:
-        raise LiftError("branch point: dphi vanishes at the base point")
-    scale = max(1.0, dx0 @ dx0)
-    if not (abs(dx0 @ dy0) <= 1e-6 * scale and abs(dx0 @ dx0 - dy0 @ dy0) <= 1e-6 * scale):
-        raise LiftError("map is not weakly conformal at the base point")
-    rows = np.array([d1, d2])
-    s = np.linalg.svd(rows, compute_uv=False)
-    umbilic = s[-1] <= INDEPENDENCE_SV_RATIO * s[0]
-    if not umbilic:
-        iso = worst_residual([abs(np.sum(d1 * d2)), abs(np.sum(d2 * d2))])
-        if not iso <= 1e-6 * max(1.0, float(np.abs(d2) @ np.abs(d2))):
-            raise LiftError(
-                "dz and dz^2 do not span an isotropic plane: no strictly "
-                "compatible structure contains both (map is not real "
-                "isotropic through order 2)")
+    gradient and both Wirtinger derivatives there, or at each point of a
+    batch of them.  Raises at a branch point, a point where phi is not
+    weakly conformal, or one where no strictly compatible structure exists,
+    checked in that order; a batch raises what its first failing row would
+    raise alone, naming the row."""
+    dx0, dy0 = grad0[..., 0].real, grad0[..., 1].real
+    xx = _dots(dx0, dx0)
+    scale = np.fmax(1.0, xx)  # max(1.0, xx): 1.0 where xx is NaN
+    branch = np.asarray(_norms(dx0, 1)) < 1e-12
+    nonconformal = ~((abs(_dots(dx0, dy0)) <= 1e-6 * scale)
+                     & (abs(xx - _dots(dy0, dy0)) <= 1e-6 * scale))
+    pairs = np.stack([d1, d2], axis=-2)
+    # A NaN or inf can make the SVD of the whole stack raise, or give NaN
+    # singular values (not umbilic) without raising: such rows are zeroed
+    # out of the stack and read not umbilic
+    finite = np.isfinite(pairs).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], pairs, 0.0), compute_uv=False)
+    umbilic = finite & (s[..., -1] <= INDEPENDENCE_SV_RATIO * s[..., 0])
+    a = np.abs(d2)
+    bound = 1e-6 * np.fmax(1.0, _dots(a, a))
+    anisotropic = ~umbilic & ~((_modulus(np.sum(d1 * d2, axis=-1)) <= bound)
+                               & (_modulus(np.sum(d2 * d2, axis=-1)) <= bound))
+    bad = np.reshape(branch | nonconformal | anisotropic, -1)
+    end = np.argmax(bad) + 1 if bad.any() else bad.size
+    reach = np.reshape(~finite & ~branch & ~nonconformal, -1)[:end]
+    if reach.any():
+        # the non-finite rows up to the first failing one that reach the SVD:
+        # their stack raises the LinAlgError of the first that raises alone
+        np.linalg.svd(np.reshape(pairs, (-1,) + pairs.shape[-2:])[:end][reach],
+                      compute_uv=False)
+    _raise_first([(branch, "branch point: dphi vanishes at the base point"),
+                  (nonconformal, "map is not weakly conformal at the base point"),
+                  (anisotropic, "dz and dz^2 do not span an isotropic plane: no strictly "
+                                "compatible structure contains both (map is not real "
+                                "isotropic through order 2)")])
     return umbilic
-
-
-def _orientation(J0):
-    return +1 if is_positive(HermitianStructure(J0, tol=1e-8)) else -1
 
 
 def _frame_structure(phi, point, order, umbilic):
@@ -221,15 +238,10 @@ def j_vertical_residual(lift, z0, a):
     z0 = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(z0, 1)
     sgn = 1.0 if a == 1 else -1.0
-
-    def residual(J0v, grad):
-        dJx, dJy = grad[..., 0], grad[..., 1]
-        # J0 on the domain: dx -> dy, dy -> -dx
-        r1 = np.linalg.norm(dJy - sgn * (J0v @ dJx))
-        r2 = np.linalg.norm(-dJx - sgn * (J0v @ dJy))
-        return float(worst_residual([r1, r2]))
-
-    return _rows(residual, z0.ndim > 1, values(M).real, gradient(M).real)
+    J0, grad = values(M).real, gradient(M).real
+    dJx, dJy = grad[..., 0], grad[..., 1]
+    # J0 on the domain: dx -> dy, dy -> -dx
+    return _worst_norm([dJy - sgn * (J0 @ dJx), -dJx - sgn * (J0 @ dJy)], J0.shape[:-2])
 
 
 def t10_stability_residual(lift, z0, direction="z"):
@@ -247,38 +259,43 @@ def t10_stability_residual(lift, z0, direction="z"):
     z0 = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(z0, 1)
     n = len(M)
-
-    def residual(J0, dP):
-        P0 = 0.5 * (np.eye(n) - 1j * J0)
-        Q0 = 0.5 * (np.eye(n) + 1j * J0)
-        # frame columns: P(z) c_j for pivot columns c_j chosen at the base point
-        piv = _pivot_columns(P0, n // 2)
-        defects = []
-        for c in piv:
-            col = P0[:, c]
-            scale = np.linalg.norm(col)
-            if scale < 1e-12:
-                raise LiftError("frame rank deficiency at the base point")
-            defects.append(float(np.linalg.norm(Q0 @ dP[:, c]) / scale))
-        return worst_residual(defects)
-
+    J0 = values(M).real
     dP = (dz if direction == "z" else dzbar)(gradient(M), 0)
-    return _rows(residual, z0.ndim > 1, values(M).real, dP)
+    P0 = 0.5 * (np.eye(n) - 1j * J0)
+    Q0 = 0.5 * (np.eye(n) + 1j * J0)
+    # frame columns: P(z) c_j for pivot columns c_j chosen at the base point;
+    # Q0 dP c is taken for every column c, each a matrix-vector product on
+    # the column's own strides, as one point takes it
+    piv, independent = _pivot_columns(P0, n // 2)
+    scale = np.stack([_norms(P0[..., :, c], 1) for c in range(n)], axis=-1)
+    defect = np.stack([_norms((Q0 @ dP[..., :, c, None])[..., 0], 1) for c in range(n)],
+                      axis=-1) / scale
+    message = "frame rank deficiency at the base point"
+    _raise_first([(~independent, message),
+                  ((np.take_along_axis(scale, piv, -1) < 1e-12).any(axis=-1), message)])
+    return _worst_modulus(np.moveaxis(np.take_along_axis(defect, piv, -1), -1, 0))
 
 
 def _pivot_columns(P, count):
-    norms = np.linalg.norm(P, axis=0)
-    order = np.argsort(-norms)
-    chosen, basis = [], []
-    for c in order:
-        v = P[:, c].copy()
-        for b in basis:
-            v -= (np.conj(b) @ v) * b
-        if np.linalg.norm(v) > 1e-8:
-            basis.append(v / np.linalg.norm(v))
-            chosen.append(int(c))
-        if len(chosen) == count:
-            break
-    if len(chosen) < count:
-        raise LiftError("frame rank deficiency at the base point")
-    return chosen
+    """The first ``count`` columns of P, by decreasing norm, that greedy
+    Gram-Schmidt finds independent (to 1e-8), and whether it found that
+    many; for a stack of matrices, both for each matrix.  The columns are
+    visited one by one, each row keeping its own basis."""
+    order = np.argsort(-np.linalg.norm(P, axis=-2), axis=-1)
+    found = np.zeros(P.shape[:-2], dtype=int)
+    chosen = np.zeros(P.shape[:-2] + (count,), dtype=int)
+    basis = [np.zeros(P.shape[:-1], dtype=complex) for _ in range(count)]
+    for c in np.moveaxis(order, -1, 0):
+        v = np.take_along_axis(P, c[..., None, None], axis=-1)[..., 0]
+        for k, b in enumerate(basis):
+            proj = _dots(np.conj(b), v)[..., None]
+            v = np.where((found > k)[..., None], v - proj * b, v)
+        norm = np.asarray(_norms(v, 1))
+        take = (found < count) & (norm > 1e-8)
+        unit = v / np.where(take, norm, 1.0)[..., None]
+        for k in range(count):
+            put = take & (found == k)
+            basis[k] = np.where(put[..., None], unit, basis[k])
+            chosen[..., k] = np.where(put, c, chosen[..., k])
+        found = found + take
+    return chosen, found == count

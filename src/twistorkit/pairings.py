@@ -6,6 +6,8 @@ conjugation; isotropy of subspaces is always meant with respect to it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -63,11 +65,29 @@ def _per_point(x):
 
 def _norms(x, ndim):
     """``np.linalg.norm`` of an ``ndim``-axis array, a float, or of each
-    x[r] of a stack of them, an array.  A stack is normed row by row: the
-    norm of an ``axis=`` reduction sums in another order."""
+    ``ndim``-axis block of a stack of them, an array over the leading axes.
+
+    A stack is normed as the dot product of each flattened block with itself,
+    one BLAS dot per block as ``np.linalg.norm`` takes it (a complex block
+    as the dots of its strided real and imaginary parts); the norm of an
+    ``axis=`` reduction sums in another order.  The blocks are copied to C
+    order first, which is the order ``np.linalg.norm`` reads a block in when
+    the block is C-contiguous or a real or imaginary view of one
+    (test_norms_of_a_stack_are_the_norms_of_its_blocks_bitwise).
+    """
     if x.ndim == ndim:
         return float(np.linalg.norm(x))
-    return np.array([np.linalg.norm(r) for r in x])
+    lead, block = x.shape[:x.ndim - ndim], x.shape[x.ndim - ndim:]
+    f = np.ascontiguousarray(x).reshape(lead + (math.prod(block),))
+    parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
+    return np.sqrt(sum(_dots(p, p) for p in parts))
+
+
+def _dots(u, v):
+    """u . v over the last axis, bitwise the 1-D ``u @ v`` of each row: the
+    stacked (1, n) @ (n, 1) ``@`` takes one BLAS dot per row with the rows'
+    own strides, where np.sum would sum in another order."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _worst_modulus(values):
@@ -75,6 +95,15 @@ def _worst_modulus(values):
     NaN: a float when they are numbers, one value per row when they are
     arrays of one shape (N,)."""
     return _per_point(np.max(_modulus(np.asarray(values)), axis=0, initial=0.0))
+
+
+def _worst_norm(matrices, lead):
+    """The largest Frobenius norm among the (..., k, k) arrays at each point
+    of the leading shape ``lead``: a float at one point, 0.0 for none and
+    NaN if any is NaN.  Each array is fresh, so its matrices are normed as
+    one at a time."""
+    norms = [_norms(F, 2) for F in matrices]
+    return _worst_modulus(np.reshape(norms, (len(norms),) + lead))
 
 
 def worst_residual(residuals):

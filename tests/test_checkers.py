@@ -19,7 +19,7 @@ from twistorkit.checkers import (
     umbilic_residual,
     weak_conformality,
 )
-from twistorkit.connections import LieValuedForm, flatness_residual
+from twistorkit.connections import LieValuedForm, curvature_02_residual, flatness_residual
 from twistorkit.factory import (
     EuclideanTwistorData,
     closed_form_r6,
@@ -38,6 +38,7 @@ from twistorkit.jets import (
 from twistorkit.pairings import (
     DimensionError,
     _modulus,
+    _norms,
     bilinear_dot,
     hermitian_dot,
     is_isotropic_span,
@@ -462,6 +463,21 @@ def test_modulus_is_python_abs_where_np_abs_is_not():
     assert np.count_nonzero(np.abs(z) != want) > 0
 
 
+def test_norms_of_a_stack_are_the_norms_of_its_blocks_bitwise():
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=(BATCH, 4, 4, 2)) + 1j * rng.normal(size=(BATCH, 4, 4, 2))
+    stacks = [(z[..., 0], 2), (z[..., 0].real, 2), (z[..., 1].imag, 2), (z[:, :, 0, 0], 1),
+              (z[:, 0, :, 0].real, 1), (rng.normal(size=(BATCH, 16)), 1),
+              (z.reshape(BATCH, -1), 1), (z, 3)]
+    for x, ndim in stacks:
+        assert _bits(_norms(x, ndim)) == _bits([np.linalg.norm(block) for block in x])
+        assert type(_norms(x[0], ndim)) is float
+        assert _norms(x[:0], ndim).shape == (0,)
+    # the norm of an axis= reduction sums in another order
+    blocks = z[..., 0].real.copy()
+    assert _bits(np.linalg.norm(blocks, axis=(1, 2))) != _bits(_norms(blocks, 2))
+
+
 @pytest.mark.parametrize("d", [1, 4, 9, 17])
 def test_batched_pairings_match_rows_bitwise(d):
     rng = np.random.default_rng(d)
@@ -565,6 +581,22 @@ def _structure_list(P):
     return list(J) if J.ndim == 3 and len(J) else J
 
 
+def _curvature_fields(space):
+    """Two 2 x 2 coefficient fields over R^4 whose (0,2) curvature varies
+    from point to point."""
+    x = space.vars()
+    zb1, zb2 = x[0] - 1j * x[1], x[2] - 1j * x[3]
+    z = space.const(0.0)
+    return [[[x[0] * x[1], zb2], [z, x[2]]], [[x[3], z], [zb1 * x[0], z]]]
+
+
+def _antisymmetric_fields(space):
+    """G_1 = zbar_2 E12 and G_2 = zbar_1 E12: a vanishing (0,2) curvature."""
+    x = space.vars()
+    z = space.const(0.0)
+    return [[[z, x[2] - 1j * x[3]], [z, z]], [[z, x[0] - 1j * x[1]], [z, z]]]
+
+
 def _contract_table():
     """name -> (domain dimension, function of the points giving a list of
     residuals): each public checker that takes an array of points, on maps
@@ -627,6 +659,8 @@ def _contract_table():
         "t10_stability_residual": (2, lambda P: [t10_stability_residual(L, P, d)
                                                  for L in lifts(P) for d in ("z", "zbar")]),
         "flatness_residual": (2, lambda P: [flatness_residual(form, P) for form in forms]),
+        "curvature_02_residual": (4, lambda P: [curvature_02_residual(g, 2, P) for g in
+                                                (_curvature_fields, _antisymmetric_fields)]),
     }
 
 
@@ -637,8 +671,6 @@ ONE_POINT_ONLY = {
     "implicit_equation_residual": "a product of complex arrays differs from the product "
                                   "of complex scalars in the last bit",
     "cp3_constraints_residual": "products of complex values, as implicit_equation_residual",
-    "curvature_02_residual": "it reads the first axis of its stacked coefficient "
-                             "fields as the field index, where a batch puts its rows",
     "mj_residual": "a residual of a matrix against a structure, not of a map at a point",
 }
 

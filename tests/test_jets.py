@@ -429,9 +429,9 @@ def _random_batch(rng, nvars, order, base=None):
     return _batch_of([_random_jet(rng, nvars, order) for _ in range(BATCH)], base)
 
 
-def _assert_rows_match(got, want_of_row):
-    assert got.coef.shape[0] == BATCH
-    for r in range(BATCH):
+def _assert_rows_match(got, want_of_row, rows=BATCH):
+    assert got.coef.shape[0] == rows
+    for r in range(rows):
         want = want_of_row(r)
         assert got.table is want.table
         assert _bits(got.coef[r]) == _bits(want.coef)
@@ -469,6 +469,36 @@ def test_batched_series_partials_and_truncation_match_rows_bitwise(shape, rng):
     ops += [lambda x, k=k: x.truncated(k) for k in range(order + 1)]
     for op in ops:
         _assert_rows_match(op(a), lambda r: op(_row(a, r)))
+
+
+def test_batched_reciprocal_matches_rows_where_power_and_square_differ():
+    # the array ``c ** 2`` is np.square(c), whose bits differ from the scalar
+    # power at these constant terms; the batched series must not use it
+    rng = np.random.default_rng(22)
+    c = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+    c = c[[(x ** 2).tobytes() != sq.tobytes() for x, sq in zip(c, np.square(c))]][:40]
+    assert len(c) == 40
+    space = JetSpace(np.zeros((len(c), 2)), 3)
+    a = space.var(0) * 0.5 + space.var(1) * space.var(0) + space.const(c)
+    assert _bits(a.value) == _bits(c)
+    _assert_rows_match(a.reciprocal(), lambda r: _row(a, r).reciprocal(), rows=len(c))
+
+
+@pytest.mark.parametrize("op, what", [("reciprocal", "division"), ("sqrt", "sqrt"),
+                                      ("log", "log")])
+def test_batched_zero_constant_term_names_its_row(op, what):
+    space = JetSpace(np.array([[0.5, 0.1], [0.0, 0.3], [0.0, -0.2]]), 3)
+    message = f"jet {what} requires a nonzero constant term"
+    with pytest.raises(JetError, match=f"^row 1: {message}$"):
+        getattr(space.var(0), op)()
+    with pytest.raises(JetError, match=f"^{message}$"):
+        getattr(JetSpace([0.0, 0.3], 3).var(0), op)()
+
+
+def test_batched_exp_at_a_zero_constant_term_is_the_exp_of_each_row():
+    space = JetSpace(np.array([[0.5, 0.1], [0.0, 0.3], [0.0, -0.2]]), 3)
+    a = space.var(0) * space.var(1) + space.var(0)
+    _assert_rows_match(a.exp(), lambda r: _row(a, r).exp(), rows=3)
 
 
 @pytest.mark.parametrize("shape", BATCH_SHAPES)

@@ -1,5 +1,7 @@
 """Strictly compatible lifts and the vertical/stability residuals."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,14 @@ from twistorkit.lifts import (
     vertical_part,
 )
 from twistorkit.structures import (
+    StructureError,
     canonical_structure,
     is_positive,
     mj_residual,
     structure_from_mu,
 )
 
-from jet_objects import const_objects
+from jet_objects import const_objects, objects
 
 RNG = np.random.default_rng(515)
 
@@ -399,3 +402,150 @@ def test_nan_pairing_fails_the_isotropy_precondition():
         assert np.isnan(np.sum(d2 * d2)) and np.sum(d1 * d2) == 0
         with pytest.raises(LiftError, match="isotropic plane"):
             _umbilic(CONFORMAL_GRAD, d1, d2)
+
+
+# Rows of _umbilic's inputs: (gradient, dz, dz^2) at a point.
+D1, D2 = np.array([1, 1j, 0, 0]), np.array([0, 0, 1, 1j])
+STRETCHED_GRAD = np.array([[2, 0], [0, 1], [0, 0], [0, 0]], dtype=complex)
+UMBILIC_ROWS = {
+    "generic": (CONFORMAL_GRAD, D1, D2),
+    "umbilic": (CONFORMAL_GRAD, D1, 2 * D1),
+    "branch": (0 * CONFORMAL_GRAD, D1, D2),
+    "stretched": (STRETCHED_GRAD, D1, D2),
+    "anisotropic": (CONFORMAL_GRAD, D1, np.array([0, 0, 1, 0])),
+    # fails conformality and isotropy: a row's checks keep their order
+    "stretched-anisotropic": (STRETCHED_GRAD, D1, np.array([0, 0, 1, 0])),
+    # its SVD would raise: no row after a failing one reaches the SVD
+    "nan": (CONFORMAL_GRAD, D1, np.array([0, 0, np.nan, 1j])),
+    # SVDs that give NaN without raising: not umbilic, then isotropic or not
+    "inf": (CONFORMAL_GRAD, D1, np.array([np.inf, 0, 0, 0])),
+    "inf-anisotropic": (CONFORMAL_GRAD, D1, np.array([0, 0, np.inf, 1j])),
+}
+
+
+def _umbilic_of(names):
+    return _umbilic(*[np.array([UMBILIC_ROWS[n][i] for n in names]) for i in range(3)])
+
+
+def _one_point_message(name):
+    with pytest.raises(LiftError) as info:
+        _umbilic(*UMBILIC_ROWS[name])
+    assert not str(info.value).startswith("row")
+    return str(info.value)
+
+
+def test_batched_umbilic_names_the_first_failing_row_with_the_one_point_message():
+    assert list(_umbilic_of(["generic", "umbilic", "generic"])) == [False, True, False]
+    empty = strictly_compatible_lift_r4(HOLO, np.empty((0, 2)))
+    assert empty.both_signs_valid.shape == empty.sign.shape == (0,)
+    for bad in ("branch", "stretched", "anisotropic", "stretched-anisotropic"):
+        message = _one_point_message(bad)
+        for r in (0, 1, 3):
+            names = ["generic", "umbilic", "generic"]
+            names.insert(r, bad)
+            # a later row that fails another check, or whose SVD would raise
+            for later in ("branch", "anisotropic", "nan"):
+                with pytest.raises(LiftError) as info:
+                    _umbilic_of(names + [later])
+                assert str(info.value) == f"row {r}: {message}"
+    assert _one_point_message("stretched-anisotropic") == _one_point_message("stretched")
+    # a row whose SVD raises raises that error, as at its point alone
+    for names in (["nan"], ["generic", "nan", "branch"]):
+        with pytest.raises(np.linalg.LinAlgError):
+            _umbilic_of(names)
+    with pytest.raises(np.linalg.LinAlgError):
+        _umbilic(*UMBILIC_ROWS["nan"])
+
+
+def _umbilic_alone(name):
+    """What _umbilic does at the row's point alone: its flag, or the type
+    and message of what it raises."""
+    try:
+        return bool(_umbilic(*UMBILIC_ROWS[name]))
+    except (LiftError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _svd_raising_at_non_finite(svd):
+    """``svd`` as a LAPACK that raises on any NaN or inf would take it."""
+    def raising(a, *args, **kwargs):
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+    return raising
+
+
+@pytest.mark.parametrize("inf_raises", [False, True])
+def test_batched_umbilic_with_non_finite_rows_does_what_its_rows_do_alone(monkeypatch,
+                                                                         inf_raises):
+    if inf_raises:
+        monkeypatch.setattr(np.linalg, "svd", _svd_raising_at_non_finite(np.linalg.svd))
+    names = list(UMBILIC_ROWS)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the isotropy pairings
+        alone = {name: _umbilic_alone(name) for name in names}
+        if not inf_raises:
+            assert alone["inf"] is False
+            assert alone["inf-anisotropic"] == (LiftError, _one_point_message("anisotropic"))
+        for batch in itertools.product(names, repeat=3):
+            first = next((r for r, name in enumerate(batch)
+                          if alone[name] not in (True, False)), None)
+            if first is None:
+                assert list(_umbilic_of(batch)) == [alone[name] for name in batch]
+                continue
+            kind, message = alone[batch[first]]
+            with pytest.raises(kind) as info:
+                _umbilic_of(batch)
+            if kind is LiftError:
+                message = f"row {first}: {message}"
+            assert str(info.value) == message, batch
+
+
+def _constant_objects(space, J):
+    """The object array of constant jets of the matrix J at every point of
+    a space, batched or not."""
+    return objects(space.const(np.broadcast_to(J, space.base.shape[:-1] + J.shape)))
+
+
+def _nan_row_lift(nan_x):
+    """A structure field J0 + s x0 on every entry, whose derivative s is 0.5
+    at each point except NaN where x0 == nan_x; its values stay J0."""
+    J0 = canonical_structure(2).matrix
+
+    def field(point, order):
+        space = JetSpace(point, order)
+        d = space.var(0)
+        slope = np.where(space.base[..., 0] == nan_x, np.nan, 0.5)[..., None]
+        d.coef = d.coef * np.where(np.arange(d.coef.shape[-1]) == 0, 0.0, slope)
+        return [[c + d for c in row] for row in _constant_objects(space, J0)]
+
+    return TwistorLift(HOLO, field)
+
+
+def test_a_nan_row_gives_nan_in_that_row_only():
+    P = np.array([[0.3, 0.2], [0.1, -0.4], [-0.5, 0.6]])
+    residuals = [lambda L, p: j_vertical_residual(L, p, 1),
+                 lambda L, p: j_vertical_residual(L, p, 2),
+                 lambda L, p: t10_stability_residual(L, p, "z"),
+                 lambda L, p: t10_stability_residual(L, p, "zbar")]
+    for res in residuals:
+        got = res(_nan_row_lift(0.1), P)
+        want = [res(_nan_row_lift(0.1), p) for p in P]
+        assert np.isnan(got[1]) and np.isnan(want[1])
+        assert type(want[0]) is float and want[0] > 0
+        assert _bits(got[[0, 2]]) == _bits([want[0], want[2]])
+
+
+def test_batched_structures_are_validated_as_one_stack():
+    J0 = canonical_structure(2).matrix
+
+    def field(point, order):
+        space = JetSpace(point, order)
+        # the matrix of row 1 is 2 J0: J @ J = -4 I
+        scale = space.const(np.where(space.base[..., 0] == 0.1, 2.0, 1.0))
+        return [[c * scale for c in row] for row in _constant_objects(space, J0)]
+
+    P = np.array([[0.3, 0.2], [0.1, -0.4], [-0.5, 0.6]])
+    with pytest.raises(StructureError, match=r"^matrix \[1\]: J @ J != -I"):
+        TwistorLift(HOLO, field).structure(P)
+    structures = TwistorLift(HOLO, field).structure(P[[0, 2]])
+    assert [_bits(J.matrix) for J in structures] == [_bits(J0)] * 2

@@ -8,13 +8,15 @@ checkouts whose totals agree produce the same reports on the grid::
 
     python3 tools/report_digest.py
 
-The last two lines are kept out of the total.  ``morphism <sha256>`` hashes
+The last three lines are kept out of the total.  ``morphism <sha256>`` hashes
 the residual bytes of ``perfbench/workloads.morphism_request(seed)`` for
 seeds 1-40, the library-call pipeline that no suite report covers.
 ``euclid-hm-seeds <sha256>`` hashes the euclid-hm JSON reports at
 ``--points 10`` for seeds 1-1100: the grid's four seeds seldom make its
 samplers reject a draw, and seeds 686, 866 and 1052 are among those that
-make fibre-invariance reject one.
+make fibre-invariance reject one.  ``lifts-r4-seeds <sha256>`` hashes the
+lifts-r4 JSON reports at ``--points 10`` for seeds 1-300, which put many
+more points through the batched lift than the grid does.
 
 It imports ``twistorkit`` from the ``src`` directory next to ``tools``, and
 the workloads module from ``perfbench`` beside it.
@@ -41,6 +43,7 @@ POINTS = (3, 10, 25)
 FORMATS = ("json", "text")
 MORPHISM_SEEDS = range(1, 41)
 EUCLID_SEEDS = range(1, 1101)
+LIFTS_SEEDS = range(1, 301)
 
 
 def report_line(suite, seed, points, fmt):
@@ -63,13 +66,13 @@ def report_lines():
                     yield report_line(suite, seed, points, fmt)
 
 
-def euclid_seeds_digest():
-    """SHA-256 over the :func:`report_line` of the euclid-hm JSON report at
+def seeds_digest(suite, seeds):
+    """SHA-256 over the :func:`report_line` of the ``suite`` JSON report at
     ``--points 10`` of each seed, each followed by a newline."""
     os.environ.pop("TWISTOR_SUITE_DIR", None)
     digest = hashlib.sha256()
-    for seed in EUCLID_SEEDS:
-        digest.update(report_line("euclid-hm", seed, 10, "json").encode() + b"\n")
+    for seed in seeds:
+        digest.update(report_line(suite, seed, 10, "json").encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -93,4 +96,5 @@ if __name__ == "__main__":
         print(line)
     print(f"total {total.hexdigest()}")
     print(f"morphism {morphism_digest()}")
-    print(f"euclid-hm-seeds {euclid_seeds_digest()}")
+    print(f"euclid-hm-seeds {seeds_digest('euclid-hm', EUCLID_SEEDS)}")
+    print(f"lifts-r4-seeds {seeds_digest('lifts-r4', LIFTS_SEEDS)}")
