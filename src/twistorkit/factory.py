@@ -345,9 +345,10 @@ def euclid_r6_data(f_coeffs=(0.0, 1.0)):
     f_coeffs = list(f_coeffs)
 
     def h_fn(z, x1, x2):
-        den = 1 + z * z.conj()
-        q1 = (x1 + z * x2.conj()) / den
-        q2 = (x2 - z * x1.conj()) / den
+        # one reciprocal for both quotients: a / b is a * b.reciprocal()
+        inv = (1 + z * z.conj()).reciprocal()
+        q1 = (x1 + z * x2.conj()) * inv
+        q2 = (x2 - z * x1.conj()) * inv
         q3 = _horner(f_coeffs, z) + x1 + x2
         return [q1, q2, q3]
 

@@ -57,6 +57,7 @@ class _Table:
         self.zeros.flags.writeable = False
         self._mul = None
         self._partial = {}
+        self._compose = None
 
     def prefix_size(self, order):
         return int(self._prefix[order + 1])
@@ -97,8 +98,26 @@ class _Table:
             self._partial[var] = (src, mult)
         return self._partial[var]
 
+    def compose_plan(self):
+        """(k, e): the monomial at position q is the product of x_k**e with
+        k = k[s, q] and e = e[s, q] over the steps s where e[s, q] > 0, its
+        variables in increasing order from step 0."""
+        if self._compose is None:
+            factors = [[(k, e) for k, e in enumerate(a) if e] for a in self.indices]
+            k = np.zeros((max(map(len, factors)), self.size), dtype=int)
+            e = np.zeros_like(k)
+            for q, fs in enumerate(factors):
+                for s, ke in enumerate(fs):
+                    k[s, q], e[s, q] = ke
+            self._compose = (k, e)
+        return self._compose
+
 
 _TABLES = {}
+
+# products per _mul_rows call in compose: bounds its transient arrays and the
+# row counts that _Table.mul_triples caches
+_COMPOSE_PRODUCTS = 1 << 16
 
 
 def _table(nvars, order):
@@ -779,8 +798,13 @@ def compose(f, gs):
     """Substitute the offsets ``gs`` (a vector jet, or scalar jets, in new
     variables, with zero constant terms) for x_k - base_k in jet ``f``.
 
-    One pass over f's table substitutes into every row and component of f,
-    each bitwise the composition of its scalar jet alone.
+    Each row and component of f is bitwise the composition of its scalar jet
+    alone: one term per nonzero coefficient of degree 1..order, in table
+    order, the coefficient times the powers of the offsets one factor at a
+    time.  One gather takes those coefficients for all rows, each step of
+    the table's :meth:`_Table.compose_plan` multiplies one more factor into
+    the terms that have it, and ``np.add.at`` adds the terms into their
+    rows in table order, one block of terms after another.
     """
     f, g = stack(f), stack(gs)
     ft, gt = f.table, g.table
@@ -789,27 +813,42 @@ def compose(f, gs):
     # rows: (batch row, component of f); the offsets of batch row b are G[b]
     C = f.coef.reshape(f.base[..., 0].size, -1, ft.size)
     G = g.coef.reshape(len(C), -1, gt.size)
-    if np.any(np.abs(G[..., 0]) > 0):
+    if np.any(G[..., 0] != 0):  # a NaN too; -0.0 passes
         raise JetError("composition offsets must have zero constant term")
-    powers = [None, G]  # powers[e][b, k] is the e-th power of offset k of row b
-    for _ in range(1, gt.order):
-        powers.append(_mul_rows(gt, powers[-1], G))
+    order = min(gt.order, ft.order)
     out = np.zeros(C.shape[:-1] + (gt.size,), dtype=complex)
     out[..., 0] = C[..., 0]
-    # monomials of degree 1..order form a contiguous run of f's table
-    for pos in range(1, ft.prefix_size(min(gt.order, ft.order))):
-        rows = np.nonzero(C[..., pos])  # a zero coefficient adds no term
-        if not len(rows[0]):
-            continue
-        term = None
-        for k, e in enumerate(ft.indices[pos]):
-            if not e:
-                continue
-            p = powers[e][rows[0], k]
-            # c first: complex SIMD products are not bitwise commutative
-            # (test_compose_over_rows_matches_one_jet_compose_bitwise)
-            term = C[rows + (pos,)][:, None] * p if term is None else _mul_rows(gt, term, p)
-        out[rows] = out[rows] + term
+    # monomials of degree 1..order form a contiguous run of f's table; a zero
+    # coefficient adds no term, a NaN one does
+    run = C[..., 1:ft.prefix_size(order)].transpose(2, 0, 1)
+    pos, b, m = np.nonzero(run)
+    c = run[pos, b, m]
+    pos += 1
+    rows = b * C.shape[1] + m
+    # powers[e - 1, b, k] is the e-th power of offset k of row b
+    powers = np.empty((order,) + G.shape, dtype=complex)
+    powers[0] = G
+    for e in range(1, order):
+        powers[e] = _mul_rows(gt, powers[e - 1], G)
+    ks, es = ft.compose_plan()
+    flat = out.reshape(-1)
+    # blocks of terms keep each _mul_rows call within _COMPOSE_PRODUCTS
+    # products; adding the blocks in turn keeps each target's table order
+    step = max(1, _COMPOSE_PRODUCTS // len(gt.mul_triples()[0]))
+    for lo in range(0, len(pos), step):
+        blk = slice(lo, lo + step)
+        p, r = pos[blk], b[blk]
+        # c first: complex SIMD products are not bitwise commutative
+        # (test_compose_over_rows_matches_one_jet_compose_bitwise)
+        term = c[blk, None] * powers[es[0, p] - 1, r, ks[0, p]]
+        for s in range(1, len(ks)):
+            sel = np.flatnonzero(es[s, p])
+            if not len(sel):
+                break
+            q = p[sel]
+            term[sel] = _mul_rows(gt, term[sel], powers[es[s, q] - 1, r[sel], ks[s, q]])
+        targets = rows[blk, None] * gt.size + np.arange(gt.size)
+        np.add.at(flat, targets.reshape(-1), term.reshape(-1))
     return Jet(gt, g.base, out.reshape(f.coef.shape[:-1] + (gt.size,)))
 
 
@@ -825,6 +864,25 @@ def _matvec_rows(A, X):
     return acc
 
 
+def _inverse_linear_part(A):
+    """np.linalg.inv of the Jacobian A, or of each of an (N, K, K) stack, with
+    a JetError that names the first singular row instead of numpy's bare
+    LinAlgError."""
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        pass
+    row = ""
+    if A.ndim > 2:
+        for r, a in enumerate(A):
+            try:
+                np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                row = f"row {r}: "
+                break
+    raise JetError(f"{row}jet map inversion requires an invertible linear part")
+
+
 def invert_jet_map(F):
     """Local series inverse of a jet map.
 
@@ -834,7 +892,7 @@ def invert_jet_map(F):
     """
     F = stack(F)
     order = F.order
-    Ainv = np.linalg.inv(gradient(F))
+    Ainv = _inverse_linear_part(gradient(F))
     space = JetSpace(values(F).real, order)
     w = stack(space.vars()) - space.base
     # shifted forward map: components of F(y0 + u) - F(y0) as series in u

@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from twistorkit import jets
 from twistorkit.jets import (
     Jet,
     JetError,
@@ -885,6 +886,115 @@ def test_compose_and_inversion_truncate_mixed_orders_to_the_lowest():
         compose(x * y, [x - 0.5, JetSpace([0.1], 2).var(0) - 0.1])
     with pytest.raises(JetError, match="zero constant term"):
         compose(x * y, [x, y])
+    # a NaN constant term is not a zero one; a -0.0 one is
+    with pytest.raises(JetError, match="zero constant term"):
+        compose(x * y, [x - 0.5, y - np.nan])
+    neg = -(x - 0.5)
+    assert np.signbit(neg.value.real)
+    assert _bits(compose(x * y, [neg, y + 0.2]).coef) == _bits(
+        compose(x * y, [0.5 - x, y + 0.2]).coef)
+
+
+def test_invert_jet_map_names_a_singular_linear_part():
+    message = "jet map inversion requires an invertible linear part"
+    x, y = JetSpace([0.0, 0.3], 2).vars()
+    with pytest.raises(JetError, match=f"^{message}$"):
+        invert_jet_map([x * x + y, y])           # d/dx of x * x is 0 at x = 0
+    x, y = JetSpace(np.array([[0.5, -0.2], [0.0, 0.3], [0.0, 0.1]]), 2).vars()
+    with pytest.raises(JetError, match=f"^row 1: {message}$"):
+        invert_jet_map([x * x + y, y])
+
+
+def _random_vector_batch(rng, rows, comps, nvars, order, zero_share):
+    """A batch of ``rows`` vector jets of ``comps`` components: complex
+    normal coefficients, about ``zero_share`` of them 0.0 and some of the
+    others signed zeros."""
+    t = _table(nvars, order)
+    shape = (rows, comps, t.size)
+    coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coef[rng.random(shape) < zero_share] = 0.0
+    for z in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+        coef[rng.random(shape) < 0.05] = z
+    return Jet(t, rng.uniform(-1, 1, (rows, nvars)), coef)
+
+
+def _assert_compose_matches_rows(F, G):
+    """compose of the batches F and G, row r bitwise compose of row r alone
+    and each of its components bitwise :func:`_reference_compose`."""
+    got = compose(F, G)
+    for r in range(len(F.base)):
+        f, g = _row(F, r), _row(G, r)
+        one = compose(f, g)
+        assert _bits(got.coef[r]) == _bits(one.coef)
+        for fi, want in zip(f, one):
+            assert _bits(want.coef) == _bits(_reference_compose(fi, list(g)).coef)
+    return got
+
+
+@pytest.mark.parametrize("f_shape, g_shape", [
+    ((3, 3), (2, 3)),      # rows with different zero patterns
+    ((3, 3), (2, 2)),      # f of higher order than the offsets
+    ((2, 1), (3, 3)),      # offsets of higher order than f
+    ((2, 2), (4, 4)),
+    ((6, 3), (6, 3)),      # a 6-variable, order-3 map
+])
+def test_compose_kernel_matches_rows_and_the_jet_by_jet_reference_bitwise(f_shape, g_shape, rng):
+    (kf, of), (kg, og) = f_shape, g_shape
+    for zero_share in (0.0, 0.5, 0.9):
+        F = _random_vector_batch(rng, BATCH, 2, kf, of, zero_share)
+        G = _random_vector_batch(rng, BATCH, kf, kg, og, zero_share)
+        G.coef[..., 0] = rng.choice([0.0, -0.0], G.coef.shape[:-1])
+        F.coef[1, :, 1:] = 0.0                    # a row of constants
+        _assert_compose_matches_rows(F, G)
+        # an offset whose every coefficient is zero
+        G.coef[2, 0] = 0.0
+        _assert_compose_matches_rows(F, G)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 7])
+def test_compose_over_blocks_of_terms_is_the_compose_in_one_block_bitwise(terms, rng, monkeypatch):
+    # blocks of `terms` terms each, cut inside a table position too
+    F = _random_vector_batch(rng, BATCH, 3, 3, 3, 0.5)
+    G = _random_vector_batch(rng, BATCH, 3, 3, 3, 0.5)
+    G.coef[..., 0] = 0.0
+    monkeypatch.setattr(jets, "_COMPOSE_PRODUCTS", 1 << 40)
+    whole = compose(F, G)
+    monkeypatch.setattr(jets, "_COMPOSE_PRODUCTS", terms * len(G.table.mul_triples()[0]))
+    assert _bits(_assert_compose_matches_rows(F, G).coef) == _bits(whole.coef)
+
+
+def test_compose_skips_non_finite_offsets_under_zero_coefficients(rng):
+    F = _random_vector_batch(rng, 3, 2, 3, 3, 0.0)
+    G = _random_vector_batch(rng, 3, 3, 2, 3, 0.0)
+    G.coef[..., 0] = 0.0
+    G.coef[:, 1, 1], G.coef[:, 1, 4] = np.inf, np.nan
+    # row 0 of F has no monomial with x_1, row 1 only x_1**2 in component 1,
+    # and row 2 none with x_1 but a NaN coefficient in component 0
+    with_x1 = [i for i, a in enumerate(F.table.indices) if a[1]]
+    F.coef[0, :, with_x1] = 0.0
+    F.coef[1, :, with_x1] = 0.0
+    F.coef[1, 1, F.table.position[(0, 2, 0)]] = 0.5
+    F.coef[2, :, with_x1] = 0.0
+    F.coef[2, 0, F.table.position[(1, 0, 1)]] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = _assert_compose_matches_rows(F, G)
+    assert np.isfinite(got.coef[0]).all() and np.isfinite(got.coef[1, 0]).all()
+    assert not np.isfinite(got.coef[1, 1]).all() and np.isnan(got.coef[2, 0]).any()
+    assert np.isfinite(got.coef[2, 1]).all()
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_quotient_is_the_product_with_the_reciprocal_bitwise(batched, rng):
+    # the euclid h of factory shares one reciprocal between two quotients
+    for nvars, order in BATCH_SHAPES:
+        if batched:
+            a, b = _random_batch(rng, nvars, order), _random_batch(rng, nvars, order)
+            b = Jet(b.table, a.base, b.coef)
+        else:
+            a = _random_jet(rng, nvars, order)
+            b = Jet(a.table, a.base, _random_jet(rng, nvars, order).coef)
+        b.coef[..., 0] += 2.0
+        assert _bits((a / b).coef) == _bits((a * b.reciprocal()).coef)
 
 
 # ---------------------------------------------------------------------------
