@@ -154,6 +154,136 @@ def test_scaled_pade_forms_each_term_once_bitwise(cplx):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def _stack_with_exact_norms(rng, k, cplx):
+    """Seven k x k matrices of 1-norm exactly 0.5 * 2^s, s = 0..6: integer
+    entries, times 1j at random when complex, so each |entry| is an integer;
+    the diagonal of the largest column set to bring its sum to a power of two
+    p; then each matrix scaled by the power of two 0.5 * 2^s / p."""
+    M = rng.integers(-3, 4, size=(7, k, k)).astype(complex if cplx else float)
+    if cplx:
+        M = M * np.where(rng.random((7, k, k)) < 0.5, 1.0, 1j)
+    for X in M:
+        col = np.abs(X).sum(0)
+        j = int(np.argmax(col))
+        p = 2.0 ** np.ceil(np.log2(col[j] + 1.0))
+        X[j, j] = p - (col[j] - abs(X[j, j]))
+    X = M * (0.5 * 2.0 ** np.arange(7) / np.abs(M).sum(-2).max(-1))[:, None, None]
+    assert np.array_equal(np.abs(X).sum(-2).max(-1), 0.5 * 2.0 ** np.arange(7))
+    return X
+
+
+# sum_k c_k 2^-k, k = 1..6: the bound on ||D - I||_1 and ||N - I||_1 at ||B||_1 <= 1/2
+_PADE_OFFSET_BOUND = float(np.sum(connections._PADE[1:] * 0.5 ** np.arange(1, 7)))
+
+
+def _pade_stacks(seed, cplx):
+    """N, D and s of Pade(6) at scaling counts 0..6, random and on the 1/2 boundary."""
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([_stack_with_scaling_counts(rng, 4, skew, cplx) for skew in (False, True)]
+                       + [_stack_with_exact_norms(rng, 4, cplx)])
+    return connections._scaled_pade(X)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_pade_denominators_are_diagonally_dominant_by_columns(cplx):
+    N, D, s, _ = _pade_stacks(11, cplx)
+    assert np.array_equal(s, np.tile(np.arange(7), 3))  # exact norms 0.5 * 2^s give s
+    assert 0.2803 < _PADE_OFFSET_BOUND < 0.2804
+    eye = np.eye(4)
+    for M in (D, N):
+        offset = np.abs(M - eye).sum(-2).max(-1)
+        assert offset.max() <= _PADE_OFFSET_BOUND * (1 + 1e-12) and offset.max() < 0.5
+        diag = np.abs(M[:, range(4), range(4)])
+        margin = diag - (np.abs(M).sum(-2) - diag)
+        assert margin.min() >= 1 - _PADE_OFFSET_BOUND - 1e-12
+        if cplx:  # and so is the real form that _solve eliminates
+            R = np.block([[M.real, -M.imag], [M.imag, M.real]])
+            rdiag = np.abs(R[:, range(8), range(8)])
+            assert (rdiag - (np.abs(R).sum(-2) - rdiag)).min() >= 1 - 2 * _PADE_OFFSET_BOUND
+    # the bound is attained: B = I / 2 has ||N - I||_1 = ||D(-B) - I||_1 = the bound
+    N, D, s, _ = connections._scaled_pade(0.5 * np.eye(4))
+    assert s[0] == 0 and abs(np.abs(N - eye).sum(-2).max() - _PADE_OFFSET_BOUND) <= 1e-15
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_solve_agrees_with_lapack(cplx):
+    # Both are backward stable, with growth factor at most 2 here and
+    # kappa_1(D) <= 1.2804 / 0.7196 < 1.8, so they differ by a few n u;
+    # the bound 16 n eps leaves a margin of 8 over the worst seen (2 n eps).
+    N, D, _, _ = _pade_stacks(12, cplx)
+    bound = 16 * 4 * np.finfo(float).eps
+    for lhs, rhs in ((D, N), (N, D)):
+        got, ref = connections._solve(lhs, rhs), np.linalg.solve(lhs, rhs)
+        assert got.shape == ref.shape and got.dtype == ref.dtype and got.flags.c_contiguous
+        err = np.abs(got - ref).max((-2, -1)) / np.abs(ref).max((-2, -1))
+        assert err.max() <= bound
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_solve_rows_are_one_matrix_solves_bitwise(cplx):
+    rng = np.random.default_rng(13)
+    X = 0.3 * rng.normal(size=(64, 4, 4))
+    if cplx:
+        X = X + 0.3j * rng.normal(size=(64, 4, 4))
+    N, D, _, _ = connections._scaled_pade(X)
+    E = connections._solve(D, N)
+    for i in range(len(X)):
+        assert E[i].tobytes() == connections._solve(D[i:i + 1], N[i:i + 1])[0].tobytes()
+    # one 2-D matrix goes through expm as a stack of one
+    assert expm(X[5]).tobytes() == expm(X)[5].tobytes()
+    assert np.linalg.norm(expm(X[5]) - scipy.linalg.expm(X[5])) <= 1e-14
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_solve_of_an_empty_stack(dtype):
+    for n in (1, 4):
+        E = connections._solve(np.zeros((0, n, n), dtype), np.zeros((0, n, n), dtype))
+        assert E.shape == (0, n, n) and E.dtype == dtype
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_of_non_finite_matrices_is_nan_and_does_not_raise(bad, cplx):
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(5, 4, 4)) + (1j * rng.normal(size=(5, 4, 4)) if cplx else 0)
+    X[1, 2, 3] = bad
+    X[3] = bad  # every entry
+    with np.errstate(all="ignore"):
+        N, D, s, _ = connections._scaled_pade(X)
+        E = connections._solve(D, N)
+        pair = _expm_pm(X)
+        ex = expm(X)
+    assert np.isnan(E[[1, 3]]).all() and np.isfinite(E[[0, 2, 4]]).all()
+    for i in (0, 2, 4):
+        assert E[i].tobytes() == connections._solve(D[i:i + 1], N[i:i + 1])[0].tobytes()
+    for Y in (ex, *pair):
+        assert np.isnan(Y[[1, 3]]).all() and np.isfinite(Y[[0, 2, 4]]).all()
+
+
+def test_expm_scales_by_a_power_of_two_up_to_scaling_count_1024():
+    # 2.0 ** 1024 overflows to inf, and A / inf is 0: B would be 0 and exp(A) would read I
+    A = np.full((2, 2), 2.5e307)  # 1-norm 5e307, s = 1024
+    N, D, s, _ = connections._scaled_pade(A)
+    assert s[0] == 1024 and not np.array_equal(N[0], np.eye(2))
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(expm(A)).any()  # exp(A) = I + (e^(5e307) - 1) / 2 [[1, 1], [1, 1]]
+        assert not np.isfinite(expm(A + 0j)).any()
+    # below 1024 the product by 2^-s is the division by 2^s, bit for bit
+    for A, s in ((np.full((2, 2), 2.5e300), 1000), (np.full((2, 2), 1.5e307j), 1023)):
+        got, want = connections._scaled_pade(A), _term_by_term_scaled_pade(A)
+        assert got[2][0] == s
+        for g, w in zip(got[:3], want[:3]):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_integration_with_scaling_count_1024_blows_up():
+    form = LieValuedForm.constant([1e308 * np.ones((2, 2)), np.zeros((2, 2))])
+    path = GroupPath([[0, 0], [1, 0]], 4)
+    with np.errstate(all="ignore"), pytest.raises(BlowupError, match="no longer invertible"):
+        integrate_path(form, path)
+    assert len(path.det_log) == 1 and not np.isfinite(path.det_log[0])
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_batched_jet_expm_rows_are_one_point_jet_expm_of_both_signs(order):
     M = 3.0 * random_skew(4)  # scaling counts differ between the rows
@@ -418,6 +548,23 @@ def test_flat_path_independence():
     assert path_independence_defect(form, sq1, sq2, 2000) <= 1e-5
     with pytest.raises(PathError):
         path_independence_defect(form, sq1, np.array([[0, 0], [2, 2]], float), 100)
+
+
+def test_path_independence_needs_both_endpoints_shared():
+    # a start away from the origin tells A.start - B.start from A.start + B.start
+    form = maurer_cartan_form(random_skew(3, np.random.default_rng(15)),
+                              random_skew(3, np.random.default_rng(16)))
+    sq1 = np.array([[0.5, -0.25], [1.5, -0.25], [1.5, 0.75]])
+    sq2 = np.array([[0.5, -0.25], [0.5, 0.75], [1.5, 0.75]])
+    assert path_independence_defect(form, sq1, sq2, 400) <= 1e-5
+    assert path_independence_defect(form, GroupPath(sq1, 10), sq2, 400) <= 1e-5
+    other_start = np.array([[0.5, 0.25], [1.5, 0.75]])  # the end of sq1
+    other_end = np.array([[0.5, -0.25], [1.5, 1.75]])  # the start of sq1
+    for a, b in ((sq1, other_start), (other_start, sq1), (sq1, other_end), (other_end, sq2)):
+        path = GroupPath(a, 10)
+        with pytest.raises(PathError, match="paths do not share endpoints"):
+            path_independence_defect(form, path, b, 100)
+        assert path.det_log == [] and path.element is None
 
 
 def test_second_order_convergence():
