@@ -32,6 +32,7 @@ that table outlives the call.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -195,7 +196,11 @@ def _parse_params(items):
     return params
 
 
+@functools.cache
 def build_parser():
+    """The parser of :func:`main`, built once, on its first call: argparse
+    makes a new namespace per parse and copies an ``append`` default before
+    adding to it, so no call sees the arguments of another."""
     parser = argparse.ArgumentParser(
         prog="twistorkit", description="verification suites for the twistor toolkit")
     sub = parser.add_subparsers(dest="command")

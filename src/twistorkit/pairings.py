@@ -6,6 +6,7 @@ conjugation; isotropy of subspaces is always meant with respect to it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -118,15 +119,27 @@ def worst_residual(residuals):
     return worst
 
 
+@functools.cache
+def _triu(k, offset=0):
+    """``np.triu_indices(k, offset)``, made once per (k, offset) and read-only:
+    the rows and columns of the upper triangle of a k x k matrix from the
+    ``offset``-th diagonal, row-major."""
+    rows, cols = np.triu_indices(k, offset)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def is_isotropic_span(basis, tol=1e-10):
     """Whether all pairwise bilinear pairings of the basis vectors vanish.
 
     Returns ``(flag, max_residual)`` where the residual is the largest
-    pairing magnitude over unordered pairs (including self-pairings).
+    pairing magnitude over unordered pairs (including self-pairings), NaN if
+    any is NaN.  A (..., k, d) stack of bases gives one flag and one residual
+    per basis.
     """
-    basis = [np.asarray(b, dtype=complex) for b in basis]
-    if not basis:
-        raise DimensionError("empty basis")
-    worst = worst_residual([abs(bilinear_dot(u, v))
-                            for i, u in enumerate(basis) for v in basis[i:]])
+    B = np.asarray(basis, dtype=complex)
+    if B.ndim < 2 or not B.shape[-2]:
+        raise DimensionError(f"need a nonempty list of vectors, got shape {B.shape}")
+    i, j = _triu(B.shape[-2])
+    worst = _per_point(np.max(_modulus(bilinear_dot(B[..., i, :], B[..., j, :])), axis=-1))
     return worst <= tol, worst

@@ -4,6 +4,16 @@ Covers the pointwise layer: orthogonal complex structures J, the bijection
 with isotropic k-planes in C^(2k), the SO(2k) action, the vertical tangent
 space (skew matrices anticommuting with J) with its own complex structure,
 and the holomorphic mu-chart on an open dense subset of the structure space.
+
+Every function of structures, subspaces or chart coordinates but
+:func:`twistor_chart` also takes stacks: a :class:`HermitianStructure` of a
+``(..., 2k, 2k)`` stack, an :class:`IsotropicSubspace` of a ``(..., k, 2k)``
+stack of bases, and ``(..., k(k-1)/2)`` chart coordinates.  The result
+holds one value per matrix, each bitwise that matrix's result alone;
+validation runs per matrix, and an error names the first matrix that fails.  numpy's stacked
+``matmul``, ``linalg`` and reductions make the same kernel call per matrix
+as for one; :func:`to_isotropic` forms J u as one matrix-vector product per
+column, because one product with the k columns at once rounds otherwise.
 """
 
 from __future__ import annotations
@@ -11,13 +21,26 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import complex_view
-from .pairings import is_isotropic_span
+from .pairings import _norms, _triu, is_isotropic_span
 
 STRUCTURE_TOL = 1e-10
 
 
 class StructureError(ValueError):
     pass
+
+
+def _require(bad, claim, residual=None):
+    """Raise ``StructureError(claim)`` if ``bad`` is set anywhere: one bool
+    for one matrix, or one per matrix of a stack, whose error names the
+    first failing matrix.  With ``residual``, shaped as ``bad``, the message
+    ends with that matrix's residual."""
+    bad = np.asarray(bad)
+    if bad.any():
+        at = np.argwhere(bad)[0].tolist()
+        where = f"matrix {at}: " if at else ""
+        tail = "" if residual is None else f" (residual {np.asarray(residual)[tuple(at)]:g})"
+        raise StructureError(f"{where}{claim}{tail}")
 
 
 class HermitianStructure:
@@ -35,10 +58,7 @@ class HermitianStructure:
             eye = np.eye(J.shape[-1])
             for defect, claim in ((J @ J + eye, "J @ J != -I"),
                                   (J.swapaxes(-1, -2) @ J - eye, "J.T @ J != I")):
-                bad = np.abs(defect).max(axis=(-2, -1)) > tol
-                if bad.any():
-                    where = "" if J.ndim == 2 else f"matrix {np.argwhere(bad)[0].tolist()}: "
-                    raise StructureError(f"{where}{claim} within tolerance")
+                _require(np.abs(defect).max(axis=(-2, -1)) > tol, f"{claim} within tolerance")
         self.matrix = J
 
     @property
@@ -54,23 +74,22 @@ class HermitianStructure:
 
 
 class IsotropicSubspace:
-    """A k-dimensional isotropic subspace of C^(2k), spanned by basis rows."""
+    """A k-dimensional isotropic subspace of C^(2k), spanned by basis rows;
+    a (..., k, 2k) stack of bases holds one subspace per basis."""
 
     def __init__(self, basis):
         B = np.atleast_2d(np.asarray(basis, dtype=complex))
-        k, d = B.shape
+        k, d = B.shape[-2:]
         if d != 2 * k:
             raise StructureError(f"basis must be k x 2k, got {B.shape}")
-        ok, res = is_isotropic_span(list(B), tol=np.sqrt(STRUCTURE_TOL))
-        if not ok:
-            raise StructureError(f"rows are not isotropic (residual {res:g})")
-        if np.linalg.matrix_rank(B, tol=1e-8) != k:
-            raise StructureError("basis rows are rank deficient")
+        ok, res = is_isotropic_span(B, tol=np.sqrt(STRUCTURE_TOL))
+        _require(np.logical_not(ok), "rows are not isotropic", res)
+        _require(np.linalg.matrix_rank(B, tol=1e-8) != k, "basis rows are rank deficient")
         self.basis = B
 
     @property
     def k(self):
-        return self.basis.shape[0]
+        return self.basis.shape[-2]
 
 
 def canonical_structure(k):
@@ -131,19 +150,19 @@ def so_action(S, J):
     """Conjugation action S . J = S J S^(-1) of the orthogonal group; S and J
     broadcast over stacks of matrices."""
     S = np.asarray(S, dtype=float)
-    if np.max(np.abs(S.swapaxes(-1, -2) @ S - np.eye(S.shape[-1]))) > 1e-8:
-        raise StructureError("S is not orthogonal within tolerance")
+    _require(np.abs(S.swapaxes(-1, -2) @ S - np.eye(S.shape[-1])).max(axis=(-2, -1)) > 1e-8,
+             "S is not orthogonal within tolerance")
     return HermitianStructure(S @ J.matrix @ S.swapaxes(-1, -2))
 
 
 def to_isotropic(J):
     """The (1,0)-eigenspace {u - i J u} of a structure, as basis rows."""
     B = adapted_basis(J)
-    rows = []
-    for i in range(J.k):
-        u = B[:, 2 * i]
-        rows.append(u - 1j * (J.matrix @ u))
-    return IsotropicSubspace(np.array(rows))
+    # J u of each column u as its own (n, n) @ (n, 1) product, the matrix-
+    # vector product of one column (test_to_isotropic_takes_one_product_per_column)
+    rows = [B[..., :, 2 * i] - 1j * (J.matrix @ B[..., :, 2 * i, None])[..., 0]
+            for i in range(J.k)]
+    return IsotropicSubspace(np.stack(rows, axis=-2))
 
 
 def from_isotropic(F):
@@ -154,114 +173,116 @@ def from_isotropic(F):
     conjugate trivially.  No basis choice inside F is needed.
     """
     B = F.basis if isinstance(F, IsotropicSubspace) else np.atleast_2d(np.asarray(F, complex))
-    k, d = B.shape
-    stacked = np.vstack([B, np.conj(B)])
-    if np.linalg.matrix_rank(stacked, tol=1e-8) != 2 * k:
-        raise StructureError("subspace meets its conjugate nontrivially")
-    ok, res = is_isotropic_span(list(B), tol=1e-8)
-    if not ok:
-        raise StructureError(f"subspace is not isotropic (residual {res:g})")
-    gram = np.conj(B) @ B.T
-    P = B.T @ np.linalg.solve(gram, np.conj(B))
+    k = B.shape[-2]
+    stacked = np.concatenate([B, np.conj(B)], axis=-2)
+    _require(np.linalg.matrix_rank(stacked, tol=1e-8) != 2 * k,
+             "subspace meets its conjugate nontrivially")
+    ok, res = is_isotropic_span(B, tol=1e-8)
+    _require(np.logical_not(ok), "subspace is not isotropic", res)
+    BT = B.swapaxes(-1, -2)
+    gram = np.conj(B) @ BT
+    P = BT @ np.linalg.solve(gram, np.conj(B))
     J = 1j * (P - np.conj(P))
-    if np.max(np.abs(J.imag)) > 1e-9:
-        raise StructureError("projector construction produced a non-real J")
+    _require(np.abs(J.imag).max(axis=(-2, -1)) > 1e-9,
+             "projector construction produced a non-real J")
     return HermitianStructure(J.real)
 
 
 def mj_residual(lam, J):
-    """Distance of a matrix from the vertical space at J.
+    """Distance of a matrix from the vertical space at J: a float, or one
+    per matrix of a stack of matrices or of structures.
 
     Frobenius norm of the symmetric part plus that of the anticommutator
     with J; zero exactly on skew matrices anticommuting with J.
     """
     lam = np.asarray(lam, dtype=float)
     Jm = J.matrix
-    return float(np.linalg.norm(lam + lam.T) + np.linalg.norm(lam @ Jm + Jm @ lam))
+    return _norms(lam + lam.swapaxes(-1, -2), 2) + _norms(lam @ Jm + Jm @ lam, 2)
 
 
 def mj_basis(J):
-    """Orthonormal basis of the vertical space, via an SVD null space.
+    """Orthonormal basis of the vertical space, via an SVD null space: a
+    (k(k-1), 2k, 2k) array, or one basis per structure of a stack.
 
-    The space has dimension k(k-1), matching dim SO(2k)/U(k).
+    The space has dimension k(k-1), matching dim SO(2k)/U(k).  The null
+    spaces of a stack must have one dimension, or the result would be ragged.
     """
-    n = J.matrix.shape[0]
-    Jm = J.matrix
-    rows = []
-    E = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            E[a, b] = 1.0
-            sym = E + E.T
-            ac = E @ Jm + Jm @ E
-            rows.append(np.concatenate([sym.ravel(), ac.ravel()]))
-            E[a, b] = 0.0
-    C = np.array(rows).T  # columns are constraint values of the E_{ab} basis
-    _, s, vt = np.linalg.svd(C, full_matrices=True)
-    rank = int(np.sum(s > 1e-9 * s[0]))
-    return [v.reshape(n, n) for v in vt[rank:]]
+    Jm = J.matrix[..., None, :, :]
+    n = Jm.shape[-1]
+    E = np.eye(n * n).reshape(n * n, n, n)  # E[a n + b] is the unit matrix at (a, b)
+    sym = E + E.swapaxes(-1, -2)
+    ac = E @ Jm + Jm @ E
+    flat = ac.shape[:-2] + (n * n,)
+    # columns are constraint values of the E_{ab} basis
+    C = np.concatenate([np.broadcast_to(sym, ac.shape).reshape(flat), ac.reshape(flat)],
+                       axis=-1).swapaxes(-1, -2)
+    # the reduced factorisation has the same vt, bit for bit
+    # (test_vertical_space_of_a_stack_matches_each_matrix_bitwise)
+    _, s, vt = np.linalg.svd(C, full_matrices=False)
+    rank = np.sum(s > 1e-9 * s[..., :1], axis=-1)
+    _require(rank != rank.flat[0], "null space dimension differs from the first matrix's")
+    return vt[..., rank.flat[0]:, :].reshape(vt.shape[:-2] + (-1, n, n))
 
 
 def jv_apply(J, lam):
     """The vertical complex structure: lambda -> J @ lambda; squares to -id."""
-    if mj_residual(lam, J) > 1e-8:
-        raise StructureError("matrix is not in the vertical space at J")
-    return J.matrix @ np.asarray(lam, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    _require(mj_residual(lam, J) > 1e-8, "matrix is not in the vertical space at J")
+    return J.matrix @ lam
 
 
 # ---------------------------------------------------------------------------
 # the mu-chart on an open dense subset of the positive structures
 
-def _mu_pairs(k, mu=None):
-    """The (i, j) of the entries of mu in M(mu): the strict upper triangle of
-    a k x k matrix, row-major.  Checks the length of ``mu`` when given."""
-    if mu is not None and len(mu) != k * (k - 1) // 2:
+def _mu_pairs(k, count=None):
+    """The rows and the columns (i, j) of the entries of mu in M(mu): the
+    strict upper triangle of a k x k matrix, row-major.  Checks the length
+    ``count`` of mu when given."""
+    if count is not None and count != k * (k - 1) // 2:
         raise StructureError(f"mu must have length k(k-1)/2 = {k*(k-1)//2}")
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return _triu(k, 1)
 
 
 def mu_matrix(mu, k):
     """Skew k x k complex matrix with the strict upper triangle filled
-    row-major from mu."""
-    mu = np.asarray(mu, dtype=complex).ravel()
-    M = np.zeros((k, k), dtype=complex)
-    for m, (i, j) in zip(mu, _mu_pairs(k, mu)):
-        M[i, j], M[j, i] = m, -m
+    row-major from mu; one matrix per row of a (..., k(k-1)/2) stack."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+    i, j = _mu_pairs(k, mu.shape[-1])
+    M = np.zeros(mu.shape[:-1] + (k, k), dtype=complex)
+    M[..., i, j] = mu
+    M[..., j, i] = -mu
     return M
 
 
 def structure_from_mu(mu, k):
     """Positive structure whose (1,0)-cotangent space is spanned by
-    dq^i - M(mu)^i_j dqbar^j; mu = 0 gives the canonical structure."""
-    M = mu_matrix(mu, k)
-    Mbar = np.conj(M)
-    rows = []
-    for j in range(k):
-        v = np.zeros(2 * k, dtype=complex)
-        v[2 * j] += 0.5
-        v[2 * j + 1] += -0.5j
-        for i in range(k):
-            if Mbar[i, j] != 0:
-                v[2 * i] += 0.5 * Mbar[i, j]
-                v[2 * i + 1] += 0.5j * Mbar[i, j]
-        rows.append(v)
-    return from_isotropic(IsotropicSubspace(np.array(rows)))
+    dq^i - M(mu)^i_j dqbar^j; mu = 0 gives the canonical structure.  A
+    (..., k(k-1)/2) stack of mu gives a stack of structures."""
+    MbarT = np.conj(mu_matrix(mu, k)).swapaxes(-1, -2)
+    rows = np.zeros(MbarT.shape[:-2] + (k, 2 * k), dtype=complex)
+    j = np.arange(k)
+    rows[..., j, 2 * j] += 0.5
+    rows[..., j, 2 * j + 1] += -0.5j
+    # row j gains 0.5 Mbar[i, j] (1, i) at columns (2i, 2i + 1); an entry
+    # that gains a zero, as from the zero diagonal of Mbar, keeps its bits
+    rows[..., 0::2] += 0.5 * MbarT
+    rows[..., 1::2] += 0.5j * MbarT
+    return from_isotropic(IsotropicSubspace(rows))
 
 
 def mu_from_structure(J):
     """Chart coordinates of a structure in the mu-chart (defined off a
-    measure-zero set where the chart degenerates)."""
-    k = J.k
+    measure-zero set where the chart degenerates); one row of coordinates
+    per structure of a stack."""
     F = to_isotropic(J).basis
     # columns: the d/dq and d/dqbar components of the (0,1)-basis conj(F)
-    A = complex_view(np.conj(F)).T
-    Bm = np.conj(complex_view(F)).T
-    if abs(np.linalg.det(Bm)) < 1e-12:
-        raise StructureError("structure is outside the mu-chart")
+    A = complex_view(np.conj(F)).swapaxes(-1, -2)
+    Bm = np.conj(complex_view(F)).swapaxes(-1, -2)
+    _require(np.abs(np.linalg.det(Bm)) < 1e-12, "structure is outside the mu-chart")
     M = A @ np.linalg.inv(Bm)
-    if np.max(np.abs(M + M.T)) > 1e-8:
-        raise StructureError("recovered chart matrix is not skew")
-    return np.array([M[i, j] for i, j in _mu_pairs(k)])
+    _require(np.abs(M + M.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-8,
+             "recovered chart matrix is not skew")
+    return M[(...,) + _mu_pairs(J.k)]
 
 
 def twistor_chart(q, mu):
@@ -274,7 +295,7 @@ def twistor_chart(q, mu):
     mu = list(mu)
     # (entry, sign) of M(mu) at (i, j), i != j
     entry = {}
-    for m, (i, j) in zip(mu, _mu_pairs(k, mu)):
+    for m, i, j in zip(mu, *_mu_pairs(k, len(mu))):
         entry[i, j], entry[j, i] = (m, 1.0), (m, -1.0)
     w = []
     for i in range(k):

@@ -37,7 +37,7 @@ from .checkers import (
     pullback_harmonic_oracle,
     real_isotropy_residuals,
 )
-from .jets import JetSpace, SmoothMap, _horner, dz, dz_power, real_to_complex_point
+from .jets import JetSpace, SmoothMap, _horner, dz, dz_power, real_to_complex_point, stack
 from .pairings import _modulus, bilinear_dot, hermitian_dot, worst_residual
 
 
@@ -210,21 +210,20 @@ def _real_poly(co):
     x**i y**j, from coefficients of shape (..., dims, d + 1, d + 1).
 
     One draw or a stack of draws, as for :func:`_holomorphic_poly`.  Each
-    evaluation takes the powers of x and y once.
+    evaluation takes the powers of x and y once, and each term one product
+    for all components.
     """
     dims, d = co.shape[-3], co.shape[-1] - 1
 
     def ev(x, y):
-        xp = [x ** i for i in range(d + 1)]
+        c = np.broadcast_to(co, x.base.shape[:-1] + co.shape[-3:])  # one draw at many points
         yp = [y ** j for j in range(d + 1)]
-        out = []
-        for k in range(dims):
-            acc = x * 0.0
-            for i in range(d + 1):
-                for j in range(d + 1 - i):
-                    acc = acc + xp[i] * co[..., k, i, j] * yp[j]
-            out.append(acc)
-        return out
+        acc = x * 0.0
+        for i in range(d + 1):
+            xp = stack([x ** i] * dims)  # x**i on the component axis
+            for j in range(d + 1 - i):
+                acc = acc + xp * c[..., :, i, j] * yp[j]
+        return acc
 
     return SmoothMap.from_real(2, dims, ev)
 
@@ -245,10 +244,6 @@ def _stack(draws):
     return tuple(np.array(column) for column in zip(*draws))
 
 
-def _random_so(rng, n):
-    return _rotation(rng.normal(size=(n, n)))
-
-
 def _rotation(A):
     """A rotation from the QR factorisation of each matrix of a stack: Q with
     its columns signed to make the diagonal of R positive, then its first
@@ -262,11 +257,25 @@ def _rotation(A):
     return Q
 
 
-def _random_structure(rng, kmin):
-    """The canonical structure on R^2k, k drawn from kmin..3, moved by a
-    random rotation."""
+def _structure_draw(rng, kmin):
+    """The draws of a random structure: k from kmin..3, and a normal
+    2k x 2k matrix whose :func:`_rotation` moves the canonical structure."""
     k = int(rng.integers(kmin, 4))
-    return st.so_action(_random_so(rng, 2 * k), st.canonical_structure(k))
+    return k, rng.normal(size=(2 * k, 2 * k))
+
+
+def _rotated_structures(k, A):
+    """The canonical structure on R^2k moved by the rotation of each matrix
+    of the stack A."""
+    return st.so_action(_rotation(A), st.canonical_structure(k))
+
+
+def _by_k(ks, *draws):
+    """For each k of ``ks``, in increasing order: k, the indices of its
+    draws, and each sequence of ``draws`` at those indices, stacked."""
+    for k in sorted(set(ks)):
+        rows = [i for i, ki in enumerate(ks) if ki == k]
+        yield k, rows, [np.array([d[r] for r in rows]) for d in draws]
 
 
 def _skew(rng):
@@ -355,25 +364,21 @@ _suite("sigma-plus-algebra",
 
 @_check("sigma-plus-algebra", "isotropic-roundtrip", 1e-10)
 def _(config, rng):
-    residuals = []
-    for _ in range(config.points):
-        J = _random_structure(rng, 1)
+    ks, normals = zip(*[_structure_draw(rng, 1) for _ in range(config.points)])
+    residuals = np.empty(config.points)
+    for k, rows, (A,) in _by_k(ks, normals):
+        J = _rotated_structures(k, A)
         J2 = st.from_isotropic(st.to_isotropic(J))
-        residuals.append(np.max(np.abs(J2.matrix - J.matrix)))
+        residuals[rows] = np.max(np.abs(J2.matrix - J.matrix), axis=(-2, -1))
     return residuals
 
 
 @_check("sigma-plus-algebra", "so-action-positivity", 0.0)
 def _(config, rng):
-    ks, normals = [], []  # the draws of _random_structure(rng, 1)
-    for _ in range(200):
-        ks.append(int(rng.integers(1, 4)))
-        normals.append(rng.normal(size=(2 * ks[-1],) * 2))
+    ks, normals = zip(*[_structure_draw(rng, 1) for _ in range(200)])
     residuals = np.empty((200, 2))
-    for k in sorted(set(ks)):
-        rows = [i for i, ki in enumerate(ks) if ki == k]
-        J = st.so_action(_rotation(np.array([normals[i] for i in rows])),
-                         st.canonical_structure(k))
+    for k, rows, (A,) in _by_k(ks, normals):
+        J = _rotated_structures(k, A)
         refl = np.eye(2 * k)
         refl[0, 0] = -1.0
         residuals[rows, 0] = np.where(st.is_positive(J), 0.0, 1.0)
@@ -383,14 +388,17 @@ def _(config, rng):
 
 @_check("sigma-plus-algebra", "so-action-group-law", 1e-10)
 def _(config, rng):
-    residuals = []
+    draws = []  # k and the normal matrices of the rotations S1, S2
     for _ in range(config.points):
         k = int(rng.integers(1, 4))
+        draws.append((k, rng.normal(size=(2 * k, 2 * k)), rng.normal(size=(2 * k, 2 * k))))
+    residuals = np.empty(config.points)
+    for k, rows, (A1, A2) in _by_k(*zip(*draws)):
         J = st.canonical_structure(k)
-        S1, S2 = _random_so(rng, 2 * k), _random_so(rng, 2 * k)
+        S1, S2 = _rotation(A1), _rotation(A2)
         lhs = st.so_action(S1 @ S2, J).matrix
         rhs = st.so_action(S1, st.so_action(S2, J)).matrix
-        residuals.append(np.max(np.abs(lhs - rhs)))
+        residuals[rows] = np.max(np.abs(lhs - rhs), axis=(-2, -1))
     return residuals
 
 
@@ -402,26 +410,35 @@ def _(config, rng):
 
 @_check("sigma-plus-algebra", "jv-involution", 1e-10)
 def _(config, rng):
-    residuals = []
+    draws = []  # k, the normal matrix of J and the coefficients of lam
     for _ in range(config.points):
-        J = _random_structure(rng, 2)
-        lam = sum(rng.normal() * b for b in st.mj_basis(J))
+        k, A = _structure_draw(rng, 2)
+        draws.append((k, A, [rng.normal() for _ in range(k * (k - 1))]))
+    residuals = np.empty((config.points, 2))
+    for k, rows, (A, c) in _by_k(*zip(*draws)):
+        J = _rotated_structures(k, A)
+        lam = 0  # from int 0, as Python's sum of the c_m b_m
+        for m, b in enumerate(np.moveaxis(st.mj_basis(J), -3, 0)):
+            lam = lam + c[:, m, None, None] * b
         jv = st.jv_apply(J, lam)
-        residuals.append(st.mj_residual(jv, J))
-        residuals.append(np.max(np.abs(st.jv_apply(J, jv) + lam)))
-    return residuals
+        residuals[rows, 0] = st.mj_residual(jv, J)
+        residuals[rows, 1] = np.max(np.abs(st.jv_apply(J, jv) + lam), axis=(-2, -1))
+    return residuals.ravel()
 
 
 @_check("sigma-plus-algebra", "mu-chart-roundtrip", 1e-9)
 def _(config, rng):
-    residuals = []
+    draws = []  # k and mu
     for _ in range(config.points):
         k = int(rng.integers(2, 4))
-        mu = rng.normal(size=k * (k - 1) // 2) + 1j * rng.normal(size=k * (k - 1) // 2)
+        m = k * (k - 1) // 2
+        draws.append((k, rng.normal(size=m) + 1j * rng.normal(size=m)))
+    residuals = np.empty((config.points, 2))
+    for k, rows, (mu,) in _by_k(*zip(*draws)):
         J = st.structure_from_mu(mu, k)
-        residuals.append(0.0 if st.is_positive(J) else 1.0)
-        residuals.append(np.max(np.abs(st.mu_from_structure(J) - mu)))
-    return residuals
+        residuals[rows, 0] = np.where(st.is_positive(J), 0.0, 1.0)
+        residuals[rows, 1] = np.max(np.abs(st.mu_from_structure(J) - mu), axis=-1)
+    return residuals.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +570,9 @@ def _(config, rng):
     P, X = _stack([(rng.uniform(-0.9, 0.9, 2), rng.normal(size=2))
                    for _ in range(config.points)])
     L = lf.strictly_compatible_lift_r4(chart, P)
-    return [st.mj_residual(vp, J)
-            for vp, J in zip(lf.vertical_part(L, P, X), L.structure(P))]
+    # L.structure validates each structure of the lift
+    J = st.HermitianStructure([J.matrix for J in L.structure(P)], check=False)
+    return st.mj_residual(lf.vertical_part(L, P, X), J)
 
 
 @_check("lifts-r4", "umbilic-branch", 1e-10)

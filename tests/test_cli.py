@@ -69,6 +69,14 @@ def test_param_passthrough(capsys):
     assert doc["config"]["params"] == {"f": "0,1"}
 
 
+def test_a_param_does_not_reach_the_next_call(capsys):
+    # main parses every call with one parser, built on the first
+    for params, expected in ((["--param", "f=0,1,0.3"], {"f": "0,1,0.3"}), ([], {})):
+        assert main(["run", "--suite", "euclid-hm", "--points", "2", "--format", "json",
+                     *params]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["params"] == expected
+
+
 @pytest.mark.parametrize("param", ["Q=0", "R=0.5"])
 def test_constant_param_polynomial_gives_a_report(param, capsys):
     # constant data is a report, not an internal error (exit 3); its

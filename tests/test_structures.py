@@ -259,3 +259,173 @@ def test_adapted_basis_of_one_matrix_matches_vector_loop_bitwise(k):
     for _ in range(100):
         J = random_structure(k, rng)
         assert adapted_basis(J).tobytes() == _vector_loop_adapted_basis(J.matrix).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the isotropic planes, vertical space and mu-chart of stacks, against the
+# one-matrix code written out
+
+def _one_matrix_to_isotropic(J):
+    """to_isotropic's basis rows of one structure, a vector at a time."""
+    B = adapted_basis(J)
+    return np.array([B[:, 2 * i] - 1j * (J.matrix @ B[:, 2 * i]) for i in range(J.k)])
+
+
+def _one_matrix_from_isotropic(B):
+    """from_isotropic's matrix for one basis, validation left out."""
+    P = B.T @ np.linalg.solve(np.conj(B) @ B.T, np.conj(B))
+    return (1j * (P - np.conj(P))).real
+
+
+def _one_matrix_mj_basis(J):
+    """mj_basis of one structure, one unit matrix at a time."""
+    n, Jm = J.dim, J.matrix
+    rows = []
+    E = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            E[a, b] = 1.0
+            rows.append(np.concatenate([(E + E.T).ravel(), (E @ Jm + Jm @ E).ravel()]))
+            E[a, b] = 0.0
+    _, s, vt = np.linalg.svd(np.array(rows).T, full_matrices=True)
+    return np.array([v.reshape(n, n) for v in vt[int(np.sum(s > 1e-9 * s[0])):]])
+
+
+def _one_matrix_mj_residual(lam, J):
+    Jm = J.matrix
+    return float(np.linalg.norm(lam + lam.T) + np.linalg.norm(lam @ Jm + Jm @ lam))
+
+
+def _one_matrix_mu_rows(mu, k):
+    """structure_from_mu's basis rows for one mu, a row at a time."""
+    Mbar = np.conj(mu_matrix(mu, k))
+    rows = []
+    for j in range(k):
+        v = np.zeros(2 * k, dtype=complex)
+        v[2 * j] += 0.5
+        v[2 * j + 1] += -0.5j
+        for i in range(k):
+            if Mbar[i, j] != 0:
+                v[2 * i] += 0.5 * Mbar[i, j]
+                v[2 * i + 1] += 0.5j * Mbar[i, j]
+        rows.append(v)
+    return np.array(rows)
+
+
+def _one_matrix_mu(J):
+    """mu_from_structure of one structure, validation left out."""
+    F = to_isotropic(J).basis
+    M = (np.conj(F[:, 0::2]) + 1j * np.conj(F[:, 1::2])).T @ np.linalg.inv(
+        np.conj(F[:, 0::2] + 1j * F[:, 1::2]).T)
+    return np.array([M[i, j] for i in range(J.k) for j in range(i + 1, J.k)])
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_isotropic_planes_of_a_stack_match_each_matrix_bitwise(k):
+    rng = np.random.default_rng(300 + k)
+    stack = so_action(np.array([random_so(2 * k, rng) for _ in range(40)]),
+                      canonical_structure(k))
+    singles = [HermitianStructure(J) for J in stack.matrix]
+    F = to_isotropic(stack)
+    assert F.basis.shape == (40, k, 2 * k) and F.k == k
+    one = [to_isotropic(J) for J in singles]
+    assert one[0].basis.shape == (k, 2 * k)
+    assert _bits(F.basis) == _bits([f.basis for f in one]) == _bits(
+        [_one_matrix_to_isotropic(J) for J in singles])
+    assert _bits(IsotropicSubspace(F.basis).basis) == _bits(F.basis)
+    back = from_isotropic(F).matrix
+    assert back.shape == (40, 2 * k, 2 * k)
+    assert _bits(back) == _bits([from_isotropic(f).matrix for f in one]) == _bits(
+        [_one_matrix_from_isotropic(f.basis) for f in one])
+    assert _bits(from_isotropic(F.basis).matrix) == _bits(back)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vertical_space_of_a_stack_matches_each_matrix_bitwise(k):
+    rng = np.random.default_rng(400 + k)
+    stack = so_action(np.array([random_so(2 * k, rng) for _ in range(40)]),
+                      canonical_structure(k))
+    singles = [HermitianStructure(J) for J in stack.matrix]
+    basis = mj_basis(stack)
+    assert basis.shape == (40, k * (k - 1), 2 * k, 2 * k)
+    assert _bits(basis) == _bits([mj_basis(J) for J in singles]) == _bits(
+        [_one_matrix_mj_basis(J) for J in singles])
+    lam = np.einsum("nm,nmab->nab", rng.normal(size=(40, k * (k - 1))), basis)
+    jv = jv_apply(stack, lam)
+    assert _bits(jv) == _bits([jv_apply(J, x) for J, x in zip(singles, lam)])
+    for x in (lam, jv, rng.normal(size=(40, 2 * k, 2 * k))):
+        res = mj_residual(x, stack)
+        one = [mj_residual(y, J) for J, y in zip(singles, x)]
+        assert res.shape == (40,) and all(type(r) is float for r in one)
+        assert _bits(res) == _bits(one) == _bits(
+            [_one_matrix_mj_residual(y, J) for J, y in zip(singles, x)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mu_chart_of_a_stack_matches_each_matrix_bitwise(k):
+    rng = np.random.default_rng(500 + k)
+    m = k * (k - 1) // 2
+    mu = rng.normal(size=(40, m)) + 1j * rng.normal(size=(40, m))
+    stack = structure_from_mu(mu, k)
+    singles = [structure_from_mu(x, k) for x in mu]
+    assert _bits(stack.matrix) == _bits([J.matrix for J in singles]) == _bits(
+        [from_isotropic(_one_matrix_mu_rows(x, k)).matrix for x in mu])
+    back = mu_from_structure(stack)
+    one = [mu_from_structure(J) for J in singles]
+    assert back.shape == (40, m) and one[0].shape == (m,)
+    assert _bits(back) == _bits(one)
+    if k > 1:
+        assert _bits(one) == _bits([_one_matrix_mu(J) for J in singles])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_to_isotropic_takes_one_product_per_column(k):
+    # J u of each column u alone: one (2k, 2k) @ (2k, k) product of all the
+    # columns can round differently, which moves the isotropic-roundtrip and
+    # mu-chart-roundtrip residuals
+    rng = np.random.default_rng(600 + k)
+    for _ in range(100):
+        J = random_structure(k, rng)
+        assert _bits(to_isotropic(J).basis) == _bits(_one_matrix_to_isotropic(J))
+
+
+def test_stack_errors_name_the_first_failing_matrix():
+    F = to_isotropic(canonical_structure(2)).basis
+    bent = F.copy()
+    bent[1, 0] += 1.0  # row 1 no longer isotropic
+    with pytest.raises(StructureError, match=r"^matrix \[2\]: rows are not isotropic \(residual "):
+        IsotropicSubspace([F, F, bent, bent])
+    with pytest.raises(StructureError, match=r"^matrix \[1\]: basis rows are rank deficient$"):
+        IsotropicSubspace([F, F[[0, 0]]])
+    self_conjugate = np.array([[1, -1j, 0, 0], [1, 1j, 0, 0]])
+    with pytest.raises(StructureError, match=r"^matrix \[0, 1\]: subspace meets its conjugate"):
+        from_isotropic([[F, self_conjugate]])
+    with pytest.raises(StructureError, match=r"^matrix \[1\]: subspace is not isotropic"):
+        from_isotropic([F, F + [[0, 0, 0.01, 0], [0, 0, 0, 0]]])
+    with pytest.raises(StructureError, match=r"^matrix \[1\]: S is not orthogonal"):
+        so_action(np.array([np.eye(4), 2 * np.eye(4)]), canonical_structure(2))
+    J = so_action(np.array([np.eye(4)] * 3), canonical_structure(2))
+    lam = mj_basis(J)[:, 0]
+    lam[2] += np.eye(4)
+    with pytest.raises(StructureError, match=r"^matrix \[2\]: matrix is not in the vertical"):
+        jv_apply(J, lam)
+    refl = np.diag([-1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(StructureError, match=r"^matrix \[1\]: structure is outside the mu-chart"):
+        mu_from_structure(so_action(np.array([np.eye(4), refl, refl]), canonical_structure(2)))
+    # one matrix keeps its messages
+    with pytest.raises(StructureError, match=r"^rows are not isotropic \(residual 1\)$"):
+        IsotropicSubspace(bent)
+    with pytest.raises(StructureError, match=r"^structure is outside the mu-chart$"):
+        mu_from_structure(so_action(refl, canonical_structure(2)))
+
+
+def test_vertical_space_of_a_stack_needs_one_dimension():
+    J = canonical_structure(2).matrix
+    mixed = HermitianStructure(np.array([J, J, np.zeros((4, 4))]), check=False)
+    with pytest.raises(StructureError, match=r"^matrix \[2\]: null space dimension differs"):
+        mj_basis(mixed)
+    assert mj_basis(HermitianStructure(mixed.matrix[:2], check=False)).shape == (2, 2, 4, 4)

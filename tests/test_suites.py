@@ -9,7 +9,9 @@ solver written out; one checker evaluation per point, with the one-point
 checkers written out; one lift or one family evaluation per point, with
 the holomorphy or first-order isotropy residual written out; one structure
 and one positivity test per draw; one jet evaluation per point, with four
-separate exponentials, for Maurer-Cartan flatness.
+separate exponentials, for Maurer-Cartan flatness; one structure, one
+isotropic plane, vertical space or chart coordinate per draw for the
+sigma-plus checks.
 """
 
 import numpy as np
@@ -519,6 +521,76 @@ def test_flatness_check_matches_one_point_loop_bitwise(seed, points):
     want = _mc_flatness(config, check_rng(config, name))
     assert len(got) == min(20, points)
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the sigma-plus checks that evaluate one stack per k, one draw at a time
+
+def _one_structure(rng, kmin):
+    k = int(rng.integers(kmin, 4))
+    return st.so_action(_one_rotation(rng, 2 * k), st.canonical_structure(k))
+
+
+def _isotropic_roundtrip(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        J = _one_structure(rng, 1)
+        J2 = st.from_isotropic(st.to_isotropic(J))
+        residuals.append(np.max(np.abs(J2.matrix - J.matrix)))
+    return residuals
+
+
+def _so_action_group_law(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        k = int(rng.integers(1, 4))
+        J = st.canonical_structure(k)
+        S1, S2 = _one_rotation(rng, 2 * k), _one_rotation(rng, 2 * k)
+        lhs = st.so_action(S1 @ S2, J).matrix
+        rhs = st.so_action(S1, st.so_action(S2, J)).matrix
+        residuals.append(np.max(np.abs(lhs - rhs)))
+    return residuals
+
+
+def _jv_involution(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        J = _one_structure(rng, 2)
+        lam = sum(rng.normal() * b for b in st.mj_basis(J))
+        jv = st.jv_apply(J, lam)
+        residuals.append(st.mj_residual(jv, J))
+        residuals.append(np.max(np.abs(st.jv_apply(J, jv) + lam)))
+    return residuals
+
+
+def _mu_chart_roundtrip(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        k = int(rng.integers(2, 4))
+        mu = rng.normal(size=k * (k - 1) // 2) + 1j * rng.normal(size=k * (k - 1) // 2)
+        J = st.structure_from_mu(mu, k)
+        residuals.append(0.0 if st.is_positive(J) else 1.0)
+        residuals.append(np.max(np.abs(st.mu_from_structure(J) - mu)))
+    return residuals
+
+
+SIGMA_PLUS_REFERENCES = {
+    "isotropic-roundtrip": _isotropic_roundtrip,
+    "so-action-group-law": _so_action_group_law,
+    "jv-involution": _jv_involution,
+    "mu-chart-roundtrip": _mu_chart_roundtrip,
+}
+
+
+@pytest.mark.parametrize("points", [3, 10, 50])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(SIGMA_PLUS_REFERENCES))
+def test_sigma_plus_check_matches_one_point_loop_bitwise(name, seed, points):
+    config = SuiteConfig(suite="sigma-plus-algebra", seed=seed, points=points)
+    got = CHECK_INDEX[f"sigma-plus-algebra:{name}"](config).residuals
+    want = SIGMA_PLUS_REFERENCES[name](config, check_rng(config, name))
+    assert len(got) == len(want) >= points
+    assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 # ---------------------------------------------------------------------------

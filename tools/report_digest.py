@@ -8,7 +8,7 @@ checkouts whose totals agree produce the same reports on the grid::
 
     python3 tools/report_digest.py
 
-The last four lines are kept out of the total.  ``morphism <sha256>`` hashes
+The last five lines are kept out of the total.  ``morphism <sha256>`` hashes
 the residual bytes of ``perfbench/workloads.morphism_request(seed)`` for
 seeds 1-40, the library-call pipeline that no suite report covers.
 ``euclid-hm-seeds <sha256>`` hashes the euclid-hm JSON reports at
@@ -20,6 +20,9 @@ more points through the batched lift than the grid does.
 ``flat-connection-seeds <sha256>`` hashes the flat-connection JSON reports
 at ``--points 10`` for seeds 1-200, which draw far more Maurer-Cartan forms
 through the stacked exponential than the grid does.
+``sigma-plus-algebra-seeds <sha256>`` hashes the sigma-plus-algebra JSON
+reports at ``--points 10`` for seeds 1-500, which put far more structures
+of each k through the stacked structure functions than the grid does.
 
 It imports ``twistorkit`` from the ``src`` directory next to ``tools``, and
 the workloads module from ``perfbench`` beside it.
@@ -48,6 +51,7 @@ MORPHISM_SEEDS = range(1, 41)
 EUCLID_SEEDS = range(1, 1101)
 LIFTS_SEEDS = range(1, 301)
 FLAT_SEEDS = range(1, 201)
+SIGMA_SEEDS = range(1, 501)
 
 
 def report_line(suite, seed, points, fmt):
@@ -103,3 +107,4 @@ if __name__ == "__main__":
     print(f"euclid-hm-seeds {seeds_digest('euclid-hm', EUCLID_SEEDS)}")
     print(f"lifts-r4-seeds {seeds_digest('lifts-r4', LIFTS_SEEDS)}")
     print(f"flat-connection-seeds {seeds_digest('flat-connection', FLAT_SEEDS)}")
+    print(f"sigma-plus-algebra-seeds {seeds_digest('sigma-plus-algebra', SIGMA_SEEDS)}")
