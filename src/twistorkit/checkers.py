@@ -14,8 +14,11 @@ of floats), and at an (N, domain_dim) array of points, an empty one
 included, one residual per row from one batched jet evaluation, each bitwise
 the residual at that row's point.  ``variations.first_order_residual``,
 ``factory.verify_horizontality``, ``factory.verify_chart_holomorphy``,
-``lifts.j_vertical_residual``, ``lifts.t10_stability_residual`` and
-``connections.flatness_residual`` meet it too.  Moduli are taken with
+``factory.cp3_constraints_residual``, ``factory.cp3_linear_system_residual``,
+``factory.cp3_local_diffeo_check``, ``lifts.j_vertical_residual``,
+``lifts.t10_stability_residual`` and ``connections.flatness_residual`` meet
+it too, and ``factory.cp3_point`` and ``factory.cp3_affine_jacobian`` give
+one row of coordinates or one Jacobian per point.  Moduli are taken with
 ``pairings._modulus`` and norms row by row with ``pairings._norms``.
 
 Conventions: pairings of Wirtinger derivatives are complex-bilinear over the

@@ -403,8 +403,9 @@ def maurer_cartan_form(A, B):
 
 
 def maurer_cartan_value(A, B, x):
-    """g(x) = exp(x_1 A) exp(x_2 B) evaluated directly."""
-    return expm(float(x[0]) * np.asarray(A)) @ expm(float(x[1]) * np.asarray(B))
+    """g(x) = exp(x_1 A) exp(x_2 B), both from one stacked :func:`expm`."""
+    E1, E2 = expm(np.stack([float(x[0]) * np.asarray(A), float(x[1]) * np.asarray(B)]))
+    return E1 @ E2
 
 
 def _jet_expm(M, scalar_jet, space):

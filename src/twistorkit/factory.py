@@ -11,7 +11,9 @@ Newton iterates.
 The complex-projective pipeline checks the algebraic data (alpha, beta,
 gamma, delta, w) of flag-manifold lines: the defining constraints, the
 homogeneous coordinate formulas, and the local-diffeomorphism Jacobian of
-the affine chart.
+the affine chart.  The homogeneous coordinates x1-x4 are one jet formula in
+the fields: the point is its order-0 values, and the chart Jacobian is the
+gradient of (x1/x3, x2/x3, x4/x3) from it at order 1.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .jets import (
     SmoothMap,
     _as_real_point,
     _horner,
+    _real_split,
     dz,
     dzbar,
     gradient,
@@ -33,7 +36,7 @@ from .jets import (
     real_to_complex_point,
     values,
 )
-from .pairings import _worst_modulus, worst_residual
+from .pairings import _modulus, _per_point, _raise_first, _worst_modulus
 from .structures import twistor_chart
 
 NEWTON_MAX_ITER = 50
@@ -101,7 +104,7 @@ def jacobian_min_sv(h, pt):
 
 
 def _min_sv(D):
-    return float(np.linalg.svd(D, compute_uv=False)[-1])
+    return _per_point(np.linalg.svd(D, compute_uv=False)[..., -1])
 
 
 @dataclass
@@ -257,76 +260,72 @@ class CP3Data:
         return self.nz + self.nxi
 
     def fields(self, pt, order=1):
-        space = JetSpace(_as_real_point(pt, 2 * self.nvars), order)
-        zs = space.complex_vars()
-        a = self.alpha(zs)
-        b = self.beta(zs)
-        g = self.gamma(zs)
-        d = self.delta(zs)
-        w = self.w(zs)
-        u = g - a * w
-        v = d - b * w
-        return a, b, g, d, w, u, v
+        zs = JetSpace(_as_real_point(pt, 2 * self.nvars), order).complex_vars()
+        a, b, g, d, w = (f(zs) for f in (self.alpha, self.beta, self.gamma, self.delta, self.w))
+        return a, b, g, d, w, g - a * w, d - b * w
 
 
 def cp3_constraints_residual(data, pt):
-    """max magnitude of the four defining constraints at a sample point.
+    """max magnitude of the four defining constraints at a sample point, or
+    one per row of an (N, 2 nvars) array of points.
 
     The first two vanish by construction of u and v; the last two are the
     horizontality lines w d_xi alpha = d_xi gamma and w d_xi beta = d_xi
     delta.  For polynomial data at dyadic points all four are exactly zero.
     """
     a, b, g, d, w, u, v = data.fields(pt, order=1)
-    moduli = [abs((u + a * w - g).value), abs((v + b * w - d).value)]
+    constraints = [u + a * w - g, v + b * w - d]
     for i in range(data.nz, data.nvars):
-        moduli.append(abs((w * dz(a, i) - dz(g, i)).value))
-        moduli.append(abs((w * dz(b, i) - dz(d, i)).value))
-    return worst_residual(moduli)
+        constraints += [w * dz(a, i) - dz(g, i), w * dz(b, i) - dz(d, i)]
+    return _worst_modulus(values(constraints).T)
 
 
-def cp3_point(data, pt):
-    """Homogeneous coordinates [x1 : x2 : x3 : x4] of the data at a point."""
-    a, b, g, d, w, u, v = (f.value for f in data.fields(pt, order=0))
-    ca, cb, cg, cd = np.conj(a), np.conj(b), np.conj(g), np.conj(d)
-    x1 = cg * (cb * d - abs(b) ** 2 * w - w) + ca * (cd * b * w - abs(d) ** 2 - 1)
-    x2 = cd * (ca * g - abs(a) ** 2 * w - w) + cb * (cg * a * w - abs(g) ** 2 - 1)
-    x3 = 1 + abs(g) ** 2 + abs(d) ** 2 - w * (cg * a + cd * b)
-    x4 = w * (1 + abs(a) ** 2 + abs(b) ** 2) - (ca * g + cb * d)
-    x = np.array([x1, x2, x3, x4])
-    if np.max(np.abs(x)) < 1e-14:
-        raise JetError("degenerate data: all homogeneous coordinates vanish")
-    return x
-
-
-def cp3_linear_system_residual(data, pt):
-    """Consistency of the x formulas with their defining linear system:
-    x1 u + x2 v + x3 w - x4 and the two conjugate-plane equations."""
-    a, b, g, d, w, u, v = (f.value for f in data.fields(pt, order=0))
-    x1, x2, x3, x4 = cp3_point(data, pt)
-    scale = max(1.0, float(np.max(np.abs([x1, x2, x3, x4]))))
-    r1 = abs(x1 * u + x2 * v + x3 * w - x4)
-    r2 = abs(x1 + x3 * np.conj(a) + x4 * np.conj(g))
-    r3 = abs(x2 + x3 * np.conj(b) + x4 * np.conj(d))
-    return worst_residual([r1, r2, r3]) / scale
-
-
-def cp3_affine_jacobian(data, pt):
-    """Real Jacobian of the affine chart (x1/x3, x2/x3, x4/x3) at a point."""
-    a, b, g, d, w, u, v = data.fields(pt, order=1)
+def _cp3_jets(data, pt, order):
+    """The fields (a, b, g, d, w, u, v) and the coordinates (x1, x2, x3, x4)
+    as jets of the given order, at a point or an (N, 2 nvars) array, and the
+    values of x1-x4; raises where all four vanish."""
+    a, b, g, d, w, u, v = fields = data.fields(pt, order)
     ca, cb, cg, cd = a.conj(), b.conj(), g.conj(), d.conj()
     x1 = cg * (cb * d - b * cb * w - w) + ca * (cd * b * w - d * cd - 1)
     x2 = cd * (ca * g - a * ca * w - w) + cb * (cg * a * w - g * cg - 1)
     x3 = 1 + g * cg + d * cd - w * (cg * a + cd * b)
     x4 = w * (1 + a * ca + b * cb) - (ca * g + cb * d)
-    if abs(x3.value) < 1e-12:
-        raise JetError("affine chart invalid: x3 vanishes at the point")
-    chart = [x1 / x3, x2 / x3, x4 / x3]
-    return gradient([[c.real, c.imag] for c in chart]).real.reshape(6, -1)
+    x = values([x1, x2, x3, x4])
+    _raise_first(JetError, [(np.max(_modulus(x), axis=-1) < 1e-14,
+                             "degenerate data: all homogeneous coordinates vanish")])
+    return fields, (x1, x2, x3, x4), x
+
+
+def cp3_point(data, pt):
+    """Homogeneous coordinates [x1 : x2 : x3 : x4] of the data at a point,
+    or one row of them per row of an (N, 2 nvars) array of points."""
+    return _cp3_jets(data, pt, 0)[2]
+
+
+def cp3_linear_system_residual(data, pt):
+    """Consistency of the x formulas with their defining linear system:
+    x1 u + x2 v + x3 w - x4 and the two conjugate-plane equations; one
+    residual per row of an (N, 2 nvars) array of points."""
+    (a, b, g, d, w, u, v), (x1, x2, x3, x4), x = _cp3_jets(data, pt, 0)
+    scale = np.maximum(1.0, np.max(_modulus(x), axis=-1))
+    equations = [x1 * u + x2 * v + x3 * w - x4, x1 + x3 * a.conj() + x4 * g.conj(),
+                 x2 + x3 * b.conj() + x4 * d.conj()]
+    return _per_point(np.max(_modulus(values(equations)), axis=-1) / scale)
+
+
+def cp3_affine_jacobian(data, pt):
+    """Real Jacobian of the affine chart (x1/x3, x2/x3, x4/x3) at a point, a
+    (6, 2 nvars) array, or one per row of an (N, 2 nvars) array of points."""
+    _, (x1, x2, x3, x4), x = _cp3_jets(data, pt, 1)
+    _raise_first(JetError, [(_modulus(x[..., 2]) < 1e-12,
+                             "affine chart invalid: x3 vanishes at the point")])
+    return gradient(_real_split([x1 / x3, x2 / x3, x4 / x3])).real
 
 
 def cp3_local_diffeo_check(data, pt):
     """Smallest singular value of the affine-chart Jacobian; positive iff the
-    data defines a local diffeomorphism near the point."""
+    data defines a local diffeomorphism near the point.  One value per row
+    of an (N, 2 nvars) array of points."""
     return _min_sv(cp3_affine_jacobian(data, pt))
 
 

@@ -32,6 +32,8 @@ from itertools import product as _iproduct
 
 import numpy as np
 
+from .pairings import _raise_first
+
 
 class JetError(ValueError):
     pass
@@ -465,9 +467,7 @@ class Jet:
 def _require_nonzero(c, what):
     """Raise JetError at a zero constant term, naming the first such entry
     of an array of them."""
-    if np.count_nonzero(c == 0):
-        row = f"row {np.argmax(np.reshape(c == 0, -1))}: " if np.ndim(c) else ""
-        raise JetError(f"{row}jet {what} requires a nonzero constant term")
+    _raise_first(JetError, [(c == 0, f"jet {what} requires a nonzero constant term")])
 
 
 def _mul_rows(t, a, b):

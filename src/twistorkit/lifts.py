@@ -17,7 +17,7 @@ import numpy as np
 
 from .jets import (JetSpace, _as_real_point, dz, dzbar, gradient, merge_rows, stack, values,
                    where)
-from .pairings import _dots, _modulus, _norms, _worst_modulus, _worst_norm
+from .pairings import _dots, _modulus, _norms, _raise_first, _worst_modulus, _worst_norm
 from .structures import HermitianStructure, is_positive
 
 INDEPENDENCE_SV_RATIO = 1e-6
@@ -107,18 +107,6 @@ def strictly_compatible_lift_r4(phi, z0):
     return lift
 
 
-def _raise_first(failures):
-    """Raise the LiftError of the first point at which one of the
-    ``(mask, message)`` failures holds, a point's failures taken in order;
-    the masks have the leading shape of the points, and a batch names the
-    row."""
-    bad = np.logical_or.reduce([mask for mask, _ in failures])
-    if bad.any():
-        r = np.argmax(np.reshape(bad, -1))
-        message = next(msg for mask, msg in failures if np.reshape(mask, -1)[r])
-        raise LiftError(f"row {r}: {message}" if np.ndim(bad) else message)
-
-
 def _umbilic(grad0, d1, d2):
     """Whether dz phi and dz^2 phi are dependent at a point, from the
     gradient and both Wirtinger derivatives there, or at each point of a
@@ -151,11 +139,11 @@ def _umbilic(grad0, d1, d2):
         # their stack raises the LinAlgError of the first that raises alone
         np.linalg.svd(np.reshape(pairs, (-1,) + pairs.shape[-2:])[:end][reach],
                       compute_uv=False)
-    _raise_first([(branch, "branch point: dphi vanishes at the base point"),
-                  (nonconformal, "map is not weakly conformal at the base point"),
-                  (anisotropic, "dz and dz^2 do not span an isotropic plane: no strictly "
-                                "compatible structure contains both (map is not real "
-                                "isotropic through order 2)")])
+    _raise_first(LiftError, [
+        (branch, "branch point: dphi vanishes at the base point"),
+        (nonconformal, "map is not weakly conformal at the base point"),
+        (anisotropic, "dz and dz^2 do not span an isotropic plane: no strictly compatible "
+                      "structure contains both (map is not real isotropic through order 2)")])
     return umbilic
 
 
@@ -271,8 +259,8 @@ def t10_stability_residual(lift, z0, direction="z"):
     defect = np.stack([_norms((Q0 @ dP[..., :, c, None])[..., 0], 1) for c in range(n)],
                       axis=-1) / scale
     message = "frame rank deficiency at the base point"
-    _raise_first([(~independent, message),
-                  ((np.take_along_axis(scale, piv, -1) < 1e-12).any(axis=-1), message)])
+    _raise_first(LiftError, [(~independent, message),
+                             ((np.take_along_axis(scale, piv, -1) < 1e-12).any(axis=-1), message)])
     return _worst_modulus(np.moveaxis(np.take_along_axis(defect, piv, -1), -1, 0))
 
 

@@ -64,6 +64,19 @@ def _per_point(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _raise_first(error, failures):
+    """Raise ``error`` for the first point at which one of the ``(mask,
+    message)`` failures holds, a point's failures taken in order; the masks
+    have the leading shape of the points, and a batch names the row."""
+    bad = failures[0][0]
+    for mask, _ in failures[1:]:
+        bad = bad | mask
+    if np.count_nonzero(bad):
+        r = np.argmax(np.reshape(bad, -1))
+        message = next(msg for mask, msg in failures if np.reshape(mask, -1)[r])
+        raise error(f"row {r}: {message}" if np.ndim(bad) else message)
+
+
 def _norms(x, ndim):
     """``np.linalg.norm`` of an ``ndim``-axis array, a float, or of each
     ``ndim``-axis block of a stack of them, an array over the leading axes.

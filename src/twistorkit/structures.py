@@ -34,7 +34,8 @@ def _require(bad, claim, residual=None):
     """Raise ``StructureError(claim)`` if ``bad`` is set anywhere: one bool
     for one matrix, or one per matrix of a stack, whose error names the
     first failing matrix.  With ``residual``, shaped as ``bad``, the message
-    ends with that matrix's residual."""
+    ends with that matrix's residual.  Each test is written so that a NaN
+    sets ``bad``: ``~(defect <= tol)``, not ``defect > tol``."""
     bad = np.asarray(bad)
     if bad.any():
         at = np.argwhere(bad)[0].tolist()
@@ -58,7 +59,7 @@ class HermitianStructure:
             eye = np.eye(J.shape[-1])
             for defect, claim in ((J @ J + eye, "J @ J != -I"),
                                   (J.swapaxes(-1, -2) @ J - eye, "J.T @ J != I")):
-                _require(np.abs(defect).max(axis=(-2, -1)) > tol, f"{claim} within tolerance")
+                _require(~(np.abs(defect).max(axis=(-2, -1)) <= tol), f"{claim} within tolerance")
         self.matrix = J
 
     @property
@@ -150,7 +151,7 @@ def so_action(S, J):
     """Conjugation action S . J = S J S^(-1) of the orthogonal group; S and J
     broadcast over stacks of matrices."""
     S = np.asarray(S, dtype=float)
-    _require(np.abs(S.swapaxes(-1, -2) @ S - np.eye(S.shape[-1])).max(axis=(-2, -1)) > 1e-8,
+    _require(~(np.abs(S.swapaxes(-1, -2) @ S - np.eye(S.shape[-1])).max(axis=(-2, -1)) <= 1e-8),
              "S is not orthogonal within tolerance")
     return HermitianStructure(S @ J.matrix @ S.swapaxes(-1, -2))
 
@@ -174,6 +175,7 @@ def from_isotropic(F):
     """
     B = F.basis if isinstance(F, IsotropicSubspace) else np.atleast_2d(np.asarray(F, complex))
     k = B.shape[-2]
+    _require(~np.isfinite(B).all(axis=(-2, -1)), "basis has a non-finite entry")
     stacked = np.concatenate([B, np.conj(B)], axis=-2)
     _require(np.linalg.matrix_rank(stacked, tol=1e-8) != 2 * k,
              "subspace meets its conjugate nontrivially")
@@ -183,7 +185,7 @@ def from_isotropic(F):
     gram = np.conj(B) @ BT
     P = BT @ np.linalg.solve(gram, np.conj(B))
     J = 1j * (P - np.conj(P))
-    _require(np.abs(J.imag).max(axis=(-2, -1)) > 1e-9,
+    _require(~(np.abs(J.imag).max(axis=(-2, -1)) <= 1e-9),
              "projector construction produced a non-real J")
     return HermitianStructure(J.real)
 
@@ -227,7 +229,8 @@ def mj_basis(J):
 def jv_apply(J, lam):
     """The vertical complex structure: lambda -> J @ lambda; squares to -id."""
     lam = np.asarray(lam, dtype=float)
-    _require(mj_residual(lam, J) > 1e-8, "matrix is not in the vertical space at J")
+    _require(np.logical_not(mj_residual(lam, J) <= 1e-8),
+             "matrix is not in the vertical space at J")
     return J.matrix @ lam
 
 
@@ -278,9 +281,9 @@ def mu_from_structure(J):
     # columns: the d/dq and d/dqbar components of the (0,1)-basis conj(F)
     A = complex_view(np.conj(F)).swapaxes(-1, -2)
     Bm = np.conj(complex_view(F)).swapaxes(-1, -2)
-    _require(np.abs(np.linalg.det(Bm)) < 1e-12, "structure is outside the mu-chart")
+    _require(~(np.abs(np.linalg.det(Bm)) >= 1e-12), "structure is outside the mu-chart")
     M = A @ np.linalg.inv(Bm)
-    _require(np.abs(M + M.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-8,
+    _require(~(np.abs(M + M.swapaxes(-1, -2)).max(axis=(-2, -1)) <= 1e-8),
              "recovered chart matrix is not skew")
     return M[(...,) + _mu_pairs(J.k)]
 

@@ -228,12 +228,6 @@ def _real_poly(co):
     return SmoothMap.from_real(2, dims, ev)
 
 
-def _uniform_points(rng, count, half, dim):
-    """(count, dim) array of points uniform on [-half, half]^dim, one
-    ``rng.uniform`` call per point."""
-    return np.array([rng.uniform(-half, half, dim) for _ in range(count)])
-
-
 def _interleave(*columns):
     """Residuals of several per-point columns, point by point."""
     return [r for row in zip(*columns) for r in row]
@@ -328,13 +322,13 @@ def _(config, rng):
 @_check("euclid-hm", "horizontality", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
-    return fa.verify_horizontality(data, _uniform_points(rng, config.points, 0.8, 6))
+    return fa.verify_horizontality(data, rng.uniform(-0.8, 0.8, (config.points, 6)))
 
 
 @_check("euclid-hm", "chart-holomorphy", 1e-10, params=("f",))
 def _(config, rng):
     data = fa.euclid_r6_data(_coeff_param(config, "f"))
-    return fa.verify_chart_holomorphy(data, _uniform_points(rng, config.points, 0.8, 6))
+    return fa.verify_chart_holomorphy(data, rng.uniform(-0.8, 0.8, (config.points, 6)))
 
 
 @_check("euclid-hm", "fibre-invariance", 1e-10, params=("f",))
@@ -449,8 +443,8 @@ _suite("cp3-data", "algebraic line-data constraints, point formulas and chart Ja
 
 def _dyadic_constraints(config, rng, data):
     """Constraint residuals at points with coordinates in (1/16)Z, |x| <= 1."""
-    return [fa.cp3_constraints_residual(data, rng.integers(-16, 17, 2 * data.nvars) / 16.0)
-            for _ in range(config.points)]
+    return fa.cp3_constraints_residual(
+        data, rng.integers(-16, 17, (config.points, 2 * data.nvars)) / 16.0)
 
 
 @_check("cp3-data", "cp3-example1-constraints", 0.0)
@@ -465,12 +459,9 @@ def _(config, rng):
 
 @_check("cp3-data", "cp3-linear-system", 1e-12)
 def _(config, rng):
-    residuals = []
-    for builder in (fa.cp3_example1_data, fa.cp3_morphism_data):
-        data = builder()
-        for _ in range(config.points // 2 + 1):
-            residuals.append(fa.cp3_linear_system_residual(data, rng.uniform(-1, 1, 6)))
-    return residuals
+    return np.concatenate([fa.cp3_linear_system_residual(
+        builder(), rng.uniform(-1, 1, (config.points // 2 + 1, 6)))
+        for builder in (fa.cp3_example1_data, fa.cp3_morphism_data)])
 
 
 @_check("cp3-data", "cp3-local-diffeo", 0.0)
@@ -498,17 +489,14 @@ def _(config, rng):
 
 @_check("cp3-data", "cp3-point-formulas", 1e-12)
 def _(config, rng):
-    data = fa.cp3_morphism_data()
-    residuals = []
-    for _ in range(config.points):
-        z = rng.uniform(-0.9, 0.9, 2)
-        x = fa.cp3_point(data, np.concatenate([z, np.zeros(4)]))  # xi = 0
-        # alpha = beta = 0 at xi = 0, and w = P(z) = z by default
-        expect = np.array([0.0, 0.0, 1.0, complex(z[0], z[1])])
-        residuals.append(np.max(np.abs(x - expect)))
+    z = rng.uniform(-0.9, 0.9, (config.points, 2))
+    x = fa.cp3_point(fa.cp3_morphism_data(), np.concatenate([z, np.zeros((len(z), 4))], axis=1))
+    # alpha = beta = 0 at xi = 0, and w = P(z) = z by default
+    expect = np.zeros(x.shape, dtype=complex)
+    expect[:, 2], expect[:, 3] = 1.0, real_to_complex_point(z)[:, 0]
     zeros = fa.cp3_point(fa.cp3_example1_data(), np.zeros(6))
-    residuals.append(np.max(np.abs(zeros - np.array([0, 0, 1.0, 0]))))
-    return residuals
+    return np.append(np.max(_modulus(x - expect), axis=-1),
+                     np.max(_modulus(zeros - np.array([0, 0, 1.0, 0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +520,7 @@ def _lift_test_maps():
 @_check("lifts-r4", "lift-holomorphy", 1e-10)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    P = _uniform_points(rng, config.points, 0.9, 2)
+    P = rng.uniform(-0.9, 0.9, (config.points, 2))
     J1 = st.canonical_structure(1).matrix
     columns = []
     for phi in (holo, chart):
@@ -545,7 +533,7 @@ def _(config, rng):
 @_check("lifts-r4", "lift-vertical-conditions", 1e-9)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    P = _uniform_points(rng, config.points, 0.9, 2)
+    P = rng.uniform(-0.9, 0.9, (config.points, 2))
     Lh = lf.strictly_compatible_lift_r4(holo, P)
     Lc = lf.strictly_compatible_lift_r4(chart, P)
     return _interleave(lf.j_vertical_residual(Lh, P, 2),   # harmonic side
@@ -556,7 +544,7 @@ def _(config, rng):
 @_check("lifts-r4", "lift-t10-stability", 1e-9)
 def _(config, rng):
     holo, chart = _lift_test_maps()
-    P = _uniform_points(rng, config.points, 0.9, 2)
+    P = rng.uniform(-0.9, 0.9, (config.points, 2))
     Lh = lf.strictly_compatible_lift_r4(holo, P)
     Lc = lf.strictly_compatible_lift_r4(chart, P)
     return _interleave(lf.t10_stability_residual(Lh, P, "z"),
@@ -648,7 +636,7 @@ def _(config, rng):
 @_check("jacobi-first-order", "holomorphic-family", 1e-12)
 def _(config, rng):
     fam = va.complex_family(1, 1, lambda t, z: [z * z + t * z * z * z])
-    P = _uniform_points(rng, config.points, 1.0, 2)
+    P = rng.uniform(-1.0, 1.0, (config.points, 2))
     # weak conformality, then isotropy to order 3: (base, t) for each
     return _interleave(*(r for R in (1, 3) for r in va.first_order_residual(fam, P, R)))
 

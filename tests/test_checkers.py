@@ -21,8 +21,16 @@ from twistorkit.checkers import (
 )
 from twistorkit.connections import LieValuedForm, curvature_02_residual, flatness_residual
 from twistorkit.factory import (
+    CP3Data,
     EuclideanTwistorData,
     closed_form_r6,
+    cp3_affine_jacobian,
+    cp3_constraints_residual,
+    cp3_example1_data,
+    cp3_linear_system_residual,
+    cp3_local_diffeo_check,
+    cp3_morphism_data,
+    cp3_point,
     euclid_r6_data,
     verify_chart_holomorphy,
     verify_horizontality,
@@ -597,6 +605,14 @@ def _antisymmetric_fields(space):
     return [[[z, x[2] - 1j * x[3]], [z, z]], [[z, x[0] - 1j * x[1]], [z, z]]]
 
 
+# example 1 with gamma = xi^3 instead of xi^2: its constraints do not vanish
+BROKEN_CP3 = CP3Data(nz=2, nxi=1, alpha=lambda zs: zs[2] + zs[0], beta=lambda zs: zs[2] + zs[1],
+                     gamma=lambda zs: zs[2] ** 3, delta=lambda zs: zs[2] * zs[2] + zs[1],
+                     w=lambda zs: 2 * zs[2])
+CP3_DATA = (cp3_example1_data(), cp3_morphism_data(),
+            cp3_morphism_data(P=(0.2, 1, 0.3), Q=(0.1, 1, -0.2), R=(0, 1, 0.5)))
+
+
 def _contract_table():
     """name -> (domain dimension, function of the points giving a list of
     residuals): each public checker that takes an array of points, on maps
@@ -661,6 +677,11 @@ def _contract_table():
         "flatness_residual": (2, lambda P: [flatness_residual(form, P) for form in forms]),
         "curvature_02_residual": (4, lambda P: [curvature_02_residual(g, 2, P) for g in
                                                 (_curvature_fields, _antisymmetric_fields)]),
+        "cp3_constraints_residual": (6, lambda P: [cp3_constraints_residual(d, P) for d in
+                                                   (CP3_DATA[0], BROKEN_CP3)]),
+        "cp3_linear_system_residual": (6, lambda P: [cp3_linear_system_residual(d, P)
+                                                     for d in CP3_DATA]),
+        "cp3_local_diffeo_check": (6, lambda P: [cp3_local_diffeo_check(d, P) for d in CP3_DATA]),
     }
 
 
@@ -670,7 +691,6 @@ CONTRACT = _contract_table()
 ONE_POINT_ONLY = {
     "implicit_equation_residual": "a product of complex arrays differs from the product "
                                   "of complex scalars in the last bit",
-    "cp3_constraints_residual": "products of complex values, as implicit_equation_residual",
     "mj_residual": "a residual of a matrix against a structure, not of a map at a point",
 }
 
@@ -703,6 +723,19 @@ def test_checkers_give_no_residuals_for_an_empty_batch(name):
     dim, residuals = CONTRACT[name]
     for got in residuals(np.empty((0, dim))):
         assert got.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7])
+@pytest.mark.parametrize("fn", [cp3_point, cp3_affine_jacobian])
+def test_cp3_point_and_jacobian_rows_match_points_bitwise(fn, n):
+    P = _contract_points(6, n, seed=n) if n else np.empty((0, 6))
+    for data in CP3_DATA:
+        rows = fn(data, P)
+        ones = [fn(data, p) for p in P]
+        shape = (4,) if fn is cp3_point else (6, 6)
+        assert rows.shape == (n,) + shape
+        assert all(one.shape == shape for one in ones)
+        assert _bits(rows) == _bits(np.array(ones).reshape(rows.shape))
 
 
 def test_every_public_checker_is_in_the_contract_table_or_one_point_only():

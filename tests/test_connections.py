@@ -397,6 +397,21 @@ def test_maurer_cartan_values_exponentiate_each_bit_pattern_once(monkeypatch):
     assert count[0] == 3 + 1  # x1 in {0.0, -0.0, 0.25}, x2 in {0.5}
 
 
+def test_maurer_cartan_value_is_two_one_matrix_exponentials_bitwise(monkeypatch):
+    rng = np.random.default_rng(407)
+    for _ in range(200):
+        A, B = 3.0 * random_skew(4, rng), random_skew(4, rng)
+        x = rng.uniform(-2, 2, 2)
+        want = expm(float(x[0]) * A) @ expm(float(x[1]) * B)
+        assert maurer_cartan_value(A, B, x).tobytes() == want.tobytes()
+    shapes = []
+    scaled_pade = connections._scaled_pade
+    monkeypatch.setattr(connections, "_scaled_pade",
+                        lambda M: shapes.append(M.shape) or scaled_pade(M))
+    maurer_cartan_value(A, B, x)
+    assert shapes == [(2, 4, 4)]  # both exponentials from one stacked call
+
+
 def test_path_independence_exponentials_on_the_unit_square(monkeypatch):
     # 2 x 2000 increments, and one exponential pair per distinct coordinate
     # value over both paths: x1 takes the 1000 midpoints of sq1's first leg,

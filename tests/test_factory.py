@@ -26,7 +26,14 @@ from twistorkit.factory import (
     verify_chart_holomorphy,
     verify_horizontality,
 )
-from twistorkit.jets import SmoothMap, gradient, invert_jet_map, real_to_complex_point, values
+from twistorkit.jets import (
+    JetError,
+    SmoothMap,
+    gradient,
+    invert_jet_map,
+    real_to_complex_point,
+    values,
+)
 
 RNG = np.random.default_rng(31415)
 
@@ -355,6 +362,21 @@ def test_cp3_jacobian_pattern():
         # permutation pattern: one entry per row and column
         nz = np.abs(D) > 1e-12
         assert np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
+
+
+def test_cp3_chart_error_names_the_row_where_x3_vanishes():
+    # alpha = z, gamma = 1, w = 2 and beta = delta = 0: x3 = 2 - 2 z, 0 at z = 1
+    data = CP3Data(nz=1, nxi=2, alpha=lambda zs: zs[0], beta=lambda zs: 0 * zs[0],
+                   gamma=lambda zs: 0 * zs[0] + 1, delta=lambda zs: 0 * zs[0],
+                   w=lambda zs: 0 * zs[0] + 2)
+    P = np.zeros((3, 6))
+    P[1:, 0] = 1.0
+    assert cp3_point(data, P)[1, 2] == 0
+    with pytest.raises(JetError, match=r"^row 1: affine chart invalid: x3 vanishes"):
+        cp3_affine_jacobian(data, P)
+    with pytest.raises(JetError, match=r"^affine chart invalid: x3 vanishes"):
+        cp3_local_diffeo_check(data, P[1])
+    assert cp3_local_diffeo_check(data, P[:1]).shape == (1,)
 
 
 def _affine_chart(data, pt):

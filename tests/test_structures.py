@@ -423,6 +423,46 @@ def test_stack_errors_name_the_first_failing_matrix():
         mu_from_structure(so_action(refl, canonical_structure(2)))
 
 
+def _unchecked(J):
+    return HermitianStructure(J, check=False)
+
+
+# name -> (a valid input, the call that validates it); the input's last two
+# axes are one matrix or basis
+NON_FINITE_CASES = {
+    "HermitianStructure": (canonical_structure(2).matrix, HermitianStructure),
+    "IsotropicSubspace": (to_isotropic(canonical_structure(2)).basis, IsotropicSubspace),
+    "from_isotropic": (to_isotropic(canonical_structure(2)).basis, from_isotropic),
+    "to_isotropic": (canonical_structure(2).matrix, lambda J: to_isotropic(_unchecked(J))),
+    "so_action": (np.eye(4), lambda S: so_action(S, canonical_structure(2))),
+    "jv_apply": (mj_basis(canonical_structure(2))[0],
+                 lambda lam: jv_apply(canonical_structure(2), lam)),
+    "mu_from_structure": (canonical_structure(2).matrix,
+                          lambda J: mu_from_structure(_unchecked(J))),
+    "structure_from_mu": (np.array([0.3 + 0.1j]), lambda mu: structure_from_mu(mu, 2)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("whole", [False, True], ids=["entry", "whole"])
+@pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+def test_non_finite_input_raises_a_structure_error_naming_the_matrix(name, stack, whole, value):
+    good, validate = NON_FINITE_CASES[name]
+    bad = good.astype(complex if np.iscomplexobj(good) else float)
+    if whole:
+        bad[...] = value
+    else:
+        bad[(0,) * bad.ndim] = value
+    # at a stack, matrices 1 and 2 of three are bad, and the error names 1;
+    # one matrix is named by none
+    given = np.stack([good, bad, bad]) if stack else bad
+    with np.errstate(all="ignore"), pytest.raises(StructureError) as info:
+        validate(given)
+    message = str(info.value)
+    assert message.startswith("matrix [1]: ") if stack else not message.startswith("matrix [")
+
+
 def test_vertical_space_of_a_stack_needs_one_dimension():
     J = canonical_structure(2).matrix
     mixed = HermitianStructure(np.array([J, J, np.zeros((4, 4))]), check=False)

@@ -11,8 +11,11 @@ the holomorphy or first-order isotropy residual written out; one structure
 and one positivity test per draw; one jet evaluation per point, with four
 separate exponentials, for Maurer-Cartan flatness; one structure, one
 isotropic plane, vertical space or chart coordinate per draw for the
-sigma-plus checks.
+sigma-plus checks; one draw and one CP^3 call per point for the cp3-data
+checks.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -630,3 +633,63 @@ def test_factory_roundtrip_aux_reports_a_nan_implicit_residual(monkeypatch):
     monkeypatch.setattr(fa, "implicit_equation_residual", second_is_nan)
     report = CHECK_INDEX["euclid-hm:factory-roundtrip"](SuiteConfig("euclid-hm", points=4))
     assert len(calls) == 4 and np.isnan(report.aux["implicit_max"])
+
+
+def _cp3_constraints(builder):
+    def reference(config, rng):
+        data = builder()
+        return [fa.cp3_constraints_residual(data, rng.integers(-16, 17, 6) / 16.0)
+                for _ in range(config.points)]
+    return reference
+
+
+def _cp3_linear_system(config, rng):
+    return [fa.cp3_linear_system_residual(builder(), rng.uniform(-1, 1, 6))
+            for builder in (fa.cp3_example1_data, fa.cp3_morphism_data)
+            for _ in range(config.points // 2 + 1)]
+
+
+def _cp3_point_formulas(config, rng):
+    residuals = []
+    for _ in range(config.points):
+        z = rng.uniform(-0.9, 0.9, 2)
+        x = fa.cp3_point(fa.cp3_morphism_data(), np.concatenate([z, np.zeros(4)]))
+        residuals.append(max(map(abs, x - [0.0, 0.0, 1.0, complex(z[0], z[1])])))
+    x = fa.cp3_point(fa.cp3_example1_data(), np.zeros(6))
+    return residuals + [max(map(abs, x - [0.0, 0.0, 1.0, 0.0]))]
+
+
+CP3_REFERENCES = {
+    "cp3-data:cp3-example1-constraints": _cp3_constraints(fa.cp3_example1_data),
+    "cp3-data:cp3-morphism-constraints": _cp3_constraints(fa.cp3_morphism_data),
+    "cp3-data:cp3-linear-system": _cp3_linear_system,
+    "cp3-data:cp3-point-formulas": _cp3_point_formulas,
+}
+
+
+@pytest.mark.parametrize("points", [3, 10, 50])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CP3_REFERENCES))
+def test_cp3_check_matches_one_point_loop_bitwise(name, seed, points):
+    # one draw and one library call per point, as the check made before it
+    # drew all its points at once
+    config = SuiteConfig("cp3-data", points=points, seed=seed)
+    report = CHECK_INDEX[name](config)
+    want = CP3_REFERENCES[name](config, check_rng(config, name.split(":")[1]))
+    assert np.array(report.residuals).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_flipping_a_sign_of_x3_fails_the_linear_system(monkeypatch):
+    # x3 = 1 + |g|^2 + |d|^2 - w (conj(g) a + conj(d) b): x1-x4 are written
+    # once, so the flipped term reaches cp3_point and the chart alike
+    source = inspect.getsource(fa._cp3_jets)
+    mutant = source.replace("cg * a + cd * b", "cg * a - cd * b")
+    assert mutant != source
+    scope = {}
+    exec(mutant, vars(fa), scope)
+    config = SuiteConfig("cp3-data", points=10)
+    assert CHECK_INDEX["cp3-data:cp3-linear-system"](config).passed
+    monkeypatch.setattr(fa, "_cp3_jets", scope["_cp3_jets"])
+    residuals = CHECK_INDEX["cp3-data:cp3-linear-system"](config).residuals
+    # example 1's rows, then the morphism data's
+    assert min(max(residuals[:6]), max(residuals[6:])) > 0.1

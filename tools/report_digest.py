@@ -8,7 +8,7 @@ checkouts whose totals agree produce the same reports on the grid::
 
     python3 tools/report_digest.py
 
-The last five lines are kept out of the total.  ``morphism <sha256>`` hashes
+The last six lines are kept out of the total.  ``morphism <sha256>`` hashes
 the residual bytes of ``perfbench/workloads.morphism_request(seed)`` for
 seeds 1-40, the library-call pipeline that no suite report covers.
 ``euclid-hm-seeds <sha256>`` hashes the euclid-hm JSON reports at
@@ -23,6 +23,9 @@ through the stacked exponential than the grid does.
 ``sigma-plus-algebra-seeds <sha256>`` hashes the sigma-plus-algebra JSON
 reports at ``--points 10`` for seeds 1-500, which put far more structures
 of each k through the stacked structure functions than the grid does.
+``cp3-data-seeds <sha256>`` hashes the cp3-data JSON reports at
+``--points 10`` for seeds 1-500, which put far more points through the
+batched CP^3 coordinates than the grid does.
 
 It imports ``twistorkit`` from the ``src`` directory next to ``tools``, and
 the workloads module from ``perfbench`` beside it.
@@ -52,6 +55,7 @@ EUCLID_SEEDS = range(1, 1101)
 LIFTS_SEEDS = range(1, 301)
 FLAT_SEEDS = range(1, 201)
 SIGMA_SEEDS = range(1, 501)
+CP3_SEEDS = range(1, 501)
 
 
 def report_line(suite, seed, points, fmt):
@@ -108,3 +112,4 @@ if __name__ == "__main__":
     print(f"lifts-r4-seeds {seeds_digest('lifts-r4', LIFTS_SEEDS)}")
     print(f"flat-connection-seeds {seeds_digest('flat-connection', FLAT_SEEDS)}")
     print(f"sigma-plus-algebra-seeds {seeds_digest('sigma-plus-algebra', SIGMA_SEEDS)}")
+    print(f"cp3-data-seeds {seeds_digest('cp3-data', CP3_SEEDS)}")
