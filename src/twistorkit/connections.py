@@ -325,8 +325,8 @@ def path_independence_defect(form, path_a, path_b, steps):
     B's ``det_log`` is left untouched."""
     A = path_a if isinstance(path_a, GroupPath) else GroupPath(path_a, steps)
     B = path_b if isinstance(path_b, GroupPath) else GroupPath(path_b, steps)
-    if (np.linalg.norm(A.start - B.start) > 1e-12
-            or np.linalg.norm(A.end - B.end) > 1e-12):
+    if not (np.linalg.norm(A.start - B.start) <= 1e-12
+            and np.linalg.norm(A.end - B.end) <= 1e-12):  # NaN fails
         raise PathError("paths do not share endpoints")
     (sa, ea), (sb, eb) = _segments(A, steps), _segments(B, steps)
     vals = form.values_at(np.concatenate([(sa + ea) / 2, (sb + eb) / 2]))

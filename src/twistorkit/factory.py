@@ -110,9 +110,11 @@ def _min_sv(D):
 @dataclass
 class NewtonRecord:
     """Residual norm of each Newton iterate: a flat list for one point, one
-    list per row for a batch of points."""
+    list per row for a batch of points.  At one point ``jets`` is the last
+    iterate's order-1 jets of h, those at the preimage returned."""
 
     residuals: list = field(default_factory=list)
+    jets: object = None
 
     @property
     def converged(self):
@@ -129,10 +131,12 @@ def invert_h(data, target_q, seed_point, record=None):
     row is solved as on its own, bitwise, with h evaluated once per
     iteration at all rows still moving.  A row stops once its residual has
     met the 1e-12 target and it has taken one more step.  Raises
-    :class:`SingularJacobianError` when a Jacobian degenerates along the way
-    and :class:`NewtonDivergenceError` when 50 iterations do not reach the
-    target, naming the row for a batch; per-iteration residuals land in
-    ``record`` so that quadratic convergence can be audited.
+    :class:`JetError` at a non-finite target or seed,
+    :class:`SingularJacobianError` when the Jacobian is not finite or
+    singular at an iterate and :class:`NewtonDivergenceError` when 50
+    iterations do not reach the target, naming the row for a batch;
+    per-iteration residuals land in ``record`` so that quadratic
+    convergence can be audited.
     """
     K = 2 * data.k
     target = _as_real_point(target_q, K)
@@ -148,6 +152,9 @@ def invert_h(data, target_q, seed_point, record=None):
     if not one:
         target, y = target.reshape(-1, K), y.reshape(-1, K)
     out = y.reshape(-1, K).copy()
+    if not (np.isfinite(target).all() and np.isfinite(y).all()):
+        _raise_first(JetError, [(~np.isfinite(target).all(axis=-1), "the target is not finite"),
+                                (~np.isfinite(y).all(axis=-1), "the seed is not finite")])
     rec = record if record is not None else NewtonRecord()
     if one:
         logs = [rec.residuals]
@@ -170,6 +177,7 @@ def invert_h(data, target_q, seed_point, record=None):
             logs[r].append(res[i])
             if res[i] <= NEWTON_TARGET and polished[i]:
                 out[r] = y.reshape(-1, K)[i]
+                rec.jets = jets if one else None
             else:
                 moving.append(i)
         polished = [res[i] <= NEWTON_TARGET for i in moving]  # one extra step past the target
@@ -180,6 +188,10 @@ def invert_h(data, target_q, seed_point, record=None):
             live, keep = [live[i] for i in moving], moving
             y, target, diff = y[keep], target[keep], diff[keep]
         D = gradient(jets).real[keep]
+        if not np.isfinite(D).all():  # before LAPACK, which fails on NaN and complains on inf
+            bad = ~np.isfinite(D).all(axis=(-2, -1)).reshape(-1)
+            raise SingularJacobianError(
+                f"{_row(one, live[np.argmax(bad)])}Jacobian is not finite at iterate")
         sv = np.linalg.svd(D, compute_uv=False)
         for r, lo, hi in zip(live, sv[..., -1].reshape(-1).tolist(),
                              sv[..., 0].reshape(-1).tolist()):
@@ -216,21 +228,24 @@ def morphism_as_map(data, seed_fn=None):
     ``seed_fn`` maps a point to the Newton start and must be a function of
     the point, as the :class:`SmoothMap` contract asks: the map keeps the
     preimage of the last point it solved for and reuses it when the same
-    point is asked for again at another order.
+    point is asked for again at another order, and at one point an order-1
+    request reuses the jets of h that the Newton solve ended with.
     """
     K = 2 * data.k
-    kept = [None, None]  # (bytes, shape) of the last point solved, its preimage
+    kept = [None, None, None]  # (bytes, shape) of the last point solved, preimage, record
 
     def evaluator(point, order):
         key = (point.tobytes(), point.shape)
         if kept[0] != key:
             seed = seed_fn(point) if seed_fn is not None else np.zeros(K)
-            kept[:] = [key, invert_h(data, point, seed)]
-        y = kept[1]
+            rec = NewtonRecord()
+            kept[:] = [key, invert_h(data, point, seed, rec), rec]
+        _, y, rec = kept
         if order == 0:
             # bitwise the series inverse's constant term plus y
             return JetSpace(point, 0).const(y[..., : 2 * data.n])
-        return invert_jet_map(data.h.jets(y, order))[: 2 * data.n] + y[..., : 2 * data.n]
+        jets = rec.jets if order == 1 and rec.jets is not None else data.h.jets(y, order)
+        return invert_jet_map(jets)[: 2 * data.n] + y[..., : 2 * data.n]
 
     return SmoothMap(K, 2 * data.n, evaluator)
 
@@ -291,7 +306,8 @@ def _cp3_jets(data, pt, order):
     x3 = 1 + g * cg + d * cd - w * (cg * a + cd * b)
     x4 = w * (1 + a * ca + b * cb) - (ca * g + cb * d)
     x = values([x1, x2, x3, x4])
-    _raise_first(JetError, [(np.max(_modulus(x), axis=-1) < 1e-14,
+    _raise_first(JetError, [(~np.isfinite(x).all(axis=-1), "homogeneous coordinates not finite"),
+                            (np.max(_modulus(x), axis=-1) < 1e-14,
                              "degenerate data: all homogeneous coordinates vanish")])
     return fields, (x1, x2, x3, x4), x
 

@@ -57,6 +57,7 @@ class _Table:
         self._prefix = np.searchsorted(self.degrees, np.arange(order + 2))
         self.zeros = np.zeros(self.size, dtype=complex)
         self.zeros.flags.writeable = False
+        self.eye = np.eye(nvars)
         self._mul = None
         self._partial = {}
         self._compose = None
@@ -389,11 +390,13 @@ class Jet:
         at the constant terms c: a[k] = f^(k)(c)/k!, one value per row and
         entry.  The coefficient functions are array code that gives each
         entry the bits of the same code on that entry alone as a numpy
-        scalar, so a batch expands like its rows; their powers are
-        ``np.power``, as the array ``**`` takes k = 2 as ``np.square``,
-        whose bits differ
+        scalar, so a batch expands like its rows; a batch's powers are
+        ``np.power``, as the array ``**`` takes k = 2 as ``np.square``, whose
+        bits differ, and one point's the numpy scalar's ``**``, bitwise
+        ``np.power`` without a ufunc call
         (test_batched_series_partials_and_truncation_match_rows_bitwise,
-        test_batched_reciprocal_matches_rows_where_power_and_square_differ)."""
+        test_batched_reciprocal_matches_rows_where_power_and_square_differ,
+        test_one_point_series_powers_match_np_power_bitwise)."""
         c = self.value
         if not c.size:  # an empty batch: no row to expand
             return self._like(np.zeros_like(self.coef))
@@ -412,7 +415,8 @@ class Jet:
     def reciprocal(self):
         def coefficients(c):
             _require_nonzero(c, "division")
-            return [(-1) ** k / np.power(c, k + 1) for k in range(self.order + 1)]
+            pw = np.power if c.ndim else operator.pow
+            return [(-1) ** k / pw(c, k + 1) for k in range(self.order + 1)]
 
         return self._series(coefficients)
 
@@ -436,9 +440,9 @@ class Jet:
     def log(self):
         def coefficients(c):
             _require_nonzero(c, "log")
-            a = [np.log(c)]
+            a, pw = [np.log(c)], np.power if c.ndim else operator.pow
             for k in range(1, self.order + 1):
-                a.append((-1) ** (k + 1) / (k * np.power(c, k)))
+                a.append((-1) ** (k + 1) / (k * pw(c, k)))
             return a
 
         return self._series(coefficients)
@@ -466,8 +470,9 @@ class Jet:
 
 def _require_nonzero(c, what):
     """Raise JetError at a zero constant term, naming the first such entry
-    of an array of them."""
-    _raise_first(JetError, [(c == 0, f"jet {what} requires a nonzero constant term")])
+    of an array of them; one point's plain test skips the array calls."""
+    if c.ndim or c == 0:
+        _raise_first(JetError, [(c == 0, f"jet {what} requires a nonzero constant term")])
 
 
 def _mul_rows(t, a, b):
@@ -510,12 +515,25 @@ class JetSpace:
         the batch axes (none at one point) and the rest the component shape."""
         return Jet.constant(value, self.nvars, self.order, self.base)
 
+    def _var_coefs(self):
+        """The table, and the variables' coefficients as one (nvars, *batch, size) array."""
+        t = _table(self.nvars, self.order)
+        c = np.zeros((self.nvars,) + self.base.shape[:-1] + (t.size,), dtype=complex)
+        c[..., 0] = self.base.T
+        if self.order >= 1:  # e_i of every row, see gradient
+            c[..., self.nvars:0:-1] = t.eye if c.ndim == 2 else t.eye[:, None]
+        return t, c
+
     def vars(self):
-        return [self.var(i) for i in range(self.nvars)]
+        t, c = self._var_coefs()
+        return [Jet(t, self.base, x) for x in c]
 
     def complex_vars(self):
         """z_j = x_{2j} + i x_{2j+1}; requires an even number of variables."""
-        return _complex_pairs(self.vars())
+        if self.nvars % 2:
+            raise JetError(f"complex pairing needs an even number of entries, got {self.nvars}")
+        t, c = self._var_coefs()
+        return [Jet(t, self.base, z) for z in c[0::2] + c[1::2] * 1j]
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +596,11 @@ def _real_split(ws):
     """Real and imaginary parts of a complex jet or of a sequence of them,
     interleaved in one vector jet, as :func:`_complex_pairs` pairs them."""
     w = stack([ws] if isinstance(ws, Jet) and not ws.shape else ws)
-    parts = np.empty(w.coef.shape[:-1] + (2, w.table.size), dtype=complex)
-    parts[..., 0, :], parts[..., 1, :] = w.real.coef, w.imag.coef
-    return w._like(parts.reshape(w.coef.shape[:-2] + (2 * w.coef.shape[-2], w.table.size)))
+    c, cc = w.coef, np.conj(w.coef)
+    parts = np.empty(c.shape[:-1] + (2, w.table.size), dtype=complex)
+    # the operations of Jet.real and Jet.imag
+    parts[..., 0, :], parts[..., 1, :] = (c + cc) * complex(0.5), (c - cc) * complex(-0.5j)
+    return w._like(parts.reshape(c.shape[:-2] + (2 * c.shape[-2], w.table.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +914,8 @@ def invert_jet_map(F):
     order = F.order
     Ainv = _inverse_linear_part(gradient(F))
     space = JetSpace(values(F).real, order)
-    w = stack(space.vars()) - space.base
+    t, c = space._var_coefs()
+    w = Jet(t, space.base, c.swapaxes(0, -2)) - space.base
     # shifted forward map: components of F(y0 + u) - F(y0) as series in u
     Fs = F._like(F.coef.copy())
     Fs.coef[..., 0] = 0.0

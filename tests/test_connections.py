@@ -582,6 +582,17 @@ def test_path_independence_needs_both_endpoints_shared():
         assert path.det_log == [] and path.element is None
 
 
+def test_path_independence_rejects_endpoints_made_nan_after_construction():
+    form = maurer_cartan_form(random_skew(4), random_skew(4))
+    sq1, sq2 = [[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 1]]
+    for row in (0, -1):
+        pa, pb = GroupPath(sq1, 10), GroupPath(sq2, 10)
+        pa.waypoints[row, 1] = np.nan  # GroupPath checked its waypoints when built
+        with pytest.raises(PathError, match="paths do not share endpoints"):
+            path_independence_defect(form, pa, pb, None)
+        assert pa.det_log == [] and pa.element is None
+
+
 def test_second_order_convergence():
     A, B = random_skew(4), random_skew(4)
     form = maurer_cartan_form(A, B)

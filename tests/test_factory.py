@@ -32,6 +32,7 @@ from twistorkit.jets import (
     gradient,
     invert_jet_map,
     real_to_complex_point,
+    stack,
     values,
 )
 
@@ -240,6 +241,27 @@ def test_morphism_certifies_a_point_with_one_newton_solve(monkeypatch):
     # the kept preimage gives the results of a map that solves afresh
     assert np.array(residuals).tobytes() == np.array(fresh[0]).tobytes()
     assert value.tobytes() == fresh[1].tobytes()
+
+
+def test_morphism_residual_reuses_the_newton_solves_last_order_1_jets():
+    data = euclid_r6_data()
+    q = _admissible_targets(1, seed=6)[0]
+    rec = NewtonRecord()
+    y = invert_h(data, q, analytic_seed(q), record=rec)
+    calls = []
+    evaluator = data.h.evaluator
+    data.h.evaluator = lambda point, order: (calls.append((point.tobytes(), order))
+                                             or evaluator(point, order))
+    phi = morphism_as_map(data, seed_fn=analytic_seed)
+    harmonic_morphism_residual(phi, q)
+    # the solve's iterations, then the Laplacian's order-2 jets at the
+    # preimage; the Jacobian of the HWC residual makes no second order-1 call
+    assert [order for _, order in calls] == [1] * len(rec.residuals) + [2]
+    assert [order for point, order in calls if point == y.tobytes()] == [1, 2]
+    # and the reused jets give the bits of a fresh evaluation at the preimage
+    fresh = invert_jet_map(SmoothMap(6, 6, evaluator).jets(y, 1))[:2] + y[:2]
+    assert phi.jacobian(q).tobytes() == gradient(fresh).real.tobytes()
+    assert len(calls) == len(rec.residuals) + 1
 
 
 def test_morphism_keeps_the_preimage_of_the_last_point_only(monkeypatch):
@@ -531,6 +553,50 @@ def test_nan_data_gives_nan_validation_residuals():
     cp3 = cp3_example1_data()
     cp3.delta = lambda zs: zs[2] * zs[2] * nan + zs[1]
     assert np.isnan(cp3_constraints_residual(cp3, np.full(6, 0.25)))
+
+
+def test_invert_h_rejects_non_finite_input_naming_the_row():
+    data = euclid_r6_data()
+    targets, starts = _newton_batch(data, 9, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        t, s = targets.copy(), starts.copy()
+        t[1, 2], s[2, 0] = bad, bad
+        with pytest.raises(JetError, match="^row 1: the target is not finite$"):
+            invert_h(data, t, starts)
+        with pytest.raises(JetError, match="^the target is not finite$"):
+            evaluate_morphism(data, t[1], starts[1])
+        with pytest.raises(JetError, match="^row 2: the seed is not finite$"):
+            invert_h(data, targets, s)
+        with pytest.raises(JetError, match="^the seed is not finite$"):
+            invert_h(data, targets[2], s[2])
+    # h's jets are not finite where Re z > 5: row 1 starts there
+    evaluator = data.h.evaluator
+    starts[1, 0] = 9.0
+    for bad in (np.nan, np.inf):
+        def poisoned(point, order, bad=bad):
+            out = stack(evaluator(point, order))
+            out.coef[point[..., 0] > 5] = bad
+            return out
+
+        data.h = SmoothMap(6, 6, poisoned)
+        message = "Jacobian is not finite at iterate$"
+        with pytest.raises(SingularJacobianError, match=f"^row 1: {message}"):
+            invert_h(data, targets, starts)
+        with pytest.raises(SingularJacobianError, match=f"^{message}"):
+            invert_h(data, targets[1], starts[1])
+
+
+@np.errstate(invalid="ignore")  # inf * 0 in the jets of an infinite point
+def test_cp3_point_rejects_non_finite_coordinates_naming_the_row():
+    data = cp3_example1_data()
+    for bad in (np.nan, np.inf, -np.inf):
+        P = np.full((3, 6), 0.25)
+        P[2, 4] = bad
+        with pytest.raises(JetError, match="^row 2: homogeneous coordinates not finite$"):
+            cp3_point(data, P)
+        with pytest.raises(JetError, match="^homogeneous coordinates not finite$"):
+            cp3_local_diffeo_check(data, P[2])
+        assert cp3_point(data, P[:2]).tobytes() == cp3_point(data, np.full((2, 6), 0.25)).tobytes()
 
 
 def _one_point_newton_log(data, target, y):

@@ -335,6 +335,69 @@ def test_holomorphic_maps_are_pluriconformal(rng):
         assert abs(bilinear_dot(v, v)) <= 1e-12
 
 
+def _variables_one_at_a_time(space):
+    """The variables and their complex pairs as built before one array held
+    them: one ``Jet.variable`` each, paired as ``x + 1j * y``."""
+    xs = [Jet.variable(i, space.nvars, space.order, space.base) for i in range(space.nvars)]
+    return xs, [x + 1j * y for x, y in zip(xs[0::2], xs[1::2])]
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (1,), (5,)])
+def test_variables_from_one_array_match_one_variable_at_a_time_bitwise(nvars, order, batch):
+    rng = np.random.default_rng(10 * nvars + order)
+    base = rng.uniform(-1, 1, batch + (nvars,))
+    base.reshape(-1)[::3] = -0.0
+    space = JetSpace(base, order)
+    want_x, want_z = _variables_one_at_a_time(space)
+    for got, want in ((space.vars(), want_x), (space.complex_vars(), want_z)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.table is w.table and g.base is space.base
+            assert g.coef.shape == w.coef.shape and _bits(g.coef) == _bits(w.coef)
+    with pytest.raises(JetError, match="even number of entries, got 3"):
+        JetSpace(np.zeros(batch + (3,)), order).complex_vars()
+
+
+SERIES_CONSTANTS = [0.7 - 0.3j, -1.3 + 2.1j, -0.0 + 2.0j, 1e-300 + 0j, 3e-170 - 2e-170j,
+                    1e300 + 0j, 1e154 + 1e154j, complex(np.inf, 0.0), complex(np.nan, 1.0),
+                    complex(1.0, -np.inf)]
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_one_point_series_powers_match_np_power_bitwise(order):
+    # one point takes the numpy scalar's ``**``, a batch ``np.power``; a batch
+    # of one is the one-point jet's expansion through np.power
+    t = _table(2, order)
+    for c in map(np.complex128, SERIES_CONSTANTS):
+        coef = np.linspace(0.25, 1.0, t.size) * (1 - 0.5j)
+        coef[0] = c
+        one = Jet(t, np.array([0.1, -0.2]), coef)
+        batch = Jet(t, one.base[None], coef[None])
+        with np.errstate(all="ignore"):
+            for k in range(1, order + 2):
+                assert _bits(c ** k) == _bits(np.power(c, k))
+            for op in ("reciprocal", "log"):
+                assert _bits(getattr(one, op)().coef) == _bits(getattr(batch, op)().coef[0])
+
+
+@np.errstate(invalid="ignore")  # inf - inf in the infinite entries
+def test_real_split_is_each_entrys_real_and_imaginary_part_bitwise(rng):
+    for batch, order in (((), 2), ((4,), 3)):
+        t = _table(3, order)
+        coef = rng.normal(size=batch + (2, t.size)) + 1j * rng.normal(size=batch + (2, t.size))
+        coef.reshape(-1)[::5] = complex(-0.0, -0.0)
+        coef.reshape(-1)[1::7] = complex(np.inf, np.nan)
+        w = Jet(t, rng.uniform(-1, 1, batch + (3,)), coef)
+        # (re w0, im w0, re w1, im w1) from the whole vector's real and imag
+        want = stack([w.real, w.imag]).coef.swapaxes(-3, -2).reshape(batch + (4, t.size))
+        for ws in (w, list(w)):
+            got = jets._real_split(ws).coef
+            assert got.shape == want.shape and _bits(got) == _bits(want)
+        assert _bits(jets._real_split(w[1]).coef) == _bits(stack([w[1].real, w[1].imag]).coef)
+
+
 # ---------------------------------------------------------------------------
 # read-off of values and first derivatives
 
