@@ -152,10 +152,11 @@ def invert_h(data, target_q, seed_point, record=None):
     if not one:
         target, y = target.reshape(-1, K), y.reshape(-1, K)
     out = y.reshape(-1, K).copy()
+    rec = record if record is not None else NewtonRecord()
+    rec.jets = None  # a reused record keeps no jets of an earlier solve
     if not (np.isfinite(target).all() and np.isfinite(y).all()):
         _raise_first(JetError, [(~np.isfinite(target).all(axis=-1), "the target is not finite"),
                                 (~np.isfinite(y).all(axis=-1), "the seed is not finite")])
-    rec = record if record is not None else NewtonRecord()
     if one:
         logs = [rec.residuals]
     else:
@@ -177,7 +178,8 @@ def invert_h(data, target_q, seed_point, record=None):
             logs[r].append(res[i])
             if res[i] <= NEWTON_TARGET and polished[i]:
                 out[r] = y.reshape(-1, K)[i]
-                rec.jets = jets if one else None
+                if one:
+                    rec.jets = jets
             else:
                 moving.append(i)
         polished = [res[i] <= NEWTON_TARGET for i in moving]  # one extra step past the target

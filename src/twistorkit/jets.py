@@ -390,13 +390,11 @@ class Jet:
         at the constant terms c: a[k] = f^(k)(c)/k!, one value per row and
         entry.  The coefficient functions are array code that gives each
         entry the bits of the same code on that entry alone as a numpy
-        scalar, so a batch expands like its rows; a batch's powers are
-        ``np.power``, as the array ``**`` takes k = 2 as ``np.square``, whose
-        bits differ, and one point's the numpy scalar's ``**``, bitwise
-        ``np.power`` without a ufunc call
+        scalar, so a batch expands like its rows; their powers are
+        ``np.power``, as the array ``**`` takes k = 2 as ``np.square``,
+        whose bits differ
         (test_batched_series_partials_and_truncation_match_rows_bitwise,
-        test_batched_reciprocal_matches_rows_where_power_and_square_differ,
-        test_one_point_series_powers_match_np_power_bitwise)."""
+        test_batched_reciprocal_matches_rows_where_power_and_square_differ)."""
         c = self.value
         if not c.size:  # an empty batch: no row to expand
             return self._like(np.zeros_like(self.coef))
@@ -415,8 +413,7 @@ class Jet:
     def reciprocal(self):
         def coefficients(c):
             _require_nonzero(c, "division")
-            pw = np.power if c.ndim else operator.pow
-            return [(-1) ** k / pw(c, k + 1) for k in range(self.order + 1)]
+            return [(-1) ** k / np.power(c, k + 1) for k in range(self.order + 1)]
 
         return self._series(coefficients)
 
@@ -440,9 +437,9 @@ class Jet:
     def log(self):
         def coefficients(c):
             _require_nonzero(c, "log")
-            a, pw = [np.log(c)], np.power if c.ndim else operator.pow
+            a = [np.log(c)]
             for k in range(1, self.order + 1):
-                a.append((-1) ** (k + 1) / (k * pw(c, k)))
+                a.append((-1) ** (k + 1) / (k * np.power(c, k)))
             return a
 
         return self._series(coefficients)
@@ -470,9 +467,8 @@ class Jet:
 
 def _require_nonzero(c, what):
     """Raise JetError at a zero constant term, naming the first such entry
-    of an array of them; one point's plain test skips the array calls."""
-    if c.ndim or c == 0:
-        _raise_first(JetError, [(c == 0, f"jet {what} requires a nonzero constant term")])
+    of an array of them."""
+    _raise_first(JetError, [(c == 0, f"jet {what} requires a nonzero constant term")])
 
 
 def _mul_rows(t, a, b):
@@ -528,12 +524,11 @@ class JetSpace:
         t, c = self._var_coefs()
         return [Jet(t, self.base, x) for x in c]
 
-    def complex_vars(self):
-        """z_j = x_{2j} + i x_{2j+1}; requires an even number of variables."""
-        if self.nvars % 2:
-            raise JetError(f"complex pairing needs an even number of entries, got {self.nvars}")
+    def complex_vars(self, real=0):
+        """The first ``real`` variables as they are, then z_j = x_{2j} + i x_{2j+1}
+        of the rest; requires an even number of the rest."""
         t, c = self._var_coefs()
-        return [Jet(t, self.base, z) for z in c[0::2] + c[1::2] * 1j]
+        return [Jet(t, self.base, x) for x in (*c[:real], *_complex_pairs(c[real:]))]
 
 
 # ---------------------------------------------------------------------------
@@ -582,25 +577,24 @@ def complex_view(vec):
 
 def _complex_pairs(xs):
     """The pairing of :func:`complex_view` for a vector jet of real
-    components, one vector jet of complex ones, or for a list of scalar jets
-    (the variables a map's function receives), a list."""
+    components, one vector jet of complex ones, or for the (nvars, *batch,
+    size) coefficients of variables, theirs; both give the bits of
+    ``x + 1j * y`` of scalar jets."""
     if len(xs) % 2:
         raise JetError(f"complex pairing needs an even number of entries, got {len(xs)}")
-    if isinstance(xs, Jet):  # x + 1j * y as the list does it, on coefficients
+    if isinstance(xs, Jet):
         c = xs.coef.reshape(xs.coef.shape[:-2] + (len(xs) // 2, 2, xs.table.size))
         return xs._like(c[..., 0, :] + c[..., 1, :] * 1j)
-    return [x + 1j * y for x, y in zip(xs[0::2], xs[1::2])]
+    return xs[0::2] + xs[1::2] * 1j
 
 
 def _real_split(ws):
     """Real and imaginary parts of a complex jet or of a sequence of them,
     interleaved in one vector jet, as :func:`_complex_pairs` pairs them."""
     w = stack([ws] if isinstance(ws, Jet) and not ws.shape else ws)
-    c, cc = w.coef, np.conj(w.coef)
-    parts = np.empty(c.shape[:-1] + (2, w.table.size), dtype=complex)
-    # the operations of Jet.real and Jet.imag
-    parts[..., 0, :], parts[..., 1, :] = (c + cc) * complex(0.5), (c - cc) * complex(-0.5j)
-    return w._like(parts.reshape(c.shape[:-2] + (2 * c.shape[-2], w.table.size)))
+    parts = np.empty(w.coef.shape[:-1] + (2, w.table.size), dtype=complex)
+    parts[..., 0, :], parts[..., 1, :] = w.real.coef, w.imag.coef
+    return w._like(parts.reshape(w.coef.shape[:-2] + (2 * w.coef.shape[-2], w.table.size)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .jets import (
     JetError,
     JetSpace,
     SmoothMap,
-    _complex_pairs,
     _laplace_trace,
     _real_split,
     gradient,
@@ -45,8 +44,7 @@ def complex_family(m, n, fn):
     handed over as a real jet."""
 
     def evaluator(point, order):
-        t, *xs = JetSpace(point, order).vars()
-        return _real_split(fn(t, *_complex_pairs(xs)))
+        return _real_split(fn(*JetSpace(point, order).complex_vars(real=1)))
 
     return SmoothMap(1 + 2 * m, 2 * n, evaluator)
 

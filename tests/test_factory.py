@@ -264,6 +264,22 @@ def test_morphism_residual_reuses_the_newton_solves_last_order_1_jets():
     assert len(calls) == len(rec.residuals) + 1
 
 
+def test_a_reused_newton_record_keeps_no_jets_of_an_earlier_solve():
+    data = euclid_r6_data()
+    targets, starts = _newton_batch(data, 7, 3)
+    rec = NewtonRecord()
+    y = invert_h(data, targets[0], starts[0], record=rec)
+    assert values(rec.jets).real.tobytes() == values(data.h.jets(y, 1)).real.tobytes()
+    invert_h(data, targets, starts, record=rec)  # a batch leaves none
+    assert rec.jets is None
+    invert_h(data, targets[0], starts[0], record=rec)
+    bad = targets[0].copy()
+    bad[0] = np.nan
+    with pytest.raises(JetError, match="the target is not finite"):
+        invert_h(data, bad, starts[0], record=rec)
+    assert rec.jets is None
+
+
 def test_morphism_keeps_the_preimage_of_the_last_point_only(monkeypatch):
     data = euclid_r6_data()
     qa, qb = _admissible_targets(2, seed=5)

@@ -358,6 +358,13 @@ def test_variables_from_one_array_match_one_variable_at_a_time_bitwise(nvars, or
             assert g.coef.shape == w.coef.shape and _bits(g.coef) == _bits(w.coef)
     with pytest.raises(JetError, match="even number of entries, got 3"):
         JetSpace(np.zeros(batch + (3,)), order).complex_vars()
+    # the first variable as it is and the rest paired, as complex_family takes t
+    space = JetSpace(np.concatenate([base[..., :1], base], axis=-1), order)
+    t, *xs = _variables_one_at_a_time(space)[0]
+    want = [t] + [x + 1j * y for x, y in zip(xs[0::2], xs[1::2])]
+    got = space.complex_vars(real=1)
+    assert [g.coef.shape for g in got] == [w.coef.shape for w in want]
+    assert [_bits(g.coef) for g in got] == [_bits(w.coef) for w in want]
 
 
 SERIES_CONSTANTS = [0.7 - 0.3j, -1.3 + 2.1j, -0.0 + 2.0j, 1e-300 + 0j, 3e-170 - 2e-170j,
@@ -367,8 +374,8 @@ SERIES_CONSTANTS = [0.7 - 0.3j, -1.3 + 2.1j, -0.0 + 2.0j, 1e-300 + 0j, 3e-170 - 
 
 @pytest.mark.parametrize("order", range(7))
 def test_one_point_series_powers_match_np_power_bitwise(order):
-    # one point takes the numpy scalar's ``**``, a batch ``np.power``; a batch
-    # of one is the one-point jet's expansion through np.power
+    # the numpy scalar's ``**`` equals ``np.power`` bitwise, and a one-point
+    # jet expands as a batch of one does
     t = _table(2, order)
     for c in map(np.complex128, SERIES_CONSTANTS):
         coef = np.linspace(0.25, 1.0, t.size) * (1 - 0.5j)
