@@ -204,8 +204,8 @@ def holomorphy_residual(phi, J_dom, J_tgt, x0):
     """|dphi J_dom - J_tgt dphi| (Frobenius); 0 iff (J_dom, J_tgt)-holomorphic.
 
     Each structure is a structure or its matrix.  At an (N, domain_dim)
-    array of points J_tgt may also give one matrix per row, as an (N, n, n)
-    array or a list of N matrices.
+    array of points J_tgt may also give one matrix per row, as a structure
+    of an (N, n, n) stack or the stack itself.
     """
     D = phi.jacobian(x0)
     A = np.asarray(getattr(J_dom, "matrix", J_dom), dtype=float)

@@ -374,7 +374,7 @@ def maurer_cartan_form(A, B):
     k = A.shape[0]
 
     def components(space):
-        x1, x2 = space.var(0), space.var(1)
+        x1, x2 = space.vars()
         e1, e1m = _jet_expm(A, x1, space)
         e2, e2m = _jet_expm(B, x2, space)
         Aj, Bj = (space.const(np.broadcast_to(M, space.base.shape[:-1] + M.shape))

@@ -99,12 +99,16 @@ def verify_chart_holomorphy(data, pt):
 
 def jacobian_min_sv(h, pt):
     """Smallest singular value of the full real Jacobian of h at a point;
-    positive iff h is a local diffeomorphism there."""
+    positive iff h is a local diffeomorphism there, NaN where the Jacobian
+    is not finite."""
     return _min_sv(h.jacobian(pt))
 
 
 def _min_sv(D):
-    return _per_point(np.linalg.svd(D, compute_uv=False)[..., -1])
+    # a NaN or inf can make the whole SVD raise: such Jacobians are zeroed
+    finite = np.isfinite(D).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], D, 0.0), compute_uv=False)
+    return _per_point(np.where(finite, s[..., -1], np.nan))
 
 
 @dataclass
@@ -300,7 +304,7 @@ def cp3_constraints_residual(data, pt):
 def _cp3_jets(data, pt, order):
     """The fields (a, b, g, d, w, u, v) and the coordinates (x1, x2, x3, x4)
     as jets of the given order, at a point or an (N, 2 nvars) array, and the
-    values of x1-x4; raises where all four vanish."""
+    values of x1-x4; raises where one is not finite (finite ones never all vanish)."""
     a, b, g, d, w, u, v = fields = data.fields(pt, order)
     ca, cb, cg, cd = a.conj(), b.conj(), g.conj(), d.conj()
     x1 = cg * (cb * d - b * cb * w - w) + ca * (cd * b * w - d * cd - 1)
@@ -308,9 +312,7 @@ def _cp3_jets(data, pt, order):
     x3 = 1 + g * cg + d * cd - w * (cg * a + cd * b)
     x4 = w * (1 + a * ca + b * cb) - (ca * g + cb * d)
     x = values([x1, x2, x3, x4])
-    _raise_first(JetError, [(~np.isfinite(x).all(axis=-1), "homogeneous coordinates not finite"),
-                            (np.max(_modulus(x), axis=-1) < 1e-14,
-                             "degenerate data: all homogeneous coordinates vanish")])
+    _raise_first(JetError, [(~np.isfinite(x).all(axis=-1), "homogeneous coordinates not finite")])
     return fields, (x1, x2, x3, x4), x
 
 

@@ -172,15 +172,6 @@ class Jet:
         c[..., 0] = value
         return Jet(t, base, c)
 
-    @staticmethod
-    def variable(i, nvars, order, base):
-        t = _table(nvars, order)
-        c = np.zeros(base.shape[:-1] + (t.size,), dtype=complex)
-        c[..., 0] = base[..., i]
-        if order >= 1:
-            c[..., nvars - i] = 1.0  # e_i of every row, see gradient
-        return Jet(t, base, c)
-
     # -- metadata ------------------------------------------------------
     @property
     def nvars(self):
@@ -504,7 +495,7 @@ class JetSpace:
         self.order = int(order)
 
     def var(self, i):
-        return Jet.variable(i, self.nvars, self.order, self.base)
+        return self.vars()[i]
 
     def const(self, value):
         """The constant jet of a number, or of an array whose leading axes are
@@ -878,23 +869,21 @@ def _matvec_rows(A, X):
     return acc
 
 
-def _inverse_linear_part(A):
-    """np.linalg.inv of the Jacobian A, or of each of an (N, K, K) stack, with
-    a JetError that names the first singular row instead of numpy's bare
-    LinAlgError."""
+def _inverse_linear_part(F):
+    """np.linalg.inv of the Jacobian of the vector jet F, or of each row's; a
+    JetError names the first row whose value or Jacobian is not finite, else
+    the first singular one (a zero LU pivot, as ``inv`` and ``slogdet`` find)."""
+    finite = np.isfinite(F.coef[..., :F.nvars + 1]).reshape(F.base.shape[:-1] + (-1,))
+    _raise_first(JetError, [(~finite.all(axis=-1),
+                             "jet map inversion requires a finite value and linear part")])
+    A = gradient(F)
     try:
         return np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        pass
-    row = ""
-    if A.ndim > 2:
-        for r, a in enumerate(A):
-            try:
-                np.linalg.inv(a)
-            except np.linalg.LinAlgError:
-                row = f"row {r}: "
-                break
-    raise JetError(f"{row}jet map inversion requires an invertible linear part")
+        message = "jet map inversion requires an invertible linear part"
+        if A.shape[-1] == A.shape[-2]:  # slogdet, as inv, raises on a non-square A
+            _raise_first(JetError, [(np.linalg.slogdet(A)[0] == 0, message)])
+        raise JetError(message) from None
 
 
 def invert_jet_map(F):
@@ -903,10 +892,12 @@ def invert_jet_map(F):
     F is a vector jet (or a sequence of scalar jets) of K components in K
     variables at y0, at one point or batched.  Returns the vector jet G, in
     variables w = F(y) - F(y0) at base point F(y0), that represents y - y0.
+    A row whose value or Jacobian is not finite, or whose Jacobian is
+    singular, raises JetError naming it.
     """
     F = stack(F)
     order = F.order
-    Ainv = _inverse_linear_part(gradient(F))
+    Ainv = _inverse_linear_part(F)
     space = JetSpace(values(F).real, order)
     t, c = space._var_coefs()
     w = Jet(t, space.base, c.swapaxes(0, -2)) - space.base

@@ -60,14 +60,10 @@ class TwistorLift:
         return memo[1].truncated(order)
 
     def structure(self, point):
-        """The structure at a point, or a list of them, one per row of an
-        (N, dim) array of points.  A batch is validated as one stack, whose
-        error names the first matrix that fails."""
-        J = values(self.structure_jets(point, 0)).real
-        checked = HermitianStructure(J)
-        if J.ndim == 2:
-            return checked
-        return [HermitianStructure(row, check=False) for row in J]
+        """The structure at a point, or the (N, 2n, 2n) stack of them at an
+        (N, dim) array of points, validated as one stack whose error names
+        the first matrix that fails."""
+        return HermitianStructure(values(self.structure_jets(point, 0)).real)
 
 
 def strictly_compatible_lift_r4(phi, z0):
@@ -110,10 +106,10 @@ def strictly_compatible_lift_r4(phi, z0):
 def _umbilic(grad0, d1, d2):
     """Whether dz phi and dz^2 phi are dependent at a point, from the
     gradient and both Wirtinger derivatives there, or at each point of a
-    batch of them.  Raises at a branch point, a point where phi is not
-    weakly conformal, or one where no strictly compatible structure exists,
-    checked in that order; a batch raises what its first failing row would
-    raise alone, naming the row."""
+    batch of them.  Raises at a branch point, or where phi is not weakly
+    conformal, dz phi or dz^2 phi is not finite, or no strictly compatible
+    structure exists, checked in that order; a batch raises what its first
+    failing row would raise alone, naming the row."""
     dx0, dy0 = grad0[..., 0].real, grad0[..., 1].real
     xx = _dots(dx0, dx0)
     scale = np.fmax(1.0, xx)  # max(1.0, xx): 1.0 where xx is NaN
@@ -121,27 +117,19 @@ def _umbilic(grad0, d1, d2):
     nonconformal = ~((abs(_dots(dx0, dy0)) <= 1e-6 * scale)
                      & (abs(xx - _dots(dy0, dy0)) <= 1e-6 * scale))
     pairs = np.stack([d1, d2], axis=-2)
-    # A NaN or inf can make the SVD of the whole stack raise, or give NaN
-    # singular values (not umbilic) without raising: such rows are zeroed
-    # out of the stack and read not umbilic
+    # A NaN or inf can make the SVD of the whole stack raise: such rows are
+    # zeroed out of the stack, and fail below
     finite = np.isfinite(pairs).all(axis=(-2, -1))
     s = np.linalg.svd(np.where(finite[..., None, None], pairs, 0.0), compute_uv=False)
-    umbilic = finite & (s[..., -1] <= INDEPENDENCE_SV_RATIO * s[..., 0])
+    umbilic = s[..., -1] <= INDEPENDENCE_SV_RATIO * s[..., 0]
     a = np.abs(d2)
     bound = 1e-6 * np.fmax(1.0, _dots(a, a))
     anisotropic = ~umbilic & ~((_modulus(np.sum(d1 * d2, axis=-1)) <= bound)
                                & (_modulus(np.sum(d2 * d2, axis=-1)) <= bound))
-    bad = np.reshape(branch | nonconformal | anisotropic, -1)
-    end = np.argmax(bad) + 1 if bad.any() else bad.size
-    reach = np.reshape(~finite & ~branch & ~nonconformal, -1)[:end]
-    if reach.any():
-        # the non-finite rows up to the first failing one that reach the SVD:
-        # their stack raises the LinAlgError of the first that raises alone
-        np.linalg.svd(np.reshape(pairs, (-1,) + pairs.shape[-2:])[:end][reach],
-                      compute_uv=False)
     _raise_first(LiftError, [
         (branch, "branch point: dphi vanishes at the base point"),
         (nonconformal, "map is not weakly conformal at the base point"),
+        (~finite, "dz and dz^2 are not finite at the base point"),
         (anisotropic, "dz and dz^2 do not span an isotropic plane: no strictly compatible "
                       "structure contains both (map is not real isotropic through order 2)")])
     return umbilic

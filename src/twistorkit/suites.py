@@ -115,12 +115,8 @@ def _admissible(qc):
 
 def _admissible_r6_points(rng, count):
     """(count, 6) array of points of R^6 whose complex view is admissible."""
-    pts = []
-    while len(pts) < count:
-        q = rng.uniform(-1.0, 1.0, 6)
-        if _admissible(real_to_complex_point(q)):
-            pts.append(q)
-    return np.array(pts)
+    return _admissible_draws(rng, lambda x: x, lambda rng, i: rng.uniform(-1.0, 1.0, 6),
+                             lambda rng, x: x, lambda i, accepted: accepted < count)[1]
 
 
 def _admissible_draws(rng, h, propose, start, more):
@@ -526,7 +522,7 @@ def _(config, rng):
     for phi in (holo, chart):
         L = lf.strictly_compatible_lift_r4(phi, P)
         # L.structure validates each structure of the lift
-        columns.append(holomorphy_residual(phi, J1, [J.matrix for J in L.structure(P)], P))
+        columns.append(holomorphy_residual(phi, J1, L.structure(P), P))
     return _interleave(*columns)
 
 
@@ -558,9 +554,7 @@ def _(config, rng):
     P, X = _stack([(rng.uniform(-0.9, 0.9, 2), rng.normal(size=2))
                    for _ in range(config.points)])
     L = lf.strictly_compatible_lift_r4(chart, P)
-    # L.structure validates each structure of the lift
-    J = st.HermitianStructure([J.matrix for J in L.structure(P)], check=False)
-    return st.mj_residual(lf.vertical_part(L, P, X), J)
+    return st.mj_residual(lf.vertical_part(L, P, X), L.structure(P))
 
 
 @_check("lifts-r4", "umbilic-branch", 1e-10)

@@ -84,6 +84,21 @@ def test_jacobian_min_sv():
     assert jacobian_min_sv(data.h, np.zeros(6)) > 0.1
 
 
+def test_jacobian_min_sv_is_nan_where_the_jacobian_is_not_finite():
+    h = euclid_r6_data().h
+    P = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 6))
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 in the jets
+        for bad in (np.nan, np.inf, -np.inf):
+            got = jacobian_min_sv(h, np.full(6, bad))
+            assert type(got) is float and np.isnan(got)
+            Q = P.copy()
+            Q[2, 3] = bad
+            batch = jacobian_min_sv(h, Q)
+            assert np.isnan(batch[2])
+            rows = [jacobian_min_sv(h, q) for q in Q[[0, 1, 3]]]
+            assert batch[[0, 1, 3]].tobytes() == np.array(rows).tobytes()
+
+
 def test_invert_h_roundtrip_and_convergence_log():
     data = euclid_r6_data()
     for zxi, q, _ in forward_samples(data, 10, np.random.default_rng(1)):

@@ -337,8 +337,17 @@ def test_holomorphic_maps_are_pluriconformal(rng):
 
 def _variables_one_at_a_time(space):
     """The variables and their complex pairs as built before one array held
-    them: one ``Jet.variable`` each, paired as ``x + 1j * y``."""
-    xs = [Jet.variable(i, space.nvars, space.order, space.base) for i in range(space.nvars)]
+    them: one zero coefficient array each, with the base coordinate as the
+    constant term and 1.0 at the unit position nvars - i, paired as
+    ``x + 1j * y``."""
+    t = _table(space.nvars, space.order)
+    xs = []
+    for i in range(space.nvars):
+        c = np.zeros(space.base.shape[:-1] + (t.size,), dtype=complex)
+        c[..., 0] = space.base[..., i]
+        if space.order >= 1:
+            c[..., space.nvars - i] = 1.0
+        xs.append(Jet(t, space.base, c))
     return xs, [x + 1j * y for x, y in zip(xs[0::2], xs[1::2])]
 
 
@@ -351,7 +360,9 @@ def test_variables_from_one_array_match_one_variable_at_a_time_bitwise(nvars, or
     base.reshape(-1)[::3] = -0.0
     space = JetSpace(base, order)
     want_x, want_z = _variables_one_at_a_time(space)
-    for got, want in ((space.vars(), want_x), (space.complex_vars(), want_z)):
+    one_var = [space.var(i) for i in range(space.nvars)]
+    for got, want in ((space.vars(), want_x), (one_var, want_x),
+                      (space.complex_vars(), want_z)):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.table is w.table and g.base is space.base
@@ -973,6 +984,26 @@ def test_invert_jet_map_names_a_singular_linear_part():
     x, y = JetSpace(np.array([[0.5, -0.2], [0.0, 0.3], [0.0, 0.1]]), 2).vars()
     with pytest.raises(JetError, match=f"^row 1: {message}$"):
         invert_jet_map([x * x + y, y])
+    for F in ([x, y, x * y], [x]):                # not K components in K variables
+        with pytest.raises(JetError, match=f"^{message}$"):
+            invert_jet_map(F)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invert_jet_map_names_a_non_finite_base_point(bad):
+    message = "jet map inversion requires a finite value and linear part"
+    phi = SmoothMap.from_real(2, 2, lambda x, y: [x + y * y, y - x * x])
+    with np.errstate(invalid="ignore"):  # inf - inf in the jet products
+        with pytest.raises(JetError, match=f"^{message}$"):
+            invert_jet_map(phi.jets([bad, 0.5], 2))
+        # a singular row after the non-finite one: the non-finite row is named
+        P = np.array([[0.5, -0.2], [0.1, 0.4], [0.5, bad], [0.0, 0.0]])
+        with pytest.raises(JetError, match=f"^row 2: {message}$"):
+            invert_jet_map(phi.jets(P, 2))
+        # a linear part that is not finite at a finite value
+        x, y = JetSpace(np.array([[0.5, -0.2], [0.1, 0.4]]), 1).vars()
+        with pytest.raises(JetError, match=f"^row 1: {message}$"):
+            invert_jet_map([x * np.array([1.0, bad]), y])
 
 
 def _random_vector_batch(rng, rows, comps, nvars, order, zero_share):

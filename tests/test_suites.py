@@ -50,6 +50,7 @@ from twistorkit.suites import (
     SuiteConfig,
     _admissible,
     _admissible_draws,
+    _admissible_r6_points,
     _coeff_param,
     _lift_test_maps,
     _skew,
@@ -475,6 +476,18 @@ def test_admissible_draws_match_the_sequential_loop(rejected, more):
     for column, bits in zip(got, zip(*want)):
         assert column.tobytes() == np.array(bits).tobytes()
     assert not set(got[0].tolist()) & set(rejected)
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, count", [(1, 10), (1, 4), (2, 10), (37, 3), (5, 1)])
+def test_admissible_r6_points_match_the_one_point_draws(seed, count):
+    # seeds 1, 2 and 37 reject the draws 3 and 8, 5, and 2 of this loop
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    first = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 6))
+    assert _admissible(real_to_complex_point(first)).all() == (seed == 5)
+    want = np.array(list(_one_point_draws(rng_a, count)))
+    got = _admissible_r6_points(rng_b, count)
+    assert got.shape == (count, 6) and got.tobytes() == want.tobytes()
     assert rng_b.bit_generator.state == rng_a.bit_generator.state
 
 
