@@ -47,7 +47,7 @@ from .jets import (
     gradient,
     laplacian,
 )
-from .pairings import _modulus, _norms, _per_point, _worst_modulus, bilinear_dot
+from .pairings import _modulus, _norms, _per_point, _svdvals, _worst_modulus, bilinear_dot
 
 
 @dataclass
@@ -147,15 +147,14 @@ def umbilic_residual(phi, z0):
     """Degree of independence of the first two C-identified dz derivatives.
 
     Smallest over largest singular value of the 2 x n matrix with rows the
-    C^n views of dz phi and dz^2 phi; 0 iff they are linearly dependent.
-    A constant map (both rows zero) is degenerate and reports 0 by
-    convention.
+    C^n views of dz phi and dz^2 phi; 0 iff they are linearly dependent,
+    NaN where one is not finite.  A constant map (both rows zero) is
+    degenerate and reports 0 by convention.
     """
     if phi.domain_dim != 2:
         raise JetError("umbilic_residual needs a 2-dimensional domain")
     v1, v2 = dz_vectors(phi, z0, 2)
-    s = np.linalg.svd(np.stack([complex_view(v1), complex_view(v2)], axis=-2),
-                      compute_uv=False)
+    s = _svdvals(np.stack([complex_view(v1), complex_view(v2)], axis=-2))
     degenerate = s[..., 0] < 1e-14
     return _per_point(np.where(degenerate, 0.0, s[..., -1] / np.where(degenerate, 1.0, s[..., 0])))
 

@@ -36,7 +36,7 @@ from .jets import (
     real_to_complex_point,
     values,
 )
-from .pairings import _modulus, _per_point, _raise_first, _worst_modulus
+from .pairings import _modulus, _per_point, _raise_first, _svdvals, _worst_modulus
 from .structures import twistor_chart
 
 NEWTON_MAX_ITER = 50
@@ -101,14 +101,7 @@ def jacobian_min_sv(h, pt):
     """Smallest singular value of the full real Jacobian of h at a point;
     positive iff h is a local diffeomorphism there, NaN where the Jacobian
     is not finite."""
-    return _min_sv(h.jacobian(pt))
-
-
-def _min_sv(D):
-    # a NaN or inf can make the whole SVD raise: such Jacobians are zeroed
-    finite = np.isfinite(D).all(axis=(-2, -1))
-    s = np.linalg.svd(np.where(finite[..., None, None], D, 0.0), compute_uv=False)
-    return _per_point(np.where(finite, s[..., -1], np.nan))
+    return _per_point(_svdvals(h.jacobian(pt))[..., -1])
 
 
 @dataclass
@@ -203,7 +196,8 @@ def invert_h(data, target_q, seed_point, record=None):
                              sv[..., 0].reshape(-1).tolist()):
             if lo < 1e-10 * max(1.0, hi):
                 raise SingularJacobianError(
-                    f"{_row(one, r)}Jacobian is singular at iterate (min sv {lo:.2e})")
+                    f"{_row(one, r)}Jacobian is singular or ill-conditioned at iterate "
+                    f"(singular values {lo:.2e} to {hi:.2e})")
         y = y - np.linalg.solve(D, diff[..., None])[..., 0]
     raise NewtonDivergenceError(
         f"{_row(one, live[0])}no convergence after {NEWTON_MAX_ITER} iterations "
@@ -346,7 +340,7 @@ def cp3_local_diffeo_check(data, pt):
     """Smallest singular value of the affine-chart Jacobian; positive iff the
     data defines a local diffeomorphism near the point.  One value per row
     of an (N, 2 nvars) array of points."""
-    return _min_sv(cp3_affine_jacobian(data, pt))
+    return _per_point(_svdvals(cp3_affine_jacobian(data, pt))[..., -1])
 
 
 # ---------------------------------------------------------------------------

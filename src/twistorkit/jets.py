@@ -696,16 +696,6 @@ def _read_off(jets, read):
     return np.stack([p for p, _ in parts], axis=nb), nb
 
 
-def where(mask, a, b):
-    """Rows of jet ``a`` where ``mask`` is set and rows of ``b`` elsewhere;
-    a single boolean picks ``a`` or ``b`` whole."""
-    if np.ndim(mask) == 0:
-        return a if mask else b
-    a, b = a._coerce(b)
-    mask = mask.reshape(mask.shape + (1,) * (a.coef.ndim - mask.ndim))
-    return Jet(a.table, a.base, np.where(mask, a.coef, b.coef))
-
-
 def merge_rows(mask, a, b):
     """A batched jet over all rows of ``mask`` from jets ``a`` over the rows
     where it is set and ``b`` over the others, of one table and shape."""

@@ -3,10 +3,14 @@
 A lift pairs the base map with a field of Hermitian structures along it.  The
 strictly compatible lift of a weakly conformal map rotates the tangent plane
 (J dphi_x = dphi_y) and sends the normal part u of dz^2 phi = u + iv to -v;
-the orientation of the resulting structure is computed, not assumed.  The
-vertical-holomorphy residuals and the (1,0)-space stability residuals below
-are the pointwise shadows of the two twistor-space structures: condition
-a = 2 corresponds to harmonicity of the projection, a = 1 to real isotropy.
+the orientation of the resulting structure is computed, not assumed.  Where
+dz^2 phi depends on dz phi (the umbilic branch) the normal plane is free,
+and the lift is A + *A for the tangent 2-form A: on R^4 the positive
+orthogonal structures are the unit self-dual 2-forms (Atiyah, Hitchin &
+Singer 1978), so no normal frame is chosen.  The vertical-holomorphy
+residuals and the (1,0)-space stability residuals below are the pointwise
+shadows of the two twistor-space structures: condition a = 2 corresponds to
+harmonicity of the projection, a = 1 to real isotropy.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import (JetSpace, _as_real_point, dz, dzbar, gradient, merge_rows, stack, values,
-                   where)
-from .pairings import _dots, _modulus, _norms, _raise_first, _worst_modulus, _worst_norm
+from .jets import _as_real_point, dz, dzbar, gradient, merge_rows, stack, values
+from .pairings import (_dots, _modulus, _norms, _raise_first, _svdvals, _worst_modulus,
+                       _worst_norm)
 from .structures import HermitianStructure, is_positive
 
 INDEPENDENCE_SV_RATIO = 1e-6
@@ -72,7 +76,7 @@ def strictly_compatible_lift_r4(phi, z0):
     Requires dphi(z0) != 0.  When {dz phi, dz^2 phi} are linearly independent
     the structure is unique up to the reported orientation sign; when they
     are dependent (the totally umbilic branch) any rotation of the normal
-    plane works, both signs are valid, and the positively oriented choice is
+    plane works, both signs are valid, and the positively oriented A + *A is
     returned.
 
     At an (N, 2) array of points the lift is built for every row at once:
@@ -117,10 +121,8 @@ def _umbilic(grad0, d1, d2):
     nonconformal = ~((abs(_dots(dx0, dy0)) <= 1e-6 * scale)
                      & (abs(xx - _dots(dy0, dy0)) <= 1e-6 * scale))
     pairs = np.stack([d1, d2], axis=-2)
-    # A NaN or inf can make the SVD of the whole stack raise: such rows are
-    # zeroed out of the stack, and fail below
     finite = np.isfinite(pairs).all(axis=(-2, -1))
-    s = np.linalg.svd(np.where(finite[..., None, None], pairs, 0.0), compute_uv=False)
+    s = _svdvals(pairs)
     umbilic = s[..., -1] <= INDEPENDENCE_SV_RATIO * s[..., 0]
     a = np.abs(d2)
     bound = 1e-6 * np.fmax(1.0, _dots(a, a))
@@ -136,25 +138,30 @@ def _umbilic(grad0, d1, d2):
 
 
 def _frame_structure(phi, point, order, umbilic):
-    """J = f2 (x) f1 - f1 (x) f2 + f4 (x) f3 - f3 (x) f4 for the frame
-    f1, f2 of the tangent plane and f3, f4 of the normal plane at ``point``
-    (one point or a batch), on the umbilic branch or the other."""
+    """J = A + f4 (x) f3 - f3 (x) f4, with A = f2 (x) f1 - f1 (x) f2 for the
+    frame f1, f2 of the tangent plane and f3, f4 of the normal plane at
+    ``point`` (one point or a batch); on the umbilic branch J = A + *A."""
     jets = phi.jets(point, order + 2)
     # J needs the frame at ``order`` only: a product of truncated jets has
     # the bits of the coefficients it keeps
     f1 = _unit(jets.partial(0).real).truncated(order)
     f2 = _unit(jets.partial(1).real).truncated(order)
+    A = f2[:, None] * f1 - f1[:, None] * f2
     if umbilic:
-        # normal plane is free: positively oriented completion
-        f3 = _complete_frame(f1, f2, order)
-        f4 = _complete_frame(f1, f2, order, skip=f3)
-        frame = np.swapaxes(values([f1, f2, f3, f4]).real, -1, -2)
-        f4 = where(np.linalg.det(frame) < 0, -f4, f4)
-    else:
-        h = dz(dz(jets, 0), 0)
-        f3 = _unit(_project_out(h.real, (f1, f2)))
-        f4 = _unit(_project_out(-h.imag, (f1, f2)))
-    return f2[:, None] * f1 - f1[:, None] * f2 + f4[:, None] * f3 - f3[:, None] * f4
+        # the normal plane is free: a unit self-dual 2-form is a positive
+        # orthogonal structure, and A + *A is the one through the tangent plane
+        return A + A[_STAR_ROWS, _STAR_COLS] * np.broadcast_to(_STAR_SIGNS, A.coef.shape[:-1])
+    h = dz(dz(jets, 0), 0)
+    f3 = _unit(_project_out(h.real, (f1, f2)))
+    f4 = _unit(_project_out(-h.imag, (f1, f2)))
+    return A + f4[:, None] * f3 - f3[:, None] * f4
+
+
+# The Hodge star on skew 4 x 4 matrices: (*A)[i, j] = eps_ijkl A[k, l] for the
+# complementary pair k < l of i, j is _STAR_SIGNS[i, j] * A[_STAR_ROWS, _STAR_COLS][i, j]
+_STAR_ROWS = np.array([[0, 2, 1, 1], [2, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+_STAR_COLS = np.array([[0, 3, 3, 2], [3, 0, 3, 2], [3, 3, 0, 1], [2, 2, 1, 0]])
+_STAR_SIGNS = np.array([[0, 1, -1, 1], [-1, 0, 1, -1], [1, -1, 0, 1], [-1, 1, -1, 0]], float)
 
 
 def _unit(vec):
@@ -167,21 +174,6 @@ def _project_out(vec, frames):
     for f in frames:
         vec = vec - (vec @ f) * f
     return vec
-
-
-def _complete_frame(f1, f2, order, skip=None):
-    """First coordinate direction with a large component normal to the span,
-    chosen row by row for a batch."""
-    frames = [f1, f2] + ([skip] if skip is not None else [])
-    best, best_norm = None, -1.0
-    eye = np.broadcast_to(np.eye(4), f1.base.shape[:-1] + (4, 4))
-    for e in JetSpace(f1.base, order).const(eye):
-        cand = _project_out(e, frames)
-        n = (cand @ cand).value.real
-        better = n > best_norm
-        best = cand if best is None else where(better, cand, best)
-        best_norm = np.where(better, n, best_norm)
-    return _unit(best)
 
 
 def vertical_part(lift, z0, X):
@@ -223,12 +215,14 @@ def j_vertical_residual(lift, z0, a):
 def t10_stability_residual(lift, z0, direction="z"):
     """Stability defect of the (1,0)-space of the structure field.
 
-    Differentiates a frame of the (1,0)-space along dz (direction "z") or
-    dzbar ("zbar") and measures the component falling into the (0,1)-space
-    at the base point; 0 iff the derivative stays inside the (1,0)-space.
-    For strict lifts, direction "z" corresponds to the a = 1 condition and
-    "zbar" to a = 2.  At an (N, 2) array of points it returns one residual
-    per row.
+    The largest, over the columns P0 e_c of P0 = (I - i J0) / 2, which span
+    the (1,0)-space at the base point, of |Q0 dP e_c| / |P0 e_c|: the part
+    of the derivative of P e_c along dz (direction "z") or dzbar ("zbar") in
+    the (0,1)-space, Q0 = I - P0.  P^2 = P gives Q0 dP = Q0 dP P0, so it is 0
+    iff the derivative of the (1,0)-space stays inside it.  For strict lifts,
+    direction "z" corresponds to the a = 1 condition and "zbar" to a = 2.  At
+    an (N, 2) array of points it returns one residual per row, NaN in a row
+    whose structure is not finite.
     """
     if direction not in ("z", "zbar"):
         raise LiftError("direction must be 'z' or 'zbar'")
@@ -239,39 +233,8 @@ def t10_stability_residual(lift, z0, direction="z"):
     dP = (dz if direction == "z" else dzbar)(gradient(M), 0)
     P0 = 0.5 * (np.eye(n) - 1j * J0)
     Q0 = 0.5 * (np.eye(n) + 1j * J0)
-    # frame columns: P(z) c_j for pivot columns c_j chosen at the base point;
-    # Q0 dP c is taken for every column c, each a matrix-vector product on
-    # the column's own strides, as one point takes it
-    piv, independent = _pivot_columns(P0, n // 2)
-    scale = np.stack([_norms(P0[..., :, c], 1) for c in range(n)], axis=-1)
-    defect = np.stack([_norms((Q0 @ dP[..., :, c, None])[..., 0], 1) for c in range(n)],
-                      axis=-1) / scale
-    message = "frame rank deficiency at the base point"
-    _raise_first(LiftError, [(~independent, message),
-                             ((np.take_along_axis(scale, piv, -1) < 1e-12).any(axis=-1), message)])
-    return _worst_modulus(np.moveaxis(np.take_along_axis(defect, piv, -1), -1, 0))
-
-
-def _pivot_columns(P, count):
-    """The first ``count`` columns of P, by decreasing norm, that greedy
-    Gram-Schmidt finds independent (to 1e-8), and whether it found that
-    many; for a stack of matrices, both for each matrix.  The columns are
-    visited one by one, each row keeping its own basis."""
-    order = np.argsort(-np.linalg.norm(P, axis=-2), axis=-1)
-    found = np.zeros(P.shape[:-2], dtype=int)
-    chosen = np.zeros(P.shape[:-2] + (count,), dtype=int)
-    basis = [np.zeros(P.shape[:-1], dtype=complex) for _ in range(count)]
-    for c in np.moveaxis(order, -1, 0):
-        v = np.take_along_axis(P, c[..., None, None], axis=-1)[..., 0]
-        for k, b in enumerate(basis):
-            proj = _dots(np.conj(b), v)[..., None]
-            v = np.where((found > k)[..., None], v - proj * b, v)
-        norm = np.asarray(_norms(v, 1))
-        take = (found < count) & (norm > 1e-8)
-        unit = v / np.where(take, norm, 1.0)[..., None]
-        for k in range(count):
-            put = take & (found == k)
-            basis[k] = np.where(put[..., None], unit, basis[k])
-            chosen[..., k] = np.where(put, c, chosen[..., k])
-        found = found + take
-    return chosen, found == count
+    # each column a matrix-vector product on the column's own strides, as
+    # one point takes it; |P0 e_c| >= 1/2, the norm of its real part e_c / 2
+    defect = [_norms((Q0 @ dP[..., :, c, None])[..., 0], 1) / _norms(P0[..., :, c], 1)
+              for c in range(n)]
+    return _worst_modulus(defect)

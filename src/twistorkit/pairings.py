@@ -97,6 +97,15 @@ def _norms(x, ndim):
     return np.sqrt(sum(_dots(p, p) for p in parts))
 
 
+def _svdvals(M):
+    """The singular values of a matrix or of each matrix of a stack, largest
+    first; NaN for a matrix with a NaN or inf entry, which is zeroed out of
+    the stack first, as it can make the SVD of the whole stack raise."""
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], M, 0.0), compute_uv=False)
+    return np.where(finite[..., None], s, np.nan)
+
+
 def _dots(u, v):
     """u . v over the last axis, bitwise the 1-D ``u @ v`` of each row: the
     stacked (1, n) @ (n, 1) ``@`` takes one BLAS dot per row with the rows'

@@ -232,6 +232,18 @@ def test_umbilic_examples():
     assert umbilic_residual(const, [0.0, 0.0]) == 0.0  # degenerate convention
 
 
+def test_umbilic_residual_is_nan_at_a_non_finite_point_and_in_its_row_only():
+    graph = SmoothMap.from_complex(1, 2, lambda z: [z, z * z])
+    P = np.array([[0.1, 0.2], [np.nan, 0.1], [0.3, -0.2]])
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf, -np.inf):
+            assert np.isnan(umbilic_residual(graph, [bad, 0.1]))
+        got = umbilic_residual(graph, P)
+    assert np.isnan(got[1])
+    for r in (0, 2):
+        assert got[r].tobytes() == np.float64(umbilic_residual(graph, P[r])).tobytes()
+
+
 def test_hwc_examples():
     proj = SmoothMap.from_real(4, 2, lambda a, b, c, d: [a, b])
     lam, res = hwc_residual(proj, np.zeros(4))

@@ -10,11 +10,13 @@ from twistorkit.checkers import (
     holomorphy_residual,
     real_isotropy_residual,
 )
-from twistorkit.jets import JetSpace, SmoothMap
+from twistorkit.jets import JetSpace, SmoothMap, gradient, stack, values
 from twistorkit.lifts import (
     LiftError,
     TwistorLift,
+    _project_out,
     _umbilic,
+    _unit,
     j_vertical_residual,
     strictly_compatible_lift_r4,
     t10_stability_residual,
@@ -199,6 +201,60 @@ def test_umbilic_structure_jets_have_the_requested_order():
     assert L.both_signs_valid
     for order in (1, 0, 2):
         assert {jet.order for jet in np.ravel(L.structure_jets(p, order))} == {order}
+
+
+def _completed_frame_structure(phi, p):
+    """The order-1 umbilic structure at a point completed from a chosen
+    normal frame, the reference for A + *A: f3 and then f4 are the first
+    coordinate directions with the largest component normal to the frame so
+    far, and f4 is negated where det [f1 f2 f3 f4] < 0."""
+    jets = phi.jets(p, 3)
+    frame = [_unit(jets.partial(v).real).truncated(1) for v in (0, 1)]
+    for _ in range(2):
+        normal = [_project_out(e, frame) for e in JetSpace(p, 1).const(np.eye(4))]
+        frame.append(_unit(max(normal, key=lambda c: (c @ c).value.real)))
+    f1, f2, f3, f4 = frame
+    if np.linalg.det(values(frame).real) < 0:
+        f4 = -f4
+    return stack(f2[:, None] * f1 - f1[:, None] * f2 + f4[:, None] * f3 - f3[:, None] * f4)
+
+
+def _umbilic_test_maps(rng):
+    """Conformal linear maps s Q[:, :2] with Q orthogonal of det +1 and -1,
+    maps (g, a g) with g a cubic whose linear coefficient is 1, and the
+    round sphere, which is umbilic everywhere, each with a point."""
+    for k in range(40):
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        if (np.linalg.det(Q) > 0) != (k % 2 == 0):
+            Q[:, 3] = -Q[:, 3]
+        lin = rng.uniform(0.5, 2) * Q[:, :2]
+        yield SmoothMap.from_real(2, 4, lambda x, y, lin=lin: [
+            x * float(lin[i, 0]) + y * float(lin[i, 1]) for i in range(4)]), rng.uniform(-1, 1, 2)
+    for _ in range(20):
+        c = 0.3 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        a = complex(rng.normal(), rng.normal())
+
+        def g(z, c=c):
+            return complex(c[0]) + z * (1 + z * (complex(c[2]) + z * complex(c[3])))
+
+        yield SmoothMap.from_complex(1, 2, lambda z, g=g, a=a: [g(z), g(z) * a]), \
+            rng.uniform(-0.5, 0.5, 2)
+
+    def sphere(x, y):
+        den = 1 + x * x + y * y
+        return [2 * x / den, 2 * y / den, (x * x + y * y - 1) / den, 0 * x]
+
+    for _ in range(20):
+        yield SmoothMap.from_real(2, 4, sphere), rng.uniform(-2, 2, 2)
+
+
+def test_umbilic_structure_is_the_completion_of_a_chosen_normal_frame():
+    for phi, p in _umbilic_test_maps(np.random.default_rng(29)):
+        L = strictly_compatible_lift_r4(phi, p)
+        assert L.both_signs_valid and L.sign == +1 and is_positive(L.structure(p))
+        got, want = L.structure_jets(p, 1), _completed_frame_structure(phi, p)
+        assert np.abs(values(got) - values(want)).max() <= 1e-14
+        assert np.abs(gradient(got) - gradient(want)).max() <= 1e-14
 
 
 def test_branch_point_and_isotropy_guards():
@@ -526,6 +582,24 @@ def test_a_nan_row_gives_nan_in_that_row_only():
         assert np.isnan(got[1]) and np.isnan(want[1])
         assert type(want[0]) is float and want[0] > 0
         assert _bits(got[[0, 2]]) == _bits([want[0], want[2]])
+
+
+def test_t10_residual_is_nan_in_a_row_whose_structure_is_not_finite():
+    P = np.array([[0.3, 0.2], [0.1, -0.4], [-0.5, 0.6]])
+    L = strictly_compatible_lift_r4(HOLO, P)
+    for bad in (np.nan, np.inf):
+        def field(point, order):
+            M = stack(L.structure_field(point, order))
+            M.coef[1, ..., 0] = bad
+            return M
+
+        for direction in ("z", "zbar"):
+            with np.errstate(invalid="ignore"):
+                got = t10_stability_residual(TwistorLift(HOLO, field), P, direction)
+            assert np.isnan(got[1])
+            for r in (0, 2):
+                one = strictly_compatible_lift_r4(HOLO, P[r])
+                assert _bits(got[r]) == _bits(t10_stability_residual(one, P[r], direction))
 
 
 def test_batched_structures_are_validated_as_one_stack():
