@@ -708,6 +708,14 @@ def merge_rows(mask, a, b):
     return Jet(a.table, base, coef)
 
 
+def split_rows(mask, jet):
+    """The jets over the rows of a batched jet where ``mask`` is set and over
+    the others: the inverse of :func:`merge_rows`."""
+    mask = np.asarray(mask, dtype=bool)
+    return tuple(Jet(jet.table, JetSpace(jet.base[m], 0).base, jet.coef[m])
+                 for m in (mask, ~mask))
+
+
 # ---------------------------------------------------------------------------
 # Wirtinger operators
 

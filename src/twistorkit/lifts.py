@@ -4,10 +4,11 @@ A lift pairs the base map with a field of Hermitian structures along it.  The
 strictly compatible lift of a weakly conformal map rotates the tangent plane
 (J dphi_x = dphi_y) and sends the normal part u of dz^2 phi = u + iv to -v;
 the orientation of the resulting structure is computed, not assumed.  Where
-dz^2 phi depends on dz phi (the umbilic branch) the normal plane is free,
-and the lift is A + *A for the tangent 2-form A: on R^4 the positive
-orthogonal structures are the unit self-dual 2-forms (Atiyah, Hitchin &
-Singer 1978), so no normal frame is chosen.  The vertical-holomorphy
+dz^2 phi depends on dz phi (the umbilic branch) the normal plane is free, and
+the lift is A + *A for the tangent 2-form A: on R^4 the positive orthogonal
+structures are the unit self-dual 2-forms (Atiyah, Hitchin & Singer 1978), so
+no normal frame is chosen; each frame pair is one jet of two stacked rows, and
+one order-3 evaluation of the map builds the lift.  The vertical-holomorphy
 residuals and the (1,0)-space stability residuals below are the pointwise
 shadows of the two twistor-space structures: condition a = 2 corresponds to
 harmonicity of the projection, a = 1 to real isotropy.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import _as_real_point, dz, dzbar, gradient, merge_rows, stack, values
+from .jets import _as_real_point, dz, dzbar, gradient, merge_rows, split_rows, stack, values
 from .pairings import (_dots, _modulus, _norms, _raise_first, _svdvals, _worst_modulus,
                        _worst_norm)
 from .structures import HermitianStructure, is_positive
@@ -73,11 +74,12 @@ class TwistorLift:
 def strictly_compatible_lift_r4(phi, z0):
     """Strictly compatible twistor lift of a weakly conformal map into R^4.
 
-    Requires dphi(z0) != 0.  When {dz phi, dz^2 phi} are linearly independent
-    the structure is unique up to the reported orientation sign; when they
-    are dependent (the totally umbilic branch) any rotation of the normal
-    plane works, both signs are valid, and the positively oriented A + *A is
-    returned.
+    Requires a finite z0 and dphi(z0) != 0.  When {dz phi, dz^2 phi} are
+    linearly independent the structure is unique up to the reported
+    orientation sign; when they are dependent (the totally umbilic branch)
+    any rotation of the normal plane works, both signs are valid, and the
+    positively oriented A + *A is returned.  One order-3 evaluation of phi
+    at z0 serves the umbilic test and the order-1 structure the lift keeps.
 
     At an (N, 2) array of points the lift is built for every row at once:
     ``sign`` and ``both_signs_valid`` become arrays with one entry per row,
@@ -87,7 +89,11 @@ def strictly_compatible_lift_r4(phi, z0):
     if phi.codomain_dim != 4 or phi.domain_dim != 2:
         raise LiftError("strictly compatible lifts are built for maps R^2 -> R^4")
     z0 = _as_real_point(z0, 2)
-    jets0 = phi.jets(z0, 2)
+    finite = np.isfinite(z0).all(axis=-1)
+    if finite.size and np.argmin(finite):  # an earlier row may fail first
+        strictly_compatible_lift_r4(phi, z0[:np.argmin(finite)])
+    _raise_first(LiftError, [(~finite, "the base point is not finite")])
+    jets0 = phi.jets(z0, 3)
     grad0 = gradient(jets0)
     umbilic = _umbilic(grad0, dz(grad0, 0), values(dz(dz(jets0, 0), 0)))
 
@@ -95,12 +101,10 @@ def strictly_compatible_lift_r4(phi, z0):
         if np.shape(point)[:-1] != np.shape(umbilic):
             raise LiftError(f"a lift built at {np.size(umbilic)} points is evaluated at "
                             f"points of shape {z0.shape}, got shape {np.shape(point)}")
-        if umbilic.all() or not umbilic.any():
-            return _frame_structure(phi, point, order, umbilic.any())
-        return merge_rows(umbilic, _frame_structure(phi, point[umbilic], order, True),
-                          _frame_structure(phi, point[~umbilic], order, False))
+        return _frame_structure(phi.jets(point, order + 2), order, umbilic)
 
     lift = TwistorLift(phi, structure_field, both_signs_valid=umbilic)
+    lift._memo = (z0.copy(), _frame_structure(jets0, 1, umbilic))
     J0 = HermitianStructure(values(lift.structure_jets(z0, 0)).real, tol=1e-8)
     sign = np.where(is_positive(J0), 1, -1)
     lift.sign = int(sign) if sign.ndim == 0 else sign
@@ -137,23 +141,25 @@ def _umbilic(grad0, d1, d2):
     return umbilic
 
 
-def _frame_structure(phi, point, order, umbilic):
-    """J = A + f4 (x) f3 - f3 (x) f4, with A = f2 (x) f1 - f1 (x) f2 for the
-    frame f1, f2 of the tangent plane and f3, f4 of the normal plane at
-    ``point`` (one point or a batch); on the umbilic branch J = A + *A."""
-    jets = phi.jets(point, order + 2)
-    # J needs the frame at ``order`` only: a product of truncated jets has
-    # the bits of the coefficients it keeps
-    f1 = _unit(jets.partial(0).real).truncated(order)
-    f2 = _unit(jets.partial(1).real).truncated(order)
+def _frame_structure(jets, order, umbilic):
+    """J = A + f4 (x) f3 - f3 (x) f4, with A = f2 (x) f1 - f1 (x) f2, from the
+    order-(order + 2) jets of the map at one point or a batch; on the umbilic
+    branch J = A + *A, and a batch mixing the branches splits its rows.  Each
+    frame pair, f1, f2 and f3, f4, is one (2, 4) jet of rows at ``order``."""
+    if np.any(umbilic) and not np.all(umbilic):
+        on, off = split_rows(umbilic, jets)
+        return merge_rows(umbilic, _frame_structure(on, order, True),
+                          _frame_structure(off, order, False))
+    # the coefficients a jet keeps do not depend on those it drops
+    low = jets.truncated(order + 1)
+    f1, f2 = tangent = _unit(stack([low.partial(0), low.partial(1)]).real)
     A = f2[:, None] * f1 - f1[:, None] * f2
-    if umbilic:
+    if np.any(umbilic):
         # the normal plane is free: a unit self-dual 2-form is a positive
         # orthogonal structure, and A + *A is the one through the tangent plane
         return A + A[_STAR_ROWS, _STAR_COLS] * np.broadcast_to(_STAR_SIGNS, A.coef.shape[:-1])
     h = dz(dz(jets, 0), 0)
-    f3 = _unit(_project_out(h.real, (f1, f2)))
-    f4 = _unit(_project_out(-h.imag, (f1, f2)))
+    f3, f4 = _unit(_project_out(stack([h.real, -h.imag]), tangent))
     return A + f4[:, None] * f3 - f3[:, None] * f4
 
 
@@ -165,14 +171,14 @@ _STAR_SIGNS = np.array([[0, 1, -1, 1], [-1, 0, 1, -1], [1, -1, 0, 1], [-1, 1, -1
 
 
 def _unit(vec):
-    """A vector jet divided by its jet norm sqrt(vec . vec); one
-    reciprocal serves every entry, as each ``v / n`` would compute it."""
-    return vec * (vec @ vec).sqrt().reciprocal()
+    """A vector jet, or each row of a stack along the last axis, over its jet
+    norm sqrt(v . v); one reciprocal serves a row, as each ``v / n`` would."""
+    return vec * (vec[..., None, :] @ vec[..., :, None])[..., 0, 0].sqrt().reciprocal()[..., None]
 
 
 def _project_out(vec, frames):
     for f in frames:
-        vec = vec - (vec @ f) * f
+        vec = vec - (vec @ f)[..., None] * f
     return vec
 
 

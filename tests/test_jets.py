@@ -22,6 +22,7 @@ from twistorkit.jets import (
     laplacian,
     merge_rows,
     real_to_complex_point,
+    split_rows,
     stack,
     values,
 )
@@ -755,6 +756,22 @@ def test_merge_rows_matches_object_arrays_bitwise(rng):
         for r in range(BATCH):
             assert _bits(merged.coef[r]) == _bits((a if mask[r] else b).coef[r])
         assert _bits(merged.base) == _bits(space.base)
+
+
+def test_split_rows_is_the_inverse_of_merge_rows_bitwise(rng):
+    phi = SmoothMap.from_complex(1, 2, lambda z: [z * z.conj() * z, 1 / (2 + z * z)])
+    P = rng.uniform(-1, 1, (BATCH, 2))
+    whole = phi.jets(P, 3)
+    for mask in (np.array([True, False, False, True, False]), np.ones(BATCH, dtype=bool)):
+        on, off = split_rows(mask, whole)
+        merged = merge_rows(mask, on, off)
+        assert merged.table is whole.table
+        assert _bits(merged.base) == _bits(whole.base) and _bits(merged.coef) == _bits(whole.coef)
+        # each part is the map evaluated on its rows alone
+        for part, rows in ((on, mask), (off, ~mask)):
+            alone = phi.jets(P[rows], 3)
+            assert part.table is alone.table and not part.base.flags.writeable
+            assert _bits(part.base) == _bits(alone.base) and _bits(part.coef) == _bits(alone.coef)
 
 
 def test_const_takes_a_number_or_values_with_the_batch_axes_first(rng):

@@ -1,6 +1,7 @@
 """Strictly compatible lifts and the vertical/stability residuals."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from twistorkit.checkers import (
     holomorphy_residual,
     real_isotropy_residual,
 )
-from twistorkit.jets import JetSpace, SmoothMap, gradient, stack, values
+from twistorkit.jets import JetSpace, SmoothMap, dz, gradient, stack, values
 from twistorkit.lifts import (
     LiftError,
     TwistorLift,
@@ -384,6 +385,75 @@ def test_structure_memo_follows_the_point():
         fresh = strictly_compatible_lift_r4(chart_disk_map(), np.array(q))
         assert _bits(L.structure(q).matrix) == _bits(fresh.structure(q).matrix)
         assert _bits(j_vertical_residual(L, q, 1)) == _bits(j_vertical_residual(fresh, q, 1))
+
+
+def _counting(phi, calls):
+    """phi with an evaluator that records the shape and order of each call."""
+    def evaluator(point, order):
+        calls.append((np.shape(point), order))
+        return phi.evaluator(point, order)
+
+    return SmoothMap(phi.domain_dim, phi.codomain_dim, evaluator)
+
+
+# dz^2 of (z, z^3 / 3) vanishes at z = 0 only: the umbilic branch there
+CUBIC = SmoothMap.from_complex(1, 2, lambda z: [z, z * z * z * (1 / 3)])
+FOLD = SmoothMap.from_complex(1, 2, lambda z: [(z + z.conj()) * 0.5, (z - z.conj()) * 0.5])
+
+
+@pytest.mark.parametrize("phi, P", [
+    (chart_disk_map(), np.array([[0.3, 0.2], [-0.1, 0.5], [0.2, -0.4]])),
+    (FOLD, np.array([0.1, 0.2])),
+    (CUBIC, np.array([[0.3, 0.2], [0.0, 0.0], [-0.5, 0.4]])),
+], ids=["generic-batch", "umbilic-point", "mixed-batch"])
+def test_a_lift_and_its_residuals_at_its_points_evaluate_the_map_once(phi, P):
+    calls = []
+    L = strictly_compatible_lift_r4(_counting(phi, calls), P)
+    _ = L.sign, L.structure(P), L.structure_jets(P, 1), vertical_part(L, P, [1.0, 0.5])
+    for direction in ("z", "zbar"):
+        t10_stability_residual(L, P, direction)
+    for a in (1, 2):
+        j_vertical_residual(L, P, a)
+    assert calls == [(P.shape, 3)]
+
+
+@pytest.mark.parametrize("point, message", [
+    ([np.nan, 0.1], "the base point is not finite"),
+    ([0.1, np.inf], "the base point is not finite"),
+    ([-np.inf, np.nan], "the base point is not finite"),
+    ([[0.1, 0.2], [np.nan, 0.1]], "row 1: the base point is not finite"),
+    ([[np.inf, 0.2], [0.0, 0.0]], "row 0: the base point is not finite"),
+    # a row that fails alone before the first non-finite one comes first
+    ([[0.1, 0.2], [0.0, 0.0], [np.nan, 0.1]],
+     "row 1: branch point: dphi vanishes at the base point"),
+], ids=["nan", "inf", "-inf-nan", "batch-nan", "batch-inf-first", "branch-row-first"])
+def test_a_non_finite_base_point_raises_lift_error_naming_it(point, message):
+    branch = SmoothMap.from_complex(1, 2, lambda z: [z * z, z * z * z])
+    finite = []
+    phi = SmoothMap(2, 4, lambda p, k: finite.append(np.isfinite(p).all())
+                    or branch.evaluator(p, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LiftError) as info:
+            strictly_compatible_lift_r4(phi, np.array(point))
+    assert str(info.value) == message
+    assert all(finite)  # the map is evaluated at no non-finite point
+
+
+def test_stacked_unit_and_project_out_match_one_vector_calls_bitwise():
+    for P in (np.array([0.3, 0.2]), np.random.default_rng(30).uniform(-0.8, 0.8, (10, 2))):
+        jets = chart_disk_map().jets(P, 3)
+        h = dz(dz(jets, 0), 0)
+        tangent, normal = [jets.partial(0).real, jets.partial(1).real], [h.real, -h.imag]
+        units = [_unit(v) for v in tangent]
+        projected = [_project_out(v, units) for v in normal]
+        for rows, want in ((_unit(stack(tangent)), units),
+                           (_project_out(stack(normal), _unit(stack(tangent))), projected),
+                           (_unit(stack(projected)), [_unit(v) for v in projected])):
+            assert rows.shape == (2, 4)
+            for r in range(2):
+                assert rows[r].table is want[r].table
+                assert _bits(rows[r].coef) == _bits(want[r].coef)
 
 
 def test_batched_lift_names_the_failing_row():
