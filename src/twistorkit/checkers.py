@@ -2,17 +2,14 @@
 
 Every checker returns a nonnegative residual that vanishes exactly when the
 property holds at the sample point.  Derivatives come from jets, so residuals
-of polynomial maps are exact to rounding.  The batch contract of
-``pairings`` holds for every checker here: :func:`conformality_residual`,
-:func:`weak_conformality`, :func:`pluriconformality_residual`,
-:func:`harmonicity_residual`, :func:`real_isotropy_residual`,
-:func:`real_isotropy_residuals`, :func:`umbilic_residual`,
-:func:`hwc_residual`, :func:`harmonic_morphism_residual`,
-:func:`pullback_harmonic_oracle`, :func:`one_one_geodesic_residual` and
-:func:`holomorphy_residual`.  At one point each returns a float (or a tuple
-of floats), and at an (N, domain_dim) array of points, an empty one
-included, one residual per row from one batched jet evaluation, each bitwise
-the residual at that row's point.  ``variations.first_order_residual``,
+of polynomial maps are exact to rounding, and each checker evaluates its map
+once: :func:`harmonic_morphism_residual` reads the Laplacian of
+:func:`harmonicity_residual` and the Jacobian of :func:`hwc_residual` from
+one order-2 jet.  The batch contract of ``pairings`` holds for every checker
+here.  At one point each returns a float (or a tuple of floats), and at an
+(N, domain_dim) array of points, an empty one included, one residual per row
+from one batched jet evaluation, each bitwise the residual at that row's
+point.  ``variations.first_order_residual``,
 ``factory.verify_horizontality``, ``factory.verify_chart_holomorphy``,
 ``factory.cp3_constraints_residual``, ``factory.cp3_linear_system_residual``,
 ``factory.cp3_local_diffeo_check``, ``lifts.j_vertical_residual``,
@@ -45,7 +42,6 @@ from .jets import (
     dz_vectors,
     dzbar,
     gradient,
-    laplacian,
 )
 from .pairings import _modulus, _norms, _per_point, _svdvals, _worst_modulus, bilinear_dot
 
@@ -122,7 +118,12 @@ def pluriconformality_residual(phi, x0):
 
 def harmonicity_residual(phi, x0):
     """Euclidean norm of the flat tension field (the componentwise Laplacian)."""
-    return _norms(laplacian(phi, x0), 1)
+    return _harmonicity(phi.jets(x0, 2))
+
+
+def _harmonicity(jets):
+    """:func:`harmonicity_residual` read from order-2 jets of the map."""
+    return _norms(_laplace_trace(jets), 1)
 
 
 def real_isotropy_residual(phi, z0, R):
@@ -167,14 +168,19 @@ def hwc_residual(phi, x0):
     residual vanishes; a zero differential passes with factor 0.  At an
     array of points both are arrays.
     """
-    D = phi.jacobian(x0)
+    return _hwc(phi.jacobian(x0))
+
+
+def _hwc(D):
+    """:func:`hwc_residual` read from the Jacobian D of the map."""
     return _gram_deviation(D @ D.swapaxes(-1, -2))
 
 
 def harmonic_morphism_residual(phi, x0):
     """(harmonicity residual, horizontal-conformality residual); the map is a
-    harmonic morphism at the point iff both vanish."""
-    return harmonicity_residual(phi, x0), hwc_residual(phi, x0)[1]
+    harmonic morphism at the point iff both vanish, read from one order-2 jet."""
+    jets = phi.jets(x0, 2)
+    return _harmonicity(jets), _hwc(gradient(jets).real)[1]
 
 
 def pullback_harmonic_oracle(phi, g_coeffs, x0):

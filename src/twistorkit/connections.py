@@ -66,6 +66,7 @@ _PADE = _pade_coefficients(6)
 _BLOCK = 256
 
 
+@np.errstate(invalid="ignore")  # a non-finite matrix gives NaN in its own row
 def _scaled_pade(A):
     """(N, D, s, shape): the scaling counts s of the matrices of ``A``,
     flattened to a stack (m, n, n), and the numerator and denominator of
@@ -130,6 +131,7 @@ def _solve(D, N):
     return np.ascontiguousarray(X.transpose(2, 0, 1))
 
 
+@np.errstate(invalid="ignore")
 def _squared(N, D, s):
     """D^(-1) N squared s times: round r squares the matrices with s >= r."""
     E = _solve(D, N)
@@ -279,11 +281,11 @@ def integrate_path(form, path, steps=None):
     """Product integration of f^(-1) df = a along a path, f(start) = I.
 
     Midpoint exponential rule: per segment the increment exp(sum_i a_i(mid)
-    dx_i) multiplies on the right.  Second-order accurate for flat forms; the
-    determinant is logged per step and a collapse signals blow-up.  The
+    dx_i) multiplies on the right; second-order accurate for flat forms.  The
     midpoint values and increments are evaluated in stacks of up to _BLOCK
-    segments, whose running products fill one stack, in path order, with
-    their |det| checked as one array.
+    segments, whose running products fill one stack, in path order; their
+    |det| is logged per step, and an element that is not finite, or whose
+    |det| is not finite or below 1e-12, raises ``BlowupError``.
 
     ``path`` is a ``GroupPath``, whose steps ``steps`` overrides for this
     integration, or an array of waypoints, which then needs ``steps``.  The
@@ -294,6 +296,7 @@ def integrate_path(form, path, steps=None):
     return _product(form, path, *_segments(path, steps))
 
 
+@np.errstate(invalid="ignore")
 def _product(form, path, starts, ends, vals=None):
     """integrate_path over these segments, ``vals`` their midpoint values or None."""
     f = np.eye(form.size)
@@ -306,13 +309,14 @@ def _product(form, path, starts, ends, vals=None):
         P = np.empty_like(E)
         for Ei, Pi in zip(E, P):
             f = f.dot(Ei, out=Pi)
-        det = np.linalg.det(P)
-        dets = _modulus(det)
-        bad = np.flatnonzero(~np.isfinite(dets) | (dets < 1e-12))
+        dets = _modulus(np.linalg.det(P))
+        finite = np.isfinite(P).all(axis=(-2, -1))
+        bad = np.flatnonzero(~finite | ~np.isfinite(dets) | (dets < 1e-12))
         path.det_log += dets[:bad[0] + 1 if len(bad) else None].tolist()
         if len(bad):
-            raise BlowupError(
-                f"accumulated element is no longer invertible (|det| = {dets[bad[0]]:.2e})")
+            i = bad[0]
+            raise BlowupError("accumulated element is not finite" if not finite[i] else
+                              f"accumulated element is no longer invertible (|det| = {dets[i]:.2e})")
     path.element = f = f.copy()
     return np.real_if_close(f, tol=1000)
 

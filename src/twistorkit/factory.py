@@ -107,11 +107,9 @@ def jacobian_min_sv(h, pt):
 @dataclass
 class NewtonRecord:
     """Residual norm of each Newton iterate: a flat list for one point, one
-    list per row for a batch of points.  At one point ``jets`` is the last
-    iterate's order-1 jets of h, those at the preimage returned."""
+    list per row for a batch of points."""
 
     residuals: list = field(default_factory=list)
-    jets: object = None
 
     @property
     def converged(self):
@@ -150,14 +148,11 @@ def invert_h(data, target_q, seed_point, record=None):
         target, y = target.reshape(-1, K), y.reshape(-1, K)
     out = y.reshape(-1, K).copy()
     rec = record if record is not None else NewtonRecord()
-    rec.jets = None  # a reused record keeps no jets of an earlier solve
     if not (np.isfinite(target).all() and np.isfinite(y).all()):
         _raise_first(JetError, [(~np.isfinite(target).all(axis=-1), "the target is not finite"),
                                 (~np.isfinite(y).all(axis=-1), "the seed is not finite")])
-    if one:
-        logs = [rec.residuals]
-    else:
-        logs = [[] for _ in out]
+    logs = [rec.residuals] if one else [[] for _ in out]
+    if not one:
         rec.residuals.extend(logs)
     if not len(out):
         return out.reshape(shape)
@@ -175,8 +170,6 @@ def invert_h(data, target_q, seed_point, record=None):
             logs[r].append(res[i])
             if res[i] <= NEWTON_TARGET and polished[i]:
                 out[r] = y.reshape(-1, K)[i]
-                if one:
-                    rec.jets = jets
             else:
                 moving.append(i)
         polished = [res[i] <= NEWTON_TARGET for i in moving]  # one extra step past the target
@@ -228,24 +221,21 @@ def morphism_as_map(data, seed_fn=None):
     ``seed_fn`` maps a point to the Newton start and must be a function of
     the point, as the :class:`SmoothMap` contract asks: the map keeps the
     preimage of the last point it solved for and reuses it when the same
-    point is asked for again at another order, and at one point an order-1
-    request reuses the jets of h that the Newton solve ended with.
+    point is asked for again at another order, as a residual's jets and
+    then the map's value are.
     """
     K = 2 * data.k
-    kept = [None, None, None]  # (bytes, shape) of the last point solved, preimage, record
+    kept = [None, None]  # (bytes, shape) of the last point solved, its preimage
 
     def evaluator(point, order):
         key = (point.tobytes(), point.shape)
         if kept[0] != key:
-            seed = seed_fn(point) if seed_fn is not None else np.zeros(K)
-            rec = NewtonRecord()
-            kept[:] = [key, invert_h(data, point, seed, rec), rec]
-        _, y, rec = kept
+            kept[:] = [key, invert_h(data, point, seed_fn(point) if seed_fn else np.zeros(K))]
+        y = kept[1]
         if order == 0:
             # bitwise the series inverse's constant term plus y
             return JetSpace(point, 0).const(y[..., : 2 * data.n])
-        jets = rec.jets if order == 1 and rec.jets is not None else data.h.jets(y, order)
-        return invert_jet_map(jets)[: 2 * data.n] + y[..., : 2 * data.n]
+        return invert_jet_map(data.h.jets(y, order))[: 2 * data.n] + y[..., : 2 * data.n]
 
     return SmoothMap(K, 2 * data.n, evaluator)
 

@@ -168,9 +168,7 @@ def _morphism_samples(rng, data, count):
 
 def _coeff_param(config, key):
     raw = config.params.get(key, "0,1")
-    if isinstance(raw, str):
-        return [complex(c) if "j" in c else float(c) for c in raw.split(",")]
-    return list(raw)
+    return [complex(c) if "j" in c else float(c) for c in raw.split(",")]
 
 
 def _pqr(config):

@@ -37,11 +37,14 @@ from twistorkit.factory import (
 )
 from twistorkit.jets import (
     JetError,
+    JetSpace,
     SmoothMap,
     dz,
+    dz_power,
     dz_vectors,
     gradient,
     real_to_complex_point,
+    stack,
 )
 from twistorkit.pairings import (
     DimensionError,
@@ -53,11 +56,18 @@ from twistorkit.pairings import (
     worst_residual,
 )
 from twistorkit.lifts import (
+    LiftError,
     j_vertical_residual,
     strictly_compatible_lift_r4,
     t10_stability_residual,
 )
-from twistorkit.structures import canonical_structure, so_action
+from twistorkit.structures import (
+    IsotropicSubspace,
+    StructureError,
+    canonical_structure,
+    mu_matrix,
+    so_action,
+)
 from twistorkit.suites import (
     _holomorphic_coefficients,
     _holomorphic_poly,
@@ -280,6 +290,37 @@ def test_harmonic_morphism_residual_examples():
     mix = SmoothMap.from_real(4, 2, lambda a, b, c, d: [a * a - b * b, a])
     h, w = harmonic_morphism_residual(mix, np.array([0.5, 0.2, 0.0, 0.0]))
     assert h <= 1e-13 and w > 0.1
+
+
+def _counted(phi):
+    """``phi`` with a log of the order of each call of its ``jets``."""
+    orders, jets = [], phi.jets
+
+    def counted(point, order):
+        orders.append(order)
+        return jets(point, order)
+
+    phi.jets = counted
+    return phi, orders
+
+
+@pytest.mark.parametrize("count", [None, 5])
+def test_harmonic_morphism_residual_reads_both_residuals_from_one_order_2_call(count):
+    phi, orders = _counted(closed_form_r6())
+    points = np.array(admissible_points(count or 1, seed=4))
+    harmonic_morphism_residual(phi, points if count else points[0])
+    assert orders == [2]
+
+
+def test_harmonic_morphism_residual_is_its_two_residuals_bitwise():
+    rng = np.random.default_rng(19)
+    cases = [(closed_form_r6(), np.array(admissible_points(BATCH, seed=5))),
+             (_real_poly(_real_coefficients(rng, 4)), rng.uniform(-0.9, 0.9, (BATCH, 2)))]
+    for phi, P in cases:
+        for x in (P, P[0]):
+            got = harmonic_morphism_residual(phi, x)
+            want = (harmonicity_residual(phi, x), hwc_residual(phi, x)[1])
+            assert [_bits(g) for g in got] == [_bits(w) for w in want]
 
 
 def test_pullback_oracle_examples():
@@ -770,3 +811,51 @@ def test_data_checkers_reject_an_empty_list_of_points():
     for verify in (verify_horizontality, verify_chart_holomorphy):
         with pytest.raises(JetError, match="point dimension 0"):
             verify(euclid_r6_data(), [])
+
+
+# ---------------------------------------------------------------------------
+# argument validation: each bad call raises its named error
+
+
+def _chart_lift():
+    return strictly_compatible_lift_r4(_lift_test_maps()[1], [0.1, 0.2])
+
+
+def _order_2_vars():
+    return JetSpace([0.1, 0.2], 2).vars()
+
+
+BAD_ARGUMENTS = {
+    "umbilic_residual": (lambda: umbilic_residual(closed_form_r6(), np.zeros(6)),
+                         JetError, "umbilic_residual needs a 2-dimensional domain"),
+    "pullback_harmonic_oracle": (lambda: pullback_harmonic_oracle(NONHOLO, [0, 1.0], [0.1, 0.2]),
+                                 JetError, "pullback oracle needs codomain C"),
+    "Jet.truncated": (lambda: _order_2_vars()[0].truncated(3),
+                      JetError, "cannot raise jet order 2 -> 3"),
+    "Jet.partial": (lambda: JetSpace([0.1, 0.2], 0).vars()[0].partial(0),
+                    JetError, "cannot differentiate an order-0 jet"),
+    "JetSpace": (lambda: JetSpace(np.zeros((2, 2, 2)), 1),
+                 JetError, "a batch of base points is an [(]N, nvars[)] array"),
+    "stack": (lambda: stack([]), JetError, "no jets to stack"),
+    "dz_power": (lambda: dz_power(Z_CUBED, 0, [0.1, 0.2]), JetError, "dz_power needs r >= 1"),
+    "Jet.__matmul__": (lambda: stack(_order_2_vars()) @ [[1.0, 0.0], [0.0, 1.0]],
+                       TypeError, "unsupported operand type[(]s[)] for @: 'Jet' and 'list'"),
+    "strictly_compatible_lift_r4": (lambda: strictly_compatible_lift_r4(Z_CUBED, [0.1, 0.2]),
+                                    LiftError, "built for maps R\\^2 -> R\\^4"),
+    "j_vertical_residual": (lambda: j_vertical_residual(_chart_lift(), [0.1, 0.2], 3),
+                            LiftError, "a must be 1 or 2"),
+    "t10_stability_residual": (lambda: t10_stability_residual(_chart_lift(), [0.1, 0.2], "w"),
+                               LiftError, "direction must be 'z' or 'zbar'"),
+    "IsotropicSubspace": (lambda: IsotropicSubspace(np.eye(3)),
+                          StructureError, "basis must be k x 2k"),
+    "canonical_structure": (lambda: canonical_structure(0), StructureError, "k must be >= 1"),
+    "mu_matrix": (lambda: mu_matrix([1.0, 2.0], 3),
+                  StructureError, "mu must have length k[(]k-1[)]/2 = 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_raise_the_named_error(name):
+    call, error, message = BAD_ARGUMENTS[name]
+    with pytest.raises(error, match=message):
+        call()

@@ -112,6 +112,18 @@ def test_bad_param_is_a_usage_error_before_any_check(suite, param, fragment, mon
     assert "internal" not in captured.err and captured.out == ""
 
 
+def test_param_without_equals_is_a_usage_error(capsys):
+    assert main(["run", "--suite", "euclid-hm", "--param", "f"]) == 2
+    captured = capsys.readouterr()
+    assert "usage error: --param needs k=v, got 'f'" in captured.err and captured.out == ""
+
+
+def test_no_subcommand_prints_the_usage_line(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: twistorkit") and captured.out == ""
+
+
 def test_custom_suite_reads_the_params_of_its_checks(tmp_path, monkeypatch, capsys):
     (tmp_path / "mixed.suite").write_text(
         "name: mixed-params\n"

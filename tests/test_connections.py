@@ -260,6 +260,45 @@ def test_solve_of_non_finite_matrices_is_nan_and_does_not_raise(bad, cplx):
         assert np.isnan(Y[[1, 3]]).all() and np.isfinite(Y[[0, 2, 4]]).all()
 
 
+@pytest.mark.parametrize("cplx", [False, True])
+def test_non_finite_exponents_are_nan_rows_without_warnings(cplx):
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(5, 4, 4)) + (1j * rng.normal(size=(5, 4, 4)) if cplx else 0)
+    finite = [expm(X[i]) for i in (0, 2, 4)]
+    X[1], X[3] = np.nan, np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = [expm(np.full((4, 4), bad, X.dtype)) for bad in (np.nan, np.inf, -np.inf)]
+        mixed, pair = expm(X), _expm_pm(X)
+    assert all(np.isnan(E).all() for E in whole)
+    for Y in (mixed, *pair):
+        assert np.isnan(Y[[1, 3]]).all()
+    assert mixed[[0, 2, 4]].tobytes() == np.array(finite).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integration_of_a_non_finite_form_blows_up_without_warnings(bad):
+    # the step along x1 multiplies the x2 component by 0: inf * 0 as well
+    form = LieValuedForm.constant([np.eye(2), np.full((2, 2), bad)])
+    path = GroupPath([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError, match="^accumulated element is not finite$"):
+            integrate_path(form, path)
+    assert len(path.det_log) == 1 and np.isnan(path.det_log[0])
+
+
+def test_overflow_of_a_finite_form_warns_and_blows_up_as_not_finite():
+    # exp(4000) overflows in the squaring of the step's exponential
+    form = LieValuedForm.constant([np.full((2, 2), 1e3), np.eye(2)])
+    path = GroupPath([[0.0, 0.0], [1.0, 1.0]], 1)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert not np.isfinite(expm(np.full((2, 2), 2e3))).any()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(BlowupError, match="^accumulated element is not finite$"):
+            integrate_path(form, path)
+
+
 def test_expm_scales_by_a_power_of_two_up_to_scaling_count_1024():
     # 2.0 ** 1024 overflows to inf, and A / inf is 0: B would be 0 and exp(A) would read I
     A = np.full((2, 2), 2.5e307)  # 1-norm 5e307, s = 1024
@@ -279,7 +318,7 @@ def test_expm_scales_by_a_power_of_two_up_to_scaling_count_1024():
 def test_integration_with_scaling_count_1024_blows_up():
     form = LieValuedForm.constant([1e308 * np.ones((2, 2)), np.zeros((2, 2))])
     path = GroupPath([[0, 0], [1, 0]], 4)
-    with np.errstate(all="ignore"), pytest.raises(BlowupError, match="no longer invertible"):
+    with np.errstate(all="ignore"), pytest.raises(BlowupError, match="is not finite"):
         integrate_path(form, path)
     assert len(path.det_log) == 1 and not np.isfinite(path.det_log[0])
 
@@ -329,6 +368,8 @@ def reference_integration(form, waypoints, steps):
             f = f @ expm(sum(vals[j] * delta[j] for j in range(form.domain_dim)))
             det = abs(np.linalg.det(f))
             det_log.append(float(det))
+            if not np.isfinite(f).all():
+                return f, det_log, "accumulated element is not finite"
             if not np.isfinite(det) or det < 1e-12:
                 return f, det_log, f"accumulated element is no longer invertible (|det| = {det:.2e})"
     return f, det_log, None
@@ -449,7 +490,7 @@ def test_nonfinite_det_in_mid_block_stops_at_its_step():
         with pytest.raises(BlowupError) as exc:
             integrate_path(form, path)
         _, ref_log, err = reference_integration(form, waypoints, 1000)
-    assert err == "accumulated element is no longer invertible (|det| = nan)"
+    assert err == "accumulated element is not finite"
     assert str(exc.value) == err
     assert len(ref_log) == len(path.det_log) == 601 and np.isnan(path.det_log[-1])
     assert np.array(path.det_log).tobytes() == np.array(ref_log).tobytes()

@@ -258,41 +258,30 @@ def test_morphism_certifies_a_point_with_one_newton_solve(monkeypatch):
     assert value.tobytes() == fresh[1].tobytes()
 
 
-def test_morphism_residual_reuses_the_newton_solves_last_order_1_jets():
+def _analytic_seeds(point):
+    """:func:`analytic_seed` of each row of an (N, 6) array, or of one point."""
+    return np.apply_along_axis(analytic_seed, -1, point)
+
+
+@pytest.mark.parametrize("count", [None, 4])
+def test_morphism_residual_evaluates_h_once_at_order_2_after_the_newton_solve(count):
     data = euclid_r6_data()
-    q = _admissible_targets(1, seed=6)[0]
+    q = np.array(_admissible_targets(count or 1, seed=6))
+    q = q if count else q[0]
     rec = NewtonRecord()
-    y = invert_h(data, q, analytic_seed(q), record=rec)
+    y = invert_h(data, q, _analytic_seeds(q), record=rec)
+    iterations = max(map(len, rec.residuals)) if count else len(rec.residuals)
     calls = []
     evaluator = data.h.evaluator
     data.h.evaluator = lambda point, order: (calls.append((point.tobytes(), order))
                                              or evaluator(point, order))
-    phi = morphism_as_map(data, seed_fn=analytic_seed)
+    phi = morphism_as_map(data, seed_fn=_analytic_seeds)
     harmonic_morphism_residual(phi, q)
-    # the solve's iterations, then the Laplacian's order-2 jets at the
-    # preimage; the Jacobian of the HWC residual makes no second order-1 call
-    assert [order for _, order in calls] == [1] * len(rec.residuals) + [2]
-    assert [order for point, order in calls if point == y.tobytes()] == [1, 2]
-    # and the reused jets give the bits of a fresh evaluation at the preimage
-    fresh = invert_jet_map(SmoothMap(6, 6, evaluator).jets(y, 1))[:2] + y[:2]
-    assert phi.jacobian(q).tobytes() == gradient(fresh).real.tobytes()
-    assert len(calls) == len(rec.residuals) + 1
-
-
-def test_a_reused_newton_record_keeps_no_jets_of_an_earlier_solve():
-    data = euclid_r6_data()
-    targets, starts = _newton_batch(data, 7, 3)
-    rec = NewtonRecord()
-    y = invert_h(data, targets[0], starts[0], record=rec)
-    assert values(rec.jets).real.tobytes() == values(data.h.jets(y, 1)).real.tobytes()
-    invert_h(data, targets, starts, record=rec)  # a batch leaves none
-    assert rec.jets is None
-    invert_h(data, targets[0], starts[0], record=rec)
-    bad = targets[0].copy()
-    bad[0] = np.nan
-    with pytest.raises(JetError, match="the target is not finite"):
-        invert_h(data, bad, starts[0], record=rec)
-    assert rec.jets is None
+    phi(q)
+    # the solve's order-1 iterations, then the order-2 jets at the preimage
+    # that both residuals read; the map's value is the kept preimage's
+    assert [order for _, order in calls] == [1] * iterations + [2]
+    assert calls[-1] == (y.tobytes(), 2)
 
 
 def test_morphism_keeps_the_preimage_of_the_last_point_only(monkeypatch):

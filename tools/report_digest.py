@@ -8,7 +8,12 @@ checkouts whose totals agree produce the same reports on the grid::
 
     python3 tools/report_digest.py
 
-The last six lines are kept out of the total.  ``morphism <sha256>`` hashes
+The last seven lines are kept out of the total.  ``path openblas=<core>
+baseline=<targets> dispatch=<targets>`` names the numeric path the reports
+were made on, which their bits depend on: the OpenBLAS core that numpy's
+BLAS runs (``unknown`` where its library has no
+``scipy_openblas_get_corename64_``), numpy's baseline SIMD targets and the
+dispatch targets enabled on this CPU.  ``morphism <sha256>`` hashes
 the residual bytes of ``perfbench/workloads.morphism_request(seed)`` for
 seeds 1-40, the library-call pipeline that no suite report covers.
 ``euclid-hm-seeds <sha256>`` hashes the euclid-hm JSON reports at
@@ -34,6 +39,7 @@ the workloads module from ``perfbench`` beside it.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import io
@@ -88,6 +94,21 @@ def seeds_digest(suite, seeds):
     return digest.hexdigest()
 
 
+def path_line():
+    """``path openblas=<core> baseline=<targets> dispatch=<targets>``."""
+    from numpy._core import _multiarray_umath as umath
+
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (OSError, AttributeError):
+        core = "unknown"
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (f"path openblas={core} baseline={','.join(umath.__cpu_baseline__) or 'none'} "
+            f"dispatch={','.join(enabled) or 'none'}")
+
+
 def morphism_digest():
     """SHA-256 over the residual bytes of the morphism request of each seed,
     each followed by a newline."""
@@ -107,6 +128,7 @@ if __name__ == "__main__":
         total.update(line.encode() + b"\n")
         print(line)
     print(f"total {total.hexdigest()}")
+    print(path_line())
     print(f"morphism {morphism_digest()}")
     print(f"euclid-hm-seeds {seeds_digest('euclid-hm', EUCLID_SEEDS)}")
     print(f"lifts-r4-seeds {seeds_digest('lifts-r4', LIFTS_SEEDS)}")
