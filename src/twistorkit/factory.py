@@ -184,17 +184,39 @@ def invert_h(data, target_q, seed_point, record=None):
             bad = ~np.isfinite(D).all(axis=(-2, -1)).reshape(-1)
             raise SingularJacobianError(
                 f"{_row(one, live[np.argmax(bad)])}Jacobian is not finite at iterate")
-        sv = np.linalg.svd(D, compute_uv=False)
-        for r, lo, hi in zip(live, sv[..., -1].reshape(-1).tolist(),
-                             sv[..., 0].reshape(-1).tolist()):
-            if lo < 1e-10 * max(1.0, hi):
-                raise SingularJacobianError(
-                    f"{_row(one, r)}Jacobian is singular or ill-conditioned at iterate "
-                    f"(singular values {lo:.2e} to {hi:.2e})")
+        _check_conditioning(D, live, one)
         y = y - np.linalg.solve(D, diff[..., None])[..., 0]
     raise NewtonDivergenceError(
         f"{_row(one, live[0])}no convergence after {NEWTON_MAX_ITER} iterations "
         f"(last residual {logs[live[0]][-1]:.2e})")
+
+
+def _check_conditioning(D, live, one):
+    """Raise :class:`SingularJacobianError` at the first row of the (..., K,
+    K) stack D, in ``live`` order, whose singular values fail the rule
+    sigma_min >= 1e-10 * max(1, sigma_max); ``live[i]`` names row i."""
+    K = D.shape[-1]
+    # The SVD is the rule; a cheaper bound clears most rows before it.  For
+    # a K x K matrix |det D| = prod sigma_i <= sigma_min * ||D||_F^(K-1) and
+    # sigma_max <= ||D||_F, so a row with
+    #   |det D| > 2e-10 * max(1, ||D||_F) * ||D||_F^(K-1)
+    # has sigma_min > 2e-10 * max(1, sigma_max) and passes the rule with a
+    # factor 2 to spare, which covers the rounding of LU in det (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 9).
+    # The test is strict, so a zero matrix goes on to the SVD, and an
+    # overflow reads inf or NaN, which clears nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro = np.sqrt((D * D).sum(axis=(-2, -1)))
+        cleared = np.abs(np.linalg.det(D)) > 2e-10 * np.maximum(1.0, fro) * fro ** (K - 1)
+    if cleared.all():  # no SVD, not even of an empty stack (costly at one point)
+        return
+    doubtful = np.flatnonzero(~cleared)
+    sv = np.linalg.svd(D.reshape(-1, K, K)[doubtful], compute_uv=False)
+    for i, lo, hi in zip(doubtful.tolist(), sv[:, -1].tolist(), sv[:, 0].tolist()):
+        if lo < 1e-10 * max(1.0, hi):
+            raise SingularJacobianError(
+                f"{_row(one, live[i])}Jacobian is singular or ill-conditioned at iterate "
+                f"(singular values {lo:.2e} to {hi:.2e})")
 
 
 def _row(one, r):

@@ -8,12 +8,17 @@ file may change only with a note in CHANGES.md saying why.  To regenerate
 one::
 
     PYTHONPATH=src python demos/NAME.py > tests/golden/demos/NAME.txt
+
+The bytes hold on the numeric path recorded in ``golden/PATH``; a failing
+lock says whether this host runs it (``numeric_path.py``).
 """
 
 import runpy
 from pathlib import Path
 
 import pytest
+
+from numeric_path import path_note
 
 DEMOS = Path(__file__).parent.parent / "demos"
 LOCKS = Path(__file__).parent / "golden" / "demos"
@@ -26,4 +31,4 @@ def test_every_demo_has_a_lock():
 @pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.py")))
 def test_demo_output_matches_lock(demo, capsys):
     runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
-    assert capsys.readouterr().out == (LOCKS / f"{demo}.txt").read_text()
+    assert capsys.readouterr().out == (LOCKS / f"{demo}.txt").read_text(), path_note()

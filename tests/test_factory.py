@@ -1,5 +1,7 @@
 """Morphism factory: data validation, Newton inversion, projective data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from twistorkit.factory import (
     NewtonDivergenceError,
     NewtonRecord,
     SingularJacobianError,
+    _check_conditioning,
     cp3_affine_jacobian,
     cp3_constraints_residual,
     cp3_example1_data,
@@ -135,7 +138,8 @@ def test_invert_h_error_modes():
     sq_h = SmoothMap.from_complex(1, 1, lambda z: [z * z])
     zero_mu0 = SmoothMap.from_complex(1, 0, lambda z: [])
     data_sq = EuclideanTwistorData(n=1, p=0, h=sq_h, mu=zero_mu0)
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError, match=r"^Jacobian is singular or ill-conditioned "
+                       r"at iterate \(singular values 0\.00e\+00 to 0\.00e\+00\)$"):
         invert_h(data_sq, np.array([0.5, 0.5]), np.zeros(2))
     bounded = SmoothMap.from_complex(1, 1, lambda z: [(1 + z * z).reciprocal()])
     data_far = EuclideanTwistorData(n=1, p=0, h=bounded, mu=zero_mu0)
@@ -574,6 +578,94 @@ def test_nan_data_gives_nan_validation_residuals():
     cp3 = cp3_example1_data()
     cp3.delta = lambda zs: zs[2] * zs[2] * nan + zs[1]
     assert np.isnan(cp3_constraints_residual(cp3, np.full(6, 0.25)))
+
+
+def _with_singular_values(rng, sv):
+    """U diag(sv) V^T, or a stack of them for an (N, K) ``sv``, with U and V
+    seeded random orthogonal."""
+    K = sv.shape[-1]
+    u, _ = np.linalg.qr(rng.normal(size=sv.shape[:-1] + (K, K)))
+    v, _ = np.linalg.qr(rng.normal(size=sv.shape[:-1] + (K, K)))
+    return (u * sv[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The stacks that reach ``np.linalg.svd``, one per call."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.copy()) or svd(a, **kw))
+    return calls
+
+
+def test_conditioning_bound_clears_no_matrix_the_svd_rule_fails(svd_calls):
+    # each matrix alone, as one point: where the |det|/Frobenius bound
+    # clears it the SVD is never called, and the rule must hold anyway
+    rng = np.random.default_rng(32)
+    mats = [D for K in (2, 4, 6) for D in _with_singular_values(
+        rng, 10.0 ** rng.uniform(-13, 0, (4000, K)) * 10.0 ** rng.uniform(-6, 6, (4000, 1)))]
+    # and 2 x 2 matrices near the rule's threshold, where the bound is tightest
+    near = np.stack([np.ones(1000), 10.0 ** rng.uniform(-10.5, -9, 1000)], axis=-1)
+    mats += list(_with_singular_values(rng, near * 10.0 ** rng.uniform(-3, 3, (1000, 1))))
+    edge = [np.ones((4, 4)), np.zeros((6, 6)), 1e80 * _with_singular_values(rng, np.ones(6)),
+            1e80 * _with_singular_values(rng, np.ones(2)), np.full((3, 3), 1e80)]
+    cleared, failing = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow in det or the bound stays silent
+        for D in mats + edge:
+            sv = np.linalg.svd(D, compute_uv=False)
+            failing.append(bool(sv[-1] < 1e-10 * max(1.0, sv[0])))
+            svd_calls.clear()
+            try:
+                _check_conditioning(D, [0], True)
+                raised = False
+            except SingularJacobianError:
+                raised = True
+            cleared.append(not svd_calls)
+            assert raised == failing[-1]  # the SVD's decision, for every matrix
+    assert not any(c and f for c, f in zip(cleared, failing))
+    assert 0 < sum(failing) and 0 < sum(cleared) < len(cleared)
+    # exact-singular, zero and overflowing matrices go to the SVD
+    assert cleared[-5:] == [False, False, False, True, False]
+    assert failing[-5:] == [True, True, False, False, True]
+
+
+def test_conditioning_guard_sends_only_uncleared_rows_to_the_svd(svd_calls):
+    rng = np.random.default_rng(33)
+    good = [_with_singular_values(rng, rng.uniform(0.5, 2.0, 6)) for _ in range(3)]
+    sv = np.ones(6)
+    sv[-1] = 0.5e-10
+    bad = _with_singular_values(rng, sv)
+    sv[-1] = 2e-10
+    fine = _with_singular_values(rng, sv)
+    message = (r"Jacobian is singular or ill-conditioned at iterate "
+               r"\(singular values 5\.00e-11 to 1\.00e\+00\)$")
+    # every row clears: no SVD call, not even of an empty stack
+    _check_conditioning(np.array(good), [3, 5, 8], False)
+    _check_conditioning(good[0], [0], True)
+    assert svd_calls == []
+    # the ill-conditioned row alone goes to the SVD, and its message names it
+    with pytest.raises(SingularJacobianError, match=f"^row 5: {message}"):
+        _check_conditioning(np.array([good[0], bad, good[1], good[2]]), [3, 5, 8, 9], False)
+    assert len(svd_calls) == 1 and svd_calls[0].tobytes() == bad[None].tobytes()
+    with pytest.raises(SingularJacobianError, match=f"^{message}"):
+        _check_conditioning(bad, [0], True)
+    # the first failing row in live order raises, after an uncleared row that passes
+    svd_calls.clear()
+    with pytest.raises(SingularJacobianError, match="^row 8: "):
+        _check_conditioning(np.array([good[0], fine, bad, bad]), [3, 5, 8, 9], False)
+    assert len(svd_calls) == 1 and len(svd_calls[0]) == 3
+    # a row at 2e-10 does not clear the bound, and passes the rule
+    svd_calls.clear()
+    _check_conditioning(np.array([good[0], fine]), [0, 1], False)
+    assert len(svd_calls) == 1 and svd_calls[0].tobytes() == fine[None].tobytes()
+
+
+def test_newton_on_euclid_data_makes_no_svd_call(svd_calls):
+    data = euclid_r6_data()
+    targets, starts = _newton_batch(data, 4, 30)
+    rows = invert_h(data, targets, starts)
+    invert_h(data, targets[0], starts[0])
+    assert svd_calls == [] and np.isfinite(rows).all()
 
 
 def test_invert_h_rejects_non_finite_input_naming_the_row():

@@ -10,7 +10,9 @@ and all counts equal).  To regenerate one::
     twistorkit run --seed 42 --points 10 --format json ARGV > tests/golden/variants/NAME.json
 
 with NAME and ARGV from ``VARIANTS`` below; ARGV comes last, so a variant may
-override the fixed flags (a ``--seed`` of its own, for example).
+override the fixed flags (a ``--seed`` of its own, for example).  The bytes
+hold on the numeric path recorded in ``golden/PATH``; a failing lock says
+whether this host runs it (``numeric_path.py``).
 """
 
 from pathlib import Path
@@ -19,6 +21,8 @@ import pytest
 
 from twistorkit.cli import main
 from twistorkit.suites import SUITES
+
+from numeric_path import path_note
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,11 +48,12 @@ def test_every_variant_has_an_argv():
 def test_report_matches_golden(suite, monkeypatch, capsys):
     monkeypatch.delenv("TWISTOR_SUITE_DIR", raising=False)
     main(["run", "--suite", suite, "--seed", "42", "--points", "50", "--format", "json"])
-    assert capsys.readouterr().out == (GOLDEN / f"{suite}.json").read_text()
+    assert capsys.readouterr().out == (GOLDEN / f"{suite}.json").read_text(), path_note()
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_variant_matches_golden(name, monkeypatch, capsys):
     monkeypatch.delenv("TWISTOR_SUITE_DIR", raising=False)
     main(["run", "--seed", "42", "--points", "10", "--format", "json", *VARIANTS[name]])
-    assert capsys.readouterr().out == (GOLDEN / "variants" / f"{name}.json").read_text()
+    assert capsys.readouterr().out == (GOLDEN / "variants" / f"{name}.json").read_text(), \
+        path_note()
