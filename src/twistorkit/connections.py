@@ -77,7 +77,9 @@ def _scaled_pade(A):
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[-1]
     A3 = A.reshape(-1, n, n)
-    # the 1-norm: column sums as row adds in order, bitwise |A3|.sum(-2)
+    # the 1-norm: column sums as row adds in order.  |A3|.sum(-2) has the same
+    # bits but takes 36 us against 23 at a stack of 256 4 x 4 matrices, and
+    # flat-connection passes stacks of 256-512
     a = np.abs(A3)
     norm = a[:, 0].copy()
     for i in range(1, n):

@@ -224,15 +224,14 @@ def _row(one, r):
     return "" if one else f"row {r}: "
 
 
-def evaluate_morphism(data, q, seed_point=None):
+def evaluate_morphism(data, q, seed_point):
     """First complex factor of h^(-1)(q): the constructed map at q, or at
-    each row of an (..., 2k) array of points."""
-    seed = seed_point if seed_point is not None else np.zeros(2 * data.k)
-    y = invert_h(data, q, seed)
+    each row of an (..., 2k) array of points, by Newton from ``seed_point``."""
+    y = invert_h(data, q, seed_point)
     return real_to_complex_point(y)[..., : data.n]
 
 
-def morphism_as_map(data, seed_fn=None):
+def morphism_as_map(data, seed_fn):
     """The constructed map as a :class:`SmoothMap`, with implicit-series jets.
 
     At each point the jet of h is inverted as a power series around the
@@ -246,20 +245,19 @@ def morphism_as_map(data, seed_fn=None):
     point is asked for again at another order, as a residual's jets and
     then the map's value are.
     """
-    K = 2 * data.k
     kept = [None, None]  # (bytes, shape) of the last point solved, its preimage
 
     def evaluator(point, order):
         key = (point.tobytes(), point.shape)
         if kept[0] != key:
-            kept[:] = [key, invert_h(data, point, seed_fn(point) if seed_fn else np.zeros(K))]
+            kept[:] = [key, invert_h(data, point, seed_fn(point))]
         y = kept[1]
         if order == 0:
             # bitwise the series inverse's constant term plus y
             return JetSpace(point, 0).const(y[..., : 2 * data.n])
         return invert_jet_map(data.h.jets(y, order))[: 2 * data.n] + y[..., : 2 * data.n]
 
-    return SmoothMap(K, 2 * data.n, evaluator)
+    return SmoothMap(2 * data.k, 2 * data.n, evaluator)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ the read-offs put the batch axis first.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from itertools import product as _iproduct
@@ -58,78 +59,70 @@ class _Table:
         self.zeros = np.zeros(self.size, dtype=complex)
         self.zeros.flags.writeable = False
         self.eye = np.eye(nvars)
-        self._mul = None
-        self._partial = {}
-        self._compose = None
 
     def prefix_size(self, order):
         return int(self._prefix[order + 1])
 
-    def mul_triples(self, rows=1):
+    @functools.cached_property
+    def triples(self):
         """(I, J, K): the product of coefficients I[t] and J[t] adds into
-        position K[t].  For ``rows`` rows K indexes the flattened
-        coefficients of the rows, row after row: K + size * r in row r."""
-        if self._mul is None:
-            I, J, K = [], [], []
-            for i, a in enumerate(self.indices):
-                da = self.degrees[i]
-                for j, b in enumerate(self.indices):
-                    if da + self.degrees[j] > self.order:
-                        continue
+        position K[t]."""
+        I, J, K = [], [], []
+        for i, a in enumerate(self.indices):
+            for j, b in enumerate(self.indices):
+                if self.degrees[i] + self.degrees[j] <= self.order:
                     I.append(i)
                     J.append(j)
                     K.append(self.position[tuple(x + y for x, y in zip(a, b))])
-            self._mul = {1: (np.array(I), np.array(J), np.array(K))}
-        triples = self._mul.get(rows)
-        if triples is None:
-            I, J, K = self._mul[1]
-            triples = self._mul[rows] = (I, J, (K + self.size * np.arange(rows)[:, None]).ravel())
-        return triples
+        return np.array(I), np.array(J), np.array(K)
 
+    # Shared by all tables.  Five units of each perfbench workload use at
+    # most 50 (table, row count) pairs, 12 of them for one table; a batch
+    # size per request would otherwise add an entry per request
+    # (test_row_targets_cache_stays_bounded_over_many_batch_sizes).
+    @functools.lru_cache(maxsize=128)
+    def row_targets(self, rows):
+        """K of :attr:`triples` into the flattened coefficients of ``rows``
+        rows, row after row: K + size * r in row r."""
+        return (self.triples[2] + self.size * np.arange(rows)[:, None]).ravel()
+
+    @functools.cache
     def partial_map(self, var):
         """(src, mult) so that (d/dx_var f).coef[q] = mult[q] * f.coef[src[q]]
         over the prefix table of order-1."""
-        if var not in self._partial:
-            n = self.prefix_size(self.order - 1) if self.order > 0 else 0
-            src = np.zeros(n, dtype=int)
-            mult = np.zeros(n)
-            for q in range(n):
-                b = self.indices[q]
-                up = tuple(x + (1 if k == var else 0) for k, x in enumerate(b))
-                src[q] = self.position[up]
-                mult[q] = b[var] + 1
-            self._partial[var] = (src, mult)
-        return self._partial[var]
+        n = self.prefix_size(self.order - 1) if self.order > 0 else 0
+        src = np.zeros(n, dtype=int)
+        mult = np.zeros(n)
+        for q in range(n):
+            b = self.indices[q]
+            up = tuple(x + (1 if k == var else 0) for k, x in enumerate(b))
+            src[q] = self.position[up]
+            mult[q] = b[var] + 1
+        return src, mult
 
+    @functools.cached_property
     def compose_plan(self):
         """(k, e): the monomial at position q is the product of x_k**e with
         k = k[s, q] and e = e[s, q] over the steps s where e[s, q] > 0, its
         variables in increasing order from step 0."""
-        if self._compose is None:
-            factors = [[(k, e) for k, e in enumerate(a) if e] for a in self.indices]
-            k = np.zeros((max(map(len, factors)), self.size), dtype=int)
-            e = np.zeros_like(k)
-            for q, fs in enumerate(factors):
-                for s, ke in enumerate(fs):
-                    k[s, q], e[s, q] = ke
-            self._compose = (k, e)
-        return self._compose
+        factors = [[(k, e) for k, e in enumerate(a) if e] for a in self.indices]
+        k = np.zeros((max(map(len, factors)), self.size), dtype=int)
+        e = np.zeros_like(k)
+        for q, fs in enumerate(factors):
+            for s, ke in enumerate(fs):
+                k[s, q], e[s, q] = ke
+        return k, e
 
 
-_TABLES = {}
-
-# products per _mul_rows call in compose: bounds its transient arrays and the
-# row counts that _Table.mul_triples caches
+# products per _mul_rows call in compose: bounds its transient arrays
 _COMPOSE_PRODUCTS = 1 << 16
 
 
+@functools.cache
 def _table(nvars, order):
     """The one :class:`_Table` for (nvars, order); jets of the same space
     share it, so an identity test on tables tells them apart cheaply."""
-    t = _TABLES.get((nvars, order))
-    if t is None:
-        t = _TABLES[nvars, order] = _Table(nvars, order)
-    return t
+    return _Table(nvars, order)
 
 
 def _factorial_multi(alpha):
@@ -283,9 +276,7 @@ class Jet:
         return Jet(self.table, self.base, c)
 
     def __rsub__(self, other):
-        c = self.table.zeros - self.coef
-        c[..., 0] = other - self.value
-        return Jet(self.table, self.base, c)
+        return -self + other
 
     def __neg__(self):
         return Jet(self.table, self.base, -self.coef)
@@ -302,7 +293,7 @@ class Jet:
         # scalar jet at one point indexes its coefficients directly.
         t, c = a.table, a.coef
         if c.ndim == 1:
-            I, J, K = t.mul_triples()
+            I, J, K = t.triples
             out = np.zeros(t.size, dtype=complex)
             np.add.at(out, K, c[I] * b.coef[J])
         else:
@@ -369,11 +360,11 @@ class Jet:
 
     @property
     def real(self):
-        return (self + self.conj()) * 0.5
+        return self._like(self.coef.real.astype(complex))
 
     @property
     def imag(self):
-        return (self - self.conj()) * (-0.5j)
+        return self._like(self.coef.imag.astype(complex))
 
     # -- analytic composition ------------------------------------------
     def _series(self, coefficients):
@@ -466,10 +457,10 @@ def _mul_rows(t, a, b):
     """Products of the coefficient arrays a and b of table t, entry by entry
     after numpy broadcasts them against each other: each entry is bitwise
     the product of the scalar jets of that entry alone."""
-    I, J, _ = t.mul_triples()
+    I, J, _ = t.triples
     p = a.take(I, axis=-1) * b.take(J, axis=-1)
     out = np.zeros(p.shape[:-1] + (t.size,), dtype=complex)
-    np.add.at(out.reshape(-1), t.mul_triples(p.size // len(I))[2], p.reshape(-1))
+    np.add.at(out.reshape(-1), t.row_targets(p.size // len(I)), p.reshape(-1))
     return out
 
 
@@ -584,7 +575,7 @@ def _real_split(ws):
     interleaved in one vector jet, as :func:`_complex_pairs` pairs them."""
     w = stack([ws] if isinstance(ws, Jet) and not ws.shape else ws)
     parts = np.empty(w.coef.shape[:-1] + (2, w.table.size), dtype=complex)
-    parts[..., 0, :], parts[..., 1, :] = w.real.coef, w.imag.coef
+    parts[..., 0, :], parts[..., 1, :] = w.coef.real, w.coef.imag
     return w._like(parts.reshape(w.coef.shape[:-2] + (2 * w.coef.shape[-2], w.table.size)))
 
 
@@ -694,6 +685,15 @@ def _read_off(jets, read):
     parts = [_read_off(j, read) for j in jets]
     nb = parts[0][1]
     return np.stack([p for p, _ in parts], axis=nb), nb
+
+
+def _embed(jet, space):
+    """Inject a jet in the variables after the first of ``space``, of the
+    space's order, into that space: a family's x-jet into its (t, x) space."""
+    t = _table(space.nvars, space.order)
+    out = np.zeros(jet.coef.shape[:-1] + (t.size,), dtype=complex)
+    out[..., [t.position[(0,) + a] for a in jet.table.indices]] = jet.coef
+    return Jet(t, space.base, out)
 
 
 def merge_rows(mask, a, b):
@@ -833,11 +833,11 @@ def compose(f, gs):
     powers[0] = G
     for e in range(1, order):
         powers[e] = _mul_rows(gt, powers[e - 1], G)
-    ks, es = ft.compose_plan()
+    ks, es = ft.compose_plan
     flat = out.reshape(-1)
     # blocks of terms keep each _mul_rows call within _COMPOSE_PRODUCTS
     # products; adding the blocks in turn keeps each target's table order
-    step = max(1, _COMPOSE_PRODUCTS // len(gt.mul_triples()[0]))
+    step = max(1, _COMPOSE_PRODUCTS // len(gt.triples[0]))
     for lo in range(0, len(pos), step):
         blk = slice(lo, lo + step)
         p, r = pos[blk], b[blk]
@@ -859,8 +859,8 @@ def _matvec_rows(A, X):
     """A @ X for constant matrices A and the coefficients X of a vector of
     jets, summed over the columns left to right as numpy's object-array ``@``
     sums the jets: one row of products at a time, not BLAS, which sums in
-    another order (test_invert_jet_map_over_rows_matches_object_array_body_
-    bitwise and the lock of demo 05)."""
+    another order (the lock of demo 05 and
+    test_invert_jet_map_over_rows_matches_object_array_body_bitwise)."""
     acc = X[..., 0, None, :] * A[..., :, 0, None]
     for j in range(1, X.shape[-2]):
         acc = acc + X[..., j, None, :] * A[..., :, j, None]

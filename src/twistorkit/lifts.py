@@ -191,12 +191,7 @@ def vertical_part(lift, z0, X):
     has one matrix per row.
     """
     grad = gradient(lift.structure_jets(z0, 1)).real
-    out = np.zeros(grad.shape[:-1])
-    X = np.asarray(X, dtype=float)
-    for v in range(X.shape[-1]):
-        # a zero component adds +-0.0 to a sum that started at +0.0: no change
-        out += X[..., v, None, None] * grad[..., v]
-    return out
+    return (np.asarray(X, dtype=float)[..., None, None, :] * grad).sum(axis=-1)
 
 
 def j_vertical_residual(lift, z0, a):

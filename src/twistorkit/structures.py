@@ -125,7 +125,9 @@ def adapted_basis(J):
         for c, cT in cols:
             resid = resid - c * cT
         norms = np.linalg.norm(resid, axis=-2)
-        # resid is symmetric entry by entry, so its row at the pivot is the column
+        # resid is symmetric entry by entry, so its row at the pivot is the
+        # column; one flat index takes it, where take_along_axis gives the
+        # same bits but slows is_positive 10-20 % at ten 6 x 6 structures
         bT = resid.reshape(-1, n)[first + np.argmax(norms, axis=-1)][..., None, :]
         bT = bT / np.sqrt(bT @ bT.swapaxes(-1, -2))
         b = bT.swapaxes(-1, -2)
@@ -294,19 +296,12 @@ def twistor_chart(q, mu):
     Works on plain complex vectors and on jet-valued inputs alike; ``q`` is a
     length-k sequence and ``mu`` a length-k(k-1)/2 sequence.
     """
-    k = len(q)
     mu = list(mu)
-    # (entry, sign) of M(mu) at (i, j), i != j
-    entry = {}
-    for m, i, j in zip(mu, *_mu_pairs(k, len(mu))):
-        entry[i, j], entry[j, i] = (m, 1.0), (m, -1.0)
-    w = []
-    for i in range(k):
-        wi = q[i]
-        for j in range(k):
-            if i != j:
-                m, sign = entry[i, j]
-                qbar = q[j].conj() if hasattr(q[j], "conj") else np.conj(q[j])
-                wi = wi - sign * m * qbar
-        w.append(wi)
+    qbar = [x.conj() if hasattr(x, "conj") else np.conj(x) for x in q]
+    w = list(q)
+    # M(mu) is m at (i, j) and -m at (j, i); the pairs run row-major over the
+    # upper triangle, so each w_i subtracts its terms in increasing j
+    for m, i, j in zip(mu, *_mu_pairs(len(q), len(mu))):
+        w[i] = w[i] - m * qbar[j]
+        w[j] = w[j] + m * qbar[i]
     return w, mu

@@ -237,10 +237,7 @@ def _rotation(A):
     its columns signed to make the diagonal of R positive, then its first
     column negated where det Q < 0."""
     Q, R = np.linalg.qr(A)
-    n = A.shape[-1]
-    signs = np.zeros(A.shape)
-    signs[..., range(n), range(n)] = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
-    Q = Q @ signs
+    Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
     Q[..., 0] = np.where(np.linalg.det(Q)[..., None] < 0, -Q[..., 0], Q[..., 0])
     return Q
 
@@ -405,9 +402,7 @@ def _(config, rng):
     residuals = np.empty((config.points, 2))
     for k, rows, (A, c) in _by_k(*zip(*draws)):
         J = _rotated_structures(k, A)
-        lam = 0  # from int 0, as Python's sum of the c_m b_m
-        for m, b in enumerate(np.moveaxis(st.mj_basis(J), -3, 0)):
-            lam = lam + c[:, m, None, None] * b
+        lam = (c[..., None, None] * st.mj_basis(J)).sum(axis=1)
         jv = st.jv_apply(J, lam)
         residuals[rows, 0] = st.mj_residual(jv, J)
         residuals[rows, 1] = np.max(np.abs(st.jv_apply(J, jv) + lam), axis=(-2, -1))

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import (
-    Jet,
     JetError,
     JetSpace,
     SmoothMap,
+    _embed,
     _laplace_trace,
     _real_split,
     gradient,
@@ -56,16 +56,6 @@ def _jets_at_t0(fam, x0, space_order):
     x0 = np.asarray(x0, dtype=float)
     base = np.concatenate([np.zeros(x0.shape[:-1] + (1,)), x0], axis=-1)
     return fam.jets(base, space_order + 1)
-
-
-def _embed(jet, space):
-    """Inject a jet in x-variables, of the space's order, into the (t, x)
-    space of a family."""
-    tgt = space.const(0.0).table
-    out = np.zeros(jet.coef.shape[:-1] + (tgt.size,), dtype=complex)
-    for pos, alpha in enumerate(jet.table.indices):
-        out[..., tgt.position[(0,) + alpha]] = jet.coef[..., pos]
-    return Jet(tgt, space.base, out)
 
 
 def jacobi_operator_flat(v, x0):

@@ -540,6 +540,23 @@ def test_batched_ring_operations_match_rows_bitwise(shape, rng):
                            lambda r: op(_row(a, r), _row(b, r), s[r], t[r]))
 
 
+def test_row_targets_cache_stays_bounded_over_many_batch_sizes(rng):
+    # products of one table at 200 batch sizes: the cache of row targets
+    # holds no more than its bound, and each row is still the product of
+    # its jets alone
+    t = _table(2, 3)
+    base = JetSpace(rng.uniform(-1, 1, (200, 2)), 3).base
+    A, B = rng.normal(size=(2, 200, t.size)) + 1j * rng.normal(size=(2, 200, t.size))
+    ones = np.array([(Jet(t, base[r], A[r]) * Jet(t, base[r], B[r])).coef for r in range(200)])
+    bound = jets._Table.row_targets.cache_parameters()["maxsize"]
+    assert bound is not None
+    for rows in range(1, 201):
+        rows_base = base[:rows]
+        prod = Jet(t, rows_base, A[:rows]) * Jet(t, rows_base, B[:rows])
+        assert jets._Table.row_targets.cache_info().currsize <= bound
+        assert _bits(prod.coef) == _bits(ones[:rows])
+
+
 @pytest.mark.parametrize("shape", BATCH_SHAPES)
 def test_batched_series_partials_and_truncation_match_rows_bitwise(shape, rng):
     nvars, order = shape
@@ -1071,7 +1088,7 @@ def test_compose_over_blocks_of_terms_is_the_compose_in_one_block_bitwise(terms,
     G.coef[..., 0] = 0.0
     monkeypatch.setattr(jets, "_COMPOSE_PRODUCTS", 1 << 40)
     whole = compose(F, G)
-    monkeypatch.setattr(jets, "_COMPOSE_PRODUCTS", terms * len(G.table.mul_triples()[0]))
+    monkeypatch.setattr(jets, "_COMPOSE_PRODUCTS", terms * len(G.table.triples[0]))
     assert _bits(_assert_compose_matches_rows(F, G).coef) == _bits(whole.coef)
 
 

@@ -57,11 +57,14 @@ SEEDS = (1, 2, 3, 42)
 POINTS = (3, 10, 25)
 FORMATS = ("json", "text")
 MORPHISM_SEEDS = range(1, 41)
-EUCLID_SEEDS = range(1, 1101)
-LIFTS_SEEDS = range(1, 301)
-FLAT_SEEDS = range(1, 201)
-SIGMA_SEEDS = range(1, 501)
-CP3_SEEDS = range(1, 501)
+# (suite, seeds) of each ``<suite>-seeds`` line, in the order printed
+SUITE_SEEDS = (
+    ("euclid-hm", range(1, 1101)),
+    ("lifts-r4", range(1, 301)),
+    ("flat-connection", range(1, 201)),
+    ("sigma-plus-algebra", range(1, 501)),
+    ("cp3-data", range(1, 501)),
+)
 
 
 def report_line(suite, seed, points, fmt):
@@ -130,8 +133,5 @@ if __name__ == "__main__":
     print(f"total {total.hexdigest()}")
     print(path_line())
     print(f"morphism {morphism_digest()}")
-    print(f"euclid-hm-seeds {seeds_digest('euclid-hm', EUCLID_SEEDS)}")
-    print(f"lifts-r4-seeds {seeds_digest('lifts-r4', LIFTS_SEEDS)}")
-    print(f"flat-connection-seeds {seeds_digest('flat-connection', FLAT_SEEDS)}")
-    print(f"sigma-plus-algebra-seeds {seeds_digest('sigma-plus-algebra', SIGMA_SEEDS)}")
-    print(f"cp3-data-seeds {seeds_digest('cp3-data', CP3_SEEDS)}")
+    for suite, seeds in SUITE_SEEDS:
+        print(f"{suite}-seeds {seeds_digest(suite, seeds)}")
