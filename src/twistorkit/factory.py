@@ -393,10 +393,11 @@ def closed_form_r6():
     return SmoothMap.from_complex(3, 1, fn)
 
 
-def implicit_equation_residual(z, q):
-    """|f(z) + q1 + q2 + z (conj q1 - conj q2) - q3| for f(z) = z."""
+def implicit_equation_residual(z, q, f_coeffs=(0.0, 1.0)):
+    """|f(z) + q1 + q2 + z (conj q1 - conj q2) - q3| for the f of
+    :func:`euclid_r6_data`, f(z) = sum f_coeffs[k] z^k."""
     q = np.asarray(q, dtype=complex)
-    return abs(z + q[0] + q[1] + z * (np.conj(q[0]) - np.conj(q[1])) - q[2])
+    return abs(_horner(f_coeffs, z) + q[0] + q[1] + z * (np.conj(q[0]) - np.conj(q[1])) - q[2])
 
 
 def cp3_example1_data():

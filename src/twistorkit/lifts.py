@@ -1,14 +1,15 @@
 """Twistor lifts for maps from a surface into R^4 and their vertical residuals.
 
-A lift pairs the base map with a field of Hermitian structures along it.  The
-strictly compatible lift of a weakly conformal map rotates the tangent plane
-(J dphi_x = dphi_y) and sends the normal part u of dz^2 phi = u + iv to -v;
-the orientation of the resulting structure is computed, not assumed.  Where
-dz^2 phi depends on dz phi (the umbilic branch) the normal plane is free, and
-the lift is A + *A for the tangent 2-form A: on R^4 the positive orthogonal
-structures are the unit self-dual 2-forms (Atiyah, Hitchin & Singer 1978), so
-no normal frame is chosen; each frame pair is one jet of two stacked rows, and
-one order-3 evaluation of the map builds the lift.  The vertical-holomorphy
+A lift pairs the base map with the order-1 jets of a Hermitian structure
+along it, at the points it was built at.  The strictly compatible lift of a
+weakly conformal map rotates the tangent plane (J dphi_x = dphi_y) and sends
+the normal part u of dz^2 phi = u + iv to -v; the orientation of the
+resulting structure is computed, not assumed.  Where dz^2 phi depends on
+dz phi (the umbilic branch) the normal plane is free, and the lift is
+A + *A for the tangent 2-form A: on R^4 the positive orthogonal structures
+are the unit self-dual 2-forms (Atiyah, Hitchin & Singer 1978), so no normal
+frame is chosen; each frame pair is one jet of two stacked rows, and one
+order-3 evaluation of the map builds the lift.  The vertical-holomorphy
 residuals and the (1,0)-space stability residuals below are the pointwise
 shadows of the two twistor-space structures: condition a = 2 corresponds to
 harmonicity of the projection, a = 1 to real isotropy.
@@ -16,7 +17,7 @@ harmonicity of the projection, a = 1 to real isotropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,37 +33,32 @@ class LiftError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwistorLift:
-    """A map together with a structure field on the target along it.
+    """A map together with the jets of a structure on the target along it.
 
-    ``structure_field(point, order)`` returns the 2n x 2n matrix of the
-    structure as jets in the domain variables, truncated at ``order``: one
-    (2n, 2n) jet or nested sequences.  At an (N, dim) array of points it
-    returns batched jets, one row per point.
-
-    The lift keeps the order-1 structure jets of the last point, or point
-    array, it was asked for, and serves order-0 and order-1 requests there
-    from them: the values of order-0, -1 and -2 jets agree bitwise.
+    ``jets`` is the 2n x 2n matrix of the structure as one order-1 jet in
+    the domain variables, at one point or batched at an (N, dim) array of
+    points; ``sign`` and ``both_signs_valid`` are per row in a batch.  A
+    lift with a fixed structure J is ``TwistorLift(phi, JetSpace(P, 1).const(J))``.
     """
 
     base_map: object
-    structure_field: object
+    jets: object
     sign: int = +1
     both_signs_valid: bool = False
-    _memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def structure_jets(self, point, order):
-        """The structure matrix as one jet at a domain point given in real or
-        complex coordinates, or at an (N, dim) array of points.  The
-        order-1 matrix is shared with later requests at the same point."""
+        """The structure matrix as one jet of order 0 or 1 at the points the
+        lift was built at, given in real or complex coordinates.  Another
+        point, or a higher order, raises LiftError."""
         point = _as_real_point(point, self.base_map.domain_dim)
-        if order > 1:
-            return stack(self.structure_field(point, order))
-        memo = self._memo
-        if memo is None or memo[0].shape != point.shape or memo[0].tobytes() != point.tobytes():
-            memo = self._memo = (point.copy(), stack(self.structure_field(point, 1)))
-        return memo[1].truncated(order)
+        base = self.jets.base
+        if order > 1 or not np.array_equal(point, base):
+            raise LiftError(f"a lift built at {base[..., 0].size} points of shape {base.shape} "
+                            f"is read there at order 0 or 1, got order {order} at points of "
+                            f"shape {point.shape}")
+        return self.jets.truncated(order)
 
     def structure(self, point):
         """The structure at a point, or the (N, 2n, 2n) stack of them at an
@@ -83,8 +79,8 @@ def strictly_compatible_lift_r4(phi, z0):
 
     At an (N, 2) array of points the lift is built for every row at once:
     ``sign`` and ``both_signs_valid`` become arrays with one entry per row,
-    the structure field is evaluated at (N, 2) arrays, each row on its own
-    branch, and a row that fails raises LiftError naming it.
+    each row takes its own branch, and a row that fails raises LiftError
+    naming it.
     """
     if phi.codomain_dim != 4 or phi.domain_dim != 2:
         raise LiftError("strictly compatible lifts are built for maps R^2 -> R^4")
@@ -97,18 +93,9 @@ def strictly_compatible_lift_r4(phi, z0):
     grad0 = gradient(jets0)
     umbilic = _umbilic(grad0, dz(grad0, 0), values(dz(dz(jets0, 0), 0)))
 
-    def structure_field(point, order):
-        if np.shape(point)[:-1] != np.shape(umbilic):
-            raise LiftError(f"a lift built at {np.size(umbilic)} points is evaluated at "
-                            f"points of shape {z0.shape}, got shape {np.shape(point)}")
-        return _frame_structure(phi.jets(point, order + 2), order, umbilic)
-
-    lift = TwistorLift(phi, structure_field, both_signs_valid=umbilic)
-    lift._memo = (z0.copy(), _frame_structure(jets0, 1, umbilic))
-    J0 = HermitianStructure(values(lift.structure_jets(z0, 0)).real, tol=1e-8)
-    sign = np.where(is_positive(J0), 1, -1)
-    lift.sign = int(sign) if sign.ndim == 0 else sign
-    return lift
+    J = _frame_structure(jets0, umbilic)
+    sign = np.where(is_positive(HermitianStructure(values(J).real, tol=1e-8)), 1, -1)
+    return TwistorLift(phi, J, int(sign) if sign.ndim == 0 else sign, umbilic)
 
 
 def _umbilic(grad0, d1, d2):
@@ -141,17 +128,16 @@ def _umbilic(grad0, d1, d2):
     return umbilic
 
 
-def _frame_structure(jets, order, umbilic):
-    """J = A + f4 (x) f3 - f3 (x) f4, with A = f2 (x) f1 - f1 (x) f2, from the
-    order-(order + 2) jets of the map at one point or a batch; on the umbilic
+def _frame_structure(jets, umbilic):
+    """The order-1 J = A + f4 (x) f3 - f3 (x) f4, with A = f2 (x) f1 - f1 (x) f2,
+    from the order-3 jets of the map at one point or a batch; on the umbilic
     branch J = A + *A, and a batch mixing the branches splits its rows.  Each
-    frame pair, f1, f2 and f3, f4, is one (2, 4) jet of rows at ``order``."""
+    frame pair, f1, f2 and f3, f4, is one (2, 4) jet of rows at order 1."""
     if np.any(umbilic) and not np.all(umbilic):
         on, off = split_rows(umbilic, jets)
-        return merge_rows(umbilic, _frame_structure(on, order, True),
-                          _frame_structure(off, order, False))
+        return merge_rows(umbilic, _frame_structure(on, True), _frame_structure(off, False))
     # the coefficients a jet keeps do not depend on those it drops
-    low = jets.truncated(order + 1)
+    low = jets.truncated(2)
     f1, f2 = tangent = _unit(stack([low.partial(0), low.partial(1)]).real)
     A = f2[:, None] * f1 - f1[:, None] * f2
     if np.any(umbilic):

@@ -69,7 +69,8 @@ def check_rng(config, check_name):
 class CheckSpec:
     """Check ``name`` of ``suite``: default tolerance ``tol``, the
     ``--param`` keys ``params`` that ``body(config, rng)`` reads, and the
-    body, which returns residuals or (residuals, aux)."""
+    body, which returns residuals or (residuals, aux); an array of
+    residuals is read row by row."""
 
     suite: str
     name: str
@@ -80,8 +81,8 @@ class CheckSpec:
     def __call__(self, config):
         out = self.body(config, check_rng(config, self.name))
         residuals, aux = out if isinstance(out, tuple) else (out, {})
-        return CheckReport(self.name, list(range(len(residuals))),
-                           [float(r) for r in residuals],
+        residuals = np.ravel(np.asarray(residuals, dtype=float)).tolist()
+        return CheckReport(self.name, list(range(len(residuals))), residuals,
                            self.tol if config.tol is None else config.tol, aux=dict(aux))
 
 
@@ -222,11 +223,6 @@ def _real_poly(co):
     return SmoothMap.from_real(2, dims, ev)
 
 
-def _interleave(*columns):
-    """Residuals of several per-point columns, point by point."""
-    return [r for row in zip(*columns) for r in row]
-
-
 def _stack(draws):
     """The columns of a list of per-draw tuples, each stacked into an array."""
     return tuple(np.array(column) for column in zip(*draws))
@@ -288,8 +284,8 @@ def _(config, rng):
 def _(config, rng):
     phi = fa.closed_form_r6()
     P = _admissible_r6_points(rng, min(20, config.points))
-    return _interleave(*(pullback_harmonic_oracle(phi, [0.0] * d + [1.0], P)
-                         for d in (1, 2, 3)))
+    return np.stack([pullback_harmonic_oracle(phi, [0.0] * d + [1.0], P)
+                     for d in (1, 2, 3)], axis=-1)
 
 
 @_check("euclid-hm", "factory-roundtrip", 1e-10, params=("f",))
@@ -297,11 +293,12 @@ def _(config, rng):
     f = _coeff_param(config, "f")
     zxi, qc, z = _morphism_samples(rng, fa.euclid_r6_data(f), config.points)
     residuals = _modulus(z - real_to_complex_point(zxi)[:, 0])
+    aux = {"implicit_max": worst_residual([fa.implicit_equation_residual(zk, qk, f)
+                                           for zk, qk in zip(z, qc)])}
     if f != [0.0, 1.0]:
-        return residuals, {"implicit_max": 0.0}
+        return residuals, aux
     zcf = (qc[:, 2] - qc[:, 0] - qc[:, 1]) / (1 + np.conj(qc[:, 0]) - np.conj(qc[:, 1]))
-    return (np.concatenate([residuals, _modulus(z - zcf)]),
-            {"implicit_max": worst_residual(list(map(fa.implicit_equation_residual, z, qc)))})
+    return np.concatenate([residuals, _modulus(z - zcf)]), aux
 
 
 @_check("euclid-hm", "implicit-equation", 1e-12)
@@ -368,7 +365,7 @@ def _(config, rng):
         refl[0, 0] = -1.0
         residuals[rows, 0] = np.where(st.is_positive(J), 0.0, 1.0)
         residuals[rows, 1] = np.where(st.is_positive(st.so_action(refl, J)), 1.0, 0.0)
-    return residuals.ravel()
+    return residuals
 
 
 @_check("sigma-plus-algebra", "so-action-group-law", 1e-10)
@@ -406,7 +403,7 @@ def _(config, rng):
         jv = st.jv_apply(J, lam)
         residuals[rows, 0] = st.mj_residual(jv, J)
         residuals[rows, 1] = np.max(np.abs(st.jv_apply(J, jv) + lam), axis=(-2, -1))
-    return residuals.ravel()
+    return residuals
 
 
 @_check("sigma-plus-algebra", "mu-chart-roundtrip", 1e-9)
@@ -421,7 +418,7 @@ def _(config, rng):
         J = st.structure_from_mu(mu, k)
         residuals[rows, 0] = np.where(st.is_positive(J), 0.0, 1.0)
         residuals[rows, 1] = np.max(np.abs(st.mu_from_structure(J) - mu), axis=-1)
-    return residuals.ravel()
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +513,7 @@ def _(config, rng):
         L = lf.strictly_compatible_lift_r4(phi, P)
         # L.structure validates each structure of the lift
         columns.append(holomorphy_residual(phi, J1, L.structure(P), P))
-    return _interleave(*columns)
+    return np.stack(columns, axis=-1)
 
 
 @_check("lifts-r4", "lift-vertical-conditions", 1e-9)
@@ -525,9 +522,10 @@ def _(config, rng):
     P = rng.uniform(-0.9, 0.9, (config.points, 2))
     Lh = lf.strictly_compatible_lift_r4(holo, P)
     Lc = lf.strictly_compatible_lift_r4(chart, P)
-    return _interleave(lf.j_vertical_residual(Lh, P, 2),   # harmonic side
-                       lf.j_vertical_residual(Lh, P, 1),   # isotropic side
-                       lf.j_vertical_residual(Lc, P, 1))   # isotropy only
+    return np.stack([lf.j_vertical_residual(Lh, P, 2),   # harmonic side
+                     lf.j_vertical_residual(Lh, P, 1),   # isotropic side
+                     lf.j_vertical_residual(Lc, P, 1)],  # isotropy only
+                    axis=-1)
 
 
 @_check("lifts-r4", "lift-t10-stability", 1e-9)
@@ -536,9 +534,9 @@ def _(config, rng):
     P = rng.uniform(-0.9, 0.9, (config.points, 2))
     Lh = lf.strictly_compatible_lift_r4(holo, P)
     Lc = lf.strictly_compatible_lift_r4(chart, P)
-    return _interleave(lf.t10_stability_residual(Lh, P, "z"),
-                       lf.t10_stability_residual(Lh, P, "zbar"),
-                       lf.t10_stability_residual(Lc, P, "z"))
+    return np.stack([lf.t10_stability_residual(Lh, P, "z"),
+                     lf.t10_stability_residual(Lh, P, "zbar"),
+                     lf.t10_stability_residual(Lc, P, "z")], axis=-1)
 
 
 @_check("lifts-r4", "lift-vertical-part", 1e-8)
@@ -583,7 +581,7 @@ def _(config, rng):
                    (_real_poly(np.array(real)), points[1::2])):
         full, diag = real_isotropy_residuals(phi, P, 4)
         agree.append((full <= tol) == (diag <= tol))
-    return [0.0 if a else 1.0 for a in _interleave(*agree)]
+    return np.where(np.stack(agree, axis=-1), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +623,7 @@ def _(config, rng):
     fam = va.complex_family(1, 1, lambda t, z: [z * z + t * z * z * z])
     P = rng.uniform(-1.0, 1.0, (config.points, 2))
     # weak conformality, then isotropy to order 3: (base, t) for each
-    return _interleave(*(r for R in (1, 3) for r in va.first_order_residual(fam, P, R)))
+    return np.stack([r for R in (1, 3) for r in va.first_order_residual(fam, P, R)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +752,7 @@ def _(config, rng):
     co, Z = _stack([(_holomorphic_coefficients(rng), rng.uniform(-0.9, 0.9, 2))
                     for _ in range(config.points)])
     phi = _holomorphic_poly(co)
-    return _interleave(conformality_residual(phi, Z), pluriconformality_residual(phi, Z))
+    return np.stack([conformality_residual(phi, Z), pluriconformality_residual(phi, Z)], axis=-1)
 
 
 @_check("jets-core", "pairing-laws", 1e-12)

@@ -1,6 +1,7 @@
 """Strictly compatible lifts and the vertical/stability residuals."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from twistorkit.checkers import (
     holomorphy_residual,
     real_isotropy_residual,
 )
-from twistorkit.jets import JetSpace, SmoothMap, dz, gradient, stack, values
+from twistorkit.jets import Jet, JetSpace, SmoothMap, dz, gradient, stack, values
 from twistorkit.lifts import (
     LiftError,
     TwistorLift,
@@ -132,7 +133,7 @@ def test_vertical_part_lands_in_vertical_space():
     assert max(np.linalg.norm(vertical_part(L, p, X))
                for X in ([1.0, 0.0], [0.0, 1.0])) > 1e-3
     J0 = canonical_structure(2).matrix
-    Lc = TwistorLift(phi, lambda p, k: JetSpace(p, k).const(J0))
+    Lc = TwistorLift(phi, JetSpace([0.1, 0.2], 1).const(J0))
     assert np.max(np.abs(vertical_part(Lc, [0.1, 0.2], [1.0, 0.0]))) == 0.0
 
 
@@ -159,8 +160,8 @@ def test_vertical_part_of_rotated_field_is_commutator():
         return mm(mm(R, J0j), RT)
 
     phi = SmoothMap.from_complex(1, 2, lambda z: [z, z * z])
-    L = TwistorLift(phi, lambda p, k: field(JetSpace(p, k)))
     p = np.array([0.4, -0.2])
+    L = TwistorLift(phi, stack(field(JetSpace(p, 1))))
     vp = vertical_part(L, p, [1.0, 0.0])
     J = L.structure(p).matrix
     assert np.max(np.abs(vp - (A @ J - J @ A))) <= 1e-12
@@ -200,7 +201,7 @@ def test_umbilic_structure_jets_have_the_requested_order():
     p = np.array([0.1, 0.2])
     L = strictly_compatible_lift_r4(fold, p)
     assert L.both_signs_valid
-    for order in (1, 0, 2):
+    for order in (1, 0):
         assert {jet.order for jet in np.ravel(L.structure_jets(p, order))} == {order}
 
 
@@ -379,14 +380,6 @@ def test_batch_mixing_umbilic_and_generic_points_matches_points_bitwise():
     assert L.both_signs_valid.all()
 
 
-def test_structure_memo_follows_the_point():
-    L = strictly_compatible_lift_r4(chart_disk_map(), np.array([0.3, 0.2]))
-    for q in ([0.3, 0.2], [-0.1, 0.5], [0.3, 0.2]):
-        fresh = strictly_compatible_lift_r4(chart_disk_map(), np.array(q))
-        assert _bits(L.structure(q).matrix) == _bits(fresh.structure(q).matrix)
-        assert _bits(j_vertical_residual(L, q, 1)) == _bits(j_vertical_residual(fresh, q, 1))
-
-
 def _counting(phi, calls):
     """phi with an evaluator that records the shape and order of each call."""
     def evaluator(point, order):
@@ -415,6 +408,42 @@ def test_a_lift_and_its_residuals_at_its_points_evaluate_the_map_once(phi, P):
     for a in (1, 2):
         j_vertical_residual(L, P, a)
     assert calls == [(P.shape, 3)]
+
+
+# dz^2 of (z, conj(z)^3 / 3) also vanishes at z = 0 only; at (0.3, 0.2) its
+# strict lift is not the umbilic A + *A, as it is for the holomorphic CUBIC
+CUBIC_BAR = SmoothMap.from_complex(1, 2, lambda z: [z, z.conj() * z.conj() * z.conj() * (1 / 3)])
+
+
+@pytest.mark.parametrize("built, read", [
+    # read at (0.3, 0.2), a lift built at 0 would keep the umbilic branch
+    # (its a = 1 vertical residual would read 5.67 against 2.3e-15 for a
+    # lift built there), and one built at (0.3, 0.2) would take, read at 0,
+    # the square root of a jet with a zero constant term
+    ([0.0, 0.0], [0.3, 0.2]),
+    ([0.3, 0.2], [0.0, 0.0]),
+    ([[0.3, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.2]]),
+    ([[0.3, 0.2], [0.0, 0.0]], [0.3, 0.2]),
+], ids=["umbilic-built", "generic-built", "batch-reordered", "batch-one-row"])
+def test_a_lift_read_away_from_its_points_raises_lift_error(built, read):
+    L = strictly_compatible_lift_r4(CUBIC_BAR, np.array(built))
+    shapes = (re.escape(f"points of shape {np.shape(built)} ") + ".*"
+              + re.escape(f"points of shape {np.shape(read)}") + "$")
+    for read_at in (lambda p: L.structure(p), lambda p: L.structure_jets(p, 1),
+                    lambda p: vertical_part(L, p, [1.0, 0.0]),
+                    lambda p: j_vertical_residual(L, p, 1),
+                    lambda p: t10_stability_residual(L, p, "z")):
+        with pytest.raises(LiftError, match=shapes):
+            read_at(np.array(read))
+
+
+def test_a_lift_is_read_at_its_points_in_either_coordinates_up_to_order_one():
+    P = np.array([[0.3, 0.2], [0.0, 0.0]])
+    L = strictly_compatible_lift_r4(CUBIC, P)
+    assert L.structure_jets((P[:, 0] + 1j * P[:, 1])[:, None], 1) is L.structure_jets(P, 1)
+    assert L.structure_jets(P, 0).order == 0
+    with pytest.raises(LiftError, match="got order 2 at points of shape"):
+        L.structure_jets(P, 2)
 
 
 @pytest.mark.parametrize("point, message", [
@@ -471,27 +500,6 @@ def test_batched_lift_names_the_failing_row():
         L.structure_jets(np.zeros((3, 2)) + 0.1, 1)
 
 
-def test_lifts_r4_checks_evaluate_each_structure_field_once(monkeypatch):
-    import twistorkit.lifts as lifts
-    from twistorkit.suites import CHECK_INDEX, SuiteConfig
-
-    class CountingLift(lifts.TwistorLift):
-        def __init__(self, base_map, structure_field, **kwargs):
-            def counted(point, order):
-                calls.append(order)
-                return structure_field(point, order)
-
-            super().__init__(base_map, counted, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(lifts, "TwistorLift", CountingLift)
-    for key, check in CHECK_INDEX.items():
-        if key.startswith("lifts-r4:"):
-            calls, built = [], []
-            check(SuiteConfig("lifts-r4", points=10, seed=1))
-            assert built and len(calls) <= len(built), (key, len(calls), len(built))
-
-
 def test_nan_structure_derivative_gives_nan_t10_residual():
     J0 = canonical_structure(2).matrix
 
@@ -501,7 +509,7 @@ def test_nan_structure_derivative_gives_nan_t10_residual():
         # values unchanged, derivatives NaN
         return [[c + d for c in row] for row in const_objects(space, J0)]
 
-    lift = TwistorLift(HOLO, lambda p, k: field(JetSpace(p, k)))
+    lift = TwistorLift(HOLO, stack(field(JetSpace([0.3, 0.2], 1))))
     for direction in ("z", "zbar"):
         assert np.isnan(t10_stability_residual(lift, [0.3, 0.2], direction))
 
@@ -625,19 +633,16 @@ def _constant_objects(space, J):
     return objects(space.const(np.broadcast_to(J, space.base.shape[:-1] + J.shape)))
 
 
-def _nan_row_lift(nan_x):
-    """A structure field J0 + s x0 on every entry, whose derivative s is 0.5
-    at each point except NaN where x0 == nan_x; its values stay J0."""
+def _nan_row_lift(nan_x, P):
+    """A lift at the points P whose structure is J0 + s x0 on every entry,
+    with derivative s 0.5 at each point except NaN where x0 == nan_x; its
+    values stay J0."""
     J0 = canonical_structure(2).matrix
-
-    def field(point, order):
-        space = JetSpace(point, order)
-        d = space.var(0)
-        slope = np.where(space.base[..., 0] == nan_x, np.nan, 0.5)[..., None]
-        d.coef = d.coef * np.where(np.arange(d.coef.shape[-1]) == 0, 0.0, slope)
-        return [[c + d for c in row] for row in _constant_objects(space, J0)]
-
-    return TwistorLift(HOLO, field)
+    space = JetSpace(P, 1)
+    d = space.var(0)
+    slope = np.where(space.base[..., 0] == nan_x, np.nan, 0.5)[..., None]
+    d.coef = d.coef * np.where(np.arange(d.coef.shape[-1]) == 0, 0.0, slope)
+    return TwistorLift(HOLO, stack([[c + d for c in row] for row in _constant_objects(space, J0)]))
 
 
 def test_a_nan_row_gives_nan_in_that_row_only():
@@ -647,8 +652,8 @@ def test_a_nan_row_gives_nan_in_that_row_only():
                  lambda L, p: t10_stability_residual(L, p, "z"),
                  lambda L, p: t10_stability_residual(L, p, "zbar")]
     for res in residuals:
-        got = res(_nan_row_lift(0.1), P)
-        want = [res(_nan_row_lift(0.1), p) for p in P]
+        got = res(_nan_row_lift(0.1, P), P)
+        want = [res(_nan_row_lift(0.1, p), p) for p in P]
         assert np.isnan(got[1]) and np.isnan(want[1])
         assert type(want[0]) is float and want[0] > 0
         assert _bits(got[[0, 2]]) == _bits([want[0], want[2]])
@@ -658,14 +663,12 @@ def test_t10_residual_is_nan_in_a_row_whose_structure_is_not_finite():
     P = np.array([[0.3, 0.2], [0.1, -0.4], [-0.5, 0.6]])
     L = strictly_compatible_lift_r4(HOLO, P)
     for bad in (np.nan, np.inf):
-        def field(point, order):
-            M = stack(L.structure_field(point, order))
-            M.coef[1, ..., 0] = bad
-            return M
-
+        M = L.structure_jets(P, 1)
+        M = Jet(M.table, M.base, M.coef.copy())
+        M.coef[1, ..., 0] = bad
         for direction in ("z", "zbar"):
             with np.errstate(invalid="ignore"):
-                got = t10_stability_residual(TwistorLift(HOLO, field), P, direction)
+                got = t10_stability_residual(TwistorLift(HOLO, M), P, direction)
             assert np.isnan(got[1])
             for r in (0, 2):
                 one = strictly_compatible_lift_r4(HOLO, P[r])
@@ -675,16 +678,17 @@ def test_t10_residual_is_nan_in_a_row_whose_structure_is_not_finite():
 def test_batched_structures_are_validated_as_one_stack():
     J0 = canonical_structure(2).matrix
 
-    def field(point, order):
-        space = JetSpace(point, order)
+    def lift(P):
+        space = JetSpace(P, 1)
         # the matrix of row 1 is 2 J0: J @ J = -4 I
         scale = space.const(np.where(space.base[..., 0] == 0.1, 2.0, 1.0))
-        return [[c * scale for c in row] for row in _constant_objects(space, J0)]
+        return TwistorLift(HOLO, stack([[c * scale for c in row]
+                                        for row in _constant_objects(space, J0)]))
 
     P = np.array([[0.3, 0.2], [0.1, -0.4], [-0.5, 0.6]])
     with pytest.raises(StructureError, match=r"^matrix \[1\]: J @ J != -I"):
-        TwistorLift(HOLO, field).structure(P)
-    structures = TwistorLift(HOLO, field).structure(P[[0, 2]])
+        lift(P).structure(P)
+    structures = lift(P[[0, 2]]).structure(P[[0, 2]])
     assert _bits(structures.matrix) == _bits(np.stack([J0, J0]))
     with pytest.raises(StructureError, match=r"^J @ J != -I"):
-        TwistorLift(HOLO, field).structure(P[1])
+        lift(P[1]).structure(P[1])

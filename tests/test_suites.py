@@ -208,10 +208,10 @@ def _factory_roundtrip(config, rng, rejected):
     res_round, res_closed, res_implicit = [], [], []
     for zxi, qc, z in _one_point_morphism_samples(rng, data, config.points, rejected):
         res_round.append(abs(z - real_to_complex_point(zxi)[0]))
+        res_implicit.append(fa.implicit_equation_residual(z, qc, f))
         if closed:
             zcf = (qc[2] - qc[0] - qc[1]) / (1 + np.conj(qc[0]) - np.conj(qc[1]))
             res_closed.append(abs(z - zcf))
-            res_implicit.append(fa.implicit_equation_residual(z, qc))
     return res_round + res_closed, {"implicit_max": max(res_implicit, default=0.0)}
 
 
@@ -639,9 +639,9 @@ def test_factory_roundtrip_aux_reports_a_nan_implicit_residual(monkeypatch):
     residual = fa.implicit_equation_residual
     calls = []
 
-    def second_is_nan(z, q):
+    def second_is_nan(z, q, f_coeffs):
         calls.append(z)
-        return float("nan") if len(calls) == 2 else residual(z, q)
+        return float("nan") if len(calls) == 2 else residual(z, q, f_coeffs)
 
     monkeypatch.setattr(fa, "implicit_equation_residual", second_is_nan)
     report = CHECK_INDEX["euclid-hm:factory-roundtrip"](SuiteConfig("euclid-hm", points=4))
