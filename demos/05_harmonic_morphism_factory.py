@@ -49,7 +49,7 @@ zxi = rng.uniform(-0.6, 0.6, 6)
 q = np.array([j.value.real for j in data.h.jets(zxi, 0)])
 rec = NewtonRecord()
 y = invert_h(data, q, zxi + 0.05, record=rec)
-print("\nNewton residuals per iteration:", [f"{r:.1e}" for r in rec.residuals])
+print("\nNewton residuals per iteration:", [f"{r:.1e}" for r in rec.residuals[0]])
 
 z = evaluate_morphism(data, q, seed_point=zxi + 0.05)[0]
 qc = real_to_complex_point(q)

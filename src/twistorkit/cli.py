@@ -10,7 +10,8 @@ reads or that is given twice, or a value that is not a comma-separated list
 of finite numbers, is a usage error found before any check runs.
 
 Custom suites: point TWISTOR_SUITE_DIR at a directory of ``*.suite`` files,
-each a key-value document::
+each a key-value document (unset or empty, it means the built-in suites
+only; set to anything that is not a directory, it is a usage error)::
 
     name: my-suite
     description: what it verifies
@@ -136,10 +137,13 @@ def _parse_check(value, where):
 def load_suites(directory):
     """The suite table: the built-in suites and those of the ``*.suite``
     files in ``directory``, which is read on every call; the built-in suites
-    alone when ``directory`` is unset or not a directory."""
+    alone when ``directory`` is unset or empty.  A ``directory`` that is set
+    but is not a directory raises :class:`SuiteFileError`."""
     table = dict(SUITES)
-    if not directory or not os.path.isdir(directory):
+    if not directory:
         return table
+    if not os.path.isdir(directory):
+        raise SuiteFileError(f"{directory}: not a directory")
     origin = dict.fromkeys(SUITES, "a built-in suite")  # suite name -> its source
     for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".suite"):
@@ -233,17 +237,12 @@ def main(argv=None):
     if args.command != "run":
         parser.print_usage(sys.stderr)
         return 2
-    if args.points < 1:
-        print(f"usage error: --points must be at least 1, got {args.points}",
-              file=sys.stderr)
-        return 2
-    if args.suite not in table:
-        print(f"usage error: unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
     try:
         config = SuiteConfig(
             suite=args.suite, tol=args.tol, points=args.points, seed=args.seed,
             params=_parse_params(args.param))
+        if args.suite not in table:
+            raise ValueError(f"unknown suite {args.suite!r}")
         check_params(config, table[args.suite][1])
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

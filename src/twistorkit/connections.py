@@ -62,7 +62,7 @@ def _pade_coefficients(m):
 
 
 _PADE = _pade_coefficients(6)
-# Segments per stacked evaluation in integrate_path; bounds its working memory.
+# Segments per stacked exponential in integrate_path; bounds its working memory.
 _BLOCK = 256
 
 
@@ -236,8 +236,8 @@ class GroupPath:
 
     waypoints: np.ndarray
     steps: int
-    element: np.ndarray = None
-    det_log: list = field(default_factory=list)
+    element: np.ndarray = field(default=None, init=False)
+    det_log: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
@@ -284,10 +284,11 @@ def integrate_path(form, path, steps=None):
 
     Midpoint exponential rule: per segment the increment exp(sum_i a_i(mid)
     dx_i) multiplies on the right; second-order accurate for flat forms.  The
-    midpoint values and increments are evaluated in stacks of up to _BLOCK
-    segments, whose running products fill one stack, in path order; their
-    |det| is logged per step, and an element that is not finite, or whose
-    |det| is not finite or below 1e-12, raises ``BlowupError``.
+    midpoint values of the whole path come from one ``values_at`` call; the
+    increments are evaluated in stacks of up to _BLOCK segments, whose
+    running products fill one stack, in path order; their |det| is logged
+    per step, and an element that is not finite, or whose |det| is not
+    finite or below 1e-12, raises ``BlowupError``.
 
     ``path`` is a ``GroupPath``, whose steps ``steps`` overrides for this
     integration, or an array of waypoints, which then needs ``steps``.  The
@@ -295,18 +296,17 @@ def integrate_path(form, path, steps=None):
     """
     if not isinstance(path, GroupPath):
         path = GroupPath(path, steps)
-    return _product(form, path, *_segments(path, steps))
+    starts, ends = _segments(path, steps)
+    return _product(form, path, starts, ends, form.values_at((starts + ends) / 2))
 
 
 @np.errstate(invalid="ignore")
-def _product(form, path, starts, ends, vals=None):
-    """integrate_path over these segments, ``vals`` their midpoint values or None."""
+def _product(form, path, starts, ends, vals):
+    """integrate_path over these segments, ``vals`` their midpoint values."""
     f = np.eye(form.size)
     path.det_log = []
     for lo in range(0, len(starts), _BLOCK):
-        a, b = starts[lo:lo + _BLOCK], ends[lo:lo + _BLOCK]
-        v = form.values_at((a + b) / 2) if vals is None else vals[lo:lo + _BLOCK]
-        delta = b - a
+        v, delta = vals[lo:lo + _BLOCK], ends[lo:lo + _BLOCK] - starts[lo:lo + _BLOCK]
         E = expm(sum(v[:, i] * delta[:, i, None, None] for i in range(form.domain_dim)))
         P = np.empty_like(E)
         for Ei, Pi in zip(E, P):

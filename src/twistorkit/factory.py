@@ -106,17 +106,15 @@ def jacobian_min_sv(h, pt):
 
 @dataclass
 class NewtonRecord:
-    """Residual norm of each Newton iterate: a flat list for one point, one
-    list per row for a batch of points."""
+    """Residual norm of each Newton iterate, one list per row, also for one
+    point; converged when it holds a row and each row ends at the target."""
 
     residuals: list = field(default_factory=list)
 
     @property
     def converged(self):
         rows = self.residuals
-        if not (rows and isinstance(rows[0], list)):
-            rows = [rows]
-        return all(bool(r) and r[-1] <= NEWTON_TARGET for r in rows)
+        return bool(rows) and all(r and r[-1] <= NEWTON_TARGET for r in rows)
 
 
 def invert_h(data, target_q, seed_point, record=None):
@@ -151,9 +149,8 @@ def invert_h(data, target_q, seed_point, record=None):
     if not (np.isfinite(target).all() and np.isfinite(y).all()):
         _raise_first(JetError, [(~np.isfinite(target).all(axis=-1), "the target is not finite"),
                                 (~np.isfinite(y).all(axis=-1), "the seed is not finite")])
-    logs = [rec.residuals] if one else [[] for _ in out]
-    if not one:
-        rec.residuals.extend(logs)
+    logs = [[] for _ in out]
+    rec.residuals.extend(logs)
     if not len(out):
         return out.reshape(shape)
     live = list(range(len(out)))  # the rows still moving; y and target follow them

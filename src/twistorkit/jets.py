@@ -657,34 +657,23 @@ def stack(jets):
 
 
 def values(jets):
-    """Values at the base point of a jet or of a nested sequence of jets,
-    stacked with the same nesting, after the batch axis of batched jets."""
-    return _read_off(jets, lambda j: j.coef[..., 0])[0]
+    """Values at the base point of a jet or of a nested sequence of jets at
+    one base point, stacked with the same nesting, after the batch axis of
+    batched jets."""
+    return stack(jets).coef[..., 0].copy()[()]
 
 
 def gradient(jets):
     """First derivatives at the base point of a jet or of a nested sequence
-    of jets: ``gradient(jets)[..., v]`` is d/dx_v, after the batch axis and
-    the nesting.  In every table the unit multi-index e_v sits at position
-    nvars - v (degree 1, lex order).
+    of jets at one base point: ``gradient(jets)[..., v]`` is d/dx_v, after
+    the batch axis and the nesting.  In every table the unit multi-index e_v
+    sits at position nvars - v (degree 1, lex order).
 
     The ``.real`` of this or of :func:`values` is a strided view."""
-    def read(jet):
-        if jet.order == 0:
-            raise JetError("an order-0 jet has no gradient")
-        return jet.coef[..., jet.nvars:0:-1]
-
-    return _read_off(jets, read)[0]
-
-
-def _read_off(jets, read):
-    """(a copy of ``read(jets)``, the batch axis count); a nested sequence's
-    leaves, which may be at other base points, stacked after the batch axes."""
-    if isinstance(jets, Jet):
-        return read(jets).copy()[()], jets.base.ndim - 1
-    parts = [_read_off(j, read) for j in jets]
-    nb = parts[0][1]
-    return np.stack([p for p, _ in parts], axis=nb), nb
+    jet = stack(jets)
+    if jet.order == 0:
+        raise JetError("an order-0 jet has no gradient")
+    return jet.coef[..., jet.nvars:0:-1].copy()
 
 
 def _embed(jet, space):

@@ -190,7 +190,6 @@ def j_vertical_residual(lift, z0, a):
     """
     if a not in (1, 2):
         raise LiftError("a must be 1 or 2")
-    z0 = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(z0, 1)
     sgn = 1.0 if a == 1 else -1.0
     J0, grad = values(M).real, gradient(M).real
@@ -213,7 +212,6 @@ def t10_stability_residual(lift, z0, direction="z"):
     """
     if direction not in ("z", "zbar"):
         raise LiftError("direction must be 'z' or 'zbar'")
-    z0 = _as_real_point(z0, lift.base_map.domain_dim)
     M = lift.structure_jets(z0, 1)
     n = len(M)
     J0 = values(M).real

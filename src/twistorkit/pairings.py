@@ -129,18 +129,6 @@ def _worst_norm(matrices, lead):
     return _worst_modulus(np.reshape(norms, (len(norms),) + lead))
 
 
-def worst_residual(residuals):
-    """The running ``max`` of the residuals from 0.0, except that a NaN
-    residual is returned: ``max(worst, nan)`` keeps ``worst``, which would
-    let a NaN residual pass."""
-    worst = 0.0
-    for r in residuals:
-        if r != r:
-            return r
-        worst = max(worst, r)
-    return worst
-
-
 @functools.cache
 def _triu(k, offset=0):
     """``np.triu_indices(k, offset)``, made once per (k, offset) and read-only:

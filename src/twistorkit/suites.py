@@ -38,7 +38,7 @@ from .checkers import (
     real_isotropy_residuals,
 )
 from .jets import JetSpace, SmoothMap, _horner, dz, dz_power, real_to_complex_point, stack
-from .pairings import _modulus, bilinear_dot, hermitian_dot, worst_residual
+from .pairings import _modulus, bilinear_dot, hermitian_dot
 
 
 @dataclass
@@ -50,8 +50,10 @@ class SuiteConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Reject, naming ``--tol``, a tolerance that is not a finite number
-        >= 0."""
+        """Reject, naming ``--points``, fewer than one point and, naming
+        ``--tol``, a tolerance that is not a finite number >= 0."""
+        if self.points < 1:
+            raise ValueError(f"--points must be at least 1, got {self.points}")
         if self.tol is not None and not 0 <= self.tol < np.inf:
             raise ValueError(f"--tol must be a finite number >= 0, got {self.tol}")
 
@@ -293,8 +295,8 @@ def _(config, rng):
     f = _coeff_param(config, "f")
     zxi, qc, z = _morphism_samples(rng, fa.euclid_r6_data(f), config.points)
     residuals = _modulus(z - real_to_complex_point(zxi)[:, 0])
-    aux = {"implicit_max": worst_residual([fa.implicit_equation_residual(zk, qk, f)
-                                           for zk, qk in zip(z, qc)])}
+    aux = {"implicit_max": np.max([fa.implicit_equation_residual(zk, qk, f)
+                                   for zk, qk in zip(z, qc)])}
     if f != [0.0, 1.0]:
         return residuals, aux
     zcf = (qc[:, 2] - qc[:, 0] - qc[:, 1]) / (1 + np.conj(qc[:, 0]) - np.conj(qc[:, 1]))
@@ -724,8 +726,8 @@ def _(config, rng):
                 key = (a[0] + b[0], a[1] + b[1])
                 if sum(key) <= 3:
                     conv[key] = conv.get(key, 0.0) + va_ * vb
-        residuals.append(worst_residual([abs(prod.coef[i] - conv.get(a, 0.0))
-                                         for i, a in enumerate(prod.table.indices)]))
+        residuals.append(np.max([abs(prod.coef[i] - conv.get(a, 0.0))
+                                 for i, a in enumerate(prod.table.indices)]))
     return residuals
 
 

@@ -188,7 +188,29 @@ def test_unknown_check_in_custom_suite(tmp_path, monkeypatch, capsys):
 def test_points_below_one_is_a_usage_error(capsys):
     for n in ("0", "-3"):
         assert main(["run", "--suite", "jets-core", "--points", n]) == 2
-        assert "--points" in capsys.readouterr().err
+        assert f"usage error: --points must be at least 1, got {n}" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=f"--points must be at least 1, got {n}"):
+            SuiteConfig("jets-core", points=int(n))
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_suite_dir_that_is_not_a_directory_is_a_usage_error(kind, tmp_path, monkeypatch,
+                                                            capsys):
+    path = tmp_path / "nonexistent" / "dir"
+    if kind == "file":
+        path = tmp_path / "mine.suite"
+        path.write_text("name: mine\ncheck: jets-core:pairing-laws\n")
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", str(path))
+    for argv in (["list"], ["run", "--suite", "mine", "--points", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error in TWISTOR_SUITE_DIR: {path}: not a directory\n"
+        assert captured.out == ""
+    # empty is unset: the built-in suites only
+    monkeypatch.setenv("TWISTOR_SUITE_DIR", "")
+    empty = _listed(capsys)
+    monkeypatch.delenv("TWISTOR_SUITE_DIR")
+    assert empty == _listed(capsys)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

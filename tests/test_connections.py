@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from twistorkit import connections
 from twistorkit.connections import (
@@ -34,10 +33,11 @@ def random_skew(k, rng=RNG):
 
 
 def test_expm_against_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     for scale in (0.1, 1.0, 10.0):
         for _ in range(5):
             A = scale * RNG.normal(size=(5, 5))
-            ref = scipy.linalg.expm(A)
+            ref = scipy_linalg.expm(A)
             err = np.linalg.norm(expm(A) - ref) / max(1.0, np.linalg.norm(ref))
             assert err <= 1e-12
 
@@ -57,12 +57,18 @@ def test_expm_stack_matches_per_matrix():
 
 
 def test_expm_stack_against_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     stack = np.array([s * RNG.normal(size=(5, 5)) for s in (0.05, 1.0, 10.0, 30.0)])
     stack = stack + 0.5j * np.array([s * RNG.normal(size=(5, 5)) for s in (0.05, 1.0, 10.0, 30.0)])
     for X, E in zip(stack, expm(stack)):
-        ref = scipy.linalg.expm(X)
+        ref = scipy_linalg.expm(X)
         assert np.linalg.norm(E - ref) / max(1.0, np.linalg.norm(ref)) <= 1e-12
     assert np.array_equal(expm(np.zeros((3, 2, 2))), np.broadcast_to(np.eye(2), (3, 2, 2)))
+    # a matrix of the stacks of test_solve_rows_are_one_matrix_solves_bitwise
+    rng = np.random.default_rng(13)
+    X = 0.3 * rng.normal(size=(64, 4, 4))
+    for Y in (X, X + 0.3j * rng.normal(size=(64, 4, 4))):
+        assert np.linalg.norm(expm(Y[5]) - scipy_linalg.expm(Y[5])) <= 1e-14
 
 
 def _stack_with_scaling_counts(rng, k, skew, cplx):
@@ -231,7 +237,6 @@ def test_solve_rows_are_one_matrix_solves_bitwise(cplx):
         assert E[i].tobytes() == connections._solve(D[i:i + 1], N[i:i + 1])[0].tobytes()
     # one 2-D matrix goes through expm as a stack of one
     assert expm(X[5]).tobytes() == expm(X)[5].tobytes()
-    assert np.linalg.norm(expm(X[5]) - scipy.linalg.expm(X[5])) <= 1e-14
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -656,6 +661,29 @@ def test_blowup_detection():
 def test_group_path_validation():
     with pytest.raises(PathError):
         GroupPath(np.array([[0.0, 0.0]]), 10)
+
+
+def test_group_path_outputs_are_not_constructor_arguments():
+    w = [[0.0, 0.0], [1.0, 1.0]]
+    for output in ({"element": np.eye(3)}, {"det_log": [1.0]}):
+        with pytest.raises(TypeError, match=next(iter(output))):
+            GroupPath(w, 10, **output)
+    path = GroupPath(w, 10)
+    assert path.element is None and path.det_log == []
+
+
+def test_integrate_path_asks_values_at_once():
+    form = maurer_cartan_form(random_skew(3), random_skew(3))
+    calls, values_at = [], form.values_at
+
+    def counted(points):
+        calls.append(len(points))
+        return values_at(points)
+
+    form.values_at = counted
+    path = GroupPath([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]], 3 * connections._BLOCK + 7)
+    integrate_path(form, path)
+    assert len(calls) == 1 and calls[0] == len(path.det_log) > 3 * connections._BLOCK
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -109,8 +109,8 @@ def test_invert_h_roundtrip_and_convergence_log():
         y = invert_h(data, q, zxi + 0.05, record=rec)
         val = np.array([j.value.real for j in data.h.jets(y, 0)])
         assert np.linalg.norm(val - q) <= 1e-12
-        drops = [rec.residuals[i + 1] / max(rec.residuals[i], 1e-300)
-                 for i in range(len(rec.residuals) - 2)]
+        log, = rec.residuals
+        drops = [log[i + 1] / max(log[i], 1e-300) for i in range(len(log) - 2)]
         assert rec.converged
         assert all(d < 0.5 for d in drops)  # at least geometric, in fact quadratic
 
@@ -130,7 +130,7 @@ def test_invert_h_evaluates_h_once_per_iteration():
     calls.clear()
     rec = NewtonRecord()
     invert_h(data, q, zxi + 0.05, record=rec)
-    assert rec.converged and len(calls) == len(rec.residuals)
+    assert rec.converged and len(calls) == len(rec.residuals[0])
 
 
 def test_invert_h_error_modes():
@@ -274,7 +274,7 @@ def test_morphism_residual_evaluates_h_once_at_order_2_after_the_newton_solve(co
     q = q if count else q[0]
     rec = NewtonRecord()
     y = invert_h(data, q, _analytic_seeds(q), record=rec)
-    iterations = max(map(len, rec.residuals)) if count else len(rec.residuals)
+    iterations = max(map(len, rec.residuals))
     calls = []
     evaluator = data.h.evaluator
     data.h.evaluator = lambda point, order: (calls.append((point.tobytes(), order))
@@ -472,8 +472,8 @@ def test_batched_invert_h_rows_match_one_point_solves_bitwise(seed):
                      for q, s, r in zip(targets, starts, one_recs)])
     assert rows.shape == targets.shape
     assert rows.tobytes() == ones.tobytes()
-    assert rec.residuals == [r.residuals for r in one_recs]
-    assert len({len(r.residuals) for r in one_recs}) > 1  # rows stop at different iterations
+    assert rec.residuals == [log for r in one_recs for log in r.residuals]
+    assert len({len(r.residuals[0]) for r in one_recs}) > 1  # rows stop at different iterations
     z = evaluate_morphism(data, targets, seed_point=starts)
     assert z.shape == (len(targets), 1)
     assert z.tobytes() == np.array([evaluate_morphism(data, q, seed_point=s)
@@ -537,17 +537,19 @@ def test_newton_divergence_names_the_row_of_a_batch(monkeypatch):
     assert [len(r) for r in rec.residuals] == [2, 2] and rec.residuals[0][-1] <= 1e-12
 
 
-def test_newton_record_of_one_point_is_flat_and_of_a_batch_per_row():
+def test_newton_record_holds_one_list_per_row_also_for_one_point():
     data = euclid_r6_data()
     targets, starts = _newton_batch(data, 5, 3)
     rec = NewtonRecord()
     invert_h(data, targets[0], starts[0], record=rec)
-    assert rec.converged and all(isinstance(r, float) for r in rec.residuals)
+    log, = rec.residuals
+    assert rec.converged and log and all(isinstance(r, float) for r in log)
     batch = NewtonRecord()
     invert_h(data, targets, starts, record=batch)
     assert batch.converged and len(batch.residuals) == 3
-    assert batch.residuals[0] == rec.residuals
+    assert batch.residuals[0] == log
     assert not NewtonRecord([[1e-13], [1e-3]]).converged
+    assert not NewtonRecord().converged and not NewtonRecord([[]]).converged
 
 
 def test_invert_h_broadcasts_and_takes_an_empty_batch():

@@ -419,8 +419,8 @@ def test_real_split_is_each_entrys_real_and_imaginary_part_bitwise(rng):
 # ---------------------------------------------------------------------------
 # read-off of values and first derivatives
 
-def _random_exp_jet(rng, nvars, order):
-    xs = JetSpace(rng.uniform(-1, 1, nvars), order).vars()
+def _random_exp_jet(rng, base, order):
+    xs = JetSpace(base, order).vars()
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
     return (c[0] * xs[0] * xs[-1] + c[1] * xs[-1] + c[2]).exp()
 
@@ -431,8 +431,10 @@ def _bits(a):
 
 def test_values_and_gradient_read_nested_jets_bitwise(rng):
     for nvars in (1, 2, 3, 6):
-        # a 2 x 3 matrix of jets with mixed orders, as a nested list
-        M = [[_random_exp_jet(rng, nvars, order) for order in (1, 2, 4)] for _ in range(2)]
+        # a 2 x 3 matrix of jets with mixed orders at one point, as a nested list
+        base = rng.uniform(-1, 1, nvars)
+        M = [[_random_exp_jet(rng, base, order) for order in (1, 2, 4)]
+             for _ in range(2)]
         vals, grad = values(M), gradient(M)
         assert vals.shape == (2, 3) and grad.shape == (2, 3, nvars)
         for a in range(2):
@@ -442,9 +444,9 @@ def test_values_and_gradient_read_nested_jets_bitwise(rng):
                     assert _bits(grad[a, b, v]) == _bits(M[a][b].partial(v).value)
         jet = M[0][0]
         assert _bits(gradient(jet)) == _bits([jet.partial(v).value for v in range(nvars)])
-    # batched leaves at different base points: the batch axis comes first
+    # batched leaves at one base point: the batch axis comes first
     P, Q = rng.uniform(-1, 1, (2, 4, 2))
-    pair = [JetSpace(P, 2).var(0).exp(), JetSpace(Q, 1).var(1) * 2.0]
+    pair = [JetSpace(P, 2).var(0).exp(), JetSpace(P, 1).var(1) * 2.0]
     assert values(pair).shape == (4, 2) and gradient(pair).shape == (4, 2, 2)
     for r in range(4):
         for k, jet in enumerate(pair):
@@ -453,12 +455,23 @@ def test_values_and_gradient_read_nested_jets_bitwise(rng):
     with pytest.raises(JetError):
         gradient(JetSpace([0.1], 0).var(0))
     with pytest.raises(JetError, match="base points differ"):
-        stack(pair)
+        stack([pair[0], JetSpace(Q, 1).var(1)])
+
+
+@pytest.mark.parametrize("read", [values, gradient])
+def test_reads_of_leaves_at_different_base_points_raise(read, rng):
+    # as stack of them does (test_values_and_gradient_read_nested_jets_bitwise)
+    P, Q = rng.uniform(-1, 1, (2, 4, 2))
+    for apart in ([JetSpace(P, 2).var(0).exp(), JetSpace(Q, 1).var(1) * 2.0],
+                  [[JetSpace(P[0], 1).var(0)], [JetSpace(Q[0], 1).var(0)]]):
+        with pytest.raises(JetError, match="base points differ"):
+            read(apart)
 
 
 def test_wirtinger_of_gradient_matches_jet_operator_bitwise(rng):
     for m in (1, 2, 3):
-        jets = [_random_exp_jet(rng, 2 * m, order) for order in (1, 2, 3, 2)]
+        base = rng.uniform(-1, 1, 2 * m)
+        jets = [_random_exp_jet(rng, base, order) for order in (1, 2, 3, 2)]
         grad = gradient(jets)
         for i in range(m):
             for op in (dz, dzbar):

@@ -104,7 +104,7 @@ def test_from_isotropic_examples():
     assert np.allclose(from_isotropic(np.array([[1, 1j]])).matrix,
                        -canonical_structure(1).matrix)
     # complex-orthogonal rotations of F0 keep positivity (SO(C, 2k) action)
-    from scipy.linalg import expm as sexpm
+    sexpm = pytest.importorskip("scipy.linalg").expm
 
     for _ in range(20):
         k = int(RNG.integers(1, 4))

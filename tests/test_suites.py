@@ -43,7 +43,7 @@ from twistorkit.jets import (
     real_to_complex_point,
     values,
 )
-from twistorkit.pairings import _modulus, bilinear_dot, worst_residual
+from twistorkit.pairings import _modulus, bilinear_dot
 from twistorkit.structures import twistor_chart
 from twistorkit.suites import (
     CHECK_INDEX,
@@ -279,15 +279,15 @@ def _pullback_at(phi, g, p):
 
 def _horizontality_at(data, p):
     grad = gradient(data.mu.jets(p, 1))
-    return worst_residual([m for v in range(data.n, data.k) for d in (dz, dzbar)
-                           for m in _modulus(d(grad, v))])
+    return np.max([m for v in range(data.n, data.k) for d in (dz, dzbar)
+                   for m in _modulus(d(grad, v))])
 
 
 def _chart_holomorphy_at(data, p):
     mu = data.mu.complex_jets(p, 1)
     w, _ = twistor_chart(data.h.complex_jets(p, 1), mu)
-    return worst_residual([m for grad, count in ((gradient(w), data.k), (gradient(mu), data.n))
-                           for v in range(count) for m in _modulus(dzbar(grad, v))])
+    return np.max([m for grad, count in ((gradient(w), data.k), (gradient(mu), data.n))
+                   for v in range(count) for m in _modulus(dzbar(grad, v))])
 
 
 def _closed_form_harmonicity(config, rng, rejected):
