@@ -18,8 +18,7 @@ The diagonal Pade approximant N(B)/D(B) has N(-B) = D(B) and D(-B) = N(B),
 and this holds bit for bit in floating point: IEEE rounding is symmetric
 under sign, and X and -X have the same 1-norm and so the same scaling count.
 exp(X) and exp(-X) therefore come from one Pade power loop, which the
-Maurer-Cartan forms use for g and g^(-1) at each distinct coordinate value,
-both coordinates of a block of points in one call.
+Maurer-Cartan forms use for exp(x_2 B) and exp(-x_2 B) at each distinct x_2.
 
 D^(-1) N is solved for the whole stack at once by Gaussian elimination
 without row exchanges, and this needs no pivoting.  Each scaled matrix has
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import JetSpace, dzbar, gradient, stack, values
-from .pairings import _modulus, _worst_norm
+from .pairings import _modulus, _per_point, _worst_norm
 
 
 class BlowupError(RuntimeError):
@@ -75,6 +74,9 @@ def _scaled_pade(A):
     signed (-1)^k, to D; both start as the identity, all +0.0 or 1.0, so the
     sign of a zero of B^k never reaches them (+0.0 + -0.0 is +0.0)."""
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expm needs a square matrix or a stack of square (..., n, n) "
+                         f"matrices, got shape {A.shape}")
     n = A.shape[-1]
     A3 = A.reshape(-1, n, n)
     # the 1-norm: column sums as row adds in order.  |A3|.sum(-2) has the same
@@ -180,7 +182,8 @@ class LieValuedForm:
     machinery along integration paths.  ``components`` must also accept a
     batched :class:`JetSpace` over an (n, d) array of points: flatness at
     an array of points is one batched evaluation, and so, without
-    ``values_fn``, are the values along a path.
+    ``values_fn``, are the values along a path.  Either evaluator gets the
+    origin in place of a point that is not finite, whose row then reads NaN.
     """
 
     def __init__(self, domain_dim, size, components, values_fn=None):
@@ -196,9 +199,9 @@ class LieValuedForm:
 
     def values_at(self, points):
         """The (n, d, k, k) component values at the n rows of ``points``."""
-        if self.values_fn is not None:
-            return np.asarray(self.values_fn(points))
-        return values(self.jets(points, order=0))
+        pts, ok = _finite_points(points)
+        vals = self.values_fn(pts) if self.values_fn else values(self.jets(pts, order=0))
+        return np.asarray(vals) if ok.all() else np.where(ok[:, None, None, None], vals, np.nan)
 
     @classmethod
     def constant(cls, matrices):
@@ -212,14 +215,25 @@ class LieValuedForm:
                    values_fn=lambda pts: np.broadcast_to(matrices, (len(pts), d, k, k)))
 
 
+def _finite_points(points):
+    """(pts, ok): the points, one (d,) or rows (..., d), with the origin in
+    place of each one that is not finite, and the mask of the others, where
+    callers keep their result; a form that ignores a coordinate would read
+    finite at the point itself, and one that uses it would warn."""
+    pts = np.asarray(points, dtype=float)
+    ok = np.isfinite(pts).all(-1)
+    return np.where(ok[..., None], pts, 0.0), ok
+
+
 def flatness_residual(form, pt):
     """max over i < j of |d_i a_j - d_j a_i + a_i a_j - a_j a_i| (Frobenius).
 
     ``pt`` is one point, which gives a float, or an (N, d) array of points,
     which gives one residual per row from one batched jet evaluation; row r
-    is bitwise the residual at the point of row r alone.
+    is bitwise the residual at the point of row r alone, and NaN where the
+    point is not finite.
     """
-    pts = np.asarray(pt, dtype=float)
+    pts, ok = _finite_points(pt)
     comps = form.jets(pts, order=1)
     d = form.domain_dim
     vals, grad = values(comps), gradient(comps)
@@ -227,7 +241,7 @@ def flatness_residual(form, pt):
                   + vals[..., i, :, :] @ vals[..., j, :, :]
                   - vals[..., j, :, :] @ vals[..., i, :, :]
                   for i in range(d) for j in range(i + 1, d)]
-    return _worst_norm(curvatures, vals.shape[:-3])
+    return _per_point(np.where(ok, _worst_norm(curvatures, vals.shape[:-3]), np.nan))
 
 
 @dataclass
@@ -350,19 +364,20 @@ def curvature_02_residual(gammas_fn, m, pt):
 
     ``pt`` is one point, which gives a float, or an (N, 2m) array of points,
     which gives one residual per row; ``gammas_fn`` then gets the batched
-    space, and row r is bitwise the residual at the point of row r alone.
+    space, and row r is bitwise the residual at the point of row r alone,
+    NaN where the point is not finite.
     """
     if m < 1:
         raise PathError("need m >= 1")
-    space = JetSpace(np.asarray(pt, dtype=float), 1)
-    gam = stack(gammas_fn(space))
+    pts, ok = _finite_points(pt)
+    gam = stack(gammas_fn(JetSpace(pts, 1)))
     # the m fields sit after the batch axes: (..., m, k, k) and (..., m, k, k, 2m)
     vals, grad = values(gam), gradient(gam)
     curvatures = [dzbar(grad[..., j, :, :, :], i) - dzbar(grad[..., i, :, :, :], j)
                   + vals[..., j, :, :] @ vals[..., i, :, :]
                   - vals[..., i, :, :] @ vals[..., j, :, :]
                   for i in range(m) for j in range(i + 1, m)]
-    return _worst_norm(curvatures, vals.shape[:-3])
+    return _per_point(np.where(ok, _worst_norm(curvatures, vals.shape[:-3]), np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -371,38 +386,35 @@ def curvature_02_residual(gammas_fn, m, pt):
 def maurer_cartan_form(A, B):
     """The flat form g^(-1) dg of g(x) = exp(x_1 A) exp(x_2 B) on R^2.
 
-    Components: a_1 = g^(-1) A g, a_2 = exp(-x_2 B) B exp(x_2 B); evaluated
-    with jets via nilpotent expansion of the exponential offsets.  Each
-    exponential and its inverse come from one Pade pair.
+    Since d_1 g = A g and d_2 g = g B, its components are
+    a_1 = exp(-x_2 B) A exp(x_2 B) and a_2 = B: neither depends on x_1, and
+    a_2 is constant.  a_1 is evaluated with jets via the nilpotent expansion
+    of the x_2 offset; exp(x_2 B) and its inverse come from one Pade pair.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     k = A.shape[0]
 
     def components(space):
-        x1, x2 = space.vars()
-        e1, e1m = _jet_expm(A, x1, space)
-        e2, e2m = _jet_expm(B, x2, space)
+        e2, e2m = _jet_expm(B, space.var(1), space)
         Aj, Bj = (space.const(np.broadcast_to(M, space.base.shape[:-1] + M.shape))
                   for M in (A, B))
-        return [e2m @ e1m @ Aj @ e1 @ e2, e2m @ Bj @ e2]
+        return [e2m @ Aj @ e2, Bj]
 
     def values_fn(points):
-        # one Pade pair per distinct bit pattern of each coordinate, in calls of
-        # 2 * _BLOCK (a block's most); rows built per block to bound temporaries
+        # one Pade pair per distinct bit pattern of x_2; pairs and rows in
+        # blocks of _BLOCK to bound temporaries
         x = np.asarray(points, dtype=float)
-        u1, i1 = np.unique(x[:, 0].view(np.int64), return_inverse=True)
-        u2, i2 = np.unique(x[:, 1].view(np.int64), return_inverse=True)
-        X = np.concatenate([u1.view(float)[:, None, None] * A, u2.view(float)[:, None, None] * B])
+        u, i = np.unique(x[:, 1].view(np.int64), return_inverse=True)
+        X = u.view(float)[:, None, None] * B
         E, Em = np.empty_like(X), np.empty_like(X)
-        for lo in range(0, len(X), 2 * _BLOCK):
-            E[lo:lo + 2 * _BLOCK], Em[lo:lo + 2 * _BLOCK] = _expm_pm(X[lo:lo + 2 * _BLOCK])
+        for lo in range(0, len(X), _BLOCK):
+            E[lo:lo + _BLOCK], Em[lo:lo + _BLOCK] = _expm_pm(X[lo:lo + _BLOCK])
         out = np.empty((len(x), 2, k, k))
+        out[:, 1] = B
         for lo in range(0, len(x), _BLOCK):
-            r1, r2 = i1[lo:lo + _BLOCK], i2[lo:lo + _BLOCK] + len(u1)
-            e2, e2m = E[r2], Em[r2]
-            out[lo:lo + _BLOCK, 0] = e2m @ Em[r1] @ A @ E[r1] @ e2
-            out[lo:lo + _BLOCK, 1] = e2m @ B @ e2
+            r = i[lo:lo + _BLOCK]
+            out[lo:lo + _BLOCK, 0] = Em[r] @ A @ E[r]
         return out
 
     return LieValuedForm(2, k, components, values_fn=values_fn)

@@ -22,7 +22,7 @@ from twistorkit.connections import (
     maurer_cartan_value,
     path_independence_defect,
 )
-from twistorkit.jets import JetSpace, values
+from twistorkit.jets import JetSpace, gradient, stack, values
 
 RNG = np.random.default_rng(808)
 
@@ -81,6 +81,15 @@ def _stack_with_scaling_counts(rng, k, skew, cplx):
     norms = np.abs(X).sum(-2).max(-1)
     target = np.array([0.4, 0.9, 1.8, 3.6, 7.2, 14.4, 28.8])  # 1-norms
     return X * (target / norms)[:, None, None]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (), (5, 4, 3)])
+def test_expm_of_a_shape_that_is_not_a_stack_of_square_matrices_names_it(shape):
+    message = re.escape("expm needs a square matrix or a stack of square (..., n, n) "
+                        f"matrices, got shape {shape}")
+    for f in (expm, _expm_pm):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            f(np.zeros(shape))
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -423,6 +432,25 @@ def test_maurer_cartan_values_at_rows_with_shared_coordinates_are_bitwise():
     assert np.isnan(V[8]).any() and np.isfinite(V[:8]).all()
 
 
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_maurer_cartan_values_are_the_inverse_conjugate_of_the_group_element(scale):
+    # an oracle that does not use the closed form: a_1 = g^(-1) A g, with g
+    # from maurer_cartan_value; a_2 = B exactly, and no component depends on x1
+    rng = np.random.default_rng(36)
+    A, B = scale * random_skew(4, rng), random_skew(4, rng)
+    form = maurer_cartan_form(A, B)
+    pts = rng.uniform(-2, 2, (40, 2))
+    V = form.values_at(pts)
+    for x, v in zip(pts, V):
+        g = maurer_cartan_value(A, B, x)
+        err = np.linalg.norm(v[0] - np.linalg.inv(g) @ A @ g)
+        assert err <= 1e-13 * max(1.0, np.linalg.norm(A))
+        assert v[1].tobytes() == B.tobytes()
+    for space in (JetSpace(pts, 2), JetSpace(pts[0], 1)):
+        grad = gradient(stack(form.components(space)))
+        assert grad.shape[-1] == 2 and not grad[..., 0].any() and grad[..., 1].any()
+
+
 def _count_pade_matrices(monkeypatch):
     count = [0]
     scaled_pade = connections._scaled_pade
@@ -439,8 +467,8 @@ def _count_pade_matrices(monkeypatch):
 def test_maurer_cartan_values_exponentiate_each_bit_pattern_once(monkeypatch):
     form = maurer_cartan_form(random_skew(4), random_skew(4))
     count = _count_pade_matrices(monkeypatch)
-    form.values_at(np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [0.25, 0.5]]))
-    assert count[0] == 3 + 1  # x1 in {0.0, -0.0, 0.25}, x2 in {0.5}
+    form.values_at(np.array([[0.0, 0.5], [-0.0, 0.5], [0.25, 0.0], [0.25, -0.0], [0.5, 0.0]]))
+    assert count[0] == 3  # x2 in {0.5, 0.0, -0.0}; the form does not depend on x1
 
 
 def test_maurer_cartan_value_is_two_one_matrix_exponentials_bitwise(monkeypatch):
@@ -459,16 +487,15 @@ def test_maurer_cartan_value_is_two_one_matrix_exponentials_bitwise(monkeypatch)
 
 
 def test_path_independence_exponentials_on_the_unit_square(monkeypatch):
-    # 2 x 2000 increments, and one exponential pair per distinct coordinate
-    # value over both paths: x1 takes the 1000 midpoints of sq1's first leg,
-    # which are those of sq2's second leg, and 0 and 1 on the other legs,
-    # so 1002 values; x2 likewise
+    # 2 x 2000 increments, and one exponential pair per distinct x2 over
+    # both paths: the 1000 midpoints of sq2's first leg, which are those of
+    # sq1's second leg, and 0 and 1 on the other legs, so 1002 values
     form = maurer_cartan_form(random_skew(4), random_skew(4))
     sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
     sq2 = np.array([[0, 0], [0, 1], [1, 1]], dtype=float)
     count = _count_pade_matrices(monkeypatch)
     assert path_independence_defect(form, sq1, sq2, 2000) <= 1e-5
-    assert count[0] == 4000 + 2004
+    assert count[0] == 4000 + 1002
 
 
 def test_blowup_in_second_block_keeps_step_log():
@@ -755,6 +782,38 @@ def test_curvature_02_antisymmetrizes_the_derivatives():
 
     for pt in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.5])):
         assert curvature_02_residual(gammas, 2, pt) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("make", [
+    lambda: maurer_cartan_form(3.0 * random_skew(4), random_skew(4)),
+    lambda: (lambda A: LieValuedForm.constant([A, 2.0 * A]))(random_skew(4)),
+], ids=["maurer-cartan", "constant"])
+def test_non_finite_points_are_nan_rows_without_warnings(make, axis, bad):
+    # neither form needs x1 (the constant one neither coordinate), so only
+    # the point itself can make its row NaN
+    form = make()
+    pts = RNG.uniform(-1, 1, (4, 2))
+    pts[[1, 3], axis] = bad
+
+    def gammas(space):  # m = 1: a residual of exactly 0 wherever it is evaluated
+        return form.components(space)[:1]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        V, flat = form.values_at(pts), flatness_residual(form, pts)
+        curv = curvature_02_residual(gammas, 1, pts)
+        rows = [(form.values_at(x[None])[0], flatness_residual(form, x),
+                 curvature_02_residual(gammas, 1, x)) for x in pts]
+    assert V.shape == (4, 2, 4, 4) and flat.shape == curv.shape == (4,)
+    assert np.isnan(V[[1, 3]]).all() and np.isfinite(V[[0, 2]]).all()
+    assert np.isnan(flat[[1, 3]]).all() and (flat[[0, 2]] <= 1e-12).all()
+    assert np.isnan(curv[[1, 3]]).all() and (curv[[0, 2]] == 0.0).all()
+    for r, (v, f, c) in enumerate(rows):
+        assert type(f) is float and type(c) is float
+        assert v.tobytes() == V[r].tobytes()
+        assert np.array([f, c]).tobytes() == np.array([flat[r], curv[r]]).tobytes()
 
 
 def test_nan_curvature_residuals_are_nan():

@@ -510,13 +510,12 @@ def _one_point_jet_expm(M, x, space):
 
 def _one_point_mc_flatness(A, B, p):
     """|d_1 a_2 - d_2 a_1 + [a_1, a_2]| for g^(-1) dg, g = exp(x1 A) exp(x2 B),
-    with each of the four exponentials computed on its own."""
+    in closed form a_1 = exp(-x2 B) A exp(x2 B), a_2 = B, with each of the two
+    exponentials computed on its own."""
     space = JetSpace(p, 1)
-    x1, x2 = space.vars()
-    e1, e2 = _one_point_jet_expm(A, x1, space), _one_point_jet_expm(B, x2, space)
-    e1m, e2m = _one_point_jet_expm(-A, x1, space), _one_point_jet_expm(-B, x2, space)
-    comps = [e2m @ e1m @ const_objects(space, A) @ e1 @ e2,
-             e2m @ const_objects(space, B) @ e2]
+    x2 = space.var(1)
+    e2, e2m = _one_point_jet_expm(B, x2, space), _one_point_jet_expm(-B, x2, space)
+    comps = [e2m @ const_objects(space, A) @ e2, const_objects(space, B)]
     vals, grad = values(comps), gradient(comps)
     return float(np.linalg.norm(grad[1, ..., 0] - grad[0, ..., 1]
                                 + vals[0] @ vals[1] - vals[1] @ vals[0]))
