@@ -9,29 +9,26 @@ the group by construction.  Midpoint values come from ``values_fn(points)``,
 which maps an (n, d) array of points to the (n, d, k, k) stack of component
 values, in one call for both paths of path_independence_defect; a block of
 segments takes one ``expm`` call, and its running products are written in
-place into one stack, their |det| checked as one array.  The exponential is
-scaling-and-squaring with a diagonal Pade(6) approximant at 1-norm 1/2 (the
-scheme of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, at a fixed
-degree) on a stack (..., n, n); a 2-D input is the one-matrix case.
+place into one stack, their |det| checked as one array.
 
-The diagonal Pade approximant N(B)/D(B) has N(-B) = D(B) and D(-B) = N(B),
-and this holds bit for bit in floating point: IEEE rounding is symmetric
-under sign, and X and -X have the same 1-norm and so the same scaling count.
-exp(X) and exp(-X) therefore come from one Pade power loop, which the
-Maurer-Cartan forms use for exp(x_2 B) and exp(-x_2 B) at each distinct x_2.
+The exponential is scaling-and-squaring with the degree-14 Taylor polynomial
+T_14 on a stack (..., n, n); a 2-D input is the one-matrix case.  Each matrix
+A is scaled to B = A 2^-s, with s the least count >= 0 bringing ||A||_1 2^-s
+to at most 1/2, and T_14(B) is squared s times.  T_14(B) = exp(B + E) with
+||E|| <= u ||B||, u = 2^-53, wherever ||B|| <= theta_14 = 0.5139 (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33(2), 2011, sec. 3), so the scaled 1-norm 1/2
+is within the threshold, and no quotient is solved.
 
-D^(-1) N is solved for the whole stack at once by Gaussian elimination
-without row exchanges, and this needs no pivoting.  Each scaled matrix has
-||B||_1 <= 1/2, so ||D - I||_1 <= sum_k c_k 2^-k ~ 0.2804 < 1/2 (k = 1..6,
-c_k the Pade coefficients), and likewise ||N - I||_1, since N(B) = D(-B).
-So every D, and every N that _expm_pm solves against, is strictly
-diagonally dominant by columns: |d_jj| - sum_(i != j) |d_ij| >= 1 - 0.2804.
-For such a matrix partial pivoting makes no row exchanges, and the growth
-factor is at most 2 (Higham, "Accuracy and Stability of Numerical
-Algorithms", 2nd ed., SIAM 2002, Thm 9.9).  The real form [[Re D, -Im D],
-[Im D, Re D]] of a complex D is column dominant too: with e = |d_jj - 1|,
-the off-diagonal sum of its column j is at most sqrt(2) (0.2804 - e) + e
-<= 0.40, and its diagonal is at least 1 - e >= 0.71.
+T_14(B) - I is split into its even part Ev = sum_(j=1..7) B^(2j) / (2j)! and
+its odd part Od = B sum_(j=0..6) B^(2j) / (2j+1)!, both polynomials in
+Y = B^2, evaluated by Paterson-Stockmeyer in chunks of 4: Y, Y^2, Y^3, Y^4,
+one product by Y^4 per part and B times the odd one, seven stacked matrix
+products in all.  IEEE rounding is symmetric under sign, and X and -X have
+the same 1-norm and so the same scaling count, so -B gives the same Y, the
+same Ev and -Od, bit for bit but for the sign of an exact zero of Od.
+exp(X) and exp(-X) therefore come from one power loop, as I + (Ev + Od) and
+I + (Ev - Od), the identity added last; the Maurer-Cartan forms use this for
+exp(x_2 B) and exp(-x_2 B) at each distinct x_2.
 """
 
 from __future__ import annotations
@@ -52,27 +49,37 @@ class PathError(ValueError):
     pass
 
 
-def _pade_coefficients(m):
-    """Coefficients c_0..c_m of the diagonal Pade(m) approximant of exp."""
-    c = [1.0]
-    for k in range(m):
-        c.append(c[-1] * (m - k) / ((2 * m - k) * (k + 1)))
-    return np.array(c)
-
-
-_PADE = _pade_coefficients(6)
+# 1/k!, k = 0..14: the Taylor coefficients of exp to degree 14
+_TAYLOR = 1.0 / np.cumprod([1.0, *range(1, 15)])
 # Segments per stacked exponential in integrate_path; bounds its working memory.
 _BLOCK = 256
 
 
+def _diagonal(S):
+    """The diagonals of the stack S (m, n, n), as one writable (m, n) view."""
+    n = S.shape[-1]
+    return S.reshape(-1, n * n)[:, ::n + 1]
+
+
+def _chunk(a, powers, t):
+    """a_0 I + a_1 Y + a_2 Y^2 + a_3 Y^3 for powers (Y, Y^2, Y^3), formed in
+    place, the identity term on the diagonal; a zero coefficient is skipped."""
+    S = np.multiply(powers[0], a[1])
+    for P, c in zip(powers[1:], a[2:]):
+        if c:
+            S += np.multiply(P, c, out=t)
+    if a[0]:
+        _diagonal(S)[...] += a[0]
+    return S
+
+
 @np.errstate(invalid="ignore")  # a non-finite matrix gives NaN in its own row
-def _scaled_pade(A):
-    """(N, D, s, shape): the scaling counts s of the matrices of ``A``,
-    flattened to a stack (m, n, n), and the numerator and denominator of
-    Pade(6) at each scaled matrix B = A 2^-s, so that exp(A) is the s-fold
-    square of D^(-1) N.  Each term c_k B^k is formed once, added to N and,
-    signed (-1)^k, to D; both start as the identity, all +0.0 or 1.0, so the
-    sign of a zero of B^k never reaches them (+0.0 + -0.0 is +0.0)."""
+def _scaled_taylor(A):
+    """(Ev, Od, s, shape): the scaling counts s of the matrices of ``A``,
+    flattened to a stack (m, n, n), and the even and odd parts of T_14(B) - I
+    at each scaled matrix B = A 2^-s, so that exp(A) is the s-fold square of
+    I + (Ev + Od).  Both are polynomials in Y = B^2, evaluated by
+    Paterson-Stockmeyer in chunks of 4 (module docstring)."""
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expm needs a square matrix or a stack of square (..., n, n) "
@@ -91,83 +98,60 @@ def _scaled_pade(A):
     s = np.ceil(np.log2(np.fmax(norm / 0.5, 1.0)))
     s = np.where(np.isfinite(s), s, 0).astype(int)
     # times 2^-s, which is the division by 2^s bit for bit where 2.0 ** s is
-    # finite; 2.0 ** 1024 is inf, and A / inf would be 0
-    B = A3 * np.ldexp(1.0, -s)[:, None, None]
-    N, D = ND = np.zeros((2,) + B.shape, B.dtype)
-    ND.reshape(2, -1, n * n)[..., ::n + 1] = 1.0  # the diagonals: the identity
+    # finite (2.0 ** 1024 is inf, and A / inf would be 0); times NaN where the
+    # norm is not finite, since the polynomial of an all-inf matrix reads inf
+    B = A3 * np.where(np.isfinite(norm), np.ldexp(1.0, -s), np.nan)[:, None, None]
+    Y = B @ B
+    Y2 = Y @ Y
+    powers, Y4 = (Y, Y2, Y2 @ Y), Y2 @ Y2
     t = np.empty_like(B)
-    for k in range(1, len(_PADE)):
-        P = B if k == 1 else P @ B
-        np.multiply(P, _PADE[k], out=t)
-        N += t
-        (np.subtract if k % 2 else np.add)(D, t, out=D)
-    return N, D, s, A.shape
-
-
-def _solve(D, N):
-    """D^(-1) N for each matrix of the stacks D (m, n, n) and N (m, n, p), by
-    Gaussian elimination without row exchanges (module docstring), in the layout
-    (n, n, m), so each step is one vector operation over the whole stack.
-    Each matrix gets the operations it would get alone; a matrix that is not
-    finite gives NaN, and nothing raises.
-
-    A complex D is solved in its real form [[Re D, -Im D], [Im D, Re D]]
-    against [Re N; Im N].  numpy's complex multiply rounds with a fused
-    multiply-add in some of its loops and not in others (a one-element 3-D
-    operand takes an unfused one), so a complex stack would round by
-    numpy's choice of loop; every loop rounds a real product alike.
-    """
-    n = D.shape[-1]
-    if np.iscomplexobj(D):
-        X = _solve(np.block([[D.real, -D.imag], [D.imag, D.real]]),
-                   np.concatenate([N.real, N.imag], axis=-2))
-        E = np.empty(N.shape, N.dtype)
-        E.real, E.imag = X[:, :n], X[:, n:]
-        return E
-    # the augmented rows [D | N]: one update eliminates in both
-    W = np.concatenate([D, N], axis=-1).transpose(1, 2, 0).copy()
-    for k in range(n - 1):
-        W[k + 1:, k + 1:] -= (W[k + 1:, k] / W[k, k])[:, None] * W[k, k + 1:]
-    X = W[:, n:]
-    for k in range(n - 1, -1, -1):
-        X[k] /= W[k, k]
-        X[:k] -= W[:k, k, None] * X[k]
-    return np.ascontiguousarray(X.transpose(2, 0, 1))
+    c = _TAYLOR
+    Ev = Y4 @ _chunk(c[8::2], powers, t)
+    Ev += _chunk([0.0, *c[2:8:2]], powers, t)
+    Od = Y4 @ _chunk([*c[9::2], 0.0], powers, t)
+    Od += _chunk(c[1:8:2], powers, t)
+    return Ev, B @ Od, s, A.shape
 
 
 @np.errstate(invalid="ignore")
-def _squared(N, D, s):
-    """D^(-1) N squared s times: round r squares the matrices with s >= r."""
-    E = _solve(D, N)
+def _squared(F, s):
+    """I + F squared s times, in place: round r squares the matrices with s >= r."""
+    _diagonal(F)[...] += 1.0
     for r in range(1, int(s.max(initial=0)) + 1):
         sel = s >= r
-        X = E[sel]
-        E[sel] = X @ X
-    return E
+        X = F[sel]
+        F[sel] = X @ X
+    return F
 
 
 def expm(A):
     """Matrix exponential of A, or of each matrix of a stack (..., n, n).
 
-    Scaling-and-squaring with Pade(6): each matrix is scaled by 2^-s, with
-    s the least count bringing its 1-norm to at most 1/2, and squared back
-    s times.  Every matrix of a stack gets the same operations as it would
-    alone, so a stacked result equals the per-matrix ones bit for bit.
+    Scaling-and-squaring with the degree-14 Taylor polynomial: each matrix
+    is scaled by 2^-s, with s the least count bringing its 1-norm to at most
+    1/2, and squared back s times.  Every matrix of a stack gets the same
+    operations as it would alone, so a stacked result equals the per-matrix
+    ones bit for bit.
     """
-    N, D, s, shape = _scaled_pade(A)
-    return _squared(N, D, s).reshape(shape)
+    Ev, Od, s, shape = _scaled_taylor(A)
+    Ev += Od
+    return _squared(Ev, s).reshape(shape)
 
 
 def _expm_pm(A):
-    """(expm(A), expm(-A)), bitwise, from one Pade power loop.
+    """(expm(A), expm(-A)), bitwise, from one Taylor power loop.
 
-    -A has the scaling counts of A, and its Pade numerator and denominator
-    are the denominator and numerator of A (module docstring), so both
-    exponentials come from one stacked solve of [D; N] against [N; D].
+    -A has the scaling counts of A, the even part of A and the odd part of
+    A negated (module docstring), so both exponentials are I + (Ev +- Od),
+    squared in one stack.
     """
-    N, D, s, shape = _scaled_pade(A)
-    E = _squared(np.concatenate([N, D]), np.concatenate([D, N]), np.concatenate([s, s]))
-    return E[:len(s)].reshape(shape), E[len(s):].reshape(shape)
+    Ev, Od, s, shape = _scaled_taylor(A)
+    m = len(s)
+    F = np.empty((2 * m,) + Ev.shape[1:], Ev.dtype)
+    np.add(Ev, Od, out=F[:m])
+    np.subtract(Ev, Od, out=F[m:])
+    E = _squared(F, np.concatenate([s, s]))
+    return E[:m].reshape(shape), E[m:].reshape(shape)
 
 
 class LieValuedForm:
@@ -199,6 +183,10 @@ class LieValuedForm:
 
     def values_at(self, points):
         """The (n, d, k, k) component values at the n rows of ``points``."""
+        shape = np.shape(points)
+        if len(shape) != 2 or shape[1] != self.domain_dim:
+            raise ValueError(f"values_at needs an (n, d) array of points with d = "
+                             f"{self.domain_dim}, got shape {shape}")
         pts, ok = _finite_points(points)
         vals = self.values_fn(pts) if self.values_fn else values(self.jets(pts, order=0))
         return np.asarray(vals) if ok.all() else np.where(ok[:, None, None, None], vals, np.nan)
@@ -389,7 +377,7 @@ def maurer_cartan_form(A, B):
     Since d_1 g = A g and d_2 g = g B, its components are
     a_1 = exp(-x_2 B) A exp(x_2 B) and a_2 = B: neither depends on x_1, and
     a_2 is constant.  a_1 is evaluated with jets via the nilpotent expansion
-    of the x_2 offset; exp(x_2 B) and its inverse come from one Pade pair.
+    of the x_2 offset; exp(x_2 B) and its inverse come from one exponential pair.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -402,7 +390,7 @@ def maurer_cartan_form(A, B):
         return [e2m @ Aj @ e2, Bj]
 
     def values_fn(points):
-        # one Pade pair per distinct bit pattern of x_2; pairs and rows in
+        # one exponential pair per distinct bit pattern of x_2; pairs and rows in
         # blocks of _BLOCK to bound temporaries
         x = np.asarray(points, dtype=float)
         u, i = np.unique(x[:, 1].view(np.int64), return_inverse=True)

@@ -1,5 +1,6 @@
 """Flat connection forms: flatness, product integration, curvature."""
 
+import math
 import re
 import warnings
 
@@ -64,7 +65,7 @@ def test_expm_stack_against_scipy():
         ref = scipy_linalg.expm(X)
         assert np.linalg.norm(E - ref) / max(1.0, np.linalg.norm(ref)) <= 1e-12
     assert np.array_equal(expm(np.zeros((3, 2, 2))), np.broadcast_to(np.eye(2), (3, 2, 2)))
-    # a matrix of the stacks of test_solve_rows_are_one_matrix_solves_bitwise
+    # a matrix of the stacks of test_scaled_taylor_rows_are_one_matrix_results_bitwise
     rng = np.random.default_rng(13)
     X = 0.3 * rng.normal(size=(64, 4, 4))
     for Y in (X, X + 0.3j * rng.normal(size=(64, 4, 4))):
@@ -118,7 +119,7 @@ def test_expm_pair_of_one_matrix_empty_stack_and_nan_row():
     E, Em = _expm_pm(np.zeros((0, 3, 3)))
     assert E.shape == Em.shape == (0, 3, 3)
     # expm(-X) carries the NaN of X with its sign bit flipped through the
-    # Pade arithmetic, the pair carries it unflipped: only the NaN bits of
+    # Taylor arithmetic, the pair carries it unflipped: only the NaN bits of
     # that row may differ, and the other rows are bitwise.
     X = RNG.normal(size=(3, 3, 3))
     X[1, 0, 2] = np.nan
@@ -130,43 +131,65 @@ def test_expm_pair_of_one_matrix_empty_stack_and_nan_row():
     assert np.isnan(Em[1]).all() and np.isnan(ref_m[1]).all()
 
 
-def _term_by_term_scaled_pade(A):
-    """Pade(6) at the scaled matrices as computed term by term: the powers
-    from P_0 = I, so P_1 = I @ B, and the denominator's term recomputed as
-    (c_k (-1)^k) P_k."""
+@np.errstate(invalid="ignore")
+def _term_by_term_scaled_taylor(A):
+    """The even and odd parts of T_14(B) - I at the scaled matrices, each
+    term c_k Y^j written out, with Y = B @ B, in the grouping
+    (lower chunk) + Y^4 @ (upper chunk); an identity term c I is c added
+    to the diagonal, and a matrix that is not finite scales to NaN."""
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[-1]
     A3 = A.reshape(-1, n, n)
     norm = np.abs(A3).sum(-2).max(-1)
     s = np.ceil(np.log2(np.fmax(norm / 0.5, 1.0)))
     s = np.where(np.isfinite(s), s, 0).astype(int)
-    B = A3 / (2.0 ** s)[:, None, None]
-    eye = np.eye(n, dtype=B.dtype)
-    c = connections._PADE
-    P, N, D = eye, c[0] * eye, c[0] * eye
-    for k in range(1, len(c)):
-        P = P @ B
-        N = N + c[k] * P
-        D = D + c[k] * ((-1) ** k) * P
-    return N, D, s, A.shape
+    B = np.where(np.isfinite(norm)[:, None, None], A3 / (2.0 ** s)[:, None, None], np.nan)
+    c = [1.0 / math.factorial(k) for k in range(15)]
+    Y = B @ B
+    Y2 = Y @ Y
+    Y3 = Y2 @ Y
+    Y4 = Y2 @ Y2
+
+    def plus(c0, S):
+        S[:, range(n), range(n)] += c0
+        return S
+
+    Ev = Y4 @ plus(c[8], c[10] * Y + c[12] * Y2 + c[14] * Y3) + (c[2] * Y + c[4] * Y2 + c[6] * Y3)
+    Od = Y4 @ plus(c[9], c[11] * Y + c[13] * Y2) + plus(c[1], c[3] * Y + c[5] * Y2 + c[7] * Y3)
+    return Ev, B @ Od, s, A.shape
 
 
-@pytest.mark.parametrize("cplx", [False, True])
-def test_scaled_pade_forms_each_term_once_bitwise(cplx):
+def _signed_and_non_finite_stacks(cplx):
+    """Stacks at scaling counts 0..6, with -0.0 entries, with a NaN and an
+    inf entry, a zero matrix, one 2-D matrix and an empty stack."""
     X = _stack_with_scaling_counts(RNG, 4, False, cplx)  # s = 0..6
     M = random_skew(4) + (1j * random_skew(4) if cplx else 0)
     # x M with x < 0 has -0.0 on the zero diagonal (and everywhere for -0.0)
     signed = np.array([-0.3, -0.0, -5.0])[:, None, None] * M
+    assert np.signbit(signed.real[:, range(4), range(4)]).all()
     bad = np.array([X[0], X[3]])
     bad[0, 1, 2], bad[1, 0, 0] = np.nan, np.inf
-    stacks = [X, signed, np.zeros((1, 4, 4), dtype=X.dtype), bad, X[2], np.zeros((0, 3, 3))]
-    assert np.signbit(signed.real[:, range(4), range(4)]).all()
-    for A in stacks:
-        with np.errstate(invalid="ignore"):
-            got, want = connections._scaled_pade(A), _term_by_term_scaled_pade(A)
+    return [X, signed, np.zeros((1, 4, 4), dtype=X.dtype), bad, X[2], np.zeros((0, 3, 3))]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_scaled_taylor_forms_each_term_once_bitwise(cplx):
+    for A in _signed_and_non_finite_stacks(cplx):
+        got, want = connections._scaled_taylor(A), _term_by_term_scaled_taylor(A)
         assert got[3] == want[3] == A.shape
         for g, w in zip(got[:3], want[:3]):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_taylor_parts_of_minus_a_are_the_even_part_and_the_odd_part_negated(cplx):
+    # bit for bit, but for the sign of an exact zero of Od: a skew-Hermitian
+    # stack has some, and -(+0.0) is -0.0 where the sum for -B gives +0.0
+    X = np.concatenate([_stack_with_scaling_counts(RNG, 4, skew, cplx) for skew in (False, True)])
+    Ev, Od, s, _ = connections._scaled_taylor(X)
+    Ev_m, Od_m, s_m, _ = connections._scaled_taylor(-X)
+    assert np.array_equal(s, s_m)
+    assert Ev_m.tobytes() == Ev.tobytes() and np.array_equal(Od_m, -Od)
 
 
 def _stack_with_exact_norms(rng, k, cplx):
@@ -187,91 +210,106 @@ def _stack_with_exact_norms(rng, k, cplx):
     return X
 
 
-# sum_k c_k 2^-k, k = 1..6: the bound on ||D - I||_1 and ||N - I||_1 at ||B||_1 <= 1/2
-_PADE_OFFSET_BOUND = float(np.sum(connections._PADE[1:] * 0.5 ** np.arange(1, 7)))
+def _taylor_backward_error_threshold(m, terms=120):
+    """theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011, sec. 3):
+    the largest theta with sum_k |c_k| theta^(k-1) <= u = 2^-53, where
+    log(e^-x T_m(x)) = sum_(k > m) c_k x^k, so that T_m(B) = exp(B + E) with
+    ||E|| <= u ||B|| wherever ||B|| <= theta_m.  The series is the log of
+    p = e^-x T_m(x) by the recurrence n q_n = n p_n - sum_(0<k<n) k q_k p_(n-k)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        T = [1 / mp.factorial(k) if k <= m else mp.mpf(0) for k in range(terms + 1)]
+        p = [mp.fsum((-1) ** i / mp.factorial(i) * T[k - i] for i in range(k + 1))
+             for k in range(terms + 1)]
+        q = [mp.mpf(0)] * (terms + 1)
+        for n in range(1, terms + 1):
+            q[n] = p[n] - mp.fsum(k * q[k] * p[n - k] for k in range(1, n)) / n
+        assert max(abs(x) for x in q[:m + 1]) < mp.mpf(10) ** -40  # O(x^(m+1))
+        u = mp.mpf(2) ** -53
+        h = lambda th: mp.fsum(abs(q[k]) * th ** (k - 1) for k in range(m + 1, terms + 1)) - u
+        theta = mp.findroot(h, (0.1, 2.0), solver="bisect")
+        assert abs(q[terms]) * theta ** terms < u * mp.mpf(10) ** -30  # the tail is negligible
+        return float(theta)
 
 
-def _pade_stacks(seed, cplx):
-    """N, D and s of Pade(6) at scaling counts 0..6, random and on the 1/2 boundary."""
-    rng = np.random.default_rng(seed)
+@pytest.mark.parametrize("cplx", [False, True])
+def test_scaled_matrices_are_within_the_degree_14_taylor_threshold(cplx):
+    theta = _taylor_backward_error_threshold(14)
+    assert 0.5 < theta and abs(theta - 0.51391) < 1e-5
+    assert _taylor_backward_error_threshold(10) < 0.5  # degree 10 would need more squarings
+    # the scaling rule brings every 1-norm to at most 1/2, exactly 1/2 on the boundary
+    rng = np.random.default_rng(11)
     X = np.concatenate([_stack_with_scaling_counts(rng, 4, skew, cplx) for skew in (False, True)]
                        + [_stack_with_exact_norms(rng, 4, cplx)])
-    return connections._scaled_pade(X)
+    s = connections._scaled_taylor(X)[2]
+    assert np.array_equal(s, np.tile(np.arange(7), 3))
+    scaled = np.abs(X).sum(-2).max(-1) * 0.5 ** s
+    assert scaled.max() == 0.5 < theta and (scaled[14:] == 0.5).all()
+
+
+def test_expm_against_mpmath_at_30_digits():
+    # relative 1-norm error of the result: the squarings carry the rounding of
+    # T_14(B) up with the condition number of exp, which is at least ||X|| for a
+    # normal X, so the bound is 16 eps max(1, ||X||_1); the worst seen over 20
+    # matrices per norm, kind and field was 2.0 eps max(1, ||X||_1)
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(37)
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        for norm in (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0):
+            for cplx, skew in np.ndindex(2, 2):
+                for _ in range(2):
+                    X = rng.normal(size=(4, 4)) + (1j * rng.normal(size=(4, 4)) if cplx else 0)
+                    if skew:
+                        X = X - X.conj().T
+                    X *= norm / np.abs(X).sum(0).max()
+                    ref = mp.expm(mp.matrix(X.tolist()))
+                    R = np.array(ref.tolist(), dtype=complex)
+                    R = R if cplx else R.real
+                    err = np.abs(expm(X) - R).sum(0).max() / np.abs(R).sum(0).max()
+                    assert err <= 16 * eps * max(1.0, norm), (norm, cplx, skew)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
-def test_pade_denominators_are_diagonally_dominant_by_columns(cplx):
-    N, D, s, _ = _pade_stacks(11, cplx)
-    assert np.array_equal(s, np.tile(np.arange(7), 3))  # exact norms 0.5 * 2^s give s
-    assert 0.2803 < _PADE_OFFSET_BOUND < 0.2804
-    eye = np.eye(4)
-    for M in (D, N):
-        offset = np.abs(M - eye).sum(-2).max(-1)
-        assert offset.max() <= _PADE_OFFSET_BOUND * (1 + 1e-12) and offset.max() < 0.5
-        diag = np.abs(M[:, range(4), range(4)])
-        margin = diag - (np.abs(M).sum(-2) - diag)
-        assert margin.min() >= 1 - _PADE_OFFSET_BOUND - 1e-12
-        if cplx:  # and so is the real form that _solve eliminates
-            R = np.block([[M.real, -M.imag], [M.imag, M.real]])
-            rdiag = np.abs(R[:, range(8), range(8)])
-            assert (rdiag - (np.abs(R).sum(-2) - rdiag)).min() >= 1 - 2 * _PADE_OFFSET_BOUND
-    # the bound is attained: B = I / 2 has ||N - I||_1 = ||D(-B) - I||_1 = the bound
-    N, D, s, _ = connections._scaled_pade(0.5 * np.eye(4))
-    assert s[0] == 0 and abs(np.abs(N - eye).sum(-2).max() - _PADE_OFFSET_BOUND) <= 1e-15
-
-
-@pytest.mark.parametrize("cplx", [False, True])
-def test_solve_agrees_with_lapack(cplx):
-    # Both are backward stable, with growth factor at most 2 here and
-    # kappa_1(D) <= 1.2804 / 0.7196 < 1.8, so they differ by a few n u;
-    # the bound 16 n eps leaves a margin of 8 over the worst seen (2 n eps).
-    N, D, _, _ = _pade_stacks(12, cplx)
-    bound = 16 * 4 * np.finfo(float).eps
-    for lhs, rhs in ((D, N), (N, D)):
-        got, ref = connections._solve(lhs, rhs), np.linalg.solve(lhs, rhs)
-        assert got.shape == ref.shape and got.dtype == ref.dtype and got.flags.c_contiguous
-        err = np.abs(got - ref).max((-2, -1)) / np.abs(ref).max((-2, -1))
-        assert err.max() <= bound
-
-
-@pytest.mark.parametrize("cplx", [False, True])
-def test_solve_rows_are_one_matrix_solves_bitwise(cplx):
+def test_scaled_taylor_rows_are_one_matrix_results_bitwise(cplx):
     rng = np.random.default_rng(13)
     X = 0.3 * rng.normal(size=(64, 4, 4))
     if cplx:
         X = X + 0.3j * rng.normal(size=(64, 4, 4))
-    N, D, _, _ = connections._scaled_pade(X)
-    E = connections._solve(D, N)
+    Ev, Od, _, _ = connections._scaled_taylor(X)
     for i in range(len(X)):
-        assert E[i].tobytes() == connections._solve(D[i:i + 1], N[i:i + 1])[0].tobytes()
+        one = connections._scaled_taylor(X[i])
+        assert Ev[i].tobytes() == one[0][0].tobytes() and Od[i].tobytes() == one[1][0].tobytes()
     # one 2-D matrix goes through expm as a stack of one
     assert expm(X[5]).tobytes() == expm(X)[5].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_solve_of_an_empty_stack(dtype):
+def test_expm_of_an_empty_stack(dtype):
     for n in (1, 4):
-        E = connections._solve(np.zeros((0, n, n), dtype), np.zeros((0, n, n), dtype))
-        assert E.shape == (0, n, n) and E.dtype == dtype
+        for E in (expm(np.zeros((0, n, n), dtype)), *_expm_pm(np.zeros((0, n, n), dtype))):
+            assert E.shape == (0, n, n) and E.dtype == dtype
 
 
 @pytest.mark.parametrize("cplx", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_solve_of_non_finite_matrices_is_nan_and_does_not_raise(bad, cplx):
+def test_scaled_taylor_of_non_finite_matrices_is_nan_rows(bad, cplx):
+    # X[3] is bad in every entry: the polynomial of an all-+inf matrix would read +inf
     rng = np.random.default_rng(14)
     X = rng.normal(size=(5, 4, 4)) + (1j * rng.normal(size=(5, 4, 4)) if cplx else 0)
     X[1, 2, 3] = bad
-    X[3] = bad  # every entry
-    with np.errstate(all="ignore"):
-        N, D, s, _ = connections._scaled_pade(X)
-        E = connections._solve(D, N)
+    X[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Ev, Od, s, _ = connections._scaled_taylor(X)
         pair = _expm_pm(X)
         ex = expm(X)
-    assert np.isnan(E[[1, 3]]).all() and np.isfinite(E[[0, 2, 4]]).all()
+    for part in (Ev, Od, ex, *pair):
+        assert np.isnan(part[[1, 3]]).all() and np.isfinite(part[[0, 2, 4]]).all()
+    assert (s[[1, 3]] == 0).all()
     for i in (0, 2, 4):
-        assert E[i].tobytes() == connections._solve(D[i:i + 1], N[i:i + 1])[0].tobytes()
-    for Y in (ex, *pair):
-        assert np.isnan(Y[[1, 3]]).all() and np.isfinite(Y[[0, 2, 4]]).all()
+        one = connections._scaled_taylor(X[i])
+        assert Ev[i].tobytes() == one[0][0].tobytes() and Od[i].tobytes() == one[1][0].tobytes()
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -316,14 +354,14 @@ def test_overflow_of_a_finite_form_warns_and_blows_up_as_not_finite():
 def test_expm_scales_by_a_power_of_two_up_to_scaling_count_1024():
     # 2.0 ** 1024 overflows to inf, and A / inf is 0: B would be 0 and exp(A) would read I
     A = np.full((2, 2), 2.5e307)  # 1-norm 5e307, s = 1024
-    N, D, s, _ = connections._scaled_pade(A)
-    assert s[0] == 1024 and not np.array_equal(N[0], np.eye(2))
+    Ev, Od, s, _ = connections._scaled_taylor(A)
+    assert s[0] == 1024 and Od[0].any() and Ev[0].any()
     with np.errstate(all="ignore"):
         assert not np.isfinite(expm(A)).any()  # exp(A) = I + (e^(5e307) - 1) / 2 [[1, 1], [1, 1]]
         assert not np.isfinite(expm(A + 0j)).any()
     # below 1024 the product by 2^-s is the division by 2^s, bit for bit
     for A, s in ((np.full((2, 2), 2.5e300), 1000), (np.full((2, 2), 1.5e307j), 1023)):
-        got, want = connections._scaled_pade(A), _term_by_term_scaled_pade(A)
+        got, want = connections._scaled_taylor(A), _term_by_term_scaled_taylor(A)
         assert got[2][0] == s
         for g, w in zip(got[:3], want[:3]):
             assert g.tobytes() == w.tobytes()
@@ -417,6 +455,20 @@ def test_values_at_stacks_single_point_values():
     assert const.values_at(pts).shape == (5, 2, 3, 3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LieValuedForm.constant([np.eye(3), 2.0 * np.eye(3)]),
+    lambda: maurer_cartan_form(random_skew(3), random_skew(3)),
+], ids=["constant", "maurer-cartan"])
+@pytest.mark.parametrize("points", [np.array([0.1, 0.2]), np.zeros((4, 3)), np.zeros((4, 1)),
+                                    np.zeros((2, 5, 2)), np.array(0.5)],
+                         ids=["one-point", "d-3", "d-1", "3-d", "scalar"])
+def test_values_at_needs_an_n_by_d_array(make, points):
+    message = re.escape(f"values_at needs an (n, d) array of points with d = 2, "
+                        f"got shape {points.shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make().values_at(points)
+
+
 def test_maurer_cartan_values_at_rows_with_shared_coordinates_are_bitwise():
     form = maurer_cartan_form(3.0 * random_skew(4), random_skew(4))
     x = RNG.uniform(-1, 1, 3)
@@ -451,22 +503,22 @@ def test_maurer_cartan_values_are_the_inverse_conjugate_of_the_group_element(sca
         assert grad.shape[-1] == 2 and not grad[..., 0].any() and grad[..., 1].any()
 
 
-def _count_pade_matrices(monkeypatch):
+def _count_exponential_matrices(monkeypatch):
     count = [0]
-    scaled_pade = connections._scaled_pade
+    scaled_taylor = connections._scaled_taylor
 
     def counting(A):
-        N, D, s, shape = scaled_pade(A)
+        Ev, Od, s, shape = scaled_taylor(A)
         count[0] += len(s)
-        return N, D, s, shape
+        return Ev, Od, s, shape
 
-    monkeypatch.setattr(connections, "_scaled_pade", counting)
+    monkeypatch.setattr(connections, "_scaled_taylor", counting)
     return count
 
 
 def test_maurer_cartan_values_exponentiate_each_bit_pattern_once(monkeypatch):
     form = maurer_cartan_form(random_skew(4), random_skew(4))
-    count = _count_pade_matrices(monkeypatch)
+    count = _count_exponential_matrices(monkeypatch)
     form.values_at(np.array([[0.0, 0.5], [-0.0, 0.5], [0.25, 0.0], [0.25, -0.0], [0.5, 0.0]]))
     assert count[0] == 3  # x2 in {0.5, 0.0, -0.0}; the form does not depend on x1
 
@@ -479,9 +531,9 @@ def test_maurer_cartan_value_is_two_one_matrix_exponentials_bitwise(monkeypatch)
         want = expm(float(x[0]) * A) @ expm(float(x[1]) * B)
         assert maurer_cartan_value(A, B, x).tobytes() == want.tobytes()
     shapes = []
-    scaled_pade = connections._scaled_pade
-    monkeypatch.setattr(connections, "_scaled_pade",
-                        lambda M: shapes.append(M.shape) or scaled_pade(M))
+    scaled_taylor = connections._scaled_taylor
+    monkeypatch.setattr(connections, "_scaled_taylor",
+                        lambda M: shapes.append(M.shape) or scaled_taylor(M))
     maurer_cartan_value(A, B, x)
     assert shapes == [(2, 4, 4)]  # both exponentials from one stacked call
 
@@ -493,7 +545,7 @@ def test_path_independence_exponentials_on_the_unit_square(monkeypatch):
     form = maurer_cartan_form(random_skew(4), random_skew(4))
     sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
     sq2 = np.array([[0, 0], [0, 1], [1, 1]], dtype=float)
-    count = _count_pade_matrices(monkeypatch)
+    count = _count_exponential_matrices(monkeypatch)
     assert path_independence_defect(form, sq1, sq2, 2000) <= 1e-5
     assert count[0] == 4000 + 1002
 
