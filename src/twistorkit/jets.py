@@ -116,6 +116,9 @@ class _Table:
 
 # products per _mul_rows call in compose: bounds its transient arrays
 _COMPOSE_PRODUCTS = 1 << 16
+# products per block of _mul_rows: its complex temporaries (64 KB) stay under
+# glibc's 128 KB mmap threshold, so large batches reuse heap pages
+_MUL_PRODUCTS = 1 << 12
 
 
 @functools.cache
@@ -456,11 +459,19 @@ def _require_nonzero(c, what):
 def _mul_rows(t, a, b):
     """Products of the coefficient arrays a and b of table t, entry by entry
     after numpy broadcasts them against each other: each entry is bitwise
-    the product of the scalar jets of that entry alone."""
+    the product of the scalar jets of that entry alone.  The products are
+    formed in blocks over the leading axis of at most _MUL_PRODUCTS, or of
+    one leading index; an operand whose leading axis has length 1, or is
+    missing, broadcasts against every block."""
     I, J, _ = t.triples
-    p = a.take(I, axis=-1) * b.take(J, axis=-1)
-    out = np.zeros(p.shape[:-1] + (t.size,), dtype=complex)
-    np.add.at(out.reshape(-1), t.row_targets(p.size // len(I)), p.reshape(-1))
+    lead = a.shape[:-1] if a.shape == b.shape else np.broadcast(a[..., 0], b[..., 0]).shape
+    out = np.zeros(lead + (t.size,), dtype=complex)
+    step = max(1, _MUL_PRODUCTS // (len(I) * math.prod(lead[1:])))
+    for lo in range(0, lead[0], step):
+        x, y, o = (a, b, out) if step >= lead[0] else (
+            c[lo:lo + step] if c.ndim > len(lead) and len(c) > 1 else c for c in (a, b, out))
+        p = (x.take(I, axis=-1) * y.take(J, axis=-1)).reshape(-1)
+        np.add.at(o.reshape(-1), t.row_targets(len(p) // len(I)), p)
     return out
 
 

@@ -37,7 +37,8 @@ from .checkers import (
     pullback_harmonic_oracle,
     real_isotropy_residuals,
 )
-from .jets import JetSpace, SmoothMap, _horner, dz, dz_power, real_to_complex_point, stack
+from .jets import (JetSpace, SmoothMap, _horner, dz, dz_power, merge_rows, real_to_complex_point,
+                   stack)
 from .pairings import _modulus, bilinear_dot, hermitian_dot
 
 
@@ -505,40 +506,34 @@ def _lift_test_maps():
     return holo, chart
 
 
+def _lift_pair(config, rng):
+    """One lift of ``_row_blocks(holo, chart)`` at the check's points P twice,
+    and those rows: each residual splits into the holo and chart halves."""
+    PP = np.concatenate([rng.uniform(-0.9, 0.9, (config.points, 2))] * 2)
+    return lf.strictly_compatible_lift_r4(_row_blocks(*_lift_test_maps()), PP), PP
+
+
 @_check("lifts-r4", "lift-holomorphy", 1e-10)
 def _(config, rng):
-    holo, chart = _lift_test_maps()
-    P = rng.uniform(-0.9, 0.9, (config.points, 2))
-    J1 = st.canonical_structure(1).matrix
-    columns = []
-    for phi in (holo, chart):
-        L = lf.strictly_compatible_lift_r4(phi, P)
-        # L.structure validates each structure of the lift
-        columns.append(holomorphy_residual(phi, J1, L.structure(P), P))
-    return np.stack(columns, axis=-1)
+    L, PP = _lift_pair(config, rng)
+    # L.structure validates each structure of the lift
+    r = holomorphy_residual(L.base_map, st.canonical_structure(1).matrix, L.structure(PP), PP)
+    return np.stack(np.split(r, 2), axis=-1)
 
 
 @_check("lifts-r4", "lift-vertical-conditions", 1e-9)
 def _(config, rng):
-    holo, chart = _lift_test_maps()
-    P = rng.uniform(-0.9, 0.9, (config.points, 2))
-    Lh = lf.strictly_compatible_lift_r4(holo, P)
-    Lc = lf.strictly_compatible_lift_r4(chart, P)
-    return np.stack([lf.j_vertical_residual(Lh, P, 2),   # harmonic side
-                     lf.j_vertical_residual(Lh, P, 1),   # isotropic side
-                     lf.j_vertical_residual(Lc, P, 1)],  # isotropy only
-                    axis=-1)
+    L, PP = _lift_pair(config, rng)
+    (h1, c1), (h2, _) = (np.split(lf.j_vertical_residual(L, PP, a), 2) for a in (1, 2))
+    return np.stack([h2, h1, c1], axis=-1)  # harmonic side, isotropic side, isotropy only
 
 
 @_check("lifts-r4", "lift-t10-stability", 1e-9)
 def _(config, rng):
-    holo, chart = _lift_test_maps()
-    P = rng.uniform(-0.9, 0.9, (config.points, 2))
-    Lh = lf.strictly_compatible_lift_r4(holo, P)
-    Lc = lf.strictly_compatible_lift_r4(chart, P)
-    return np.stack([lf.t10_stability_residual(Lh, P, "z"),
-                     lf.t10_stability_residual(Lh, P, "zbar"),
-                     lf.t10_stability_residual(Lc, P, "z")], axis=-1)
+    L, PP = _lift_pair(config, rng)
+    (hz, cz), (hzbar, _) = (np.split(lf.t10_stability_residual(L, PP, d), 2)
+                            for d in ("z", "zbar"))
+    return np.stack([hz, hzbar, cz], axis=-1)
 
 
 @_check("lifts-r4", "lift-vertical-part", 1e-8)
@@ -599,6 +594,19 @@ def _sum_maps(a, b):
     return SmoothMap(a.domain_dim, a.codomain_dim, evaluator)
 
 
+def _row_blocks(*maps):
+    """One map at a (k N, dim) array of points, k = len(maps): block k of N
+    rows holds map k's rows, evaluated by map k, joined by :func:`merge_rows`.
+    A row that a batched call names, as in a LiftError, counts over all blocks."""
+    def evaluator(point, order):
+        out, *rest = (phi.jets(x, order) for phi, x in zip(maps, np.split(point, len(maps))))
+        for jet in rest:
+            out = merge_rows(np.arange(len(out.base) + len(jet.base)) < len(out.base), out, jet)
+        return out
+
+    return SmoothMap(maps[0].domain_dim, maps[0].codomain_dim, evaluator)
+
+
 @_check("jacobi-first-order", "jacobi-identity", 1e-12)
 def _(config, rng):
     c0, cv, P = _stack([(_real_coefficients(rng, 2), _real_coefficients(rng, 2),
@@ -614,8 +622,10 @@ def _(config, rng):
                              _real_coefficients(rng, 2), rng.uniform(-1, 1, 2))
                             for _ in range(config.points)])
     phi0, v1, v2 = (_real_poly(c) for c in (c0, c1, c2))
-    t1 = va.tension_first_order(va.affine_family(phi0, v1), P)[1]
-    t2 = va.tension_first_order(va.affine_family(phi0, v2), P)[1]
+    # t1 and t2 from one family over the rows of P twice
+    both = va.affine_family(_real_poly(np.concatenate([c0, c0])),
+                            _real_poly(np.concatenate([c1, c2])))
+    t1, t2 = np.split(va.tension_first_order(both, np.concatenate([P, P]))[1], 2)
     t12 = va.tension_first_order(va.affine_family(phi0, _sum_maps(v1, v2)), P)[1]
     return np.max(np.abs(t12 - t1 - t2), axis=-1)
 
@@ -737,14 +747,18 @@ def _(config, rng):
                     for _ in range(config.points)])
     phi = _real_poly(co)
     v = dz_power(phi, 1, Z)
-    h = 1e-4
+    steps = (0.5e-4, 1e-4)
+    # the eight shifted points Z +- step e_i of both steps as one batch
+    shifted = [op(Z, d) for step in steps for d in ([step, 0], [0, step])
+               for op in (np.add, np.subtract)]
+    f = _real_poly(np.tile(co, (8, 1, 1, 1)))(np.concatenate(shifted))
+    f = f.reshape(2, 2, 2, len(Z), -1)  # step, direction, sign
 
-    def fd(step):
-        ddx = (phi(Z + [step, 0]) - phi(Z - [step, 0])) / (2 * step)
-        ddy = (phi(Z + [0, step]) - phi(Z - [0, step])) / (2 * step)
+    def fd(k):
+        ddx, ddy = ((f[k, i, 0] - f[k, i, 1]) / (2 * steps[k]) for i in (0, 1))
         return dz(np.stack([ddx, ddy], axis=-1))
 
-    rich = (4 * fd(h / 2) - fd(h)) / 3
+    rich = (4 * fd(0) - fd(1)) / 3
     return (np.max(np.abs(v - rich), axis=-1)
             / np.maximum(1.0, np.max(np.abs(v), axis=-1)))
 

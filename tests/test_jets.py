@@ -570,6 +570,24 @@ def test_row_targets_cache_stays_bounded_over_many_batch_sizes(rng):
         assert _bits(prod.coef) == _bits(ones[:rows])
 
 
+@pytest.mark.parametrize("lead_a, lead_b", [
+    ((50,), (50,)), ((1,), (50,)), ((50,), (1,)), ((), (50,)), ((50,), ()),
+], ids=["equal", "a-broadcasts", "b-broadcasts", "a-no-lead", "b-no-lead"])
+def test_mul_rows_in_blocks_is_the_one_pass_product_bitwise(lead_a, lead_b, rng, monkeypatch):
+    # isotropy-reduction's (50, 4)-entry order-4 products: 14000 products,
+    # more than one block, and a leading axis of length 1 or none broadcasts
+    t = _table(2, 4)
+    a, b = (rng.normal(size=s + (4, t.size)) + 1j * rng.normal(size=s + (4, t.size))
+            for s in (lead_a, lead_b))
+    a.reshape(-1)[::7], b.reshape(-1)[::5] = -0.0, np.nan
+    assert 50 * 4 * len(t.triples[0]) > 3 * jets._MUL_PRODUCTS
+    blocked = jets._mul_rows(t, a, b)
+    monkeypatch.setattr(jets, "_MUL_PRODUCTS", 1 << 40)
+    whole = jets._mul_rows(t, a, b)
+    assert blocked.shape == whole.shape == (50, 4, t.size)
+    assert _bits(blocked) == _bits(whole)
+
+
 @pytest.mark.parametrize("shape", BATCH_SHAPES)
 def test_batched_series_partials_and_truncation_match_rows_bitwise(shape, rng):
     nvars, order = shape

@@ -12,7 +12,8 @@ and one positivity test per draw; one jet evaluation per point, with four
 separate exponentials, for Maurer-Cartan flatness; one structure, one
 isotropic plane, vertical space or chart coordinate per draw for the
 sigma-plus checks; one draw and one CP^3 call per point for the cp3-data
-checks.
+checks.  A lift over the row blocks of two maps equals the lift of each map,
+and two counts pin the lifts and map evaluations a request makes.
 """
 
 import inspect
@@ -53,9 +54,11 @@ from twistorkit.suites import (
     _admissible_r6_points,
     _coeff_param,
     _lift_test_maps,
+    _row_blocks,
     _skew,
     _sum_maps,
     check_rng,
+    run_suite,
 )
 
 from jet_objects import const_objects
@@ -705,3 +708,70 @@ def test_flipping_a_sign_of_x3_fails_the_linear_system(monkeypatch):
     residuals = CHECK_INDEX["cp3-data:cp3-linear-system"](config).residuals
     # example 1's rows, then the morphism data's
     assert min(max(residuals[:6]), max(residuals[6:])) > 0.1
+
+
+# the umbilic-branch check's map (x, 0, 0, y): dz^2 of it vanishes, so every
+# row of a lift of it is umbilic, and no row of a lift of holo is
+FOLD = SmoothMap.from_complex(1, 2, lambda z: [(z + z.conj()) * 0.5, (z - z.conj()) * 0.5])
+
+
+@pytest.mark.parametrize("points", [1, 3, 10])
+@pytest.mark.parametrize("pair", ["holo-chart", "fold-holo"])
+def test_a_lift_of_row_blocks_is_the_lift_of_each_map_bitwise(pair, points, monkeypatch):
+    holo, chart = _lift_test_maps()
+    maps = (holo, chart) if pair == "holo-chart" else (FOLD, holo)
+    splits = []
+    split_rows = lf.split_rows
+    monkeypatch.setattr(lf, "split_rows", lambda *args: splits.append(1) or split_rows(*args))
+    P = np.random.default_rng(points).uniform(-0.9, 0.9, (points, 2))
+    PP = np.concatenate([P, P])
+    L = lf.strictly_compatible_lift_r4(_row_blocks(*maps), PP)
+    assert len(splits) == (pair == "fold-holo")
+    for k, phi in enumerate(maps):
+        rows = slice(k * points, (k + 1) * points)
+        Lk = lf.strictly_compatible_lift_r4(phi, P)
+        assert L.sign[rows].tobytes() == Lk.sign.tobytes()
+        assert L.both_signs_valid[rows].tobytes() == Lk.both_signs_valid.tobytes()
+        for order in (0, 1):
+            assert (L.structure_jets(PP, order).coef[rows].tobytes()
+                    == Lk.structure_jets(P, order).coef.tobytes())
+        for a in (1, 2):
+            assert (lf.j_vertical_residual(L, PP, a)[rows].tobytes()
+                    == lf.j_vertical_residual(Lk, P, a).tobytes())
+        for direction in ("z", "zbar"):
+            assert (lf.t10_stability_residual(L, PP, direction)[rows].tobytes()
+                    == lf.t10_stability_residual(Lk, P, direction).tobytes())
+    assert list(L.both_signs_valid) == [pair == "fold-holo"] * points + [False] * points
+
+
+def test_a_lifts_r4_request_builds_five_lifts(monkeypatch):
+    # one lift over both test maps for lift-holomorphy, lift-t10-stability and
+    # lift-vertical-conditions, one each for lift-vertical-part and umbilic-branch
+    shapes = []
+    lift = lf.strictly_compatible_lift_r4
+    monkeypatch.setattr(lf, "strictly_compatible_lift_r4",
+                        lambda phi, z0: shapes.append(np.shape(z0)) or lift(phi, z0))
+    reports = run_suite(SuiteConfig("lifts-r4", points=10))
+    assert all(r.passed for r in reports)
+    assert shapes == [(20, 2), (20, 2), (20, 2), (10, 2), (2,)]
+
+
+def test_dz_vs_finite_differences_evaluates_its_maps_twice(monkeypatch):
+    # once at order 1 for dz, once at order 0 at all eight shifted points
+    import twistorkit.suites as suites
+
+    calls = []
+    real_poly = suites._real_poly
+
+    def counting(co):
+        phi = real_poly(co)
+
+        def evaluator(point, order):
+            calls.append((np.shape(point), order))
+            return phi.evaluator(point, order)
+
+        return SmoothMap(phi.domain_dim, phi.codomain_dim, evaluator)
+
+    monkeypatch.setattr(suites, "_real_poly", counting)
+    report = CHECK_INDEX["jets-core:dz-vs-finite-differences"](SuiteConfig("jets-core", points=10))
+    assert report.passed and calls == [((10, 2), 1), ((80, 2), 0)]
