@@ -7,9 +7,9 @@ midpoint exponential rule (Iserles et al., "Lie-group methods", Acta Numerica
 9, 2000), which is second-order accurate and keeps the accumulated element in
 the group by construction.  Midpoint values come from ``values_fn(points)``,
 which maps an (n, d) array of points to the (n, d, k, k) stack of component
-values, in one call for both paths of path_independence_defect; a block of
-segments takes one ``expm`` call, and its running products are written in
-place into one stack, their |det| checked as one array.
+values, in one call for both paths of path_independence_defect; each distinct
+increment, by bit pattern, is exponentiated once, and a block's running
+products are written in place into one stack, their |det| checked as one array.
 
 The exponential is scaling-and-squaring with the degree-14 Taylor polynomial
 T_14 on a stack (..., n, n); a 2-D input is the one-matrix case.  Each matrix
@@ -281,37 +281,69 @@ def _segments(path, steps):
     return np.concatenate(starts), np.concatenate(ends)
 
 
+def _group_path(form, path, steps):
+    """``path`` as a GroupPath (waypoints take ``steps``); PathError off the form's domain."""
+    path = path if isinstance(path, GroupPath) else GroupPath(path, steps)
+    if (d := path.waypoints.shape[1]) != form.domain_dim:
+        raise PathError(f"waypoints of dimension {d} for a form on R^{form.domain_dim}")
+    return path
+
+
 def integrate_path(form, path, steps=None):
     """Product integration of f^(-1) df = a along a path, f(start) = I.
 
     Midpoint exponential rule: per segment the increment exp(sum_i a_i(mid)
     dx_i) multiplies on the right; second-order accurate for flat forms.  The
-    midpoint values of the whole path come from one ``values_at`` call; the
-    increments are evaluated in stacks of up to _BLOCK segments, whose
-    running products fill one stack, in path order; their |det| is logged
-    per step, and an element that is not finite, or whose |det| is not
-    finite or below 1e-12, raises ``BlowupError``.
+    midpoint values of the whole path come from one ``values_at`` call; each
+    distinct increment, by bit pattern, is exponentiated once; the running
+    products of up to _BLOCK segments fill one stack, in path order; their
+    |det| is logged per step, and an element that is not finite, or whose
+    |det| is not finite or below 1e-12, raises ``BlowupError``.
 
     ``path`` is a ``GroupPath``, whose steps ``steps`` overrides for this
-    integration, or an array of waypoints, which then needs ``steps``.  The
+    integration, or an array of waypoints, which then needs ``steps``; its
+    waypoints must have the form's ``domain_dim``, else ``PathError``.  The
     element and the determinant log are recorded on the ``GroupPath``.
     """
-    if not isinstance(path, GroupPath):
-        path = GroupPath(path, steps)
-    starts, ends = _segments(path, steps)
-    return _product(form, path, starts, ends, form.values_at((starts + ends) / 2))
+    path = _group_path(form, path, steps)
+    return _product(path, *_distinct_expm(_exponents(form, *_segments(path, steps))))
+
+
+@np.errstate(invalid="ignore")  # inf * 0 where a form is not finite
+def _exponents(form, starts, ends):
+    """The (m, k, k) increment exponents sum_i a_i(mid) dx_i of these
+    segments, filled _BLOCK rows at a time from one ``values_at`` call."""
+    vals, delta = form.values_at((starts + ends) / 2), ends - starts
+    X = np.empty((len(delta), form.size, form.size), np.result_type(vals, delta))
+    for lo in range(0, len(X), _BLOCK):
+        v, dx = vals[lo:lo + _BLOCK], delta[lo:lo + _BLOCK]
+        X[lo:lo + _BLOCK] = sum(v[:, i] * dx[:, i, None, None] for i in range(form.domain_dim))
+    return X
+
+
+def _distinct_expm(X):
+    """(E, r): expm of each distinct matrix of X, by bit pattern, and each
+    matrix's row of E.  Sorted by a weighted sum of their bits, equal matrices
+    are adjacent; two distinct ones with equal sums cost an exponential more."""
+    bits = X.reshape(-1, X.shape[-1] ** 2).view(np.int64)
+    order = np.argsort(bits @ np.arange(1, 2 * bits.shape[1], 2))
+    new = np.ones(len(X), bool)
+    new[1:] = (bits[order[1:]] != bits[order[:-1]]).any(1)
+    r = (np.cumsum(new) - 1)[np.argsort(order)]
+    E = X[order[new]]
+    for lo in range(0, len(E), _BLOCK):
+        E[lo:lo + _BLOCK] = expm(E[lo:lo + _BLOCK])
+    return E, r
 
 
 @np.errstate(invalid="ignore")
-def _product(form, path, starts, ends, vals):
-    """integrate_path over these segments, ``vals`` their midpoint values."""
-    f = np.eye(form.size)
+def _product(path, E, r):
+    """integrate_path over segments whose increments are the rows E[r]."""
+    f = np.eye(E.shape[-1])
     path.det_log = []
-    for lo in range(0, len(starts), _BLOCK):
-        v, delta = vals[lo:lo + _BLOCK], ends[lo:lo + _BLOCK] - starts[lo:lo + _BLOCK]
-        E = expm(sum(v[:, i] * delta[:, i, None, None] for i in range(form.domain_dim)))
-        P = np.empty_like(E)
-        for Ei, Pi in zip(E, P):
+    for lo in range(0, len(r), _BLOCK):
+        P = np.empty_like(E, shape=r[lo:lo + _BLOCK].shape + E.shape[1:])
+        for Ei, Pi in zip(E[r[lo:lo + _BLOCK]], P):
             f = f.dot(Ei, out=Pi)
         dets = _modulus(np.linalg.det(P))
         finite = np.isfinite(P).all(axis=(-2, -1))
@@ -327,19 +359,18 @@ def _product(form, path, starts, ends, vals):
 
 def path_independence_defect(form, path_a, path_b, steps):
     """|f_A - f_B| for two integrations with shared endpoints; zero for flat
-    forms, and of order enclosed-area x curvature otherwise.  The midpoint
-    values of both paths come from one ``values_at`` call, so a ``values_fn``
-    error at a point of B is raised before A is integrated; if A blows up,
-    B's ``det_log`` is left untouched."""
-    A = path_a if isinstance(path_a, GroupPath) else GroupPath(path_a, steps)
-    B = path_b if isinstance(path_b, GroupPath) else GroupPath(path_b, steps)
+    forms, and of order enclosed-area x curvature otherwise.  The paths are
+    checked as integrate_path checks one, and their increments are exponentiated
+    together, so a ``values_fn`` error at B is raised before A is integrated; if
+    A blows up, B's ``det_log`` is left untouched."""
+    A, B = _group_path(form, path_a, steps), _group_path(form, path_b, steps)
     if not (np.linalg.norm(A.start - B.start) <= 1e-12
             and np.linalg.norm(A.end - B.end) <= 1e-12):  # NaN fails
         raise PathError("paths do not share endpoints")
     (sa, ea), (sb, eb) = _segments(A, steps), _segments(B, steps)
-    vals = form.values_at(np.concatenate([(sa + ea) / 2, (sb + eb) / 2]))
-    fa = _product(form, A, sa, ea, vals[:len(sa)])
-    return float(np.linalg.norm(fa - _product(form, B, sb, eb, vals[len(sa):])))
+    E, r = _distinct_expm(_exponents(form, np.concatenate([sa, sb]), np.concatenate([ea, eb])))
+    fa = _product(A, E, r[:len(sa)])
+    return float(np.linalg.norm(fa - _product(B, E, r[len(sa):])))
 
 
 def curvature_02_residual(gammas_fn, m, pt):
@@ -390,19 +421,18 @@ def maurer_cartan_form(A, B):
         return [e2m @ Aj @ e2, Bj]
 
     def values_fn(points):
-        # one exponential pair per distinct bit pattern of x_2; pairs and rows in
-        # blocks of _BLOCK to bound temporaries
+        # a_1 once per distinct bit pattern of x_2, in blocks of _BLOCK to bound temporaries
         x = np.asarray(points, dtype=float)
         u, i = np.unique(x[:, 1].view(np.int64), return_inverse=True)
         X = u.view(float)[:, None, None] * B
-        E, Em = np.empty_like(X), np.empty_like(X)
+        C = np.empty_like(X)
         for lo in range(0, len(X), _BLOCK):
-            E[lo:lo + _BLOCK], Em[lo:lo + _BLOCK] = _expm_pm(X[lo:lo + _BLOCK])
+            E, Em = _expm_pm(X[lo:lo + _BLOCK])
+            C[lo:lo + _BLOCK] = Em @ A @ E
         out = np.empty((len(x), 2, k, k))
         out[:, 1] = B
         for lo in range(0, len(x), _BLOCK):
-            r = i[lo:lo + _BLOCK]
-            out[lo:lo + _BLOCK, 0] = Em[r] @ A @ E[r]
+            out[lo:lo + _BLOCK, 0] = C[i[lo:lo + _BLOCK]]
         return out
 
     return LieValuedForm(2, k, components, values_fn=values_fn)

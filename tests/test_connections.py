@@ -406,41 +406,50 @@ def test_integrate_path_with_steps_records_on_the_callers_path():
     assert path.steps == 10
 
 
-def reference_integration(form, waypoints, steps):
-    """One segment at a time: its midpoint values, its exponential, the right
-    product and the |det| check, with the segment split of integrate_path."""
+def reference_exponents(form, waypoints, steps):
+    """The increment exponents sum_j a_j(mid) dx_j, one segment at a time,
+    from its own midpoint values, with the segment split of integrate_path."""
     W = np.asarray(waypoints, dtype=float)
     lengths = np.linalg.norm(np.diff(W, axis=0), axis=1)
     counts = np.maximum(1, np.round(steps * lengths / float(np.sum(lengths))).astype(int))
-    f, det_log = np.eye(form.size), []
     for a, b, cnt in zip(W[:-1], W[1:], counts):
         for i in range(cnt):
             p, q = a + (b - a) * i / cnt, a + (b - a) * (i + 1) / cnt
             vals, delta = form.values_at(((p + q) / 2)[None])[0], q - p
-            f = f @ expm(sum(vals[j] * delta[j] for j in range(form.domain_dim)))
-            det = abs(np.linalg.det(f))
-            det_log.append(float(det))
-            if not np.isfinite(f).all():
-                return f, det_log, "accumulated element is not finite"
-            if not np.isfinite(det) or det < 1e-12:
-                return f, det_log, f"accumulated element is no longer invertible (|det| = {det:.2e})"
+            yield sum(vals[j] * delta[j] for j in range(form.domain_dim))
+
+
+def reference_integration(form, waypoints, steps):
+    """One segment at a time: its exponent, its exponential, the right
+    product and the |det| check, with the segment split of integrate_path."""
+    f, det_log = np.eye(form.size), []
+    for X in reference_exponents(form, waypoints, steps):
+        f = f @ expm(X)
+        det = abs(np.linalg.det(f))
+        det_log.append(float(det))
+        if not np.isfinite(f).all():
+            return f, det_log, "accumulated element is not finite"
+        if not np.isfinite(det) or det < 1e-12:
+            return f, det_log, f"accumulated element is no longer invertible (|det| = {det:.2e})"
     return f, det_log, None
 
 
 @pytest.mark.parametrize("make", [
     lambda: maurer_cartan_form(random_skew(4), random_skew(4)),
+    lambda: LieValuedForm.constant([random_skew(3), 2.0 * random_skew(3)]),
     lambda: LieValuedForm.constant([random_skew(3) + 0.3j * RNG.normal(size=(3, 3)),
                                     1j * random_skew(3)]),
-], ids=["maurer-cartan", "complex"])
+], ids=["maurer-cartan", "constant", "complex"])
 def test_integration_blocks_match_per_step_loop(make):
+    # a constant form repeats its increments along each leg, across blocks
     form = make()
     for waypoints in ([[0.1, -0.2], [0.9, 0.7]], [[0, 0], [1, 0], [1, 1], [-0.3, 0.4]]):
-        for steps in (255, 256, 257, 1000):
+        for steps in (255, 256, 257, 3 * connections._BLOCK + 7, 1000):
             path = GroupPath(waypoints, steps)
             f = integrate_path(form, path)
             ref, ref_log, err = reference_integration(form, waypoints, steps)
             assert err is None and len(ref_log) > 250
-            assert np.array_equal(f, ref) and np.array_equal(path.element, ref)
+            assert np.array_equal(f, ref) and path.element.tobytes() == ref.tobytes()
             assert path.det_log == ref_log
 
 
@@ -539,15 +548,51 @@ def test_maurer_cartan_value_is_two_one_matrix_exponentials_bitwise(monkeypatch)
 
 
 def test_path_independence_exponentials_on_the_unit_square(monkeypatch):
-    # 2 x 2000 increments, and one exponential pair per distinct x2 over
-    # both paths: the 1000 midpoints of sq2's first leg, which are those of
-    # sq1's second leg, and 0 and 1 on the other legs, so 1002 values
+    # one exponential per distinct bit pattern among the 2 x 2000 increments
+    # of both paths, and one exponential pair per distinct x2 over both
+    # paths: the 1000 midpoints of sq2's first leg, which are those of sq1's
+    # second leg, and 0 and 1 on the other legs, so 1002 values
     form = maurer_cartan_form(random_skew(4), random_skew(4))
     sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
     sq2 = np.array([[0, 0], [0, 1], [1, 1]], dtype=float)
+    X = np.array([x for sq in (sq1, sq2) for x in reference_exponents(form, sq, 2000)])
+    distinct = len(np.unique(X.reshape(len(X), -1).view(np.int64), axis=0))
     count = _count_exponential_matrices(monkeypatch)
     assert path_independence_defect(form, sq1, sq2, 2000) <= 1e-5
-    assert count[0] == 4000 + 1002
+    assert len(X) == 4000 and distinct == 27
+    assert count[0] == distinct + 1002
+
+
+def test_a_constant_leg_exponentiates_each_distinct_increment_once(monkeypatch):
+    # the 1000 segments of the leg have 12 distinct lengths by bit pattern
+    form = LieValuedForm.constant([random_skew(4), np.zeros((4, 4))])
+    waypoints = [[0.0, 0.0], [2.5, 0.0]]
+    ref, ref_log, _ = reference_integration(form, waypoints, 1000)
+    count = _count_exponential_matrices(monkeypatch)
+    path = GroupPath(waypoints, 1000)
+    integrate_path(form, path)
+    assert count[0] == 12
+    assert path.element.tobytes() == ref.tobytes() and path.det_log == ref_log
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_distinct_increments_are_told_apart_by_bit_pattern(cplx):
+    # equal values are not enough: -0.0 == 0.0, and a NaN is a NaN whatever its payload
+    other_nan = np.array([0x7FF8000000000001]).view(float)[0]
+    X = np.zeros((6, 2, 2), complex if cplx else float)
+    X[:, 0, 1] = 0.5
+    X[1, 1, 0] = -0.0
+    X[2, 1, 1], X[3, 1, 1] = np.nan, other_nan
+    X[4:] = X[[3, 0]]
+    E, r = connections._distinct_expm(X)
+    assert len(E) == 4 and sorted(r[:4]) == [0, 1, 2, 3] and r.tolist()[4:] == [r[3], r[0]]
+    assert E[r].tobytes() == np.array([expm(x) for x in X]).tobytes()
+    # a matrix a few ulps off X[0] whose bits have the same weighted sum
+    Y = X[[0, 0, 0]]
+    Y[1].reshape(-1).view(np.int64)[:2] += [3, -1]
+    E, r = connections._distinct_expm(Y)
+    assert r[1] not in (r[0], r[2]) and len(E) <= 3
+    assert E[r].tobytes() == np.array([expm(y) for y in Y]).tobytes()
 
 
 def test_blowup_in_second_block_keeps_step_log():
@@ -763,6 +808,46 @@ def test_integrate_path_asks_values_at_once():
     path = GroupPath([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]], 3 * connections._BLOCK + 7)
     integrate_path(form, path)
     assert len(calls) == 1 and calls[0] == len(path.det_log) > 3 * connections._BLOCK
+
+
+def test_path_independence_fails_on_a_before_touching_b():
+    # A's first leg runs along x1, where |det| falls below 1e-12; B's runs up x2 first
+    form = LieValuedForm.constant([-80.0 * np.eye(2), np.zeros((2, 2))])
+    pa, pb = GroupPath([[0, 0], [4, 0], [4, 4]], 8), GroupPath([[0, 0], [0, 4], [4, 4]], 8)
+    pb.det_log = ["from an earlier run"]
+    with pytest.raises(BlowupError, match="no longer invertible"):
+        path_independence_defect(form, pa, pb, None)
+    assert len(pa.det_log) == 1 and pb.det_log == ["from an earlier run"] and pb.element is None
+    # a values_fn error at a point of B only is raised before A is integrated
+    A = random_skew(2)
+
+    def values_fn(pts):
+        if (pts[:, 1] > 1).any():
+            raise ValueError("x2 > 1")
+        return np.broadcast_to(np.stack([A, A.T]), (len(pts), 2, 2, 2))
+
+    pa, pb = GroupPath([[0, 0], [1, 0], [1, 1]], 8), GroupPath([[0, 0], [0.5, 2], [1, 1]], 8)
+    with pytest.raises(ValueError, match="x2 > 1"):
+        path_independence_defect(LieValuedForm(2, 2, None, values_fn=values_fn), pa, pb, None)
+    assert pa.det_log == [] and pa.element is None
+
+
+def test_waypoints_off_the_forms_domain_raise_path_error():
+    form = maurer_cartan_form(random_skew(3), random_skew(3))
+    sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
+    cube = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0]], dtype=float)
+    message = r"^waypoints of dimension 3 for a form on R\^2$"
+    path = GroupPath(cube, 10)
+    with pytest.raises(PathError, match=message):
+        integrate_path(form, path)
+    assert path.det_log == [] and path.element is None
+    with pytest.raises(PathError, match=message):
+        integrate_path(form, cube, steps=10)
+    for a, b in ((sq1, cube), (cube, sq1), (cube, cube)):
+        with pytest.raises(PathError, match=message):
+            path_independence_defect(form, a, b, 100)
+    with pytest.raises(PathError, match=r"^waypoints of dimension 1 for a form on R\^2$"):
+        integrate_path(form, [[0.0], [1.0]], steps=10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
