@@ -242,7 +242,9 @@ class GroupPath:
     det_log: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
+        self.waypoints = np.asarray(self.waypoints, dtype=float)
+        if self.waypoints.ndim != 2:
+            raise PathError(f"waypoints are an (m, d) array, got shape {self.waypoints.shape}")
         if self.waypoints.shape[0] < 2:
             raise PathError("a path needs at least two waypoints")
         if not np.isfinite(self.waypoints).all():

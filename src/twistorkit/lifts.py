@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _as_real_point, dz, dzbar, gradient, merge_rows, split_rows, stack, values
+from .jets import Jet, _as_real_point, dz, dzbar, gradient, merge_rows, split_rows, stack, values
 from .pairings import (_dots, _modulus, _norms, _raise_first, _svdvals, _worst_modulus,
                        _worst_norm)
 from .structures import HermitianStructure, is_positive
@@ -91,9 +91,10 @@ def strictly_compatible_lift_r4(phi, z0):
     _raise_first(LiftError, [(~finite, "the base point is not finite")])
     jets0 = phi.jets(z0, 3)
     grad0 = gradient(jets0)
-    umbilic = _umbilic(grad0, dz(grad0, 0), values(dz(dz(jets0, 0), 0)))
+    h = dz(dz(jets0, 0), 0)
+    umbilic = _umbilic(grad0, dz(grad0, 0), values(h))
 
-    J = _frame_structure(jets0, umbilic)
+    J = _frame_structure(jets0, h, umbilic)
     sign = np.where(is_positive(HermitianStructure(values(J).real, tol=1e-8)), 1, -1)
     return TwistorLift(phi, J, int(sign) if sign.ndim == 0 else sign, umbilic)
 
@@ -128,14 +129,17 @@ def _umbilic(grad0, d1, d2):
     return umbilic
 
 
-def _frame_structure(jets, umbilic):
+def _frame_structure(jets, h, umbilic):
     """The order-1 J = A + f4 (x) f3 - f3 (x) f4, with A = f2 (x) f1 - f1 (x) f2,
-    from the order-3 jets of the map at one point or a batch; on the umbilic
-    branch J = A + *A, and a batch mixing the branches splits its rows.  Each
-    frame pair, f1, f2 and f3, f4, is one (2, 4) jet of rows at order 1."""
+    from the order-3 jets of the map and their order-1 dz^2, h, at one point
+    or a batch; on the umbilic branch J = A + *A, and a batch mixing the
+    branches splits its rows.  Each frame pair, f1, f2 and f3, f4, is one
+    (2, 4) jet of rows at order 1."""
     if np.any(umbilic) and not np.all(umbilic):
         on, off = split_rows(umbilic, jets)
-        return merge_rows(umbilic, _frame_structure(on, True), _frame_structure(off, False))
+        h_off = Jet(h.table, off.base, h.coef[~umbilic])  # the umbilic rows do not read h
+        return merge_rows(umbilic, _frame_structure(on, None, True),
+                          _frame_structure(off, h_off, False))
     # the coefficients a jet keeps do not depend on those it drops
     low = jets.truncated(2)
     f1, f2 = tangent = _unit(stack([low.partial(0), low.partial(1)]).real)
@@ -144,7 +148,6 @@ def _frame_structure(jets, umbilic):
         # the normal plane is free: a unit self-dual 2-form is a positive
         # orthogonal structure, and A + *A is the one through the tangent plane
         return A + A[_STAR_ROWS, _STAR_COLS] * np.broadcast_to(_STAR_SIGNS, A.coef.shape[:-1])
-    h = dz(dz(jets, 0), 0)
     f3, f4 = _unit(_project_out(stack([h.real, -h.imag]), tangent))
     return A + f4[:, None] * f3 - f3[:, None] * f4
 

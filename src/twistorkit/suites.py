@@ -7,17 +7,24 @@ configuration and independent of execution order.
 
 A check is declared once, with ``@_check(suite, name, tol, params=())`` on a
 body ``(config, rng) -> residuals`` or ``-> (residuals, aux)``; ``params``
-names the ``--param`` keys the body reads.  The declaration is a frozen
+names the ``--param`` keys the body reads.  A body may first yield one lift
+request ``(phi, P)``: it is sent the strictly compatible lift of phi at the
+(N, 2) points P and then returns.  The declaration is a frozen
 :class:`CheckSpec` in ``CHECK_INDEX``; calling it draws the check's stream,
-applies the ``tol`` override and builds the :class:`CheckReport`.  A suite
-table maps a name to ``(description, [(spec, overrides)])``: ``SUITES`` holds
-the built-in suites, grouped by ``spec.suite``, and the command line builds a
-new table on each call.  No table changes after import.
+serves the body's lift request alone, applies the ``tol`` override and builds
+the :class:`CheckReport`.  :func:`run_suite` calls every body of a suite
+first and serves all their lift requests with one lift over their rows, in
+table order; each row of it is bitwise the lift at that point, so a check's
+report does not depend on the checks beside it.  A suite table maps a name
+to ``(description, [(spec, overrides)])``: ``SUITES`` holds the built-in
+suites, grouped by ``spec.suite``, and the command line builds a new table
+on each call.  No table changes after import.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,8 +44,8 @@ from .checkers import (
     pullback_harmonic_oracle,
     real_isotropy_residuals,
 )
-from .jets import (JetSpace, SmoothMap, _horner, dz, dz_power, merge_rows, real_to_complex_point,
-                   stack)
+from .jets import (Jet, JetSpace, SmoothMap, _horner, dz, dz_power, merge_rows,
+                   real_to_complex_point, stack)
 from .pairings import _modulus, bilinear_dot, hermitian_dot
 
 
@@ -72,8 +79,9 @@ def check_rng(config, check_name):
 class CheckSpec:
     """Check ``name`` of ``suite``: default tolerance ``tol``, the
     ``--param`` keys ``params`` that ``body(config, rng)`` reads, and the
-    body, which returns residuals or (residuals, aux); an array of
-    residuals is read row by row."""
+    body, which returns residuals or (residuals, aux), after it yields a
+    lift request if it makes one; an array of residuals is read row by
+    row."""
 
     suite: str
     name: str
@@ -82,11 +90,34 @@ class CheckSpec:
     body: object
 
     def __call__(self, config):
-        out = self.body(config, check_rng(config, self.name))
+        """The check's report, its lift request served with a lift of its own rows."""
+        return _serve([(self, config)])[0]
+
+
+def _serve(runs):
+    """The CheckReports of (spec, config) pairs.  Every body is called first;
+    then one lift over the rows of all lift requests (phi, P), in order,
+    serves each: it is sent its own rows of that lift, with phi as base map."""
+    outs = [spec.body(config, check_rng(config, spec.name)) for spec, config in runs]
+    asking = [k for k, out in enumerate(outs) if inspect.isgenerator(out)]
+    if asking:
+        maps, points = zip(*(next(outs[k]) for k in asking))
+        sizes = [len(P) for P in points]
+        L = lf.strictly_compatible_lift_r4(_row_blocks(*maps, sizes=sizes), np.concatenate(points))
+        for k, phi, end, n in zip(asking, maps, np.cumsum(sizes), sizes):
+            rows = slice(end - n, end)
+            jets = Jet(L.jets.table, L.jets.base[rows], L.jets.coef[rows])
+            try:
+                outs[k].send(lf.TwistorLift(phi, jets, L.sign[rows], L.both_signs_valid[rows]))
+            except StopIteration as done:
+                outs[k] = done.value
+    reports = []
+    for (spec, config), out in zip(runs, outs):
         residuals, aux = out if isinstance(out, tuple) else (out, {})
         residuals = np.ravel(np.asarray(residuals, dtype=float)).tolist()
-        return CheckReport(self.name, list(range(len(residuals))), residuals,
-                           self.tol if config.tol is None else config.tol, aux=dict(aux))
+        reports.append(CheckReport(spec.name, list(range(len(residuals))), residuals,
+                                   spec.tol if config.tol is None else config.tol, aux=dict(aux)))
+    return reports
 
 
 CHECK_INDEX = {}     # "<suite>:<check>" -> CheckSpec, in declaration order
@@ -499,23 +530,25 @@ def _lift_test_maps():
 
     def chart_fn(t):
         w1, w2, mu = t, t * t, t
-        den = 1 + mu * mu.conj()
-        return [(w1 + mu * w2.conj()) / den, (w2 - mu * w1.conj()) / den]
+        # one reciprocal for both quotients: a / b is a * b.reciprocal()
+        inv = (1 + mu * mu.conj()).reciprocal()
+        return [(w1 + mu * w2.conj()) * inv, (w2 - mu * w1.conj()) * inv]
 
     chart = SmoothMap.from_complex(1, 2, chart_fn)
     return holo, chart
 
 
 def _lift_pair(config, rng):
-    """One lift of ``_row_blocks(holo, chart)`` at the check's points P twice,
-    and those rows: each residual splits into the holo and chart halves."""
+    """Ask for the lift of ``_row_blocks(holo, chart)`` at the check's points
+    P twice; return it and those rows: each residual splits into the holo
+    and chart halves."""
     PP = np.concatenate([rng.uniform(-0.9, 0.9, (config.points, 2))] * 2)
-    return lf.strictly_compatible_lift_r4(_row_blocks(*_lift_test_maps()), PP), PP
+    return (yield _row_blocks(*_lift_test_maps()), PP), PP
 
 
 @_check("lifts-r4", "lift-holomorphy", 1e-10)
 def _(config, rng):
-    L, PP = _lift_pair(config, rng)
+    L, PP = yield from _lift_pair(config, rng)
     # L.structure validates each structure of the lift
     r = holomorphy_residual(L.base_map, st.canonical_structure(1).matrix, L.structure(PP), PP)
     return np.stack(np.split(r, 2), axis=-1)
@@ -523,14 +556,14 @@ def _(config, rng):
 
 @_check("lifts-r4", "lift-vertical-conditions", 1e-9)
 def _(config, rng):
-    L, PP = _lift_pair(config, rng)
+    L, PP = yield from _lift_pair(config, rng)
     (h1, c1), (h2, _) = (np.split(lf.j_vertical_residual(L, PP, a), 2) for a in (1, 2))
     return np.stack([h2, h1, c1], axis=-1)  # harmonic side, isotropic side, isotropy only
 
 
 @_check("lifts-r4", "lift-t10-stability", 1e-9)
 def _(config, rng):
-    L, PP = _lift_pair(config, rng)
+    L, PP = yield from _lift_pair(config, rng)
     (hz, cz), (hzbar, _) = (np.split(lf.t10_stability_residual(L, PP, d), 2)
                             for d in ("z", "zbar"))
     return np.stack([hz, hzbar, cz], axis=-1)
@@ -541,7 +574,7 @@ def _(config, rng):
     _, chart = _lift_test_maps()
     P, X = _stack([(rng.uniform(-0.9, 0.9, 2), rng.normal(size=2))
                    for _ in range(config.points)])
-    L = lf.strictly_compatible_lift_r4(chart, P)
+    L = yield chart, P
     return st.mj_residual(lf.vertical_part(L, P, X), L.structure(P))
 
 
@@ -594,12 +627,14 @@ def _sum_maps(a, b):
     return SmoothMap(a.domain_dim, a.codomain_dim, evaluator)
 
 
-def _row_blocks(*maps):
-    """One map at a (k N, dim) array of points, k = len(maps): block k of N
-    rows holds map k's rows, evaluated by map k, joined by :func:`merge_rows`.
-    A row that a batched call names, as in a LiftError, counts over all blocks."""
+def _row_blocks(*maps, sizes=None):
+    """One map at an array of points whose block k of ``sizes[k]`` rows, or
+    of an equal share of the rows when ``sizes`` is None, holds map k's
+    rows, evaluated by map k, joined by :func:`merge_rows`.  A row that a
+    batched call names, as in a LiftError, counts over all blocks."""
     def evaluator(point, order):
-        out, *rest = (phi.jets(x, order) for phi, x in zip(maps, np.split(point, len(maps))))
+        blocks = np.split(point, len(maps) if sizes is None else np.cumsum(sizes)[:-1])
+        out, *rest = (phi.jets(x, order) for phi, x in zip(maps, blocks))
         for jet in rest:
             out = merge_rows(np.arange(len(out.base) + len(jet.base)) < len(out.base), out, jet)
         return out
@@ -814,9 +849,10 @@ def check_params(config, checks):
 
 def run_suite(config, table=SUITES):
     """Run the checks of suite ``config.suite`` of ``table``, each with its
-    overrides, and return the CheckReport list sorted by check name."""
-    reports = [spec(replace(config, tol=overrides.get("tol", config.tol),
-                            points=overrides.get("points", config.points)))
-               for spec, overrides in table[config.suite][1]]
+    overrides, their lift requests served by one lift, and return the
+    CheckReport list sorted by check name."""
+    reports = _serve([(spec, replace(config, tol=overrides.get("tol", config.tol),
+                                     points=overrides.get("points", config.points)))
+                      for spec, overrides in table[config.suite][1]])
     reports.sort(key=lambda r: r.name)
     return reports

@@ -850,6 +850,19 @@ def test_waypoints_off_the_forms_domain_raise_path_error():
         integrate_path(form, [[0.0], [1.0]], steps=10)
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 2), (4,)])
+def test_waypoints_that_are_not_an_m_by_d_array_raise_path_error(shape):
+    form = LieValuedForm.constant([np.eye(2), np.eye(2)])
+    bad = np.arange(float(np.prod(shape))).reshape(shape)
+    sq1 = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
+    message = re.escape(f"waypoints are an (m, d) array, got shape {shape}")
+    with pytest.raises(PathError, match=message):
+        integrate_path(form, bad, steps=4)
+    for a, b in ((sq1, bad), (bad, sq1)):
+        with pytest.raises(PathError, match=message):
+            path_independence_defect(form, a, b, 4)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_waypoint_raises_path_error(bad):
     form = maurer_cartan_form(random_skew(3), random_skew(3))

@@ -13,10 +13,13 @@ separate exponentials, for Maurer-Cartan flatness; one structure, one
 isotropic plane, vertical space or chart coordinate per draw for the
 sigma-plus checks; one draw and one CP^3 call per point for the cp3-data
 checks.  A lift over the row blocks of two maps equals the lift of each map,
-and two counts pin the lifts and map evaluations a request makes.
+and two counts pin the lifts and map evaluations a request makes.  Each
+check's entry from run_suite, where the lifts-r4 checks share one lift,
+equals its report alone, by the bytes of its residuals.
 """
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +51,8 @@ from twistorkit.pairings import _modulus, bilinear_dot
 from twistorkit.structures import twistor_chart
 from twistorkit.suites import (
     CHECK_INDEX,
+    SUITES,
+    CheckSpec,
     SuiteConfig,
     _admissible,
     _admissible_draws,
@@ -744,16 +749,89 @@ def test_a_lift_of_row_blocks_is_the_lift_of_each_map_bitwise(pair, points, monk
     assert list(L.both_signs_valid) == [pair == "fold-holo"] * points + [False] * points
 
 
-def test_a_lifts_r4_request_builds_five_lifts(monkeypatch):
-    # one lift over both test maps for lift-holomorphy, lift-t10-stability and
-    # lift-vertical-conditions, one each for lift-vertical-part and umbilic-branch
+def test_a_lifts_r4_request_builds_two_lifts(monkeypatch):
+    # umbilic-branch's own one-point lift while run_suite calls the bodies,
+    # then one lift over the rows the other four ask for, in table order:
+    # both test maps at 10 points for lift-holomorphy, lift-vertical-conditions
+    # and lift-t10-stability, the chart at 10 for lift-vertical-part
+    shapes = _lift_shapes(monkeypatch)
+    reports = run_suite(SuiteConfig("lifts-r4", points=10))
+    assert all(r.passed for r in reports)
+    assert shapes == [(2,), (70, 2)]
+
+
+def _lift_shapes(monkeypatch):
+    """The list to which each lift built from now on adds its points' shape."""
     shapes = []
     lift = lf.strictly_compatible_lift_r4
     monkeypatch.setattr(lf, "strictly_compatible_lift_r4",
                         lambda phi, z0: shapes.append(np.shape(z0)) or lift(phi, z0))
-    reports = run_suite(SuiteConfig("lifts-r4", points=10))
-    assert all(r.passed for r in reports)
-    assert shapes == [(20, 2), (20, 2), (20, 2), (10, 2), (2,)]
+    return shapes
+
+
+def _assert_same_entry(got, alone):
+    assert ((got.name, got.points, got.tolerance, repr(got.aux))
+            == (alone.name, alone.points, alone.tolerance, repr(alone.aux)))
+    assert np.array(got.residuals).tobytes() == np.array(alone.residuals).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("points", [1, 10])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_each_check_gets_from_run_suite_the_entry_it_gets_alone(suite, points, seed):
+    # the built-in suites hold every CHECK_INDEX entry; in lifts-r4 a check
+    # alone lifts only its own rows, in run_suite it shares one lift
+    config = SuiteConfig(suite, points=points, seed=seed)
+    reports = {r.name: r for r in run_suite(config)}
+    assert len(reports) == len(SUITES[suite][1])
+    for spec, _ in SUITES[suite][1]:
+        _assert_same_entry(reports[spec.name], spec(config))
+
+
+def _lift_fields(phi, n):
+    """A body that asks for a lift of phi at n points and returns its sign,
+    both_signs_valid and structure jets as residuals."""
+    def body(config, rng):
+        P = rng.uniform(-0.9, 0.9, (n, 2))
+        L = yield phi, P
+        assert L.base_map is phi
+        jets = L.structure_jets(P, 1).coef.view(float).ravel()
+        return np.concatenate([L.sign, L.both_signs_valid, jets])
+
+    return body
+
+
+def test_each_body_is_sent_its_own_rows_of_the_shared_lift():
+    # the fold's umbilic rows between the others make the shared lift split its rows
+    holo, chart = _lift_test_maps()
+    specs = [CheckSpec("rows", f"c{k}", 1.0, (), _lift_fields(phi, n))
+             for k, (phi, n) in enumerate([(holo, 3), (FOLD, 4), (chart, 1), (holo, 2)])]
+    config = SuiteConfig("rows", points=1)
+    reports = run_suite(config, {"rows": ("", [(spec, {}) for spec in specs])})
+    for report, spec in zip(reports, specs):
+        body = spec.body(config, check_rng(config, spec.name))
+        phi, P = next(body)
+        with pytest.raises(StopIteration) as done:
+            body.send(lf.strictly_compatible_lift_r4(phi, P))
+        assert np.array(report.residuals).tobytes() == done.value.value.tobytes()
+
+
+def test_a_custom_table_gives_each_check_the_entry_it_gets_alone(monkeypatch):
+    # lifts checks in jets-core's table, on jets-core's streams, two with
+    # their own points: the shared lift's blocks have 6, 7 and 10 rows
+    checks = [(CHECK_INDEX["lifts-r4:lift-holomorphy"], {"points": 3}),
+              (CHECK_INDEX["jets-core:pairing-laws"], {}),
+              (CHECK_INDEX["lifts-r4:lift-vertical-part"], {"points": 7}),
+              (CHECK_INDEX["lifts-r4:umbilic-branch"], {"tol": 0.0}),
+              (CHECK_INDEX["lifts-r4:lift-t10-stability"], {"tol": 1e-3}),
+              (CHECK_INDEX["jets-core:holomorphic-pluriconformal"], {})]
+    config = SuiteConfig("jets-core", points=5, seed=3)
+    shapes = _lift_shapes(monkeypatch)
+    reports = {r.name: r for r in run_suite(config, {"jets-core": ("", checks)})}
+    assert shapes == [(2,), (6 + 7 + 10, 2)]
+    assert len(reports) == len(checks)
+    for spec, overrides in checks:
+        _assert_same_entry(reports[spec.name], spec(replace(config, **overrides)))
 
 
 def test_dz_vs_finite_differences_evaluates_its_maps_twice(monkeypatch):
